@@ -8,6 +8,12 @@ step for the leakage-free generator, and the sequence converges to
 exp(-i (H_c + H_perp) T) like 1/n with an O(tau^2) single-cycle defect.
 
 Pulses are ideal (instantaneous, error-free) in this version.
+
+Each simulate or sweep_cycles call diagonalizes H_joint and H_c + H_perp
+once and builds every propagator it needs from those two spectra. The
+stepping loop is sequential; the per-sample leakage and fidelity are
+computed afterwards in batches of OBSERVABLE_BATCH samples, so memory does
+not grow with the cycle count.
 """
 
 from __future__ import annotations
@@ -22,10 +28,18 @@ import numpy as np
 
 from .leo import LeakageEliminationOperator
 from .models import SystemBathModel
-from .opalg import Operator, hermitian_exponential
+from .opalg import (
+    NumericalDegeneracyError,
+    Operator,
+    hermitian_exponential,
+    hermitian_spectrum,
+    spectral_exponential,
+)
 
 STATE_CODE_TOL = 1e-12
 STATE_NORM_TOL = 1e-10
+FIDELITY_CLAMP_TOL = 1e-9   # fidelities below 1 + this are clamped to 1
+OBSERVABLE_BATCH = 256      # samples per batched leakage/fidelity evaluation
 
 REPORT_CSV_HEADER = "step,elapsed_time,leakage_population,code_fidelity"
 SWEEP_CSV_HEADER = "n,tau,final_leakage,distance_to_limit"
@@ -60,15 +74,12 @@ class ParityKickSchedule:
     n_cycles: int
     tau: float
     pulses: LeakageEliminationOperator | None
-    ideal_pulses: bool = True
 
     def __post_init__(self):
         if self.n_cycles < 0:
             raise ValueError("n_cycles must be nonnegative")
         if not (self.tau > 0.0 and np.isfinite(self.tau)):
             raise ValueError("tau must be positive and finite")
-        if not self.ideal_pulses:
-            raise ValueError("only ideal pulses are supported")
 
     @property
     def total_free_time(self) -> float:
@@ -155,11 +166,12 @@ def _joint_pulse(model: SystemBathModel,
     return np.kron(pulse.unitary.mat, np.eye(model.bath_dim))
 
 
-def _kick_cycle(model: SystemBathModel, tau: float,
-                pulse: LeakageEliminationOperator) -> np.ndarray:
-    segment = hermitian_exponential(model.h_joint, -tau).mat
-    r = _joint_pulse(model, pulse)
+def _kick_cycle(segment: np.ndarray, r: np.ndarray) -> np.ndarray:
     return segment @ r.conj().T @ segment @ r
+
+
+def _decoupled_generator(model: SystemBathModel) -> Operator:
+    return Operator(model.h_c.mat + model.h_perp.mat, frozenset({"hermitian"}))
 
 
 def parity_kick_unitary(model: SystemBathModel,
@@ -169,7 +181,8 @@ def parity_kick_unitary(model: SystemBathModel,
         raise ValueError("schedule has no pulses; use free evolution directly")
     if schedule.n_cycles == 0:
         return Operator(np.eye(model.joint_dim), frozenset({"unitary"}))
-    cycle = _kick_cycle(model, schedule.tau, schedule.pulses)
+    segment = hermitian_exponential(model.h_joint, -schedule.tau).mat
+    cycle = _kick_cycle(segment, _joint_pulse(model, schedule.pulses))
     u = np.linalg.matrix_power(cycle, schedule.n_cycles)
     return Operator(u, frozenset({"unitary"}))
 
@@ -177,8 +190,7 @@ def parity_kick_unitary(model: SystemBathModel,
 def decoupled_limit_unitary(model: SystemBathModel,
                             total_free_time: float) -> Operator:
     """Evolution under the leakage-free generator H_c + H_perp."""
-    h_dec = Operator(model.h_c.mat + model.h_perp.mat, frozenset({"hermitian"}))
-    return hermitian_exponential(h_dec, -total_free_time)
+    return hermitian_exponential(_decoupled_generator(model), -total_free_time)
 
 
 # ---------------------------------------------------------------------------
@@ -186,38 +198,118 @@ def decoupled_limit_unitary(model: SystemBathModel,
 # ---------------------------------------------------------------------------
 
 
-def _partial_trace_bath(psi: np.ndarray, sys_dim: int, bath_dim: int) -> np.ndarray:
-    a = psi.reshape(sys_dim, bath_dim)
-    return a @ a.conj().T
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
 
 
-def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+def _observables(model: SystemBathModel, psis: np.ndarray,
+                 targets: np.ndarray) -> tuple[list[float], list[float]]:
+    """Leakage and code fidelity for a stack of joint states and targets.
 
+    Leakage is |(Q x I) psi|^2. Fidelity is the Uhlmann fidelity
+    (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of the bath-traced state rho
+    against the bath-traced target projected onto the code and renormalized
+    (0 when the target has no code component). Values below
+    1 + FIDELITY_CLAMP_TOL are clamped to 1; larger ones pass through.
+    """
+    shape = (len(psis), model.system_dim, model.bath_dim)
+    a = psis.reshape(shape)
+    t = targets.reshape(shape)
+    leak = np.sum(np.abs(model.code.complement_projector @ a) ** 2, axis=(1, 2))
 
-def _uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    s = _sqrt_psd(rho)
-    w = np.linalg.eigvalsh(s @ sigma @ s)
-    f = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-    return min(f, 1.0) if f < 1.0 + 1e-9 else f
-
-
-def _code_fidelity(model: SystemBathModel, psi: np.ndarray,
-                   target: np.ndarray) -> float:
-    """Fidelity of the bath-traced state against the code-projected target."""
-    rho = _partial_trace_bath(psi, model.system_dim, model.bath_dim)
-    sigma = _partial_trace_bath(target, model.system_dim, model.bath_dim)
+    rho = a @ _dagger(a)
     p = model.code.projector
-    sigma = p @ sigma @ p
-    tr = np.trace(sigma).real
-    if tr <= 0.0:
-        return 0.0
-    return _uhlmann_fidelity(rho, sigma / tr)
+    sigma = p @ (t @ _dagger(t)) @ p
+    tr = np.trace(sigma, axis1=1, axis2=2).real
+    has_code = tr > 0.0
+    sigma = sigma / np.where(has_code, tr, 1.0)[:, None, None]
+    w, v = np.linalg.eigh((rho + _dagger(rho)) / 2.0)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ _dagger(v)
+    w = np.linalg.eigvalsh(sqrt_rho @ sigma @ sqrt_rho)
+    f = np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=1) ** 2
+    f = np.where(f < 1.0 + FIDELITY_CLAMP_TOL, np.minimum(f, 1.0), f)
+    return leak.tolist(), np.where(has_code, f, 0.0).tolist()
 
 
-def _leakage(model: SystemBathModel, psi: np.ndarray) -> float:
-    return float(np.vdot(psi, model.joint_complement_projector @ psi).real)
+def _checked_state(model: SystemBathModel,
+                   initial_code_state: np.ndarray) -> np.ndarray:
+    state = np.asarray(initial_code_state, dtype=complex)
+    if state.shape != (model.system_dim,):
+        raise ValueError(
+            f"initial state must be a length-{model.system_dim} vector"
+        )
+    if abs(np.linalg.norm(state) - 1.0) > STATE_NORM_TOL:
+        raise ValueError("initial state must be normalized")
+    out_of_code = np.linalg.norm(model.code.complement_projector @ state)
+    if out_of_code > STATE_CODE_TOL:
+        raise ValueError(
+            f"initial state leaves the code subspace by {out_of_code:.3e}"
+        )
+    return state
+
+
+def _spectra(model: SystemBathModel) -> tuple[tuple, tuple]:
+    """Spectra of H_joint and of the decoupled generator H_c + H_perp."""
+    return (hermitian_spectrum(model.h_joint),
+            hermitian_spectrum(_decoupled_generator(model)))
+
+
+def _simulate(model: SystemBathModel, schedule: ParityKickSchedule,
+              state: np.ndarray, spectra: tuple[tuple, tuple]) -> SimulationReport:
+    joint, decoupled = spectra
+    pulsed = schedule.pulses is not None
+    n = schedule.n_cycles
+    tau = schedule.tau
+    if pulsed:
+        segment = spectral_exponential(joint, -tau).mat
+        cycle = _kick_cycle(segment, _joint_pulse(model, schedule.pulses))
+    else:
+        cycle = spectral_exponential(joint, -2 * tau).mat
+    target_step = spectral_exponential(decoupled, -2 * tau).mat
+
+    psi = np.kron(state, model.initial_bath_state)
+    target = psi.copy()
+    psis = np.empty((OBSERVABLE_BATCH, model.joint_dim), dtype=complex)
+    targets = np.empty_like(psis)
+    leakage: list[float] = []
+    fidelity: list[float] = []
+    for k in range(n + 1):
+        if k:
+            psi = cycle @ psi
+            target = target_step @ target
+        i = k % OBSERVABLE_BATCH
+        psis[i] = psi
+        targets[i] = target
+        if i == OBSERVABLE_BATCH - 1 or k == n:
+            leak, fid = _observables(model, psis[:i + 1], targets[:i + 1])
+            leakage += leak
+            fidelity += fid
+    samples = tuple(
+        SimulationSample(k, 2 * tau * k, leak, fid)
+        for k, (leak, fid) in enumerate(zip(leakage, fidelity))
+    )
+
+    try:
+        u_total = Operator(np.linalg.matrix_power(cycle, n),
+                           frozenset({"unitary"}))
+    except ValueError as err:
+        raise NumericalDegeneracyError(
+            f"total propagator after {n} cycles: {err}"
+        ) from err
+    u_limit = spectral_exponential(decoupled, -schedule.total_free_time)
+    distance = float(np.linalg.norm(u_total.mat - u_limit.mat, 2))
+
+    metadata = {
+        "model": model.label,
+        "g": model.coupling_strength,
+        "bath_seed": model.bath_seed,
+        "bath_dim": model.bath_dim,
+        "pulse_route": schedule.pulses.route if pulsed else "free",
+        "n_cycles": n,
+        "tau": tau,
+        "total_free_time": schedule.total_free_time,
+    }
+    return SimulationReport(schedule, samples, distance, metadata)
 
 
 def simulate(
@@ -232,65 +324,11 @@ def simulate(
     per completed cycle (plus the initial point): leakage population and the
     fidelity of the bath-traced system state against the decoupled-limit
     target. With pulses=None the same grid is used for free evolution.
+    Raises NumericalDegeneracyError when the total propagator drifts past
+    the unitarity tolerance.
     """
-    state = np.asarray(initial_code_state, dtype=complex)
-    if state.shape != (model.system_dim,):
-        raise ValueError(
-            f"initial state must be a length-{model.system_dim} vector"
-        )
-    if abs(np.linalg.norm(state) - 1.0) > STATE_NORM_TOL:
-        raise ValueError("initial state must be normalized")
-    out_of_code = np.linalg.norm(model.code.complement_projector @ state)
-    if out_of_code > STATE_CODE_TOL:
-        raise ValueError(
-            f"initial state leaves the code subspace by {out_of_code:.3e}"
-        )
-
-    pulsed = schedule.pulses is not None
-    n = schedule.n_cycles
-    tau = schedule.tau
-    if pulsed:
-        cycle = _kick_cycle(model, tau, schedule.pulses)
-    else:
-        cycle = hermitian_exponential(model.h_joint, -2 * tau).mat
-    h_dec = Operator(model.h_c.mat + model.h_perp.mat, frozenset({"hermitian"}))
-    target_step = hermitian_exponential(h_dec, -2 * tau).mat
-
-    psi = np.kron(state, model.initial_bath_state)
-    target = psi.copy()
-    samples = [
-        SimulationSample(0, 0.0, _leakage(model, psi),
-                         _code_fidelity(model, psi, target))
-    ]
-    for k in range(1, n + 1):
-        psi = cycle @ psi
-        target = target_step @ target
-        samples.append(
-            SimulationSample(
-                k, 2 * tau * k, _leakage(model, psi),
-                _code_fidelity(model, psi, target),
-            )
-        )
-
-    if n == 0:
-        u_total = np.eye(model.joint_dim)
-    else:
-        u_total = np.linalg.matrix_power(cycle, n)
-    u_total = Operator(u_total, frozenset({"unitary"}))  # rechecks unitarity
-    u_limit = decoupled_limit_unitary(model, schedule.total_free_time)
-    distance = float(np.linalg.norm(u_total.mat - u_limit.mat, 2))
-
-    metadata = {
-        "model": model.label,
-        "g": model.coupling_strength,
-        "bath_seed": model.bath_seed,
-        "bath_dim": model.bath_dim,
-        "pulse_route": schedule.pulses.route if pulsed else "free",
-        "n_cycles": n,
-        "tau": tau,
-        "total_free_time": schedule.total_free_time,
-    }
-    return SimulationReport(schedule, tuple(samples), distance, metadata)
+    state = _checked_state(model, initial_code_state)
+    return _simulate(model, schedule, state, _spectra(model))
 
 
 def sweep_cycles(
@@ -306,18 +344,21 @@ def sweep_cycles(
     n_list must be ascending positive integers. Runs are independent, so
     they fan out over a thread pool; max_workers=None uses the machine's
     parallelism and 1 forces serial execution. Row order follows n_list
-    either way.
+    either way. The generators are diagonalized once for all runs, so each
+    row equals a standalone simulate call exactly.
     """
     if not (total_free_time > 0 and np.isfinite(total_free_time)):
         raise ValueError("total_free_time must be positive and finite")
     ns = [int(n) for n in n_list]
     if not ns or any(n < 1 for n in ns) or ns != sorted(set(ns)):
         raise ValueError("n_list must be strictly ascending positive integers")
+    state = _checked_state(model, initial_code_state)
+    spectra = _spectra(model)
 
     def one(n: int) -> SweepRow:
         tau = total_free_time / (2 * n)
-        report = simulate(
-            model, ParityKickSchedule(n, tau, pulses), initial_code_state
+        report = _simulate(
+            model, ParityKickSchedule(n, tau, pulses), state, spectra
         )
         return SweepRow(n, tau, report.final_leakage, report.distance_to_limit)
 

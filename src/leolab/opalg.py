@@ -30,7 +30,8 @@ class DimensionMismatchError(ValueError):
 
 
 class NumericalDegeneracyError(RuntimeError):
-    """An eigensolver failed to converge on the given matrix."""
+    """An eigensolver failed to converge, or a computed result drifted past
+    a certified tolerance (a numerical failure, not bad input)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,23 +150,36 @@ def op_norm(a: Operator, kind: str = "frobenius") -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
+def hermitian_spectrum(h: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and eigenvector columns v of a Hermitian operator."""
+    if "hermitian" not in h.tags and not h.is_hermitian():
+        raise ValueError("expected a Hermitian operator")
+    try:
+        return np.linalg.eigh(h.mat)
+    except np.linalg.LinAlgError as err:
+        raise NumericalDegeneracyError(f"eigendecomposition failed: {err}") from err
+
+
+def spectral_exponential(spectrum: tuple[np.ndarray, np.ndarray],
+                         scale: float) -> Operator:
+    """exp(1j * scale * h) from h's spectrum (w, v), tagged unitary."""
+    if not np.isfinite(scale):
+        raise ValueError("scale must be finite")
+    w, v = spectrum
+    u = (v * np.exp(1j * scale * w)) @ v.conj().T
+    return Operator(u, frozenset({"unitary"}))
+
+
 def hermitian_exponential(h: Operator, scale: float) -> Operator:
     """exp(1j * scale * h) for Hermitian h, via eigendecomposition.
 
     Diagonalizing first keeps the result unitary to machine precision for
     any real scale, unlike a truncated series. The returned Operator is
-    tagged unitary, so the guarantee is rechecked on the way out.
+    tagged unitary, so the guarantee is rechecked on the way out. Callers
+    that need several exponentials of one generator take its
+    hermitian_spectrum once and call spectral_exponential per scale.
     """
-    if "hermitian" not in h.tags and not h.is_hermitian():
-        raise ValueError("hermitian_exponential requires a Hermitian operator")
-    if not np.isfinite(scale):
-        raise ValueError("scale must be finite")
-    try:
-        w, v = np.linalg.eigh(h.mat)
-    except np.linalg.LinAlgError as err:
-        raise NumericalDegeneracyError(f"eigendecomposition failed: {err}") from err
-    u = (v * np.exp(1j * scale * w)) @ v.conj().T
-    return Operator(u, frozenset({"unitary"}))
+    return spectral_exponential(hermitian_spectrum(h), scale)
 
 
 def random_hermitian(dim: int, seed: int) -> Operator:

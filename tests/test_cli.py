@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +227,26 @@ class TestSimulateAndSweep:
         assert run_cli(["sweep", "--config", cfg, "--n", "1,2",
                         "--out", tmp_path / "x.csv"]) == 1
         assert "LEOLAB_THREADS" in capsys.readouterr().err
+
+    def test_long_run_never_reports_bad_input(self, tmp_path):
+        # dfs2 at joint dim 64 with 4096 cycles: cycle^n can drift past the
+        # unitarity tolerance; that is a numerical failure (exit 2), never a
+        # config error (exit 1)
+        cfg = write_config(tmp_path, bath_dim=16,
+                           schedule={"n_cycles": 4096, "total_time": 2.0})
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", "from leolab.cli import main; main()",
+             "simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode in (0, 2), proc.stderr
+        if proc.returncode == 2:
+            assert proc.stderr.startswith("numerical failure:")
+            assert "residual" in proc.stderr
 
 
 class TestPlotData:

@@ -10,7 +10,12 @@ from leolab.dynamics import (
     sweep_cycles,
 )
 from leolab.leo import exchange_dfs2_leo, projector_leo
-from leolab.models import SystemBathModel, dfs2_leakage_model, hopping_model
+from leolab.models import (
+    SystemBathModel,
+    dfs2_leakage_model,
+    hopping_model,
+    linear_optics_model,
+)
 from leolab.opalg import Operator, hermitian_exponential, pauli_string, random_hermitian
 
 
@@ -194,18 +199,94 @@ class TestSimulate:
         assert first[0] == "0" and float(first[2]) == 0.0
 
 
+def per_sample_reference(model, schedule, state):
+    """Leakage and fidelity per sample, one state at a time.
+
+    This is the unbatched formula simulate used before its observables were
+    computed in batches: leakage as <psi|Q_joint|psi>, fidelity through an
+    explicit sqrt(rho) and the eigenvalues of sqrt(rho) sigma sqrt(rho).
+    """
+    def sqrt_psd(m):
+        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+    def traced(psi):
+        a = psi.reshape(model.system_dim, model.bath_dim)
+        return a @ a.conj().T
+
+    def fidelity(psi, target):
+        p = model.code.projector
+        sigma = p @ traced(target) @ p
+        tr = np.trace(sigma).real
+        if tr <= 0.0:
+            return 0.0
+        s = sqrt_psd(traced(psi))
+        w = np.linalg.eigvalsh(s @ (sigma / tr) @ s)
+        f = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+        return min(f, 1.0) if f < 1.0 + 1e-9 else f
+
+    def leakage(psi):
+        return float(np.vdot(psi, model.joint_complement_projector @ psi).real)
+
+    tau = schedule.tau
+    if schedule.pulses is None:
+        cycle = hermitian_exponential(model.h_joint, -2 * tau).mat
+    else:
+        segment = hermitian_exponential(model.h_joint, -tau).mat
+        r = np.kron(schedule.pulses.unitary.mat, np.eye(model.bath_dim))
+        cycle = segment @ r.conj().T @ segment @ r
+    h_dec = Operator(model.h_c.mat + model.h_perp.mat, frozenset({"hermitian"}))
+    target_step = hermitian_exponential(h_dec, -2 * tau).mat
+    psi = np.kron(state, model.initial_bath_state)
+    target = psi.copy()
+    leaks, fids = [leakage(psi)], [fidelity(psi, target)]
+    for _ in range(schedule.n_cycles):
+        psi = cycle @ psi
+        target = target_step @ target
+        leaks.append(leakage(psi))
+        fids.append(fidelity(psi, target))
+    return leaks, fids
+
+
+class TestBatchedObservables:
+    CASES = {
+        "dfs2_j16": lambda: (benchmark_model(), exchange_dfs2_leo()),
+        "hopping8": lambda: (hopping_model(8, seed=7, g=0.2), None),
+        "linear_optics_bath1": lambda: (linear_optics_model(seed=5, g=0.2), None),
+    }
+
+    @pytest.mark.parametrize("n", [0, 255, 256, 257])
+    @pytest.mark.parametrize("pulsed", [True, False])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_sample_reference(self, case, pulsed, n):
+        m, pulse = self.CASES[case]()
+        if pulsed and pulse is None:
+            pulse = projector_leo(m.code)
+        sched = ParityKickSchedule(n, 0.9 / max(n, 1), pulse if pulsed else None)
+        state = code_state(m)
+        rep = simulate(m, sched, state)
+        leaks, fids = per_sample_reference(m, sched, state)
+        assert [s.step for s in rep.samples] == list(range(n + 1))
+        np.testing.assert_allclose([s.leakage_population for s in rep.samples],
+                                   leaks, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose([s.code_fidelity for s in rep.samples],
+                                   fids, rtol=1e-12, atol=1e-12)
+
+
 class TestSweep:
     def test_single_point_matches_simulate(self):
+        # the sweep diagonalizes once for every n; each row must still be
+        # bit-identical to a standalone simulate call
         m = benchmark_model()
         pulse = exchange_dfs2_leo()
-        table = sweep_cycles(m, 0.8, (4,), code_state(m), pulse)
-        direct = simulate(m, ParityKickSchedule(4, 0.1, pulse), code_state(m))
-        row = table.rows[0]
-        assert row.n == 4
-        assert row.tau == pytest.approx(0.1)
-        assert row.final_leakage == pytest.approx(direct.final_leakage, rel=1e-12)
-        assert row.distance_to_limit == pytest.approx(direct.distance_to_limit,
-                                                      rel=1e-12)
+        table = sweep_cycles(m, 0.8, (1, 2, 4, 8), code_state(m), pulse)
+        assert [r.n for r in table.rows] == [1, 2, 4, 8]
+        for row in table.rows:
+            assert row.tau == pytest.approx(0.4 / row.n)
+            direct = simulate(m, ParityKickSchedule(row.n, row.tau, pulse),
+                              code_state(m))
+            assert row.final_leakage == direct.final_leakage
+            assert row.distance_to_limit == direct.distance_to_limit
 
     def test_rows_ordered_and_deterministic(self):
         m = benchmark_model()
