@@ -10,9 +10,12 @@ exp(-i (H_c + H_perp) T) like 1/n with an O(tau^2) single-cycle defect.
 Pulses are ideal (instantaneous, error-free) in this version.
 
 Each simulate or sweep_cycles call diagonalizes H_joint and H_c + H_perp
-once and builds every propagator it needs from those two spectra. The
-stepping loop is sequential; the per-sample leakage and fidelity are
-computed afterwards in batches of OBSERVABLE_BATCH samples, so memory does
+once and builds every propagator it needs from those two spectra. Samples
+come in batches of OBSERVABLE_BATCH: the decoupled-limit targets, and the
+states of a free run, are read off the spectra as exp(-i H 2 tau k) psi0
+for a whole batch of k in one matrix product; only the pulsed state is
+stepped one cycle at a time. Leakage and the code fidelity (through
+purifications, in code coordinates) are computed per batch, so memory does
 not grow with the cycle count.
 """
 
@@ -206,29 +209,42 @@ def _observables(model: SystemBathModel, psis: np.ndarray,
                  targets: np.ndarray) -> tuple[list[float], list[float]]:
     """Leakage and code fidelity for a stack of joint states and targets.
 
-    Leakage is |(Q x I) psi|^2. Fidelity is the Uhlmann fidelity
-    (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of the bath-traced state rho
-    against the bath-traced target projected onto the code and renormalized
-    (0 when the target has no code component). Values below
-    1 + FIDELITY_CLAMP_TOL are clamped to 1; larger ones pass through.
+    Leakage is |(Q x I) psi|^2. Fidelity is the Uhlmann fidelity of the
+    bath-traced state against the bath-traced target projected onto the
+    code and renormalized (0 when the target has no code component). Both
+    joint vectors are purifications, so with A = V^dag psi and
+    C = V^dag target in code coordinates (V the code basis, reshaped to
+    code x bath) the fidelity is ||A^dag C||_1^2 / ||C||^2 (Uhlmann 1976;
+    Jozsa 1994). When the bath is larger than the code, A^dag is replaced
+    by the R factor of its QR decomposition, which keeps the nuclear norm
+    and every SVD at most code x bath. Values below 1 + FIDELITY_CLAMP_TOL
+    are clamped to 1; larger ones pass through.
     """
     shape = (len(psis), model.system_dim, model.bath_dim)
     a = psis.reshape(shape)
-    t = targets.reshape(shape)
     leak = np.sum(np.abs(model.code.complement_projector @ a) ** 2, axis=(1, 2))
 
-    rho = a @ _dagger(a)
-    p = model.code.projector
-    sigma = p @ (t @ _dagger(t)) @ p
-    tr = np.trace(sigma, axis1=1, axis2=2).real
-    has_code = tr > 0.0
-    sigma = sigma / np.where(has_code, tr, 1.0)[:, None, None]
-    w, v = np.linalg.eigh((rho + _dagger(rho)) / 2.0)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ _dagger(v)
-    w = np.linalg.eigvalsh(sqrt_rho @ sigma @ sqrt_rho)
-    f = np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=1) ** 2
+    v_dag = model.code.basis.conj().T
+    a_dag = _dagger(v_dag @ a)
+    c = v_dag @ targets.reshape(shape)
+    if model.bath_dim > model.code.code_dim:
+        a_dag = np.linalg.qr(a_dag, mode="r")
+    norm = np.sum(np.abs(c) ** 2, axis=(1, 2))
+    has_code = norm > 0.0
+    nuclear = np.linalg.svd(a_dag @ c, compute_uv=False).sum(axis=1)
+    f = nuclear ** 2 / np.where(has_code, norm, 1.0)
     f = np.where(f < 1.0 + FIDELITY_CLAMP_TOL, np.minimum(f, 1.0), f)
     return leak.tolist(), np.where(has_code, f, 0.0).tolist()
+
+
+def _spectral_samples(spectrum: tuple[np.ndarray, np.ndarray],
+                      psi0: np.ndarray, scale: float,
+                      ks: np.ndarray) -> np.ndarray:
+    """Rows exp(1j * scale * k * h) psi0 for each k in ks, from h's spectrum."""
+    w, v = spectrum
+    rows = (np.exp(1j * scale * np.outer(ks, w)) * (v.conj().T @ psi0)) @ v.T
+    rows[ks == 0] = psi0  # the initial sample is psi0 itself, free of round-off
+    return rows
 
 
 def _checked_state(model: SystemBathModel,
@@ -260,43 +276,46 @@ def _simulate(model: SystemBathModel, schedule: ParityKickSchedule,
     pulsed = schedule.pulses is not None
     n = schedule.n_cycles
     tau = schedule.tau
+    psi0 = np.kron(state, model.initial_bath_state)
+    # u_limit and segment (or u_total) certify both spectra as unitary
+    # propagators before any state is sampled from them
+    u_limit = spectral_exponential(decoupled, -schedule.total_free_time)
     if pulsed:
         segment = spectral_exponential(joint, -tau).mat
         cycle = _kick_cycle(segment, _joint_pulse(model, schedule.pulses))
     else:
-        cycle = spectral_exponential(joint, -2 * tau).mat
-    target_step = spectral_exponential(decoupled, -2 * tau).mat
+        u_total = spectral_exponential(joint, -schedule.total_free_time)
 
-    psi = np.kron(state, model.initial_bath_state)
-    target = psi.copy()
-    psis = np.empty((OBSERVABLE_BATCH, model.joint_dim), dtype=complex)
-    targets = np.empty_like(psis)
+    psi = psi0
     leakage: list[float] = []
     fidelity: list[float] = []
-    for k in range(n + 1):
-        if k:
-            psi = cycle @ psi
-            target = target_step @ target
-        i = k % OBSERVABLE_BATCH
-        psis[i] = psi
-        targets[i] = target
-        if i == OBSERVABLE_BATCH - 1 or k == n:
-            leak, fid = _observables(model, psis[:i + 1], targets[:i + 1])
-            leakage += leak
-            fidelity += fid
+    for start in range(0, n + 1, OBSERVABLE_BATCH):
+        ks = np.arange(start, min(start + OBSERVABLE_BATCH, n + 1))
+        targets = _spectral_samples(decoupled, psi0, -2 * tau, ks)
+        if pulsed:
+            psis = np.empty_like(targets)
+            for i, k in enumerate(ks):
+                if k:
+                    psi = cycle @ psi
+                psis[i] = psi
+        else:
+            psis = _spectral_samples(joint, psi0, -2 * tau, ks)
+        leak, fid = _observables(model, psis, targets)
+        leakage += leak
+        fidelity += fid
     samples = tuple(
         SimulationSample(k, 2 * tau * k, leak, fid)
         for k, (leak, fid) in enumerate(zip(leakage, fidelity))
     )
 
-    try:
-        u_total = Operator(np.linalg.matrix_power(cycle, n),
-                           frozenset({"unitary"}))
-    except ValueError as err:
-        raise NumericalDegeneracyError(
-            f"total propagator after {n} cycles: {err}"
-        ) from err
-    u_limit = spectral_exponential(decoupled, -schedule.total_free_time)
+    if pulsed:
+        try:
+            u_total = Operator(np.linalg.matrix_power(cycle, n),
+                               frozenset({"unitary"}))
+        except ValueError as err:
+            raise NumericalDegeneracyError(
+                f"total propagator after {n} cycles: {err}"
+            ) from err
     distance = float(np.linalg.norm(u_total.mat - u_limit.mat, 2))
 
     metadata = {

@@ -283,6 +283,34 @@ class SystemBathModel:
         )
 
 
+def _split_bath_model(label: str, code: CodeSubspace, h_sys: Operator,
+                      g: float, seed: int, bath_dim: int,
+                      shared_bath: bool) -> SystemBathModel:
+    """Couple each classified piece of h_sys to its own seeded bath operator.
+
+    Child seed order: bath operators for the E, E_perp and L pieces (all
+    three use the first when shared_bath is set), then the free bath term.
+    """
+    dec = decompose(h_sys, code)
+    seeds = derived_seeds(seed, 4)
+    if shared_bath:
+        b_c = b_perp = b_l = random_hermitian(bath_dim, seeds[0])
+    else:
+        b_c = random_hermitian(bath_dim, seeds[0])
+        b_perp = random_hermitian(bath_dim, seeds[1])
+        b_l = random_hermitian(bath_dim, seeds[2])
+    h_bath = random_hermitian(bath_dim, seeds[3])
+    return SystemBathModel.from_terms(
+        label,
+        code,
+        [(g, dec.e_part, b_c), (g, dec.eperp_part, b_perp), (g, dec.l_part, b_l)],
+        coupling_strength=g,
+        bath_seed=seed,
+        bath_dim=bath_dim,
+        free_bath=h_bath,
+    )
+
+
 def hopping_model(
     n_levels: int,
     seed: int,
@@ -299,25 +327,8 @@ def hopping_model(
     if n_levels < 3:
         raise ValueError("hopping model needs at least three levels to leak")
     code = codes_mod.bare_qubit_code(n_levels)
-    h_sys = random_hermitian(n_levels, seed)
-    dec = decompose(h_sys, code)
-    seeds = derived_seeds(seed, 4)
-    if shared_bath:
-        b_c = b_perp = b_l = random_hermitian(bath_dim, seeds[0])
-    else:
-        b_c = random_hermitian(bath_dim, seeds[0])
-        b_perp = random_hermitian(bath_dim, seeds[1])
-        b_l = random_hermitian(bath_dim, seeds[2])
-    h_bath = random_hermitian(bath_dim, seeds[3])
-    return SystemBathModel.from_terms(
-        "hopping",
-        code,
-        [(g, dec.e_part, b_c), (g, dec.eperp_part, b_perp), (g, dec.l_part, b_l)],
-        coupling_strength=g,
-        bath_seed=seed,
-        bath_dim=bath_dim,
-        free_bath=h_bath,
-    )
+    return _split_bath_model("hopping", code, random_hermitian(n_levels, seed),
+                             g, seed, bath_dim, shared_bath)
 
 
 def linear_optics_model(
@@ -345,24 +356,8 @@ def linear_optics_model(
             bath_seed=seed,
             bath_dim=1,
         )
-    dec = decompose(lifted, code)
-    seeds = derived_seeds(seed, 4)
-    if shared_bath:
-        b_c = b_perp = b_l = random_hermitian(bath_dim, seeds[0])
-    else:
-        b_c = random_hermitian(bath_dim, seeds[0])
-        b_perp = random_hermitian(bath_dim, seeds[1])
-        b_l = random_hermitian(bath_dim, seeds[2])
-    h_bath = random_hermitian(bath_dim, seeds[3])
-    return SystemBathModel.from_terms(
-        "linear_optics",
-        code,
-        [(g, dec.e_part, b_c), (g, dec.eperp_part, b_perp), (g, dec.l_part, b_l)],
-        coupling_strength=g,
-        bath_seed=seed,
-        bath_dim=bath_dim,
-        free_bath=h_bath,
-    )
+    return _split_bath_model("linear_optics", code, lifted, g, seed, bath_dim,
+                             shared_bath)
 
 
 def dfs2_leakage_model(

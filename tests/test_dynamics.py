@@ -202,27 +202,20 @@ class TestSimulate:
 def per_sample_reference(model, schedule, state):
     """Leakage and fidelity per sample, one state at a time.
 
-    This is the unbatched formula simulate used before its observables were
-    computed in batches: leakage as <psi|Q_joint|psi>, fidelity through an
-    explicit sqrt(rho) and the eigenvalues of sqrt(rho) sigma sqrt(rho).
+    States and targets are stepped one cycle at a time with the propagators
+    of hermitian_exponential. Leakage is <psi|Q_joint|psi>; fidelity is the
+    purification form of Uhlmann's fidelity on the full system space,
+    ||A^dag C||_1^2 / ||C||^2 with A = psi and C = (P x I) target reshaped
+    to system x bath, one nuclear norm per sample.
     """
-    def sqrt_psd(m):
-        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-    def traced(psi):
-        a = psi.reshape(model.system_dim, model.bath_dim)
-        return a @ a.conj().T
-
     def fidelity(psi, target):
-        p = model.code.projector
-        sigma = p @ traced(target) @ p
-        tr = np.trace(sigma).real
-        if tr <= 0.0:
+        shape = (model.system_dim, model.bath_dim)
+        a = psi.reshape(shape)
+        c = model.code.projector @ target.reshape(shape)
+        norm = np.linalg.norm(c) ** 2
+        if norm <= 0.0:
             return 0.0
-        s = sqrt_psd(traced(psi))
-        w = np.linalg.eigvalsh(s @ (sigma / tr) @ s)
-        f = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+        f = float(np.linalg.norm(a.conj().T @ c, "nuc") ** 2 / norm)
         return min(f, 1.0) if f < 1.0 + 1e-9 else f
 
     def leakage(psi):
