@@ -17,7 +17,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+import tempfile
 from typing import Sequence
 
 import numpy as np
@@ -27,9 +27,6 @@ from . import leo as leo_mod
 from .classify import classification_to_csv, classify_pauli_strings, decompose
 from .dynamics import (
     ParityKickSchedule,
-    SimulationReport,
-    SweepTable,
-    _atomic_write_text,
     simulate,
     sweep_cycles,
 )
@@ -59,27 +56,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass
-class RunConfig:
-    """Parsed and partially validated invocation."""
-
-    command: str
-    code_label: str | None = None
-    route: str | None = None
-    out_path: str | None = None
-    operator_path: str | None = None
-    sigma_path: str | None = None
-    generator_spec: str | None = None
-    leo_path: str | None = None
-    probe_spec: str = "random:100:seed=5"
-    config_path: str | None = None
-    n_list: tuple[int, ...] = ()
-    free: bool = False
-    plot_out: str | None = None
-    seed_override: int | None = None
-    raw_config: dict = field(default_factory=dict)
-
-
 def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -97,8 +73,29 @@ def load_json(path: str) -> dict:
     return data
 
 
+def _atomic_write_text(path: str, text: str) -> None:
+    """Write via a sibling temp file and rename, so readers never see a torn file."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _dump_json(path: str, data: dict) -> None:
     _atomic_write_text(path, json.dumps(data, indent=2) + "\n")
+
+
+def _cycle_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"bad cycle list {text!r}: {err}") from err
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,12 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="classify operators against a code")
+    p.set_defaults(run=_run_decompose)
     p.add_argument("--code", required=True, help="code label, e.g. dfs2")
     p.add_argument("--operator", help="operator JSON to decompose "
                    "(default: full Pauli-string table)")
     p.add_argument("--out", required=True, help="output CSV or JSON path")
 
     p = sub.add_parser("synth", help="synthesize a pulse by route")
+    p.set_defaults(run=_run_synth)
     p.add_argument("--code", required=True)
     p.add_argument("--route", required=True,
                    help=f"one of: {', '.join(leo_mod.ROUTES)}")
@@ -122,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="verify a candidate pulse")
+    p.set_defaults(run=_run_verify)
     p.add_argument("--leo", required=True, help="pulse or operator JSON")
     p.add_argument("--code", help="code label (default: from the file)")
     p.add_argument("--probes", default="random:100:seed=5",
@@ -129,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="optional report JSON path")
 
     p = sub.add_parser("simulate", help="run one schedule from a config")
+    p.set_defaults(run=_run_simulate)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="timeseries CSV path")
     p.add_argument("--free", action="store_true",
@@ -137,8 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot-out", help="two-column (time, leakage) data file")
 
     p = sub.add_parser("sweep", help="convergence sweep over cycle counts")
+    p.set_defaults(run=_run_sweep)
     p.add_argument("--config", required=True)
-    p.add_argument("--n", required=True,
+    p.add_argument("--n", required=True, type=_cycle_list,
                    help="comma-separated cycle counts, e.g. 1,2,4,8")
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.add_argument("--seed", type=int, help="override the config seed")
@@ -146,47 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(argv: Sequence[str]) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    cfg.code_label = getattr(args, "code", None)
-    cfg.out_path = getattr(args, "out", None)
-    cfg.operator_path = getattr(args, "operator", None)
-    cfg.route = getattr(args, "route", None)
-    cfg.sigma_path = getattr(args, "sigma", None)
-    cfg.generator_spec = getattr(args, "generator", None)
-    cfg.leo_path = getattr(args, "leo", None)
-    cfg.probe_spec = getattr(args, "probes", cfg.probe_spec)
-    cfg.config_path = getattr(args, "config", None)
-    cfg.free = bool(getattr(args, "free", False))
-    cfg.plot_out = getattr(args, "plot_out", None)
-    cfg.seed_override = getattr(args, "seed", None)
-    if getattr(args, "n", None):
-        try:
-            cfg.n_list = tuple(int(tok) for tok in args.n.split(","))
-        except ValueError as err:
-            raise ConfigError(f"bad cycle list {args.n!r}: {err}") from err
-    if cfg.config_path:
-        cfg.raw_config = load_json(cfg.config_path)
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
 
 
-def _build_code(label: str):
-    try:
-        return codes_mod.build_code(label)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-
-def _run_decompose(cfg: RunConfig) -> int:
-    code = _build_code(cfg.code_label)
-    if cfg.operator_path:
-        op = operator_from_json(load_json(cfg.operator_path))
+def _run_decompose(args: argparse.Namespace) -> int:
+    code = codes_mod.build_code(args.code)
+    if args.operator:
+        op = operator_from_json(load_json(args.operator))
         dec = decompose(op, code)
         payload = {
             "code_label": code.label,
@@ -197,10 +167,10 @@ def _run_decompose(cfg: RunConfig) -> int:
             "eperp_part": operator_to_json(dec.eperp_part),
             "l_part": operator_to_json(dec.l_part),
         }
-        _dump_json(cfg.out_path, payload)
+        _dump_json(args.out, payload)
         print(
             f"decompose: leakage norm {dec.l_norm:.17g} against "
-            f"{code.label} -> {cfg.out_path}"
+            f"{code.label} -> {args.out}"
         )
         return EXIT_OK
     n_qubits = code.ambient_dim.bit_length() - 1
@@ -213,62 +183,35 @@ def _run_decompose(cfg: RunConfig) -> int:
     counts: dict[str, int] = {}
     for row in table.values():
         counts[row.klass] = counts.get(row.klass, 0) + 1
-    _atomic_write_text(cfg.out_path, classification_to_csv(table))
+    _atomic_write_text(args.out, classification_to_csv(table))
     summary = ", ".join(f"{k} {v}" for k, v in sorted(counts.items()))
-    print(f"decompose: {len(table)} pauli strings -> {summary} -> {cfg.out_path}")
+    print(f"decompose: {len(table)} pauli strings -> {summary} -> {args.out}")
     return EXIT_OK
 
 
-def _synthesize(cfg: RunConfig):
-    route = cfg.route
-    code_label = cfg.code_label
-    if route not in leo_mod.ROUTES:
-        raise ConfigError(
-            f"unknown route {route!r}; valid routes: {', '.join(leo_mod.ROUTES)}"
-        )
-    code = _build_code(code_label)
-    if route == "projector":
-        return leo_mod.projector_leo(code)
-    if route == "number_op":
-        if not code.label.startswith("bare"):
-            raise ConfigError("route number_op needs a bare<n> code")
-        return leo_mod.number_operator_leo(code.ambient_dim)
-    if route == "phase_shifter":
-        if code.label != "dual_rail":
-            raise ConfigError("route phase_shifter needs the dual_rail code")
-        return leo_mod.phase_shifter_leo()
-    if route == "s_squared":
-        if code.label != "dfs4":
-            raise ConfigError("route s_squared needs the dfs4 code")
-        return leo_mod.s_squared_leo()
-    if route == "exchange_2dfs":
-        if code.label != "dfs2":
-            raise ConfigError("route exchange_2dfs needs the dfs2 code")
-        return leo_mod.exchange_dfs2_leo()
-    if route == "canonical":
-        if not cfg.sigma_path:
-            raise ConfigError("route canonical needs --sigma <operator.json>")
-        sigma = operator_from_json(load_json(cfg.sigma_path), tags=("hermitian",))
-        return leo_mod.canonical_leo(sigma, code)
-    # generalized
-    if not cfg.generator_spec:
-        raise ConfigError(
-            "route generalized needs --generator <operator.json|half_s_squared>"
-        )
-    if cfg.generator_spec == "half_s_squared":
+def _hermitian(path: str | None) -> Operator | None:
+    if path is None:
+        return None
+    return operator_from_json(load_json(path), tags=("hermitian",))
+
+
+def _synthesize(route: str, code, sigma: str | None, generator: str | None):
+    """leo.synthesize with sigma and generator given as JSON paths; the
+    generator may also be spelled half_s_squared."""
+    if generator == "half_s_squared":
         gen = Operator(codes_mod.s_squared(4).mat / 2.0, frozenset({"hermitian"}))
     else:
-        gen = operator_from_json(load_json(cfg.generator_spec),
-                                 tags=("hermitian",))
-    return leo_mod.generalized_leo(gen, code)
+        gen = _hermitian(generator)
+    return leo_mod.synthesize(route, code, _hermitian(sigma), gen)
 
 
-def _run_synth(cfg: RunConfig) -> int:
-    pulse = _synthesize(cfg)
-    _dump_json(cfg.out_path, leo_mod.leo_to_json(pulse))
+def _run_synth(args: argparse.Namespace) -> int:
+    code = codes_mod.build_code(args.code)
+    pulse = _synthesize(args.route, code, args.sigma, args.generator)
+    _dump_json(args.out, leo_mod.leo_to_json(pulse))
     print(
         f"synth: {pulse.route} pulse for {pulse.code.label}, structural "
-        f"residual {pulse.structural_error():.3e} -> {cfg.out_path}"
+        f"residual {pulse.structural_error():.3e} -> {args.out}"
     )
     return EXIT_OK
 
@@ -282,21 +225,21 @@ def _parse_probes(spec: str, dim: int) -> list[Operator]:
     return leo_mod.random_probes(dim, int(m.group(1)), int(m.group(2)))
 
 
-def _run_verify(cfg: RunConfig) -> int:
-    data = load_json(cfg.leo_path)
-    label = cfg.code_label or data.get("code_label")
+def _run_verify(args: argparse.Namespace) -> int:
+    data = load_json(args.leo)
+    label = args.code or data.get("code_label")
     if not label:
         raise ConfigError("no code label: pass --code or use a pulse JSON")
-    code = _build_code(str(label))
+    code = codes_mod.build_code(str(label))
     candidate = operator_from_json(data)
     if candidate.dim != code.ambient_dim:
         raise ConfigError(
             f"operator dim {candidate.dim} does not match code "
             f"{code.label} (ambient {code.ambient_dim})"
         )
-    probes = _parse_probes(cfg.probe_spec, code.ambient_dim)
+    probes = _parse_probes(args.probes, code.ambient_dim)
     report = leo_mod.verify_leo(candidate, code, probes)
-    if cfg.out_path:
+    if args.out:
         payload = {
             "passed": report.passed,
             "phase": [report.phase.real, report.phase.imag],
@@ -313,7 +256,7 @@ def _run_verify(cfg: RunConfig) -> int:
                 for p in report.probe_checks
             ],
         }
-        _dump_json(cfg.out_path, payload)
+        _dump_json(args.out, payload)
     print(f"verify: {report.summary()}")
     return EXIT_OK if report.passed else EXIT_NUMERICAL
 
@@ -348,15 +291,8 @@ def _pulse_for_model(config: dict, model):
     pulse_cfg = config.get("leo", {})
     if not isinstance(pulse_cfg, dict):
         raise ConfigError("'leo' must be an object with a 'route'")
-    route = pulse_cfg.get("route", "projector")
-    sub = RunConfig(
-        command="synth",
-        code_label=model.code.label,
-        route=route,
-        sigma_path=pulse_cfg.get("sigma"),
-        generator_spec=pulse_cfg.get("generator"),
-    )
-    return _synthesize(sub)
+    return _synthesize(pulse_cfg.get("route", "projector"), model.code,
+                       pulse_cfg.get("sigma"), pulse_cfg.get("generator"))
 
 
 def _schedule_params(config: dict) -> tuple[int, float]:
@@ -383,40 +319,40 @@ def _schedule_params(config: dict) -> tuple[int, float]:
     return n_cycles, tau
 
 
-def _model_from_cfg(cfg: RunConfig):
-    config = dict(cfg.raw_config)
-    if cfg.seed_override is not None:
-        config["seed"] = cfg.seed_override
-    try:
-        return model_from_config(config), config
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+def _model_and_config(args: argparse.Namespace):
+    config = load_json(args.config)
+    if args.seed is not None:
+        config["seed"] = args.seed
+    return model_from_config(config), config
 
 
-def _run_simulate(cfg: RunConfig) -> int:
-    model, config = _model_from_cfg(cfg)
+def _plot_text(points) -> str:
+    """Two whitespace-separated columns, one (x, y) point per line."""
+    return "\n".join(f"{x:.17g} {y:.17g}" for x, y in points) + "\n"
+
+
+def _run_simulate(args: argparse.Namespace) -> int:
+    model, config = _model_and_config(args)
     n_cycles, tau = _schedule_params(config)
-    pulses = None if cfg.free else _pulse_for_model(config, model)
+    pulses = None if args.free else _pulse_for_model(config, model)
     schedule = ParityKickSchedule(n_cycles, tau, pulses)
     state = _initial_state(config, model.code)
-    try:
-        report = simulate(model, schedule, state)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    report.to_csv(cfg.out_path)
-    if cfg.plot_out:
-        _atomic_write_text(cfg.plot_out, emit_plot_data(report, "timeseries"))
-    kind = "free" if cfg.free else f"pulsed ({report.metadata['pulse_route']})"
+    report = simulate(model, schedule, state)
+    _atomic_write_text(args.out, report.csv_text())
+    if args.plot_out:
+        _atomic_write_text(args.plot_out, _plot_text(
+            (s.elapsed_time, s.leakage_population) for s in report.samples))
+    kind = "free" if args.free else f"pulsed ({report.metadata['pulse_route']})"
     print(
         f"simulate: {kind}, final leakage "
         f"{report.final_leakage:.17g} after {n_cycles} cycles "
-        f"(T={schedule.total_free_time:.17g}) -> {cfg.out_path}"
+        f"(T={schedule.total_free_time:.17g}) -> {args.out}"
     )
     return EXIT_OK
 
 
-def _run_sweep(cfg: RunConfig) -> int:
-    model, config = _model_from_cfg(cfg)
+def _run_sweep(args: argparse.Namespace) -> int:
+    model, config = _model_and_config(args)
     n_cycles, tau = _schedule_params(config)
     total = 2 * n_cycles * tau
     pulses = _pulse_for_model(config, model)
@@ -428,76 +364,33 @@ def _run_sweep(cfg: RunConfig) -> int:
             max_workers = max(1, int(env))
         except ValueError as err:
             raise ConfigError(f"bad LEOLAB_THREADS value {env!r}") from err
-    try:
-        table = sweep_cycles(model, total, cfg.n_list, state, pulses,
-                             max_workers=max_workers)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    table.to_csv(cfg.out_path)
-    if cfg.plot_out:
-        _atomic_write_text(cfg.plot_out, emit_plot_data(table, "convergence"))
+    table = sweep_cycles(model, total, args.n, state, pulses,
+                         max_workers=max_workers)
+    _atomic_write_text(args.out, table.csv_text())
+    if args.plot_out:
+        _atomic_write_text(args.plot_out, _plot_text(
+            (math.log10(r.n), math.log10(max(r.distance_to_limit, 1e-300)))
+            for r in table.rows))
     last = table.rows[-1]
     print(
         f"sweep: {len(table.rows)} runs at T={total:.17g}, distance at "
-        f"n={last.n}: {last.distance_to_limit:.17g} -> {cfg.out_path}"
+        f"n={last.n}: {last.distance_to_limit:.17g} -> {args.out}"
     )
     return EXIT_OK
 
 
-def emit_plot_data(obj: SimulationReport | SweepTable, style: str) -> str:
-    """Two-column whitespace-separated plot data.
-
-    timeseries: (elapsed_time, leakage_population) from a simulation report.
-    convergence: (log10 n, log10 distance_to_limit) from a sweep table.
-    """
-    lines = []
-    if style == "timeseries":
-        if not isinstance(obj, SimulationReport):
-            raise ConfigError("timeseries plot needs a simulation report")
-        for s in obj.samples:
-            lines.append(f"{s.elapsed_time:.17g} {s.leakage_population:.17g}")
-    elif style == "convergence":
-        if not isinstance(obj, SweepTable):
-            raise ConfigError("convergence plot needs a sweep table")
-        for r in obj.rows:
-            dist = max(r.distance_to_limit, 1e-300)
-            lines.append(f"{math.log10(r.n):.17g} {math.log10(dist):.17g}")
-    else:
-        raise ConfigError(f"unknown plot style {style!r}")
-    return "\n".join(lines) + "\n"
-
-
-_COMMANDS = {
-    "decompose": _run_decompose,
-    "synth": _run_synth,
-    "verify": _run_verify,
-    "simulate": _run_simulate,
-    "sweep": _run_sweep,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute a parsed invocation; returns the process exit code."""
+def main(argv: Sequence[str] | None = None) -> None:
+    """Run one command (argv defaults to sys.argv[1:]) and exit with its code."""
     try:
-        return _COMMANDS[cfg.command](cfg)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        args = build_parser().parse_args(argv)
+        status = args.run(args)
     except NumericalDegeneracyError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        status = EXIT_NUMERICAL
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-
-
-def main(argv: Sequence[str] | None = None) -> None:
-    try:
-        cfg = config_from_args(sys.argv[1:] if argv is None else list(argv))
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        sys.exit(EXIT_CONFIG)
-    sys.exit(run(cfg))
+        status = EXIT_CONFIG
+    sys.exit(status)
 
 
 if __name__ == "__main__":

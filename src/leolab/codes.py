@@ -24,6 +24,7 @@ import numpy as np
 from .opalg import Operator
 
 ISOMETRY_TOL = 1e-12
+SUBSPACE_TOL = 1e-10  # Frobenius distance between projectors of one subspace
 SECTOR_EIG_TOL = 1e-10
 
 # threshold below which a Gram-Schmidt residual is treated as linearly
@@ -89,6 +90,15 @@ class CodeSubspace:
         )
         cols.setflags(write=False)
         return cols
+
+    def same_subspace(self, other: CodeSubspace) -> bool:
+        """Whether other spans this subspace of the same ambient space.
+
+        Compares projectors, so labels and basis choices do not matter.
+        """
+        return (other.ambient_dim == self.ambient_dim
+                and bool(np.linalg.norm(other.projector - self.projector)
+                         <= SUBSPACE_TOL))
 
     def contains(self, vec: np.ndarray, tol: float = 1e-12) -> bool:
         v = np.asarray(vec, dtype=complex)

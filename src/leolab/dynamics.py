@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -50,20 +49,6 @@ SWEEP_CSV_HEADER = "n,tau,final_leakage,distance_to_limit"
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a torn file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +109,6 @@ class SimulationReport:
             )
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, path: str) -> None:
-        _atomic_write_text(path, self.csv_text())
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -150,9 +132,6 @@ class SweepTable:
             )
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, path: str) -> None:
-        _atomic_write_text(path, self.csv_text())
-
 
 # ---------------------------------------------------------------------------
 # propagators
@@ -161,10 +140,10 @@ class SweepTable:
 
 def _joint_pulse(model: SystemBathModel,
                  pulse: LeakageEliminationOperator) -> np.ndarray:
-    if pulse.code.label != model.code.label or pulse.dim != model.system_dim:
+    if not pulse.code.same_subspace(model.code):
         raise ValueError(
             f"pulse targets code {pulse.code.label!r} (dim {pulse.dim}), model "
-            f"uses {model.code.label!r} (dim {model.system_dim})"
+            f"uses a different code {model.code.label!r} (dim {model.system_dim})"
         )
     return np.kron(pulse.unitary.mat, np.eye(model.bath_dim))
 

@@ -40,15 +40,19 @@ SUPPORT_TOL = 1e-12
 INVOLUTION_TOL = 1e-10
 INTEGER_SPECTRUM_TOL = 1e-8
 
-ROUTES = (
-    "projector",
-    "canonical",
-    "generalized",
-    "number_op",
-    "phase_shifter",
-    "exchange_2dfs",
-    "s_squared",
-)
+# route -> builder(code, sigma, generator). The lambdas look each builder up
+# by its module-level name when called, so wrapping a builder in this
+# module's namespace also wraps it here.
+_BUILDERS = {
+    "projector": lambda code, sigma, generator: projector_leo(code),
+    "canonical": lambda code, sigma, generator: canonical_leo(sigma, code),
+    "generalized": lambda code, sigma, generator: generalized_leo(generator, code),
+    "number_op": lambda code, sigma, generator: number_operator_leo(code.ambient_dim),
+    "phase_shifter": lambda code, sigma, generator: phase_shifter_leo(),
+    "exchange_2dfs": lambda code, sigma, generator: exchange_dfs2_leo(),
+    "s_squared": lambda code, sigma, generator: s_squared_leo(),
+}
+ROUTES = tuple(_BUILDERS)
 
 
 class NotLogicalInvolutionError(ValueError):
@@ -329,6 +333,35 @@ def s_squared_leo() -> LeakageEliminationOperator:
     u = hermitian_exponential(gen, -np.pi)
     return LeakageEliminationOperator(u, code, extract_phase(u, code),
                                       "s_squared", gen)
+
+
+def synthesize(
+    route: str,
+    code: CodeSubspace,
+    sigma: Operator | None = None,
+    generator: Operator | None = None,
+) -> LeakageEliminationOperator:
+    """Build the pulse for code by a named route (one of ROUTES).
+
+    canonical needs the logical involution sigma and generalized the
+    generator; the other routes take neither. A route applies to a code
+    when the pulse it builds is for that same subspace; otherwise this
+    raises ValueError naming the code the route needs.
+    """
+    if route not in _BUILDERS:
+        raise ValueError(
+            f"unknown route {route!r}; valid routes: {', '.join(ROUTES)}"
+        )
+    if route == "canonical" and sigma is None:
+        raise ValueError("route canonical needs --sigma <operator.json>")
+    if route == "generalized" and generator is None:
+        raise ValueError(
+            "route generalized needs --generator <operator.json|half_s_squared>"
+        )
+    pulse = _BUILDERS[route](code, sigma, generator)
+    if not pulse.code.same_subspace(code):
+        raise ValueError(f"route {route} needs the {pulse.code.label} code")
+    return pulse
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,36 @@ class TestSimulateAndSweep:
             assert "residual" in proc.stderr
 
 
+class TestConfigLeoBlock:
+    """The config 'leo' block goes through the same dispatch as synth."""
+
+    BENCH = Path(__file__).resolve().parent.parent / "bench" / "dfs2_benchmark.json"
+
+    def test_canonical_sigma_matches_shipped_exchange_run(self, tmp_path):
+        config = json.loads(self.BENCH.read_text())
+        assert config["leo"] == {"route": "exchange_2dfs"}
+        sigma = tmp_path / "sigma.json"
+        xbar = (pauli_string("XX").mat + pauli_string("YY").mat) / 2.0
+        sigma.write_text(json.dumps({
+            "dim": 4, "re": xbar.real.tolist(), "im": xbar.imag.tolist(),
+        }))
+        config["leo"] = {"route": "canonical", "sigma": str(sigma)}
+        canonical = tmp_path / "canonical.json"
+        canonical.write_text(json.dumps(config))
+        a = tmp_path / "exchange.csv"
+        b = tmp_path / "canonical.csv"
+        assert run_cli(["simulate", "--config", self.BENCH, "--out", a]) == 0
+        assert run_cli(["simulate", "--config", canonical, "--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_unknown_route_listed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, leo={"route": "teleport"})
+        out = tmp_path / "run.csv"
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 1
+        assert "projector" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPlotData:
     def test_timeseries_zero_coupling(self, tmp_path):
         cfg = write_config(tmp_path, g=0.0)
@@ -293,10 +323,6 @@ class TestPlotData:
         run_cli(["sweep", "--config", cfg, "--n", "4",
                  "--out", tmp_path / "one.csv", "--plot-out", plot])
         assert len(plot.read_text().strip().split("\n")) == 1
-
-    def test_emit_plot_data_rejects_wrong_style(self):
-        with pytest.raises(cli.ConfigError):
-            cli.emit_plot_data(None, "histogram")
 
 
 MALFORMED_CONFIGS = [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leolab.codes import dfs2_dephasing
+from leolab.codes import CodeSubspace, dfs2_dephasing
 from leolab.dynamics import (
     ParityKickSchedule,
     decoupled_limit_unitary,
@@ -9,7 +9,7 @@ from leolab.dynamics import (
     simulate,
     sweep_cycles,
 )
-from leolab.leo import exchange_dfs2_leo, projector_leo
+from leolab.leo import exchange_dfs2_leo, projector_leo, verify_leo
 from leolab.models import (
     SystemBathModel,
     dfs2_leakage_model,
@@ -347,3 +347,39 @@ class TestProjectorPulseAgreesWithExchange:
                                            projector_leo(dfs2_dephasing())),
                      code_state(m))
         assert a.final_leakage == pytest.approx(b.final_leakage, rel=1e-9)
+
+
+class TestPulseMustMatchModelCode:
+    """A pulse is accepted for a model only if its code is the model's
+    subspace; a shared label is not enough."""
+
+    @staticmethod
+    def mislabelled_model():
+        # labelled "dfs2" but spanning {|00>, |01>}, which XX leaks out of
+        code = CodeSubspace("dfs2", np.eye(4)[:, :2])
+        return SystemBathModel.from_terms(
+            "xx", code, [(0.05, pauli_string("XX"), random_hermitian(4, 3))],
+            coupling_strength=0.05, bath_seed=3, bath_dim=4,
+            free_bath=random_hermitian(4, 4),
+        )
+
+    def test_same_label_other_subspace_rejected(self):
+        m = self.mislabelled_model()
+        pulse = exchange_dfs2_leo()
+        assert not verify_leo(pulse.unitary, m.code).passed
+        sched = ParityKickSchedule(64, 2.0 / 128, pulse)
+        with pytest.raises(ValueError, match="different code"):
+            simulate(m, sched, code_state(m))
+        with pytest.raises(ValueError, match="different code"):
+            parity_kick_unitary(m, sched)
+        with pytest.raises(ValueError, match="different code"):
+            sweep_cycles(m, 2.0, [1, 2], code_state(m), pulse, max_workers=1)
+
+    def test_pulse_for_the_subspace_accepted(self):
+        m = self.mislabelled_model()
+        pulsed = simulate(m, ParityKickSchedule(64, 2.0 / 128,
+                                                projector_leo(m.code)),
+                          code_state(m))
+        free = simulate(m, ParityKickSchedule(64, 2.0 / 128, None),
+                        code_state(m))
+        assert pulsed.final_leakage < 1e-3 * free.final_leakage

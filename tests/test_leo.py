@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from leolab.codes import (
+    CodeSubspace,
     bare_qubit_code,
     build_code,
     dfs2_dephasing,
@@ -14,6 +15,7 @@ from leolab.codes import (
     two_photon_occupations,
 )
 from leolab.leo import (
+    ROUTES,
     LeakageEliminationOperator,
     NotGeneralizedGeneratorError,
     NotLogicalInvolutionError,
@@ -30,6 +32,7 @@ from leolab.leo import (
     random_probes,
     reference_reflection,
     s_squared_leo,
+    synthesize,
     verify_leo,
 )
 from leolab.models import logical_ops_dfs2
@@ -319,6 +322,63 @@ class TestVerifyLeo:
         probes = random_probes(pulse.code.ambient_dim, 20, 1000 + idx)
         report = verify_leo(pulse.unitary, pulse.code, probes, tol=1e-10)
         assert report.passed, report.summary()
+
+
+SYNTH_CODES = ("dfs2", "dfs3", "dfs4", "dual_rail", "bare3", "bare5")
+# the README routes table over SYNTH_CODES
+ACCEPTED = {(route, label) for route in ("projector", "canonical", "generalized")
+            for label in SYNTH_CODES} | {
+    ("exchange_2dfs", "dfs2"),
+    ("number_op", "bare3"),
+    ("number_op", "bare5"),
+    ("phase_shifter", "dual_rail"),
+    ("s_squared", "dfs4"),
+}
+# the code each fixed-code route names when it is refused
+NEEDS = {"exchange_2dfs": "dfs2", "number_op": "bare", "phase_shifter": "dual_rail",
+         "s_squared": "dfs4"}
+
+
+class TestSynthesize:
+    @staticmethod
+    def inputs(code):
+        # sigma = V J V^dag with J the reversal permutation; generator = P
+        v = code.basis
+        j = np.eye(code.code_dim)[::-1]
+        sigma = Operator(v @ j @ v.conj().T, frozenset({"hermitian"}))
+        generator = Operator(code.projector.copy(), frozenset({"hermitian"}))
+        return sigma, generator
+
+    @pytest.mark.parametrize("label", SYNTH_CODES)
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_route_on_code(self, route, label):
+        code = build_code(label)
+        sigma, generator = self.inputs(code)
+        if (route, label) in ACCEPTED:
+            pulse = synthesize(route, code, sigma, generator)
+            assert pulse.route == route
+            probes = random_probes(code.ambient_dim, 20, 77)
+            report = verify_leo(pulse.unitary, code, probes)
+            assert report.passed, report.summary()
+        else:
+            with pytest.raises(ValueError,
+                               match=f"route {route} needs the {NEEDS[route]}"):
+                synthesize(route, code, sigma, generator)
+
+    def test_unknown_route_lists_valid_ones(self):
+        with pytest.raises(ValueError, match="projector"):
+            synthesize("teleport", dfs2_dephasing())
+
+    @pytest.mark.parametrize("route,flag", [("canonical", "--sigma"),
+                                            ("generalized", "--generator")])
+    def test_parametrized_route_needs_its_operator(self, route, flag):
+        with pytest.raises(ValueError, match=flag):
+            synthesize(route, dfs2_dephasing())
+
+    def test_same_label_other_subspace_rejected(self):
+        code = CodeSubspace("dfs2", np.eye(4)[:, :2])
+        with pytest.raises(ValueError, match="needs the dfs2 code"):
+            synthesize("exchange_2dfs", code)
 
 
 class TestRandomProbes:
