@@ -31,18 +31,13 @@ class BlockDecomposition:
     """The three-way split of one operator relative to one code.
 
     e_part, eperp_part and l_part are full ambient-dimension operators that
-    sum back to the input. d_block and f_block are the dense cross blocks in
-    (code, complement) coordinates: d_block rows live in the code and
-    columns in the complement, f_block the other way around; for Hermitian
-    input f_block is the adjoint of d_block.
+    sum back to the input.
     """
 
     code: CodeSubspace
     e_part: Operator
     eperp_part: Operator
     l_part: Operator
-    d_block: np.ndarray
-    f_block: np.ndarray
 
     @property
     def e_norm(self) -> float:
@@ -66,17 +61,11 @@ def decompose(m: Operator, code: CodeSubspace) -> BlockDecomposition:
         )
     p = code.projector
     q = code.complement_projector
-    w = code.complement_basis
-    v = code.basis
     tags = frozenset({"hermitian"}) if "hermitian" in m.tags else frozenset()
     e_part = Operator(p @ m.mat @ p, tags)
     eperp_part = Operator(q @ m.mat @ q, tags)
     l_part = Operator(p @ m.mat @ q + q @ m.mat @ p)
-    d_block = v.conj().T @ m.mat @ w
-    f_block = w.conj().T @ m.mat @ v
-    d_block.setflags(write=False)
-    f_block.setflags(write=False)
-    return BlockDecomposition(code, e_part, eperp_part, l_part, d_block, f_block)
+    return BlockDecomposition(code, e_part, eperp_part, l_part)
 
 
 def leakage_norm(m: Operator, code: CodeSubspace) -> float:

@@ -291,6 +291,9 @@ def _pulse_for_model(config: dict, model):
     pulse_cfg = config.get("leo", {})
     if not isinstance(pulse_cfg, dict):
         raise ConfigError("'leo' must be an object with a 'route'")
+    for key in ("route", "sigma", "generator"):
+        if not isinstance(pulse_cfg.get(key), (str, type(None))):
+            raise ConfigError(f"'leo' {key} must be a string")
     return _synthesize(pulse_cfg.get("route", "projector"), model.code,
                        pulse_cfg.get("sigma"), pulse_cfg.get("generator"))
 
@@ -307,13 +310,15 @@ def _schedule_params(config: dict) -> tuple[int, float]:
     has_total = "total_time" in sched
     if has_tau == has_total:
         raise ConfigError("schedule needs exactly one of 'tau' or 'total_time'")
-    if has_tau:
-        tau = float(sched["tau"])
-    else:
-        total = float(sched["total_time"])
+    key = "tau" if has_tau else "total_time"
+    try:
+        tau = float(sched[key])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"schedule {key} must be a number: {err}") from err
+    if not has_tau:
         if n_cycles < 1:
             raise ConfigError("total_time schedules need n_cycles >= 1")
-        tau = total / (2 * n_cycles)
+        tau /= 2 * n_cycles
     if not (tau > 0 and math.isfinite(tau)):
         raise ConfigError("schedule tau must be positive and finite")
     return n_cycles, tau
@@ -357,15 +362,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     total = 2 * n_cycles * tau
     pulses = _pulse_for_model(config, model)
     state = _initial_state(config, model.code)
-    env = os.environ.get("LEOLAB_THREADS", "").strip()
-    max_workers = None
-    if env:
-        try:
-            max_workers = max(1, int(env))
-        except ValueError as err:
-            raise ConfigError(f"bad LEOLAB_THREADS value {env!r}") from err
-    table = sweep_cycles(model, total, args.n, state, pulses,
-                         max_workers=max_workers)
+    table = sweep_cycles(model, total, args.n, state, pulses)
     _atomic_write_text(args.out, table.csv_text())
     if args.plot_out:
         _atomic_write_text(args.plot_out, _plot_text(

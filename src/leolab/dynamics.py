@@ -9,14 +9,14 @@ exp(-i (H_c + H_perp) T) like 1/n with an O(tau^2) single-cycle defect.
 
 Pulses are ideal (instantaneous, error-free) in this version.
 
-Each simulate or sweep_cycles call diagonalizes H_joint and H_c + H_perp
-once and builds every propagator it needs from those two spectra. Samples
-come in batches of OBSERVABLE_BATCH: the decoupled-limit targets, and the
-states of a free run, are read off the spectra as exp(-i H 2 tau k) psi0
-for a whole batch of k in one matrix product; only the pulsed state is
-stepped one cycle at a time. Leakage and the code fidelity (through
-purifications, in code coordinates) are computed per batch, so memory does
-not grow with the cycle count.
+H_joint and H_c + H_perp are diagonalized once per model (cached on
+SystemBathModel.spectra), and every propagator here is built from those
+two spectra. Samples come in batches of OBSERVABLE_BATCH: the
+decoupled-limit targets, and the states of a free run, are read off the
+spectra as exp(-i H 2 tau k) psi0 for a whole batch of k in one matrix
+product; only the pulsed state is stepped one cycle at a time. Leakage
+and the code fidelity (through purifications, in code coordinates) are
+computed per batch, so memory does not grow with the cycle count.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .models import SystemBathModel
 from .opalg import (
     NumericalDegeneracyError,
     Operator,
-    hermitian_exponential,
-    hermitian_spectrum,
     spectral_exponential,
 )
 
@@ -148,31 +146,39 @@ def _joint_pulse(model: SystemBathModel,
     return np.kron(pulse.unitary.mat, np.eye(model.bath_dim))
 
 
-def _kick_cycle(segment: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _cycle(model: SystemBathModel, schedule: ParityKickSchedule) -> np.ndarray:
+    """One kick cycle: segment, inverse pulse, segment, pulse."""
+    segment = spectral_exponential(model.spectra[0], -schedule.tau).mat
+    r = _joint_pulse(model, schedule.pulses)
     return segment @ r.conj().T @ segment @ r
 
 
-def _decoupled_generator(model: SystemBathModel) -> Operator:
-    return Operator(model.h_c.mat + model.h_perp.mat, frozenset({"hermitian"}))
+def _power(cycle: np.ndarray, n: int) -> Operator:
+    """cycle^n, tagged unitary; drift past the tag is a numerical failure."""
+    try:
+        return Operator(np.linalg.matrix_power(cycle, n), frozenset({"unitary"}))
+    except ValueError as err:
+        raise NumericalDegeneracyError(
+            f"total propagator after {n} cycles: {err}"
+        ) from err
 
 
 def parity_kick_unitary(model: SystemBathModel,
                         schedule: ParityKickSchedule) -> Operator:
-    """Total propagator of the pulsed sequence; identity for zero cycles."""
+    """Total propagator of the pulsed sequence; identity for zero cycles.
+
+    Raises NumericalDegeneracyError when it drifts past the unitarity
+    tolerance.
+    """
     if schedule.pulses is None:
         raise ValueError("schedule has no pulses; use free evolution directly")
-    if schedule.n_cycles == 0:
-        return Operator(np.eye(model.joint_dim), frozenset({"unitary"}))
-    segment = hermitian_exponential(model.h_joint, -schedule.tau).mat
-    cycle = _kick_cycle(segment, _joint_pulse(model, schedule.pulses))
-    u = np.linalg.matrix_power(cycle, schedule.n_cycles)
-    return Operator(u, frozenset({"unitary"}))
+    return _power(_cycle(model, schedule), schedule.n_cycles)
 
 
 def decoupled_limit_unitary(model: SystemBathModel,
                             total_free_time: float) -> Operator:
     """Evolution under the leakage-free generator H_c + H_perp."""
-    return hermitian_exponential(_decoupled_generator(model), -total_free_time)
+    return spectral_exponential(model.spectra[1], -total_free_time)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +232,21 @@ def _spectral_samples(spectrum: tuple[np.ndarray, np.ndarray],
     return rows
 
 
-def _checked_state(model: SystemBathModel,
-                   initial_code_state: np.ndarray) -> np.ndarray:
+def simulate(
+    model: SystemBathModel,
+    schedule: ParityKickSchedule,
+    initial_code_state: np.ndarray,
+) -> SimulationReport:
+    """Propagate a code state through the schedule, tracking leakage.
+
+    The initial state is an ambient system vector that must lie in the code;
+    it is tensored with the model's initial bath state. Records one sample
+    per completed cycle (plus the initial point): leakage population and the
+    fidelity of the bath-traced system state against the decoupled-limit
+    target. With pulses=None the same grid is used for free evolution.
+    Raises NumericalDegeneracyError when the total propagator drifts past
+    the unitarity tolerance.
+    """
     state = np.asarray(initial_code_state, dtype=complex)
     if state.shape != (model.system_dim,):
         raise ValueError(
@@ -240,28 +259,16 @@ def _checked_state(model: SystemBathModel,
         raise ValueError(
             f"initial state leaves the code subspace by {out_of_code:.3e}"
         )
-    return state
-
-
-def _spectra(model: SystemBathModel) -> tuple[tuple, tuple]:
-    """Spectra of H_joint and of the decoupled generator H_c + H_perp."""
-    return (hermitian_spectrum(model.h_joint),
-            hermitian_spectrum(_decoupled_generator(model)))
-
-
-def _simulate(model: SystemBathModel, schedule: ParityKickSchedule,
-              state: np.ndarray, spectra: tuple[tuple, tuple]) -> SimulationReport:
-    joint, decoupled = spectra
+    joint, decoupled = model.spectra
     pulsed = schedule.pulses is not None
     n = schedule.n_cycles
     tau = schedule.tau
     psi0 = np.kron(state, model.initial_bath_state)
-    # u_limit and segment (or u_total) certify both spectra as unitary
-    # propagators before any state is sampled from them
-    u_limit = spectral_exponential(decoupled, -schedule.total_free_time)
+    # u_limit and the segment in cycle (or u_total) certify both spectra as
+    # unitary propagators before any state is sampled from them
+    u_limit = decoupled_limit_unitary(model, schedule.total_free_time)
     if pulsed:
-        segment = spectral_exponential(joint, -tau).mat
-        cycle = _kick_cycle(segment, _joint_pulse(model, schedule.pulses))
+        cycle = _cycle(model, schedule)
     else:
         u_total = spectral_exponential(joint, -schedule.total_free_time)
 
@@ -288,13 +295,7 @@ def _simulate(model: SystemBathModel, schedule: ParityKickSchedule,
     )
 
     if pulsed:
-        try:
-            u_total = Operator(np.linalg.matrix_power(cycle, n),
-                               frozenset({"unitary"}))
-        except ValueError as err:
-            raise NumericalDegeneracyError(
-                f"total propagator after {n} cycles: {err}"
-            ) from err
+        u_total = _power(cycle, n)
     distance = float(np.linalg.norm(u_total.mat - u_limit.mat, 2))
 
     metadata = {
@@ -310,63 +311,35 @@ def _simulate(model: SystemBathModel, schedule: ParityKickSchedule,
     return SimulationReport(schedule, samples, distance, metadata)
 
 
-def simulate(
-    model: SystemBathModel,
-    schedule: ParityKickSchedule,
-    initial_code_state: np.ndarray,
-) -> SimulationReport:
-    """Propagate a code state through the schedule, tracking leakage.
-
-    The initial state is an ambient system vector that must lie in the code;
-    it is tensored with the model's initial bath state. Records one sample
-    per completed cycle (plus the initial point): leakage population and the
-    fidelity of the bath-traced system state against the decoupled-limit
-    target. With pulses=None the same grid is used for free evolution.
-    Raises NumericalDegeneracyError when the total propagator drifts past
-    the unitarity tolerance.
-    """
-    state = _checked_state(model, initial_code_state)
-    return _simulate(model, schedule, state, _spectra(model))
-
-
 def sweep_cycles(
     model: SystemBathModel,
     total_free_time: float,
     n_list: Sequence[int],
     initial_code_state: np.ndarray,
     pulses: LeakageEliminationOperator,
-    max_workers: int | None = None,
 ) -> SweepTable:
     """Convergence sweep: one pulsed run per cycle count at fixed total time.
 
-    n_list must be ascending positive integers. Runs are independent, so
-    they fan out over a thread pool; max_workers=None uses the machine's
-    parallelism and 1 forces serial execution. Row order follows n_list
-    either way. The generators are diagonalized once for all runs, so each
-    row equals a standalone simulate call exactly.
+    n_list must be ascending positive integers. Each row is a simulate call;
+    the runs are independent, so they fan out over one thread per CPU (at
+    most one per row), and row order follows n_list.
     """
     if not (total_free_time > 0 and np.isfinite(total_free_time)):
         raise ValueError("total_free_time must be positive and finite")
     ns = [int(n) for n in n_list]
     if not ns or any(n < 1 for n in ns) or ns != sorted(set(ns)):
         raise ValueError("n_list must be strictly ascending positive integers")
-    state = _checked_state(model, initial_code_state)
-    spectra = _spectra(model)
+    model.spectra  # diagonalize here, not in the pool's threads
 
     def one(n: int) -> SweepRow:
         tau = total_free_time / (2 * n)
-        report = _simulate(
-            model, ParityKickSchedule(n, tau, pulses), state, spectra
-        )
+        report = simulate(model, ParityKickSchedule(n, tau, pulses),
+                          initial_code_state)
         return SweepRow(n, tau, report.final_leakage, report.distance_to_limit)
 
-    workers = (os.cpu_count() or 1) if max_workers is None else max_workers
-    workers = max(1, min(workers, len(ns)))
-    if workers == 1:
-        rows = [one(n) for n in ns]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            rows = list(pool.map(one, ns))
+    workers = min(os.cpu_count() or 1, len(ns))
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        rows = list(pool.map(one, ns))
     metadata = {
         "model": model.label,
         "g": model.coupling_strength,

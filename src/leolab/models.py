@@ -24,6 +24,7 @@ from .opalg import (
     Operator,
     derived_seeds,
     hermitian_exponential,
+    hermitian_spectrum,
     pauli_string,
     random_hermitian,
 )
@@ -230,6 +231,21 @@ class SystemBathModel:
         q.setflags(write=False)
         return q
 
+    @cached_property
+    def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Spectra (w, v) of h_joint and of the leakage-free h_c + h_perp.
+
+        Computed on first use and kept, so every propagator of this model
+        comes from one diagonalization of each generator.
+        """
+        decoupled = Operator(self.h_c.mat + self.h_perp.mat,
+                             frozenset({"hermitian"}))
+        out = (hermitian_spectrum(self.h_joint), hermitian_spectrum(decoupled))
+        for w, v in out:
+            w.setflags(write=False)
+            v.setflags(write=False)
+        return out
+
     @classmethod
     def from_terms(
         cls,
@@ -419,6 +435,15 @@ def dfs2_leakage_model(
 MODEL_NAMES = ("hopping", "linear_optics", "dfs2_leakage")
 
 
+def _parsed(cast, mapping: Mapping, key: str, default):
+    """cast(mapping[key]), or default when key is absent; a value cast
+    rejects is a ValueError that names key."""
+    try:
+        return cast(mapping.get(key, default))
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"model config {key!r} has a bad value: {err}") from err
+
+
 def model_from_config(config: Mapping) -> SystemBathModel:
     """Build a model from the JSON config layout.
 
@@ -455,18 +480,17 @@ def model_from_config(config: Mapping) -> SystemBathModel:
     if not isfinite(g):
         raise ValueError("coupling strength g must be finite")
     shared_bath = bool(params.get("shared_bath", False))
+    bath_dim = _parsed(int, config, "bath_dim",
+                       1 if name == "linear_optics" else 4)
     if name == "hopping":
-        bath_dim = int(config.get("bath_dim", 4))
         return hopping_model(
-            int(params.get("n_levels", 4)), seed, g,
+            _parsed(int, params, "n_levels", 4), seed, g,
             bath_dim=bath_dim, shared_bath=shared_bath,
         )
     if name == "linear_optics":
-        bath_dim = int(config.get("bath_dim", 1))
         return linear_optics_model(
             seed, g, bath_dim=bath_dim, shared_bath=shared_bath,
         )
-    bath_dim = int(config.get("bath_dim", 4))
     leak_set = params.get("leak_set")
     if not isinstance(leak_set, Sequence) or isinstance(leak_set, str):
         raise ValueError("dfs2_leakage params need a 'leak_set' list")
@@ -476,5 +500,5 @@ def model_from_config(config: Mapping) -> SystemBathModel:
         seed,
         bath_dim=bath_dim,
         shared_bath=shared_bath,
-        collective_strength=float(params.get("collective_strength", 0.0)),
+        collective_strength=_parsed(float, params, "collective_strength", 0.0),
     )

@@ -46,14 +46,6 @@ class TestDecompose:
         xbar[1, 2] = xbar[2, 1] = 1.0
         np.testing.assert_allclose(dec.e_part.mat, xbar, atol=1e-15)
 
-    def test_blocks_match_offdiagonal_compressions(self):
-        c = dfs2_dephasing()
-        m = random_hermitian(4, 5)
-        dec = decompose(m, c)
-        d = c.basis.conj().T @ m.mat @ c.complement_basis
-        np.testing.assert_allclose(dec.d_block, d, atol=1e-14)
-        np.testing.assert_allclose(dec.f_block, d.conj().T, atol=1e-14)
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             decompose(pauli_string("X"), dfs2_dephasing())

@@ -212,22 +212,6 @@ class TestSimulateAndSweep:
         run_cli(["sweep", "--config", cfg, "--n", "1,2,4", "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LEOLAB_THREADS", "2")
-        cfg = write_config(tmp_path, **{"schedule": {"n_cycles": 4,
-                                                     "total_time": 0.4}})
-        out = tmp_path / "sweep.csv"
-        assert run_cli(["sweep", "--config", cfg, "--n", "1,2,4",
-                        "--out", out]) == 0
-
-    def test_bad_thread_cap(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("LEOLAB_THREADS", "lots")
-        cfg = write_config(tmp_path, **{"schedule": {"n_cycles": 4,
-                                                     "total_time": 0.4}})
-        assert run_cli(["sweep", "--config", cfg, "--n", "1,2",
-                        "--out", tmp_path / "x.csv"]) == 1
-        assert "LEOLAB_THREADS" in capsys.readouterr().err
-
     def test_long_run_never_reports_bad_input(self, tmp_path):
         # dfs2 at joint dim 64 with 4096 cycles: cycle^n can drift past the
         # unitarity tolerance; that is a numerical failure (exit 2), never a
@@ -422,6 +406,43 @@ class TestMalformedConfigs:
                         "--out", tmp_path / "o.csv"]) == 1
         err = capsys.readouterr().err
         assert "broken.json:2:" in err
+
+
+MISTYPED_VALUES = [
+    ("schedule", "tau", [1]),
+    ("schedule", "total_time", [1]),
+    (None, "bath_dim", [4]),
+    ("params", "collective_strength", [1]),
+    ("params", "n_levels", [4]),
+    ("leo", "sigma", [1]),
+    ("leo", "route", [1]),
+]
+
+
+class TestMistypedConfigValues:
+    """A value of the wrong JSON type is a config error, not a crash."""
+
+    BENCH = Path(__file__).resolve().parent.parent / "bench" / "dfs2_benchmark.json"
+
+    @pytest.mark.parametrize("block,key,value", MISTYPED_VALUES,
+                             ids=[f"{b}.{k}" if b else k
+                                  for b, k, _ in MISTYPED_VALUES])
+    def test_exit_one_without_traceback(self, tmp_path, capsys, block, key,
+                                        value):
+        config = json.loads(self.BENCH.read_text())
+        if key == "n_levels":
+            config.update(model="hopping", params={})
+        if key == "tau":
+            del config["schedule"]["total_time"]
+        (config[block] if block else config)[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(["simulate", "--config", cfg,
+                        "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert key in err
 
 
 class TestArgumentErrors:
