@@ -30,7 +30,7 @@ from .dynamics import (
     simulate,
     sweep_cycles,
 )
-from .models import model_from_config
+from .models import json_int, model_from_config, parsed
 from .opalg import (
     NumericalDegeneracyError,
     Operator,
@@ -302,19 +302,13 @@ def _schedule_params(config: dict) -> tuple[int, float]:
     sched = config.get("schedule")
     if not isinstance(sched, dict):
         raise ConfigError("config needs a 'schedule' object")
-    try:
-        n_cycles = int(sched["n_cycles"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"schedule needs integer n_cycles: {err}") from err
+    n_cycles = parsed(json_int, sched, "n_cycles")
     has_tau = "tau" in sched
     has_total = "total_time" in sched
     if has_tau == has_total:
         raise ConfigError("schedule needs exactly one of 'tau' or 'total_time'")
     key = "tau" if has_tau else "total_time"
-    try:
-        tau = float(sched[key])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"schedule {key} must be a number: {err}") from err
+    tau = parsed(float, sched, key)
     if not has_tau:
         if n_cycles < 1:
             raise ConfigError("total_time schedules need n_cycles >= 1")

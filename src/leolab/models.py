@@ -49,15 +49,6 @@ class PairCoupling:
             if not isfinite(v):
                 raise ValueError("couplings must be finite")
 
-    def is_heisenberg(self) -> bool:
-        return self.jx == self.jy == self.jz
-
-    def is_xxz(self) -> bool:
-        return (self.jx == self.jy or self.jx == -self.jy) and self.jz != self.jx
-
-    def is_xy(self) -> bool:
-        return self.jx == self.jy and self.jz == 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class ExchangeCouplings:
@@ -92,15 +83,6 @@ class ExchangeCouplings:
     @classmethod
     def xxz(cls, pairs: Sequence[tuple[int, int]], jxy: float, jz: float):
         return cls.uniform(pairs, jxy, jxy, jz)
-
-    def is_heisenberg(self) -> bool:
-        return all(c.is_heisenberg() for c in self.terms.values())
-
-    def is_xxz(self) -> bool:
-        return all(c.is_xxz() for c in self.terms.values())
-
-    def is_xy(self) -> bool:
-        return all(c.is_xy() for c in self.terms.values())
 
     def items(self):
         return sorted(self.terms.items())
@@ -218,18 +200,6 @@ class SystemBathModel:
     @property
     def joint_dim(self) -> int:
         return self.system_dim * self.bath_dim
-
-    @cached_property
-    def joint_code_projector(self) -> np.ndarray:
-        p = np.kron(self.code.projector, np.eye(self.bath_dim))
-        p.setflags(write=False)
-        return p
-
-    @cached_property
-    def joint_complement_projector(self) -> np.ndarray:
-        q = np.kron(self.code.complement_projector, np.eye(self.bath_dim))
-        q.setflags(write=False)
-        return q
 
     @cached_property
     def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -435,13 +405,31 @@ def dfs2_leakage_model(
 MODEL_NAMES = ("hopping", "linear_optics", "dfs2_leakage")
 
 
-def _parsed(cast, mapping: Mapping, key: str, default):
-    """cast(mapping[key]), or default when key is absent; a value cast
-    rejects is a ValueError that names key."""
+def json_int(value) -> int:
+    """A JSON integer: 3.7 and true are refused, not truncated to 3 and 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_bool(value) -> bool:
+    """A JSON true or false: "false" is refused, not read as truthy."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def parsed(cast, mapping: Mapping, key: str, default=None):
+    """cast(mapping[key]), or default when key is absent (None: required);
+    a missing or rejected value is a ValueError that names key."""
+    if key not in mapping:
+        if default is None:
+            raise ValueError(f"config needs {key!r}")
+        return default
     try:
-        return cast(mapping.get(key, default))
+        return cast(mapping[key])
     except (TypeError, ValueError) as err:
-        raise ValueError(f"model config {key!r} has a bad value: {err}") from err
+        raise ValueError(f"config {key!r} has a bad value: {err}") from err
 
 
 def model_from_config(config: Mapping) -> SystemBathModel:
@@ -472,19 +460,16 @@ def model_from_config(config: Mapping) -> SystemBathModel:
             f"unknown params for model {name!r}: {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
-    try:
-        g = float(config["g"])
-        seed = int(config["seed"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"model config needs numeric 'g' and integer 'seed': {err}")
+    g = parsed(float, config, "g")
+    seed = parsed(json_int, config, "seed")
     if not isfinite(g):
         raise ValueError("coupling strength g must be finite")
-    shared_bath = bool(params.get("shared_bath", False))
-    bath_dim = _parsed(int, config, "bath_dim",
-                       1 if name == "linear_optics" else 4)
+    shared_bath = parsed(json_bool, params, "shared_bath", False)
+    bath_dim = parsed(json_int, config, "bath_dim",
+                      1 if name == "linear_optics" else 4)
     if name == "hopping":
         return hopping_model(
-            _parsed(int, params, "n_levels", 4), seed, g,
+            parsed(json_int, params, "n_levels", 4), seed, g,
             bath_dim=bath_dim, shared_bath=shared_bath,
         )
     if name == "linear_optics":
@@ -500,5 +485,5 @@ def model_from_config(config: Mapping) -> SystemBathModel:
         seed,
         bath_dim=bath_dim,
         shared_bath=shared_bath,
-        collective_strength=_parsed(float, params, "collective_strength", 0.0),
+        collective_strength=parsed(float, params, "collective_strength", 0.0),
     )

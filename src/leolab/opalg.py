@@ -34,6 +34,13 @@ class NumericalDegeneracyError(RuntimeError):
     a certified tolerance (a numerical failure, not bad input)."""
 
 
+def _unitary_residual(m: np.ndarray) -> float:
+    """Frobenius norm of M^dag M - I, subtracting I in place."""
+    gram = m.conj().T @ m
+    gram.flat[::m.shape[0] + 1] -= 1.0
+    return float(np.linalg.norm(gram))
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Immutable square complex matrix, optionally tagged with structure.
@@ -63,7 +70,7 @@ class Operator:
             if dev > HERMITIAN_TOL:
                 raise ValueError(f"hermitian tag violated: max deviation {dev:.3e}")
         if "unitary" in tags:
-            dev = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
+            dev = _unitary_residual(m)
             if dev > UNITARY_TOL:
                 raise ValueError(f"unitary tag violated: residual {dev:.3e}")
         if "diagonal" in tags:

@@ -418,6 +418,21 @@ MISTYPED_VALUES = [
     ("leo", "route", [1]),
 ]
 
+# integers must be JSON integers and flags JSON booleans: int(3.7) would
+# truncate, int(true) would read 1 and bool("false") is True
+STRICT_VALUES = [
+    ("params", "shared_bath", "false"),
+    ("params", "shared_bath", 0),
+    (None, "seed", 3.7),
+    (None, "seed", True),
+    (None, "bath_dim", 3.7),
+    (None, "bath_dim", True),
+    ("params", "n_levels", 3.7),
+    ("params", "n_levels", True),
+    ("schedule", "n_cycles", 3.7),
+    ("schedule", "n_cycles", True),
+]
+
 
 class TestMistypedConfigValues:
     """A value of the wrong JSON type is a config error, not a crash."""
@@ -429,6 +444,16 @@ class TestMistypedConfigValues:
                                   for b, k, _ in MISTYPED_VALUES])
     def test_exit_one_without_traceback(self, tmp_path, capsys, block, key,
                                         value):
+        self.check_rejected(tmp_path, capsys, block, key, value)
+
+    @pytest.mark.parametrize("block,key,value", STRICT_VALUES,
+                             ids=[f"{b}.{k}={v!r}" if b else f"{k}={v!r}"
+                                  for b, k, v in STRICT_VALUES])
+    def test_no_truncation_or_truthiness(self, tmp_path, capsys, block, key,
+                                         value):
+        self.check_rejected(tmp_path, capsys, block, key, value)
+
+    def check_rejected(self, tmp_path, capsys, block, key, value):
         config = json.loads(self.BENCH.read_text())
         if key == "n_levels":
             config.update(model="hopping", params={})

@@ -4,6 +4,7 @@ import pytest
 from leolab.codes import CodeSubspace, dfs2_dephasing
 from leolab.dynamics import (
     ParityKickSchedule,
+    _spectral_distance,
     decoupled_limit_unitary,
     parity_kick_unitary,
     simulate,
@@ -238,7 +239,8 @@ def per_sample_reference(model, schedule, state):
         return min(f, 1.0) if f < 1.0 + 1e-9 else f
 
     def leakage(psi):
-        return float(np.vdot(psi, model.joint_complement_projector @ psi).real)
+        q = np.kron(model.code.complement_projector, np.eye(model.bath_dim))
+        return float(np.vdot(psi, q @ psi).real)
 
     tau = schedule.tau
     if schedule.pulses is None:
@@ -441,5 +443,78 @@ class TestSpectralCache:
                 -0.8).mat)
         u = parity_kick_unitary(m, ParityKickSchedule(1, 0.1, pulse))
         segment = hermitian_exponential(m.h_joint, -0.1).mat
+        np.testing.assert_array_equal(
+            u.mat, kick_contraction(segment, pulse.unitary.mat))
+
+
+def kick_contraction(segment, r):
+    """S (R^dag x I) S (R x I) with R applied on the system index only."""
+    j, s = segment.shape[0], r.shape[0]
+    t = (r.T @ segment.reshape(j, s, -1)).reshape(j, j)
+    t = (r.conj().T @ t.reshape(s, -1)).reshape(j, j)
+    return segment @ t
+
+
+class TestKickContraction:
+    """The system-index kick equals the product with kron(R, I)."""
+
+    CASES = {
+        "dfs2_bath1": lambda: dfs2_leakage_model(("XI",), g=0.05, bath_seed=3,
+                                                 bath_dim=1),
+        "dfs2_bath4": benchmark_model,
+        "dfs2_bath16": lambda: dfs2_leakage_model(("XI",), g=0.05, bath_seed=3,
+                                                  bath_dim=16),
+        "hopping8": lambda: hopping_model(8, seed=7, g=0.2),
+        "linear_optics_bath1": lambda: linear_optics_model(seed=5, g=0.2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_kron_product(self, case):
+        m = self.CASES[case]()
+        pulse = (exchange_dfs2_leo() if case.startswith("dfs2")
+                 else projector_leo(m.code))
+        u = parity_kick_unitary(m, ParityKickSchedule(1, 0.1, pulse)).mat
+        segment = hermitian_exponential(m.h_joint, -0.1).mat
         r = np.kron(pulse.unitary.mat, np.eye(m.bath_dim))
-        np.testing.assert_array_equal(u.mat, segment @ r.conj().T @ segment @ r)
+        assert np.max(np.abs(u - segment @ r.conj().T @ segment @ r)) <= 1e-14
+
+
+def random_unitary(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestSpectralDistance:
+    """The Gram-matrix distance is the spectral norm of the difference."""
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-6, 1e-2, 1.0, None])
+    @pytest.mark.parametrize("dim", [16, 64, 256])
+    def test_matches_svd_norm(self, dim, eps):
+        rng = np.random.default_rng(dim)
+        a = random_unitary(dim, rng)
+        if eps is None:
+            b = random_unitary(dim, rng)    # generic pair, distance near 2
+        else:
+            h = random_hermitian(dim, dim + 1)
+            b = a @ hermitian_exponential(h, eps).mat
+        want = np.linalg.norm(a - b, 2)
+        assert 1e-11 < want <= 2.0
+        assert abs(_spectral_distance(a, b) - want) <= 1e-13 * want
+
+    def test_opposite_unitaries_are_two_apart(self):
+        a = random_unitary(64, np.random.default_rng(1))
+        assert _spectral_distance(a, -a) == pytest.approx(2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 16, 256])
+    def test_equal_inputs_give_zero(self, dim):
+        a = random_unitary(dim, np.random.default_rng(dim))
+        assert _spectral_distance(a, a.copy()) == 0.0
+
+    def test_sweep_distance_halves_per_doubling(self):
+        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=16)
+        table = sweep_cycles(m, 2.0, (8, 16, 32, 64), code_state(m),
+                             exchange_dfs2_leo())
+        d = [r.distance_to_limit for r in table.rows]
+        for coarse, fine in zip(d, d[1:]):
+            assert coarse / fine == pytest.approx(2.0, abs=0.01)

@@ -27,12 +27,6 @@ from leolab.opalg import Operator, hermitian_exponential, op_norm, pauli_string
 
 
 class TestPairCoupling:
-    def test_predicates(self):
-        assert PairCoupling(1.0, 1.0, 1.0).is_heisenberg()
-        assert PairCoupling(1.0, 1.0, 0.0).is_xy()
-        assert PairCoupling(1.0, 1.0, 0.5).is_xxz()
-        assert not PairCoupling(1.0, 1.0, 1.0).is_xxz()
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             PairCoupling(float("nan"), 0.0, 0.0)
@@ -47,9 +41,12 @@ class TestExchangeCouplings:
 
     def test_classmethods(self):
         pairs = [(0, 1), (1, 2)]
-        assert ExchangeCouplings.heisenberg(pairs, 2.0).is_heisenberg()
-        assert ExchangeCouplings.xy(pairs, 1.0).is_xy()
-        assert ExchangeCouplings.xxz(pairs, 1.0, 0.3).is_xxz()
+        for built, want in ((ExchangeCouplings.heisenberg(pairs, 2.0), (2, 2, 2)),
+                            (ExchangeCouplings.xy(pairs, 1.0), (1, 1, 0)),
+                            (ExchangeCouplings.xxz(pairs, 1.0, 0.3), (1, 1, 0.3))):
+            assert [p for p, _ in built.items()] == pairs
+            for _, c in built.items():
+                assert (c.jx, c.jy, c.jz) == want
 
     def test_items_sorted(self):
         c = ExchangeCouplings({(1, 2): (1, 1, 1), (0, 1): (2, 2, 2)})
@@ -159,7 +156,7 @@ class TestSystemBathModel:
         m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3)
         assert m.system_dim == 4
         assert m.joint_dim == 16
-        assert m.joint_code_projector.shape == (16, 16)
+        assert m.h_joint.dim == 16
 
     def test_default_bath_state(self):
         m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3)

@@ -4,6 +4,7 @@ import pytest
 from leolab.opalg import (
     DimensionMismatchError,
     Operator,
+    _unitary_residual,
     anticommutator,
     commutator,
     derived_seeds,
@@ -52,6 +53,17 @@ class TestOperator:
         op = identity(2)
         with pytest.raises(ValueError):
             op.mat[0, 0] = 5.0
+
+    @pytest.mark.parametrize("dim,scale", [(1, 1.0), (4, 1.0), (16, 3.0),
+                                           (64, 0.5), (256, 1.0)])
+    def test_unitary_residual_bit_identical_to_eye_form(self, dim, scale):
+        # near-unitary, far from unitary, and non-unitary matrices alike
+        m = hermitian_exponential(random_hermitian(dim, dim), scale).mat
+        rng = np.random.default_rng(dim)
+        for a in (m, m + 1e-9 * rng.standard_normal((dim, dim)),
+                  scale * rng.standard_normal((dim, dim)) + 1j * m):
+            want = np.linalg.norm(a.conj().T @ a - np.eye(dim))
+            assert _unitary_residual(a) == want
 
     def test_dagger(self):
         m = np.array([[1.0, 2.0j], [0.0, 1.0]], dtype=complex)
