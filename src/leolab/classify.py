@@ -68,11 +68,6 @@ def decompose(m: Operator, code: CodeSubspace) -> BlockDecomposition:
     return BlockDecomposition(code, e_part, eperp_part, l_part)
 
 
-def leakage_norm(m: Operator, code: CodeSubspace) -> float:
-    """Frobenius norm of the leakage part of m."""
-    return decompose(m, code).l_norm
-
-
 @dataclass(frozen=True)
 class PauliClassification:
     label: str

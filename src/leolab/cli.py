@@ -30,7 +30,7 @@ from .dynamics import (
     simulate,
     sweep_cycles,
 )
-from .models import json_int, model_from_config, parsed
+from .models import json_int, json_number, model_from_config, parsed
 from .opalg import (
     NumericalDegeneracyError,
     Operator,
@@ -278,12 +278,17 @@ def _initial_state(config: dict, code) -> np.ndarray:
             )
         return code.basis[:, k]
     if isinstance(spec, dict):
+        re_part, im_part = spec.get("re"), spec.get("im")
+        if not (isinstance(re_part, list) and isinstance(im_part, list)
+                and len(re_part) == len(im_part)):
+            raise ConfigError(
+                "initial_state object needs 're' and 'im' lists of equal length"
+            )
         try:
-            re_part = np.array(spec["re"], dtype=float)
-            im_part = np.array(spec["im"], dtype=float)
-        except (KeyError, TypeError, ValueError) as err:
+            return (np.array([json_number(x) for x in re_part])
+                    + 1j * np.array([json_number(x) for x in im_part]))
+        except (TypeError, ValueError) as err:
             raise ConfigError(f"bad initial_state object: {err}") from err
-        return re_part + 1j * im_part
     raise ConfigError("initial_state must be a string or an object")
 
 
@@ -308,7 +313,7 @@ def _schedule_params(config: dict) -> tuple[int, float]:
     if has_tau == has_total:
         raise ConfigError("schedule needs exactly one of 'tau' or 'total_time'")
     key = "tau" if has_tau else "total_time"
-    tau = parsed(float, sched, key)
+    tau = parsed(json_number, sched, key)
     if not has_tau:
         if n_cycles < 1:
             raise ConfigError("total_time schedules need n_cycles >= 1")

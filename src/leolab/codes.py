@@ -81,13 +81,11 @@ class CodeSubspace:
     def complement_basis(self) -> np.ndarray:
         """Orthonormal basis of the orthogonal complement.
 
-        Built by projecting canonical basis vectors out of the code in index
-        order and keeping each nonvanishing residual, so the result is a
-        deterministic function of the code basis alone.
+        Built from the complement projector's columns in index order, so
+        the result is a deterministic function of the code basis alone.
         """
-        cols = _gram_schmidt_complete(
-            self.basis, self.ambient_dim - self.code_dim
-        )
+        cols = _range_basis(self.complement_projector,
+                            self.ambient_dim - self.code_dim)
         cols.setflags(write=False)
         return cols
 
@@ -100,10 +98,6 @@ class CodeSubspace:
                 and bool(np.linalg.norm(other.projector - self.projector)
                          <= SUBSPACE_TOL))
 
-    def contains(self, vec: np.ndarray, tol: float = 1e-12) -> bool:
-        v = np.asarray(vec, dtype=complex)
-        return bool(np.linalg.norm(self.complement_projector @ v) <= tol)
-
     def __repr__(self) -> str:
         return (
             f"CodeSubspace({self.label!r}, ambient={self.ambient_dim}, "
@@ -111,31 +105,31 @@ class CodeSubspace:
         )
 
 
-def _gram_schmidt_complete(v: np.ndarray, want: int) -> np.ndarray:
-    """Extend the columns of v to a full basis; return the new columns."""
-    dim = v.shape[0]
-    accepted: list[np.ndarray] = []
-    for j in range(dim):
-        if len(accepted) == want:
+def _range_basis(proj: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal basis of the range of an orthogonal projector.
+
+    Gram-Schmidt over the projector's columns in index order, keeping each
+    nonvanishing residual. A second pass re-projects onto the range and
+    re-orthogonalizes, removing the O(eps) residue the first one leaves.
+    """
+    cols: list[np.ndarray] = []
+    for j in range(proj.shape[1]):
+        if len(cols) == rank:
             break
-        w = np.zeros(dim, dtype=complex)
-        w[j] = 1.0
-        w = w - v @ (v.conj().T @ w)
-        for a in accepted:
-            w = w - a * np.vdot(a, w)
+        w = proj[:, j].copy()
+        for c in cols:
+            w -= c * np.vdot(c, w)
         nrm = np.linalg.norm(w)
         if nrm > _GS_RANK_TOL:
-            w = w / nrm
-            # second pass removes the O(eps) residue the first one leaves
-            w = w - v @ (v.conj().T @ w)
-            for a in accepted:
-                w = w - a * np.vdot(a, w)
-            accepted.append(w / np.linalg.norm(w))
-    if len(accepted) != want:
-        raise ValueError("failed to complete basis: input columns degenerate")
-    if want == 0:
-        return np.zeros((dim, 0), dtype=complex)
-    return np.column_stack(accepted)
+            w = proj @ (w / nrm)
+            for c in cols:
+                w -= c * np.vdot(c, w)
+            cols.append(w / np.linalg.norm(w))
+    if len(cols) != rank:
+        raise ValueError(f"projector range is not {rank}-dimensional")
+    if rank == 0:
+        return np.zeros((proj.shape[0], 0), dtype=complex)
+    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -323,23 +317,7 @@ def _null_space_deterministic(a: np.ndarray, expected: int) -> np.ndarray:
         raise ValueError(
             f"null space dimension {null.shape[1]}, expected {expected}"
         )
-    proj = null @ null.conj().T
-    cols: list[np.ndarray] = []
-    for j in range(a.shape[1]):
-        if len(cols) == expected:
-            break
-        w = proj[:, j].copy()
-        for c in cols:
-            w -= c * np.vdot(c, w)
-        nrm = np.linalg.norm(w)
-        if nrm > _GS_RANK_TOL:
-            w /= nrm
-            for c in cols:
-                w -= c * np.vdot(c, w)
-            cols.append(w / np.linalg.norm(w))
-    if len(cols) != expected:
-        raise ValueError("could not seed null-space basis from canonical vectors")
-    return np.column_stack(cols)
+    return _range_basis(null @ null.conj().T, expected)
 
 
 def dfs3_collective() -> CodeSubspace:
@@ -374,10 +352,6 @@ def two_photon_occupations() -> list[tuple[int, ...]]:
         if sum(occ) == N_PHOTONS
     ]
     return sorted(occs)
-
-
-def occupation_index(occ: tuple[int, ...]) -> int:
-    return two_photon_occupations().index(tuple(occ))
 
 
 def lift_quadratic(coeff: np.ndarray) -> Operator:

@@ -25,13 +25,13 @@ import numpy as np
 from . import codes
 from .classify import decompose
 from .codes import CodeSubspace
+from .models import logical_ops_dfs2
 from .opalg import (
     Operator,
     derived_seeds,
     hermitian_exponential,
     operator_from_json,
     operator_to_json,
-    pauli_string,
     random_hermitian,
 )
 
@@ -94,23 +94,6 @@ def structural_residual(u: Operator, code: CodeSubspace, phase: complex) -> floa
     return float(np.linalg.norm(u.mat - phase * reference_reflection(code)))
 
 
-def equal_up_to_phase(a: Operator, b: Operator, tol: float = STRUCTURAL_TOL) -> bool:
-    """Whether a = exp(i theta) b for the theta aligning their first big entries."""
-    if a.dim != b.dim:
-        return False
-    flat = np.abs(b.mat).ravel()
-    candidates = np.flatnonzero(flat > 1e-8)
-    if candidates.size == 0:
-        return bool(np.linalg.norm(a.mat) <= tol)
-    k = int(candidates[0])
-    i, j = divmod(k, b.dim)
-    ratio = a.mat[i, j] / b.mat[i, j]
-    if abs(ratio) < 1e-12:
-        return False
-    theta = ratio / abs(ratio)
-    return bool(np.linalg.norm(a.mat - theta * b.mat) <= tol)
-
-
 @dataclass(frozen=True, eq=False)
 class LeakageEliminationOperator:
     """A verified decoupling pulse for one code subspace.
@@ -151,12 +134,6 @@ class LeakageEliminationOperator:
 
     def structural_error(self) -> float:
         return structural_residual(self.unitary, self.code, self.phase)
-
-    def involution_residual(self) -> float:
-        """Distance of R^2 from exp(2 i phi) I; zero for an exact pulse."""
-        r = self.unitary.mat
-        target = (self.phase**2) * np.eye(self.dim)
-        return float(np.linalg.norm(r @ r - target))
 
     def __repr__(self) -> str:
         return (
@@ -219,11 +196,8 @@ def exchange_dfs2_leo() -> LeakageEliminationOperator:
     so this pulse is generated by hardware-native coupling; its exponential
     equals the collective phase Z1 Z2.
     """
-    xbar = Operator(
-        (pauli_string("XX").mat + pauli_string("YY").mat) / 2.0,
-        frozenset({"hermitian"}),
-    )
-    return canonical_leo(xbar, codes.dfs2_dephasing(), route="exchange_2dfs")
+    return canonical_leo(logical_ops_dfs2().x, codes.dfs2_dephasing(),
+                         route="exchange_2dfs")
 
 
 def _integer_parity(eigs: np.ndarray, side: str) -> int | None:

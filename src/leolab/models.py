@@ -1,5 +1,5 @@
-"""Hamiltonian models: exchange interactions, logical rotations, and
-seeded system-bath couplings with a known leakage structure.
+"""Hamiltonian models: logical operators and seeded system-bath couplings
+with a known leakage structure.
 
 Units: hbar = 1 throughout, so couplings are angular frequencies and
 exp(-i H t) propagates for time t. Every random ingredient is drawn from
@@ -23,7 +23,6 @@ from .codes import CodeSubspace
 from .opalg import (
     Operator,
     derived_seeds,
-    hermitian_exponential,
     hermitian_spectrum,
     pauli_string,
     random_hermitian,
@@ -34,78 +33,6 @@ RECONSTRUCTION_TOL = 1e-12
 # system couplings that move population out of span{|01>, |10>}:
 # single-qubit flips, optionally dressed with Z on the spectator qubit
 DFS2_LEAK_LABELS = ("IX", "IY", "XI", "XZ", "YI", "YZ", "ZX", "ZY")
-
-
-@dataclass(frozen=True)
-class PairCoupling:
-    """Exchange couplings (Jx, Jy, Jz) for one qubit pair."""
-
-    jx: float
-    jy: float
-    jz: float
-
-    def __post_init__(self):
-        for v in (self.jx, self.jy, self.jz):
-            if not isfinite(v):
-                raise ValueError("couplings must be finite")
-
-
-@dataclass(frozen=True, eq=False)
-class ExchangeCouplings:
-    """Pairwise exchange couplings on a register, keyed by (i, j) with i < j."""
-
-    terms: Mapping[tuple[int, int], PairCoupling]
-
-    def __post_init__(self):
-        clean = {}
-        for pair, coupling in self.terms.items():
-            i, j = pair
-            if not (0 <= i < j):
-                raise ValueError(f"pair {pair} must satisfy 0 <= i < j")
-            if not isinstance(coupling, PairCoupling):
-                coupling = PairCoupling(*coupling)
-            clean[(int(i), int(j))] = coupling
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def uniform(cls, pairs: Sequence[tuple[int, int]], jx: float, jy: float,
-                jz: float) -> "ExchangeCouplings":
-        return cls({tuple(p): PairCoupling(jx, jy, jz) for p in pairs})
-
-    @classmethod
-    def heisenberg(cls, pairs: Sequence[tuple[int, int]], j: float):
-        return cls.uniform(pairs, j, j, j)
-
-    @classmethod
-    def xy(cls, pairs: Sequence[tuple[int, int]], j: float):
-        return cls.uniform(pairs, j, j, 0.0)
-
-    @classmethod
-    def xxz(cls, pairs: Sequence[tuple[int, int]], jxy: float, jz: float):
-        return cls.uniform(pairs, jxy, jxy, jz)
-
-    def items(self):
-        return sorted(self.terms.items())
-
-
-def exchange_hamiltonian(n_qubits: int, couplings: ExchangeCouplings) -> Operator:
-    """Sum of Jx XiXj + Jy YiYj + Jz ZiZj over the coupled pairs."""
-    if n_qubits < 2:
-        raise ValueError("exchange model needs at least two qubits")
-    dim = 2**n_qubits
-    h = np.zeros((dim, dim), dtype=complex)
-    for (i, j), c in couplings.items():
-        if j >= n_qubits:
-            raise ValueError(f"pair ({i}, {j}) outside register of {n_qubits}")
-        for name, strength in (("X", c.jx), ("Y", c.jy), ("Z", c.jz)):
-            if strength == 0.0:
-                continue
-            chars = ["I"] * n_qubits
-            chars[i] = name
-            chars[j] = name
-            h += strength * pauli_string("".join(chars)).mat
-    h = (h + h.conj().T) / 2.0
-    return Operator(h, frozenset({"hermitian"}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,22 +58,6 @@ def logical_ops_dfs2() -> LogicalOps:
     z = (pauli_string("ZI").mat - pauli_string("IZ").mat) / 2.0
     herm = frozenset({"hermitian"})
     return LogicalOps(Operator(x, herm), Operator(y, herm), Operator(z, herm))
-
-
-def recoupled_y_rotation(theta: float) -> Operator:
-    """Logical y rotation built from x conjugation around a z rotation.
-
-    exp(i pi/4 x) exp(-i theta z) exp(-i pi/4 x) rotates the z axis onto y,
-    so only exchange (x-type) and detuning (z-type) generators are ever
-    switched on; equals exp(-i theta y) on the whole four-dimensional space.
-    """
-    ops = logical_ops_dfs2()
-    u = (
-        hermitian_exponential(ops.x, np.pi / 4).mat
-        @ hermitian_exponential(ops.z, -theta).mat
-        @ hermitian_exponential(ops.x, -np.pi / 4).mat
-    )
-    return Operator(u, frozenset({"unitary"}))
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +323,16 @@ def json_int(value) -> int:
     return value
 
 
+def json_number(value) -> float:
+    """A JSON number: true and "0.05" are refused, not read as 1.0 and 0.05."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as err:
+        raise ValueError(f"{value} is too large for a float") from err
+
+
 def json_bool(value) -> bool:
     """A JSON true or false: "false" is refused, not read as truthy."""
     if not isinstance(value, bool):
@@ -460,7 +381,7 @@ def model_from_config(config: Mapping) -> SystemBathModel:
             f"unknown params for model {name!r}: {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
-    g = parsed(float, config, "g")
+    g = parsed(json_number, config, "g")
     seed = parsed(json_int, config, "seed")
     if not isfinite(g):
         raise ValueError("coupling strength g must be finite")
@@ -485,5 +406,5 @@ def model_from_config(config: Mapping) -> SystemBathModel:
         seed,
         bath_dim=bath_dim,
         shared_bath=shared_bath,
-        collective_strength=parsed(float, params, "collective_strength", 0.0),
+        collective_strength=parsed(json_number, params, "collective_strength", 0.0),
     )

@@ -86,20 +86,12 @@ class Operator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def dagger(self) -> "Operator":
-        tags = self.tags & {"hermitian", "unitary", "diagonal"}
-        return Operator(self.mat.conj().T, tags)
-
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
 
     def __repr__(self) -> str:
         tag_s = ",".join(sorted(self.tags)) or "-"
         return f"Operator(dim={self.dim}, tags={tag_s})"
-
-
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim), frozenset({"hermitian", "unitary", "diagonal"}))
 
 
 _PAULI_MATS = {
@@ -121,40 +113,6 @@ def pauli_string(label: str) -> Operator:
     if set(label) <= {"I", "Z"}:
         tags.add("diagonal")
     return Operator(m, frozenset(tags))
-
-
-def pauli_on(name: str, site: int, n_qubits: int) -> Operator:
-    """Single-site Pauli embedded in an n-qubit register (site is 0-based)."""
-    if not 0 <= site < n_qubits:
-        raise ValueError(f"site {site} outside register of {n_qubits} qubits")
-    label = "".join(name if i == site else "I" for i in range(n_qubits))
-    return pauli_string(label)
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product; structural tags survive when both factors carry them."""
-    return Operator(np.kron(a.mat, b.mat), a.tags & b.tags)
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"commutator of dims {a.dim} and {b.dim}")
-    return Operator(a.mat @ b.mat - b.mat @ a.mat)
-
-
-def anticommutator(a: Operator, b: Operator) -> Operator:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"anticommutator of dims {a.dim} and {b.dim}")
-    return Operator(a.mat @ b.mat + b.mat @ a.mat)
-
-
-def op_norm(a: Operator, kind: str = "frobenius") -> float:
-    """Frobenius or spectral (largest singular value) norm."""
-    if kind == "frobenius":
-        return float(np.linalg.norm(a.mat))
-    if kind == "spectral":
-        return float(np.linalg.norm(a.mat, 2))
-    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def hermitian_spectrum(h: Operator) -> tuple[np.ndarray, np.ndarray]:

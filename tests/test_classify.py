@@ -7,7 +7,6 @@ from leolab.classify import (
     classification_to_csv,
     classify_pauli_strings,
     decompose,
-    leakage_norm,
 )
 from leolab.codes import build_code, dfs2_dephasing
 from leolab.opalg import (
@@ -96,19 +95,18 @@ class TestLeakageNorm:
     def test_projector_has_none(self):
         c = dfs2_dephasing()
         p = Operator(c.projector, frozenset({"hermitian"}))
-        assert leakage_norm(p, c) <= 1e-15
+        assert decompose(p, c).l_norm <= 1e-15
 
     def test_single_x(self):
-        assert leakage_norm(pauli_string("XI"), dfs2_dephasing()) == pytest.approx(
-            2.0, abs=1e-12
-        )
+        dec = decompose(pauli_string("XI"), dfs2_dephasing())
+        assert dec.l_norm == pytest.approx(2.0, abs=1e-12)
 
     def test_heisenberg_pair_preserves_split(self):
         h = Operator(
             pauli_string("XX").mat + pauli_string("YY").mat + pauli_string("ZZ").mat,
             frozenset({"hermitian"}),
         )
-        assert leakage_norm(h, dfs2_dephasing()) <= 1e-15
+        assert decompose(h, dfs2_dephasing()).l_norm <= 1e-15
 
     def test_pinned_hopping_value(self, golden):
         dec = decompose(random_hermitian(4, 7), build_code("bare4"))

@@ -418,8 +418,9 @@ MISTYPED_VALUES = [
     ("leo", "route", [1]),
 ]
 
-# integers must be JSON integers and flags JSON booleans: int(3.7) would
-# truncate, int(true) would read 1 and bool("false") is True
+# integers must be JSON integers, flags JSON booleans and real values JSON
+# numbers: int(3.7) would truncate, int(true) would read 1, bool("false") is
+# True and float(true) and float("0.05") would read 1.0 and 0.05
 STRICT_VALUES = [
     ("params", "shared_bath", "false"),
     ("params", "shared_bath", 0),
@@ -431,6 +432,14 @@ STRICT_VALUES = [
     ("params", "n_levels", True),
     ("schedule", "n_cycles", 3.7),
     ("schedule", "n_cycles", True),
+    (None, "g", True),
+    (None, "g", "0.05"),
+    ("params", "collective_strength", True),
+    ("params", "collective_strength", "0.05"),
+    ("schedule", "tau", True),
+    ("schedule", "tau", "0.05"),
+    ("schedule", "total_time", True),
+    ("schedule", "total_time", "0.05"),
 ]
 
 
@@ -452,6 +461,16 @@ class TestMistypedConfigValues:
     def test_no_truncation_or_truthiness(self, tmp_path, capsys, block, key,
                                          value):
         self.check_rejected(tmp_path, capsys, block, key, value)
+
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        self.check_rejected(tmp_path, capsys, None, "g", 10**400)
+
+    @pytest.mark.parametrize("spec", [
+        {"re": [0, 1, 0, 0], "im": [0]},
+        {"re": [0, True, 0, 0], "im": [0, 0, 0, 0]},
+    ], ids=["unequal_lengths", "bool_entry"])
+    def test_initial_state_object(self, tmp_path, capsys, spec):
+        self.check_rejected(tmp_path, capsys, None, "initial_state", spec)
 
     def check_rejected(self, tmp_path, capsys, block, key, value):
         config = json.loads(self.BENCH.read_text())

@@ -2,21 +2,14 @@ import numpy as np
 import pytest
 
 from leolab.opalg import (
-    DimensionMismatchError,
     Operator,
     _unitary_residual,
-    anticommutator,
-    commutator,
     derived_seeds,
     hermitian_exponential,
-    identity,
-    op_norm,
     operator_from_json,
     operator_to_json,
-    pauli_on,
     pauli_string,
     random_hermitian,
-    tensor,
 )
 
 XBAR = Operator(
@@ -27,7 +20,7 @@ XBAR = Operator(
 
 class TestOperator:
     def test_identity_tags(self):
-        i4 = identity(4)
+        i4 = Operator(np.eye(4), frozenset({"hermitian", "unitary", "diagonal"}))
         assert i4.dim == 4
         assert i4.is_hermitian()
         np.testing.assert_array_equal(i4.mat, np.eye(4))
@@ -50,7 +43,7 @@ class TestOperator:
             Operator(np.zeros((2, 3), dtype=complex))
 
     def test_entries_immutable(self):
-        op = identity(2)
+        op = Operator(np.eye(2))
         with pytest.raises(ValueError):
             op.mat[0, 0] = 5.0
 
@@ -64,11 +57,6 @@ class TestOperator:
                   scale * rng.standard_normal((dim, dim)) + 1j * m):
             want = np.linalg.norm(a.conj().T @ a - np.eye(dim))
             assert _unitary_residual(a) == want
-
-    def test_dagger(self):
-        m = np.array([[1.0, 2.0j], [0.0, 1.0]], dtype=complex)
-        op = Operator(m)
-        np.testing.assert_array_equal(op.dagger().mat, m.conj().T)
 
 
 class TestPauliStrings:
@@ -99,48 +87,6 @@ class TestPauliStrings:
             pauli_string("XQ")
         with pytest.raises(ValueError):
             pauli_string("")
-
-    def test_pauli_on(self):
-        np.testing.assert_array_equal(
-            pauli_on("X", 0, 2).mat, pauli_string("XI").mat
-        )
-        np.testing.assert_array_equal(
-            pauli_on("Y", 2, 3).mat, pauli_string("IIY").mat
-        )
-
-
-class TestTensor:
-    def test_identity_case(self):
-        out = tensor(identity(2), identity(2))
-        np.testing.assert_array_equal(out.mat, np.eye(4))
-        assert out.dim == 4
-
-    def test_diagonal_product(self):
-        zz = tensor(pauli_string("Z"), pauli_string("Z"))
-        np.testing.assert_array_equal(zz.mat, np.diag([1, -1, -1, 1]).astype(complex))
-
-    def test_column_action(self):
-        xi = tensor(pauli_string("X"), identity(2))
-        v = np.zeros(4, dtype=complex)
-        v[1] = 1.0
-        out = xi.mat @ v
-        assert out[3] == 1.0 and np.count_nonzero(out) == 1
-
-    def test_tag_propagation(self):
-        both = tensor(pauli_string("Z"), pauli_string("Z"))
-        assert "hermitian" in both.tags
-        assert "unitary" in both.tags
-        assert "diagonal" in both.tags
-        one = tensor(pauli_string("Z"), Operator(np.eye(2, dtype=complex) * 1j))
-        assert "hermitian" not in one.tags
-
-    def test_associative_exact(self):
-        a = pauli_string("X")
-        b = pauli_string("Y")
-        c = pauli_string("Z")
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        np.testing.assert_array_equal(left.mat, right.mat)
 
 
 class TestHermitianExponential:
@@ -178,53 +124,6 @@ class TestHermitianExponential:
         lhs = hermitian_exponential(h, a).mat @ hermitian_exponential(h, b).mat
         rhs = hermitian_exponential(h, a + b).mat
         assert np.linalg.norm(lhs - rhs) <= 1e-10
-
-
-class TestCommutators:
-    def test_identity_commutes(self):
-        m = random_hermitian(4, 0)
-        out = commutator(identity(4), m)
-        assert np.allclose(out.mat, 0.0, atol=0)
-
-    def test_parity_anticommutator(self):
-        parity = Operator(np.diag([-1.0, 1.0]).astype(complex))
-        flip = pauli_string("X")
-        out = anticommutator(parity, flip)
-        np.testing.assert_allclose(out.mat, 0.0, atol=0)
-
-    def test_zz_commutes_with_xbar(self):
-        out = commutator(pauli_string("ZZ"), XBAR)
-        assert np.linalg.norm(out.mat) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            commutator(identity(2), identity(4))
-        with pytest.raises(DimensionMismatchError):
-            anticommutator(identity(2), identity(4))
-
-
-class TestOpNorm:
-    def test_zero(self):
-        z = Operator(np.zeros((3, 3), dtype=complex))
-        assert op_norm(z) == 0.0
-        assert op_norm(z, "spectral") == 0.0
-
-    def test_identity_frobenius(self):
-        assert op_norm(identity(4)) == pytest.approx(2.0, abs=1e-14)
-
-    def test_single_site_x_in_two_qubits(self):
-        assert op_norm(pauli_string("XI")) == pytest.approx(2.0, abs=1e-14)
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            op_norm(identity(2), "nuclear")
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_frobenius_squared_is_singular_value_sum(self, seed):
-        h = random_hermitian(6, seed)
-        fro2 = op_norm(h) ** 2
-        sv2 = float(np.sum(np.linalg.svd(h.mat, compute_uv=False) ** 2))
-        assert fro2 == pytest.approx(sv2, rel=1e-10)
 
 
 class TestRandomHermitian:

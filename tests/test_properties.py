@@ -1,15 +1,27 @@
-"""Property tests over simulate: physical ranges hold for any seeded model.
+"""Property tests: physical ranges hold for any seeded model, and code
+serialization and block decomposition hold for any isometry code.
 
 Cycle counts run past OBSERVABLE_BATCH, so samples on both sides of a batch
 edge are covered, and both pulsed and free runs are drawn.
 """
 
+import json
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leolab.classify import decompose
+from leolab.codes import CodeSubspace, code_from_json, code_to_json
 from leolab.dynamics import ParityKickSchedule, simulate
 from leolab.leo import projector_leo
-from leolab.models import DFS2_LEAK_LABELS, dfs2_leakage_model, hopping_model
+from leolab.models import (
+    DFS2_LEAK_LABELS,
+    RECONSTRUCTION_TOL,
+    dfs2_leakage_model,
+    hopping_model,
+)
+from leolab.opalg import random_hermitian
 
 models = st.one_of(
     st.builds(
@@ -42,3 +54,31 @@ def test_simulate_stays_physical(model, n, tau, pulsed, code_index):
     for s in report.samples:
         assert 0.0 <= s.leakage_population <= 1.0
         assert 0.0 <= s.code_fidelity <= 1.0
+
+
+@st.composite
+def isometry_codes(draw):
+    """A code spanned by the orthonormalized columns of a seeded Gaussian."""
+    ambient = draw(st.integers(1, 12))
+    code_dim = draw(st.integers(1, ambient))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = (rng.standard_normal((ambient, code_dim))
+         + 1j * rng.standard_normal((ambient, code_dim)))
+    return CodeSubspace("random", np.linalg.qr(g)[0])
+
+
+@settings(max_examples=50, deadline=None)
+@given(code=isometry_codes())
+def test_code_json_round_trip(code):
+    back = code_from_json(json.loads(json.dumps(code_to_json(code))))
+    np.testing.assert_array_equal(back.basis, code.basis)
+    assert back.same_subspace(code)
+
+
+@settings(max_examples=50, deadline=None)
+@given(code=isometry_codes(), seed=st.integers(0, 2**32 - 1))
+def test_decompose_reconstructs(code, seed):
+    h = random_hermitian(code.ambient_dim, seed)
+    dec = decompose(h, code)
+    total = dec.e_part.mat + dec.eperp_part.mat + dec.l_part.mat
+    assert np.linalg.norm(total - h.mat) <= RECONSTRUCTION_TOL
