@@ -17,7 +17,7 @@ from leolab.models import (
     logical_ops_dfs2,
     model_from_config,
 )
-from leolab.opalg import Operator, pauli_string
+from leolab.opalg import Operator, hermitian_exponential, pauli_string
 
 
 class TestLogicalOps:
@@ -58,6 +58,36 @@ class TestLogicalOps:
         ops = logical_ops_dfs2()
         for op in (ops.x, ops.y, ops.z):
             assert np.linalg.norm(op.mat @ zsum - zsum @ op.mat) <= 1e-12
+
+
+def _recoupled_y_rotation(theta):
+    """exp(i pi/4 x) exp(-i theta z) exp(-i pi/4 x): y built from x and z."""
+    ops = logical_ops_dfs2()
+    return (hermitian_exponential(ops.x, np.pi / 4).mat
+            @ hermitian_exponential(ops.z, -theta).mat
+            @ hermitian_exponential(ops.x, -np.pi / 4).mat)
+
+
+class TestRecoupledYRotation:
+    def test_zero_angle_identity_on_code(self):
+        code = dfs2_dephasing()
+        u = _recoupled_y_rotation(0.0)
+        assert np.linalg.norm(u @ code.basis - code.basis) <= 1e-12
+
+    @pytest.mark.parametrize("theta", [np.pi / 2, 1.234, -0.7, 5.9])
+    def test_matches_direct_y_rotation(self, theta):
+        u = _recoupled_y_rotation(theta)
+        direct = hermitian_exponential(logical_ops_dfs2().y, -theta)
+        assert np.linalg.norm(u - direct.mat) <= 1e-12
+
+    def test_hundred_point_grid(self):
+        y = logical_ops_dfs2().y
+        worst = 0.0
+        for theta in np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False):
+            u = _recoupled_y_rotation(float(theta))
+            direct = hermitian_exponential(y, -float(theta))
+            worst = max(worst, float(np.linalg.norm(u - direct.mat)))
+        assert worst <= 1e-12
 
 
 class TestSystemBathModel:
