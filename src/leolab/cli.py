@@ -30,10 +30,13 @@ from .dynamics import (
     simulate,
     sweep_cycles,
 )
-from .models import json_int, json_number, model_from_config, parsed
+from .models import model_from_config, parsed
 from .opalg import (
     NumericalDegeneracyError,
     Operator,
+    json_complex,
+    json_int,
+    json_number,
     operator_from_json,
     operator_to_json,
 )
@@ -232,6 +235,11 @@ def _run_verify(args: argparse.Namespace) -> int:
         raise ConfigError("no code label: pass --code or use a pulse JSON")
     code = codes_mod.build_code(str(label))
     candidate = operator_from_json(data)
+    if "phase" in data:  # a pulse record: its phase must be an [re, im] pair
+        try:
+            json_complex(data["phase"])
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"malformed pulse record: {err}") from err
     if candidate.dim != code.ambient_dim:
         raise ConfigError(
             f"operator dim {candidate.dim} does not match code "

@@ -21,7 +21,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .opalg import Operator
+from .opalg import Operator, json_int, json_matrix
 
 ISOMETRY_TOL = 1e-12
 SUBSPACE_TOL = 1e-10  # Frobenius distance between projectors of one subspace
@@ -449,10 +449,10 @@ def code_to_json(code: CodeSubspace) -> dict:
 def code_from_json(data: dict) -> CodeSubspace:
     try:
         label = str(data["label"])
-        ambient = int(data["ambient_dim"])
-        cdim = int(data["code_dim"])
-        re = np.array(data["basis_re"], dtype=float)
-        im = np.array(data["basis_im"], dtype=float)
+        ambient = json_int(data["ambient_dim"])
+        cdim = json_int(data["code_dim"])
+        re = json_matrix(data["basis_re"])
+        im = json_matrix(data["basis_im"])
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"malformed code record: {err}") from err
     if re.shape != (ambient, cdim) or im.shape != (ambient, cdim):

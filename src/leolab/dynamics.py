@@ -8,18 +8,13 @@ step for the leakage-free generator, and the sequence converges to
 exp(-i (H_c + H_perp) T) like 1/n with an O(tau^2) single-cycle defect.
 Pulses are ideal (instantaneous, error-free) in this version.
 
-H_joint and H_c + H_perp are diagonalized once per model (cached on
-SystemBathModel.spectra), and every propagator here is built from those
-two spectra. A pulse acts on the system only, so each kick contracts the
-pulse matrix with the system index, with no joint kron(R, I) product. The
-distance to the limit is sqrt(lambda_max) of a Gram matrix from eigvalsh,
-relative error O(J eps) at joint dim J. Samples come in batches of
-OBSERVABLE_BATCH: the decoupled-limit targets, and the states of a free
-run, are read off the spectra as exp(-i H 2 tau k) psi0 for a whole batch
-of k in one matrix product; only the pulsed state is stepped one cycle at
-a time. Leakage and the code fidelity (through purifications, in code
-coordinates) are computed per batch, so memory does not grow with the
-cycle count.
+Every propagator comes from the model's two cached spectra (H_joint and
+H_c + H_perp), a kick contracts the pulse with the system index only, and
+all are certified unitary before any sample is taken. Samples come in
+batches of OBSERVABLE_BATCH from a few matrix products each: free states
+and targets scale a phase table, pulsed states come from the squares that
+build cycle^n, and the code fidelity takes code x code SVDs. The distance
+to the limit is sqrt(lambda_max) of a Gram matrix, relative error O(J eps).
 """
 
 from __future__ import annotations
@@ -43,13 +38,17 @@ STATE_CODE_TOL = 1e-12
 STATE_NORM_TOL = 1e-10
 FIDELITY_CLAMP_TOL = 1e-9   # fidelities below 1 + this are clamped to 1
 OBSERVABLE_BATCH = 256      # samples per batched leakage/fidelity evaluation
+assert OBSERVABLE_BATCH & (OBSERVABLE_BATCH - 1) == 0, "a power of two"
 
 REPORT_CSV_HEADER = "step,elapsed_time,leakage_population,code_fidelity"
 SWEEP_CSV_HEADER = "n,tau,final_leakage,distance_to_limit"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _csv_text(header: str, rows) -> str:
+    """header, then one line per row with the fields it names at %.17g."""
+    names = header.split(",")
+    lines = [",".join(f"{getattr(r, k):.17g}" for k in names) for r in rows]
+    return "\n".join([header, *lines]) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +74,7 @@ class ParityKickSchedule:
         return 2 * self.n_cycles * self.tau
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationSample:
     step: int
     elapsed_time: float
@@ -102,13 +101,7 @@ class SimulationReport:
         return self.samples[-1].leakage_population
 
     def csv_text(self) -> str:
-        lines = [REPORT_CSV_HEADER]
-        for s in self.samples:
-            lines.append(
-                f"{s.step},{_fmt(s.elapsed_time)},"
-                f"{_fmt(s.leakage_population)},{_fmt(s.code_fidelity)}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_text(REPORT_CSV_HEADER, self.samples)
 
 
 @dataclass(frozen=True)
@@ -125,13 +118,7 @@ class SweepTable:
     metadata: Mapping[str, object]
 
     def csv_text(self) -> str:
-        lines = [SWEEP_CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.n},{_fmt(r.tau)},{_fmt(r.final_leakage)},"
-                f"{_fmt(r.distance_to_limit)}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_text(SWEEP_CSV_HEADER, self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +143,46 @@ def _cycle(model: SystemBathModel, schedule: ParityKickSchedule) -> np.ndarray:
     return segment @ t
 
 
-def _power(cycle: np.ndarray, n: int) -> Operator:
-    """cycle^n, tagged unitary; drift past the tag is a numerical failure."""
+def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None
+                  ) -> tuple[Operator, np.ndarray | None, np.ndarray | None]:
+    """cycle^n, tagged unitary (drift is a numerical failure), from the
+    squares C^(2^i) in matrix_power's binary order. Given psi0, the squares
+    also fill the first batch, rows C^k psi0 for k < min(n + 1,
+    OBSERVABLE_BATCH), by doubling (psi_(k+2^i) = C^(2^i) psi_k), and
+    C^OBSERVABLE_BATCH comes back to advance later batches when n reaches
+    it; as OBSERVABLE_BATCH is a power of two, cycle^n needs every square.
+    """
+    rows = min(n + 1, OBSERVABLE_BATCH)
+    states = None if psi0 is None else np.tile(psi0, (rows, 1))  # row 0 stays psi0
+    total = np.eye(len(cycle), dtype=complex) if n == 0 else None
+    advance = None
+    square, span, left = cycle, 1, n
+    while left:
+        if span > 1:
+            square = square @ square
+        if states is not None and span < rows:
+            top = min(2 * span, rows)
+            states[span:top] = states[:top - span] @ square.T
+        if span == OBSERVABLE_BATCH:
+            advance = square
+        left, bit = divmod(left, 2)
+        if bit:
+            total = square if total is None else total @ square
+        span *= 2
     try:
-        return Operator(np.linalg.matrix_power(cycle, n), frozenset({"unitary"}))
+        return Operator(total, frozenset({"unitary"})), states, advance
     except ValueError as err:
-        raise NumericalDegeneracyError(
-            f"total propagator after {n} cycles: {err}"
-        ) from err
+        msg = f"total propagator after {n} cycles: {err}"
+        raise NumericalDegeneracyError(msg) from err
 
 
 def parity_kick_unitary(model: SystemBathModel,
                         schedule: ParityKickSchedule) -> Operator:
-    """Total propagator of the pulsed sequence; identity for zero cycles.
-
-    Raises NumericalDegeneracyError when it drifts past the unitarity
-    tolerance.
-    """
+    """Total propagator of the pulsed sequence (identity for zero cycles);
+    drift past the unitarity tolerance is a NumericalDegeneracyError."""
     if schedule.pulses is None:
         raise ValueError("schedule has no pulses; use free evolution directly")
-    return _power(_cycle(model, schedule), schedule.n_cycles)
+    return _cycle_powers(_cycle(model, schedule), schedule.n_cycles)[0]
 
 
 def decoupled_limit_unitary(model: SystemBathModel,
@@ -200,30 +207,29 @@ def _spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _observables(model: SystemBathModel, psis: np.ndarray,
-                 targets: np.ndarray) -> tuple[list[float], list[float]]:
+                 c: np.ndarray) -> tuple[list[float], list[float]]:
     """Leakage and code fidelity for a stack of joint states and targets.
 
     Leakage is |(Q x I) psi|^2. Fidelity is the Uhlmann fidelity of the
     bath-traced state against the bath-traced target projected onto the
     code and renormalized (0 when the target has no code component). Both
     joint vectors are purifications, so with A = V^dag psi and
-    C = V^dag target in code coordinates (V the code basis, reshaped to
-    code x bath) the fidelity is ||A^dag C||_1^2 / ||C||^2 (Uhlmann 1976;
-    Jozsa 1994). When the bath is larger than the code, A^dag is replaced
-    by the R factor of its QR decomposition, which keeps the nuclear norm
-    and every SVD at most code x bath. Values below 1 + FIDELITY_CLAMP_TOL
-    are clamped to 1; larger ones pass through.
+    C = V^dag target, code x bath (V the code basis; c holds C's rows
+    flattened), it is ||A^dag C||_1^2 / ||C||^2 (Uhlmann 1976; Jozsa 1994).
+    With more bath than code, A^dag = Q_A R_A and C^dag = Q_C R_C give
+    ||A^dag C||_1 = ||R_A R_C^dag||_1: code x code SVDs. Values below
+    1 + FIDELITY_CLAMP_TOL are clamped to 1; larger ones pass through.
     """
-    shape = (len(psis), model.system_dim, model.bath_dim)
-    a = psis.reshape(shape)
+    k, b = model.code.code_dim, model.bath_dim
+    a = psis.reshape(len(psis), model.system_dim, b)
     leak = np.sum(np.abs(model.code.complement_projector @ a) ** 2, axis=(1, 2))
 
-    v_dag = model.code.basis.conj().T
-    a_dag = (v_dag @ a).conj().swapaxes(1, 2)
-    c = v_dag @ targets.reshape(shape)
-    if model.bath_dim > model.code.code_dim:
-        a_dag = np.linalg.qr(a_dag, mode="r")
+    a_dag = (model.code.basis.conj().T @ a).conj().swapaxes(1, 2)
+    c = c.reshape(len(c), k, b)
     norm = np.sum(np.abs(c) ** 2, axis=(1, 2))
+    if b > k:
+        a_dag = np.linalg.qr(a_dag, mode="r")
+        c = np.linalg.qr(c.conj().swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
     has_code = norm > 0.0
     nuclear = np.linalg.svd(a_dag @ c, compute_uv=False).sum(axis=1)
     f = nuclear ** 2 / np.where(has_code, norm, 1.0)
@@ -231,14 +237,22 @@ def _observables(model: SystemBathModel, psis: np.ndarray,
     return leak.tolist(), np.where(has_code, f, 0.0).tolist()
 
 
-def _spectral_samples(spectrum: tuple[np.ndarray, np.ndarray],
-                      psi0: np.ndarray, scale: float,
-                      ks: np.ndarray) -> np.ndarray:
-    """Rows exp(1j * scale * k * h) psi0 for each k in ks, from h's spectrum."""
+def _spectral_batches(spectrum: tuple[np.ndarray, np.ndarray], psi0: np.ndarray,
+                      rows: np.ndarray, first: np.ndarray, scale: float, n: int):
+    """Yield rows (exp(1j * scale * k * h) psi0) for k = 0..n in batches
+    of OBSERVABLE_BATCH, from h's spectrum (w, v); rows is v itself, or
+    the rows of it that are wanted. The table exp(1j * scale * j * w),
+    j < OBSERVABLE_BATCH, is built once, and the batch from k0 scales it
+    by exp(1j * scale * k0 * w) (v^dag psi0). Sample 0 is first exactly.
+    """
     w, v = spectrum
-    rows = (np.exp(1j * scale * np.outer(ks, w)) * (v.conj().T @ psi0)) @ v.T
-    rows[ks == 0] = psi0  # the initial sample is psi0 itself, free of round-off
-    return rows
+    coeff = v.conj().T @ psi0
+    table = np.exp(1j * scale * np.outer(np.arange(min(n + 1, OBSERVABLE_BATCH)), w))
+    for k0 in range(0, n + 1, OBSERVABLE_BATCH):
+        batch = (table[:n + 1 - k0] * (np.exp(1j * scale * k0 * w) * coeff)) @ rows.T
+        if k0 == 0:
+            batch[0] = first
+        yield batch
 
 
 def simulate(
@@ -253,59 +267,51 @@ def simulate(
     per completed cycle (plus the initial point): leakage population and the
     fidelity of the bath-traced system state against the decoupled-limit
     target. With pulses=None the same grid is used for free evolution.
-    Raises NumericalDegeneracyError when the total propagator drifts past
-    the unitarity tolerance.
+    Raises NumericalDegeneracyError when any propagator drifts past the
+    unitarity tolerance, before the first sample is evaluated.
     """
     state = np.asarray(initial_code_state, dtype=complex)
     if state.shape != (model.system_dim,):
-        raise ValueError(
-            f"initial state must be a length-{model.system_dim} vector"
-        )
+        raise ValueError(f"initial state must be a length-{model.system_dim} vector")
     if abs(np.linalg.norm(state) - 1.0) > STATE_NORM_TOL:
         raise ValueError("initial state must be normalized")
     out_of_code = np.linalg.norm(model.code.complement_projector @ state)
     if out_of_code > STATE_CODE_TOL:
-        raise ValueError(
-            f"initial state leaves the code subspace by {out_of_code:.3e}"
-        )
+        raise ValueError(f"initial state leaves the code subspace by {out_of_code:.3e}")
     joint, decoupled = model.spectra
     pulsed = schedule.pulses is not None
-    n = schedule.n_cycles
-    tau = schedule.tau
+    n, tau = schedule.n_cycles, schedule.tau
     psi0 = np.kron(state, model.initial_bath_state)
-    # u_limit and the segment in cycle (or u_total) certify both spectra as
-    # unitary propagators before any state is sampled from them
+    # every propagator, cycle^n included, is certified before any sample
     u_limit = decoupled_limit_unitary(model, schedule.total_free_time)
     if pulsed:
-        cycle = _cycle(model, schedule)
+        u_total, psis, advance = _cycle_powers(_cycle(model, schedule), n, psi0)
     else:
         u_total = spectral_exponential(joint, -schedule.total_free_time)
+        states = _spectral_batches(joint, psi0, joint[1], psi0, -2 * tau, n)
 
-    psi = psi0
-    leakage: list[float] = []
-    fidelity: list[float] = []
-    for start in range(0, n + 1, OBSERVABLE_BATCH):
-        ks = np.arange(start, min(start + OBSERVABLE_BATCH, n + 1))
-        targets = _spectral_samples(decoupled, psi0, -2 * tau, ks)
-        if pulsed:
-            psis = np.empty_like(targets)
-            for i, k in enumerate(ks):
-                if k:
-                    psi = cycle @ psi
-                psis[i] = psi
-        else:
-            psis = _spectral_samples(joint, psi0, -2 * tau, ks)
-        leak, fid = _observables(model, psis, targets)
+    # targets only in code rows: (V^dag x I) v_d, code*bath x joint
+    v_dag = model.code.basis.conj().T
+
+    def code_rows(x: np.ndarray) -> np.ndarray:
+        return (v_dag @ x.reshape(model.system_dim, -1)).reshape(-1, *x.shape[1:])
+
+    targets = _spectral_batches(decoupled, psi0, code_rows(decoupled[1]),
+                                code_rows(psi0), -2 * tau, n)
+    leakage, fidelity = [], []
+    for start, c in zip(range(0, n + 1, OBSERVABLE_BATCH), targets):
+        if not pulsed:
+            psis = next(states)
+        elif start:
+            psis = psis[:len(c)] @ advance.T
+        leak, fid = _observables(model, psis, c)
         leakage += leak
         fidelity += fid
-    samples = tuple(
-        SimulationSample(k, 2 * tau * k, leak, fid)
-        for k, (leak, fid) in enumerate(zip(leakage, fidelity))
-    )
+    times = [2 * tau * k for k in range(n + 1)]
+    samples = tuple(map(SimulationSample, range(n + 1), times, leakage, fidelity))
 
     if pulsed:
-        u_total = _power(cycle, n)
-        del cycle  # room for the Gram matrix of the distance
+        del advance, psis  # room for the Gram matrix of the distance
     distance = _spectral_distance(u_total.mat, u_limit.mat)
 
     metadata = {

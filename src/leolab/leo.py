@@ -30,6 +30,7 @@ from .opalg import (
     Operator,
     derived_seeds,
     hermitian_exponential,
+    json_complex,
     operator_from_json,
     operator_to_json,
     random_hermitian,
@@ -447,11 +448,9 @@ def leo_from_json(data: dict) -> LeakageEliminationOperator:
     try:
         route = str(data["route"])
         code_label = str(data["code_label"])
-        phase_re, phase_im = data["phase"]
+        phase = json_complex(data["phase"])
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"malformed pulse record: {err}") from err
     code = codes.build_code(code_label)
     u = operator_from_json(data, tags=("unitary",))
-    return LeakageEliminationOperator(
-        u, code, complex(float(phase_re), float(phase_im)), route
-    )
+    return LeakageEliminationOperator(u, code, phase, route)

@@ -24,6 +24,9 @@ from .opalg import (
     Operator,
     derived_seeds,
     hermitian_spectrum,
+    json_bool,
+    json_int,
+    json_number,
     pauli_string,
     random_hermitian,
 )
@@ -314,30 +317,6 @@ def dfs2_leakage_model(
 # ---------------------------------------------------------------------------
 
 MODEL_NAMES = ("hopping", "linear_optics", "dfs2_leakage")
-
-
-def json_int(value) -> int:
-    """A JSON integer: 3.7 and true are refused, not truncated to 3 and 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def json_number(value) -> float:
-    """A JSON number: true and "0.05" are refused, not read as 1.0 and 0.05."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as err:
-        raise ValueError(f"{value} is too large for a float") from err
-
-
-def json_bool(value) -> bool:
-    """A JSON true or false: "false" is refused, not read as truthy."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
 
 
 def parsed(cast, mapping: Mapping, key: str, default=None):

@@ -127,12 +127,16 @@ def hermitian_spectrum(h: Operator) -> tuple[np.ndarray, np.ndarray]:
 
 def spectral_exponential(spectrum: tuple[np.ndarray, np.ndarray],
                          scale: float) -> Operator:
-    """exp(1j * scale * h) from h's spectrum (w, v), tagged unitary."""
+    """exp(1j * scale * h) from h's spectrum (w, v), tagged unitary; drift
+    past the tag is a NumericalDegeneracyError."""
     if not np.isfinite(scale):
         raise ValueError("scale must be finite")
     w, v = spectrum
     u = (v * np.exp(1j * scale * w)) @ v.conj().T
-    return Operator(u, frozenset({"unitary"}))
+    try:
+        return Operator(u, frozenset({"unitary"}))
+    except ValueError as err:  # drift of a propagator, not bad input
+        raise NumericalDegeneracyError(f"spectral exponential: {err}") from err
 
 
 def hermitian_exponential(h: Operator, scale: float) -> Operator:
@@ -170,6 +174,44 @@ def derived_seeds(base: int, count: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(int(base)).generate_state(count)]
 
 
+def json_int(value) -> int:
+    """A JSON integer: 3.7 and true are refused, not truncated to 3 and 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_number(value) -> float:
+    """A JSON number: true and "0.05" are refused, not read as 1.0 and 0.05."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as err:
+        raise ValueError(f"{value} is too large for a float") from err
+
+
+def json_bool(value) -> bool:
+    """A JSON true or false: "false" is refused, not read as truthy."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def json_complex(value) -> complex:
+    """A JSON [re, im] pair of numbers."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise TypeError(f"expected a [re, im] pair, got {value!r}")
+    return complex(json_number(value[0]), json_number(value[1]))
+
+
+def json_matrix(value) -> np.ndarray:
+    """A JSON list of rows of numbers, as a float array (ragged rows refused)."""
+    if not (isinstance(value, list) and all(isinstance(r, list) for r in value)):
+        raise TypeError("expected a list of rows of numbers")
+    return np.array([[json_number(x) for x in row] for row in value], dtype=float)
+
+
 def operator_to_json(a: Operator) -> dict:
     return {
         "dim": a.dim,
@@ -180,9 +222,9 @@ def operator_to_json(a: Operator) -> dict:
 
 def operator_from_json(data: dict, tags: Iterable[str] = ()) -> Operator:
     try:
-        dim = int(data["dim"])
-        re = np.array(data["re"], dtype=float)
-        im = np.array(data["im"], dtype=float)
+        dim = json_int(data["dim"])
+        re = json_matrix(data["re"])
+        im = json_matrix(data["im"])
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"malformed operator record: {err}") from err
     if re.shape != (dim, dim) or im.shape != (dim, dim):

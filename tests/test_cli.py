@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leolab import cli
+from leolab import cli, opalg
 from leolab.codes import spin_sector_decomposition
 from leolab.leo import leo_from_json
 from leolab.opalg import operator_to_json, pauli_string, random_hermitian
@@ -487,6 +487,60 @@ class TestMistypedConfigValues:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert key in err
+
+
+class TestMistypedRecords:
+    """Operator and pulse records read their numbers as strictly as configs."""
+
+    @pytest.mark.parametrize("record", [
+        {"dim": 2.9, "re": [[True, 0], [0, "-1"]], "im": [[0, 0], [0, 0]]},
+        {"dim": 2.9, "re": [[1, 0], [0, -1]], "im": [[0, 0], [0, 0]]},
+        {"dim": 2, "re": [[True, 0], [0, -1]], "im": [[0, 0], [0, 0]]},
+        {"dim": 2, "re": [[1, 0], [0, "-1"]], "im": [[0, 0], [0, 0]]},
+    ], ids=["all_three", "float_dim", "bool_entry", "string_entry"])
+    def test_decompose_operator(self, tmp_path, capsys, record):
+        op_file = tmp_path / "op.json"
+        op_file.write_text(json.dumps(record))
+        self.check_rejected(capsys, ["decompose", "--code", "bare2",
+                                     "--operator", op_file,
+                                     "--out", tmp_path / "dec.json"])
+
+    def test_verify_pulse_phase(self, tmp_path, capsys):
+        pulse_file = tmp_path / "pulse.json"
+        run_cli(["synth", "--code", "dfs2", "--route", "exchange_2dfs",
+                 "--out", pulse_file])
+        data = json.loads(pulse_file.read_text())
+        data["phase"] = [True, 0]
+        pulse_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        self.check_rejected(capsys, ["verify", "--leo", pulse_file])
+
+    def test_pulse_record_phase(self, tmp_path):
+        pulse_file = tmp_path / "pulse.json"
+        run_cli(["synth", "--code", "dfs2", "--route", "exchange_2dfs",
+                 "--out", pulse_file])
+        data = json.loads(pulse_file.read_text())
+        data["phase"] = [True, 0]
+        with pytest.raises(ValueError, match="malformed pulse record"):
+            leo_from_json(data)
+
+    @staticmethod
+    def check_rejected(capsys, argv):
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+class TestFailedPropagatorCheck:
+    def test_free_run_exits_two(self, tmp_path, capsys, monkeypatch):
+        # --free builds no pulse, so the first tag check under the zero
+        # tolerance is a propagator's
+        monkeypatch.setattr(opalg, "UNITARY_TOL", 0.0)
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        assert run_cli(["simulate", "--config", bench / "dfs2_benchmark.json",
+                        "--free", "--out", tmp_path / "o.csv"]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 class TestArgumentErrors:

@@ -334,3 +334,16 @@ class TestSerialization:
     def test_malformed(self):
         with pytest.raises(ValueError):
             code_from_json({"label": "x"})
+
+    # no command reads a code record, so the strict casts are checked here
+    @pytest.mark.parametrize("field,value", [
+        ("code_dim", 2.9), ("basis_re", True), ("basis_im", "0"),
+    ])
+    def test_mistyped_record_refused(self, field, value):
+        data = code_to_json(build_code("dfs2"))
+        if field == "code_dim":
+            data[field] = value
+        else:  # an entry that float() would read as the same number
+            data[field][1][0] = value
+        with pytest.raises(ValueError, match="malformed code record"):
+            code_from_json(data)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from leolab import dynamics, opalg
 from leolab.codes import CodeSubspace, dfs2_dephasing
 from leolab.dynamics import (
     ParityKickSchedule,
@@ -101,6 +102,55 @@ class TestParityKickUnitary:
             assert "residual" in str(err)
         else:
             assert "unitary" in u.tags
+
+
+class TestCyclePowers:
+    """cycle^n from its squares agrees with matrix_power of the cycle."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 64, 300])
+    def test_matches_matrix_power(self, n):
+        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=16)
+        pulse = exchange_dfs2_leo()
+        cycle = parity_kick_unitary(m, ParityKickSchedule(1, 0.01, pulse)).mat
+        u = parity_kick_unitary(m, ParityKickSchedule(n, 0.01, pulse)).mat
+        assert np.max(np.abs(u - np.linalg.matrix_power(cycle, n))) <= 1e-13
+
+
+class TestPropagatorChecks:
+    """Every propagator is certified before the first sample is evaluated."""
+
+    @pytest.fixture
+    def observable_calls(self, monkeypatch):
+        calls = []
+        observables = dynamics._observables
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return observables(*args)
+
+        monkeypatch.setattr(dynamics, "_observables", counting)
+        return calls
+
+    @pytest.mark.parametrize("pulsed", [True, False])
+    def test_failed_check_is_numerical(self, monkeypatch, observable_calls,
+                                       pulsed):
+        m = benchmark_model()
+        pulse = exchange_dfs2_leo() if pulsed else None
+        monkeypatch.setattr(opalg, "UNITARY_TOL", 0.0)
+        with pytest.raises(NumericalDegeneracyError):
+            simulate(m, ParityKickSchedule(8, 0.05, pulse), code_state(m))
+        assert observable_calls == []
+
+    def test_drifting_run_fails_before_sampling(self, observable_calls):
+        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=16)
+        sched = ParityKickSchedule(4096, 2.0 / 8192, exchange_dfs2_leo())
+        try:
+            simulate(m, sched, code_state(m))
+        except NumericalDegeneracyError as err:
+            assert "after 4096 cycles" in str(err)
+            assert observable_calls == []
+        else:
+            assert sum(observable_calls) == 4097
 
 
 class TestDecoupledLimit:
@@ -269,7 +319,8 @@ class TestBatchedObservables:
         "linear_optics_bath1": lambda: (linear_optics_model(seed=5, g=0.2), None),
     }
 
-    @pytest.mark.parametrize("n", [0, 255, 256, 257])
+    # 600 and 1000 take several C^256 advances and end on a partial batch
+    @pytest.mark.parametrize("n", [0, 255, 256, 257, 600, 1000])
     @pytest.mark.parametrize("pulsed", [True, False])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_per_sample_reference(self, case, pulsed, n):
