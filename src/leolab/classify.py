@@ -5,20 +5,35 @@ falls apart as PMP + QMQ + (PMQ + QMP). The first piece acts inside the
 code, the second entirely outside it, and the cross terms are the leakage
 channel: they are what moves population across the boundary, and they are
 the part a decoupling pulse must anticommute with.
+
+block_split makes the split for a stack of matrices in six batched
+products; decompose is its one-matrix case. Callers with many matrices
+(Pauli tables, verification probes) feed it the chunks of chunk_slices,
+so memory stays flat in the number of matrices.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .codes import CodeSubspace
-from .opalg import DimensionMismatchError, Operator, pauli_string
+from .opalg import (
+    DimensionMismatchError,
+    Operator,
+    check_tags,
+    frobenius,
+    pauli_stack,
+)
 
 CLASSIFY_TOL = 1e-12
+
+# complex entries per stacked chunk: each temporary stays at 64 KiB, below
+# glibc's mmap threshold, whatever the number of matrices
+_CHUNK_ENTRIES = 2**12
 
 CLASS_LOGICAL = "E"
 CLASS_OUTSIDE = "E_perp"
@@ -52,20 +67,45 @@ class BlockDecomposition:
         return float(np.linalg.norm(self.l_part.mat))
 
 
-def decompose(m: Operator, code: CodeSubspace) -> BlockDecomposition:
-    """Split m into code, complement, and leakage parts."""
-    if m.dim != code.ambient_dim:
+def chunk_slices(count: int, dim: int) -> Iterator[slice]:
+    """Consecutive slices of range(count), max(1, 2**12 // dim**2) long."""
+    step = max(1, _CHUNK_ENTRIES // dim**2)
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
+
+
+def block_split(
+    mats: np.ndarray, code: CodeSubspace, hermitian: Sequence[bool]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stacks PMP, QMQ and PMQ + QMP of a stack mats (N, d, d).
+
+    Every part is checked finite, and PMP and QMQ are checked hermitian for
+    the matrices whose hermitian[i] is set, each to Operator's tolerance.
+    """
+    if mats.shape[-1] != code.ambient_dim:
         raise DimensionMismatchError(
-            f"operator dim {m.dim} does not match code ambient dim "
+            f"operator dim {mats.shape[-1]} does not match code ambient dim "
             f"{code.ambient_dim}"
         )
     p = code.projector
     q = code.complement_projector
-    tags = frozenset({"hermitian"}) if "hermitian" in m.tags else frozenset()
-    e_part = Operator(p @ m.mat @ p, tags)
-    eperp_part = Operator(q @ m.mat @ q, tags)
-    l_part = Operator(p @ m.mat @ q + q @ m.mat @ p)
-    return BlockDecomposition(code, e_part, eperp_part, l_part)
+    pm = p @ mats
+    qm = q @ mats
+    e, eperp, l = pm @ p, qm @ q, pm @ q + qm @ p
+    herm = np.asarray(hermitian, dtype=bool)
+    for part in (e, eperp, l):
+        check_tags(part, frozenset())
+    for part in (e, eperp):
+        check_tags(part[herm], frozenset({"hermitian"}))
+    return e, eperp, l
+
+
+def decompose(m: Operator, code: CodeSubspace) -> BlockDecomposition:
+    """Split m into code, complement, and leakage parts."""
+    hermitian = "hermitian" in m.tags
+    e, eperp, l = block_split(m.mat[None], code, [hermitian])
+    tags = frozenset({"hermitian"}) if hermitian else frozenset()
+    return BlockDecomposition(code, Operator(e[0], tags), Operator(eperp[0], tags),
+                              Operator(l[0]))
 
 
 @dataclass(frozen=True)
@@ -97,20 +137,26 @@ def classify_pauli_strings(
     (E_perp) when only the complement block does, leakage (L) when only the
     cross blocks do, and mixed otherwise. The identity is mixed: it acts on
     both sides of the split.
+
+    The strings are built and split as stacks, one chunk of chunk_slices at
+    a time, in itertools.product label order; pauli_stack and block_split
+    check every string and every part as pauli_string and decompose would.
     """
     if 2**n_qubits != code.ambient_dim:
         raise ValueError(
             f"code ambient dim {code.ambient_dim} is not a {n_qubits}-qubit register"
         )
-    table = {}
-    for chars in itertools.product("IXYZ", repeat=n_qubits):
-        label = "".join(chars)
-        dec = decompose(pauli_string(label), code)
-        e, eperp, l = dec.e_norm, dec.eperp_norm, dec.l_norm
-        table[label] = PauliClassification(
-            label, _classify_norms(e, eperp, l, tol), e, eperp, l
-        )
-    return table
+    labels = ["".join(chars) for chars in itertools.product("IXYZ", repeat=n_qubits)]
+    norms = np.empty((len(labels), 3))
+    for sl in chunk_slices(len(labels), code.ambient_dim):
+        parts = block_split(pauli_stack(labels[sl]), code, [True] * len(labels[sl]))
+        for j, part in enumerate(parts):
+            norms[sl, j] = frobenius(part)
+    return {
+        label: PauliClassification(
+            label, _classify_norms(e, eperp, l, tol), e, eperp, l)
+        for label, (e, eperp, l) in zip(labels, norms.tolist())
+    }
 
 
 def classification_to_csv(table: Mapping[str, PauliClassification]) -> str:

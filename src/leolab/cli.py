@@ -235,9 +235,10 @@ def _run_verify(args: argparse.Namespace) -> int:
         raise ConfigError("no code label: pass --code or use a pulse JSON")
     code = codes_mod.build_code(str(label))
     candidate = operator_from_json(data)
+    stated = None
     if "phase" in data:  # a pulse record: its phase must be an [re, im] pair
         try:
-            json_complex(data["phase"])
+            stated = json_complex(data["phase"])
         except (TypeError, ValueError) as err:
             raise ConfigError(f"malformed pulse record: {err}") from err
     if candidate.dim != code.ambient_dim:
@@ -247,9 +248,24 @@ def _run_verify(args: argparse.Namespace) -> int:
         )
     probes = _parse_probes(args.probes, code.ambient_dim)
     report = leo_mod.verify_leo(candidate, code, probes)
+    passed = report.passed
+    verdict = f"verify: {report.summary()}"
+    if stated is not None:
+        # a pulse record must have the phase it states, normalized as
+        # leo_from_json normalizes it
+        stated_res = leo_mod.structural_residual(
+            candidate, code, stated / abs(stated) if stated else stated)
+        if not stated_res <= leo_mod.STRUCTURAL_TOL:
+            passed = False
+            verdict = (
+                f"verify: FAIL: stated phase [{stated.real}, {stated.imag}] is "
+                f"off the pulse by structural residual {stated_res:.3e} "
+                f"(tolerance {leo_mod.STRUCTURAL_TOL:.0e}); measured phase "
+                f"[{report.phase.real}, {report.phase.imag}]"
+            )
     if args.out:
         payload = {
-            "passed": report.passed,
+            "passed": passed,
             "phase": [report.phase.real, report.phase.imag],
             "structural_residual": report.structural_residual,
             "max_residual": report.max_residual,
@@ -265,8 +281,8 @@ def _run_verify(args: argparse.Namespace) -> int:
             ],
         }
         _dump_json(args.out, payload)
-    print(f"verify: {report.summary()}")
-    return EXIT_OK if report.passed else EXIT_NUMERICAL
+    print(verdict)
+    return EXIT_OK if passed else EXIT_NUMERICAL
 
 
 def _initial_state(config: dict, code) -> np.ndarray:

@@ -21,7 +21,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .opalg import Operator, json_int, json_matrix
+from .opalg import Operator, json_int, json_matrix, json_str
 
 ISOMETRY_TOL = 1e-12
 SUBSPACE_TOL = 1e-10  # Frobenius distance between projectors of one subspace
@@ -160,25 +160,24 @@ def dfs2_dephasing() -> CodeSubspace:
 # ---------------------------------------------------------------------------
 
 
-def _single_site(op2: np.ndarray, site: int, n: int) -> np.ndarray:
-    m = np.eye(1, dtype=complex)
-    for i in range(n):
-        m = np.kron(m, op2 if i == site else np.eye(2, dtype=complex))
-    return m
-
-
 def collective_spin(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Total spin components (Sx, Sy, Sz), each one half the Pauli sum."""
-    sx = np.zeros((2**n_qubits,) * 2, dtype=complex)
+    """Total spin components (Sx, Sy, Sz), each one half the Pauli sum.
+
+    Site i flips bit 1 << (n-1-i) of the basis index, so each component is
+    written entry by entry as a sum of exact +-1/2 terms: bit-identical to
+    the sum of kron chains, with no dense chain built.
+    """
+    dim = 2**n_qubits
+    idx = np.arange(dim)
+    sx = np.zeros((dim, dim), dtype=complex)
     sy = np.zeros_like(sx)
     sz = np.zeros_like(sx)
-    px = np.array([[0, 1], [1, 0]], dtype=complex)
-    py = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    pz = np.array([[1, 0], [0, -1]], dtype=complex)
     for i in range(n_qubits):
-        sx += _single_site(px, i, n_qubits) / 2.0
-        sy += _single_site(py, i, n_qubits) / 2.0
-        sz += _single_site(pz, i, n_qubits) / 2.0
+        bit = 1 << (n_qubits - 1 - i)
+        up = (idx & bit) == 0  # site i in |0>, the Sz = +1/2 state
+        sx[idx ^ bit, idx] += 0.5
+        sy[idx ^ bit, idx] += np.where(up, 0.5j, -0.5j)
+        sz[idx, idx] += np.where(up, 0.5, -0.5)
     return sx, sy, sz
 
 
@@ -448,7 +447,7 @@ def code_to_json(code: CodeSubspace) -> dict:
 
 def code_from_json(data: dict) -> CodeSubspace:
     try:
-        label = str(data["label"])
+        label = json_str(data["label"])
         ambient = json_int(data["ambient_dim"])
         cdim = json_int(data["code_dim"])
         re = json_matrix(data["basis_re"])

@@ -23,14 +23,17 @@ from typing import Sequence
 import numpy as np
 
 from . import codes
-from .classify import decompose
+from .classify import block_split, chunk_slices, decompose
 from .codes import CodeSubspace
 from .models import logical_ops_dfs2
 from .opalg import (
+    DimensionMismatchError,
     Operator,
     derived_seeds,
+    frobenius,
     hermitian_exponential,
     json_complex,
+    json_str,
     operator_from_json,
     operator_to_json,
     random_hermitian,
@@ -391,10 +394,20 @@ def verify_leo(
     """Check a candidate pulse against the structural and algebraic contracts.
 
     Failures land in the report rather than raising, so an unsuitable
-    candidate (wrong form, wrong code) can be inspected.
+    candidate (wrong form, wrong code) can be inspected. The probes are
+    split as stacks, one chunk of classify.chunk_slices at a time, so
+    memory does not grow with their number; block_split checks every
+    probe's parts as decompose would, and each probe gets its own three
+    residual norms.
     """
-    if candidate.dim != code.ambient_dim:
+    dim = code.ambient_dim
+    if candidate.dim != dim:
         raise ValueError("candidate dimension does not match code ambient space")
+    for probe in probes:
+        if probe.dim != dim:
+            raise DimensionMismatchError(
+                f"operator dim {probe.dim} does not match code ambient dim {dim}"
+            )
     try:
         phase = extract_phase(candidate, code)
     except ValueError:
@@ -402,20 +415,15 @@ def verify_leo(
     s_res = structural_residual(candidate, code, phase)
     r = candidate.mat
     checks = []
-    worst = s_res
-    for i, probe in enumerate(probes):
-        dec = decompose(probe, code)
-        l = dec.l_part.mat
-        e = dec.e_part.mat
-        ep = dec.eperp_part.mat
-        pc = ProbeCheck(
-            index=i,
-            anticommutator_leakage=float(np.linalg.norm(r @ l + l @ r)),
-            commutator_code=float(np.linalg.norm(r @ e - e @ r)),
-            commutator_outside=float(np.linalg.norm(r @ ep - ep @ r)),
-        )
-        checks.append(pc)
-        worst = max(worst, pc.max_residual)
+    for sl in chunk_slices(len(probes), dim):
+        chunk = probes[sl]
+        e, eperp, l = block_split(np.stack([p.mat for p in chunk]), code,
+                                  ["hermitian" in p.tags for p in chunk])
+        residuals = np.stack([frobenius(r @ l + l @ r), frobenius(r @ e - e @ r),
+                              frobenius(r @ eperp - eperp @ r)], axis=1)
+        checks.extend(ProbeCheck(sl.start + i, *row)
+                      for i, row in enumerate(residuals.tolist()))
+    worst = max([s_res] + [pc.max_residual for pc in checks])
     return LeoVerification(
         passed=worst <= tol,
         phase=phase,
@@ -446,8 +454,8 @@ def leo_to_json(pulse: LeakageEliminationOperator) -> dict:
 
 def leo_from_json(data: dict) -> LeakageEliminationOperator:
     try:
-        route = str(data["route"])
-        code_label = str(data["code_label"])
+        route = json_str(data["route"])
+        code_label = json_str(data["code_label"])
         phase = json_complex(data["phase"])
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"malformed pulse record: {err}") from err

@@ -14,7 +14,7 @@ only. Sparse storage and non-Hermitian exponentials are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,11 +34,53 @@ class NumericalDegeneracyError(RuntimeError):
     a certified tolerance (a numerical failure, not bad input)."""
 
 
-def _unitary_residual(m: np.ndarray) -> float:
-    """Frobenius norm of M^dag M - I, subtracting I in place."""
-    gram = m.conj().T @ m
-    gram.flat[::m.shape[0] + 1] -= 1.0
-    return float(np.linalg.norm(gram))
+def frobenius(a: np.ndarray):
+    """Frobenius norm over the last two axes: a float for one matrix, an
+    array for a stack. Each norm is a BLAS dot of the real parts plus one of
+    the imaginary parts, as np.linalg.norm takes it, so a stack's norms are
+    bit-identical to one-matrix calls."""
+    if a.ndim == 2:
+        return np.linalg.norm(a)
+    flat = a.reshape(*a.shape[:-2], 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
+def _unitary_residual(m: np.ndarray):
+    """Frobenius norm of M^dag M - I over the last two axes, subtracting I
+    in place."""
+    gram = m.conj().swapaxes(-1, -2) @ m
+    np.einsum("...ii->...i", gram)[...] -= 1.0
+    return frobenius(gram)
+
+
+def check_tags(m: np.ndarray, tags: frozenset) -> None:
+    """Raise ValueError unless m is finite and carries every tag in tags.
+
+    m is one complex matrix or a stack of them; each check runs over the
+    last two axes, so every matrix of a stack is held to the tolerance and
+    the message reports the worst one. An empty stack passes.
+    """
+    if m.size == 0:
+        return
+    if not np.isfinite(m).all():  # both parts of every entry
+        raise ValueError("operator entries must be finite")
+    unknown = tags - VALID_TAGS
+    if unknown:
+        raise ValueError(f"unknown operator tags: {sorted(unknown)}")
+    if "hermitian" in tags:
+        dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
+        if dev > HERMITIAN_TOL:
+            raise ValueError(f"hermitian tag violated: max deviation {dev:.3e}")
+    if "unitary" in tags:
+        dev = np.max(_unitary_residual(m))
+        if dev > UNITARY_TOL:
+            raise ValueError(f"unitary tag violated: residual {dev:.3e}")
+    if "diagonal" in tags:
+        off = m[..., ~np.eye(m.shape[-1], dtype=bool)]
+        dev = np.max(np.abs(off), initial=0.0)
+        if dev > DIAGONAL_TOL:
+            raise ValueError(f"diagonal tag violated: max off-diagonal {dev:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,25 +101,8 @@ class Operator:
             raise ValueError(f"operator matrix must be square, got shape {m.shape}")
         if m.shape[0] < 1:
             raise ValueError("operator dimension must be at least 1")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValueError("operator entries must be finite")
         tags = frozenset(self.tags)
-        unknown = tags - VALID_TAGS
-        if unknown:
-            raise ValueError(f"unknown operator tags: {sorted(unknown)}")
-        if "hermitian" in tags:
-            dev = np.max(np.abs(m - m.conj().T))
-            if dev > HERMITIAN_TOL:
-                raise ValueError(f"hermitian tag violated: max deviation {dev:.3e}")
-        if "unitary" in tags:
-            dev = _unitary_residual(m)
-            if dev > UNITARY_TOL:
-                raise ValueError(f"unitary tag violated: residual {dev:.3e}")
-        if "diagonal" in tags:
-            off = m - np.diag(np.diag(m))
-            dev = np.max(np.abs(off)) if off.size else 0.0
-            if dev > DIAGONAL_TOL:
-                raise ValueError(f"diagonal tag violated: max off-diagonal {dev:.3e}")
+        check_tags(m, tags)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "tags", tags)
@@ -100,19 +125,40 @@ _PAULI_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+_PAULI_STACK = np.stack(list(_PAULI_MATS.values()))
+_PAULI_INDEX = {c: i for i, c in enumerate(_PAULI_MATS)}
+_PAULI_TAGS = frozenset({"hermitian", "unitary"})
+
+
+def pauli_stack(labels: Sequence[str]) -> np.ndarray:
+    """One or more Pauli strings of one length, stacked (N, 2^n, 2^n); the
+    first character acts on qubit 1.
+
+    Each qubit is a batched kron: a broadcast product, bit-identical to
+    np.kron. Every string is checked hermitian and unitary, and the strings
+    of only I and Z diagonal, as pauli_string tags them.
+    """
+    n = len(labels[0])
+    for label in labels:
+        if not label or len(label) != n or any(c not in _PAULI_INDEX for c in label):
+            raise ValueError(f"invalid pauli string {label!r}")
+    digits = np.array([[_PAULI_INDEX[c] for c in label] for label in labels])
+    m = _PAULI_STACK[digits[:, 0]]
+    for q in range(1, n):
+        a = m.shape[1]
+        b = _PAULI_STACK[digits[:, q]]
+        kron = m[:, :, None, :, None] * b[:, None, :, None, :]
+        m = kron.reshape(-1, 2 * a, 2 * a)
+    check_tags(m, _PAULI_TAGS)
+    check_tags(m[[set(label) <= {"I", "Z"} for label in labels]],
+               frozenset({"diagonal"}))
+    return m
 
 
 def pauli_string(label: str) -> Operator:
     """Tensor product of single-qubit Paulis; first character acts on qubit 1."""
-    if not label or any(c not in _PAULI_MATS for c in label):
-        raise ValueError(f"invalid pauli string {label!r}")
-    m = _PAULI_MATS[label[0]]
-    for c in label[1:]:
-        m = np.kron(m, _PAULI_MATS[c])
-    tags = {"hermitian", "unitary"}
-    if set(label) <= {"I", "Z"}:
-        tags.add("diagonal")
-    return Operator(m, frozenset(tags))
+    tags = _PAULI_TAGS | {"diagonal"} if set(label) <= {"I", "Z"} else _PAULI_TAGS
+    return Operator(pauli_stack([label])[0], tags)
 
 
 def hermitian_spectrum(h: Operator) -> tuple[np.ndarray, np.ndarray]:
@@ -195,6 +241,13 @@ def json_bool(value) -> bool:
     """A JSON true or false: "false" is refused, not read as truthy."""
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def json_str(value) -> str:
+    """A JSON string: null and 3 are refused, not read as "None" and "3"."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
     return value
 
 

@@ -9,6 +9,7 @@ from leolab.classify import (
     decompose,
 )
 from leolab.codes import build_code, dfs2_dephasing
+from leolab import opalg
 from leolab.opalg import (
     DimensionMismatchError,
     Operator,
@@ -144,3 +145,30 @@ class TestClassifyPauliStrings:
         xi = next(ln for ln in lines if ln.startswith("XI,"))
         assert xi.split(",")[1] == "L"
         assert float(xi.split(",")[4]) == pytest.approx(2.0, abs=1e-12)
+
+
+class TestStackedClassification:
+    """classify_pauli_strings splits chunks of strings in one call each; it
+    must agree with decomposing one pauli_string at a time."""
+
+    @pytest.mark.parametrize("label,n_qubits", [
+        ("dfs2", 2), ("dfs3", 3), ("dfs4", 4), ("bare4", 2), ("bare8", 3),
+    ])
+    def test_matches_per_string_decompose(self, label, n_qubits):
+        code = build_code(label)
+        table = classify_pauli_strings(n_qubits, code)
+        for string, row in table.items():
+            dec = decompose(pauli_string(string), code)
+            norms = (dec.e_norm, dec.eperp_norm, dec.l_norm)
+            for got, want in zip((row.e_norm, row.eperp_norm, row.l_norm), norms):
+                assert abs(got - want) <= 1e-15, string
+            live = [n > 1e-12 for n in norms]
+            want_class = (CLASS_MIXED if sum(live) != 1
+                          else ("E", "E_perp", "L")[live.index(True)])
+            assert row.klass == want_class, string
+
+    def test_hermitian_check_runs_on_the_stack(self, monkeypatch):
+        code = build_code("dfs3")
+        monkeypatch.setattr(opalg, "HERMITIAN_TOL", -1.0)
+        with pytest.raises(ValueError, match="hermitian tag violated"):
+            classify_pauli_strings(3, code)

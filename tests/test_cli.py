@@ -118,6 +118,28 @@ class TestVerify:
         assert len(report["probes"]) == 10
         assert report["max_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("phase,exit_code", [
+        (None, 0), ([-1.0, -0.0], 2), ([0.0, 1.0], 2),
+    ], ids=["as_written", "negated", "rotated"])
+    def test_stated_phase_checked(self, tmp_path, capsys, phase, exit_code):
+        pulse_file = tmp_path / "pulse.json"
+        run_cli(["synth", "--code", "dfs2", "--route", "exchange_2dfs",
+                 "--out", pulse_file])
+        if phase is not None:
+            data = json.loads(pulse_file.read_text())
+            data["phase"] = phase
+            pulse_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        report_file = tmp_path / "report.json"
+        assert run_cli(["verify", "--leo", pulse_file,
+                        "--out", report_file]) == exit_code
+        out = capsys.readouterr().out
+        assert json.loads(report_file.read_text())["passed"] is (exit_code == 0)
+        if exit_code:
+            assert out.startswith(f"verify: FAIL: stated phase {phase}")
+        else:
+            assert out.startswith("verify: pass")
+
     def test_operator_without_code_label(self, tmp_path, capsys):
         bad = tmp_path / "op.json"
         bad.write_text(json.dumps(operator_to_json(pauli_string("ZZ"))))

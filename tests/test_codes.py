@@ -245,6 +245,20 @@ class TestCollectiveSpin:
         comm = sx @ sy - sy @ sx
         assert np.linalg.norm(comm - 1j * sz) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bit_identical_to_kron_chains(self, n):
+        paulis = (np.array([[0, 1], [1, 0]], dtype=complex),
+                  np.array([[0, -1j], [1j, 0]], dtype=complex),
+                  np.array([[1, 0], [0, -1]], dtype=complex))
+        for got, pauli in zip(collective_spin(n), paulis):
+            want = np.zeros((2**n, 2**n), dtype=complex)
+            for site in range(n):
+                chain = np.eye(1, dtype=complex)
+                for i in range(n):
+                    chain = np.kron(chain, pauli if i == site else np.eye(2))
+                want += chain / 2.0
+            assert np.array_equal(got, want)
+
 
 class TestDualRail:
     def test_ambient_dim(self):
@@ -345,5 +359,12 @@ class TestSerialization:
             data[field] = value
         else:  # an entry that float() would read as the same number
             data[field][1][0] = value
+        with pytest.raises(ValueError, match="malformed code record"):
+            code_from_json(data)
+
+    @pytest.mark.parametrize("value", [None, 3])
+    def test_label_must_be_a_string(self, value):
+        data = code_to_json(build_code("dfs2"))
+        data["label"] = value
         with pytest.raises(ValueError, match="malformed code record"):
             code_from_json(data)

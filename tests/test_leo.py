@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,15 @@ from leolab.leo import (
     synthesize,
     verify_leo,
 )
+from leolab import opalg
+from leolab.classify import decompose
 from leolab.models import logical_ops_dfs2
-from leolab.opalg import Operator, pauli_string, random_hermitian
+from leolab.opalg import (
+    Operator,
+    hermitian_exponential,
+    pauli_string,
+    random_hermitian,
+)
 
 
 def same_up_to_phase(a, b, code):
@@ -328,6 +337,68 @@ class TestVerifyLeo:
         assert report.passed, report.summary()
 
 
+def mixed_probes(dim, count, seed):
+    """Hermitian-tagged probes at even indices, untagged non-Hermitian ones
+    at odd indices."""
+    rng = np.random.default_rng(seed)
+    probes = []
+    for i, p in enumerate(random_probes(dim, count, seed)):
+        if i % 2:
+            p = Operator(rng.standard_normal((dim, dim))
+                         + 1j * rng.standard_normal((dim, dim)))
+        probes.append(p)
+    return probes
+
+
+class TestStackedVerify:
+    """verify_leo splits its probes in chunks of stacks; every probe must get
+    the residuals a one-probe decompose gives it."""
+
+    @pytest.mark.parametrize("label", ["dfs2", "dfs4", "dual_rail"])
+    @pytest.mark.parametrize("count", [1, 17, 100])
+    def test_matches_per_probe_decompose(self, label, count):
+        code = build_code(label)
+        dim = code.ambient_dim
+        probes = mixed_probes(dim, count, count)
+        off_form = hermitian_exponential(random_hermitian(dim, 1), 1.0)
+        for candidate in (projector_leo(code).unitary, off_form):
+            r = candidate.mat
+            report = verify_leo(candidate, code, probes)
+            assert [c.index for c in report.probe_checks] == list(range(count))
+            for check, probe in zip(report.probe_checks, probes):
+                dec = decompose(probe, code)
+                e, ep, l = dec.e_part.mat, dec.eperp_part.mat, dec.l_part.mat
+                want = (np.linalg.norm(r @ l + l @ r), np.linalg.norm(r @ e - e @ r),
+                        np.linalg.norm(r @ ep - ep @ r))
+                got = (check.anticommutator_leakage, check.commutator_code,
+                       check.commutator_outside)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-15 * w, (check.index, g, w)
+
+    def test_hermitian_check_per_tagged_probe(self, monkeypatch):
+        code = dfs4_collective()
+        pulse = s_squared_leo()
+        tagged = random_probes(16, 20, 4)
+        untagged = [Operator(p.mat) for p in tagged]
+        monkeypatch.setattr(opalg, "HERMITIAN_TOL", -1.0)
+        assert verify_leo(pulse.unitary, code, untagged).passed
+        with pytest.raises(ValueError, match="hermitian tag violated"):
+            verify_leo(pulse.unitary, code, untagged[:19] + tagged[19:])
+
+    def test_memory_flat_in_probe_count(self):
+        pulse = s_squared_leo()
+        peaks = []
+        for count in (100, 1000):
+            probes = random_probes(16, count, 8)
+            tracemalloc.start()
+            try:
+                verify_leo(pulse.unitary, pulse.code, probes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5e6, peaks
+
+
 SYNTH_CODES = ("dfs2", "dfs3", "dfs4", "dual_rail", "bare3", "bare5")
 # the README routes table over SYNTH_CODES
 ACCEPTED = {(route, label) for route in ("projector", "canonical", "generalized")
@@ -417,3 +488,11 @@ class TestSerialization:
     def test_malformed(self):
         with pytest.raises(ValueError):
             leo_from_json({"route": "projector"})
+
+    @pytest.mark.parametrize("field", ["route", "code_label"])
+    @pytest.mark.parametrize("value", [None, 3])
+    def test_string_fields_must_be_strings(self, field, value):
+        data = leo_to_json(projector_leo(dfs2_dephasing()))
+        data[field] = value
+        with pytest.raises(ValueError, match="malformed pulse record"):
+            leo_from_json(data)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+import itertools
+
 from leolab.opalg import (
     Operator,
     _unitary_residual,
+    check_tags,
     derived_seeds,
     hermitian_exponential,
     operator_from_json,
     operator_to_json,
+    pauli_stack,
     pauli_string,
     random_hermitian,
 )
@@ -87,6 +91,36 @@ class TestPauliStrings:
             pauli_string("XQ")
         with pytest.raises(ValueError):
             pauli_string("")
+        with pytest.raises(ValueError):
+            pauli_stack(["XI", "X"])
+
+    def test_stack_bit_identical_to_kron_chains(self):
+        labels = ["".join(c) for c in itertools.product("IXYZ", repeat=3)]
+        singles = {c: pauli_string(c).mat for c in "IXYZ"}
+        for got, label in zip(pauli_stack(labels), labels):
+            want = singles[label[0]]
+            for c in label[1:]:
+                want = np.kron(want, singles[c])
+            assert got.tobytes() == want.tobytes(), label  # signed zeros too
+
+
+class TestCheckTags:
+    def test_every_matrix_of_a_stack_is_checked(self):
+        stack = np.stack([np.eye(2, dtype=complex), pauli_string("X").mat,
+                          np.array([[0, 1], [0, 0]], dtype=complex)])
+        check_tags(stack[:2], frozenset({"hermitian", "unitary"}))
+        with pytest.raises(ValueError, match="hermitian tag violated"):
+            check_tags(stack, frozenset({"hermitian"}))
+        with pytest.raises(ValueError, match="unitary tag violated"):
+            check_tags(stack, frozenset({"unitary"}))
+        with pytest.raises(ValueError, match="diagonal tag violated"):
+            check_tags(stack[:2], frozenset({"diagonal"}))
+
+    def test_nonfinite_entry_refused(self):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[2, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            check_tags(stack, frozenset())
 
 
 class TestHermitianExponential:
