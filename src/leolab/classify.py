@@ -117,8 +117,8 @@ class PauliClassification:
     l_norm: float
 
 
-def _classify_norms(e: float, eperp: float, l: float, tol: float) -> str:
-    live = [e > tol, eperp > tol, l > tol]
+def _classify_norms(e: float, eperp: float, l: float) -> str:
+    live = [e > CLASSIFY_TOL, eperp > CLASSIFY_TOL, l > CLASSIFY_TOL]
     if sum(live) != 1:
         return CLASS_MIXED
     if live[0]:
@@ -129,7 +129,7 @@ def _classify_norms(e: float, eperp: float, l: float, tol: float) -> str:
 
 
 def classify_pauli_strings(
-    n_qubits: int, code: CodeSubspace, tol: float = CLASSIFY_TOL
+    n_qubits: int, code: CodeSubspace
 ) -> dict[str, PauliClassification]:
     """Classify every n-qubit Pauli string against the code.
 
@@ -154,7 +154,7 @@ def classify_pauli_strings(
             norms[sl, j] = frobenius(part)
     return {
         label: PauliClassification(
-            label, _classify_norms(e, eperp, l, tol), e, eperp, l)
+            label, _classify_norms(e, eperp, l), e, eperp, l)
         for label, (e, eperp, l) in zip(labels, norms.tolist())
     }
 

@@ -37,6 +37,7 @@ from .opalg import (
     json_complex,
     json_int,
     json_number,
+    json_str,
     operator_from_json,
     operator_to_json,
 )
@@ -230,17 +231,15 @@ def _parse_probes(spec: str, dim: int) -> list[Operator]:
 
 def _run_verify(args: argparse.Namespace) -> int:
     data = load_json(args.leo)
-    label = args.code or data.get("code_label")
+    try:  # the pulse-record fields, where the file has them
+        label = args.code or json_str(data.get("code_label", ""))
+        stated = json_complex(data["phase"]) if "phase" in data else None
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"malformed pulse record: {err}") from err
     if not label:
         raise ConfigError("no code label: pass --code or use a pulse JSON")
-    code = codes_mod.build_code(str(label))
+    code = codes_mod.build_code(label)
     candidate = operator_from_json(data)
-    stated = None
-    if "phase" in data:  # a pulse record: its phase must be an [re, im] pair
-        try:
-            stated = json_complex(data["phase"])
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"malformed pulse record: {err}") from err
     if candidate.dim != code.ambient_dim:
         raise ConfigError(
             f"operator dim {candidate.dim} does not match code "
@@ -250,19 +249,11 @@ def _run_verify(args: argparse.Namespace) -> int:
     report = leo_mod.verify_leo(candidate, code, probes)
     passed = report.passed
     verdict = f"verify: {report.summary()}"
-    if stated is not None:
-        # a pulse record must have the phase it states, normalized as
-        # leo_from_json normalizes it
-        stated_res = leo_mod.structural_residual(
-            candidate, code, stated / abs(stated) if stated else stated)
-        if not stated_res <= leo_mod.STRUCTURAL_TOL:
-            passed = False
-            verdict = (
-                f"verify: FAIL: stated phase [{stated.real}, {stated.imag}] is "
-                f"off the pulse by structural residual {stated_res:.3e} "
-                f"(tolerance {leo_mod.STRUCTURAL_TOL:.0e}); measured phase "
-                f"[{report.phase.real}, {report.phase.imag}]"
-            )
+    error = stated is not None and leo_mod.stated_phase_error(candidate, code, stated)
+    if error:
+        passed = False
+        verdict = (f"verify: FAIL: {error}; measured phase "
+                   f"[{report.phase.real}, {report.phase.imag}]")
     if args.out:
         payload = {
             "passed": passed,

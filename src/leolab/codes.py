@@ -21,7 +21,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .opalg import Operator, json_int, json_matrix, json_str
+from .opalg import Operator
 
 ISOMETRY_TOL = 1e-12
 SUBSPACE_TOL = 1e-10  # Frobenius distance between projectors of one subspace
@@ -37,8 +37,7 @@ class CodeSubspace:
     """Isometry V from code coordinates into the ambient space.
 
     The columns of basis are the code vectors; V^dag V = I is checked at
-    construction. Projectors and a canonical complement basis are derived
-    lazily and cached.
+    construction. The projectors are derived lazily and cached.
     """
 
     label: str
@@ -76,18 +75,6 @@ class CodeSubspace:
         q = np.eye(self.ambient_dim) - self.projector
         q.setflags(write=False)
         return q
-
-    @cached_property
-    def complement_basis(self) -> np.ndarray:
-        """Orthonormal basis of the orthogonal complement.
-
-        Built from the complement projector's columns in index order, so
-        the result is a deterministic function of the code basis alone.
-        """
-        cols = _range_basis(self.complement_projector,
-                            self.ambient_dim - self.code_dim)
-        cols.setflags(write=False)
-        return cols
 
     def same_subspace(self, other: CodeSubspace) -> bool:
         """Whether other spans this subspace of the same ambient space.
@@ -127,8 +114,6 @@ def _range_basis(proj: np.ndarray, rank: int) -> np.ndarray:
             cols.append(w / np.linalg.norm(w))
     if len(cols) != rank:
         raise ValueError(f"projector range is not {rank}-dimensional")
-    if rank == 0:
-        return np.zeros((proj.shape[0], 0), dtype=complex)
     return np.column_stack(cols)
 
 
@@ -404,7 +389,7 @@ def dual_rail_code() -> CodeSubspace:
 
 
 # ---------------------------------------------------------------------------
-# registry and serialization
+# registry
 # ---------------------------------------------------------------------------
 
 _FIXED_CODES = {
@@ -434,26 +419,3 @@ def build_code(label: str) -> CodeSubspace:
         f"unknown code label {label!r}; valid labels: {', '.join(code_labels())}"
     )
 
-
-def code_to_json(code: CodeSubspace) -> dict:
-    return {
-        "label": code.label,
-        "ambient_dim": code.ambient_dim,
-        "code_dim": code.code_dim,
-        "basis_re": code.basis.real.tolist(),
-        "basis_im": code.basis.imag.tolist(),
-    }
-
-
-def code_from_json(data: dict) -> CodeSubspace:
-    try:
-        label = json_str(data["label"])
-        ambient = json_int(data["ambient_dim"])
-        cdim = json_int(data["code_dim"])
-        re = json_matrix(data["basis_re"])
-        im = json_matrix(data["basis_im"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"malformed code record: {err}") from err
-    if re.shape != (ambient, cdim) or im.shape != (ambient, cdim):
-        raise ValueError("code record dimensions disagree with basis shape")
-    return CodeSubspace(label, re + 1j * im)

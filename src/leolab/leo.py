@@ -17,7 +17,7 @@ structural check at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -73,24 +73,13 @@ def reference_reflection(code: CodeSubspace) -> np.ndarray:
 
 
 def extract_phase(u: Operator, code: CodeSubspace) -> complex:
-    """Global phase of a candidate relative to the Q - P reflection.
+    """Least-squares global phase of u relative to the Q - P reflection.
 
-    Averages the diagonal of the complement block (every element equals the
-    phase when the structural form holds); falls back to the negated code
-    block for full-space codes. Returns a unit-modulus complex number.
+    The unit-modulus phi minimizing ||u - phi (Q - P)||_F is
+    <Q - P, u> / |<Q - P, u>|; it is 1 when that overlap vanishes.
     """
-    if code.code_dim < code.ambient_dim:
-        w = code.complement_basis
-        z = np.trace(w.conj().T @ u.mat @ w) / (code.ambient_dim - code.code_dim)
-    else:
-        v = code.basis
-        z = -np.trace(v.conj().T @ u.mat @ v) / code.code_dim
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)) or abs(z) < 0.5:
-        raise ValueError(
-            "cannot extract a global phase: candidate is far from the "
-            "reflection form"
-        )
-    return complex(z / abs(z))
+    z = np.vdot(reference_reflection(code), u.mat)
+    return complex(z / abs(z)) if z else complex(1.0)
 
 
 def structural_residual(u: Operator, code: CodeSubspace, phase: complex) -> float:
@@ -98,20 +87,34 @@ def structural_residual(u: Operator, code: CodeSubspace, phase: complex) -> floa
     return float(np.linalg.norm(u.mat - phase * reference_reflection(code)))
 
 
+def stated_phase_error(u: Operator, code: CodeSubspace, stated: complex) -> str | None:
+    """Why a pulse record's stated phase does not fit its unitary, or None.
+
+    The stated phase is normalized to unit modulus and must leave a
+    structural residual within STRUCTURAL_TOL; a zero or non-finite phase
+    never fits.
+    """
+    res = (structural_residual(u, code, stated / abs(stated))
+           if stated and np.isfinite(stated) else float("inf"))
+    if res <= STRUCTURAL_TOL:
+        return None
+    return (f"stated phase [{stated.real}, {stated.imag}] is off the pulse by "
+            f"structural residual {res:.3e} (tolerance {STRUCTURAL_TOL:.0e})")
+
+
 @dataclass(frozen=True, eq=False)
 class LeakageEliminationOperator:
     """A verified decoupling pulse for one code subspace.
 
-    Construction checks the defining property: the unitary is within
-    STRUCTURAL_TOL of phase * (Q - P). generator, when present, is the
-    Hermitian h with unitary = exp(-i pi h).
+    Construction reads phase off the unitary (extract_phase) and checks the
+    defining property: the unitary is within STRUCTURAL_TOL of
+    phase * (Q - P).
     """
 
     unitary: Operator
     code: CodeSubspace
-    phase: complex
     route: str
-    generator: Operator | None = None
+    phase: complex = field(init=False)
 
     def __post_init__(self):
         if self.route not in ROUTES:
@@ -120,12 +123,8 @@ class LeakageEliminationOperator:
             )
         if self.unitary.dim != self.code.ambient_dim:
             raise ValueError("pulse dimension does not match code ambient space")
-        z = complex(self.phase)
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)) or abs(z) == 0:
-            raise ValueError("phase must be a finite nonzero complex number")
-        z = z / abs(z)
-        object.__setattr__(self, "phase", z)
-        res = structural_residual(self.unitary, self.code, z)
+        object.__setattr__(self, "phase", extract_phase(self.unitary, self.code))
+        res = self.structural_error()
         if res > STRUCTURAL_TOL:
             raise ValueError(
                 f"not a leakage-elimination operator: structural residual "
@@ -153,11 +152,9 @@ class LeakageEliminationOperator:
 
 def projector_leo(code: CodeSubspace) -> LeakageEliminationOperator:
     """Reflection I - 2P about the complement of the code."""
-    p = code.projector
-    u = Operator(np.eye(code.ambient_dim) - 2.0 * p, frozenset({"unitary"}))
-    gen = Operator((p + p.conj().T) / 2.0, frozenset({"hermitian"}))
-    return LeakageEliminationOperator(u, code, extract_phase(u, code),
-                                      "projector", gen)
+    u = Operator(np.eye(code.ambient_dim) - 2.0 * code.projector,
+                 frozenset({"unitary"}))
+    return LeakageEliminationOperator(u, code, "projector")
 
 
 def canonical_leo(
@@ -188,9 +185,8 @@ def canonical_leo(
             f"not a projective logical involution: square deviates from the "
             f"code projector by {sq_dev:.3e}"
         )
-    u = hermitian_exponential(involution, np.pi)
-    return LeakageEliminationOperator(u, code, extract_phase(u, code), route,
-                                      involution)
+    return LeakageEliminationOperator(hermitian_exponential(involution, np.pi),
+                                      code, route)
 
 
 def exchange_dfs2_leo() -> LeakageEliminationOperator:
@@ -247,10 +243,13 @@ def generalized_leo(
             f"{dec.l_norm:.3e}"
         )
     v = code.basis
-    w = code.complement_basis
+    k = code.code_dim
     code_block = v.conj().T @ h.mat @ v
     code_parity = _integer_parity(np.linalg.eigvalsh(code_block), "code")
-    if code.ambient_dim > code.code_dim:
+    if code.ambient_dim > k:
+        # eigenvectors of Q with eigenvalue 1 come last: an orthonormal
+        # complement basis, which is all the spectrum of W^dag h W needs
+        w = np.linalg.eigh(code.complement_projector)[1][:, k:]
         perp_block = w.conj().T @ h.mat @ w
         perp_parity = _integer_parity(np.linalg.eigvalsh(perp_block), "complement")
         if perp_parity == code_parity:
@@ -258,9 +257,8 @@ def generalized_leo(
                 "not a generalized-LEO generator: code and complement spectra "
                 "share the same parity"
             )
-    u = hermitian_exponential(h, -np.pi)
-    return LeakageEliminationOperator(u, code, extract_phase(u, code),
-                                      "generalized", h)
+    return LeakageEliminationOperator(hermitian_exponential(h, -np.pi), code,
+                                      "generalized")
 
 
 def number_operator_leo(n_levels: int) -> LeakageEliminationOperator:
@@ -274,12 +272,7 @@ def number_operator_leo(n_levels: int) -> LeakageEliminationOperator:
     diag[:2] = -1.0
     u = Operator(np.diag(diag.astype(complex)),
                  frozenset({"hermitian", "unitary", "diagonal"}))
-    gen_diag = np.zeros(n_levels)
-    gen_diag[:2] = 1.0
-    gen = Operator(np.diag(gen_diag.astype(complex)),
-                   frozenset({"hermitian", "diagonal"}))
-    return LeakageEliminationOperator(u, code, extract_phase(u, code),
-                                      "number_op", gen)
+    return LeakageEliminationOperator(u, code, "number_op")
 
 
 def phase_shifter_leo() -> LeakageEliminationOperator:
@@ -294,9 +287,7 @@ def phase_shifter_leo() -> LeakageEliminationOperator:
     counts = np.array([occ[0] + occ[1] for occ in occs], dtype=float)
     u = Operator(np.diag(((-1.0) ** counts).astype(complex)),
                  frozenset({"hermitian", "unitary", "diagonal"}))
-    gen = codes.lift_quadratic(np.diag([1.0, 1.0, 0.0, 0.0]))
-    return LeakageEliminationOperator(u, code, extract_phase(u, code),
-                                      "phase_shifter", gen)
+    return LeakageEliminationOperator(u, code, "phase_shifter")
 
 
 def s_squared_leo() -> LeakageEliminationOperator:
@@ -308,9 +299,8 @@ def s_squared_leo() -> LeakageEliminationOperator:
     """
     code = codes.dfs4_collective()
     gen = Operator(codes.s_squared(4).mat / 2.0, frozenset({"hermitian"}))
-    u = hermitian_exponential(gen, -np.pi)
-    return LeakageEliminationOperator(u, code, extract_phase(u, code),
-                                      "s_squared", gen)
+    return LeakageEliminationOperator(hermitian_exponential(gen, -np.pi), code,
+                                      "s_squared")
 
 
 def synthesize(
@@ -408,10 +398,7 @@ def verify_leo(
             raise DimensionMismatchError(
                 f"operator dim {probe.dim} does not match code ambient dim {dim}"
             )
-    try:
-        phase = extract_phase(candidate, code)
-    except ValueError:
-        phase = complex(1.0)
+    phase = extract_phase(candidate, code)
     s_res = structural_residual(candidate, code, phase)
     r = candidate.mat
     checks = []
@@ -460,5 +447,9 @@ def leo_from_json(data: dict) -> LeakageEliminationOperator:
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"malformed pulse record: {err}") from err
     code = codes.build_code(code_label)
-    u = operator_from_json(data, tags=("unitary",))
-    return LeakageEliminationOperator(u, code, phase, route)
+    pulse = LeakageEliminationOperator(
+        operator_from_json(data, tags=("unitary",)), code, route)
+    err = stated_phase_error(pulse.unitary, code, phase)
+    if err:
+        raise ValueError(f"pulse record: {err}")
+    return pulse

@@ -111,8 +111,8 @@ class Operator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= HERMITIAN_TOL)
 
     def __repr__(self) -> str:
         tag_s = ",".join(sorted(self.tags)) or "-"

@@ -537,6 +537,18 @@ class TestMistypedRecords:
         capsys.readouterr()
         self.check_rejected(capsys, ["verify", "--leo", pulse_file])
 
+    @pytest.mark.parametrize("label", [3, ["dfs2"]], ids=["number", "list"])
+    def test_verify_pulse_code_label(self, tmp_path, capsys, label):
+        pulse_file = tmp_path / "pulse.json"
+        run_cli(["synth", "--code", "dfs2", "--route", "exchange_2dfs",
+                 "--out", pulse_file])
+        data = json.loads(pulse_file.read_text())
+        data["code_label"] = label
+        pulse_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_cli(["verify", "--leo", pulse_file]) == 1
+        assert "malformed pulse record" in capsys.readouterr().err
+
     def test_pulse_record_phase(self, tmp_path):
         pulse_file = tmp_path / "pulse.json"
         run_cli(["synth", "--code", "dfs2", "--route", "exchange_2dfs",

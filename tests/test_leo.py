@@ -32,6 +32,7 @@ from leolab.leo import (
     random_probes,
     reference_reflection,
     s_squared_leo,
+    structural_residual,
     synthesize,
     verify_leo,
 )
@@ -111,11 +112,6 @@ class TestCanonicalLeo:
         reference = projector_leo(dfs2_dephasing())
         assert same_up_to_phase(pulse.unitary, reference.unitary, pulse.code)
 
-    def test_generator_recorded(self):
-        xbar = logical_ops_dfs2().x
-        pulse = canonical_leo(xbar, dfs2_dephasing())
-        np.testing.assert_allclose(pulse.generator.mat, xbar.mat, atol=1e-15)
-
     def test_scaled_involution_rejected(self):
         xbar = logical_ops_dfs2().x
         bad = Operator(xbar.mat / 2.0, frozenset({"hermitian"}))
@@ -142,8 +138,9 @@ class TestExchangeLeo:
         assert exchange_dfs2_leo().route == "exchange_2dfs"
 
     def test_generator_is_xy_exchange(self):
+        # the pulse is exp(i pi xbar) with the logical bit flip as generator
         xy = (pauli_string("XX").mat + pauli_string("YY").mat) / 2.0
-        np.testing.assert_array_equal(exchange_dfs2_leo().generator.mat, xy)
+        np.testing.assert_array_equal(logical_ops_dfs2().x.mat, xy)
 
 
 class TestGeneralizedLeo:
@@ -190,6 +187,17 @@ class TestGeneralizedLeo:
         with pytest.raises(NotGeneralizedGeneratorError):
             generalized_leo(pauli_string("XI"), dfs2_dephasing())
 
+    @pytest.mark.parametrize("label,diag,reason", [
+        ("dfs2", [0.5, 1.0, 1.0, 0.5], "is not integer"),
+        ("bare4", [1.0, 1.0, 0.0, 1.0], "mixes parities"),
+    ], ids=["non_integer", "mixed_parity"])
+    def test_complement_spectrum_rejected(self, label, diag, reason):
+        # dfs2 gets P + 0.5 Q: an odd code block over a half-integer complement
+        gen = Operator(np.diag(diag).astype(complex), frozenset({"hermitian"}))
+        with pytest.raises(NotGeneralizedGeneratorError,
+                           match=f"complement spectrum {reason}"):
+            generalized_leo(gen, build_code(label))
+
 
 class TestNumberOperatorLeo:
     def test_two_levels(self):
@@ -200,9 +208,6 @@ class TestNumberOperatorLeo:
         pulse = number_operator_leo(4)
         np.testing.assert_allclose(
             pulse.unitary.mat, np.diag([-1.0, -1.0, 1.0, 1.0]), atol=1e-15
-        )
-        np.testing.assert_allclose(
-            pulse.generator.mat, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-15
         )
 
     def test_matches_projector_route_up_to_phase(self):
@@ -279,9 +284,24 @@ class TestStructuralMachinery:
 
     def test_construction_rejects_non_reflection(self):
         with pytest.raises(ValueError):
-            LeakageEliminationOperator(
-                pauli_string("XI"), dfs2_dephasing(), 1.0 + 0j, "projector"
-            )
+            LeakageEliminationOperator(pauli_string("XI"), dfs2_dephasing(),
+                                       "projector")
+
+    @pytest.mark.parametrize("idx", range(11))
+    def test_extract_phase_follows_a_global_phase(self, idx):
+        pulse = make_pulses()[idx]
+        rng = np.random.default_rng(idx)
+        for phi in np.exp(2j * np.pi * rng.random(3)):
+            got = extract_phase(Operator(phi * pulse.unitary.mat), pulse.code)
+            assert abs(got - phi * pulse.phase) <= 1e-15
+
+    @pytest.mark.parametrize("idx", range(11))
+    def test_phase_minimizes_structural_residual(self, idx):
+        pulse = make_pulses()[idx]
+        best = pulse.structural_error()
+        for delta in (1e-12, -1e-12, 1e-6, -1e-6):
+            turned = pulse.phase * np.exp(1j * delta)
+            assert best <= structural_residual(pulse.unitary, pulse.code, turned)
 
     @pytest.mark.parametrize("idx", range(11))
     def test_involution(self, idx):
@@ -488,6 +508,15 @@ class TestSerialization:
     def test_malformed(self):
         with pytest.raises(ValueError):
             leo_from_json({"route": "projector"})
+
+    @pytest.mark.parametrize("phase", [[-1.0, 0.0], [0.0, 0.0]],
+                             ids=["negated", "zero"])
+    def test_stated_phase_must_fit(self, phase):
+        data = leo_to_json(projector_leo(dfs2_dephasing()))
+        assert data["phase"] == [1.0, 0.0]
+        data["phase"] = phase
+        with pytest.raises(ValueError, match="stated phase"):
+            leo_from_json(data)
 
     @pytest.mark.parametrize("field", ["route", "code_label"])
     @pytest.mark.parametrize("value", [None, 3])

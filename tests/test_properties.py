@@ -1,18 +1,16 @@
-"""Property tests: physical ranges hold for any seeded model, and code
-serialization and block decomposition hold for any isometry code.
+"""Property tests: physical ranges hold for any seeded model, and block
+decomposition holds for any isometry code.
 
 Cycle counts run past OBSERVABLE_BATCH, so samples on both sides of a batch
 edge are covered, and both pulsed and free runs are drawn.
 """
-
-import json
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leolab.classify import decompose
-from leolab.codes import CodeSubspace, code_from_json, code_to_json
+from leolab.codes import CodeSubspace
 from leolab.dynamics import ParityKickSchedule, simulate
 from leolab.leo import projector_leo
 from leolab.models import (
@@ -65,14 +63,6 @@ def isometry_codes(draw):
     g = (rng.standard_normal((ambient, code_dim))
          + 1j * rng.standard_normal((ambient, code_dim)))
     return CodeSubspace("random", np.linalg.qr(g)[0])
-
-
-@settings(max_examples=50, deadline=None)
-@given(code=isometry_codes())
-def test_code_json_round_trip(code):
-    back = code_from_json(json.loads(json.dumps(code_to_json(code))))
-    np.testing.assert_array_equal(back.basis, code.basis)
-    assert back.same_subspace(code)
 
 
 @settings(max_examples=50, deadline=None)
