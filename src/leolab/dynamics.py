@@ -20,6 +20,7 @@ to the limit is sqrt(lambda_max) of a Gram matrix, relative error O(J eps).
 from __future__ import annotations
 
 import concurrent.futures
+import operator
 import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -44,6 +45,14 @@ REPORT_CSV_HEADER = "step,elapsed_time,leakage_population,code_fidelity"
 SWEEP_CSV_HEADER = "n,tau,final_leakage,distance_to_limit"
 
 
+def _cycle_count(n) -> int:
+    """n as an int (numpy integers included); anything else is a ValueError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"cycle counts must be integers, got {n!r}") from None
+
+
 def _csv_text(header: str, rows) -> str:
     """header, then one line per row with the fields it names at %.17g."""
     names = header.split(",")
@@ -64,6 +73,7 @@ class ParityKickSchedule:
     pulses: LeakageEliminationOperator | None
 
     def __post_init__(self):
+        object.__setattr__(self, "n_cycles", _cycle_count(self.n_cycles))
         if self.n_cycles < 0:
             raise ValueError("n_cycles must be nonnegative")
         if not (self.tau > 0.0 and np.isfinite(self.tau)):
@@ -342,7 +352,7 @@ def sweep_cycles(
     """
     if not (total_free_time > 0 and np.isfinite(total_free_time)):
         raise ValueError("total_free_time must be positive and finite")
-    ns = [int(n) for n in n_list]
+    ns = [_cycle_count(n) for n in n_list]
     if not ns or any(n < 1 for n in ns) or ns != sorted(set(ns)):
         raise ValueError("n_list must be strictly ascending positive integers")
     model.spectra  # diagonalize here, not in the pool's threads

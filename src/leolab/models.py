@@ -1,6 +1,9 @@
 """Hamiltonian models: logical operators and seeded system-bath couplings
 with a known leakage structure.
 
+A model stores only its joint Hamiltonian H_joint and derives from it and
+the code the leakage-free part H_c + H_perp that parity kicks converge to.
+
 Units: hbar = 1 throughout, so couplings are angular frequencies and
 exp(-i H t) propagates for time t. Every random ingredient is drawn from
 an explicitly seeded generator and normalized to unit spectral norm, so a
@@ -21,6 +24,7 @@ from . import codes as codes_mod
 from .classify import decompose
 from .codes import CodeSubspace
 from .opalg import (
+    DimensionMismatchError,
     Operator,
     derived_seeds,
     hermitian_spectrum,
@@ -30,8 +34,6 @@ from .opalg import (
     pauli_string,
     random_hermitian,
 )
-
-RECONSTRUCTION_TOL = 1e-12
 
 # system couplings that move population out of span{|01>, |10>}:
 # single-qubit flips, optionally dressed with Z on the spectator qubit
@@ -70,12 +72,11 @@ def logical_ops_dfs2() -> LogicalOps:
 
 @dataclass(frozen=True, eq=False)
 class SystemBathModel:
-    """Joint Hamiltonian split by where its system factors act.
+    """Joint (system x bath) Hamiltonian H_joint against a code.
 
-    h_c collects terms whose system side stays inside the code, h_perp the
-    terms confined to the complement, h_l the leakage couplings; the three
-    sum to h_joint exactly. The free bath Hamiltonian enters through h_c
-    and h_perp (identity on the system splits into P + Q).
+    Only H_joint is stored. The leakage-free part H_c + H_perp =
+    (P x I) H (P x I) + (Q x I) H (Q x I), P the code projector and Q = 1 - P,
+    is derived in spectra; the rest is the leakage coupling the kicks cancel.
     """
 
     label: str
@@ -84,28 +85,10 @@ class SystemBathModel:
     coupling_strength: float
     bath_seed: int
     h_joint: Operator
-    h_c: Operator
-    h_perp: Operator
-    h_l: Operator
-    initial_bath_state: np.ndarray
 
     def __post_init__(self):
-        joint = self.code.ambient_dim * self.bath_dim
-        for part in (self.h_joint, self.h_c, self.h_perp, self.h_l):
-            if part.dim != joint:
-                raise ValueError("model parts have inconsistent dimensions")
-        resid = np.linalg.norm(
-            self.h_joint.mat - (self.h_c.mat + self.h_perp.mat + self.h_l.mat)
-        )
-        if resid > RECONSTRUCTION_TOL:
-            raise ValueError(
-                f"parts do not reconstruct the joint Hamiltonian: {resid:.3e}"
-            )
-        b = np.array(self.initial_bath_state, dtype=complex)
-        if b.shape != (self.bath_dim,) or abs(np.linalg.norm(b) - 1.0) > 1e-12:
-            raise ValueError("initial bath state must be a unit vector")
-        b.setflags(write=False)
-        object.__setattr__(self, "initial_bath_state", b)
+        if self.h_joint.dim != self.joint_dim:
+            raise ValueError("joint Hamiltonian does not match code and bath")
 
     @property
     def system_dim(self) -> int:
@@ -115,15 +98,21 @@ class SystemBathModel:
     def joint_dim(self) -> int:
         return self.system_dim * self.bath_dim
 
+    @property
+    def initial_bath_state(self) -> np.ndarray:
+        """The first bath basis state, a new array on each call."""
+        return np.eye(1, self.bath_dim, dtype=complex)[0]
+
     @cached_property
     def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Spectra (w, v) of h_joint and of the leakage-free h_c + h_perp.
-
-        Computed on first use and kept, so every propagator of this model
-        comes from one diagonalization of each generator.
-        """
-        decoupled = Operator(self.h_c.mat + self.h_perp.mat,
-                             frozenset({"hermitian"}))
+        """Spectra (w, v) of h_joint and of the leakage-free H_c + H_perp,
+        computed on first use and kept: one diagonalization per generator.
+        Each (p x I) H (p x I) is two system-index contractions, as a kick."""
+        h, j, s = self.h_joint.mat, self.joint_dim, self.system_dim
+        h_c, h_perp = (
+            (x.T @ (x @ h.reshape(s, -1)).reshape(j, s, -1)).reshape(j, j)
+            for x in (self.code.projector, self.code.complement_projector))
+        decoupled = Operator(h_c + h_perp, frozenset({"hermitian"}))
         out = (hermitian_spectrum(self.h_joint), hermitian_spectrum(decoupled))
         for w, v in out:
             w.setflags(write=False)
@@ -141,46 +130,25 @@ class SystemBathModel:
         bath_seed: int,
         bath_dim: int,
         free_bath: Operator | None = None,
-        initial_bath_state: np.ndarray | None = None,
     ) -> "SystemBathModel":
-        """Assemble a model from (weight, system factor, bath factor) terms.
-
-        Each system factor is classified against the code and its pieces are
-        routed into h_c / h_perp / h_l, so mixed factors are handled and the
-        reconstruction identity holds by construction.
-        """
-        joint = code.ambient_dim * bath_dim
-        h_c = np.zeros((joint, joint), dtype=complex)
-        h_perp = np.zeros_like(h_c)
-        h_l = np.zeros_like(h_c)
+        """Assemble H_joint = sum of w kron(S, B) over (weight w, system
+        factor S, bath factor B) terms, plus kron(I, free_bath)."""
+        s = code.ambient_dim
+        h = np.zeros((s * bath_dim, s * bath_dim), dtype=complex)
         for weight, sys_op, bath_op in terms:
+            if sys_op.dim != s:
+                raise DimensionMismatchError(
+                    f"system factor dim {sys_op.dim}, code ambient dim {s}")
             if bath_op.dim != bath_dim:
                 raise ValueError("bath factor dimension mismatch")
-            dec = decompose(sys_op, code)
-            h_c += weight * np.kron(dec.e_part.mat, bath_op.mat)
-            h_perp += weight * np.kron(dec.eperp_part.mat, bath_op.mat)
-            h_l += weight * np.kron(dec.l_part.mat, bath_op.mat)
+            h += weight * np.kron(sys_op.mat, bath_op.mat)
         if free_bath is not None:
             if free_bath.dim != bath_dim:
                 raise ValueError("free bath Hamiltonian dimension mismatch")
-            h_c += np.kron(code.projector, free_bath.mat)
-            h_perp += np.kron(code.complement_projector, free_bath.mat)
-        if initial_bath_state is None:
-            initial_bath_state = np.zeros(bath_dim, dtype=complex)
-            initial_bath_state[0] = 1.0
-        herm = frozenset({"hermitian"})
-        return cls(
-            label=label,
-            code=code,
-            bath_dim=bath_dim,
-            coupling_strength=coupling_strength,
-            bath_seed=int(bath_seed),
-            h_joint=Operator(h_c + h_perp + h_l, herm),
-            h_c=Operator(h_c, herm),
-            h_perp=Operator(h_perp, herm),
-            h_l=Operator(h_l, herm),
-            initial_bath_state=initial_bath_state,
-        )
+            h += np.kron(np.eye(s), free_bath.mat)
+        return cls(label=label, code=code, bath_dim=bath_dim,
+                   coupling_strength=coupling_strength, bath_seed=int(bath_seed),
+                   h_joint=Operator(h, frozenset({"hermitian"})))
 
 
 def _split_bath_model(label: str, code: CodeSubspace, h_sys: Operator,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from model_split import explicit_split
 
 from leolab import dynamics, opalg
 from leolab.codes import CodeSubspace, dfs2_dephasing
@@ -59,6 +60,15 @@ class TestParityKickSchedule:
     def test_free_schedule_allowed(self):
         s = ParityKickSchedule(4, 0.1, None)
         assert s.pulses is None
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, "3", None])
+    def test_rejects_non_integer_cycles(self, n):
+        with pytest.raises(ValueError, match="integers"):
+            ParityKickSchedule(n, 0.1, exchange_dfs2_leo())
+
+    def test_numpy_integer_cycles_accepted(self):
+        s = ParityKickSchedule(np.int64(3), 0.1, None)
+        assert s.n_cycles == 3 and type(s.n_cycles) is int
 
 
 class TestParityKickUnitary:
@@ -299,7 +309,8 @@ def per_sample_reference(model, schedule, state):
         segment = hermitian_exponential(model.h_joint, -tau).mat
         r = np.kron(schedule.pulses.unitary.mat, np.eye(model.bath_dim))
         cycle = segment @ r.conj().T @ segment @ r
-    h_dec = Operator(model.h_c.mat + model.h_perp.mat, frozenset({"hermitian"}))
+    h_c, h_perp, _ = explicit_split(model)
+    h_dec = Operator(h_c + h_perp, frozenset({"hermitian"}))
     target_step = hermitian_exponential(h_dec, -2 * tau).mat
     psi = np.kron(state, model.initial_bath_state)
     target = psi.copy()
@@ -371,6 +382,19 @@ class TestSweep:
             sweep_cycles(m, 0.8, (4, 2), code_state(m), pulse)
         with pytest.raises(ValueError):
             sweep_cycles(m, 0.8, (0, 2), code_state(m), pulse)
+
+    def test_rejects_non_integer_n_list(self):
+        # int() would silently run n = 1 and 4 and label the rows so
+        m = benchmark_model()
+        with pytest.raises(ValueError, match="integers"):
+            sweep_cycles(m, 0.8, [1.9, 4.2], code_state(m), exchange_dfs2_leo())
+
+    def test_numpy_integer_n_list_accepted(self):
+        m = benchmark_model()
+        pulse = exchange_dfs2_leo()
+        a = sweep_cycles(m, 0.8, np.array([1, 2]), code_state(m), pulse)
+        b = sweep_cycles(m, 0.8, (1, 2), code_state(m), pulse)
+        assert a.rows == b.rows
 
     def test_csv_header(self):
         m = benchmark_model()
@@ -487,11 +511,11 @@ class TestSpectralCache:
     def test_limit_and_kick_come_from_the_cache(self):
         m = benchmark_model()
         pulse = exchange_dfs2_leo()
+        h_c, h_perp, _ = explicit_split(m)
         np.testing.assert_array_equal(
             decoupled_limit_unitary(m, 0.8).mat,
             hermitian_exponential(
-                Operator(m.h_c.mat + m.h_perp.mat, frozenset({"hermitian"})),
-                -0.8).mat)
+                Operator(h_c + h_perp, frozenset({"hermitian"})), -0.8).mat)
         u = parity_kick_unitary(m, ParityKickSchedule(1, 0.1, pulse))
         segment = hermitian_exponential(m.h_joint, -0.1).mat
         np.testing.assert_array_equal(

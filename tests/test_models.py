@@ -1,13 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from model_split import explicit_split
 
 from leolab.classify import decompose
 from leolab.codes import (
     bare_qubit_code,
     dfs2_dephasing,
+    dfs3_collective,
     dual_rail_code,
     lift_quadratic,
 )
+from leolab.dynamics import decoupled_limit_unitary
 from leolab.models import (
     DFS2_LEAK_LABELS,
     SystemBathModel,
@@ -17,7 +22,13 @@ from leolab.models import (
     logical_ops_dfs2,
     model_from_config,
 )
-from leolab.opalg import Operator, hermitian_exponential, pauli_string
+from leolab.opalg import (
+    DimensionMismatchError,
+    Operator,
+    hermitian_exponential,
+    pauli_string,
+    random_hermitian,
+)
 
 
 class TestLogicalOps:
@@ -91,10 +102,10 @@ class TestRecoupledYRotation:
 
 
 class TestSystemBathModel:
-    def test_reconstruction_invariant(self):
-        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3)
-        back = m.h_c.mat + m.h_perp.mat + m.h_l.mat
-        assert np.linalg.norm(back - m.h_joint.mat) <= 1e-12
+    def test_stores_only_the_joint_hamiltonian(self):
+        names = [f.name for f in dataclasses.fields(SystemBathModel)]
+        assert names == ["label", "code", "bath_dim", "coupling_strength",
+                         "bath_seed", "h_joint"]
 
     def test_dims(self):
         m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3)
@@ -106,7 +117,7 @@ class TestSystemBathModel:
         m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3)
         expect = np.zeros(4, dtype=complex)
         expect[0] = 1.0
-        np.testing.assert_allclose(m.initial_bath_state, expect, atol=1e-15)
+        np.testing.assert_array_equal(m.initial_bath_state, expect)
 
     def test_from_terms_classifies_parts(self):
         code = dfs2_dephasing()
@@ -115,9 +126,10 @@ class TestSystemBathModel:
             "custom", code, [(0.5, pauli_string("XI"), b)],
             coupling_strength=0.5, bath_seed=0, bath_dim=2,
         )
-        assert np.linalg.norm(m.h_c.mat) <= 1e-15
-        assert np.linalg.norm(m.h_perp.mat) <= 1e-15
-        assert np.linalg.norm(m.h_l.mat) > 0.1
+        h_c, h_perp, h_l = explicit_split(m)
+        assert np.linalg.norm(h_c) <= 1e-15
+        assert np.linalg.norm(h_perp) <= 1e-15
+        assert np.linalg.norm(h_l) > 0.1
 
     def test_bath_dim_mismatch_rejected(self):
         code = dfs2_dephasing()
@@ -128,6 +140,31 @@ class TestSystemBathModel:
                 coupling_strength=1.0, bath_seed=0, bath_dim=2,
             )
 
+    def test_system_dim_mismatch_rejected(self):
+        b = Operator(np.eye(2, dtype=complex), frozenset({"hermitian"}))
+        with pytest.raises(DimensionMismatchError, match="ambient dim 4"):
+            SystemBathModel.from_terms(
+                "custom", dfs2_dephasing(), [(1.0, pauli_string("XIX"), b)],
+                coupling_strength=1.0, bath_seed=0, bath_dim=2,
+            )
+
+    def test_dfs3_limit_matches_explicit_split(self):
+        # a dense code projector, so the derived generator is not a masked
+        # copy of h_joint: the limit must agree with the kron(P, I) formula
+        code = dfs3_collective()
+        terms = [(0.3, random_hermitian(8, 10 + i), random_hermitian(3, 20 + i))
+                 for i in range(3)]
+        m = SystemBathModel.from_terms(
+            "dfs3_random", code, terms, coupling_strength=0.3, bath_seed=0,
+            bath_dim=3, free_bath=random_hermitian(3, 30),
+        )
+        h_c, h_perp, h_l = explicit_split(m)
+        assert np.linalg.norm(h_l) > 0.1
+        explicit = hermitian_exponential(
+            Operator(h_c + h_perp, frozenset({"hermitian"})), -1.7).mat
+        assert np.linalg.norm(
+            decoupled_limit_unitary(m, 1.7).mat - explicit) <= 1e-12
+
 
 class TestHoppingModel:
     def test_zero_coupling_is_free_bath(self):
@@ -137,16 +174,11 @@ class TestHoppingModel:
         bath = h_bath_part[:4, :4]
         expect = np.kron(np.eye(4), bath)
         np.testing.assert_allclose(h_bath_part, expect, atol=1e-14)
-        assert np.linalg.norm(m.h_l.mat) <= 1e-15
+        assert np.linalg.norm(explicit_split(m)[2]) <= 1e-15
 
     def test_seed7_leaks(self):
         m = hopping_model(4, seed=7, g=0.1)
-        assert np.linalg.norm(m.h_l.mat) > 0.01
-
-    def test_reconstruction(self):
-        m = hopping_model(4, seed=7, g=0.1)
-        back = m.h_c.mat + m.h_perp.mat + m.h_l.mat
-        assert np.linalg.norm(back - m.h_joint.mat) <= 1e-12
+        assert np.linalg.norm(explicit_split(m)[2]) > 0.01
 
     def test_deterministic_rebuild(self):
         a = hopping_model(4, seed=7, g=0.1)
@@ -181,18 +213,12 @@ class TestLinearOpticsModel:
         m = linear_optics_model(seed=5, g=0.2)
         assert m.system_dim == 10
         assert m.joint_dim == 10
-        assert np.linalg.norm(m.h_l.mat) > 1e-3
-
-    def test_trivial_bath_reconstruction(self):
-        m = linear_optics_model(seed=5, g=0.2)
-        back = m.h_c.mat + m.h_perp.mat + m.h_l.mat
-        assert np.linalg.norm(back - m.h_joint.mat) <= 1e-12
+        assert np.linalg.norm(explicit_split(m)[2]) > 1e-3
 
     def test_nontrivial_bath(self):
         m = linear_optics_model(seed=5, g=0.2, bath_dim=2)
         assert m.joint_dim == 20
-        back = m.h_c.mat + m.h_perp.mat + m.h_l.mat
-        assert np.linalg.norm(back - m.h_joint.mat) <= 1e-12
+        assert np.linalg.norm(explicit_split(m)[2]) > 1e-3
 
 
 class TestDfs2LeakageModel:
@@ -200,8 +226,9 @@ class TestDfs2LeakageModel:
         m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3)
         # all coupling weight sits in h_l; code and outside parts carry
         # only the free bath, so their sum is identity tensor bath
-        assert np.linalg.norm(m.h_l.mat) > 0.01
-        block_diag = m.h_c.mat + m.h_perp.mat
+        h_c, h_perp, h_l = explicit_split(m)
+        assert np.linalg.norm(h_l) > 0.01
+        block_diag = h_c + h_perp
         bath = block_diag[:4, :4]
         np.testing.assert_allclose(block_diag, np.kron(np.eye(4), bath),
                                    atol=1e-14)
@@ -213,7 +240,8 @@ class TestDfs2LeakageModel:
         base = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3)
         with_coll = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3,
                                        collective_strength=0.3)
-        np.testing.assert_allclose(with_coll.h_l.mat, base.h_l.mat, atol=1e-14)
+        np.testing.assert_allclose(explicit_split(with_coll)[2],
+                                   explicit_split(base)[2], atol=1e-14)
         assert np.max(np.abs(with_coll.h_joint.mat - base.h_joint.mat)) > 1e-6
 
     def test_collective_operator_classifies_clean(self):
@@ -249,12 +277,11 @@ class TestDfs2LeakageModel:
         fp = golden["model_fingerprint"]
         h = m.h_joint.mat
         assert np.linalg.norm(h) == pytest.approx(fp["h_joint_fro"], abs=1e-12)
-        assert np.linalg.norm(m.h_c.mat) == pytest.approx(
-            fp["h_c_fro"], abs=1e-12)
-        assert np.linalg.norm(m.h_perp.mat) == pytest.approx(
-            fp["h_perp_fro"], abs=1e-12)
-        assert np.linalg.norm(m.h_l.mat) == pytest.approx(
-            fp["h_l_fro"], abs=1e-12)
+        h_c, h_perp, h_l = explicit_split(m)
+        assert np.linalg.norm(h_c) == pytest.approx(fp["h_c_fro"], abs=1e-12)
+        assert np.linalg.norm(h_perp) == pytest.approx(fp["h_perp_fro"],
+                                                       abs=1e-12)
+        assert np.linalg.norm(h_l) == pytest.approx(fp["h_l_fro"], abs=1e-12)
         assert h[0, 0].real == pytest.approx(fp["h_joint_0_0_re"], abs=1e-15)
         assert h[0, 8].real == pytest.approx(fp["h_joint_0_8_re"], abs=1e-15)
         assert h[0, 9].real == pytest.approx(fp["h_joint_0_9_re"], abs=1e-15)

@@ -15,7 +15,6 @@ from leolab.dynamics import ParityKickSchedule, simulate
 from leolab.leo import projector_leo
 from leolab.models import (
     DFS2_LEAK_LABELS,
-    RECONSTRUCTION_TOL,
     dfs2_leakage_model,
     hopping_model,
 )
@@ -71,4 +70,4 @@ def test_decompose_reconstructs(code, seed):
     h = random_hermitian(code.ambient_dim, seed)
     dec = decompose(h, code)
     total = dec.e_part.mat + dec.eperp_part.mat + dec.l_part.mat
-    assert np.linalg.norm(total - h.mat) <= RECONSTRUCTION_TOL
+    assert np.linalg.norm(total - h.mat) <= 1e-12
