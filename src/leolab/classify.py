@@ -49,7 +49,6 @@ class BlockDecomposition:
     sum back to the input.
     """
 
-    code: CodeSubspace
     e_part: Operator
     eperp_part: Operator
     l_part: Operator
@@ -104,7 +103,7 @@ def decompose(m: Operator, code: CodeSubspace) -> BlockDecomposition:
     hermitian = "hermitian" in m.tags
     e, eperp, l = block_split(m.mat[None], code, [hermitian])
     tags = frozenset({"hermitian"}) if hermitian else frozenset()
-    return BlockDecomposition(code, Operator(e[0], tags), Operator(eperp[0], tags),
+    return BlockDecomposition(Operator(e[0], tags), Operator(eperp[0], tags),
                               Operator(l[0]))
 
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation or config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -260,16 +261,9 @@ def _run_verify(args: argparse.Namespace) -> int:
             "phase": [report.phase.real, report.phase.imag],
             "structural_residual": report.structural_residual,
             "max_residual": report.max_residual,
-            "tolerance": report.tolerance,
-            "probes": [
-                {
-                    "index": p.index,
-                    "anticommutator_leakage": p.anticommutator_leakage,
-                    "commutator_code": p.commutator_code,
-                    "commutator_outside": p.commutator_outside,
-                }
-                for p in report.probe_checks
-            ],
+            "tolerance": leo_mod.STRUCTURAL_TOL,
+            "probes": [{"index": i, **dataclasses.asdict(p)}
+                       for i, p in enumerate(report.probe_checks)],
         }
         _dump_json(args.out, payload)
     print(verdict)
@@ -361,7 +355,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     if args.plot_out:
         _atomic_write_text(args.plot_out, _plot_text(
             (s.elapsed_time, s.leakage_population) for s in report.samples))
-    kind = "free" if args.free else f"pulsed ({report.metadata['pulse_route']})"
+    kind = "free" if pulses is None else f"pulsed ({pulses.route})"
     print(
         f"simulate: {kind}, final leakage "
         f"{report.final_leakage:.17g} after {n_cycles} cycles "

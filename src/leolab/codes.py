@@ -182,20 +182,27 @@ class SpinSector:
 
     Columns of basis are ordered by ascending Sz eigenvalue, then by copy
     index; copies are resolved by Gram-Schmidt against the computational
-    basis on the highest-weight space, in index order.
+    basis on the highest-weight space, in index order. Only spin and basis
+    are stored; block_dim and multiplicity are read off them.
     """
 
     spin: float
-    multiplicity: int
-    block_dim: int
     basis: np.ndarray
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=np.complex128)
-        if b.shape[1] != self.multiplicity * self.block_dim:
+        if b.shape[1] % self.block_dim:
             raise ValueError("sector basis has wrong number of columns")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
+
+    @property
+    def block_dim(self) -> int:
+        return round(2 * self.spin) + 1
+
+    @property
+    def multiplicity(self) -> int:
+        return self.basis.shape[1] // self.block_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,13 +287,12 @@ def spin_sector_decomposition(n_qubits: int) -> SpinSectorDecomposition:
                 states.append(nxt)
                 m -= 1.0
             ladders.append(states)
-        block_dim = len(ladders[0])
         # order columns by ascending Sz (ladders run from m=+S down)
         cols = []
-        for j in range(block_dim - 1, -1, -1):
+        for j in reversed(range(len(ladders[0]))):
             for a in range(mult):
                 cols.append(ladders[a][j])
-        sectors.append(SpinSector(spin, mult, block_dim, np.column_stack(cols)))
+        sectors.append(SpinSector(spin, np.column_stack(cols)))
     sectors.sort(key=lambda s: s.spin)
     return SpinSectorDecomposition(n_qubits, tuple(sectors))
 

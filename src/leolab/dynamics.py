@@ -23,7 +23,7 @@ import concurrent.futures
 import operator
 import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,10 +94,11 @@ class SimulationSample:
 
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
-    schedule: ParityKickSchedule
+    """Samples of one run and the distance of its total propagator to the
+    decoupled limit; the inputs (model, schedule) are not echoed."""
+
     samples: tuple[SimulationSample, ...]
     distance_to_limit: float
-    metadata: Mapping[str, object]
 
     def __post_init__(self):
         for s in self.samples:
@@ -125,7 +126,6 @@ class SweepRow:
 @dataclass(frozen=True, eq=False)
 class SweepTable:
     rows: tuple[SweepRow, ...]
-    metadata: Mapping[str, object]
 
     def csv_text(self) -> str:
         return _csv_text(SWEEP_CSV_HEADER, self.rows)
@@ -283,10 +283,11 @@ def simulate(
     state = np.asarray(initial_code_state, dtype=complex)
     if state.shape != (model.system_dim,):
         raise ValueError(f"initial state must be a length-{model.system_dim} vector")
-    if abs(np.linalg.norm(state) - 1.0) > STATE_NORM_TOL:
-        raise ValueError("initial state must be normalized")
+    # both checks fail closed: a NaN or infinite entry makes the norm NaN or inf
+    if not abs(np.linalg.norm(state) - 1.0) <= STATE_NORM_TOL:
+        raise ValueError("initial state must be finite and normalized")
     out_of_code = np.linalg.norm(model.code.complement_projector @ state)
-    if out_of_code > STATE_CODE_TOL:
+    if not out_of_code <= STATE_CODE_TOL:
         raise ValueError(f"initial state leaves the code subspace by {out_of_code:.3e}")
     joint, decoupled = model.spectra
     pulsed = schedule.pulses is not None
@@ -322,19 +323,7 @@ def simulate(
 
     if pulsed:
         del advance, psis  # room for the Gram matrix of the distance
-    distance = _spectral_distance(u_total.mat, u_limit.mat)
-
-    metadata = {
-        "model": model.label,
-        "g": model.coupling_strength,
-        "bath_seed": model.bath_seed,
-        "bath_dim": model.bath_dim,
-        "pulse_route": schedule.pulses.route if pulsed else "free",
-        "n_cycles": n,
-        "tau": tau,
-        "total_free_time": schedule.total_free_time,
-    }
-    return SimulationReport(schedule, samples, distance, metadata)
+    return SimulationReport(samples, _spectral_distance(u_total.mat, u_limit.mat))
 
 
 def sweep_cycles(
@@ -365,12 +354,4 @@ def sweep_cycles(
 
     workers = min(os.cpu_count() or 1, len(ns))
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        rows = list(pool.map(one, ns))
-    metadata = {
-        "model": model.label,
-        "g": model.coupling_strength,
-        "bath_seed": model.bath_seed,
-        "total_free_time": total_free_time,
-        "pulse_route": pulses.route,
-    }
-    return SweepTable(tuple(rows), metadata)
+        return SweepTable(tuple(pool.map(one, ns)))

@@ -345,7 +345,6 @@ class ProbeCheck:
     with both same-side parts; all three numbers should vanish.
     """
 
-    index: int
     anticommutator_leakage: float
     commutator_code: float
     commutator_outside: float
@@ -358,12 +357,21 @@ class ProbeCheck:
 
 @dataclass(frozen=True, eq=False)
 class LeoVerification:
-    passed: bool
+    """Residuals of one candidate pulse; probe_checks follow the probes'
+    order. max_residual and passed derive from them, at STRUCTURAL_TOL."""
+
     phase: complex
     structural_residual: float
     probe_checks: tuple[ProbeCheck, ...]
-    max_residual: float
-    tolerance: float
+
+    @property
+    def max_residual(self) -> float:
+        return max([self.structural_residual]
+                   + [p.max_residual for p in self.probe_checks])
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= STRUCTURAL_TOL
 
     def summary(self) -> str:
         verdict = "pass" if self.passed else "FAIL"
@@ -371,7 +379,7 @@ class LeoVerification:
             f"{verdict}: structural residual {self.structural_residual:.3e}, "
             f"max probe residual "
             f"{max((p.max_residual for p in self.probe_checks), default=0.0):.3e} "
-            f"over {len(self.probe_checks)} probes (tolerance {self.tolerance:.0e})"
+            f"over {len(self.probe_checks)} probes (tolerance {STRUCTURAL_TOL:.0e})"
         )
 
 
@@ -379,7 +387,6 @@ def verify_leo(
     candidate: Operator,
     code: CodeSubspace,
     probes: Sequence[Operator] = (),
-    tol: float = STRUCTURAL_TOL,
 ) -> LeoVerification:
     """Check a candidate pulse against the structural and algebraic contracts.
 
@@ -408,17 +415,8 @@ def verify_leo(
                                   ["hermitian" in p.tags for p in chunk])
         residuals = np.stack([frobenius(r @ l + l @ r), frobenius(r @ e - e @ r),
                               frobenius(r @ eperp - eperp @ r)], axis=1)
-        checks.extend(ProbeCheck(sl.start + i, *row)
-                      for i, row in enumerate(residuals.tolist()))
-    worst = max([s_res] + [pc.max_residual for pc in checks])
-    return LeoVerification(
-        passed=worst <= tol,
-        phase=phase,
-        structural_residual=s_res,
-        probe_checks=tuple(checks),
-        max_residual=worst,
-        tolerance=tol,
-    )
+        checks.extend(ProbeCheck(*row) for row in residuals.tolist())
+    return LeoVerification(phase, s_res, tuple(checks))
 
 
 def random_probes(dim: int, count: int, seed: int) -> list[Operator]:

@@ -1,8 +1,9 @@
 """Hamiltonian models: logical operators and seeded system-bath couplings
 with a known leakage structure.
 
-A model stores only its joint Hamiltonian H_joint and derives from it and
-the code the leakage-free part H_c + H_perp that parity kicks converge to.
+A model stores only its code and its joint Hamiltonian H_joint; the bath
+dimension and the leakage-free part H_c + H_perp that parity kicks
+converge to are derived from them. Builder inputs (seed, g) are not kept.
 
 Units: hbar = 1 throughout, so couplings are angular frequencies and
 exp(-i H t) propagates for time t. Every random ingredient is drawn from
@@ -74,29 +75,31 @@ def logical_ops_dfs2() -> LogicalOps:
 class SystemBathModel:
     """Joint (system x bath) Hamiltonian H_joint against a code.
 
-    Only H_joint is stored. The leakage-free part H_c + H_perp =
+    Only the code and H_joint are stored; bath_dim is H_joint's dim over
+    the code's ambient dim. The leakage-free part H_c + H_perp =
     (P x I) H (P x I) + (Q x I) H (Q x I), P the code projector and Q = 1 - P,
     is derived in spectra; the rest is the leakage coupling the kicks cancel.
     """
 
-    label: str
     code: CodeSubspace
-    bath_dim: int
-    coupling_strength: float
-    bath_seed: int
     h_joint: Operator
 
     def __post_init__(self):
-        if self.h_joint.dim != self.joint_dim:
-            raise ValueError("joint Hamiltonian does not match code and bath")
+        if self.h_joint.dim % self.system_dim:
+            raise ValueError(f"joint Hamiltonian dim {self.h_joint.dim} is not "
+                             f"a multiple of the code's ambient dim {self.system_dim}")
 
     @property
     def system_dim(self) -> int:
         return self.code.ambient_dim
 
     @property
+    def bath_dim(self) -> int:
+        return self.h_joint.dim // self.system_dim
+
+    @property
     def joint_dim(self) -> int:
-        return self.system_dim * self.bath_dim
+        return self.h_joint.dim
 
     @property
     def initial_bath_state(self) -> np.ndarray:
@@ -122,12 +125,9 @@ class SystemBathModel:
     @classmethod
     def from_terms(
         cls,
-        label: str,
         code: CodeSubspace,
         terms: Sequence[tuple[float, Operator, Operator]],
         *,
-        coupling_strength: float,
-        bath_seed: int,
         bath_dim: int,
         free_bath: Operator | None = None,
     ) -> "SystemBathModel":
@@ -146,12 +146,10 @@ class SystemBathModel:
             if free_bath.dim != bath_dim:
                 raise ValueError("free bath Hamiltonian dimension mismatch")
             h += np.kron(np.eye(s), free_bath.mat)
-        return cls(label=label, code=code, bath_dim=bath_dim,
-                   coupling_strength=coupling_strength, bath_seed=int(bath_seed),
-                   h_joint=Operator(h, frozenset({"hermitian"})))
+        return cls(code, Operator(h, frozenset({"hermitian"})))
 
 
-def _split_bath_model(label: str, code: CodeSubspace, h_sys: Operator,
+def _split_bath_model(code: CodeSubspace, h_sys: Operator,
                       g: float, seed: int, bath_dim: int,
                       shared_bath: bool) -> SystemBathModel:
     """Couple each classified piece of h_sys to its own seeded bath operator.
@@ -168,15 +166,8 @@ def _split_bath_model(label: str, code: CodeSubspace, h_sys: Operator,
         b_perp = random_hermitian(bath_dim, seeds[1])
         b_l = random_hermitian(bath_dim, seeds[2])
     h_bath = random_hermitian(bath_dim, seeds[3])
-    return SystemBathModel.from_terms(
-        label,
-        code,
-        [(g, dec.e_part, b_c), (g, dec.eperp_part, b_perp), (g, dec.l_part, b_l)],
-        coupling_strength=g,
-        bath_seed=seed,
-        bath_dim=bath_dim,
-        free_bath=h_bath,
-    )
+    terms = [(g, dec.e_part, b_c), (g, dec.eperp_part, b_perp), (g, dec.l_part, b_l)]
+    return SystemBathModel.from_terms(code, terms, bath_dim=bath_dim, free_bath=h_bath)
 
 
 def hopping_model(
@@ -195,7 +186,7 @@ def hopping_model(
     if n_levels < 3:
         raise ValueError("hopping model needs at least three levels to leak")
     code = codes_mod.bare_qubit_code(n_levels)
-    return _split_bath_model("hopping", code, random_hermitian(n_levels, seed),
+    return _split_bath_model(code, random_hermitian(n_levels, seed),
                              g, seed, bath_dim, shared_bath)
 
 
@@ -216,16 +207,8 @@ def linear_optics_model(
     if bath_dim == 1:
         one = Operator(np.ones((1, 1), dtype=complex),
                        frozenset({"hermitian", "diagonal"}))
-        return SystemBathModel.from_terms(
-            "linear_optics",
-            code,
-            [(g, lifted, one)],
-            coupling_strength=g,
-            bath_seed=seed,
-            bath_dim=1,
-        )
-    return _split_bath_model("linear_optics", code, lifted, g, seed, bath_dim,
-                             shared_bath)
+        return SystemBathModel.from_terms(code, [(g, lifted, one)], bath_dim=1)
+    return _split_bath_model(code, lifted, g, seed, bath_dim, shared_bath)
 
 
 def dfs2_leakage_model(
@@ -269,15 +252,8 @@ def dfs2_leakage_model(
              random_hermitian(bath_dim, seeds[-2]))
         )
     h_bath = random_hermitian(bath_dim, seeds[-1])
-    return SystemBathModel.from_terms(
-        "dfs2_leakage",
-        code,
-        terms,
-        coupling_strength=g,
-        bath_seed=bath_seed,
-        bath_dim=bath_dim,
-        free_bath=h_bath,
-    )
+    return SystemBathModel.from_terms(code, terms, bath_dim=bath_dim,
+                                      free_bath=h_bath)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +274,13 @@ def parsed(cast, mapping: Mapping, key: str, default=None):
         return cast(mapping[key])
     except (TypeError, ValueError) as err:
         raise ValueError(f"config {key!r} has a bad value: {err}") from err
+
+
+def _finite(value) -> float:
+    """A finite JSON number: NaN and infinities are refused."""
+    if not isfinite(x := json_number(value)):
+        raise ValueError(f"expected a finite number, got {x}")
+    return x
 
 
 def model_from_config(config: Mapping) -> SystemBathModel:
@@ -328,10 +311,8 @@ def model_from_config(config: Mapping) -> SystemBathModel:
             f"unknown params for model {name!r}: {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
-    g = parsed(json_number, config, "g")
+    g = parsed(_finite, config, "g")
     seed = parsed(json_int, config, "seed")
-    if not isfinite(g):
-        raise ValueError("coupling strength g must be finite")
     shared_bath = parsed(json_bool, params, "shared_bath", False)
     bath_dim = parsed(json_int, config, "bath_dim",
                       1 if name == "linear_optics" else 4)
@@ -353,5 +334,5 @@ def model_from_config(config: Mapping) -> SystemBathModel:
         seed,
         bath_dim=bath_dim,
         shared_bath=shared_bath,
-        collective_strength=parsed(json_number, params, "collective_strength", 0.0),
+        collective_strength=parsed(_finite, params, "collective_strength", 0.0),
     )

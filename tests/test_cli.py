@@ -118,6 +118,22 @@ class TestVerify:
         assert len(report["probes"]) == 10
         assert report["max_residual"] <= 1e-10
 
+    def test_report_layout(self, tmp_path):
+        pulse_file = tmp_path / "pulse.json"
+        run_cli(["synth", "--code", "dfs2", "--route", "exchange_2dfs",
+                 "--out", pulse_file])
+        report_file = tmp_path / "report.json"
+        assert run_cli(["verify", "--leo", pulse_file, "--probes",
+                        "random:7:seed=2", "--out", report_file]) == 0
+        report = json.loads(report_file.read_text())
+        assert list(report) == ["passed", "phase", "structural_residual",
+                                "max_residual", "tolerance", "probes"]
+        assert report["tolerance"] == 1e-10
+        assert [p["index"] for p in report["probes"]] == list(range(7))
+        for p in report["probes"]:
+            assert list(p) == ["index", "anticommutator_leakage",
+                               "commutator_code", "commutator_outside"]
+
     @pytest.mark.parametrize("phase,exit_code", [
         (None, 0), ([-1.0, -0.0], 2), ([0.0, 1.0], 2),
     ], ids=["as_written", "negated", "rotated"])
@@ -197,6 +213,37 @@ class TestSimulateAndSweep:
         out = tmp_path / "free.csv"
         assert run_cli(["simulate", "--config", cfg, "--free", "--out", out]) == 0
         assert "free" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model,route,flags,kind", [
+        ({}, "exchange_2dfs", [], "pulsed (exchange_2dfs)"),
+        ({}, "exchange_2dfs", ["--free"], "free"),
+        ({"model": "hopping", "params": {"n_levels": 4}}, "number_op", [],
+         "pulsed (number_op)"),
+        ({"model": "linear_optics", "params": {}, "bath_dim": 1},
+         "phase_shifter", [], "pulsed (phase_shifter)"),
+    ], ids=["dfs2_pulsed", "dfs2_free", "hopping", "linear_optics"])
+    def test_stdout_names_the_run(self, tmp_path, capsys, model, route, flags,
+                                  kind):
+        cfg = write_config(tmp_path, leo={"route": route}, **model)
+        assert run_cli(["simulate", "--config", cfg, "--out",
+                        tmp_path / "o.csv", *flags]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"simulate: {kind}, final leakage ")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    def test_non_finite_initial_state(self, tmp_path, capsys, command, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(write_config(tmp_path).read_text().replace(
+            '"initial_state": "code:0"',
+            f'"initial_state": {{"re": [0, {entry}, 0, 0], "im": [0, 0, 0, 0]}}'))
+        extra = ["--n", "1,2"] if command == "sweep" else []
+        assert run_cli([command, "--config", cfg, *extra,
+                        "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial state must be finite")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -3,6 +3,7 @@ import pytest
 
 from leolab.codes import (
     CodeSubspace,
+    SpinSector,
     bare_qubit_code,
     build_code,
     code_labels,
@@ -144,6 +145,13 @@ class TestSpinSectors:
         for s in dec.sectors:
             assert s.block_dim == int(round(2 * s.spin + 1))
             assert s.multiplicity == spin_multiplicity(n, s.spin)
+
+    def test_column_count_must_fill_whole_ladders(self):
+        sector = spin_sector_decomposition(3).sector(0.5)
+        with pytest.raises(ValueError, match="wrong number of columns"):
+            SpinSector(0.5, sector.basis[:, :3])
+        kept = SpinSector(0.5, sector.basis[:, :2])
+        assert (kept.multiplicity, kept.block_dim) == (1, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sector_bases_diagonalize_s_squared(self, n):

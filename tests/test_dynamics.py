@@ -39,9 +39,7 @@ def code_state(model, k=0):
 def pure_leakage_model():
     b = random_hermitian(2, 17)
     return SystemBathModel.from_terms(
-        "pure_leak", dfs2_dephasing(), [(0.4, pauli_string("XI"), b)],
-        coupling_strength=0.4, bath_seed=17, bath_dim=2,
-    )
+        dfs2_dephasing(), [(0.4, pauli_string("XI"), b)], bath_dim=2)
 
 
 class TestParityKickSchedule:
@@ -222,10 +220,19 @@ class TestSimulate:
             simulate(m, ParityKickSchedule(2, 0.1, exchange_dfs2_leo()),
                      0.5 * code_state(m))
 
+    @pytest.mark.parametrize("entry", [np.nan, complex(0.0, np.nan), np.inf],
+                             ids=["nan", "nan_imag", "inf"])
+    @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
+    def test_rejects_non_finite_state(self, entry, pulsed):
+        m = benchmark_model()
+        state = np.array([0.0, entry, 0.0, 0.0])
+        pulse = exchange_dfs2_leo() if pulsed else None
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            simulate(m, ParityKickSchedule(2, 0.1, pulse), state)
+
     def test_free_run_uses_same_grid(self):
         m = benchmark_model()
         rep = simulate(m, ParityKickSchedule(4, 0.1, None), code_state(m))
-        assert rep.metadata["pulse_route"] == "free"
         assert len(rep.samples) == 5
         assert rep.final_leakage > 1e-7
 
@@ -248,16 +255,6 @@ class TestSimulate:
         psi = (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
         rep = simulate(m, ParityKickSchedule(4, 0.05, exchange_dfs2_leo()), psi)
         assert rep.final_leakage < 1e-4
-
-    def test_metadata_round(self):
-        m = benchmark_model()
-        rep = simulate(m, ParityKickSchedule(2, 0.1, exchange_dfs2_leo()),
-                       code_state(m))
-        md = rep.metadata
-        assert md["model"] == "dfs2_leakage"
-        assert md["n_cycles"] == 2
-        assert md["pulse_route"] == "exchange_2dfs"
-        assert md["total_free_time"] == pytest.approx(0.4)
 
     def test_golden_example_run(self, golden):
         m = benchmark_model()
@@ -373,6 +370,12 @@ class TestSweep:
         assert [r.n for r in a.rows] == [1, 2, 4, 8]
         assert a.rows == b.rows
 
+    def test_rejects_non_finite_state(self):
+        m = benchmark_model()
+        state = np.array([0.0, np.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            sweep_cycles(m, 0.8, (1, 2, 4), state, exchange_dfs2_leo())
+
     def test_rejects_bad_n_list(self):
         m = benchmark_model()
         pulse = exchange_dfs2_leo()
@@ -452,9 +455,8 @@ class TestPulseMustMatchModelCode:
         # labelled "dfs2" but spanning {|00>, |01>}, which XX leaks out of
         code = CodeSubspace("dfs2", np.eye(4)[:, :2])
         return SystemBathModel.from_terms(
-            "xx", code, [(0.05, pauli_string("XX"), random_hermitian(4, 3))],
-            coupling_strength=0.05, bath_seed=3, bath_dim=4,
-            free_bath=random_hermitian(4, 4),
+            code, [(0.05, pauli_string("XX"), random_hermitian(4, 3))],
+            bath_dim=4, free_bath=random_hermitian(4, 4),
         )
 
     def test_same_label_other_subspace_rejected(self):

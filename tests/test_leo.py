@@ -353,7 +353,7 @@ class TestVerifyLeo:
     def test_every_route_against_twenty_probes(self, idx):
         pulse = make_pulses()[idx]
         probes = random_probes(pulse.code.ambient_dim, 20, 1000 + idx)
-        report = verify_leo(pulse.unitary, pulse.code, probes, tol=1e-10)
+        report = verify_leo(pulse.unitary, pulse.code, probes)
         assert report.passed, report.summary()
 
 
@@ -384,8 +384,8 @@ class TestStackedVerify:
         for candidate in (projector_leo(code).unitary, off_form):
             r = candidate.mat
             report = verify_leo(candidate, code, probes)
-            assert [c.index for c in report.probe_checks] == list(range(count))
-            for check, probe in zip(report.probe_checks, probes):
+            assert len(report.probe_checks) == count
+            for i, (check, probe) in enumerate(zip(report.probe_checks, probes)):
                 dec = decompose(probe, code)
                 e, ep, l = dec.e_part.mat, dec.eperp_part.mat, dec.l_part.mat
                 want = (np.linalg.norm(r @ l + l @ r), np.linalg.norm(r @ e - e @ r),
@@ -393,7 +393,7 @@ class TestStackedVerify:
                 got = (check.anticommutator_leakage, check.commutator_code,
                        check.commutator_outside)
                 for g, w in zip(got, want):
-                    assert abs(g - w) <= 1e-15 * w, (check.index, g, w)
+                    assert abs(g - w) <= 1e-15 * w, (i, g, w)
 
     def test_hermitian_check_per_tagged_probe(self, monkeypatch):
         code = dfs4_collective()

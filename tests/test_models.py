@@ -104,8 +104,25 @@ class TestRecoupledYRotation:
 class TestSystemBathModel:
     def test_stores_only_the_joint_hamiltonian(self):
         names = [f.name for f in dataclasses.fields(SystemBathModel)]
-        assert names == ["label", "code", "bath_dim", "coupling_strength",
-                         "bath_seed", "h_joint"]
+        assert names == ["code", "h_joint"]
+
+    BUILDERS = {
+        "dfs2": lambda b: dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=b),
+        "hopping": lambda b: hopping_model(5, seed=7, g=0.1, bath_dim=b),
+        "linear_optics": lambda b: linear_optics_model(5, 0.2, bath_dim=b),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("bath_dim", [1, 3, 7])
+    def test_bath_dim_read_off_h_joint(self, name, bath_dim):
+        m = self.BUILDERS[name](bath_dim)
+        assert m.bath_dim == bath_dim
+        assert m.joint_dim == m.system_dim * bath_dim == m.h_joint.dim
+
+    def test_h_joint_not_a_multiple_of_the_code_rejected(self):
+        h = Operator(np.eye(6, dtype=complex), frozenset({"hermitian"}))
+        with pytest.raises(ValueError, match="not a multiple"):
+            SystemBathModel(dfs2_dephasing(), h)
 
     def test_dims(self):
         m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3)
@@ -123,8 +140,7 @@ class TestSystemBathModel:
         code = dfs2_dephasing()
         b = Operator(np.eye(2, dtype=complex), frozenset({"hermitian"}))
         m = SystemBathModel.from_terms(
-            "custom", code, [(0.5, pauli_string("XI"), b)],
-            coupling_strength=0.5, bath_seed=0, bath_dim=2,
+            code, [(0.5, pauli_string("XI"), b)], bath_dim=2,
         )
         h_c, h_perp, h_l = explicit_split(m)
         assert np.linalg.norm(h_c) <= 1e-15
@@ -136,16 +152,14 @@ class TestSystemBathModel:
         b = Operator(np.eye(3, dtype=complex), frozenset({"hermitian"}))
         with pytest.raises(ValueError):
             SystemBathModel.from_terms(
-                "custom", code, [(1.0, pauli_string("XI"), b)],
-                coupling_strength=1.0, bath_seed=0, bath_dim=2,
+                code, [(1.0, pauli_string("XI"), b)], bath_dim=2,
             )
 
     def test_system_dim_mismatch_rejected(self):
         b = Operator(np.eye(2, dtype=complex), frozenset({"hermitian"}))
         with pytest.raises(DimensionMismatchError, match="ambient dim 4"):
             SystemBathModel.from_terms(
-                "custom", dfs2_dephasing(), [(1.0, pauli_string("XIX"), b)],
-                coupling_strength=1.0, bath_seed=0, bath_dim=2,
+                dfs2_dephasing(), [(1.0, pauli_string("XIX"), b)], bath_dim=2,
             )
 
     def test_dfs3_limit_matches_explicit_split(self):
@@ -155,8 +169,7 @@ class TestSystemBathModel:
         terms = [(0.3, random_hermitian(8, 10 + i), random_hermitian(3, 20 + i))
                  for i in range(3)]
         m = SystemBathModel.from_terms(
-            "dfs3_random", code, terms, coupling_strength=0.3, bath_seed=0,
-            bath_dim=3, free_bath=random_hermitian(3, 30),
+            code, terms, bath_dim=3, free_bath=random_hermitian(3, 30),
         )
         h_c, h_perp, h_l = explicit_split(m)
         assert np.linalg.norm(h_l) > 0.1
@@ -328,3 +341,17 @@ class TestModelFromConfig:
             model_from_config({"model": "dfs2_leakage",
                                "params": {"leak_set": ["XI"], "junk": 1},
                                "g": 0.1, "seed": 0, "bath_dim": 2})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_collective_strength_names_the_key(self, value):
+        with pytest.raises(ValueError, match="'collective_strength'"):
+            model_from_config({"model": "dfs2_leakage",
+                               "params": {"leak_set": ["XI"],
+                                          "collective_strength": value},
+                               "g": 0.1, "seed": 0, "bath_dim": 2})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_g_names_the_key(self, value):
+        with pytest.raises(ValueError, match="'g'"):
+            model_from_config({"model": "hopping", "params": {}, "g": value,
+                               "seed": 0})
