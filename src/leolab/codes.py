@@ -96,25 +96,27 @@ def _range_basis(proj: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal basis of the range of an orthogonal projector.
 
     Gram-Schmidt over the projector's columns in index order, keeping each
-    nonvanishing residual. A second pass re-projects onto the range and
-    re-orthogonalizes, removing the O(eps) residue the first one leaves.
+    nonvanishing residual; each column is orthogonalized against the kept
+    ones with two matrix-vector products. A second pass re-projects onto
+    the range and re-orthogonalizes, removing the O(eps) residue the first
+    one leaves.
     """
-    cols: list[np.ndarray] = []
+    basis = np.zeros((proj.shape[0], rank), dtype=proj.dtype)
+    kept = 0
     for j in range(proj.shape[1]):
-        if len(cols) == rank:
+        if kept == rank:
             break
-        w = proj[:, j].copy()
-        for c in cols:
-            w -= c * np.vdot(c, w)
+        q = basis[:, :kept]
+        w = proj[:, j] - q @ (q.conj().T @ proj[:, j])
         nrm = np.linalg.norm(w)
         if nrm > _GS_RANK_TOL:
             w = proj @ (w / nrm)
-            for c in cols:
-                w -= c * np.vdot(c, w)
-            cols.append(w / np.linalg.norm(w))
-    if len(cols) != rank:
+            w -= q @ (q.conj().T @ w)
+            basis[:, kept] = w / np.linalg.norm(w)
+            kept += 1
+    if kept != rank:
         raise ValueError(f"projector range is not {rank}-dimensional")
-    return np.column_stack(cols)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +279,15 @@ def spin_sector_decomposition(n_qubits: int) -> SpinSectorDecomposition:
             hw_local = _null_space_deterministic(restricted, mult)
             hw = np.zeros((dim, mult), dtype=complex)
             hw[idx, :] = hw_local
-        ladders = []
-        for a in range(mult):
-            states = [hw[:, a]]
-            m = spin
-            while m > -spin + 1e-9:
-                nxt = s_minus @ states[-1]
-                nxt = nxt / sqrt((spin + m) * (spin - m + 1))
-                states.append(nxt)
-                m -= 1.0
-            ladders.append(states)
-        # order columns by ascending Sz (ladders run from m=+S down)
-        cols = []
-        for j in reversed(range(len(ladders[0]))):
-            for a in range(mult):
-                cols.append(ladders[a][j])
-        sectors.append(SpinSector(spin, np.column_stack(cols)))
+        # rungs[i] holds the m = S - i states of all mult ladders, one
+        # column each; one product with s_minus lowers them all
+        rungs = [hw]
+        m = spin
+        while m > -spin + 1e-9:
+            rungs.append(s_minus @ rungs[-1] / sqrt((spin + m) * (spin - m + 1)))
+            m -= 1.0
+        # order columns by ascending Sz, ladders in order within each m
+        sectors.append(SpinSector(spin, np.hstack(rungs[::-1])))
     sectors.sort(key=lambda s: s.spin)
     return SpinSectorDecomposition(n_qubits, tuple(sectors))
 

@@ -323,6 +323,11 @@ def per_sample_reference(model, schedule, state):
 class TestBatchedObservables:
     CASES = {
         "dfs2_j16": lambda: (benchmark_model(), exchange_dfs2_leo()),
+        # bath no larger than the code (k = 2 >= b)
+        "dfs2_bath1": lambda: (dfs2_leakage_model(("XI",), g=0.2, bath_seed=3,
+                                                  bath_dim=1), exchange_dfs2_leo()),
+        "dfs2_bath2": lambda: (dfs2_leakage_model(("XI",), g=0.2, bath_seed=3,
+                                                  bath_dim=2), exchange_dfs2_leo()),
         "hopping8": lambda: (hopping_model(8, seed=7, g=0.2), None),
         "linear_optics_bath1": lambda: (linear_optics_model(seed=5, g=0.2), None),
     }
@@ -344,6 +349,112 @@ class TestBatchedObservables:
                                    leaks, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose([s.code_fidelity for s in rep.samples],
                                    fids, rtol=1e-12, atol=1e-12)
+
+
+def random_stack(rng, n, b):
+    return rng.standard_normal((n, 2, b)) + 1j * rng.standard_normal((n, 2, b))
+
+
+def nuclear_norm_cases(b):
+    """Pairs of stacks (A, C) of 2 x b matrices: generic, rank-deficient,
+    zero rows, equal, far-scaled and nearly orthogonal pairs."""
+    rng = np.random.default_rng(b)
+
+    def rank1():  # u v^T per sample, rows exactly dependent
+        return random_stack(rng, 32, 1) * random_stack(rng, 32, b)[:, :1]
+
+    def zero_row(x, row):
+        x = x.copy()
+        x[:, row] = 0.0
+        return x
+
+    generic = random_stack(rng, 32, b)
+    unit = random_stack(rng, 32, 1)[:, :, 0]
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    perp = np.stack([-unit[:, 1].conj(), unit[:, 0].conj()], axis=1)
+    rows_a, rows_c = random_stack(rng, 32, b)[:, 0], random_stack(rng, 32, b)[:, 0]
+    cases = {
+        "generic": (random_stack(rng, 32, b), random_stack(rng, 32, b)),
+        "rank1_a": (rank1(), random_stack(rng, 32, b)),
+        "rank1_c": (random_stack(rng, 32, b), rank1()),
+        "rank1_both": (rank1(), rank1()),
+        "zero_first_row_a": (zero_row(generic, 0), random_stack(rng, 32, b)),
+        "zero_second_row_a": (zero_row(generic, 1), random_stack(rng, 32, b)),
+        "zero_first_row_c": (random_stack(rng, 32, b), zero_row(generic, 0)),
+        "zero_a": (0.0 * generic, random_stack(rng, 32, b)),
+        "zero_c": (random_stack(rng, 32, b), 0.0 * generic),
+        "equal": (generic, generic.copy()),
+        # A's code columns along u, C's along u_perp, plus 1e-9 of noise
+        "nearly_orthogonal": (
+            unit[:, :, None] * rows_a[:, None, :] + 1e-9 * random_stack(rng, 32, b),
+            perp[:, :, None] * rows_c[:, None, :] + 1e-9 * random_stack(rng, 32, b)),
+    }
+    for sa, sc in [(150, 0), (-150, 0), (0, 150), (0, -150), (150, -150),
+                   (-150, 150)]:
+        a, c = random_stack(rng, 32, b), random_stack(rng, 32, b)
+        cases[f"scaled_{sa}_{sc}"] = (a * 10.0 ** sa, c * 10.0 ** sc)
+    return cases
+
+
+class TestQubitNuclearNorm:
+    """The qubit closed form against the QR + SVD path of the other codes."""
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 16, 64])
+    def test_matches_svd_path(self, b):
+        for name, (a, c) in nuclear_norm_cases(b).items():
+            got = dynamics._qubit_nuclear_norm(a, c)
+            want = dynamics._nuclear_norm(a, c)
+            scale = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(c, axis=(1, 2))
+            err = np.abs(got - want)
+            assert np.all(err <= 2e-15 * scale), (name, np.max(err / scale))
+
+    @pytest.mark.parametrize("pulsed", [True, False])
+    @pytest.mark.parametrize("bath_dim", [1, 2, 4, 16])
+    def test_first_sample_fidelity_is_exactly_one(self, bath_dim, pulsed):
+        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=bath_dim)
+        pulse = exchange_dfs2_leo() if pulsed else None
+        for k in range(m.code.code_dim):
+            rep = simulate(m, ParityKickSchedule(3, 0.1, pulse), code_state(m, k))
+            assert rep.samples[0].code_fidelity == 1.0
+
+
+def svd_fidelities(model, psis, c):
+    """The code fidelity as written before the qubit closed form: QR
+    factors when the bath exceeds the code, then one SVD per sample."""
+    k, b = model.code.code_dim, model.bath_dim
+    a = psis.reshape(len(psis), model.system_dim, b)
+    a_dag = (model.code.basis.conj().T @ a).conj().swapaxes(1, 2)
+    c = c.reshape(len(c), k, b)
+    norm = np.sum(np.abs(c) ** 2, axis=(1, 2))
+    if b > k:
+        a_dag = np.linalg.qr(a_dag, mode="r")
+        c = np.linalg.qr(c.conj().swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
+    has_code = norm > 0.0
+    nuclear = np.linalg.svd(a_dag @ c, compute_uv=False).sum(axis=1)
+    f = nuclear ** 2 / np.where(has_code, norm, 1.0)
+    f = np.where(f < 1.0 + 1e-9, np.minimum(f, 1.0), f)
+    return np.where(has_code, f, 0.0).tolist()
+
+
+class TestOtherCodeDimsKeepSvdPath:
+    # dual rail has code dim 4: bath 1 and 3 take the SVD alone, bath 6 the QR
+    @pytest.mark.parametrize("pulsed", [True, False])
+    @pytest.mark.parametrize("bath_dim", [1, 3, 6])
+    def test_linear_optics_fidelity_unchanged(self, monkeypatch, bath_dim, pulsed):
+        m = linear_optics_model(seed=5, g=0.2, bath_dim=bath_dim)
+        batches = []
+        observables = dynamics._observables
+
+        def spy(model, psis, c):
+            batches.append((psis.copy(), c.copy()))
+            return observables(model, psis, c)
+
+        monkeypatch.setattr(dynamics, "_observables", spy)
+        pulse = projector_leo(m.code) if pulsed else None
+        rep = simulate(m, ParityKickSchedule(300, 0.003, pulse), code_state(m, 2))
+        want = [f for psis, c in batches for f in svd_fidelities(m, psis, c)]
+        assert len(batches) == 2
+        assert [s.code_fidelity for s in rep.samples] == want
 
 
 class TestSweep:
@@ -375,6 +486,12 @@ class TestSweep:
         state = np.array([0.0, np.nan, 0.0, 0.0])
         with pytest.raises(ValueError, match="initial state must be finite"):
             sweep_cycles(m, 0.8, (1, 2, 4), state, exchange_dfs2_leo())
+
+    def test_rejects_free_schedule(self):
+        # pulses=None would give free evolution, the same for every row
+        m = benchmark_model()
+        with pytest.raises(ValueError, match="no pulses"):
+            sweep_cycles(m, 0.8, (1, 2, 4), code_state(m), None)
 
     def test_rejects_bad_n_list(self):
         m = benchmark_model()
