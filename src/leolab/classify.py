@@ -87,9 +87,14 @@ def block_split(
         )
     p = code.projector
     q = code.complement_projector
+    # each of PM and QM is freed once its parts exist; l is PMQ + QMP
     pm = p @ mats
+    e, l = pm @ p, pm @ q
+    del pm
     qm = q @ mats
-    e, eperp, l = pm @ p, qm @ q, pm @ q + qm @ p
+    eperp = qm @ q
+    l += qm @ p
+    del qm
     herm = np.asarray(hermitian, dtype=bool)
     for part in (e, eperp, l):
         check_tags(part, frozenset())

@@ -76,6 +76,19 @@ class CodeSubspace:
         q.setflags(write=False)
         return q
 
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Unitary F = [basis | complement basis]: code coordinates first,
+        then a basis of the complement, Gram-Schmidt over the complement
+        projector's columns in index order. For a code spanned by
+        computational basis states (dfs2, bare, dual rail) F is a
+        permutation matrix."""
+        perp = _range_basis(self.complement_projector,
+                            self.ambient_dim - self.code_dim)
+        f = np.hstack([self.basis, perp])
+        f.setflags(write=False)
+        return f
+
     def same_subspace(self, other: CodeSubspace) -> bool:
         """Whether other spans this subspace of the same ambient space.
 

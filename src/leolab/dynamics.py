@@ -8,12 +8,26 @@ step for the leakage-free generator, and the sequence converges to
 exp(-i (H_c + H_perp) T) like 1/n with an O(tau^2) single-cycle defect.
 Pulses are ideal (instantaneous, error-free) in this version.
 
-Every propagator comes from the model's two cached spectra (H_joint and
-H_c + H_perp), a kick contracts the pulse with the system index only, and
-all are certified unitary before any sample is taken. Samples come in
-batches of OBSERVABLE_BATCH from a few matrix products each: free states
-and targets scale a phase table, and pulsed states come from the squares
-that build cycle^n. The code fidelity of a qubit code has a closed form
+Every propagator comes from the model's cached spectra, a kick contracts
+the pulse with the system index only, and all are certified unitary
+before any sample is taken. The segment, the cycle, cycle^n and
+parity_kick_unitary come from the spectrum of H_joint and never enter
+the frame below, so they are exactly the product-coordinate results. The
+leakage-free generator is block diagonal in the code frame F x I
+(F = [code basis | complement basis]); the limit is the exponentials of
+its two blocks, rotated back to product coordinates.
+
+Samples are read in the frame, where a state's first code x bath entries
+are its code rows and the rest its complement rows: leakage is the
+squared norm of the complement rows and the fidelity's A is the code
+rows. Samples come in batches of OBSERVABLE_BATCH from a few matrix
+products each: free states scale a phase table against the frame's rows
+of H_joint's eigenvectors, targets (which never leave the code block)
+against the code block's own eigenvectors, and pulsed states come from
+the squares that build cycle^n, one system-index contraction per batch
+taking them into the frame. Against sampling in product coordinates,
+leakage, fidelity and distance moved by rounding only (at most 2.9e-15
+seen). The code fidelity of a qubit code has a closed form
 (Jozsa's tr(rho sigma) + 2 sqrt(det rho det sigma), determinants from
 Gram-Schmidt R factors), within 1e-15 ||A||_F ||C||_F of the QR + SVD form
 that the other code dims take. The distance to the limit is
@@ -26,7 +40,8 @@ import concurrent.futures
 import operator
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,8 +102,10 @@ class ParityKickSchedule:
         return 2 * self.n_cycles * self.tau
 
 
-@dataclass(frozen=True, slots=True)
-class SimulationSample:
+class SimulationSample(NamedTuple):
+    """One sample of a run; a named tuple, so it equals the plain tuple of
+    its four fields."""
+
     step: int
     elapsed_time: float
     leakage_population: float
@@ -200,8 +217,25 @@ def parity_kick_unitary(model: SystemBathModel,
 
 def decoupled_limit_unitary(model: SystemBathModel,
                             total_free_time: float) -> Operator:
-    """Evolution under the leakage-free generator H_c + H_perp."""
-    return spectral_exponential(model.spectra[1], -total_free_time)
+    """Evolution under the leakage-free generator H_c + H_perp: the
+    exponentials of its code and complement blocks in the frame F x I,
+    rotated back to product coordinates; drift past the unitarity
+    tolerance is a NumericalDegeneracyError."""
+    if not np.isfinite(total_free_time):
+        raise ValueError("scale must be finite")
+    f, j, s = model.code.frame, model.joint_dim, model.system_dim
+    u = np.zeros((j, j), dtype=complex)
+    start = 0
+    for w, v in model.spectra[1:]:
+        block = slice(start, start + len(w))
+        u[block, block] = (v * np.exp(-1j * total_free_time * w)) @ v.conj().T
+        start = block.stop
+    u = (f @ u.reshape(s, -1)).reshape(j, j)            # (F x I) U
+    u = (f.conj() @ u.reshape(j, s, -1)).reshape(j, j)  # (F x I) U (F^dag x I)
+    try:
+        return Operator(u, frozenset({"unitary"}))
+    except ValueError as err:
+        raise NumericalDegeneracyError(f"decoupled limit: {err}") from err
 
 
 def _spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -265,15 +299,17 @@ def _qubit_nuclear_norm(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.sqrt(frob2 + 2.0 * ra * rc * da * dc)
 
 
-def _observables(model: SystemBathModel, psis: np.ndarray,
+def _observables(model: SystemBathModel, phis: np.ndarray,
                  c: np.ndarray) -> tuple[list[float], list[float]]:
-    """Leakage and code fidelity for a stack of joint states and targets.
+    """Leakage and code fidelity for a stack of joint states and targets,
+    the states in the frame F x I (phi = (F^dag x I) psi: code rows first).
 
-    Leakage is |(Q x I) psi|^2. Fidelity is the Uhlmann fidelity of the
-    bath-traced state against the bath-traced target projected onto the
-    code and renormalized (0 when the target has no code component). Both
-    joint vectors are purifications, so with A = V^dag psi and
-    C = V^dag target, code x bath (V the code basis; c holds C's rows
+    Leakage is |(Q x I) psi|^2, the squared norm of phi's complement rows.
+    Fidelity is the Uhlmann fidelity of the bath-traced state against the
+    bath-traced target projected onto the code and renormalized (0 when
+    the target has no code component). Both joint vectors are
+    purifications, so with A = V^dag psi and C = V^dag target, code x bath
+    (V the code basis: A is phi's code rows, and c holds C's rows
     flattened), it is ||A^dag C||_1^2 / ||C||^2 (Uhlmann 1976; Jozsa 1994).
     For a qubit code ||A^dag C||_1 has a closed form (_qubit_nuclear_norm)
     with no LAPACK call per sample; it agrees with the QR + SVD form of the
@@ -282,10 +318,8 @@ def _observables(model: SystemBathModel, psis: np.ndarray,
     below 1 + FIDELITY_CLAMP_TOL are clamped to 1; larger ones pass through.
     """
     k, b = model.code.code_dim, model.bath_dim
-    a = psis.reshape(len(psis), model.system_dim, b)
-    leak = np.sum(np.abs(model.code.complement_projector @ a) ** 2, axis=(1, 2))
-
-    a = model.code.basis.conj().T @ a
+    leak = np.sum(np.abs(phis[:, k * b:]) ** 2, axis=1)
+    a = phis[:, :k * b].reshape(len(phis), k, b)
     c = c.reshape(len(c), k, b)
     norm = np.sum(np.abs(c) ** 2, axis=(1, 2))
     has_code = norm > 0.0
@@ -299,7 +333,8 @@ def _spectral_batches(spectrum: tuple[np.ndarray, np.ndarray], psi0: np.ndarray,
                       rows: np.ndarray, first: np.ndarray, scale: float, n: int):
     """Yield rows (exp(1j * scale * k * h) psi0) for k = 0..n in batches
     of OBSERVABLE_BATCH, from h's spectrum (w, v); rows is v itself, or
-    the rows of it that are wanted. The table exp(1j * scale * j * w),
+    v in other coordinates (the rows of U v for a unitary U give the
+    batches in U's coordinates). The table exp(1j * scale * j * w),
     j < OBSERVABLE_BATCH, is built once, and the batch from k0 scales it
     by exp(1j * scale * k0 * w) (v^dag psi0). Sample 0 is first exactly.
     """
@@ -337,40 +372,49 @@ def simulate(
     out_of_code = np.linalg.norm(model.code.complement_projector @ state)
     if not out_of_code <= STATE_CODE_TOL:
         raise ValueError(f"initial state leaves the code subspace by {out_of_code:.3e}")
-    joint, decoupled = model.spectra
+    joint, code_block, _ = model.spectra
     pulsed = schedule.pulses is not None
     n, tau = schedule.n_cycles, schedule.tau
+    j, s = model.joint_dim, model.system_dim
+    f_dag = model.code.frame.conj().T
     psi0 = np.kron(state, model.initial_bath_state)
+    phi0 = np.kron(f_dag @ state, model.initial_bath_state)  # (F^dag x I) psi0
     # every propagator, cycle^n included, is certified before any sample
     u_limit = decoupled_limit_unitary(model, schedule.total_free_time)
     if pulsed:
         u_total, psis, advance = _cycle_powers(_cycle(model, schedule), n, psi0)
     else:
         u_total = spectral_exponential(joint, -schedule.total_free_time)
-        states = _spectral_batches(joint, psi0, joint[1], psi0, -2 * tau, n)
+        # states in the frame, from the rows of (F^dag x I) V
+        states = _spectral_batches(joint, psi0,
+                                   (f_dag @ joint[1].reshape(s, -1)).reshape(j, j),
+                                   phi0, -2 * tau, n)
 
-    # targets only in code rows: (V^dag x I) v_d, code*bath x joint
-    v_dag = model.code.basis.conj().T
-
-    def code_rows(x: np.ndarray) -> np.ndarray:
-        return (v_dag @ x.reshape(model.system_dim, -1)).reshape(-1, *x.shape[1:])
-
-    targets = _spectral_batches(decoupled, psi0, code_rows(decoupled[1]),
-                                code_rows(psi0), -2 * tau, n)
+    # the target never leaves the code block: its rows are the code rows
+    a0 = phi0[:len(code_block[0])]
+    targets = _spectral_batches(code_block, a0, code_block[1], a0, -2 * tau, n)
     leakage, fidelity = [], []
     for start, c in zip(range(0, n + 1, OBSERVABLE_BATCH), targets):
         if not pulsed:
-            psis = next(states)
-        elif start:
-            psis = psis[:len(c)] @ advance.T
-        leak, fid = _observables(model, psis, c)
+            phis = next(states)
+        else:
+            if start:
+                psis = psis[:len(c)] @ advance.T
+            phis = (f_dag @ psis.reshape(len(psis), s, -1)).reshape(len(psis), j)
+        leak, fid = _observables(model, phis, c)
         leakage += leak
         fidelity += fid
-    times = [2 * tau * k for k in range(n + 1)]
-    samples = tuple(map(SimulationSample, range(n + 1), times, leakage, fidelity))
+    steps = range(n + 1)
+    times = [2 * tau * k for k in steps]
+    # tuple.__new__ skips the record's per-field constructor: one C call each
+    samples = tuple(map(tuple.__new__, repeat(SimulationSample),
+                        zip(steps, times, leakage, fidelity)))
 
+    # room for the Gram matrix of the distance
     if pulsed:
-        del advance, psis  # room for the Gram matrix of the distance
+        del advance, psis
+    else:
+        del states
     return SimulationReport(samples, _spectral_distance(u_total.mat, u_limit.mat))
 
 

@@ -383,6 +383,26 @@ class LeoVerification:
         )
 
 
+def _probe_residuals(r: np.ndarray, chunk: Sequence[Operator],
+                     code: CodeSubspace) -> list[list[float]]:
+    """||{R, L}||, ||[R, E]|| and ||[R, E_perp]|| for each probe of a
+    chunk, formed one at a time in one buffer; the chunk's parts are freed
+    on return, before the next chunk is split."""
+    e, eperp, l = block_split(np.stack([p.mat for p in chunk]), code,
+                              ["hermitian" in p.tags for p in chunk])
+    residuals = np.empty((len(chunk), 3))
+    t = r @ l
+    t += l @ r
+    residuals[:, 0] = frobenius(t)
+    np.matmul(r, e, out=t)
+    t -= e @ r
+    residuals[:, 1] = frobenius(t)
+    np.matmul(r, eperp, out=t)
+    t -= eperp @ r
+    residuals[:, 2] = frobenius(t)
+    return residuals.tolist()
+
+
 def verify_leo(
     candidate: Operator,
     code: CodeSubspace,
@@ -407,16 +427,11 @@ def verify_leo(
             )
     phase = extract_phase(candidate, code)
     s_res = structural_residual(candidate, code, phase)
-    r = candidate.mat
-    checks = []
-    for sl in chunk_slices(len(probes), dim):
-        chunk = probes[sl]
-        e, eperp, l = block_split(np.stack([p.mat for p in chunk]), code,
-                                  ["hermitian" in p.tags for p in chunk])
-        residuals = np.stack([frobenius(r @ l + l @ r), frobenius(r @ e - e @ r),
-                              frobenius(r @ eperp - eperp @ r)], axis=1)
-        checks.extend(ProbeCheck(*row) for row in residuals.tolist())
-    return LeoVerification(phase, s_res, tuple(checks))
+    checks = tuple(
+        ProbeCheck(*row)
+        for sl in chunk_slices(len(probes), dim)
+        for row in _probe_residuals(candidate.mat, probes[sl], code))
+    return LeoVerification(phase, s_res, checks)
 
 
 def random_probes(dim: int, count: int, seed: int) -> list[Operator]:

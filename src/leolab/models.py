@@ -5,6 +5,12 @@ A model stores only its code and its joint Hamiltonian H_joint; the bath
 dimension and the leakage-free part H_c + H_perp that parity kicks
 converge to are derived from them. Builder inputs (seed, g) are not kept.
 
+In the code's frame F x I, F = [code basis | complement basis], the
+leakage-free part is block diagonal: a code block of dim code x bath and
+a complement block. SystemBathModel.spectra diagonalizes H_joint and each
+of those two blocks, three eigh calls in place of two of the full joint
+dim; for dfs2, bare-qubit and dual-rail codes F is a permutation.
+
 Units: hbar = 1 throughout, so couplings are angular frequencies and
 exp(-i H t) propagates for time t. Every random ingredient is drawn from
 an explicitly seeded generator and normalized to unit spectral norm, so a
@@ -78,7 +84,8 @@ class SystemBathModel:
     Only the code and H_joint are stored; bath_dim is H_joint's dim over
     the code's ambient dim. The leakage-free part H_c + H_perp =
     (P x I) H (P x I) + (Q x I) H (Q x I), P the code projector and Q = 1 - P,
-    is derived in spectra; the rest is the leakage coupling the kicks cancel.
+    is derived in spectra, as its two blocks in the code frame; the rest
+    is the leakage coupling the kicks cancel.
     """
 
     code: CodeSubspace
@@ -108,15 +115,25 @@ class SystemBathModel:
 
     @cached_property
     def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Spectra (w, v) of h_joint and of the leakage-free H_c + H_perp,
-        computed on first use and kept: one diagonalization per generator.
-        Each (p x I) H (p x I) is two system-index contractions, as a kick."""
-        h, j, s = self.h_joint.mat, self.joint_dim, self.system_dim
-        h_c, h_perp = (
-            (x.T @ (x @ h.reshape(s, -1)).reshape(j, s, -1)).reshape(j, j)
-            for x in (self.code.projector, self.code.complement_projector))
-        decoupled = Operator(h_c + h_perp, frozenset({"hermitian"}))
-        out = (hermitian_spectrum(self.h_joint), hermitian_spectrum(decoupled))
+        """Spectra (w, v) of h_joint and of the two diagonal blocks of the
+        leakage-free H_c + H_perp in the frame F x I (F the code's frame):
+        the code block (dim code x bath) and the complement block. Computed
+        on first use and kept. Each block (X^dag x I) H (X x I), X the code
+        or the complement basis, is two system-index contractions, as a
+        kick; in the frame the off-diagonal blocks are the leakage coupling
+        the kicks cancel, so H_c + H_perp is the two blocks alone."""
+        h, s, b = self.h_joint.mat, self.system_dim, self.bath_dim
+        f, k = self.code.frame, self.code.code_dim
+
+        def block_spectrum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            t = (x.conj().T @ h.reshape(s, -1)).reshape(-1, s, b)
+            if not len(t):  # a code that fills the ambient space
+                return np.zeros(0), np.zeros((0, 0), dtype=complex)
+            blk = (x.T @ t).reshape(len(t), len(t))
+            return hermitian_spectrum(Operator(blk, frozenset({"hermitian"})))
+
+        out = (hermitian_spectrum(self.h_joint),
+               block_spectrum(f[:, :k]), block_spectrum(f[:, k:]))
         for w, v in out:
             w.setflags(write=False)
             v.setflags(write=False)

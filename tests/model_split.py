@@ -1,9 +1,11 @@
 """The split of a model's joint Hamiltonian, formed explicitly for tests.
 
-SystemBathModel stores only H_joint and derives its leakage-free part by
-contracting the code projectors with the system index. This helper forms
-the same pieces from full kron(P, I) and kron(Q, I) products instead, so
-tests can check the model against an independent construction.
+SystemBathModel stores only H_joint and derives its leakage-free part as
+two blocks in the code frame F x I, F = [code basis | complement basis],
+each from system-index contractions, and simulate samples in that frame.
+This helper forms the pieces in product coordinates from full kron(P, I)
+and kron(Q, I) products instead, so tests can check the model and its
+runs against an independent construction.
 """
 
 import numpy as np

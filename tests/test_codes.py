@@ -49,6 +49,26 @@ class TestCodeSubspace:
         assert np.linalg.norm(p + c.complement_projector - np.eye(c.ambient_dim)) <= 1e-12
 
     @pytest.mark.parametrize("label", ALL_CODES)
+    def test_frame_is_unitary_with_the_basis_first(self, label):
+        c = build_code(label)
+        f, k = c.frame, c.code_dim
+        assert f.shape == (c.ambient_dim, c.ambient_dim)
+        assert not f.flags.writeable
+        # two Gram-Schmidt passes: orthonormal to a few eps (1.0e-15 seen)
+        assert np.linalg.norm(f.conj().T @ f - np.eye(c.ambient_dim)) <= 1e-14
+        np.testing.assert_array_equal(f[:, :k], c.basis)
+        w = f[:, k:]
+        assert np.linalg.norm(w @ w.conj().T - c.complement_projector) <= 1e-14
+
+    @pytest.mark.parametrize("label", ALL_CODES)
+    def test_frame_is_a_permutation_for_computational_codes(self, label):
+        f = build_code(label).frame
+        is_permutation = (bool(np.all((f == 0) | (f == 1)))
+                          and np.array_equal(f.sum(axis=0), np.ones(len(f)))
+                          and np.array_equal(f.sum(axis=1), np.ones(len(f))))
+        assert is_permutation == (label not in ("dfs3", "dfs4"))
+
+    @pytest.mark.parametrize("label", ALL_CODES)
     def test_rebuild_bit_identical(self, label):
         a = build_code(label)
         b = build_code(label)
