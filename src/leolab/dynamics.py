@@ -31,7 +31,9 @@ seen). The code fidelity of a qubit code has a closed form
 (Jozsa's tr(rho sigma) + 2 sqrt(det rho det sigma), determinants from
 Gram-Schmidt R factors), within 1e-15 ||A||_F ||C||_F of the QR + SVD form
 that the other code dims take. The distance to the limit is
-sqrt(lambda_max) of a Gram matrix, relative error O(J eps).
+sqrt(lambda_max) of a Gram matrix, relative error O(J eps). simulate
+certifies a run's leakage column once, before it builds any record: a
+value outside [0, 1] (within 1e-12), or NaN, is a NumericalDegeneracyError.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .models import SystemBathModel
 from .opalg import (
     NumericalDegeneracyError,
     Operator,
+    computed_unitary,
     spectral_exponential,
 )
 
@@ -115,17 +118,11 @@ class SimulationSample(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
     """Samples of one run and the distance of its total propagator to the
-    decoupled limit; the inputs (model, schedule) are not echoed."""
+    decoupled limit; the inputs (model, schedule) are not echoed. simulate
+    certifies what it returns; direct construction checks nothing."""
 
     samples: tuple[SimulationSample, ...]
     distance_to_limit: float
-
-    def __post_init__(self):
-        for s in self.samples:
-            if not -1e-12 <= s.leakage_population <= 1.0 + 1e-12:
-                raise ValueError(
-                    f"leakage population {s.leakage_population} outside [0, 1]"
-                )
 
     @property
     def final_leakage(self) -> float:
@@ -199,11 +196,8 @@ def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None
         if bit:
             total = square if total is None else total @ square
         span *= 2
-    try:
-        return Operator(total, frozenset({"unitary"})), states, advance
-    except ValueError as err:
-        msg = f"total propagator after {n} cycles: {err}"
-        raise NumericalDegeneracyError(msg) from err
+    return (computed_unitary(total, f"total propagator after {n} cycles"),
+            states, advance)
 
 
 def parity_kick_unitary(model: SystemBathModel,
@@ -232,10 +226,7 @@ def decoupled_limit_unitary(model: SystemBathModel,
         start = block.stop
     u = (f @ u.reshape(s, -1)).reshape(j, j)            # (F x I) U
     u = (f.conj() @ u.reshape(j, s, -1)).reshape(j, j)  # (F x I) U (F^dag x I)
-    try:
-        return Operator(u, frozenset({"unitary"}))
-    except ValueError as err:
-        raise NumericalDegeneracyError(f"decoupled limit: {err}") from err
+    return computed_unitary(u, "decoupled limit")
 
 
 def _spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -300,33 +291,31 @@ def _qubit_nuclear_norm(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _observables(model: SystemBathModel, phis: np.ndarray,
-                 c: np.ndarray) -> tuple[list[float], list[float]]:
+                 c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leakage and code fidelity for a stack of joint states and targets,
     the states in the frame F x I (phi = (F^dag x I) psi: code rows first).
 
     Leakage is |(Q x I) psi|^2, the squared norm of phi's complement rows.
     Fidelity is the Uhlmann fidelity of the bath-traced state against the
-    bath-traced target projected onto the code and renormalized (0 when
-    the target has no code component). Both joint vectors are
-    purifications, so with A = V^dag psi and C = V^dag target, code x bath
-    (V the code basis: A is phi's code rows, and c holds C's rows
-    flattened), it is ||A^dag C||_1^2 / ||C||^2 (Uhlmann 1976; Jozsa 1994).
-    For a qubit code ||A^dag C||_1 has a closed form (_qubit_nuclear_norm)
-    with no LAPACK call per sample; it agrees with the QR + SVD form of the
-    other code dims (_nuclear_norm) to within 1e-15 ||A||_F ||C||_F, and
-    simulate's fidelities moved by at most 2.7e-15 between the two. Values
-    below 1 + FIDELITY_CLAMP_TOL are clamped to 1; larger ones pass through.
+    bath-traced target projected onto the code and renormalized. Both
+    joint vectors are purifications, so with A = V^dag psi and C = V^dag
+    target, code x bath (V the code basis: A is phi's code rows, and c
+    holds C's rows flattened), it is ||A^dag C||_1^2 / ||C||^2 (Uhlmann
+    1976; Jozsa 1994). For a qubit code ||A^dag C||_1 has a closed form
+    (_qubit_nuclear_norm) with no LAPACK call per sample; it agrees with
+    the QR + SVD form of the other code dims (_nuclear_norm) to within
+    1e-15 ||A||_F ||C||_F, and simulate's fidelities moved by at most
+    2.7e-15 between the two. Values below 1 + FIDELITY_CLAMP_TOL are
+    clamped to 1; larger ones pass through. simulate range-checks leakage.
     """
     k, b = model.code.code_dim, model.bath_dim
     leak = np.sum(np.abs(phis[:, k * b:]) ** 2, axis=1)
     a = phis[:, :k * b].reshape(len(phis), k, b)
     c = c.reshape(len(c), k, b)
     norm = np.sum(np.abs(c) ** 2, axis=(1, 2))
-    has_code = norm > 0.0
     nuclear = (_qubit_nuclear_norm if k == 2 else _nuclear_norm)(a, c)
-    f = nuclear ** 2 / np.where(has_code, norm, 1.0)
-    f = np.where(f < 1.0 + FIDELITY_CLAMP_TOL, np.minimum(f, 1.0), f)
-    return leak.tolist(), np.where(has_code, f, 0.0).tolist()
+    f = nuclear ** 2 / norm
+    return leak, np.where(f < 1.0 + FIDELITY_CLAMP_TOL, np.minimum(f, 1.0), f)
 
 
 def _spectral_batches(spectrum: tuple[np.ndarray, np.ndarray], psi0: np.ndarray,
@@ -361,7 +350,8 @@ def simulate(
     fidelity of the bath-traced system state against the decoupled-limit
     target. With pulses=None the same grid is used for free evolution.
     Raises NumericalDegeneracyError when any propagator drifts past the
-    unitarity tolerance, before the first sample is evaluated.
+    unitarity tolerance, before the first sample is evaluated, or when the
+    leakage column leaves [0, 1], before any record is built.
     """
     state = np.asarray(initial_code_state, dtype=complex)
     if state.shape != (model.system_dim,):
@@ -393,7 +383,7 @@ def simulate(
     # the target never leaves the code block: its rows are the code rows
     a0 = phi0[:len(code_block[0])]
     targets = _spectral_batches(code_block, a0, code_block[1], a0, -2 * tau, n)
-    leakage, fidelity = [], []
+    leakage, fidelity = np.empty(n + 1), np.empty(n + 1)
     for start, c in zip(range(0, n + 1, OBSERVABLE_BATCH), targets):
         if not pulsed:
             phis = next(states)
@@ -401,14 +391,19 @@ def simulate(
             if start:
                 psis = psis[:len(c)] @ advance.T
             phis = (f_dag @ psis.reshape(len(psis), s, -1)).reshape(len(psis), j)
-        leak, fid = _observables(model, phis, c)
-        leakage += leak
-        fidelity += fid
-    steps = range(n + 1)
-    times = [2 * tau * k for k in steps]
+        batch = slice(start, start + len(c))
+        leakage[batch], fidelity[batch] = _observables(model, phis, c)
+    # leakage is a population: one range check per run, which NaN fails
+    outside = ~((leakage >= -1e-12) & (leakage <= 1.0 + 1e-12))
+    if outside.any():
+        raise NumericalDegeneracyError(
+            f"leakage population {leakage[outside.argmax()]} outside [0, 1]")
+    fidelity[0] = 1.0  # sample 0 compares the initial state with itself
+    times = (2 * tau * np.arange(n + 1)).tolist()
     # tuple.__new__ skips the record's per-field constructor: one C call each
     samples = tuple(map(tuple.__new__, repeat(SimulationSample),
-                        zip(steps, times, leakage, fidelity)))
+                        zip(range(n + 1), times, leakage.tolist(),
+                            fidelity.tolist())))
 
     # room for the Gram matrix of the distance
     if pulsed:

@@ -170,7 +170,7 @@ def canonical_leo(
         raise NotLogicalInvolutionError(
             "involution dimension does not match the code's ambient space"
         )
-    if "hermitian" not in involution.tags and not involution.is_hermitian():
+    if not involution.is_hermitian():
         raise NotLogicalInvolutionError(
             "not a projective logical involution: generator is not Hermitian"
         )
@@ -232,7 +232,7 @@ def generalized_leo(
         raise NotGeneralizedGeneratorError(
             "generator dimension does not match the code's ambient space"
         )
-    if "hermitian" not in h.tags and not h.is_hermitian():
+    if not h.is_hermitian():
         raise NotGeneralizedGeneratorError(
             "not a generalized-LEO generator: not Hermitian"
         )
@@ -270,8 +270,7 @@ def number_operator_leo(n_levels: int) -> LeakageEliminationOperator:
     code = codes.bare_qubit_code(n_levels)
     diag = np.ones(n_levels)
     diag[:2] = -1.0
-    u = Operator(np.diag(diag.astype(complex)),
-                 frozenset({"hermitian", "unitary", "diagonal"}))
+    u = Operator(np.diag(diag.astype(complex)), frozenset({"hermitian", "unitary"}))
     return LeakageEliminationOperator(u, code, "number_op")
 
 
@@ -286,7 +285,7 @@ def phase_shifter_leo() -> LeakageEliminationOperator:
     occs = codes.two_photon_occupations()
     counts = np.array([occ[0] + occ[1] for occ in occs], dtype=float)
     u = Operator(np.diag(((-1.0) ** counts).astype(complex)),
-                 frozenset({"hermitian", "unitary", "diagonal"}))
+                 frozenset({"hermitian", "unitary"}))
     return LeakageEliminationOperator(u, code, "phase_shifter")
 
 

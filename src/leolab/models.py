@@ -222,8 +222,7 @@ def linear_optics_model(
     code = codes_mod.dual_rail_code()
     lifted = codes_mod.lift_quadratic(random_hermitian(4, seed).mat)
     if bath_dim == 1:
-        one = Operator(np.ones((1, 1), dtype=complex),
-                       frozenset({"hermitian", "diagonal"}))
+        one = Operator(np.ones((1, 1), dtype=complex), frozenset({"hermitian"}))
         return SystemBathModel.from_terms(code, [(g, lifted, one)], bath_dim=1)
     return _split_bath_model(code, lifted, g, seed, bath_dim, shared_bath)
 
@@ -260,10 +259,8 @@ def dfs2_leakage_model(
         bath_op = random_hermitian(bath_dim, seeds[0] if shared_bath else seeds[i])
         terms.append((g, pauli_string(lab), bath_op))
     if collective_strength != 0.0:
-        collective = Operator(
-            pauli_string("ZI").mat + pauli_string("IZ").mat,
-            frozenset({"hermitian", "diagonal"}),
-        )
+        collective = Operator(pauli_string("ZI").mat + pauli_string("IZ").mat,
+                              frozenset({"hermitian"}))
         terms.append(
             (collective_strength, collective,
              random_hermitian(bath_dim, seeds[-2]))

@@ -3,9 +3,10 @@
 Everything downstream (code subspaces, block classification, pulse
 synthesis, joint-system evolution) works with small dense matrices, so the
 representation is a single immutable complex128 array per operator. An
-Operator may carry structural tags ("hermitian", "unitary", "diagonal");
-each tag is verified at construction time, which turns silent numerical
-drift into loud errors at the point where a guarantee is first claimed.
+Operator may carry two structural tags, "hermitian" and "unitary"; each
+is verified at construction time, which turns silent numerical drift into
+loud errors where a guarantee is first claimed (for a computed unitary, a
+NumericalDegeneracyError raised by computed_unitary).
 
 Scope: dense matrices up to a few thousand dimensions, Hermitian generators
 only. Sparse storage and non-Hermitian exponentials are out of scope.
@@ -20,9 +21,8 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-12   # entrywise |M - M^dag|
 UNITARY_TOL = 1e-10     # Frobenius norm of M^dag M - I
-DIAGONAL_TOL = 1e-12    # entrywise off-diagonal magnitude
 
-VALID_TAGS = frozenset({"hermitian", "unitary", "diagonal"})
+VALID_TAGS = frozenset({"hermitian", "unitary"})
 
 
 class DimensionMismatchError(ValueError):
@@ -76,20 +76,15 @@ def check_tags(m: np.ndarray, tags: frozenset) -> None:
         dev = np.max(_unitary_residual(m))
         if dev > UNITARY_TOL:
             raise ValueError(f"unitary tag violated: residual {dev:.3e}")
-    if "diagonal" in tags:
-        off = m[..., ~np.eye(m.shape[-1], dtype=bool)]
-        dev = np.max(np.abs(off), initial=0.0)
-        if dev > DIAGONAL_TOL:
-            raise ValueError(f"diagonal tag violated: max off-diagonal {dev:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Immutable square complex matrix, optionally tagged with structure.
 
-    tags is a subset of {"hermitian", "unitary", "diagonal"}. Constructing
-    with a tag the matrix does not satisfy raises ValueError, so a tagged
-    Operator is a checked certificate, not a hint.
+    tags is a subset of {"hermitian", "unitary"}. Constructing with a tag
+    the matrix does not satisfy raises ValueError, so a tagged Operator is
+    a checked certificate, not a hint.
     """
 
     mat: np.ndarray
@@ -112,11 +107,22 @@ class Operator:
         return self.mat.shape[0]
 
     def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= HERMITIAN_TOL)
+        """The hermitian tag, or the same HERMITIAN_TOL check without it."""
+        return "hermitian" in self.tags or bool(
+            np.max(np.abs(self.mat - self.mat.conj().T)) <= HERMITIAN_TOL)
 
     def __repr__(self) -> str:
         tag_s = ",".join(sorted(self.tags)) or "-"
         return f"Operator(dim={self.dim}, tags={tag_s})"
+
+
+def computed_unitary(m: np.ndarray, what: str) -> Operator:
+    """m, a computed matrix such as a propagator, tagged unitary; a failed
+    tag is drift, not bad input: NumericalDegeneracyError("<what>: <err>")."""
+    try:
+        return Operator(m, frozenset({"unitary"}))
+    except ValueError as err:
+        raise NumericalDegeneracyError(f"{what}: {err}") from err
 
 
 _PAULI_MATS = {
@@ -135,8 +141,8 @@ def pauli_stack(labels: Sequence[str]) -> np.ndarray:
     first character acts on qubit 1.
 
     Each qubit is a batched kron: a broadcast product, bit-identical to
-    np.kron. Every string is checked hermitian and unitary, and the strings
-    of only I and Z diagonal, as pauli_string tags them.
+    np.kron. Every string is checked hermitian and unitary, as
+    pauli_string tags them.
     """
     n = len(labels[0])
     for label in labels:
@@ -150,20 +156,17 @@ def pauli_stack(labels: Sequence[str]) -> np.ndarray:
         kron = m[:, :, None, :, None] * b[:, None, :, None, :]
         m = kron.reshape(-1, 2 * a, 2 * a)
     check_tags(m, _PAULI_TAGS)
-    check_tags(m[[set(label) <= {"I", "Z"} for label in labels]],
-               frozenset({"diagonal"}))
     return m
 
 
 def pauli_string(label: str) -> Operator:
     """Tensor product of single-qubit Paulis; first character acts on qubit 1."""
-    tags = _PAULI_TAGS | {"diagonal"} if set(label) <= {"I", "Z"} else _PAULI_TAGS
-    return Operator(pauli_stack([label])[0], tags)
+    return Operator(pauli_stack([label])[0], _PAULI_TAGS)
 
 
 def hermitian_spectrum(h: Operator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues w and eigenvector columns v of a Hermitian operator."""
-    if "hermitian" not in h.tags and not h.is_hermitian():
+    if not h.is_hermitian():
         raise ValueError("expected a Hermitian operator")
     try:
         return np.linalg.eigh(h.mat)
@@ -179,10 +182,7 @@ def spectral_exponential(spectrum: tuple[np.ndarray, np.ndarray],
         raise ValueError("scale must be finite")
     w, v = spectrum
     u = (v * np.exp(1j * scale * w)) @ v.conj().T
-    try:
-        return Operator(u, frozenset({"unitary"}))
-    except ValueError as err:  # drift of a propagator, not bad input
-        raise NumericalDegeneracyError(f"spectral exponential: {err}") from err
+    return computed_unitary(u, "spectral exponential")
 
 
 def hermitian_exponential(h: Operator, scale: float) -> Operator:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leolab import cli, opalg
+from leolab import cli, dynamics, opalg
 from leolab.codes import spin_sector_decomposition
 from leolab.leo import leo_from_json
 from leolab.opalg import operator_to_json, pauli_string, random_hermitian
@@ -622,6 +622,28 @@ class TestFailedPropagatorCheck:
         assert run_cli(["simulate", "--config", bench / "dfs2_benchmark.json",
                         "--free", "--out", tmp_path / "o.csv"]) == 2
         assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+class TestLeakageOutOfRange:
+    @pytest.mark.parametrize("value", [1.5, np.nan])
+    def test_simulate_exits_two(self, tmp_path, capsys, monkeypatch, value):
+        # a computed leakage outside [0, 1] is a numerical failure, not bad
+        # input, and no CSV is written
+        observables = dynamics._observables
+
+        def patched(*args):
+            leak, fid = observables(*args)
+            leak[1] = value
+            return leak, fid
+
+        monkeypatch.setattr(dynamics, "_observables", patched)
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        out = tmp_path / "o.csv"
+        assert run_cli(["simulate", "--config", bench / "dfs2_benchmark.json",
+                        "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: leakage population")
+        assert not out.exists()
 
 
 class TestArgumentErrors:

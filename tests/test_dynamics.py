@@ -12,7 +12,12 @@ from leolab.dynamics import (
     simulate,
     sweep_cycles,
 )
-from leolab.leo import exchange_dfs2_leo, projector_leo, verify_leo
+from leolab.leo import (
+    exchange_dfs2_leo,
+    number_operator_leo,
+    projector_leo,
+    verify_leo,
+)
 from leolab.models import (
     SystemBathModel,
     dfs2_leakage_model,
@@ -25,6 +30,7 @@ from leolab.opalg import (
     hermitian_exponential,
     pauli_string,
     random_hermitian,
+    spectral_exponential,
 )
 
 
@@ -160,6 +166,64 @@ class TestPropagatorChecks:
         else:
             assert sum(observable_calls) == 4097
 
+    def test_drift_message_names_the_propagator(self, monkeypatch):
+        m = benchmark_model()
+        sched = ParityKickSchedule(8, 0.05, exchange_dfs2_leo())
+        monkeypatch.setattr(opalg, "UNITARY_TOL", 0.0)
+        drift = "unitary tag violated: residual"
+        with pytest.raises(NumericalDegeneracyError,
+                           match=f"^spectral exponential: {drift}"):
+            spectral_exponential(m.spectra[0], -0.05)
+        with pytest.raises(NumericalDegeneracyError,
+                           match=f"^spectral exponential: {drift}"):
+            parity_kick_unitary(m, sched)
+        with pytest.raises(NumericalDegeneracyError,
+                           match=f"^decoupled limit: {drift}"):
+            decoupled_limit_unitary(m, 0.8)
+        # simulate certifies the limit first
+        with pytest.raises(NumericalDegeneracyError, match="^decoupled limit: "):
+            simulate(m, sched, code_state(m))
+
+
+class TestLeakageCertificate:
+    """simulate checks the run's leakage column once: a value outside
+    [0, 1] (within 1e-12), or NaN, is a numerical failure."""
+
+    @staticmethod
+    def patch_leakage(monkeypatch, value, index=2):
+        observables = dynamics._observables
+
+        def patched(*args):
+            leak, fid = observables(*args)
+            leak[index] = value
+            return leak, fid
+
+        monkeypatch.setattr(dynamics, "_observables", patched)
+
+    @pytest.mark.parametrize("value", [1.5, np.nan, -1e-11, 1.0 + 1e-11])
+    @pytest.mark.parametrize("pulsed", [True, False])
+    def test_out_of_range_is_numerical(self, monkeypatch, value, pulsed):
+        m = benchmark_model()
+        pulse = exchange_dfs2_leo() if pulsed else None
+        self.patch_leakage(monkeypatch, value)
+        with pytest.raises(NumericalDegeneracyError,
+                           match=r"leakage population .* outside \[0, 1\]"):
+            simulate(m, ParityKickSchedule(8, 0.05, pulse), code_state(m))
+
+    @pytest.mark.parametrize("value", [-1e-12, 1.0 + 1e-12])
+    def test_bounds_are_inclusive(self, monkeypatch, value):
+        m = benchmark_model()
+        self.patch_leakage(monkeypatch, value)
+        rep = simulate(m, ParityKickSchedule(8, 0.05, None), code_state(m))
+        assert rep.samples[2].leakage_population == value
+
+    def test_a_later_batch_is_checked(self, monkeypatch):
+        m = benchmark_model()
+        self.patch_leakage(monkeypatch, np.nan, index=-1)
+        with pytest.raises(NumericalDegeneracyError, match="nan outside"):
+            simulate(m, ParityKickSchedule(600, 0.001, exchange_dfs2_leo()),
+                     code_state(m))
+
 
 class TestDecoupledLimit:
     def test_no_leakage_equals_free_evolution(self):
@@ -249,6 +313,14 @@ class TestSimulate:
                        code_state(m))
         assert all(s.code_fidelity > 0.99 for s in rep.samples)
         assert all(0.0 <= s.leakage_population <= 1.0 for s in rep.samples)
+
+    @pytest.mark.parametrize("n,tau", [(4, 0.1), (600, 1.0 / 3.0), (300, 0.003)])
+    def test_time_grid_is_two_tau_k(self, n, tau):
+        m = benchmark_model()
+        rep = simulate(m, ParityKickSchedule(n, tau, None), code_state(m))
+        got = [s.elapsed_time for s in rep.samples]
+        assert got == [2 * tau * k for k in range(n + 1)]
+        assert all(type(t) is float for t in got)
 
     def test_superposition_initial_state(self):
         m = benchmark_model()
@@ -466,11 +538,16 @@ class TestQubitNuclearNorm:
     @pytest.mark.parametrize("pulsed", [True, False])
     @pytest.mark.parametrize("bath_dim", [1, 2, 4, 16])
     def test_first_sample_fidelity_is_exactly_one(self, bath_dim, pulsed):
-        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=bath_dim)
-        pulse = exchange_dfs2_leo() if pulsed else None
-        for k in range(m.code.code_dim):
-            rep = simulate(m, ParityKickSchedule(3, 0.1, pulse), code_state(m, k))
-            assert rep.samples[0].code_fidelity == 1.0
+        # sample 0 compares the initial state with itself, superpositions too
+        runs = [(dfs2_leakage_model(("XI",), g=0.05, bath_seed=3,
+                                    bath_dim=bath_dim), exchange_dfs2_leo()),
+                (hopping_model(5, seed=7, g=0.2, bath_dim=bath_dim),
+                 number_operator_leo(5))]
+        for m, pulse in runs:
+            sup = (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
+            for state in [code_state(m, k) for k in range(m.code.code_dim)] + [sup]:
+                sched = ParityKickSchedule(3, 0.1, pulse if pulsed else None)
+                assert simulate(m, sched, state).samples[0].code_fidelity == 1.0
 
 
 def svd_fidelities(model, phis, c):

@@ -260,7 +260,7 @@ class TestDfs2LeakageModel:
     def test_collective_operator_classifies_clean(self):
         zsum = Operator(
             pauli_string("ZI").mat + pauli_string("IZ").mat,
-            frozenset({"hermitian", "diagonal"}),
+            frozenset({"hermitian"}),
         )
         dec = decompose(zsum, dfs2_dephasing())
         assert dec.l_norm <= 1e-15

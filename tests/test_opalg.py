@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 import itertools
+import re
 
+from leolab import opalg
 from leolab.opalg import (
+    NumericalDegeneracyError,
     Operator,
     _unitary_residual,
     check_tags,
+    computed_unitary,
     derived_seeds,
     hermitian_exponential,
     operator_from_json,
@@ -24,10 +28,21 @@ XBAR = Operator(
 
 class TestOperator:
     def test_identity_tags(self):
-        i4 = Operator(np.eye(4), frozenset({"hermitian", "unitary", "diagonal"}))
+        i4 = Operator(np.eye(4), frozenset({"hermitian", "unitary"}))
         assert i4.dim == 4
+        assert i4.tags == {"hermitian", "unitary"}
         assert i4.is_hermitian()
         np.testing.assert_array_equal(i4.mat, np.eye(4))
+
+    def test_is_hermitian_reads_the_tag(self, monkeypatch):
+        # the tag was checked at HERMITIAN_TOL when the operator was built
+        near = np.diag([1.0, -1.0]).astype(complex)
+        near[0, 1] = 5e-13
+        tagged, untagged = Operator(near, frozenset({"hermitian"})), Operator(near)
+        assert tagged.is_hermitian() and untagged.is_hermitian()
+        monkeypatch.setattr(opalg, "HERMITIAN_TOL", 0.0)
+        assert tagged.is_hermitian()
+        assert not untagged.is_hermitian()
 
     def test_hermitian_tag_rejected_for_nonhermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -39,8 +54,11 @@ class TestOperator:
             Operator(2.0 * np.eye(2, dtype=complex), frozenset({"unitary"}))
 
     def test_diagonal_tag_rejected_for_offdiagonal(self):
-        with pytest.raises(ValueError):
-            Operator(pauli_string("X").mat, frozenset({"diagonal"}))
+        # the tag is gone: a diagonal matrix carries no such tag either
+        for m in (pauli_string("X").mat, pauli_string("Z").mat):
+            with pytest.raises(ValueError,
+                               match=re.escape("unknown operator tags: ['diagonal']")):
+                Operator(m, frozenset({"diagonal"}))
 
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
@@ -63,6 +81,23 @@ class TestOperator:
             assert _unitary_residual(a) == want
 
 
+class TestComputedUnitary:
+    def test_tagged_unitary(self):
+        u = computed_unitary(pauli_string("XY").mat, "probe")
+        assert u.tags == {"unitary"}
+
+    def test_drift_is_numerical(self):
+        # a computed matrix that fails the tag is drift, not bad input
+        with pytest.raises(NumericalDegeneracyError,
+                           match=r"^probe: unitary tag violated: residual"):
+            computed_unitary((1.0 + 1e-9) * np.eye(4), "probe")
+        nan = np.eye(2, dtype=complex)
+        nan[0, 1] = np.nan
+        with pytest.raises(NumericalDegeneracyError,
+                           match="^probe: operator entries must be finite"):
+            computed_unitary(nan, "probe")
+
+
 class TestPauliStrings:
     def test_single_site(self):
         np.testing.assert_array_equal(
@@ -80,11 +115,6 @@ class TestPauliStrings:
         expect = np.zeros(4, dtype=complex)
         expect[3] = 1.0
         np.testing.assert_allclose(out, expect, atol=0)
-
-    def test_diagonal_tag_for_iz_strings(self):
-        assert "diagonal" in pauli_string("ZZ").tags
-        assert "diagonal" in pauli_string("IZ").tags
-        assert "diagonal" not in pauli_string("XZ").tags
 
     def test_bad_label(self):
         with pytest.raises(ValueError):
@@ -113,8 +143,10 @@ class TestCheckTags:
             check_tags(stack, frozenset({"hermitian"}))
         with pytest.raises(ValueError, match="unitary tag violated"):
             check_tags(stack, frozenset({"unitary"}))
-        with pytest.raises(ValueError, match="diagonal tag violated"):
-            check_tags(stack[:2], frozenset({"diagonal"}))
+        # hermitian throughout, but the last matrix is not unitary
+        with pytest.raises(ValueError, match="unitary tag violated"):
+            check_tags(np.stack([stack[1], 2.0 * stack[0]]),
+                       frozenset({"hermitian", "unitary"}))
 
     def test_nonfinite_entry_refused(self):
         stack = np.zeros((3, 2, 2), dtype=complex)
@@ -207,8 +239,10 @@ class TestSerialization:
 
     def test_tags_reapplied(self):
         data = operator_to_json(pauli_string("ZZ"))
-        back = operator_from_json(data, tags=("hermitian", "diagonal"))
-        assert "hermitian" in back.tags and "diagonal" in back.tags
+        back = operator_from_json(data, tags=("hermitian", "unitary"))
+        assert back.tags == {"hermitian", "unitary"}
+        with pytest.raises(ValueError, match="unitary tag violated"):
+            operator_from_json(operator_to_json(XBAR), tags=("unitary",))
 
     def test_malformed(self):
         with pytest.raises(ValueError):
