@@ -8,9 +8,11 @@ step for the leakage-free generator, and the sequence converges to
 exp(-i (H_c + H_perp) T) like 1/n with an O(tau^2) single-cycle defect.
 Pulses are ideal (instantaneous, error-free) in this version.
 
-Every propagator comes from the model's cached spectra, a kick contracts
-the pulse with the system index only, and all are certified unitary
-before any sample is taken. The segment, the cycle, cycle^n and
+Every propagator comes from the model's cached spectra, whose
+eigenvectors the model certified once (opalg.check_eigenvectors), and a
+kick contracts the pulse with the system index only. The tau segment has
+no check of its own; cycle^n, the limit and the free total are certified
+unitary before any sample is taken. The segment, the cycle, cycle^n and
 parity_kick_unitary come from the spectrum of H_joint and never enter
 the frame below, so they are exactly the product-coordinate results. The
 leakage-free generator is block diagonal in the code frame F x I
@@ -34,6 +36,8 @@ that the other code dims take. The distance to the limit is
 sqrt(lambda_max) of a Gram matrix, relative error O(J eps). simulate
 certifies a run's leakage column once, before it builds any record: a
 value outside [0, 1] (within 1e-12), or NaN, is a NumericalDegeneracyError.
+A sweep row is cycle^n, its final state's leakage and its distance to
+the sweep's one limit; it takes no samples (sweep_cycles).
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .models import SystemBathModel
 from .opalg import (
     NumericalDegeneracyError,
     Operator,
+    _spectral_matrix,
     computed_unitary,
     spectral_exponential,
 )
@@ -156,14 +161,18 @@ class SweepTable:
 def _cycle(model: SystemBathModel, schedule: ParityKickSchedule) -> np.ndarray:
     """One kick cycle S (R^dag x I) S (R x I), S the tau segment; R acts on
     the system index of the joint (system x bath) index only, so each kick
-    is a contraction over it, not a product with kron(R, I)."""
+    is a contraction over it, not a product with kron(R, I).
+
+    S = V e^(-i w tau) V^dag has no check of its own: the model certified
+    V, which bounds ||S^dag S - I||_F by 2e + e^2 + O(J^(3/2) eps) for e =
+    ||V^dag V - I||_F <= UNITARY_TOL / 4 (opalg.check_eigenvectors)."""
     pulse = schedule.pulses
     if not pulse.code.same_subspace(model.code):
         raise ValueError(
             f"pulse targets code {pulse.code.label!r} (dim {pulse.dim}), model "
             f"uses a different code {model.code.label!r} (dim {model.system_dim})"
         )
-    segment = spectral_exponential(model.spectra[0], -schedule.tau).mat
+    segment = _spectral_matrix(model.spectra[0], -schedule.tau)
     r, j, s = pulse.unitary.mat, model.joint_dim, model.system_dim
     t = (r.T @ segment.reshape(j, s, -1)).reshape(j, j)  # S (R x I)
     t = (r.conj().T @ t.reshape(s, -1)).reshape(j, j)    # (R^dag x I) S (R x I)
@@ -220,9 +229,9 @@ def decoupled_limit_unitary(model: SystemBathModel,
     f, j, s = model.code.frame, model.joint_dim, model.system_dim
     u = np.zeros((j, j), dtype=complex)
     start = 0
-    for w, v in model.spectra[1:]:
-        block = slice(start, start + len(w))
-        u[block, block] = (v * np.exp(-1j * total_free_time * w)) @ v.conj().T
+    for spectrum in model.spectra[1:]:
+        block = slice(start, start + len(spectrum[0]))
+        u[block, block] = _spectral_matrix(spectrum, -total_free_time)
         start = block.stop
     u = (f @ u.reshape(s, -1)).reshape(j, j)            # (F x I) U
     u = (f.conj() @ u.reshape(j, s, -1)).reshape(j, j)  # (F x I) U (F^dag x I)
@@ -242,6 +251,39 @@ def _spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # state-level simulation
 # ---------------------------------------------------------------------------
+
+
+def _code_state(model: SystemBathModel, initial_code_state) -> np.ndarray:
+    """The initial state as a complex vector, once it is checked: an
+    ambient system vector, finite, normalized and in the model's code;
+    anything else is a ValueError."""
+    state = np.asarray(initial_code_state, dtype=complex)
+    if state.shape != (model.system_dim,):
+        raise ValueError(f"initial state must be a length-{model.system_dim} vector")
+    # both checks fail closed: a NaN or infinite entry makes the norm NaN or inf
+    if not abs(np.linalg.norm(state) - 1.0) <= STATE_NORM_TOL:
+        raise ValueError("initial state must be finite and normalized")
+    out_of_code = np.linalg.norm(model.code.complement_projector @ state)
+    if not out_of_code <= STATE_CODE_TOL:
+        raise ValueError(f"initial state leaves the code subspace by {out_of_code:.3e}")
+    return state
+
+
+def _frame_leakage(model: SystemBathModel, phis: np.ndarray) -> np.ndarray:
+    """|(Q x I) psi|^2 for a stack of joint states in the frame F x I (phi =
+    (F^dag x I) psi): the squared norm of each phi's complement rows."""
+    kb = model.code.code_dim * model.bath_dim
+    return np.sum(np.abs(phis[:, kb:]) ** 2, axis=1)
+
+
+def _certified_leakage(leakage: np.ndarray) -> np.ndarray:
+    """leakage, a stack of populations, once each is in [0, 1] within
+    1e-12; a value outside, or NaN, is a NumericalDegeneracyError."""
+    outside = ~((leakage >= -1e-12) & (leakage <= 1.0 + 1e-12))
+    if outside.any():
+        raise NumericalDegeneracyError(
+            f"leakage population {leakage[outside.argmax()]} outside [0, 1]")
+    return leakage
 
 
 def _nuclear_norm(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -295,7 +337,8 @@ def _observables(model: SystemBathModel, phis: np.ndarray,
     """Leakage and code fidelity for a stack of joint states and targets,
     the states in the frame F x I (phi = (F^dag x I) psi: code rows first).
 
-    Leakage is |(Q x I) psi|^2, the squared norm of phi's complement rows.
+    Leakage is |(Q x I) psi|^2, the squared norm of phi's complement rows
+    (_frame_leakage).
     Fidelity is the Uhlmann fidelity of the bath-traced state against the
     bath-traced target projected onto the code and renormalized. Both
     joint vectors are purifications, so with A = V^dag psi and C = V^dag
@@ -309,7 +352,7 @@ def _observables(model: SystemBathModel, phis: np.ndarray,
     clamped to 1; larger ones pass through. simulate range-checks leakage.
     """
     k, b = model.code.code_dim, model.bath_dim
-    leak = np.sum(np.abs(phis[:, k * b:]) ** 2, axis=1)
+    leak = _frame_leakage(model, phis)
     a = phis[:, :k * b].reshape(len(phis), k, b)
     c = c.reshape(len(c), k, b)
     norm = np.sum(np.abs(c) ** 2, axis=(1, 2))
@@ -349,19 +392,12 @@ def simulate(
     per completed cycle (plus the initial point): leakage population and the
     fidelity of the bath-traced system state against the decoupled-limit
     target. With pulses=None the same grid is used for free evolution.
-    Raises NumericalDegeneracyError when any propagator drifts past the
-    unitarity tolerance, before the first sample is evaluated, or when the
-    leakage column leaves [0, 1], before any record is built.
+    Raises NumericalDegeneracyError, before the first sample is evaluated,
+    when the model's eigenvector certificate fails or any checked propagator
+    (limit, cycle^n, free total) drifts past the unitarity tolerance, and,
+    before any record is built, when the leakage column leaves [0, 1].
     """
-    state = np.asarray(initial_code_state, dtype=complex)
-    if state.shape != (model.system_dim,):
-        raise ValueError(f"initial state must be a length-{model.system_dim} vector")
-    # both checks fail closed: a NaN or infinite entry makes the norm NaN or inf
-    if not abs(np.linalg.norm(state) - 1.0) <= STATE_NORM_TOL:
-        raise ValueError("initial state must be finite and normalized")
-    out_of_code = np.linalg.norm(model.code.complement_projector @ state)
-    if not out_of_code <= STATE_CODE_TOL:
-        raise ValueError(f"initial state leaves the code subspace by {out_of_code:.3e}")
+    state = _code_state(model, initial_code_state)
     joint, code_block, _ = model.spectra
     pulsed = schedule.pulses is not None
     n, tau = schedule.n_cycles, schedule.tau
@@ -369,7 +405,8 @@ def simulate(
     f_dag = model.code.frame.conj().T
     psi0 = np.kron(state, model.initial_bath_state)
     phi0 = np.kron(f_dag @ state, model.initial_bath_state)  # (F^dag x I) psi0
-    # every propagator, cycle^n included, is certified before any sample
+    # the eigenvectors (in spectra) and every checked propagator, cycle^n
+    # included, are certified before any sample
     u_limit = decoupled_limit_unitary(model, schedule.total_free_time)
     if pulsed:
         u_total, psis, advance = _cycle_powers(_cycle(model, schedule), n, psi0)
@@ -393,11 +430,7 @@ def simulate(
             phis = (f_dag @ psis.reshape(len(psis), s, -1)).reshape(len(psis), j)
         batch = slice(start, start + len(c))
         leakage[batch], fidelity[batch] = _observables(model, phis, c)
-    # leakage is a population: one range check per run, which NaN fails
-    outside = ~((leakage >= -1e-12) & (leakage <= 1.0 + 1e-12))
-    if outside.any():
-        raise NumericalDegeneracyError(
-            f"leakage population {leakage[outside.argmax()]} outside [0, 1]")
+    _certified_leakage(leakage)  # one range check per run
     fidelity[0] = 1.0  # sample 0 compares the initial state with itself
     times = (2 * tau * np.arange(n + 1)).tolist()
     # tuple.__new__ skips the record's per-field constructor: one C call each
@@ -422,9 +455,16 @@ def sweep_cycles(
 ) -> SweepTable:
     """Convergence sweep: one pulsed run per cycle count at fixed total time.
 
-    n_list must be ascending positive integers. Each row is a simulate call;
-    the runs are independent, so they fan out over one thread per CPU (at
-    most one per row), and row order follows n_list.
+    n_list must be ascending positive integers. The state is checked and
+    the decoupled limit at total_free_time formed and certified once per
+    sweep. A row then computes only what it reports: cycle^n (certified
+    unitary), the final state cycle^n psi0 in the frame F x I, its leakage
+    (range-checked as simulate's column) and its distance to the limit; no
+    samples, targets or fidelities. Where 2 n tau == total_free_time the
+    row equals a standalone simulate; otherwise the limit differs from
+    simulate's by the rounding of that product. The rows are independent,
+    so they fan out over one thread per CPU (at most one per row), and row
+    order follows n_list.
     """
     if pulses is None:
         raise ValueError("schedule has no pulses; a sweep compares pulsed runs")
@@ -433,13 +473,21 @@ def sweep_cycles(
     ns = [_cycle_count(n) for n in n_list]
     if not ns or any(n < 1 for n in ns) or ns != sorted(set(ns)):
         raise ValueError("n_list must be strictly ascending positive integers")
-    model.spectra  # diagonalize here, not in the pool's threads
+    state = _code_state(model, initial_code_state)
+    j, s = model.joint_dim, model.system_dim
+    f_dag = model.code.frame.conj().T
+    psi0 = np.kron(state, model.initial_bath_state)[None]  # a one-state stack
+    # T is the same for every row; this also diagonalizes outside the pool
+    limit = decoupled_limit_unitary(model, total_free_time).mat
 
     def one(n: int) -> SweepRow:
         tau = total_free_time / (2 * n)
-        report = simulate(model, ParityKickSchedule(n, tau, pulses),
-                          initial_code_state)
-        return SweepRow(n, tau, report.final_leakage, report.distance_to_limit)
+        total = _cycle_powers(_cycle(model, ParityKickSchedule(n, tau, pulses)),
+                              n)[0].mat
+        # the final state cycle^n psi0, taken into the frame F x I
+        phi = (f_dag @ (psi0 @ total.T).reshape(1, s, -1)).reshape(1, j)
+        leakage = _certified_leakage(_frame_leakage(model, phi))
+        return SweepRow(n, tau, float(leakage[0]), _spectral_distance(total, limit))
 
     workers = min(os.cpu_count() or 1, len(ns))
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:

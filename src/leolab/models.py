@@ -33,6 +33,7 @@ from .codes import CodeSubspace
 from .opalg import (
     DimensionMismatchError,
     Operator,
+    check_eigenvectors,
     derived_seeds,
     hermitian_spectrum,
     json_bool,
@@ -121,7 +122,9 @@ class SystemBathModel:
         on first use and kept. Each block (X^dag x I) H (X x I), X the code
         or the complement basis, is two system-index contractions, as a
         kick; in the frame the off-diagonal blocks are the leakage coupling
-        the kicks cancel, so H_c + H_perp is the two blocks alone."""
+        the kicks cancel, so H_c + H_perp is the two blocks alone. Each
+        eigenvector matrix is certified once, here (check_eigenvectors), so
+        an exponential built on it needs no check of its own."""
         h, s, b = self.h_joint.mat, self.system_dim, self.bath_dim
         f, k = self.code.frame, self.code.code_dim
 
@@ -134,7 +137,9 @@ class SystemBathModel:
 
         out = (hermitian_spectrum(self.h_joint),
                block_spectrum(f[:, :k]), block_spectrum(f[:, k:]))
-        for w, v in out:
+        for what, (w, v) in zip(("H_joint", "the code block",
+                                 "the complement block"), out):
+            check_eigenvectors(v, what)
             w.setflags(write=False)
             v.setflags(write=False)
         return out

@@ -174,15 +174,41 @@ def hermitian_spectrum(h: Operator) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalDegeneracyError(f"eigendecomposition failed: {err}") from err
 
 
+def check_eigenvectors(v: np.ndarray, what: str) -> None:
+    """Certify an eigenvector matrix V once, for every exponential built on
+    it: ||V^dag V - I||_F = e must be at most UNITARY_TOL / 4, else
+    NumericalDegeneracyError("eigenvectors of <what>: ..."). An empty V
+    passes.
+
+    For real phases phi, U = V e^(i phi) V^dag has U^dag U - I =
+    (V V^dag - I) + V e^(-i phi) (V^dag V - I) e^(i phi) V^dag, and
+    ||V V^dag - I||_F = e (V V^dag and V^dag V share their eigenvalues), so
+    ||U^dag U - I||_F <= 2e + e^2 plus the O(J^(3/2) eps) rounding of
+    forming U at dim J: below UNITARY_TOL for any phases.
+    """
+    drift = _unitary_residual(v) if v.size else 0.0
+    if not drift <= UNITARY_TOL / 4:  # NaN fails too
+        raise NumericalDegeneracyError(
+            f"eigenvectors of {what}: residual {drift:.3e} exceeds "
+            f"UNITARY_TOL / 4 = {UNITARY_TOL / 4:.3e}")
+
+
+def _spectral_matrix(spectrum: tuple[np.ndarray, np.ndarray],
+                     scale: float) -> np.ndarray:
+    """exp(1j * scale * h) from h's spectrum (w, v), as a bare matrix: no
+    check here, the caller certifies v (check_eigenvectors) or the result."""
+    w, v = spectrum
+    return (v * np.exp(1j * scale * w)) @ v.conj().T
+
+
 def spectral_exponential(spectrum: tuple[np.ndarray, np.ndarray],
                          scale: float) -> Operator:
     """exp(1j * scale * h) from h's spectrum (w, v), tagged unitary; drift
     past the tag is a NumericalDegeneracyError."""
     if not np.isfinite(scale):
         raise ValueError("scale must be finite")
-    w, v = spectrum
-    u = (v * np.exp(1j * scale * w)) @ v.conj().T
-    return computed_unitary(u, "spectral exponential")
+    return computed_unitary(_spectral_matrix(spectrum, scale),
+                            "spectral exponential")
 
 
 def hermitian_exponential(h: Operator, scale: float) -> Operator:

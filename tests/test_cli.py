@@ -645,6 +645,20 @@ class TestLeakageOutOfRange:
         assert err.startswith("numerical failure: leakage population")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [1.5, np.nan])
+    def test_sweep_exits_two(self, tmp_path, capsys, monkeypatch, value):
+        # a sweep row range-checks its final leakage: exit 2, not 1, and no
+        # CSV is written
+        monkeypatch.setattr(dynamics, "_frame_leakage",
+                            lambda model, phis: np.full(len(phis), value))
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--config", bench / "dfs2_benchmark.json",
+                        "--n", "1,3,300", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: leakage population")
+        assert not out.exists()
+
 
 class TestArgumentErrors:
     def test_unknown_command(self, capsys):

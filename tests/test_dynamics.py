@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from model_split import explicit_split
 
-from leolab import dynamics, opalg
+from leolab import dynamics, models, opalg
 from leolab.codes import CodeSubspace, build_code, dfs2_dephasing
 from leolab.dynamics import (
     ParityKickSchedule,
@@ -169,13 +169,15 @@ class TestPropagatorChecks:
     def test_drift_message_names_the_propagator(self, monkeypatch):
         m = benchmark_model()
         sched = ParityKickSchedule(8, 0.05, exchange_dfs2_leo())
+        spectra = m.spectra  # certified while the tolerance still holds
         monkeypatch.setattr(opalg, "UNITARY_TOL", 0.0)
         drift = "unitary tag violated: residual"
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^spectral exponential: {drift}"):
-            spectral_exponential(m.spectra[0], -0.05)
+            spectral_exponential(spectra[0], -0.05)
+        # the segment has no check of its own: cycle^n is the first
         with pytest.raises(NumericalDegeneracyError,
-                           match=f"^spectral exponential: {drift}"):
+                           match=f"^total propagator after 8 cycles: {drift}"):
             parity_kick_unitary(m, sched)
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^decoupled limit: {drift}"):
@@ -183,11 +185,111 @@ class TestPropagatorChecks:
         # simulate certifies the limit first
         with pytest.raises(NumericalDegeneracyError, match="^decoupled limit: "):
             simulate(m, sched, code_state(m))
+        # a model diagonalized under the zero tolerance fails at its
+        # eigenvector certificate, before any propagator is formed
+        fresh = benchmark_model()
+        for run in (lambda: parity_kick_unitary(fresh, sched),
+                    lambda: simulate(fresh, sched, code_state(fresh))):
+            with pytest.raises(NumericalDegeneracyError,
+                               match="^eigenvectors of H_joint: residual"):
+                run()
+
+
+def perturbed_spectra(monkeypatch, index, factor):
+    """Make the index-th spectrum a model diagonalizes (0: H_joint, 1: code
+    block, 2: complement block) come back with V's first column scaled by
+    factor."""
+    calls = []
+    spectrum = models.hermitian_spectrum
+
+    def perturbed(h):
+        w, v = spectrum(h)
+        calls.append(h.dim)
+        if len(calls) - 1 == index:
+            v = v.copy()
+            v[:, 0] *= factor
+        return w, v
+
+    monkeypatch.setattr(models, "hermitian_spectrum", perturbed)
+
+
+class TestEigenvectorCertificate:
+    """SystemBathModel.spectra certifies each eigenvector matrix once:
+    ||V^dag V - I||_F <= UNITARY_TOL / 4, else a NumericalDegeneracyError
+    before any sample or sweep row."""
+
+    # scaling one column by 1 + d moves ||V^dag V - I||_F by about 2d: past
+    # UNITARY_TOL / 4 = 2.5e-11, but within the UNITARY_TOL a per-run
+    # check of the segment would allow
+    FACTOR = 1.0 + 2e-11
+
+    @pytest.mark.parametrize("index,name", [(0, "H_joint"), (1, "the code block"),
+                                            (2, "the complement block")])
+    def test_perturbed_eigenvectors_are_named(self, monkeypatch, index, name):
+        perturbed_spectra(monkeypatch, index, self.FACTOR)
+        m = benchmark_model()
+        with pytest.raises(NumericalDegeneracyError,
+                           match=f"^eigenvectors of {name}: residual 4"):
+            m.spectra
+
+    @pytest.mark.parametrize("pulsed", [True, False])
+    def test_fails_before_any_sample(self, monkeypatch, pulsed):
+        perturbed_spectra(monkeypatch, 0, self.FACTOR)
+        calls = []
+        monkeypatch.setattr(dynamics, "_observables",
+                            lambda *args: calls.append(args))
+        m = benchmark_model()
+        pulse = exchange_dfs2_leo() if pulsed else None
+        with pytest.raises(NumericalDegeneracyError, match="^eigenvectors of"):
+            simulate(m, ParityKickSchedule(8, 0.05, pulse), code_state(m))
+        assert calls == []
+
+    def test_fails_before_any_row(self, monkeypatch):
+        perturbed_spectra(monkeypatch, 1, self.FACTOR)
+        calls = []
+        monkeypatch.setattr(dynamics, "_cycle", lambda *args: calls.append(args))
+        m = benchmark_model()
+        with pytest.raises(NumericalDegeneracyError, match="^eigenvectors of"):
+            sweep_cycles(m, 0.8, (1, 2, 4), code_state(m), exchange_dfs2_leo())
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["hermitian", "anti_hermitian", "general"])
+    @pytest.mark.parametrize("dim", [16, 64, 256])
+    def test_error_model_over_random_phases(self, dim, kind):
+        # V = Q (I + d X) for a random unitary Q; for any real phases,
+        # ||U^dag U - I||_F <= 2e + e^2 + J^(3/2) eps, U = V e^(i phi) V^dag
+        # and e = ||V^dag V - I||_F (measured: within 2e + e^2 alone)
+        rng = np.random.default_rng(dim)
+        q = random_unitary(dim, rng)
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        x = {"hermitian": x + x.conj().T, "anti_hermitian": x - x.conj().T,
+             "general": x}[kind]
+        x /= np.linalg.norm(x)
+        rounding = dim ** 1.5 * np.finfo(float).eps
+        for d in (0.0, 1e-14, 1e-12, 1e-11, 1e-6):
+            v = q @ (np.eye(dim) + d * x)
+            e = opalg._unitary_residual(v)
+            for scale in (1e-3, 1.0, 1e3):
+                phi = scale * rng.uniform(-np.pi, np.pi, dim)
+                u = opalg._spectral_matrix((phi, v), 1.0)
+                assert opalg._unitary_residual(u) <= 2 * e + e * e + rounding
+
+    @pytest.mark.parametrize("bath_dim", [4, 16, 64])
+    def test_segment_within_the_error_model(self, bath_dim):
+        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=bath_dim)
+        w, v = m.spectra[0]
+        e = opalg._unitary_residual(v)
+        assert e <= opalg.UNITARY_TOL / 4
+        rounding = m.joint_dim ** 1.5 * np.finfo(float).eps
+        for tau in (1e-3, 0.05, 2.0):
+            segment = opalg._spectral_matrix((w, v), -tau)
+            assert opalg._unitary_residual(segment) <= 2 * e + e * e + rounding
 
 
 class TestLeakageCertificate:
-    """simulate checks the run's leakage column once: a value outside
-    [0, 1] (within 1e-12), or NaN, is a numerical failure."""
+    """simulate checks the run's leakage column once, and a sweep each
+    row's final leakage: a value outside [0, 1] (within 1e-12), or NaN, is
+    a numerical failure."""
 
     @staticmethod
     def patch_leakage(monkeypatch, value, index=2):
@@ -216,6 +318,23 @@ class TestLeakageCertificate:
         self.patch_leakage(monkeypatch, value)
         rep = simulate(m, ParityKickSchedule(8, 0.05, None), code_state(m))
         assert rep.samples[2].leakage_population == value
+
+    @pytest.mark.parametrize("value", [1.5, np.nan, -1e-11, 1.0 + 1e-11])
+    def test_sweep_row_out_of_range_is_numerical(self, monkeypatch, value):
+        m = benchmark_model()
+        monkeypatch.setattr(dynamics, "_frame_leakage",
+                            lambda model, phis: np.full(len(phis), value))
+        with pytest.raises(NumericalDegeneracyError,
+                           match=r"leakage population .* outside \[0, 1\]"):
+            sweep_cycles(m, 0.8, (1, 2, 4), code_state(m), exchange_dfs2_leo())
+
+    @pytest.mark.parametrize("value", [-1e-12, 1.0 + 1e-12])
+    def test_sweep_bounds_are_inclusive(self, monkeypatch, value):
+        m = benchmark_model()
+        monkeypatch.setattr(dynamics, "_frame_leakage",
+                            lambda model, phis: np.full(len(phis), value))
+        table = sweep_cycles(m, 0.8, (1, 2, 4), code_state(m), exchange_dfs2_leo())
+        assert [r.final_leakage for r in table.rows] == [value] * 3
 
     def test_a_later_batch_is_checked(self, monkeypatch):
         m = benchmark_model()
@@ -589,10 +708,88 @@ class TestOtherCodeDimsKeepSvdPath:
         assert [s.code_fidelity for s in rep.samples] == want
 
 
+def counting(monkeypatch, name):
+    """Record the arguments of every call to dynamics.<name>."""
+    calls = []
+    fn = getattr(dynamics, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, name, counted)
+    return calls
+
+
 class TestSweep:
+    def test_one_limit_and_no_samples_per_sweep(self, monkeypatch):
+        limits = counting(monkeypatch, "decoupled_limit_unitary")
+        observables = counting(monkeypatch, "_observables")
+        m = benchmark_model()
+        table = sweep_cycles(m, 0.8, (1, 2, 3, 300), code_state(m),
+                             exchange_dfs2_leo())
+        assert [r.n for r in table.rows] == [1, 2, 3, 300]
+        assert len(limits) == 1 and limits[0][1] == 0.8
+        assert observables == []
+
+    def test_cycle_forms_no_spectral_exponential(self, monkeypatch):
+        # the segment is built on the model's certified eigenvectors
+        calls = counting(monkeypatch, "spectral_exponential")
+        m = benchmark_model()
+        pulse = exchange_dfs2_leo()
+        sweep_cycles(m, 0.8, (1, 2, 4), code_state(m), pulse)
+        parity_kick_unitary(m, ParityKickSchedule(4, 0.1, pulse))
+        simulate(m, ParityKickSchedule(4, 0.1, pulse), code_state(m))
+        assert calls == []
+
+    @pytest.mark.parametrize("state", [np.zeros(3), np.eye(4)[0],
+                                       0.5 * dfs2_dephasing().basis[:, 0]],
+                             ids=["length", "outside_code", "unnormalized"])
+    def test_state_checked_once_before_any_row(self, monkeypatch, state):
+        m = benchmark_model()
+        pulse = exchange_dfs2_leo()
+        limits = counting(monkeypatch, "decoupled_limit_unitary")
+        cycles = counting(monkeypatch, "_cycle")
+        with pytest.raises(ValueError) as direct:
+            simulate(m, ParityKickSchedule(2, 0.4, pulse), state)
+        with pytest.raises(ValueError) as swept:
+            sweep_cycles(m, 0.8, (1, 2), state, pulse)
+        assert str(swept.value) == str(direct.value)
+        assert limits == [] and cycles == []
+
+    SUPERPOSITION_CASES = {
+        "hopping5": lambda: (hopping_model(5, seed=7, g=0.2, bath_dim=3),
+                             number_operator_leo(5)),
+        "linear_optics_bath1": lambda: (linear_optics_model(seed=5, g=0.2), None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SUPERPOSITION_CASES))
+    def test_odd_rows_past_a_batch_edge_match_simulate(self, case):
+        m, pulse = self.SUPERPOSITION_CASES[case]()
+        pulse = pulse or projector_leo(m.code)
+        psi = (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
+        # at T = 0.9, 2 n (T / 2n) is T for n = 1 and 300 but not for 3 and 5
+        t = 0.9
+        table = sweep_cycles(m, t, (1, 3, 5, 300), psi, pulse)
+        assert [r.n for r in table.rows] == [1, 3, 5, 300]
+        exact = []
+        for row in table.rows:
+            direct = simulate(m, ParityKickSchedule(row.n, row.tau, pulse), psi)
+            assert direct.final_leakage > 1e-12  # the run does leak
+            np.testing.assert_allclose(row.final_leakage, direct.final_leakage,
+                                       rtol=1e-12, atol=0.0)
+            if 2 * row.n * row.tau == t:
+                exact.append(row.n)
+                assert row.distance_to_limit == direct.distance_to_limit
+            else:  # simulate's limit is at 2 n tau, one rounding from T
+                assert row.distance_to_limit == pytest.approx(
+                    direct.distance_to_limit, rel=1e-12)
+        assert exact == [1, 300]
+
     def test_single_point_matches_simulate(self):
-        # the sweep diagonalizes once for every n; each row must still be
-        # bit-identical to a standalone simulate call
+        # a row takes no samples and shares the sweep's one limit; at a
+        # power of two n, 2 n tau == T, so it must still be bit-identical to
+        # a standalone simulate call
         m = benchmark_model()
         pulse = exchange_dfs2_leo()
         table = sweep_cycles(m, 0.8, (1, 2, 4, 8), code_state(m), pulse)
