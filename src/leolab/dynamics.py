@@ -8,36 +8,39 @@ step for the leakage-free generator, and the sequence converges to
 exp(-i (H_c + H_perp) T) like 1/n with an O(tau^2) single-cycle defect.
 Pulses are ideal (instantaneous, error-free) in this version.
 
-Every propagator comes from the model's cached spectra, whose
-eigenvectors the model certified once (opalg.check_eigenvectors), and a
-kick contracts the pulse with the system index only. The tau segment has
-no check of its own; cycle^n, the limit and the free total are certified
-unitary before any sample is taken. The segment, the cycle, cycle^n and
-parity_kick_unitary come from the spectrum of H_joint and never enter
-the frame below, so they are exactly the product-coordinate results. The
-leakage-free generator is block diagonal in the code frame F x I
-(F = [code basis | complement basis]); the limit is the exponentials of
-its two blocks, rotated back to product coordinates.
+Everything runs in the code frame F x I (F = [code basis | complement
+basis]) and sector by sector: SystemBathModel.spectra splits H' = (F^dag
+x I) H_joint (F x I) into the exact blocks of its nonzero pattern, and
+every propagator is block diagonal over them. A pulse phi (Q - P) is phi Z
+in the frame, Z = -1 on the code rows and +1 on the rest, and phi cancels
+in the cycle, so a sector's cycle is (S' Z)^2 with S' its tau segment: the
+pulse is read only for its code. The segment is I + V' expm1(-i w tau)
+V'^dag on eigenvectors the model certified once (opalg.check_eigenvectors),
+so it has no check of its own and its drift is second order in w tau.
+cycle^n, the limit (the exponentials of each sector's code and complement
+sub-blocks) and the free total are certified unitary, as one matrix whose
+drift is sqrt(sum of the sectors' squared drifts), before any sample is
+taken. The distance to the limit is the largest of the sectors'
+distances, each sqrt(lambda_max) of a Gram matrix, relative error
+O(J eps). The public parity_kick_unitary and decoupled_limit_unitary
+assemble the sectors and rotate them back to product coordinates.
 
 Samples are read in the frame, where a state's first code x bath entries
 are its code rows and the rest its complement rows: leakage is the
 squared norm of the complement rows and the fidelity's A is the code
-rows. Samples come in batches of OBSERVABLE_BATCH from a few matrix
-products each: free states scale a phase table against the frame's rows
-of H_joint's eigenvectors, targets (which never leave the code block)
-against the code block's own eigenvectors, and pulsed states come from
-the squares that build cycle^n, one system-index contraction per batch
-taking them into the frame. Against sampling in product coordinates,
-leakage, fidelity and distance moved by rounding only (at most 2.9e-15
-seen). The code fidelity of a qubit code has a closed form
+rows. Each sector yields its rows in batches of OBSERVABLE_BATCH from a
+few matrix products: free states scale a phase table against its
+eigenvectors, targets (which never leave the code rows) against its code
+sub-block's, and pulsed states come from the squares that build cycle^n.
+The batches of all sectors are assembled into frame rows for the
+observables. The code fidelity of a qubit code has a closed form
 (Jozsa's tr(rho sigma) + 2 sqrt(det rho det sigma), determinants from
 Gram-Schmidt R factors), within 1e-15 ||A||_F ||C||_F of the QR + SVD form
-that the other code dims take. The distance to the limit is
-sqrt(lambda_max) of a Gram matrix, relative error O(J eps). simulate
-certifies a run's leakage column once, before it builds any record: a
-value outside [0, 1] (within 1e-12), or NaN, is a NumericalDegeneracyError.
-A sweep row is cycle^n, its final state's leakage and its distance to
-the sweep's one limit; it takes no samples (sweep_cycles).
+that the other code dims take. simulate certifies a run's leakage column
+once, before it builds any record: a value outside [0, 1] (within 1e-12),
+or NaN, is a NumericalDegeneracyError. A sweep row is cycle^n, its final
+state's leakage and its distance to the sweep's one limit; it takes no
+samples (sweep_cycles).
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ from .opalg import (
     NumericalDegeneracyError,
     Operator,
     _spectral_matrix,
+    certified_blocks,
     computed_unitary,
-    spectral_exponential,
 )
 
 STATE_CODE_TOL = 1e-12
@@ -158,35 +161,52 @@ class SweepTable:
 # ---------------------------------------------------------------------------
 
 
-def _cycle(model: SystemBathModel, schedule: ParityKickSchedule) -> np.ndarray:
-    """One kick cycle S (R^dag x I) S (R x I), S the tau segment; R acts on
-    the system index of the joint (system x bath) index only, so each kick
-    is a contraction over it, not a product with kron(R, I).
+def _segment(spectrum: tuple[np.ndarray, np.ndarray], tau: float) -> np.ndarray:
+    """exp(-i h tau) from h's spectrum (w, v), as I + V D V^dag with D =
+    expm1(-i w tau); no check here. With e = ||V^dag V - I||_F, U^dag U - I
+    = V D^dag (V^dag V - I) D V^dag exactly (|1 + D| = 1), so ||U^dag U -
+    I||_F <= (1 + e)^2 max|D|^2 e, plus the O(J^(3/2) eps max|D|) rounding
+    of V D V^dag and the half-ulp rounding of the entries near 1. A short
+    segment thus drifts far less than the 2e of V e^(-i w tau) V^dag, and
+    cycle^n adds up the drift of its 2n segments. One-shot exponentials
+    (the limit, the free total) keep V e^(-i phi) V^dag: with |D| up to 2
+    this form's bound is 4e, that one's 2e + e^2."""
+    w, v = spectrum
+    u = (v * np.expm1(-1j * tau * w)) @ v.conj().T
+    u[np.diag_indices_from(u)] += 1.0
+    return u
 
-    S = V e^(-i w tau) V^dag has no check of its own: the model certified
-    V, which bounds ||S^dag S - I||_F by 2e + e^2 + O(J^(3/2) eps) for e =
-    ||V^dag V - I||_F <= UNITARY_TOL / 4 (opalg.check_eigenvectors)."""
+
+def _cycle(model: SystemBathModel, schedule: ParityKickSchedule) -> list[np.ndarray]:
+    """One kick cycle per sector of the model, in the frame F x I: (S' Z)^2,
+    S' the sector's tau segment (_segment) and Z the ideal kick, -1 on its
+    code rows and +1 on the rest. A pulse phi (Q - P) is phi Z in the frame
+    and phi cancels in the cycle, so the pulse is read only for its code,
+    which must be the model's. S' has no check of its own: the model
+    certified its eigenvectors (opalg.check_eigenvectors), and _segment
+    bounds its drift by that certificate."""
     pulse = schedule.pulses
     if not pulse.code.same_subspace(model.code):
         raise ValueError(
             f"pulse targets code {pulse.code.label!r} (dim {pulse.dim}), model "
             f"uses a different code {model.code.label!r} (dim {model.system_dim})"
         )
-    segment = _spectral_matrix(model.spectra[0], -schedule.tau)
-    r, j, s = pulse.unitary.mat, model.joint_dim, model.system_dim
-    t = (r.T @ segment.reshape(j, s, -1)).reshape(j, j)  # S (R x I)
-    t = (r.conj().T @ t.reshape(s, -1)).reshape(j, j)    # (R^dag x I) S (R x I)
-    return segment @ t
+    cycles = []
+    for sector in model.spectra:
+        sz = _segment(sector.joint, schedule.tau)
+        sz[:, :sector.n_code] *= -1.0  # S' Z
+        cycles.append(sz @ sz)
+    return cycles
 
 
 def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None
-                  ) -> tuple[Operator, np.ndarray | None, np.ndarray | None]:
-    """cycle^n, tagged unitary (drift is a numerical failure), from the
-    squares C^(2^i) in matrix_power's binary order. Given psi0, the squares
-    also fill the first batch, rows C^k psi0 for k < min(n + 1,
-    OBSERVABLE_BATCH), by doubling (psi_(k+2^i) = C^(2^i) psi_k), and
-    C^OBSERVABLE_BATCH comes back to advance later batches when n reaches
-    it; as OBSERVABLE_BATCH is a power of two, cycle^n needs every square.
+                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """cycle^n, not yet certified, from the squares C^(2^i) in matrix_power's
+    binary order. Given psi0, the squares also fill the first batch, rows
+    C^k psi0 for k < min(n + 1, OBSERVABLE_BATCH), by doubling (psi_(k+2^i)
+    = C^(2^i) psi_k), and C^OBSERVABLE_BATCH comes back to advance later
+    batches when n reaches it; as OBSERVABLE_BATCH is a power of two,
+    cycle^n needs every square.
     """
     rows = min(n + 1, OBSERVABLE_BATCH)
     states = None if psi0 is None else np.tile(psi0, (rows, 1))  # row 0 stays psi0
@@ -205,37 +225,58 @@ def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None
         if bit:
             total = square if total is None else total @ square
         span *= 2
-    return (computed_unitary(total, f"total propagator after {n} cycles"),
-            states, advance)
+    return total, states, advance
+
+
+def _limit(model: SystemBathModel, total_free_time: float) -> list[np.ndarray]:
+    """exp(-i (H_c + H_perp) T) per sector, in the frame F x I, not yet
+    certified: the exponentials of the sector's code and complement
+    sub-blocks on its diagonal."""
+    blocks = []
+    for sector in model.spectra:
+        c = sector.n_code
+        u = np.zeros((len(sector.rows),) * 2, dtype=complex)
+        u[:c, :c] = _spectral_matrix(sector.code, -total_free_time)
+        u[c:, c:] = _spectral_matrix(sector.complement, -total_free_time)
+        blocks.append(u)
+    return blocks
+
+
+def _product_coordinates(model: SystemBathModel, blocks) -> np.ndarray:
+    """The joint matrix with each sector's block on its frame rows, rotated
+    back to product coordinates: (F x I) U (F^dag x I)."""
+    f, j, s = model.code.frame, model.joint_dim, model.system_dim
+    u = np.zeros((j, j), dtype=complex)
+    for sector, block in zip(model.spectra, blocks):
+        u[np.ix_(sector.rows, sector.rows)] = block
+    u = (f @ u.reshape(s, -1)).reshape(j, j)            # (F x I) U
+    u = (f.conj() @ u.reshape(j, s, -1)).reshape(j, j)  # (F x I) U (F^dag x I)
+    return u
 
 
 def parity_kick_unitary(model: SystemBathModel,
                         schedule: ParityKickSchedule) -> Operator:
-    """Total propagator of the pulsed sequence (identity for zero cycles);
-    drift past the unitarity tolerance is a NumericalDegeneracyError."""
+    """Total propagator of the pulsed sequence (identity for zero cycles), in
+    product coordinates; drift past the unitarity tolerance is a
+    NumericalDegeneracyError."""
     if schedule.pulses is None:
         raise ValueError("schedule has no pulses; use free evolution directly")
-    return _cycle_powers(_cycle(model, schedule), schedule.n_cycles)[0]
+    totals = [_cycle_powers(c, schedule.n_cycles)[0] for c in _cycle(model, schedule)]
+    return computed_unitary(_product_coordinates(model, totals),
+                            f"total propagator after {schedule.n_cycles} cycles")
 
 
 def decoupled_limit_unitary(model: SystemBathModel,
                             total_free_time: float) -> Operator:
-    """Evolution under the leakage-free generator H_c + H_perp: the
-    exponentials of its code and complement blocks in the frame F x I,
-    rotated back to product coordinates; drift past the unitarity
-    tolerance is a NumericalDegeneracyError."""
+    """Evolution under the leakage-free generator H_c + H_perp in product
+    coordinates: the exponentials of the code and complement sub-blocks of
+    every sector, rotated back from the frame F x I; drift past the
+    unitarity tolerance is a NumericalDegeneracyError."""
     if not np.isfinite(total_free_time):
         raise ValueError("scale must be finite")
-    f, j, s = model.code.frame, model.joint_dim, model.system_dim
-    u = np.zeros((j, j), dtype=complex)
-    start = 0
-    for spectrum in model.spectra[1:]:
-        block = slice(start, start + len(spectrum[0]))
-        u[block, block] = _spectral_matrix(spectrum, -total_free_time)
-        start = block.stop
-    u = (f @ u.reshape(s, -1)).reshape(j, j)            # (F x I) U
-    u = (f.conj() @ u.reshape(j, s, -1)).reshape(j, j)  # (F x I) U (F^dag x I)
-    return computed_unitary(u, "decoupled limit")
+    return computed_unitary(
+        _product_coordinates(model, _limit(model, total_free_time)),
+        "decoupled limit")
 
 
 def _spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -246,6 +287,12 @@ def _spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
     gram = d.conj().T @ d
     del d  # D is not needed while eigvalsh runs
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
+def _sector_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
+    """||A - B||_2 for block-diagonal A and B given by their sector blocks:
+    the largest of the blocks' distances."""
+    return max(map(_spectral_distance, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +409,63 @@ def _observables(model: SystemBathModel, phis: np.ndarray,
 
 
 def _spectral_batches(spectrum: tuple[np.ndarray, np.ndarray], psi0: np.ndarray,
-                      rows: np.ndarray, first: np.ndarray, scale: float, n: int):
-    """Yield rows (exp(1j * scale * k * h) psi0) for k = 0..n in batches
-    of OBSERVABLE_BATCH, from h's spectrum (w, v); rows is v itself, or
-    v in other coordinates (the rows of U v for a unitary U give the
-    batches in U's coordinates). The table exp(1j * scale * j * w),
-    j < OBSERVABLE_BATCH, is built once, and the batch from k0 scales it
-    by exp(1j * scale * k0 * w) (v^dag psi0). Sample 0 is first exactly.
+                      scale: float, n: int):
+    """Yield rows (exp(1j * scale * k * h) psi0) for k = 0..n in batches of
+    OBSERVABLE_BATCH, from h's spectrum (w, v). The table exp(1j * scale *
+    j * w), j < OBSERVABLE_BATCH, is built once, and the batch from k0
+    scales it by exp(1j * scale * k0 * w) (v^dag psi0). Sample 0 is psi0
+    exactly.
     """
     w, v = spectrum
     coeff = v.conj().T @ psi0
     table = np.exp(1j * scale * np.outer(np.arange(min(n + 1, OBSERVABLE_BATCH)), w))
     for k0 in range(0, n + 1, OBSERVABLE_BATCH):
-        batch = (table[:n + 1 - k0] * (np.exp(1j * scale * k0 * w) * coeff)) @ rows.T
+        batch = (table[:n + 1 - k0] * (np.exp(1j * scale * k0 * w) * coeff)) @ v.T
         if k0 == 0:
-            batch[0] = first
+            batch[0] = psi0
         yield batch
+
+
+def _power_batches(states: np.ndarray, advance: np.ndarray | None, n: int):
+    """Yield rows C^k psi0 for k = 0..n in batches of OBSERVABLE_BATCH: the
+    first batch is states (from _cycle_powers), and each later one is the
+    previous batch times advance = C^OBSERVABLE_BATCH."""
+    for k0 in range(0, n + 1, OBSERVABLE_BATCH):
+        if k0:
+            states = states[:n + 1 - k0] @ advance.T
+        yield states
+
+
+def _runs(rows: np.ndarray) -> list[tuple[slice, slice]]:
+    """Ascending indices as runs of consecutive ones: (target, source) slice
+    pairs, target in the frame and source in the sector, so a sector's
+    batch lands by plain slice copies. A dfs2 sector's rows are runs of
+    bath-dim rows; indexing with the rows instead (out[:, rows] = part)
+    made long_run's dfs2 simulate calls 7-19% slower."""
+    if not len(rows):
+        return []
+    bounds = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), len(rows)]
+    return [(slice(rows[a], rows[z - 1] + 1), slice(a, z))
+            for a, z in zip(bounds, bounds[1:])]
+
+
+def _gathered(runs: Sequence[list[tuple[slice, slice]]], width: int,
+              batches) -> np.ndarray:
+    """The next batch of every sector side by side, each on its own runs of
+    one stack of width-entry rows; a single sector's batch as it is."""
+    parts = [next(b) for b in batches]
+    if len(parts) == 1:
+        return parts[0]
+    out = np.empty((len(parts[0]), width), dtype=complex)
+    for sector_runs, part in zip(runs, parts):
+        for target, source in sector_runs:
+            out[:, target] = part[:, source]
+    return out
+
+
+def _frame_state(model: SystemBathModel, state: np.ndarray) -> np.ndarray:
+    """(F^dag x I) psi0 for psi0 = state x the initial bath state."""
+    return np.kron(model.code.frame.conj().T @ state, model.initial_bath_state)
 
 
 def simulate(
@@ -398,36 +486,38 @@ def simulate(
     before any record is built, when the leakage column leaves [0, 1].
     """
     state = _code_state(model, initial_code_state)
-    joint, code_block, _ = model.spectra
+    sectors = model.spectra
     pulsed = schedule.pulses is not None
-    n, tau = schedule.n_cycles, schedule.tau
-    j, s = model.joint_dim, model.system_dim
-    f_dag = model.code.frame.conj().T
-    psi0 = np.kron(state, model.initial_bath_state)
-    phi0 = np.kron(f_dag @ state, model.initial_bath_state)  # (F^dag x I) psi0
+    n, tau, t = schedule.n_cycles, schedule.tau, schedule.total_free_time
+    phi0 = _frame_state(model, state)
     # the eigenvectors (in spectra) and every checked propagator, cycle^n
     # included, are certified before any sample
-    u_limit = decoupled_limit_unitary(model, schedule.total_free_time)
+    limit = certified_blocks(_limit(model, t), "decoupled limit")
     if pulsed:
-        u_total, psis, advance = _cycle_powers(_cycle(model, schedule), n, psi0)
+        powers = [_cycle_powers(cycle, n, phi0[sector.rows])
+                  for sector, cycle in zip(sectors, _cycle(model, schedule))]
+        totals = certified_blocks((p[0] for p in powers),
+                                  f"total propagator after {n} cycles")
+        states = [_power_batches(p[1], p[2], n) for p in powers]
     else:
-        u_total = spectral_exponential(joint, -schedule.total_free_time)
-        # states in the frame, from the rows of (F^dag x I) V
-        states = _spectral_batches(joint, psi0,
-                                   (f_dag @ joint[1].reshape(s, -1)).reshape(j, j),
-                                   phi0, -2 * tau, n)
+        totals = certified_blocks(
+            (_spectral_matrix(sector.joint, -t) for sector in sectors),
+            "spectral exponential")
+        states = [_spectral_batches(sector.joint, phi0[sector.rows], -2 * tau, n)
+                  for sector in sectors]
 
-    # the target never leaves the code block: its rows are the code rows
-    a0 = phi0[:len(code_block[0])]
-    targets = _spectral_batches(code_block, a0, code_block[1], a0, -2 * tau, n)
+    # the target never leaves the code rows: each sector's code sub-block
+    # steps them
+    code_rows = [sector.rows[:sector.n_code] for sector in sectors]
+    targets = [_spectral_batches(sector.code, phi0[rows], -2 * tau, n)
+               for sector, rows in zip(sectors, code_rows)]
+    runs = [_runs(sector.rows) for sector in sectors]
+    code_runs = [_runs(rows) for rows in code_rows]
+    j, kb = model.joint_dim, model.code.code_dim * model.bath_dim
     leakage, fidelity = np.empty(n + 1), np.empty(n + 1)
-    for start, c in zip(range(0, n + 1, OBSERVABLE_BATCH), targets):
-        if not pulsed:
-            phis = next(states)
-        else:
-            if start:
-                psis = psis[:len(c)] @ advance.T
-            phis = (f_dag @ psis.reshape(len(psis), s, -1)).reshape(len(psis), j)
+    for start in range(0, n + 1, OBSERVABLE_BATCH):
+        phis = _gathered(runs, j, states)
+        c = _gathered(code_runs, kb, targets)
         batch = slice(start, start + len(c))
         leakage[batch], fidelity[batch] = _observables(model, phis, c)
     _certified_leakage(leakage)  # one range check per run
@@ -437,13 +527,8 @@ def simulate(
     samples = tuple(map(tuple.__new__, repeat(SimulationSample),
                         zip(range(n + 1), times, leakage.tolist(),
                             fidelity.tolist())))
-
-    # room for the Gram matrix of the distance
-    if pulsed:
-        del advance, psis
-    else:
-        del states
-    return SimulationReport(samples, _spectral_distance(u_total.mat, u_limit.mat))
+    del states, phis  # room for the Gram matrices of the distance
+    return SimulationReport(samples, _sector_distance(totals, limit))
 
 
 def sweep_cycles(
@@ -457,14 +542,14 @@ def sweep_cycles(
 
     n_list must be ascending positive integers. The state is checked and
     the decoupled limit at total_free_time formed and certified once per
-    sweep. A row then computes only what it reports: cycle^n (certified
-    unitary), the final state cycle^n psi0 in the frame F x I, its leakage
-    (range-checked as simulate's column) and its distance to the limit; no
-    samples, targets or fidelities. Where 2 n tau == total_free_time the
-    row equals a standalone simulate; otherwise the limit differs from
-    simulate's by the rounding of that product. The rows are independent,
-    so they fan out over one thread per CPU (at most one per row), and row
-    order follows n_list.
+    sweep. A row then computes only what it reports, sector by sector:
+    cycle^n (certified unitary), the final state cycle^n psi0 in the frame
+    F x I, its leakage (range-checked as simulate's column) and its
+    distance to the limit; no samples, targets or fidelities. Where 2 n tau
+    == total_free_time the row equals a standalone simulate; otherwise the
+    limit differs from simulate's by the rounding of that product. The rows
+    are independent, so they fan out over one thread per CPU (at most one
+    per row), and row order follows n_list.
     """
     if pulses is None:
         raise ValueError("schedule has no pulses; a sweep compares pulsed runs")
@@ -473,21 +558,21 @@ def sweep_cycles(
     ns = [_cycle_count(n) for n in n_list]
     if not ns or any(n < 1 for n in ns) or ns != sorted(set(ns)):
         raise ValueError("n_list must be strictly ascending positive integers")
-    state = _code_state(model, initial_code_state)
-    j, s = model.joint_dim, model.system_dim
-    f_dag = model.code.frame.conj().T
-    psi0 = np.kron(state, model.initial_bath_state)[None]  # a one-state stack
+    phi0 = _frame_state(model, _code_state(model, initial_code_state))
     # T is the same for every row; this also diagonalizes outside the pool
-    limit = decoupled_limit_unitary(model, total_free_time).mat
+    limit = certified_blocks(_limit(model, total_free_time), "decoupled limit")
+    sectors = model.spectra
 
     def one(n: int) -> SweepRow:
         tau = total_free_time / (2 * n)
-        total = _cycle_powers(_cycle(model, ParityKickSchedule(n, tau, pulses)),
-                              n)[0].mat
-        # the final state cycle^n psi0, taken into the frame F x I
-        phi = (f_dag @ (psi0 @ total.T).reshape(1, s, -1)).reshape(1, j)
-        leakage = _certified_leakage(_frame_leakage(model, phi))
-        return SweepRow(n, tau, float(leakage[0]), _spectral_distance(total, limit))
+        cycles = _cycle(model, ParityKickSchedule(n, tau, pulses))
+        totals = certified_blocks((_cycle_powers(c, n)[0] for c in cycles),
+                                  f"total propagator after {n} cycles")
+        phi = np.empty_like(phi0)  # the final state cycle^n psi0, in the frame
+        for sector, total in zip(sectors, totals):
+            phi[sector.rows] = total @ phi0[sector.rows]
+        leakage = _certified_leakage(_frame_leakage(model, phi[None]))
+        return SweepRow(n, tau, float(leakage[0]), _sector_distance(totals, limit))
 
     workers = min(os.cpu_count() or 1, len(ns))
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:

@@ -36,7 +36,7 @@ from .opalg import (
     json_str,
     operator_from_json,
     operator_to_json,
-    random_hermitian,
+    random_hermitians,
 )
 
 STRUCTURAL_TOL = 1e-10
@@ -434,8 +434,15 @@ def verify_leo(
 
 
 def random_probes(dim: int, count: int, seed: int) -> list[Operator]:
-    """Seeded family of unit-norm Hermitian probes for verification."""
-    return [random_hermitian(dim, s) for s in derived_seeds(seed, count)]
+    """Seeded family of unit-norm Hermitian probes for verification: probe
+    i is random_hermitian(dim, derived_seeds(seed, count)[i]), drawn as
+    stacks of classify.chunk_slices so memory does not grow with count."""
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    seeds = derived_seeds(seed, count)
+    herm = frozenset({"hermitian"})
+    return [Operator(h, herm) for sl in chunk_slices(count, dim)
+            for h in random_hermitians(dim, seeds[sl])]
 
 
 # ---------------------------------------------------------------------------

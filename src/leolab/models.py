@@ -5,11 +5,17 @@ A model stores only its code and its joint Hamiltonian H_joint; the bath
 dimension and the leakage-free part H_c + H_perp that parity kicks
 converge to are derived from them. Builder inputs (seed, g) are not kept.
 
-In the code's frame F x I, F = [code basis | complement basis], the
-leakage-free part is block diagonal: a code block of dim code x bath and
-a complement block. SystemBathModel.spectra diagonalizes H_joint and each
-of those two blocks, three eigh calls in place of two of the full joint
-dim; for dfs2, bare-qubit and dual-rail codes F is a permutation.
+In the code's frame F x I, F = [code basis | complement basis], H_joint
+becomes H' = (F^dag x I) H_joint (F x I), whose first code x bath rows are
+the code rows; for dfs2, bare-qubit and dual-rail codes F is a
+permutation. The leakage-free part is H' without the blocks that couple
+code rows to complement rows. SystemBathModel.spectra splits H' into its
+sectors, the connected components of its exact nonzero pattern, and
+diagonalizes each sector's block and that block's code and complement
+sub-blocks: three eigh per sector. Every allowed dfs2 leakage label flips
+one qubit and keeps the other's Z, so a dfs2 model with one label (or
+labels that keep the same Z) has two sectors of half the joint dim; a
+model with no such structure has one.
 
 Units: hbar = 1 throughout, so couplings are angular frequencies and
 exp(-i H t) propagates for time t. Every random ingredient is drawn from
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,6 +84,45 @@ def logical_ops_dfs2() -> LogicalOps:
 # ---------------------------------------------------------------------------
 
 
+Spectrum = tuple[np.ndarray, np.ndarray]  # (w, v) of a Hermitian block
+
+
+class Sector(NamedTuple):
+    """One exact block of H' = (F^dag x I) H_joint (F x I).
+
+    rows are its frame rows, ascending, so its code rows (frame rows below
+    code x bath) come first: n_code of them. joint, code and complement
+    are the spectra (w, v) of the block H'[rows, rows] and of its code and
+    complement sub-blocks; either sub-block may be empty.
+    """
+
+    rows: np.ndarray
+    n_code: int
+    joint: Spectrum
+    code: Spectrum
+    complement: Spectrum
+
+
+def _sector_rows(h: np.ndarray) -> list[np.ndarray]:
+    """The connected components of h's exact nonzero pattern, each as its
+    ascending indices, in the order of their first index. No tolerance:
+    h is exactly zero between two components, so its blocks on them are
+    exactly h. An entry links its row and column both ways, as rounding
+    can leave h[i, j] zero where h[j, i] is not."""
+    linked = h != 0
+    linked |= linked.T
+    unseen = np.ones(len(h), dtype=bool)
+    out = []
+    while unseen.any():
+        reached = frontier = np.arange(len(h)) == unseen.argmax()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~reached
+            reached = reached | frontier
+        unseen &= ~reached
+        out.append(np.flatnonzero(reached))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SystemBathModel:
     """Joint (system x bath) Hamiltonian H_joint against a code.
@@ -85,8 +130,9 @@ class SystemBathModel:
     Only the code and H_joint are stored; bath_dim is H_joint's dim over
     the code's ambient dim. The leakage-free part H_c + H_perp =
     (P x I) H (P x I) + (Q x I) H (Q x I), P the code projector and Q = 1 - P,
-    is derived in spectra, as its two blocks in the code frame; the rest
-    is the leakage coupling the kicks cancel.
+    is derived in spectra, as the code and complement sub-blocks of each
+    sector of H_joint in the code frame; the rest is the leakage coupling
+    the kicks cancel.
     """
 
     code: CodeSubspace
@@ -115,34 +161,39 @@ class SystemBathModel:
         return np.eye(1, self.bath_dim, dtype=complex)[0]
 
     @cached_property
-    def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Spectra (w, v) of h_joint and of the two diagonal blocks of the
-        leakage-free H_c + H_perp in the frame F x I (F the code's frame):
-        the code block (dim code x bath) and the complement block. Computed
-        on first use and kept. Each block (X^dag x I) H (X x I), X the code
-        or the complement basis, is two system-index contractions, as a
-        kick; in the frame the off-diagonal blocks are the leakage coupling
-        the kicks cancel, so H_c + H_perp is the two blocks alone. Each
-        eigenvector matrix is certified once, here (check_eigenvectors), so
-        an exponential built on it needs no check of its own."""
-        h, s, b = self.h_joint.mat, self.system_dim, self.bath_dim
-        f, k = self.code.frame, self.code.code_dim
+    def spectra(self) -> tuple[Sector, ...]:
+        """The sectors of H' = (F^dag x I) H_joint (F x I), F the code's
+        frame, with the spectra of each sector's block and of its code and
+        complement sub-blocks; computed on first use and kept. H' is two
+        system-index contractions. Its sectors are the connected components
+        of its exact nonzero pattern (_sector_rows), so every propagator is
+        exactly block diagonal over them, and within a sector the code and
+        complement sub-blocks are H_c + H_perp, the part the kicks keep.
+        Each eigenvector matrix is certified once, here (check_eigenvectors),
+        so an exponential built on it needs no check of its own."""
+        h, s, j = self.h_joint.mat, self.system_dim, self.joint_dim
+        f, kb = self.code.frame, self.code.code_dim * self.bath_dim
+        t = (f.conj().T @ h.reshape(s, -1)).reshape(j, s, -1)
+        hf = (f.T @ t).reshape(j, j)  # H'
 
-        def block_spectrum(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            t = (x.conj().T @ h.reshape(s, -1)).reshape(-1, s, b)
-            if not len(t):  # a code that fills the ambient space
+        def spectrum(blk: np.ndarray, what: str) -> Spectrum:
+            if not len(blk):  # a sector with no code or no complement rows
                 return np.zeros(0), np.zeros((0, 0), dtype=complex)
-            blk = (x.T @ t).reshape(len(t), len(t))
-            return hermitian_spectrum(Operator(blk, frozenset({"hermitian"})))
-
-        out = (hermitian_spectrum(self.h_joint),
-               block_spectrum(f[:, :k]), block_spectrum(f[:, k:]))
-        for what, (w, v) in zip(("H_joint", "the code block",
-                                 "the complement block"), out):
+            w, v = hermitian_spectrum(Operator(blk, frozenset({"hermitian"})))
             check_eigenvectors(v, what)
             w.setflags(write=False)
             v.setflags(write=False)
-        return out
+            return w, v
+
+        out = []
+        for rows in _sector_rows(hf):
+            rows.setflags(write=False)
+            blk = hf[np.ix_(rows, rows)]
+            c = int(np.searchsorted(rows, kb))
+            out.append(Sector(rows, c, spectrum(blk, "H_joint"),
+                              spectrum(blk[:c, :c], "the code block"),
+                              spectrum(blk[c:, c:], "the complement block")))
+        return tuple(out)
 
     @classmethod
     def from_terms(

@@ -73,9 +73,15 @@ def check_tags(m: np.ndarray, tags: frozenset) -> None:
         if dev > HERMITIAN_TOL:
             raise ValueError(f"hermitian tag violated: max deviation {dev:.3e}")
     if "unitary" in tags:
-        dev = np.max(_unitary_residual(m))
-        if dev > UNITARY_TOL:
-            raise ValueError(f"unitary tag violated: residual {dev:.3e}")
+        _check_residual(np.max(_unitary_residual(m)))
+
+
+def _check_residual(dev: float) -> None:
+    """The unitary tag's test of a residual ||M^dag M - I||_F: past
+    UNITARY_TOL, or NaN, is ValueError("unitary tag violated: residual
+    <dev>")."""
+    if not dev <= UNITARY_TOL:
+        raise ValueError(f"unitary tag violated: residual {dev:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +129,21 @@ def computed_unitary(m: np.ndarray, what: str) -> Operator:
         return Operator(m, frozenset({"unitary"}))
     except ValueError as err:
         raise NumericalDegeneracyError(f"{what}: {err}") from err
+
+
+def certified_blocks(blocks: Sequence[np.ndarray], what: str) -> list[np.ndarray]:
+    """The diagonal blocks of a block-diagonal computed unitary, once the
+    whole matrix passes the unitary tag's residual test: its ||M^dag M -
+    I||_F is sqrt(sum of the blocks' squared residuals). Drift past
+    UNITARY_TOL, or a non-finite entry, is computed_unitary's
+    NumericalDegeneracyError("<what>: unitary tag violated: residual <r>")."""
+    blocks = list(blocks)
+    try:
+        _check_residual(float(np.sqrt(sum(_unitary_residual(b) ** 2
+                                          for b in blocks))))
+    except ValueError as err:
+        raise NumericalDegeneracyError(f"{what}: {err}") from err
+    return blocks
 
 
 _PAULI_MATS = {
@@ -223,22 +244,33 @@ def hermitian_exponential(h: Operator, scale: float) -> Operator:
     return spectral_exponential(hermitian_spectrum(h), scale)
 
 
-def random_hermitian(dim: int, seed: int) -> Operator:
-    """Seeded Hermitian with unit spectral norm.
+def random_hermitians(dim: int, seeds: Sequence[int]) -> np.ndarray:
+    """A stack of seeded Hermitians with unit spectral norm, one per seed.
 
-    Draws a complex Gaussian matrix G, symmetrizes to (G + G^dag)/2, and
-    rescales so the largest eigenvalue magnitude is exactly 1. Identical
+    Each seed draws a complex Gaussian matrix G (real part, then imaginary
+    part, from one standard_normal call), symmetrized to (G + G^dag)/2 and
+    rescaled so its largest eigenvalue magnitude is exactly 1; the norms
+    come from one batched SVD, which runs the same LAPACK call per matrix,
+    so a matrix does not depend on the seeds stacked with it. Identical
     (dim, seed) pairs give bit-identical results.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    rng = np.random.default_rng(int(seed))
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) / 2.0
-    nrm = np.linalg.norm(h, 2)
-    if nrm == 0.0:
+    draws = np.empty((len(seeds), 2, dim, dim))
+    for seed, out in zip(seeds, draws):
+        np.random.default_rng(int(seed)).standard_normal(out=out)
+    g = draws[:, 0] + 1j * draws[:, 1]
+    h = (g + g.conj().swapaxes(1, 2)) / 2.0
+    nrm = np.linalg.svd(h, compute_uv=False).max(axis=1)
+    if (nrm == 0.0).any():
         raise NumericalDegeneracyError("degenerate zero draw in random_hermitian")
-    return Operator(h / nrm, frozenset({"hermitian"}))
+    return h / nrm[:, None, None]
+
+
+def random_hermitian(dim: int, seed: int) -> Operator:
+    """Seeded Hermitian with unit spectral norm: random_hermitians for one
+    seed, as an Operator tagged hermitian."""
+    return Operator(random_hermitians(dim, [seed])[0], frozenset({"hermitian"}))
 
 
 def derived_seeds(base: int, count: int) -> list[int]:

@@ -1,8 +1,9 @@
 """The split of a model's joint Hamiltonian, formed explicitly for tests.
 
 SystemBathModel stores only H_joint and derives its leakage-free part as
-two blocks in the code frame F x I, F = [code basis | complement basis],
-each from system-index contractions, and simulate samples in that frame.
+the code and complement sub-blocks of each sector of H_joint in the code
+frame F x I, F = [code basis | complement basis], formed by system-index
+contractions, and simulate samples in that frame.
 This helper forms the pieces in product coordinates from full kron(P, I)
 and kron(Q, I) products instead, so tests can check the model and its
 runs against an independent construction.

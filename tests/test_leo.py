@@ -508,6 +508,17 @@ class TestRandomProbes:
         a, b = random_probes(4, 2, 5)
         assert np.max(np.abs(a.mat - b.mat)) > 1e-3
 
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    def test_bit_identical_to_random_hermitian(self, dim):
+        # 40 probes span three chunks at dim 16
+        probes = random_probes(dim, 40, 5)
+        for probe, child in zip(probes, opalg.derived_seeds(5, 40)):
+            assert probe.mat.tobytes() == random_hermitian(dim, child).mat.tobytes()
+            assert probe.tags == frozenset({"hermitian"})
+
+    def test_no_probes(self):
+        assert random_probes(5, 0, 1) == []
+
 
 class TestSerialization:
     @pytest.mark.parametrize("idx", range(11))

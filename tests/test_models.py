@@ -12,6 +12,7 @@ from leolab.codes import (
     dual_rail_code,
     lift_quadratic,
 )
+from leolab import models as models_mod
 from leolab.dynamics import decoupled_limit_unitary
 from leolab.models import (
     DFS2_LEAK_LABELS,
@@ -301,6 +302,101 @@ class TestDfs2LeakageModel:
         assert h[0, 9].imag == pytest.approx(fp["h_joint_0_9_im"], abs=1e-15)
         assert h[4, 5].real == pytest.approx(fp["h_joint_4_5_re"], abs=1e-15)
         assert h[4, 5].imag == pytest.approx(fp["h_joint_4_5_im"], abs=1e-15)
+
+
+def frame_hamiltonian(m):
+    """H' = (F^dag x I) H_joint (F x I), F the code's frame, by kron."""
+    f = np.kron(m.code.frame, np.eye(m.bath_dim))
+    return f.conj().T @ m.h_joint.mat @ f
+
+
+class TestSectors:
+    """SystemBathModel.spectra splits H' into the connected components of
+    its exact nonzero pattern. Every allowed dfs2 label flips one qubit and
+    keeps the other's Z, so one label gives two sectors of J/2, each with
+    half of the code rows."""
+
+    @staticmethod
+    def sizes(m):
+        return [(len(s.rows), s.n_code) for s in m.spectra]
+
+    @pytest.mark.parametrize("bath_dim", range(1, 9))
+    @pytest.mark.parametrize("label", DFS2_LEAK_LABELS)
+    def test_single_label_gives_two_halves(self, label, bath_dim):
+        for collective in (0.0, 0.3):
+            m = dfs2_leakage_model([label], g=0.05, bath_seed=3, bath_dim=bath_dim,
+                                   collective_strength=collective)
+            assert self.sizes(m) == [(2 * bath_dim, bath_dim)] * 2
+
+    @pytest.mark.parametrize("bath_dim", range(2, 9))
+    def test_labels_keeping_the_same_z_give_two_halves(self, bath_dim):
+        for collective in (0.0, 0.3):
+            m = dfs2_leakage_model(["XI", "XZ"], g=0.05, bath_seed=3,
+                                   bath_dim=bath_dim, collective_strength=collective)
+            assert self.sizes(m) == [(2 * bath_dim, bath_dim)] * 2
+
+    def test_an_exact_cancellation_splits_further(self):
+        # at bath dim 1 the two bath factors are -1 and +1, so the coupling
+        # is -g X (I - Z) = -2g X x |1><1|: the q2 = 0 half falls apart
+        # into its code state |10> and its leaked state |00>, exactly
+        m = dfs2_leakage_model(["XI", "XZ"], g=0.05, bath_seed=3, bath_dim=1)
+        assert self.sizes(m) == [(2, 1), (1, 1), (1, 0)]
+
+    @pytest.mark.parametrize("build", [
+        lambda: dfs2_leakage_model(["XI", "IX"], g=0.05, bath_seed=3, bath_dim=3),
+        lambda: hopping_model(5, seed=7, g=0.2, bath_dim=3),
+        lambda: linear_optics_model(seed=5, g=0.2),
+        lambda: linear_optics_model(seed=5, g=0.2, bath_dim=3),
+    ], ids=["dfs2_xi_ix", "hopping5", "linear_optics", "linear_optics_bath3"])
+    def test_no_conserved_z_gives_one_sector(self, build):
+        m = build()
+        assert self.sizes(m) == [(m.joint_dim, m.code.code_dim * m.bath_dim)]
+
+    @pytest.mark.parametrize("build", [
+        lambda: dfs2_leakage_model(["XI"], g=0.05, bath_seed=3, bath_dim=4),
+        lambda: dfs2_leakage_model(["ZY"], g=0.05, bath_seed=3, bath_dim=5,
+                                   collective_strength=0.3),
+        lambda: dfs2_leakage_model(["XI", "XZ"], g=0.05, bath_seed=3, bath_dim=1),
+        lambda: hopping_model(5, seed=7, g=0.2, bath_dim=3),
+    ], ids=["dfs2_xi", "dfs2_zy_collective", "dfs2_xi_xz_bath1", "hopping5"])
+    def test_frame_hamiltonian_is_exactly_zero_between_sectors(self, build):
+        m = build()
+        h = frame_hamiltonian(m)
+        kb = m.code.code_dim * m.bath_dim
+        rows = [s.rows for s in m.spectra]
+        np.testing.assert_array_equal(np.sort(np.concatenate(rows)),
+                                      np.arange(m.joint_dim))
+        for a, sector in enumerate(m.spectra):
+            assert np.all(np.diff(sector.rows) > 0)
+            assert sector.n_code == np.sum(sector.rows < kb)
+            for b, other in enumerate(rows):
+                if a != b:
+                    assert not np.any(h[np.ix_(sector.rows, other)])
+            # each spectrum rebuilds its block of H'
+            blk = h[np.ix_(sector.rows, sector.rows)]
+            c = sector.n_code
+            for (w, v), part in ((sector.joint, blk), (sector.code, blk[:c, :c]),
+                                 (sector.complement, blk[c:, c:])):
+                np.testing.assert_allclose((v * w) @ v.conj().T, part, atol=1e-14)
+
+    def test_finder_splits_exact_zero_patterns_only(self):
+        h = np.zeros((5, 5))
+        h[0, 3] = h[3, 0] = 1e-300
+        h[1, 4] = h[4, 1] = 2.0
+        h[2, 2] = 1.0
+        got = models_mod._sector_rows(h)
+        assert [r.tolist() for r in got] == [[0, 3], [1, 4], [2]]
+        assert [r.tolist() for r in models_mod._sector_rows(np.ones((3, 3)))] == [[0, 1, 2]]
+
+    def test_finder_links_one_sided_entries(self):
+        # rounding can leave one of h[i, j] and h[j, i] exactly zero: the
+        # other still links i and j, and the sectors partition the rows
+        h = np.zeros((5, 5))
+        h[3, 0] = 1e-300
+        h[1, 2] = 1.0
+        got = [r.tolist() for r in models_mod._sector_rows(h)]
+        assert got == [[0, 3], [1, 2], [4]]
+        assert [r.tolist() for r in models_mod._sector_rows(h.T)] == got
 
 
 class TestModelFromConfig:

@@ -98,6 +98,31 @@ class TestComputedUnitary:
             computed_unitary(nan, "probe")
 
 
+class TestCertifiedBlocks:
+    """A block-diagonal unitary is certified by its blocks, as the whole
+    matrix would be."""
+
+    def test_drift_is_the_whole_matrix_residual(self):
+        blocks = [(1.0 + 2.5e-11) * np.eye(3, dtype=complex),
+                  (1.0 + 3e-11) * np.eye(2, dtype=complex)]
+        whole = np.zeros((5, 5), dtype=complex)
+        whole[:3, :3], whole[3:, 3:] = blocks
+        want = _unitary_residual(whole)
+        assert want > opalg.UNITARY_TOL  # each block alone passes
+        assert all(_unitary_residual(b) <= opalg.UNITARY_TOL for b in blocks)
+        with pytest.raises(NumericalDegeneracyError,
+                           match=rf"^probe: unitary tag violated: residual {want:.3e}$"):
+            opalg.certified_blocks(blocks, "probe")
+        got = opalg.certified_blocks(iter(blocks[:1]), "probe")
+        assert len(got) == 1 and got[0] is blocks[0]
+
+    def test_non_finite_entry_fails(self):
+        nan = np.eye(2, dtype=complex)
+        nan[0, 1] = np.nan
+        with pytest.raises(NumericalDegeneracyError, match="^probe: "):
+            opalg.certified_blocks([np.eye(2), nan], "probe")
+
+
 class TestPauliStrings:
     def test_single_site(self):
         np.testing.assert_array_equal(
@@ -216,6 +241,20 @@ class TestRandomHermitian:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             random_hermitian(0, 1)
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_stack_is_the_one_matrix_draw(self, dim):
+        # each matrix of a stack is, bit for bit, the one-matrix draw: two
+        # (dim, dim) Gaussian blocks and numpy's spectral norm
+        seeds = derived_seeds(dim, 12)
+        stack = opalg.random_hermitians(dim, seeds)
+        for got, seed in zip(stack, seeds):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            h = (g + g.conj().T) / 2.0
+            want = h / np.linalg.norm(h, 2)
+            assert got.tobytes() == want.tobytes()
+            assert random_hermitian(dim, seed).mat.tobytes() == want.tobytes()
 
 
 class TestDerivedSeeds:
