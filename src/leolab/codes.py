@@ -25,7 +25,6 @@ from .opalg import Operator
 
 ISOMETRY_TOL = 1e-12
 SUBSPACE_TOL = 1e-10  # Frobenius distance between projectors of one subspace
-SECTOR_EIG_TOL = 1e-10
 
 # threshold below which a Gram-Schmidt residual is treated as linearly
 # dependent rather than as a new basis direction

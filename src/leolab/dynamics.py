@@ -17,13 +17,14 @@ in the cycle, so a sector's cycle is (S' Z)^2 with S' its tau segment: the
 pulse is read only for its code. The segment is I + V' expm1(-i w tau)
 V'^dag on eigenvectors the model certified once (opalg.check_eigenvectors),
 so it has no check of its own and its drift is second order in w tau.
-cycle^n, the limit (the exponentials of each sector's code and complement
-sub-blocks) and the free total are certified unitary, as one matrix whose
-drift is sqrt(sum of the sectors' squared drifts), before any sample is
-taken. The distance to the limit is the largest of the sectors'
-distances, each sqrt(lambda_max) of a Gram matrix, relative error
-O(J eps). The public parity_kick_unitary and decoupled_limit_unitary
-assemble the sectors and rotate them back to product coordinates.
+cycle^n (_pulsed), the free total (_free) and the limit (_limit) are each
+formed and certified unitary in one function, as one matrix whose drift
+is sqrt(sum of the sectors' squared drifts); everything else combines
+them. Inputs are checked once per call, before any eigendecomposition.
+The distance to the limit is the largest of the sectors' distances, each
+sqrt(lambda_max) of a Gram matrix, relative error O(J eps). The public
+parity_kick_unitary and decoupled_limit_unitary assemble the sectors and
+rotate them back to product coordinates.
 
 Samples are read in the frame, where a state's first code x bath entries
 are its code rows and the rest its complement rows: leakage is the
@@ -177,26 +178,13 @@ def _segment(spectrum: tuple[np.ndarray, np.ndarray], tau: float) -> np.ndarray:
     return u
 
 
-def _cycle(model: SystemBathModel, schedule: ParityKickSchedule) -> list[np.ndarray]:
-    """One kick cycle per sector of the model, in the frame F x I: (S' Z)^2,
-    S' the sector's tau segment (_segment) and Z the ideal kick, -1 on its
-    code rows and +1 on the rest. A pulse phi (Q - P) is phi Z in the frame
-    and phi cancels in the cycle, so the pulse is read only for its code,
-    which must be the model's. S' has no check of its own: the model
-    certified its eigenvectors (opalg.check_eigenvectors), and _segment
-    bounds its drift by that certificate."""
-    pulse = schedule.pulses
+def _check_pulse(model: SystemBathModel, pulse: LeakageEliminationOperator) -> None:
+    """A pulse is read only for its code, which must span the model's."""
     if not pulse.code.same_subspace(model.code):
         raise ValueError(
             f"pulse targets code {pulse.code.label!r} (dim {pulse.dim}), model "
             f"uses a different code {model.code.label!r} (dim {model.system_dim})"
         )
-    cycles = []
-    for sector in model.spectra:
-        sz = _segment(sector.joint, schedule.tau)
-        sz[:, :sector.n_code] *= -1.0  # S' Z
-        cycles.append(sz @ sz)
-    return cycles
 
 
 def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None
@@ -228,9 +216,41 @@ def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None
     return total, states, advance
 
 
+def _pulsed(model: SystemBathModel, n: int, tau: float,
+            phi0: np.ndarray | None = None) -> tuple[list[np.ndarray], list | None]:
+    """cycle^n per sector in the frame F x I, certified unitary, and given
+    phi0 = (F^dag x I) psi0 each sector's states C^k psi0 (_power_batches).
+    A sector's cycle is (S' Z)^2, S' its tau segment (_segment) and Z the
+    ideal kick, -1 on its code rows and +1 on the rest: a pulse phi (Q - P)
+    is phi Z in the frame and phi cancels. S' has no check of its own: the
+    model certified its eigenvectors, and _segment bounds its drift by that
+    certificate."""
+    powers = []
+    for sector in model.spectra:
+        sz = _segment(sector.joint, tau)
+        sz[:, :sector.n_code] *= -1.0  # S' Z
+        powers.append(_cycle_powers(sz @ sz, n,
+                                    None if phi0 is None else phi0[sector.rows]))
+    totals = certified_blocks([p[0] for p in powers],
+                              f"total propagator after {n} cycles")
+    if phi0 is None:
+        return totals, None
+    return totals, [_power_batches(p[1], p[2], n) for p in powers]
+
+
+def _free(model: SystemBathModel, n: int, tau: float,
+          phi0: np.ndarray) -> tuple[list[np.ndarray], list]:
+    """The free total exp(-i H' 2 n tau) per sector in the frame F x I,
+    certified unitary, and each sector's states exp(-i H' 2 k tau) phi0."""
+    totals = certified_blocks([_spectral_matrix(s.joint, -2 * n * tau)
+                               for s in model.spectra], "spectral exponential")
+    return totals, [_spectral_batches(s.joint, phi0[s.rows], -2 * tau, n)
+                    for s in model.spectra]
+
+
 def _limit(model: SystemBathModel, total_free_time: float) -> list[np.ndarray]:
-    """exp(-i (H_c + H_perp) T) per sector, in the frame F x I, not yet
-    certified: the exponentials of the sector's code and complement
+    """exp(-i (H_c + H_perp) T) per sector, in the frame F x I, certified
+    unitary: the exponentials of the sector's code and complement
     sub-blocks on its diagonal."""
     blocks = []
     for sector in model.spectra:
@@ -239,19 +259,20 @@ def _limit(model: SystemBathModel, total_free_time: float) -> list[np.ndarray]:
         u[:c, :c] = _spectral_matrix(sector.code, -total_free_time)
         u[c:, c:] = _spectral_matrix(sector.complement, -total_free_time)
         blocks.append(u)
-    return blocks
+    return certified_blocks(blocks, "decoupled limit")
 
 
-def _product_coordinates(model: SystemBathModel, blocks) -> np.ndarray:
+def _product_coordinates(model: SystemBathModel, blocks, what: str) -> Operator:
     """The joint matrix with each sector's block on its frame rows, rotated
-    back to product coordinates: (F x I) U (F^dag x I)."""
+    back to product coordinates, (F x I) U (F^dag x I), and tagged unitary
+    (computed_unitary(u, what))."""
     f, j, s = model.code.frame, model.joint_dim, model.system_dim
     u = np.zeros((j, j), dtype=complex)
     for sector, block in zip(model.spectra, blocks):
         u[np.ix_(sector.rows, sector.rows)] = block
     u = (f @ u.reshape(s, -1)).reshape(j, j)            # (F x I) U
     u = (f.conj() @ u.reshape(j, s, -1)).reshape(j, j)  # (F x I) U (F^dag x I)
-    return u
+    return computed_unitary(u, what)
 
 
 def parity_kick_unitary(model: SystemBathModel,
@@ -261,9 +282,10 @@ def parity_kick_unitary(model: SystemBathModel,
     NumericalDegeneracyError."""
     if schedule.pulses is None:
         raise ValueError("schedule has no pulses; use free evolution directly")
-    totals = [_cycle_powers(c, schedule.n_cycles)[0] for c in _cycle(model, schedule)]
-    return computed_unitary(_product_coordinates(model, totals),
-                            f"total propagator after {schedule.n_cycles} cycles")
+    _check_pulse(model, schedule.pulses)
+    totals, _ = _pulsed(model, schedule.n_cycles, schedule.tau)
+    return _product_coordinates(model, totals,
+                                f"total propagator after {schedule.n_cycles} cycles")
 
 
 def decoupled_limit_unitary(model: SystemBathModel,
@@ -274,25 +296,19 @@ def decoupled_limit_unitary(model: SystemBathModel,
     unitarity tolerance is a NumericalDegeneracyError."""
     if not np.isfinite(total_free_time):
         raise ValueError("scale must be finite")
-    return computed_unitary(
-        _product_coordinates(model, _limit(model, total_free_time)),
-        "decoupled limit")
+    return _product_coordinates(model, _limit(model, total_free_time),
+                                "decoupled limit")
 
 
 def _spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
     """||a - b||_2 = sqrt(lambda_max(D^dag D)), D = a - b, from eigvalsh at
     about half the cost of an SVD. lambda_max carries relative error
-    O(J eps) at joint dim J, and so does the distance; equal inputs give 0."""
+    O(J eps) at joint dim J, and so does the distance; equal inputs give 0.
+    Block-diagonal matrices are as far apart as their farthest blocks."""
     d = a - b
     gram = d.conj().T @ d
     del d  # D is not needed while eigvalsh runs
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
-
-
-def _sector_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
-    """||A - B||_2 for block-diagonal A and B given by their sector blocks:
-    the largest of the blocks' distances."""
-    return max(map(_spectral_distance, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +316,22 @@ def _sector_distance(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _code_state(model: SystemBathModel, initial_code_state) -> np.ndarray:
-    """The initial state as a complex vector, once it is checked: an
-    ambient system vector, finite, normalized and in the model's code;
-    anything else is a ValueError."""
+def _frame_state(model: SystemBathModel, initial_code_state) -> np.ndarray:
+    """(F^dag x I) psi0 for psi0 = the initial state x the initial bath
+    state, once the state is checked: an ambient system vector, finite,
+    normalized and in the model's code (F^dag psi has no complement
+    coordinates); anything else is a ValueError."""
     state = np.asarray(initial_code_state, dtype=complex)
     if state.shape != (model.system_dim,):
         raise ValueError(f"initial state must be a length-{model.system_dim} vector")
     # both checks fail closed: a NaN or infinite entry makes the norm NaN or inf
     if not abs(np.linalg.norm(state) - 1.0) <= STATE_NORM_TOL:
         raise ValueError("initial state must be finite and normalized")
-    out_of_code = np.linalg.norm(model.code.complement_projector @ state)
+    coords = model.code.frame.conj().T @ state
+    out_of_code = np.linalg.norm(coords[model.code.code_dim:])
     if not out_of_code <= STATE_CODE_TOL:
         raise ValueError(f"initial state leaves the code subspace by {out_of_code:.3e}")
-    return state
+    return np.kron(coords, model.initial_bath_state)
 
 
 def _frame_leakage(model: SystemBathModel, phis: np.ndarray) -> np.ndarray:
@@ -463,11 +481,6 @@ def _gathered(runs: Sequence[list[tuple[slice, slice]]], width: int,
     return out
 
 
-def _frame_state(model: SystemBathModel, state: np.ndarray) -> np.ndarray:
-    """(F^dag x I) psi0 for psi0 = state x the initial bath state."""
-    return np.kron(model.code.frame.conj().T @ state, model.initial_bath_state)
-
-
 def simulate(
     model: SystemBathModel,
     schedule: ParityKickSchedule,
@@ -485,26 +498,16 @@ def simulate(
     (limit, cycle^n, free total) drifts past the unitarity tolerance, and,
     before any record is built, when the leakage column leaves [0, 1].
     """
-    state = _code_state(model, initial_code_state)
-    sectors = model.spectra
+    phi0 = _frame_state(model, initial_code_state)
     pulsed = schedule.pulses is not None
-    n, tau, t = schedule.n_cycles, schedule.tau, schedule.total_free_time
-    phi0 = _frame_state(model, state)
+    if pulsed:
+        _check_pulse(model, schedule.pulses)
+    n, tau = schedule.n_cycles, schedule.tau
     # the eigenvectors (in spectra) and every checked propagator, cycle^n
     # included, are certified before any sample
-    limit = certified_blocks(_limit(model, t), "decoupled limit")
-    if pulsed:
-        powers = [_cycle_powers(cycle, n, phi0[sector.rows])
-                  for sector, cycle in zip(sectors, _cycle(model, schedule))]
-        totals = certified_blocks((p[0] for p in powers),
-                                  f"total propagator after {n} cycles")
-        states = [_power_batches(p[1], p[2], n) for p in powers]
-    else:
-        totals = certified_blocks(
-            (_spectral_matrix(sector.joint, -t) for sector in sectors),
-            "spectral exponential")
-        states = [_spectral_batches(sector.joint, phi0[sector.rows], -2 * tau, n)
-                  for sector in sectors]
+    limit = _limit(model, schedule.total_free_time)
+    totals, states = (_pulsed if pulsed else _free)(model, n, tau, phi0)
+    sectors = model.spectra
 
     # the target never leaves the code rows: each sector's code sub-block
     # steps them
@@ -528,7 +531,7 @@ def simulate(
                         zip(range(n + 1), times, leakage.tolist(),
                             fidelity.tolist())))
     del states, phis  # room for the Gram matrices of the distance
-    return SimulationReport(samples, _sector_distance(totals, limit))
+    return SimulationReport(samples, max(map(_spectral_distance, totals, limit)))
 
 
 def sweep_cycles(
@@ -540,9 +543,9 @@ def sweep_cycles(
 ) -> SweepTable:
     """Convergence sweep: one pulsed run per cycle count at fixed total time.
 
-    n_list must be ascending positive integers. The state is checked and
-    the decoupled limit at total_free_time formed and certified once per
-    sweep. A row then computes only what it reports, sector by sector:
+    n_list must be ascending positive integers. The state and the pulse's
+    code are checked and the decoupled limit at total_free_time formed and
+    certified once per sweep. A row then computes only what it reports:
     cycle^n (certified unitary), the final state cycle^n psi0 in the frame
     F x I, its leakage (range-checked as simulate's column) and its
     distance to the limit; no samples, targets or fidelities. Where 2 n tau
@@ -558,22 +561,24 @@ def sweep_cycles(
     ns = [_cycle_count(n) for n in n_list]
     if not ns or any(n < 1 for n in ns) or ns != sorted(set(ns)):
         raise ValueError("n_list must be strictly ascending positive integers")
-    phi0 = _frame_state(model, _code_state(model, initial_code_state))
+    phi0 = _frame_state(model, initial_code_state)
+    _check_pulse(model, pulses)
+    taus = [total_free_time / (2 * n) for n in ns]
+    if not taus[-1] > 0.0:  # T / 2n can underflow at the largest n
+        raise ValueError("tau must be positive and finite")
     # T is the same for every row; this also diagonalizes outside the pool
-    limit = certified_blocks(_limit(model, total_free_time), "decoupled limit")
+    limit = _limit(model, total_free_time)
     sectors = model.spectra
 
-    def one(n: int) -> SweepRow:
-        tau = total_free_time / (2 * n)
-        cycles = _cycle(model, ParityKickSchedule(n, tau, pulses))
-        totals = certified_blocks((_cycle_powers(c, n)[0] for c in cycles),
-                                  f"total propagator after {n} cycles")
+    def one(n: int, tau: float) -> SweepRow:
+        totals, _ = _pulsed(model, n, tau)
         phi = np.empty_like(phi0)  # the final state cycle^n psi0, in the frame
         for sector, total in zip(sectors, totals):
             phi[sector.rows] = total @ phi0[sector.rows]
         leakage = _certified_leakage(_frame_leakage(model, phi[None]))
-        return SweepRow(n, tau, float(leakage[0]), _sector_distance(totals, limit))
+        return SweepRow(n, tau, float(leakage[0]),
+                        max(map(_spectral_distance, totals, limit)))
 
     workers = min(os.cpu_count() or 1, len(ns))
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        return SweepTable(tuple(pool.map(one, ns)))
+        return SweepTable(tuple(pool.map(one, ns, taus)))

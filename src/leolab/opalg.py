@@ -222,26 +222,19 @@ def _spectral_matrix(spectrum: tuple[np.ndarray, np.ndarray],
     return (v * np.exp(1j * scale * w)) @ v.conj().T
 
 
-def spectral_exponential(spectrum: tuple[np.ndarray, np.ndarray],
-                         scale: float) -> Operator:
-    """exp(1j * scale * h) from h's spectrum (w, v), tagged unitary; drift
-    past the tag is a NumericalDegeneracyError."""
-    if not np.isfinite(scale):
-        raise ValueError("scale must be finite")
-    return computed_unitary(_spectral_matrix(spectrum, scale),
-                            "spectral exponential")
-
-
 def hermitian_exponential(h: Operator, scale: float) -> Operator:
     """exp(1j * scale * h) for Hermitian h, via eigendecomposition.
 
     Diagonalizing first keeps the result unitary to machine precision for
     any real scale, unlike a truncated series. The returned Operator is
-    tagged unitary, so the guarantee is rechecked on the way out. Callers
-    that need several exponentials of one generator take its
-    hermitian_spectrum once and call spectral_exponential per scale.
+    tagged unitary, so the guarantee is rechecked on the way out: drift is
+    NumericalDegeneracyError("spectral exponential: ...").
     """
-    return spectral_exponential(hermitian_spectrum(h), scale)
+    spectrum = hermitian_spectrum(h)
+    if not np.isfinite(scale):
+        raise ValueError("scale must be finite")
+    return computed_unitary(_spectral_matrix(spectrum, scale),
+                            "spectral exponential")
 
 
 def random_hermitians(dim: int, seeds: Sequence[int]) -> np.ndarray:

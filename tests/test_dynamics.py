@@ -14,8 +14,10 @@ from leolab.dynamics import (
 )
 from leolab.leo import (
     LeakageEliminationOperator,
+    canonical_leo,
     exchange_dfs2_leo,
     number_operator_leo,
+    phase_shifter_leo,
     projector_leo,
     verify_leo,
 )
@@ -24,6 +26,7 @@ from leolab.models import (
     dfs2_leakage_model,
     hopping_model,
     linear_optics_model,
+    logical_ops_dfs2,
 )
 from leolab.opalg import (
     NumericalDegeneracyError,
@@ -31,7 +34,6 @@ from leolab.opalg import (
     hermitian_exponential,
     pauli_string,
     random_hermitian,
-    spectral_exponential,
 )
 
 
@@ -175,7 +177,12 @@ class TestPropagatorChecks:
         drift = "unitary tag violated: residual"
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^spectral exponential: {drift}"):
-            spectral_exponential(spectra[0].joint, -0.05)
+            hermitian_exponential(m.h_joint, -0.05)
+        # the free total, formed from the sectors' spectra, keeps that name
+        phi0 = dynamics._frame_state(m, code_state(m))
+        with pytest.raises(NumericalDegeneracyError,
+                           match=f"^spectral exponential: {drift}"):
+            dynamics._free(m, 8, 0.05, phi0)
         # the segment has no check of its own: cycle^n is the first
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^total propagator after 8 cycles: {drift}"):
@@ -248,7 +255,7 @@ class TestEigenvectorCertificate:
     def test_fails_before_any_row(self, monkeypatch):
         perturbed_spectra(monkeypatch, 1, self.FACTOR)
         calls = []
-        monkeypatch.setattr(dynamics, "_cycle", lambda *args: calls.append(args))
+        monkeypatch.setattr(dynamics, "_pulsed", lambda *args: calls.append(args))
         m = benchmark_model()
         with pytest.raises(NumericalDegeneracyError, match="^eigenvectors of"):
             sweep_cycles(m, 0.8, (1, 2, 4), code_state(m), exchange_dfs2_leo())
@@ -795,17 +802,23 @@ class TestSweep:
         assert observables == []
 
     def test_cycle_forms_no_spectral_exponential(self, monkeypatch):
-        # the segment is built on the model's certified eigenvectors
-        assert not hasattr(dynamics, "spectral_exponential")
+        # the segment is built on the model's certified eigenvectors: no
+        # checked exponential, and the only V e^(i phi) V^dag formed are the
+        # limit's, one per code and complement sub-block of each sector
+        assert not hasattr(dynamics, "hermitian_exponential")
         m = benchmark_model()
         pulse = exchange_dfs2_leo()  # built by an exponential of its own
         calls = []
-        monkeypatch.setattr(opalg, "spectral_exponential",
+        monkeypatch.setattr(opalg, "hermitian_exponential",
                             lambda *args: calls.append(args))
+        matrices = counting(monkeypatch, "_spectral_matrix")
         sweep_cycles(m, 0.8, (1, 2, 4), code_state(m), pulse)
         parity_kick_unitary(m, ParityKickSchedule(4, 0.1, pulse))
         simulate(m, ParityKickSchedule(4, 0.1, pulse), code_state(m))
         assert calls == []
+        limit_spectra = [id(s) for sector in m.spectra
+                         for s in (sector.code, sector.complement)]
+        assert [id(args[0]) for args in matrices] == limit_spectra * 2
 
     @pytest.mark.parametrize("state", [np.zeros(3), np.eye(4)[0],
                                        0.5 * dfs2_dephasing().basis[:, 0]],
@@ -814,7 +827,7 @@ class TestSweep:
         m = benchmark_model()
         pulse = exchange_dfs2_leo()
         limits = counting(monkeypatch, "_limit")
-        cycles = counting(monkeypatch, "_cycle")
+        cycles = counting(monkeypatch, "_pulsed")
         with pytest.raises(ValueError) as direct:
             simulate(m, ParityKickSchedule(2, 0.4, pulse), state)
         with pytest.raises(ValueError) as swept:
@@ -897,6 +910,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_cycles(m, 0.8, (0, 2), code_state(m), pulse)
 
+    def test_rejects_underflowing_tau(self):
+        # T / 2n rounds to 0 at the smallest positive T: no row runs at tau 0
+        m = benchmark_model()
+        with pytest.raises(ValueError, match="^tau must be positive and finite$"):
+            sweep_cycles(m, 5e-324, (1, 2), code_state(m), exchange_dfs2_leo())
+
     def test_rejects_non_integer_n_list(self):
         # int() would silently run n = 1 and 4 and label the rows so
         m = benchmark_model()
@@ -944,17 +963,44 @@ class TestSweep:
                                       abs=1e-3)
 
 
-class TestProjectorPulseAgreesWithExchange:
-    def test_same_trajectory(self):
-        # both routes produce the identical reflection on dfs2, so the
-        # simulated dynamics must match to machine precision
-        m = benchmark_model()
-        a = simulate(m, ParityKickSchedule(8, 0.05, exchange_dfs2_leo()),
-                     code_state(m))
-        b = simulate(m, ParityKickSchedule(8, 0.05,
-                                           projector_leo(dfs2_dephasing())),
-                     code_state(m))
-        assert a.final_leakage == pytest.approx(b.final_leakage, rel=1e-9)
+def route_pulses(m):
+    """A pulse for the model's code from every route that builds one:
+    projector and exchange_2dfs on dfs2, and canonical with each logical
+    Pauli; projector and number_op on a bare qubit in five levels;
+    projector and phase_shifter on the dual rail."""
+    if m.code.label == "dfs2":
+        ops = logical_ops_dfs2()
+        return [projector_leo(m.code), exchange_dfs2_leo(),
+                *(canonical_leo(op, m.code) for op in (ops.x, ops.y, ops.z))]
+    if m.code.label == "dual_rail":
+        return [projector_leo(m.code), phase_shifter_leo()]
+    return [projector_leo(m.code), number_operator_leo(m.system_dim)]
+
+
+class TestPulseIsOnlyItsCode:
+    """Every route that builds a pulse for one code gives the same run bit
+    for bit: the kick is the ideal sign flip of the code rows, so a pulse
+    is read only for its code, never for its rounding or its phase."""
+
+    CASES = {
+        "dfs2": benchmark_model,
+        "bare5": lambda: hopping_model(5, seed=7, g=0.2, bath_dim=3),
+        "dual_rail": lambda: linear_optics_model(seed=5, g=0.2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_route_gives_equal_runs(self, case):
+        m = self.CASES[case]()
+        psi = (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
+        # 300 cycles and rows: past a sample batch edge
+        (report, table), *others = [
+            (simulate(m, ParityKickSchedule(300, 0.003, p), psi),
+             sweep_cycles(m, 0.9, (1, 3, 8, 300), psi, p)) for p in route_pulses(m)]
+        assert max(s.leakage_population for s in report.samples) > 1e-9
+        for got, rows in others:
+            assert got.samples == report.samples
+            assert got.distance_to_limit == report.distance_to_limit
+            assert rows.rows == table.rows
 
 
 class TestPulseMustMatchModelCode:
@@ -981,6 +1027,41 @@ class TestPulseMustMatchModelCode:
             parity_kick_unitary(m, sched)
         with pytest.raises(ValueError, match="different code"):
             sweep_cycles(m, 2.0, [1, 2], code_state(m), pulse)
+
+    def test_rejected_before_any_eigh(self, monkeypatch):
+        pulse = exchange_dfs2_leo()
+        runs = {
+            "simulate": lambda m: simulate(
+                m, ParityKickSchedule(2, 0.1, pulse), code_state(m)),
+            "parity_kick_unitary": lambda m: parity_kick_unitary(
+                m, ParityKickSchedule(2, 0.1, pulse)),
+            "sweep_cycles": lambda m: sweep_cycles(
+                m, 2.0, [1, 2], code_state(m), pulse),
+        }
+        fresh = {name: self.mislabelled_model() for name in runs}
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *args: calls.append(args) or eigh(*args))
+        message = (r"^pulse targets code 'dfs2' \(dim 4\), model uses a "
+                   r"different code 'dfs2' \(dim 4\)$")
+        for name, run in runs.items():
+            with pytest.raises(ValueError, match=message):
+                run(fresh[name])
+        assert calls == []
+
+    def test_checked_once_per_call(self, monkeypatch):
+        m = benchmark_model()
+        pulse = exchange_dfs2_leo()
+        calls = []
+        same = CodeSubspace.same_subspace
+        monkeypatch.setattr(CodeSubspace, "same_subspace",
+                            lambda code, other: calls.append(other) or same(code, other))
+        table = sweep_cycles(m, 2.0, (1, 2, 4, 8, 16, 32, 64), code_state(m), pulse)
+        assert len(table.rows) == 7 and len(calls) == 1
+        simulate(m, ParityKickSchedule(8, 0.05, pulse), code_state(m))
+        parity_kick_unitary(m, ParityKickSchedule(8, 0.05, pulse))
+        assert calls == [m.code] * 3
 
     def test_pulse_for_the_subspace_accepted(self):
         m = self.mislabelled_model()
@@ -1057,8 +1138,8 @@ class TestSpectralCache:
         assert np.linalg.norm(decoupled_limit_unitary(m, t).mat - want) <= bound
         # the kick is the ideal one, Z = -1 on a sector's code rows and +1
         # elsewhere, applied to the cached segment: (S' Z)^2 exactly
-        cycles = dynamics._cycle(m, ParityKickSchedule(1, 0.1, pulse))
-        assert len(cycles) == len(m.spectra) == 2
+        cycles, states = dynamics._pulsed(m, 1, 0.1)  # cycle^1 is the cycle
+        assert len(cycles) == len(m.spectra) == 2 and states is None
         for sector, cycle in zip(m.spectra, cycles):
             z = np.diag(np.where(np.arange(len(sector.rows)) < sector.n_code,
                                  -1.0, 1.0))
