@@ -312,7 +312,9 @@ def _pulse_for_model(config: dict, model):
                        pulse_cfg.get("sigma"), pulse_cfg.get("generator"))
 
 
-def _schedule_params(config: dict) -> tuple[int, float]:
+def _schedule_params(config: dict) -> tuple[int, float, float]:
+    """n_cycles, tau and the total free time: the configured total_time
+    where the schedule gives one, else 2 n_cycles tau."""
     sched = config.get("schedule")
     if not isinstance(sched, dict):
         raise ConfigError("config needs a 'schedule' object")
@@ -321,15 +323,17 @@ def _schedule_params(config: dict) -> tuple[int, float]:
     has_total = "total_time" in sched
     if has_tau == has_total:
         raise ConfigError("schedule needs exactly one of 'tau' or 'total_time'")
-    key = "tau" if has_tau else "total_time"
-    tau = parsed(json_number, sched, key)
-    if not has_tau:
+    if has_tau:
+        tau = parsed(json_number, sched, "tau")
+        total = 2 * n_cycles * tau
+    else:
+        total = parsed(json_number, sched, "total_time")
         if n_cycles < 1:
             raise ConfigError("total_time schedules need n_cycles >= 1")
-        tau /= 2 * n_cycles
+        tau = total / (2 * n_cycles)
     if not (tau > 0 and math.isfinite(tau)):
         raise ConfigError("schedule tau must be positive and finite")
-    return n_cycles, tau
+    return n_cycles, tau, total
 
 
 def _model_and_config(args: argparse.Namespace):
@@ -346,7 +350,7 @@ def _plot_text(points) -> str:
 
 def _run_simulate(args: argparse.Namespace) -> int:
     model, config = _model_and_config(args)
-    n_cycles, tau = _schedule_params(config)
+    n_cycles, tau, _ = _schedule_params(config)  # simulate's T is 2 n tau
     pulses = None if args.free else _pulse_for_model(config, model)
     schedule = ParityKickSchedule(n_cycles, tau, pulses)
     state = _initial_state(config, model.code)
@@ -366,8 +370,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     model, config = _model_and_config(args)
-    n_cycles, tau = _schedule_params(config)
-    total = 2 * n_cycles * tau
+    _, _, total = _schedule_params(config)
     pulses = _pulse_for_model(config, model)
     state = _initial_state(config, model.code)
     table = sweep_cycles(model, total, args.n, state, pulses)

@@ -26,22 +26,23 @@ sqrt(lambda_max) of a Gram matrix, relative error O(J eps). The public
 parity_kick_unitary and decoupled_limit_unitary assemble the sectors and
 rotate them back to product coordinates.
 
-Samples are read in the frame, where a state's first code x bath entries
-are its code rows and the rest its complement rows: leakage is the
-squared norm of the complement rows and the fidelity's A is the code
-rows. Each sector yields its rows in batches of OBSERVABLE_BATCH from a
-few matrix products: free states scale a phase table against its
-eigenvectors, targets (which never leave the code rows) against its code
-sub-block's, and pulsed states come from the squares that build cycle^n.
-The batches of all sectors are assembled into frame rows for the
-observables. The code fidelity of a qubit code has a closed form
-(Jozsa's tr(rho sigma) + 2 sqrt(det rho det sigma), determinants from
-Gram-Schmidt R factors), within 1e-15 ||A||_F ||C||_F of the QR + SVD form
-that the other code dims take. simulate certifies a run's leakage column
-once, before it builds any record: a value outside [0, 1] (within 1e-12),
-or NaN, is a NumericalDegeneracyError. A sweep row is cycle^n, its final
-state's leakage and its distance to the sweep's one limit; it takes no
-samples (sweep_cycles).
+Samples are read per sector in the frame, where a sector's first n_code
+rows are code rows and the rest complement rows. Each sector yields its
+rows in batches of OBSERVABLE_BATCH from a few matrix products: free
+states scale a phase table against its eigenvectors, targets (which
+never leave the code rows) against its code sub-block's, and pulsed
+states come from the squares that build cycle^n. Leakage is the sum over
+sectors of the squared norms of their complement rows (_leakage); only
+the code rows are gathered, side by side and put in frame code order by
+one permutation per run, as the fidelity's A and C. The code fidelity of
+a qubit code has a closed form (Jozsa's tr(rho sigma) + 2 sqrt(det rho
+det sigma), determinants from Gram-Schmidt R factors), within 1e-15
+||A||_F ||C||_F of the QR + SVD form that the other code dims take.
+simulate certifies a run's leakage column once, before it builds any
+record: a value outside [0, 1] (within 1e-12), or NaN, is a
+NumericalDegeneracyError. A sweep row is cycle^n, its final state's
+leakage (read per sector as well) and its distance to the sweep's one
+limit; it takes no samples (sweep_cycles).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .leo import LeakageEliminationOperator
-from .models import SystemBathModel
+from .models import Sector, SystemBathModel
 from .opalg import (
     NumericalDegeneracyError,
     Operator,
@@ -334,11 +335,13 @@ def _frame_state(model: SystemBathModel, initial_code_state) -> np.ndarray:
     return np.kron(coords, model.initial_bath_state)
 
 
-def _frame_leakage(model: SystemBathModel, phis: np.ndarray) -> np.ndarray:
-    """|(Q x I) psi|^2 for a stack of joint states in the frame F x I (phi =
-    (F^dag x I) psi): the squared norm of each phi's complement rows."""
-    kb = model.code.code_dim * model.bath_dim
-    return np.sum(np.abs(phis[:, kb:]) ** 2, axis=1)
+def _leakage(sectors: Sequence[Sector], parts: Sequence[np.ndarray]) -> np.ndarray:
+    """|(Q x I) psi|^2 for a stack of joint states given as one part per
+    sector in the frame F x I (a part's columns are its sector's rows, code
+    rows first): per sample, the sum over sectors of the squared norms of
+    each part's complement columns."""
+    return sum(np.sum(np.abs(part[:, sector.n_code:]) ** 2, axis=1)
+               for sector, part in zip(sectors, parts))
 
 
 def _certified_leakage(leakage: np.ndarray) -> np.ndarray:
@@ -397,19 +400,22 @@ def _qubit_nuclear_norm(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.sqrt(frob2 + 2.0 * ra * rc * da * dc)
 
 
-def _observables(model: SystemBathModel, phis: np.ndarray,
-                 c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _observables(model: SystemBathModel, parts: Sequence[np.ndarray],
+                 targets: Sequence[np.ndarray],
+                 order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leakage and code fidelity for a stack of joint states and targets,
-    the states in the frame F x I (phi = (F^dag x I) psi: code rows first).
+    each given as one part per sector in the frame F x I: a state's part
+    holds its sector's rows, code rows first, and a target's only those
+    code rows. order = argsort of the sectors' code rows concatenated puts
+    code columns side by side in frame code order, code x bath.
 
-    Leakage is |(Q x I) psi|^2, the squared norm of phi's complement rows
-    (_frame_leakage).
+    Leakage is |(Q x I) psi|^2, read per sector (_leakage).
     Fidelity is the Uhlmann fidelity of the bath-traced state against the
     bath-traced target projected onto the code and renormalized. Both
     joint vectors are purifications, so with A = V^dag psi and C = V^dag
-    target, code x bath (V the code basis: A is phi's code rows, and c
-    holds C's rows flattened), it is ||A^dag C||_1^2 / ||C||^2 (Uhlmann
-    1976; Jozsa 1994). For a qubit code ||A^dag C||_1 has a closed form
+    target, code x bath (V the code basis: A is the states' code rows, C
+    the targets'), it is ||A^dag C||_1^2 / ||C||^2 (Uhlmann 1976; Jozsa
+    1994). For a qubit code ||A^dag C||_1 has a closed form
     (_qubit_nuclear_norm) with no LAPACK call per sample; it agrees with
     the QR + SVD form of the other code dims (_nuclear_norm) to within
     1e-15 ||A||_F ||C||_F, and simulate's fidelities moved by at most
@@ -417,13 +423,17 @@ def _observables(model: SystemBathModel, phis: np.ndarray,
     clamped to 1; larger ones pass through. simulate range-checks leakage.
     """
     k, b = model.code.code_dim, model.bath_dim
-    leak = _frame_leakage(model, phis)
-    a = phis[:, :k * b].reshape(len(phis), k, b)
-    c = c.reshape(len(c), k, b)
+    sectors = model.spectra
+    # take, not [:, order], keeps the gathered rows C-contiguous
+    a = np.concatenate([part[:, :sector.n_code]
+                        for sector, part in zip(sectors, parts)], axis=1)
+    a = a.take(order, axis=1).reshape(len(a), k, b)
+    c = np.concatenate(targets, axis=1).take(order, axis=1).reshape(len(a), k, b)
     norm = np.sum(np.abs(c) ** 2, axis=(1, 2))
     nuclear = (_qubit_nuclear_norm if k == 2 else _nuclear_norm)(a, c)
     f = nuclear ** 2 / norm
-    return leak, np.where(f < 1.0 + FIDELITY_CLAMP_TOL, np.minimum(f, 1.0), f)
+    return (_leakage(sectors, parts),
+            np.where(f < 1.0 + FIDELITY_CLAMP_TOL, np.minimum(f, 1.0), f))
 
 
 def _spectral_batches(spectrum: tuple[np.ndarray, np.ndarray], psi0: np.ndarray,
@@ -452,33 +462,6 @@ def _power_batches(states: np.ndarray, advance: np.ndarray | None, n: int):
         if k0:
             states = states[:n + 1 - k0] @ advance.T
         yield states
-
-
-def _runs(rows: np.ndarray) -> list[tuple[slice, slice]]:
-    """Ascending indices as runs of consecutive ones: (target, source) slice
-    pairs, target in the frame and source in the sector, so a sector's
-    batch lands by plain slice copies. A dfs2 sector's rows are runs of
-    bath-dim rows; indexing with the rows instead (out[:, rows] = part)
-    made long_run's dfs2 simulate calls 7-19% slower."""
-    if not len(rows):
-        return []
-    bounds = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), len(rows)]
-    return [(slice(rows[a], rows[z - 1] + 1), slice(a, z))
-            for a, z in zip(bounds, bounds[1:])]
-
-
-def _gathered(runs: Sequence[list[tuple[slice, slice]]], width: int,
-              batches) -> np.ndarray:
-    """The next batch of every sector side by side, each on its own runs of
-    one stack of width-entry rows; a single sector's batch as it is."""
-    parts = [next(b) for b in batches]
-    if len(parts) == 1:
-        return parts[0]
-    out = np.empty((len(parts[0]), width), dtype=complex)
-    for sector_runs, part in zip(runs, parts):
-        for target, source in sector_runs:
-            out[:, target] = part[:, source]
-    return out
 
 
 def simulate(
@@ -512,17 +495,14 @@ def simulate(
     # the target never leaves the code rows: each sector's code sub-block
     # steps them
     code_rows = [sector.rows[:sector.n_code] for sector in sectors]
+    order = np.argsort(np.concatenate(code_rows))  # into frame code order
     targets = [_spectral_batches(sector.code, phi0[rows], -2 * tau, n)
                for sector, rows in zip(sectors, code_rows)]
-    runs = [_runs(sector.rows) for sector in sectors]
-    code_runs = [_runs(rows) for rows in code_rows]
-    j, kb = model.joint_dim, model.code.code_dim * model.bath_dim
     leakage, fidelity = np.empty(n + 1), np.empty(n + 1)
-    for start in range(0, n + 1, OBSERVABLE_BATCH):
-        phis = _gathered(runs, j, states)
-        c = _gathered(code_runs, kb, targets)
-        batch = slice(start, start + len(c))
-        leakage[batch], fidelity[batch] = _observables(model, phis, c)
+    for start, parts, c in zip(range(0, n + 1, OBSERVABLE_BATCH),
+                               zip(*states), zip(*targets)):
+        batch = slice(start, start + len(c[0]))
+        leakage[batch], fidelity[batch] = _observables(model, parts, c, order)
     _certified_leakage(leakage)  # one range check per run
     fidelity[0] = 1.0  # sample 0 compares the initial state with itself
     times = (2 * tau * np.arange(n + 1)).tolist()
@@ -530,7 +510,7 @@ def simulate(
     samples = tuple(map(tuple.__new__, repeat(SimulationSample),
                         zip(range(n + 1), times, leakage.tolist(),
                             fidelity.tolist())))
-    del states, phis  # room for the Gram matrices of the distance
+    del states, parts  # room for the Gram matrices of the distance
     return SimulationReport(samples, max(map(_spectral_distance, totals, limit)))
 
 
@@ -572,10 +552,10 @@ def sweep_cycles(
 
     def one(n: int, tau: float) -> SweepRow:
         totals, _ = _pulsed(model, n, tau)
-        phi = np.empty_like(phi0)  # the final state cycle^n psi0, in the frame
-        for sector, total in zip(sectors, totals):
-            phi[sector.rows] = total @ phi0[sector.rows]
-        leakage = _certified_leakage(_frame_leakage(model, phi[None]))
+        # the final state cycle^n psi0, per sector in the frame
+        final = [(total @ phi0[sector.rows])[None]
+                 for sector, total in zip(sectors, totals)]
+        leakage = _certified_leakage(_leakage(sectors, final))
         return SweepRow(n, tau, float(leakage[0]),
                         max(map(_spectral_distance, totals, limit)))
 

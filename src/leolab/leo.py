@@ -242,16 +242,14 @@ def generalized_leo(
             f"not a generalized-LEO generator: leakage block has norm "
             f"{dec.l_norm:.3e}"
         )
-    v = code.basis
-    k = code.code_dim
-    code_block = v.conj().T @ h.mat @ v
-    code_parity = _integer_parity(np.linalg.eigvalsh(code_block), "code")
+    f, k = code.frame, code.code_dim
+    # F = [code basis | complement basis]: the code and complement blocks
+    # are the diagonal blocks of F^dag h F
+    blocks = f.conj().T @ h.mat @ f
+    code_parity = _integer_parity(np.linalg.eigvalsh(blocks[:k, :k]), "code")
     if code.ambient_dim > k:
-        # eigenvectors of Q with eigenvalue 1 come last: an orthonormal
-        # complement basis, which is all the spectrum of W^dag h W needs
-        w = np.linalg.eigh(code.complement_projector)[1][:, k:]
-        perp_block = w.conj().T @ h.mat @ w
-        perp_parity = _integer_parity(np.linalg.eigvalsh(perp_block), "complement")
+        perp_parity = _integer_parity(np.linalg.eigvalsh(blocks[k:, k:]),
+                                      "complement")
         if perp_parity == code_parity:
             raise NotGeneralizedGeneratorError(
                 "not a generalized-LEO generator: code and complement spectra "

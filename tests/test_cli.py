@@ -272,6 +272,19 @@ class TestSimulateAndSweep:
         ns = [int(ln.split(",")[0]) for ln in lines[1:]]
         assert ns == [1, 2, 4, 8]
 
+    def test_sweep_runs_at_the_configured_total_time(self, tmp_path, capsys):
+        # 2 * 3 * (0.9 / 6) is 0.89999999999999991: a total_time schedule
+        # sweeps at its own T, and row n gets T / 2n
+        cfg = write_config(tmp_path, **{"schedule": {"n_cycles": 3,
+                                                     "total_time": 0.9}})
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--config", cfg, "--n", "1,3",
+                        "--out", out]) == 0
+        assert "runs at T=0.90000000000000002," in capsys.readouterr().out
+        taus = [float(ln.split(",")[1])
+                for ln in out.read_text().strip().split("\n")[1:]]
+        assert taus == [0.9 / 2, 0.9 / 6]
+
     def test_sweep_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, **{"schedule": {"n_cycles": 4,
                                                      "total_time": 0.4}})
@@ -649,8 +662,8 @@ class TestLeakageOutOfRange:
     def test_sweep_exits_two(self, tmp_path, capsys, monkeypatch, value):
         # a sweep row range-checks its final leakage: exit 2, not 1, and no
         # CSV is written
-        monkeypatch.setattr(dynamics, "_frame_leakage",
-                            lambda model, phis: np.full(len(phis), value))
+        monkeypatch.setattr(dynamics, "_leakage",
+                            lambda sectors, parts: np.full(len(parts[0]), value))
         bench = Path(__file__).resolve().parent.parent / "bench"
         out = tmp_path / "sweep.csv"
         assert run_cli(["sweep", "--config", bench / "dfs2_benchmark.json",

@@ -3,7 +3,7 @@ import pytest
 from model_split import explicit_split
 
 from leolab import dynamics, models, opalg
-from leolab.codes import CodeSubspace, build_code, dfs2_dephasing
+from leolab.codes import CodeSubspace, bare_qubit_code, build_code, dfs2_dephasing
 from leolab.dynamics import (
     ParityKickSchedule,
     _spectral_distance,
@@ -142,7 +142,7 @@ class TestPropagatorChecks:
         observables = dynamics._observables
 
         def counting(*args):
-            calls.append(len(args[1]))
+            calls.append(len(args[1][0]))  # samples in the first sector's part
             return observables(*args)
 
         monkeypatch.setattr(dynamics, "_observables", counting)
@@ -331,8 +331,8 @@ class TestLeakageCertificate:
     @pytest.mark.parametrize("value", [1.5, np.nan, -1e-11, 1.0 + 1e-11])
     def test_sweep_row_out_of_range_is_numerical(self, monkeypatch, value):
         m = benchmark_model()
-        monkeypatch.setattr(dynamics, "_frame_leakage",
-                            lambda model, phis: np.full(len(phis), value))
+        monkeypatch.setattr(dynamics, "_leakage",
+                            lambda sectors, parts: np.full(len(parts[0]), value))
         with pytest.raises(NumericalDegeneracyError,
                            match=r"leakage population .* outside \[0, 1\]"):
             sweep_cycles(m, 0.8, (1, 2, 4), code_state(m), exchange_dfs2_leo())
@@ -340,8 +340,8 @@ class TestLeakageCertificate:
     @pytest.mark.parametrize("value", [-1e-12, 1.0 + 1e-12])
     def test_sweep_bounds_are_inclusive(self, monkeypatch, value):
         m = benchmark_model()
-        monkeypatch.setattr(dynamics, "_frame_leakage",
-                            lambda model, phis: np.full(len(phis), value))
+        monkeypatch.setattr(dynamics, "_leakage",
+                            lambda sectors, parts: np.full(len(parts[0]), value))
         table = sweep_cycles(m, 0.8, (1, 2, 4), code_state(m), exchange_dfs2_leo())
         assert [r.final_leakage for r in table.rows] == [value] * 3
 
@@ -765,9 +765,18 @@ class TestOtherCodeDimsKeepSvdPath:
         batches = []
         observables = dynamics._observables
 
-        def spy(model, phis, c):
-            batches.append((phis.copy(), c.copy()))
-            return observables(model, phis, c)
+        def spy(model, parts, targets, order):
+            # the code rows of states and targets, each sector's scattered
+            # onto its own frame rows
+            kb = model.code.code_dim * model.bath_dim
+            phis = np.zeros((len(parts[0]), kb), dtype=complex)
+            c = np.zeros_like(phis)
+            for sector, part, target in zip(model.spectra, parts, targets):
+                code_rows = sector.rows[:sector.n_code]
+                phis[:, code_rows] = part[:, :sector.n_code]
+                c[:, code_rows] = target
+            batches.append((phis, c))
+            return observables(model, parts, targets, order)
 
         monkeypatch.setattr(dynamics, "_observables", spy)
         pulse = projector_leo(m.code) if pulsed else None
@@ -1227,6 +1236,20 @@ class TestSpectralDistance:
             assert coarse / fine == pytest.approx(2.0, abs=0.01)
 
 
+def interleaved_bare_model():
+    """bare_qubit_code(3) at bath dim 2 with 0.3 (|0><1| + h.c.) x X and
+    0.2 (|1><2| + h.c.) x X: sectors [0, 3, 4] and [1, 2, 5], so the
+    sectors' code rows concatenate to [0, 3, 1, 2], not frame order."""
+    def hop(i, j, dim):
+        h = np.zeros((dim, dim), dtype=complex)
+        h[i, j] = h[j, i] = 1.0
+        return Operator(h, frozenset({"hermitian"}))
+
+    return SystemBathModel.from_terms(
+        bare_qubit_code(3), [(0.3, hop(0, 1, 3), hop(0, 1, 2)),
+                             (0.2, hop(1, 2, 3), hop(0, 1, 2))], bath_dim=2)
+
+
 def one_sector(monkeypatch):
     """Make every model built from here on find a single sector."""
     monkeypatch.setattr(models, "_sector_rows", lambda h: [np.arange(len(h))])
@@ -1237,17 +1260,28 @@ class TestSectors:
     golden tolerances (leakage rtol 1e-9, fidelity atol 1e-8) and 1e-12 on
     the distance."""
 
+    # name: (model, pulse for the model)
     CASES = {
-        "dfs2_bath4": lambda: benchmark_model(),
+        "dfs2_bath4": (benchmark_model, lambda m: exchange_dfs2_leo()),
         # at bath dim 1 a lone flip cancels exactly over a cycle; the
         # collective term keeps the pulsed leakage above rounding
-        "dfs2_bath1": lambda: dfs2_leakage_model(("XI",), g=0.2, bath_seed=3,
-                                                 bath_dim=1, collective_strength=0.3),
-        "dfs2_zy_collective": lambda: dfs2_leakage_model(
+        "dfs2_bath1": (lambda: dfs2_leakage_model(("XI",), g=0.2, bath_seed=3,
+                                                  bath_dim=1, collective_strength=0.3),
+                       lambda m: exchange_dfs2_leo()),
+        "dfs2_zy_collective": (lambda: dfs2_leakage_model(
             ("ZY",), g=0.2, bath_seed=5, bath_dim=3, collective_strength=0.3),
-        "dfs2_xi_xz_bath1": lambda: dfs2_leakage_model(
+            lambda m: exchange_dfs2_leo()),
+        "dfs2_xi_xz_bath1": (lambda: dfs2_leakage_model(
             ("XI", "XZ"), g=0.2, bath_seed=3, bath_dim=1, collective_strength=0.3),
+            lambda m: exchange_dfs2_leo()),
+        # code rows that interleave across sectors: [0, 3] and [1, 2]
+        "bare3_interleaved": (interleaved_bare_model, lambda m: projector_leo(m.code)),
     }
+
+    def test_interleaved_code_rows_need_the_permutation(self):
+        m = interleaved_bare_model()
+        assert [s.rows.tolist() for s in m.spectra] == [[0, 3, 4], [1, 2, 5]]
+        assert [s.n_code for s in m.spectra] == [2, 2]
 
     @staticmethod
     def starts(m):
@@ -1269,15 +1303,15 @@ class TestSectors:
     @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_simulate_matches_one_sector(self, monkeypatch, case, pulsed):
-        m = self.CASES[case]()
+        build, pulse = self.CASES[case]
+        m = build()
         assert len(m.spectra) > 1
         # 300 cycles: a full batch, a C^256 advance and a partial batch
-        sched = ParityKickSchedule(300, 0.003,
-                                   exchange_dfs2_leo() if pulsed else None)
+        sched = ParityKickSchedule(300, 0.003, pulse(m) if pulsed else None)
         split = {name: simulate(m, sched, psi)
                  for name, psi in self.starts(m).items()}
         one_sector(monkeypatch)
-        whole = self.CASES[case]()
+        whole = build()
         assert len(whole.spectra) == 1
         for name, psi in self.starts(whole).items():
             rep = simulate(whole, sched, psi)
@@ -1286,12 +1320,13 @@ class TestSectors:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_sweep_matches_one_sector(self, monkeypatch, case):
-        pulse = exchange_dfs2_leo()
-        m = self.CASES[case]()
+        build, pulse = self.CASES[case]
+        m = build()
+        pulse = pulse(m)
         split = {name: sweep_cycles(m, 0.9, (1, 3, 8, 300), psi, pulse)
                  for name, psi in self.starts(m).items()}
         one_sector(monkeypatch)
-        whole = self.CASES[case]()
+        whole = build()
         for name, psi in self.starts(whole).items():
             rows = sweep_cycles(whole, 0.9, (1, 3, 8, 300), psi, pulse).rows
             for got, want in zip(split[name].rows, rows):
