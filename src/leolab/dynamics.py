@@ -11,33 +11,39 @@ Pulses are ideal (instantaneous, error-free) in this version.
 Everything runs in the code frame F x I (F = [code basis | complement
 basis]) and sector by sector: SystemBathModel.spectra splits H' = (F^dag
 x I) H_joint (F x I) into the exact blocks of its nonzero pattern, and
-every propagator is block diagonal over them. A pulse phi (Q - P) is phi Z
-in the frame, Z = -1 on the code rows and +1 on the rest, and phi cancels
-in the cycle, so a sector's cycle is (S' Z)^2 with S' its tau segment: the
-pulse is read only for its code. The segment is I + V' expm1(-i w tau)
-V'^dag on eigenvectors the model certified once (opalg.check_eigenvectors),
-so it has no check of its own and its drift is second order in w tau.
-cycle^n (_pulsed), the free total (_free) and the limit (_limit) are each
-formed and certified unitary in one function, as one matrix whose drift
-is sqrt(sum of the sectors' squared drifts); everything else combines
-them. Inputs are checked once per call, before any eigendecomposition.
-The distance to the limit is the largest of the sectors' distances, each
-sqrt(lambda_max) of a Gram matrix, relative error O(J eps). The public
-parity_kick_unitary and decoupled_limit_unitary assemble the sectors and
-rotate them back to product coordinates.
+every propagator is block diagonal over them. Sectors that are exact
+copies are one Sector with a row set per copy, so every block below is
+formed, certified and compared once per distinct block. A pulse phi (Q -
+P) is phi Z in the frame, Z = -1 on the code rows and +1 on the rest, and
+phi cancels in the cycle, so a sector's cycle is (S' Z)^2 with S' its tau
+segment: the pulse is read only for its code. The segment is I + V'
+expm1(-i w tau) V'^dag on eigenvectors the model certified once
+(opalg.check_eigenvectors), so it has no check of its own and its drift
+is second order in w tau. cycle^n (_pulsed), the free total (_free) and
+the limit (_limit) are each formed and certified unitary in one
+function, as one matrix whose drift is sqrt(sum of the sectors' squared
+drifts), a distinct block's counted once per copy; everything else
+combines them. Inputs are checked once per call, before any
+eigendecomposition. The distance to the limit is the largest of the
+sectors' distances, each sqrt(lambda_max) of a Gram matrix, relative
+error O(J eps). The public parity_kick_unitary and
+decoupled_limit_unitary place each block on every copy's rows and rotate
+them back to product coordinates.
 
 Samples are read per sector in the frame, where a sector's first n_code
 rows are code rows and the rest complement rows. Each sector yields its
-rows in batches of OBSERVABLE_BATCH from a few matrix products: free
-states scale a phase table against its eigenvectors, targets (which
-never leave the code rows) against its code sub-block's, and pulsed
-states come from the squares that build cycle^n. Leakage is the sum over
-sectors of the squared norms of their complement rows (_leakage); only
-the code rows are gathered, side by side and put in frame code order by
-one permutation per run, as the fidelity's A and C. The code fidelity of
-a qubit code has a closed form (Jozsa's tr(rho sigma) + 2 sqrt(det rho
-det sigma), determinants from Gram-Schmidt R factors), within 1e-15
-||A||_F ||C||_F of the QR + SVD form that the other code dims take.
+states in stacks (samples, copies, J_s) of OBSERVABLE_BATCH samples, its
+copies stepped together by one GEMM of shape (samples x copies, J_s) per
+product: free states scale a phase table against its eigenvectors,
+targets (which never leave the code rows) against its code sub-block's,
+and pulsed states come from the squares that build cycle^n. Leakage is
+the sum over sectors and copies of the squared norms of their complement
+rows (_leakage); only the code rows are gathered, in frame code order by
+one index per run (_code_columns), as the fidelity's A and C. The code
+fidelity of a qubit code has a closed form (Jozsa's tr(rho sigma) + 2
+sqrt(det rho det sigma), determinants from Gram-Schmidt R factors),
+within 1e-15 ||A||_F ||C||_F of the QR + SVD form that the other code
+dims take.
 simulate certifies a run's leakage column once, before it builds any
 record: a value outside [0, 1] (within 1e-12), or NaN, is a
 NumericalDegeneracyError. A sweep row is cycle^n, its final state's
@@ -188,17 +194,25 @@ def _check_pulse(model: SystemBathModel, pulse: LeakageEliminationOperator) -> N
         )
 
 
+def _step(states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u applied to each state of a stack (samples, copies, J): one GEMM
+    of shape (samples x copies, J)."""
+    m, c, j = states.shape
+    return (states.reshape(m * c, j) @ u.T).reshape(m, c, j)
+
+
 def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """cycle^n, not yet certified, from the squares C^(2^i) in matrix_power's
-    binary order. Given psi0, the squares also fill the first batch, rows
-    C^k psi0 for k < min(n + 1, OBSERVABLE_BATCH), by doubling (psi_(k+2^i)
-    = C^(2^i) psi_k), and C^OBSERVABLE_BATCH comes back to advance later
-    batches when n reaches it; as OBSERVABLE_BATCH is a power of two,
-    cycle^n needs every square.
+    binary order. Given psi0, one state per copy (copies, J), the squares
+    also fill the first batch, C^k psi0 for k < min(n + 1,
+    OBSERVABLE_BATCH) as a stack (samples, copies, J), by doubling
+    (psi_(k+2^i) = C^(2^i) psi_k), and C^OBSERVABLE_BATCH comes back to
+    advance later batches when n reaches it; as OBSERVABLE_BATCH is a power
+    of two, cycle^n needs every square.
     """
     rows = min(n + 1, OBSERVABLE_BATCH)
-    states = None if psi0 is None else np.tile(psi0, (rows, 1))  # row 0 stays psi0
+    states = None if psi0 is None else np.tile(psi0, (rows, 1, 1))  # [0] stays psi0
     total = np.eye(len(cycle), dtype=complex) if n == 0 else None
     advance = None
     square, span, left = cycle, 1, n
@@ -207,7 +221,7 @@ def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None
             square = square @ square
         if states is not None and span < rows:
             top = min(2 * span, rows)
-            states[span:top] = states[:top - span] @ square.T
+            states[span:top] = _step(states[:top - span], square)
         if span == OBSERVABLE_BATCH:
             advance = square
         left, bit = divmod(left, 2)
@@ -220,7 +234,8 @@ def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None
 def _pulsed(model: SystemBathModel, n: int, tau: float,
             phi0: np.ndarray | None = None) -> tuple[list[np.ndarray], list | None]:
     """cycle^n per sector in the frame F x I, certified unitary, and given
-    phi0 = (F^dag x I) psi0 each sector's states C^k psi0 (_power_batches).
+    phi0 = (F^dag x I) psi0 each sector's states C^k psi0 (_power_batches),
+    all of its copies' in one stack.
     A sector's cycle is (S' Z)^2, S' its tau segment (_segment) and Z the
     ideal kick, -1 on its code rows and +1 on the rest: a pulse phi (Q - P)
     is phi Z in the frame and phi cancels. S' has no check of its own: the
@@ -232,7 +247,7 @@ def _pulsed(model: SystemBathModel, n: int, tau: float,
         sz[:, :sector.n_code] *= -1.0  # S' Z
         powers.append(_cycle_powers(sz @ sz, n,
                                     None if phi0 is None else phi0[sector.rows]))
-    totals = certified_blocks([p[0] for p in powers],
+    totals = certified_blocks([p[0] for p in powers], _copies(model),
                               f"total propagator after {n} cycles")
     if phi0 is None:
         return totals, None
@@ -244,7 +259,8 @@ def _free(model: SystemBathModel, n: int, tau: float,
     """The free total exp(-i H' 2 n tau) per sector in the frame F x I,
     certified unitary, and each sector's states exp(-i H' 2 k tau) phi0."""
     totals = certified_blocks([_spectral_matrix(s.joint, -2 * n * tau)
-                               for s in model.spectra], "spectral exponential")
+                               for s in model.spectra], _copies(model),
+                              "spectral exponential")
     return totals, [_spectral_batches(s.joint, phi0[s.rows], -2 * tau, n)
                     for s in model.spectra]
 
@@ -256,21 +272,27 @@ def _limit(model: SystemBathModel, total_free_time: float) -> list[np.ndarray]:
     blocks = []
     for sector in model.spectra:
         c = sector.n_code
-        u = np.zeros((len(sector.rows),) * 2, dtype=complex)
+        u = np.zeros((sector.rows.shape[1],) * 2, dtype=complex)
         u[:c, :c] = _spectral_matrix(sector.code, -total_free_time)
         u[c:, c:] = _spectral_matrix(sector.complement, -total_free_time)
         blocks.append(u)
-    return certified_blocks(blocks, "decoupled limit")
+    return certified_blocks(blocks, _copies(model), "decoupled limit")
+
+
+def _copies(model: SystemBathModel) -> list[int]:
+    """How often each sector's block stands on the diagonal."""
+    return [len(sector.rows) for sector in model.spectra]
 
 
 def _product_coordinates(model: SystemBathModel, blocks, what: str) -> Operator:
-    """The joint matrix with each sector's block on its frame rows, rotated
-    back to product coordinates, (F x I) U (F^dag x I), and tagged unitary
-    (computed_unitary(u, what))."""
+    """The joint matrix with each sector's block on every copy's frame rows,
+    rotated back to product coordinates, (F x I) U (F^dag x I), and tagged
+    unitary (computed_unitary(u, what))."""
     f, j, s = model.code.frame, model.joint_dim, model.system_dim
     u = np.zeros((j, j), dtype=complex)
     for sector, block in zip(model.spectra, blocks):
-        u[np.ix_(sector.rows, sector.rows)] = block
+        for rows in sector.rows:
+            u[np.ix_(rows, rows)] = block
     u = (f @ u.reshape(s, -1)).reshape(j, j)            # (F x I) U
     u = (f.conj() @ u.reshape(j, s, -1)).reshape(j, j)  # (F x I) U (F^dag x I)
     return computed_unitary(u, what)
@@ -337,11 +359,13 @@ def _frame_state(model: SystemBathModel, initial_code_state) -> np.ndarray:
 
 def _leakage(sectors: Sequence[Sector], parts: Sequence[np.ndarray]) -> np.ndarray:
     """|(Q x I) psi|^2 for a stack of joint states given as one part per
-    sector in the frame F x I (a part's columns are its sector's rows, code
-    rows first): per sample, the sum over sectors of the squared norms of
-    each part's complement columns."""
-    return sum(np.sum(np.abs(part[:, sector.n_code:]) ** 2, axis=1)
-               for sector, part in zip(sectors, parts))
+    sector in the frame F x I, each (samples, copies, J_s) (a copy's
+    columns are its rows, code rows first): per sample, the sum over
+    sectors and their copies of the squared norms of the complement
+    columns, as re^2 + im^2 summed over a real view by one einsum each."""
+    views = (part[:, :, sector.n_code:].view(float)
+             for sector, part in zip(sectors, parts))
+    return sum(np.einsum("ijk,ijk->i", x, x) for x in views)
 
 
 def _certified_leakage(leakage: np.ndarray) -> np.ndarray:
@@ -400,14 +424,35 @@ def _qubit_nuclear_norm(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.sqrt(frob2 + 2.0 * ra * rc * da * dc)
 
 
+def _side_by_side(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Stacks (samples, copies, k), one per sector, as one row of copies x
+    k columns per sample, sector after sector and copy after copy; a lone
+    C-contiguous stack is only reshaped."""
+    flat = [x.reshape(len(x), x.shape[1] * x.shape[2]) for x in stacks]
+    return flat[0] if len(flat) == 1 else np.concatenate(flat, axis=1)
+
+
+def _code_columns(model: SystemBathModel) -> tuple[np.ndarray, np.ndarray]:
+    """Where each frame code row, in frame code order (code x bath), sits
+    among the columns of the sectors' states side by side (_side_by_side),
+    which hold every row of each copy, and of their targets, which hold
+    only the code rows: the sectors' row sets partition the frame rows, so
+    each is an argsort."""
+    kb, sectors = model.code.code_dim * model.bath_dim, model.spectra
+    states = np.concatenate([s.rows.ravel() for s in sectors])
+    targets = np.concatenate([s.rows[:, :s.n_code].ravel() for s in sectors])
+    return np.argsort(states)[:kb], np.argsort(targets)
+
+
 def _observables(model: SystemBathModel, parts: Sequence[np.ndarray],
                  targets: Sequence[np.ndarray],
-                 order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 columns: tuple[np.ndarray, np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Leakage and code fidelity for a stack of joint states and targets,
-    each given as one part per sector in the frame F x I: a state's part
-    holds its sector's rows, code rows first, and a target's only those
-    code rows. order = argsort of the sectors' code rows concatenated puts
-    code columns side by side in frame code order, code x bath.
+    each given as one part per sector in the frame F x I, (samples, copies,
+    J_s): a state's part holds each copy's rows, code rows first, and a
+    target's only those code rows. columns (_code_columns) picks the code
+    rows of each, side by side, in frame code order, code x bath.
 
     Leakage is |(Q x I) psi|^2, read per sector (_leakage).
     Fidelity is the Uhlmann fidelity of the bath-traced state against the
@@ -424,11 +469,10 @@ def _observables(model: SystemBathModel, parts: Sequence[np.ndarray],
     """
     k, b = model.code.code_dim, model.bath_dim
     sectors = model.spectra
-    # take, not [:, order], keeps the gathered rows C-contiguous
-    a = np.concatenate([part[:, :sector.n_code]
-                        for sector, part in zip(sectors, parts)], axis=1)
-    a = a.take(order, axis=1).reshape(len(a), k, b)
-    c = np.concatenate(targets, axis=1).take(order, axis=1).reshape(len(a), k, b)
+    m, (in_states, in_targets) = len(parts[0]), columns
+    # take, not [:, columns], keeps the gathered rows C-contiguous
+    a = _side_by_side(parts).take(in_states, axis=1).reshape(m, k, b)
+    c = _side_by_side(targets).take(in_targets, axis=1).reshape(m, k, b)
     norm = np.sum(np.abs(c) ** 2, axis=(1, 2))
     nuclear = (_qubit_nuclear_norm if k == 2 else _nuclear_norm)(a, c)
     f = nuclear ** 2 / norm
@@ -438,29 +482,30 @@ def _observables(model: SystemBathModel, parts: Sequence[np.ndarray],
 
 def _spectral_batches(spectrum: tuple[np.ndarray, np.ndarray], psi0: np.ndarray,
                       scale: float, n: int):
-    """Yield rows (exp(1j * scale * k * h) psi0) for k = 0..n in batches of
-    OBSERVABLE_BATCH, from h's spectrum (w, v). The table exp(1j * scale *
-    j * w), j < OBSERVABLE_BATCH, is built once, and the batch from k0
-    scales it by exp(1j * scale * k0 * w) (v^dag psi0). Sample 0 is psi0
-    exactly.
+    """Yield exp(1j * scale * k * h) psi0 for k = 0..n, psi0 one state per
+    copy (copies, J), in stacks (samples, copies, J) of OBSERVABLE_BATCH
+    samples, from h's spectrum (w, v). The table exp(1j * scale * j * w),
+    j < OBSERVABLE_BATCH, is built once, and the batch from k0 scales it by
+    exp(1j * scale * k0 * w) (v^dag psi0). Sample 0 is psi0 exactly.
     """
     w, v = spectrum
-    coeff = v.conj().T @ psi0
+    coeff = psi0 @ v.conj()  # v^dag psi0, a row per copy
     table = np.exp(1j * scale * np.outer(np.arange(min(n + 1, OBSERVABLE_BATCH)), w))
     for k0 in range(0, n + 1, OBSERVABLE_BATCH):
-        batch = (table[:n + 1 - k0] * (np.exp(1j * scale * k0 * w) * coeff)) @ v.T
+        scaled = table[:n + 1 - k0, None] * (np.exp(1j * scale * k0 * w) * coeff)
+        batch = _step(scaled, v)
         if k0 == 0:
             batch[0] = psi0
         yield batch
 
 
 def _power_batches(states: np.ndarray, advance: np.ndarray | None, n: int):
-    """Yield rows C^k psi0 for k = 0..n in batches of OBSERVABLE_BATCH: the
-    first batch is states (from _cycle_powers), and each later one is the
-    previous batch times advance = C^OBSERVABLE_BATCH."""
+    """Yield C^k psi0 for k = 0..n in stacks (samples, copies, J) of
+    OBSERVABLE_BATCH samples: the first is states (from _cycle_powers), and
+    each later one is the previous stack times advance = C^OBSERVABLE_BATCH."""
     for k0 in range(0, n + 1, OBSERVABLE_BATCH):
         if k0:
-            states = states[:n + 1 - k0] @ advance.T
+            states = _step(states[:n + 1 - k0], advance)
         yield states
 
 
@@ -494,15 +539,14 @@ def simulate(
 
     # the target never leaves the code rows: each sector's code sub-block
     # steps them
-    code_rows = [sector.rows[:sector.n_code] for sector in sectors]
-    order = np.argsort(np.concatenate(code_rows))  # into frame code order
-    targets = [_spectral_batches(sector.code, phi0[rows], -2 * tau, n)
-               for sector, rows in zip(sectors, code_rows)]
+    targets = [_spectral_batches(sector.code, phi0[sector.rows[:, :sector.n_code]],
+                                 -2 * tau, n) for sector in sectors]
+    columns = _code_columns(model)
     leakage, fidelity = np.empty(n + 1), np.empty(n + 1)
     for start, parts, c in zip(range(0, n + 1, OBSERVABLE_BATCH),
                                zip(*states), zip(*targets)):
         batch = slice(start, start + len(c[0]))
-        leakage[batch], fidelity[batch] = _observables(model, parts, c, order)
+        leakage[batch], fidelity[batch] = _observables(model, parts, c, columns)
     _certified_leakage(leakage)  # one range check per run
     fidelity[0] = 1.0  # sample 0 compares the initial state with itself
     times = (2 * tau * np.arange(n + 1)).tolist()
@@ -553,7 +597,7 @@ def sweep_cycles(
     def one(n: int, tau: float) -> SweepRow:
         totals, _ = _pulsed(model, n, tau)
         # the final state cycle^n psi0, per sector in the frame
-        final = [(total @ phi0[sector.rows])[None]
+        final = [_step(phi0[sector.rows][None], total)
                  for sector, total in zip(sectors, totals)]
         leakage = _certified_leakage(_leakage(sectors, final))
         return SweepRow(n, tau, float(leakage[0]),

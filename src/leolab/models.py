@@ -10,12 +10,15 @@ becomes H' = (F^dag x I) H_joint (F x I), whose first code x bath rows are
 the code rows; for dfs2, bare-qubit and dual-rail codes F is a
 permutation. The leakage-free part is H' without the blocks that couple
 code rows to complement rows. SystemBathModel.spectra splits H' into its
-sectors, the connected components of its exact nonzero pattern, and
-diagonalizes each sector's block and that block's code and complement
-sub-blocks: three eigh per sector. Every allowed dfs2 leakage label flips
-one qubit and keeps the other's Z, so a dfs2 model with one label (or
-labels that keep the same Z) has two sectors of half the joint dim; a
-model with no such structure has one.
+sectors, the connected components of its exact nonzero pattern, stores
+sectors that are exact copies (same code row count, equal blocks) once,
+and diagonalizes each distinct block and its code and complement
+sub-blocks: three eigh per distinct block. Every allowed dfs2 leakage
+label flips one qubit and keeps the other's Z, so a dfs2 model with one
+label (or labels that keep the same Z) has two sectors of half the joint
+dim; a model with no such structure has one. A label that acts only on
+one qubit with X (XI, IX) makes the two sectors copies: one block, two
+row sets.
 
 Units: hbar = 1 throughout, so couplings are angular frequencies and
 exp(-i H t) propagates for time t. Every random ingredient is drawn from
@@ -88,12 +91,16 @@ Spectrum = tuple[np.ndarray, np.ndarray]  # (w, v) of a Hermitian block
 
 
 class Sector(NamedTuple):
-    """One exact block of H' = (F^dag x I) H_joint (F x I).
+    """One exact block of H' = (F^dag x I) H_joint (F x I), with every
+    sector that is an exact copy of it.
 
-    rows are its frame rows, ascending, so its code rows (frame rows below
-    code x bath) come first: n_code of them. joint, code and complement
-    are the spectra (w, v) of the block H'[rows, rows] and of its code and
-    complement sub-blocks; either sub-block may be empty.
+    rows has one row set per copy (copies x block dim): each row set is
+    ascending frame rows, so its code rows (frame rows below code x bath)
+    come first, n_code of them, and H'[r, r] is the same block for every
+    row set r. phi[rows] thus stacks the copies' parts of a frame vector
+    phi. joint, code and complement are the spectra (w, v) of the block
+    and of its code and complement sub-blocks; either sub-block may be
+    empty.
     """
 
     rows: np.ndarray
@@ -169,6 +176,9 @@ class SystemBathModel:
         of its exact nonzero pattern (_sector_rows), so every propagator is
         exactly block diagonal over them, and within a sector the code and
         complement sub-blocks are H_c + H_perp, the part the kicks keep.
+        Sectors with as many code rows and equal blocks (np.array_equal, no
+        tolerance) are copies, kept as one Sector with one row set each,
+        in the order of their first index; only the first is diagonalized.
         Each eigenvector matrix is certified once, here (check_eigenvectors),
         so an exponential built on it needs no check of its own."""
         h, s, j = self.h_joint.mat, self.system_dim, self.joint_dim
@@ -185,11 +195,19 @@ class SystemBathModel:
             v.setflags(write=False)
             return w, v
 
-        out = []
+        groups: list[tuple[np.ndarray, int, list[np.ndarray]]] = []
         for rows in _sector_rows(hf):
+            blk, c = hf[np.ix_(rows, rows)], int(np.searchsorted(rows, kb))
+            for first, c0, copies in groups:  # a copy: compared exactly
+                if c0 == c and np.array_equal(first, blk):
+                    copies.append(rows)
+                    break
+            else:
+                groups.append((blk, c, [rows]))
+        out = []
+        for blk, c, copies in groups:
+            rows = np.stack(copies)
             rows.setflags(write=False)
-            blk = hf[np.ix_(rows, rows)]
-            c = int(np.searchsorted(rows, kb))
             out.append(Sector(rows, c, spectrum(blk, "H_joint"),
                               spectrum(blk[:c, :c], "the code block"),
                               spectrum(blk[c:, c:], "the complement block")))

@@ -131,16 +131,19 @@ def computed_unitary(m: np.ndarray, what: str) -> Operator:
         raise NumericalDegeneracyError(f"{what}: {err}") from err
 
 
-def certified_blocks(blocks: Sequence[np.ndarray], what: str) -> list[np.ndarray]:
-    """The diagonal blocks of a block-diagonal computed unitary, once the
-    whole matrix passes the unitary tag's residual test: its ||M^dag M -
-    I||_F is sqrt(sum of the blocks' squared residuals). Drift past
-    UNITARY_TOL, or a non-finite entry, is computed_unitary's
+def certified_blocks(blocks: Sequence[np.ndarray], copies: Sequence[int],
+                     what: str) -> list[np.ndarray]:
+    """The distinct diagonal blocks of a block-diagonal computed unitary,
+    blocks[i] standing copies[i] times on its diagonal, once the whole
+    matrix passes the unitary tag's residual test: its ||M^dag M - I||_F is
+    sqrt(sum of the diagonal blocks' squared residuals), each block's
+    computed once and counted once per copy. Drift past UNITARY_TOL, or a
+    non-finite entry, is computed_unitary's
     NumericalDegeneracyError("<what>: unitary tag violated: residual <r>")."""
     blocks = list(blocks)
     try:
-        _check_residual(float(np.sqrt(sum(_unitary_residual(b) ** 2
-                                          for b in blocks))))
+        _check_residual(float(np.sqrt(sum(k * _unitary_residual(b) ** 2
+                                          for b, k in zip(blocks, copies)))))
     except ValueError as err:
         raise NumericalDegeneracyError(f"{what}: {err}") from err
     return blocks

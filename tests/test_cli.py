@@ -315,6 +315,30 @@ class TestSimulateAndSweep:
             assert "residual" in proc.stderr
 
 
+class TestOutputFileMode:
+    """--out files get the mode a plain open(path, "w") gives, 0o666 less
+    the umask, not the temp file's 0o600."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077],
+                             ids=["022", "002", "077"])
+    def test_mode_follows_the_umask(self, tmp_path, umask):
+        cfg = write_config(tmp_path)
+        out, pulse = tmp_path / "o.csv", tmp_path / "p.json"
+        old = os.umask(umask)
+        try:
+            assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+            assert run_cli(["synth", "--code", "dfs2", "--route", "projector",
+                            "--out", pulse]) == 0
+            plain = tmp_path / "plain"
+            open(plain, "w").close()
+        finally:
+            os.umask(old)
+        want = 0o666 & ~umask
+        assert plain.stat().st_mode & 0o777 == want
+        assert out.stat().st_mode & 0o777 == want
+        assert pulse.stat().st_mode & 0o777 == want
+
+
 class TestConfigLeoBlock:
     """The config 'leo' block goes through the same dispatch as synth."""
 

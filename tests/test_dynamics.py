@@ -772,8 +772,8 @@ class TestOtherCodeDimsKeepSvdPath:
             phis = np.zeros((len(parts[0]), kb), dtype=complex)
             c = np.zeros_like(phis)
             for sector, part, target in zip(model.spectra, parts, targets):
-                code_rows = sector.rows[:sector.n_code]
-                phis[:, code_rows] = part[:, :sector.n_code]
+                code_rows = sector.rows[:, :sector.n_code]
+                phis[:, code_rows] = part[:, :, :sector.n_code]
                 c[:, code_rows] = target
             batches.append((phis, c))
             return observables(model, parts, targets, order)
@@ -1083,9 +1083,9 @@ class TestPulseMustMatchModelCode:
 
 
 class TestSpectralCache:
-    """Each model diagonalizes the block of every sector of H_joint in the
-    code frame and that block's code and complement sub-blocks once, for
-    every caller."""
+    """Each model diagonalizes every distinct block of H_joint in the code
+    frame (a sector and its copies) and that block's code and complement
+    sub-blocks once, for every caller."""
 
     @staticmethod
     def eigh_shapes(monkeypatch, m, pulse):
@@ -1105,11 +1105,16 @@ class TestSpectralCache:
         return calls
 
     def test_three_eigh_for_every_propagator(self, monkeypatch):
-        # two sectors of J/2, each with half of the code rows: three eigh
-        # per sector
+        # two sectors of J/2, each with half of the code rows, that are
+        # copies: three eigh for both
         m = benchmark_model()
         calls = self.eigh_shapes(monkeypatch, m, exchange_dfs2_leo())
         half, kb = m.joint_dim // 2, m.code.code_dim * m.bath_dim // 2
+        assert calls == [(half, half), (kb, kb), (half - kb, half - kb)]
+        # XZ's two sectors differ by the sign of the bath coupling: three
+        # eigh per sector
+        m = dfs2_leakage_model(("XZ",), g=0.05, bath_seed=3, bath_dim=4)
+        calls = self.eigh_shapes(monkeypatch, m, exchange_dfs2_leo())
         assert calls == [(half, half), (kb, kb), (half - kb, half - kb)] * 2
         # a model with one sector: exactly three
         m = hopping_model(5, seed=7, g=0.2, bath_dim=3)
@@ -1148,9 +1153,9 @@ class TestSpectralCache:
         # the kick is the ideal one, Z = -1 on a sector's code rows and +1
         # elsewhere, applied to the cached segment: (S' Z)^2 exactly
         cycles, states = dynamics._pulsed(m, 1, 0.1)  # cycle^1 is the cycle
-        assert len(cycles) == len(m.spectra) == 2 and states is None
+        assert len(cycles) == len(m.spectra) == 1 and states is None
         for sector, cycle in zip(m.spectra, cycles):
-            z = np.diag(np.where(np.arange(len(sector.rows)) < sector.n_code,
+            z = np.diag(np.where(np.arange(sector.rows.shape[1]) < sector.n_code,
                                  -1.0, 1.0))
             sz = dynamics._segment(sector.joint, 0.1) @ z
             np.testing.assert_array_equal(cycle, sz @ sz)
@@ -1236,18 +1241,22 @@ class TestSpectralDistance:
             assert coarse / fine == pytest.approx(2.0, abs=0.01)
 
 
-def interleaved_bare_model():
+def interleaved_bare_model(bath_field=0.0):
     """bare_qubit_code(3) at bath dim 2 with 0.3 (|0><1| + h.c.) x X and
     0.2 (|1><2| + h.c.) x X: sectors [0, 3, 4] and [1, 2, 5], so the
-    sectors' code rows concatenate to [0, 3, 1, 2], not frame order."""
+    sectors' code rows concatenate to [0, 3, 1, 2], not frame order. The
+    two sectors are copies; a bath field bath_field Z gives their rows
+    opposite diagonals, so a nonzero one makes them distinct."""
     def hop(i, j, dim):
         h = np.zeros((dim, dim), dtype=complex)
         h[i, j] = h[j, i] = 1.0
         return Operator(h, frozenset({"hermitian"}))
 
+    z = Operator(bath_field * pauli_string("Z").mat, frozenset({"hermitian"}))
     return SystemBathModel.from_terms(
         bare_qubit_code(3), [(0.3, hop(0, 1, 3), hop(0, 1, 2)),
-                             (0.2, hop(1, 2, 3), hop(0, 1, 2))], bath_dim=2)
+                             (0.2, hop(1, 2, 3), hop(0, 1, 2))], bath_dim=2,
+        free_bath=z)
 
 
 def one_sector(monkeypatch):
@@ -1274,13 +1283,19 @@ class TestSectors:
         "dfs2_xi_xz_bath1": (lambda: dfs2_leakage_model(
             ("XI", "XZ"), g=0.2, bath_seed=3, bath_dim=1, collective_strength=0.3),
             lambda m: exchange_dfs2_leo()),
-        # code rows that interleave across sectors: [0, 3] and [1, 2]
+        # code rows that interleave across copies of one sector, [0, 3]
+        # and [1, 2], and across two distinct sectors
         "bare3_interleaved": (interleaved_bare_model, lambda m: projector_leo(m.code)),
+        "bare3_interleaved_distinct": (lambda: interleaved_bare_model(0.1),
+                                       lambda m: projector_leo(m.code)),
     }
 
     def test_interleaved_code_rows_need_the_permutation(self):
         m = interleaved_bare_model()
-        assert [s.rows.tolist() for s in m.spectra] == [[0, 3, 4], [1, 2, 5]]
+        assert [s.rows.tolist() for s in m.spectra] == [[[0, 3, 4], [1, 2, 5]]]
+        assert [s.n_code for s in m.spectra] == [2]
+        m = interleaved_bare_model(0.1)
+        assert [s.rows.tolist() for s in m.spectra] == [[[0, 3, 4]], [[1, 2, 5]]]
         assert [s.n_code for s in m.spectra] == [2, 2]
 
     @staticmethod
@@ -1305,7 +1320,7 @@ class TestSectors:
     def test_simulate_matches_one_sector(self, monkeypatch, case, pulsed):
         build, pulse = self.CASES[case]
         m = build()
-        assert len(m.spectra) > 1
+        assert sum(len(s.rows) for s in m.spectra) > 1  # row sets
         # 300 cycles: a full batch, a C^256 advance and a partial batch
         sched = ParityKickSchedule(300, 0.003, pulse(m) if pulsed else None)
         split = {name: simulate(m, sched, psi)
@@ -1346,6 +1361,48 @@ class TestSectors:
                           (limit, decoupled_limit_unitary(whole, 1.28))):
             assert "unitary" in got.tags and got.dim == m.joint_dim
             assert np.linalg.norm(got.mat - want.mat) <= 1e-13
+
+
+class TestCopies:
+    """dfs2 with X on one qubit has two sectors that are copies: one block,
+    stepped for both copies' rows at once."""
+
+    MODELS = {
+        "XI": lambda: dfs2_leakage_model(("XI",), g=0.2, bath_seed=3, bath_dim=4),
+        "IX": lambda: dfs2_leakage_model(("IX",), g=0.2, bath_seed=5, bath_dim=3),
+    }
+
+    @pytest.mark.parametrize("n", [0, 257, 600])
+    @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_superposition_matches_per_sample_reference(self, label, pulsed, n):
+        # (|0_L> + i|1_L>)/sqrt(2) puts amplitude on both copies' rows
+        m = self.MODELS[label]()
+        assert [s.rows.shape[0] for s in m.spectra] == [2]
+        state = (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
+        sched = ParityKickSchedule(n, 0.9 / max(n, 1),
+                                   exchange_dfs2_leo() if pulsed else None)
+        rep = simulate(m, sched, state)
+        leaks, fids = per_sample_reference(m, sched, state)
+        assert n == 0 or max(leaks) > 1e-9  # the run does leak
+        np.testing.assert_allclose([s.leakage_population for s in rep.samples],
+                                   leaks, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose([s.code_fidelity for s in rep.samples],
+                                   fids, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("label", sorted(MODELS))
+    def test_propagators_carry_one_block_on_both_copies(self, label):
+        m = self.MODELS[label]()
+        (sector,) = m.spectra
+        f = np.kron(m.code.frame, np.eye(m.bath_dim))  # a permutation for dfs2
+        first, second = sector.rows
+        kick = parity_kick_unitary(m, ParityKickSchedule(5, 0.1, exchange_dfs2_leo()))
+        for u in (kick, decoupled_limit_unitary(m, 1.0)):
+            frame = f.T @ u.mat @ f
+            np.testing.assert_array_equal(frame[np.ix_(first, first)],
+                                          frame[np.ix_(second, second)])
+            assert not np.any(frame[np.ix_(first, second)])
+            assert not np.any(frame[np.ix_(second, first)])
 
 
 class TestIdealKick:

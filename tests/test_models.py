@@ -318,7 +318,10 @@ class TestSectors:
 
     @staticmethod
     def sizes(m):
-        return [(len(s.rows), s.n_code) for s in m.spectra]
+        """(rows, code rows) of every sector, a copy's as its own, in the
+        order of their first rows."""
+        sizes = [(rows[0], rows.size, s.n_code) for s in m.spectra for rows in s.rows]
+        return [size[1:] for size in sorted(sizes)]
 
     @pytest.mark.parametrize("bath_dim", range(1, 9))
     @pytest.mark.parametrize("label", DFS2_LEAK_LABELS)
@@ -363,18 +366,19 @@ class TestSectors:
         m = build()
         h = frame_hamiltonian(m)
         kb = m.code.code_dim * m.bath_dim
-        rows = [s.rows for s in m.spectra]
+        copies = [(s, r) for s in m.spectra for r in s.rows]  # a row set each
+        rows = [r for _, r in copies]
         np.testing.assert_array_equal(np.sort(np.concatenate(rows)),
                                       np.arange(m.joint_dim))
-        for a, sector in enumerate(m.spectra):
-            assert np.all(np.diff(sector.rows) > 0)
-            assert sector.n_code == np.sum(sector.rows < kb)
+        for a, (sector, r) in enumerate(copies):
+            c = sector.n_code
+            assert np.all(np.diff(r) > 0)
+            assert c == np.sum(r < kb)
             for b, other in enumerate(rows):
                 if a != b:
-                    assert not np.any(h[np.ix_(sector.rows, other)])
-            # each spectrum rebuilds its block of H'
-            blk = h[np.ix_(sector.rows, sector.rows)]
-            c = sector.n_code
+                    assert not np.any(h[np.ix_(r, other)])
+            # each spectrum rebuilds every copy's block of H'
+            blk = h[np.ix_(r, r)]
             for (w, v), part in ((sector.joint, blk), (sector.code, blk[:c, :c]),
                                  (sector.complement, blk[c:, c:])):
                 np.testing.assert_allclose((v * w) @ v.conj().T, part, atol=1e-14)
@@ -397,6 +401,57 @@ class TestSectors:
         got = [r.tolist() for r in models_mod._sector_rows(h)]
         assert got == [[0, 3], [1, 2], [4]]
         assert [r.tolist() for r in models_mod._sector_rows(h.T)] == got
+
+
+class TestCopies:
+    """Sectors with as many code rows and exactly equal blocks of H' are
+    one Sector with a row set per copy, diagonalized once. X on one qubit
+    acts alike on both halves; a Z on the other qubit, a Y's phase or the
+    collective term's sign on the leaked state tells them apart, and such
+    blocks are kept apart rather than merged up to a sign or phase."""
+
+    @pytest.mark.parametrize("bath_dim", [1, 4, 16])
+    @pytest.mark.parametrize("label", ["XI", "IX"])
+    def test_one_qubit_x_gives_copies(self, label, bath_dim):
+        m = dfs2_leakage_model([label], g=0.05, bath_seed=3, bath_dim=bath_dim)
+        (sector,) = m.spectra
+        assert sector.rows.shape == (2, 2 * bath_dim)
+        assert sector.n_code == bath_dim
+        h = frame_hamiltonian(m)
+        first, second = (h[np.ix_(r, r)] for r in sector.rows)
+        np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("build", [
+        lambda: dfs2_leakage_model(["XZ"], g=0.05, bath_seed=3, bath_dim=4),
+        lambda: dfs2_leakage_model(["YI"], g=0.05, bath_seed=3, bath_dim=4),
+        lambda: dfs2_leakage_model(["ZX"], g=0.05, bath_seed=3, bath_dim=4),
+        lambda: dfs2_leakage_model(["XI"], g=0.05, bath_seed=3, bath_dim=4,
+                                   collective_strength=0.3),
+    ], ids=["XZ", "YI", "ZX", "XI_collective"])
+    def test_blocks_apart_by_a_sign_or_phase_are_not_copies(self, build):
+        m = build()
+        assert [s.rows.shape for s in m.spectra] == [(1, 8), (1, 8)]
+
+    def test_one_differing_entry_is_not_a_copy(self):
+        code = dfs2_dephasing()
+        bath = random_hermitian(4, 3)
+        terms = [(0.05, pauli_string("XI"), bath)]
+        merged = SystemBathModel.from_terms(code, terms, bath_dim=4)
+        assert [s.rows.shape for s in merged.spectra] == [(2, 8)]
+        # one diagonal entry of H' moves, on |01> x the first bath state
+        one = np.zeros((4, 4), dtype=complex)
+        one[1, 1] = 1.0
+        first = np.zeros((4, 4), dtype=complex)
+        first[0, 0] = 1.0
+        herm = frozenset({"hermitian"})
+        m = SystemBathModel.from_terms(
+            code, [*terms, (2.0 ** -40, Operator(one, herm), Operator(first, herm))],
+            bath_dim=4)
+        h = frame_hamiltonian(m)
+        assert [s.rows.tolist() for s in m.spectra] == [
+            r[None].tolist() for r in merged.spectra[0].rows]
+        a, b = (h[np.ix_(s.rows[0], s.rows[0])] for s in m.spectra)
+        assert np.count_nonzero(a != b) == 1
 
 
 class TestModelFromConfig:
