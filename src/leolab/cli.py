@@ -81,20 +81,25 @@ def load_json(path: str) -> dict:
 def _atomic_write_text(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a torn
     file. The file gets the mode open(path, "w") would create it with,
-    0o666 less the umask, not mkstemp's 0o600."""
+    0o666 less the umask, not mkstemp's 0o600. A path it cannot write (no
+    such directory, a directory) is a ConfigError."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        umask = os.umask(0)  # the only way to read it; restored at once
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            umask = os.umask(0)  # the only way to read it; restored at once
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as err:
+        # strerror alone: the full message names the random temp file
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _dump_json(path: str, data: dict) -> None:

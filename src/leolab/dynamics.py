@@ -44,11 +44,11 @@ fidelity of a qubit code has a closed form (Jozsa's tr(rho sigma) + 2
 sqrt(det rho det sigma), determinants from Gram-Schmidt R factors),
 within 1e-15 ||A||_F ||C||_F of the QR + SVD form that the other code
 dims take.
-simulate certifies a run's leakage column once, before it builds any
-record: a value outside [0, 1] (within 1e-12), or NaN, is a
-NumericalDegeneracyError. A sweep row is cycle^n, its final state's
-leakage (read per sector as well) and its distance to the sweep's one
-limit; it takes no samples (sweep_cycles).
+simulate certifies a run's leakage column once: a value outside [0, 1]
+(within 1e-12), or NaN, is a NumericalDegeneracyError. It returns that
+column and the fidelity's; records and CSV derive from them. A sweep row is
+cycle^n, its final leakage (read per sector as well) and its distance to
+the sweep's one limit; it takes no samples (sweep_cycles).
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ import concurrent.futures
 import operator
 import os
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -91,10 +90,9 @@ def _cycle_count(n) -> int:
 
 
 def _csv_text(header: str, rows) -> str:
-    """header, then one line per row with the fields it names at %.17g."""
-    names = header.split(",")
-    lines = [",".join(f"{getattr(r, k):.17g}" for k in names) for r in rows]
-    return "\n".join([header, *lines]) + "\n"
+    """header, then one line per row, a tuple of numbers each at %.17g."""
+    row = ",".join(["%.17g"] * (header.count(",") + 1))
+    return "\n".join([header, *(row % r for r in rows)]) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +113,13 @@ class ParityKickSchedule:
             raise ValueError("n_cycles must be nonnegative")
         if not (self.tau > 0.0 and np.isfinite(self.tau)):
             raise ValueError("tau must be positive and finite")
+        if not np.isfinite(self.total_free_time):
+            raise ValueError("total free time 2 n tau must be finite")
 
     @property
     def total_free_time(self) -> float:
-        return 2 * self.n_cycles * self.tau
+        # a Python float overflows to inf with no warning; numpy scalars warn
+        return 2 * self.n_cycles * float(self.tau)
 
 
 class SimulationSample(NamedTuple):
@@ -133,23 +134,34 @@ class SimulationSample(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
-    """Samples of one run and the distance of its total propagator to the
-    decoupled limit; the inputs (model, schedule) are not echoed. simulate
-    certifies what it returns; direct construction checks nothing."""
+    """Leakage and code fidelity at steps 0..n, read-only from simulate, and
+    the distance to the decoupled limit; samples and the CSV derive from
+    them and tau (step k at 2 k tau). simulate certifies what it returns;
+    direct construction checks nothing."""
 
-    samples: tuple[SimulationSample, ...]
+    tau: float
+    leakage_population: np.ndarray
+    code_fidelity: np.ndarray
     distance_to_limit: float
+
+    def _rows(self):
+        n = len(self.leakage_population)
+        return zip(range(n), (2 * self.tau * np.arange(n)).tolist(),
+                   self.leakage_population.tolist(), self.code_fidelity.tolist())
+
+    @property
+    def samples(self) -> tuple[SimulationSample, ...]:
+        return tuple(map(SimulationSample._make, self._rows()))
 
     @property
     def final_leakage(self) -> float:
-        return self.samples[-1].leakage_population
+        return float(self.leakage_population[-1])
 
     def csv_text(self) -> str:
-        return _csv_text(REPORT_CSV_HEADER, self.samples)
+        return _csv_text(REPORT_CSV_HEADER, self._rows())
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: int
     tau: float
     final_leakage: float
@@ -524,7 +536,7 @@ def simulate(
     Raises NumericalDegeneracyError, before the first sample is evaluated,
     when the model's eigenvector certificate fails or any checked propagator
     (limit, cycle^n, free total) drifts past the unitarity tolerance, and,
-    before any record is built, when the leakage column leaves [0, 1].
+    before it returns, when the leakage column leaves [0, 1].
     """
     phi0 = _frame_state(model, initial_code_state)
     pulsed = schedule.pulses is not None
@@ -549,13 +561,10 @@ def simulate(
         leakage[batch], fidelity[batch] = _observables(model, parts, c, columns)
     _certified_leakage(leakage)  # one range check per run
     fidelity[0] = 1.0  # sample 0 compares the initial state with itself
-    times = (2 * tau * np.arange(n + 1)).tolist()
-    # tuple.__new__ skips the record's per-field constructor: one C call each
-    samples = tuple(map(tuple.__new__, repeat(SimulationSample),
-                        zip(range(n + 1), times, leakage.tolist(),
-                            fidelity.tolist())))
+    leakage.flags.writeable = fidelity.flags.writeable = False
     del states, parts  # room for the Gram matrices of the distance
-    return SimulationReport(samples, max(map(_spectral_distance, totals, limit)))
+    return SimulationReport(tau, leakage, fidelity,
+                            max(map(_spectral_distance, totals, limit)))
 
 
 def sweep_cycles(

@@ -294,6 +294,16 @@ class TestSimulateAndSweep:
         run_cli(["sweep", "--config", cfg, "--n", "1,2,4", "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_total_time_that_overflows_is_bad_input(self, tmp_path, capsys):
+        # 2 n tau = 8e308 overflows to inf: a config error, not a failed
+        # unitarity check of the limit
+        cfg = write_config(tmp_path, schedule={"n_cycles": 4, "tau": 1e308})
+        assert run_cli(["simulate", "--config", cfg,
+                        "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_long_run_never_reports_bad_input(self, tmp_path):
         # dfs2 at joint dim 64 with 4096 cycles: cycle^n can drift past the
         # unitarity tolerance; that is a numerical failure (exit 2), never a
@@ -337,6 +347,32 @@ class TestOutputFileMode:
         assert plain.stat().st_mode & 0o777 == want
         assert out.stat().st_mode & 0o777 == want
         assert pulse.stat().st_mode & 0o777 == want
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is bad input (exit 1) with one
+    line of diagnostic, and leaves no temp file behind."""
+
+    @pytest.mark.parametrize("flag", ["--out", "--plot-out"])
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    def test_exit_one_without_traceback(self, tmp_path, capsys, flag, target):
+        cfg = write_config(tmp_path)
+        (tmp_path / "busy").mkdir()
+        path = (tmp_path / "missing" / "o.txt" if target == "missing_directory"
+                else tmp_path / "busy")
+        paths = {"--out": tmp_path / "o.csv", "--plot-out": tmp_path / "p.txt",
+                 flag: path}
+        argv = ["simulate", "--config", cfg]
+        for name, value in paths.items():
+            argv += [name, value]
+        before = set(tmp_path.iterdir())
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+        left = {p.name for p in set(tmp_path.iterdir()) - before}
+        assert not any(name.startswith(".tmp_") for name in left)
+        assert not any((tmp_path / "busy").iterdir())
 
 
 class TestConfigLeoBlock:

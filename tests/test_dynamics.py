@@ -64,6 +64,13 @@ class TestParityKickSchedule:
         with pytest.raises(ValueError):
             ParityKickSchedule(4, float("nan"), None)
 
+    def test_rejects_a_total_time_that_overflows(self):
+        # 2 n tau = inf is bad input, not a numerical failure of the limit
+        for tau in (1e308, np.float64(1e308)):  # no overflow warning either
+            with pytest.raises(ValueError, match="total free time"):
+                ParityKickSchedule(4, tau, None)
+        assert ParityKickSchedule(0, 1e308, None).total_free_time == 0.0
+
     def test_free_schedule_allowed(self):
         s = ParityKickSchedule(4, 0.1, None)
         assert s.pulses is None
@@ -474,6 +481,57 @@ class TestSimulate:
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "0" and float(first[2]) == 0.0
+
+
+def per_field_csv(header, rows):
+    """The CSV as one f"{x:.17g}" per named field, the format the report's
+    row format must reproduce byte for byte."""
+    names = header.split(",")
+    lines = [",".join(f"{getattr(r, k):.17g}" for k in names) for r in rows]
+    return "\n".join([header, *lines]) + "\n"
+
+
+class TestReportColumns:
+    """A report stores its two columns; records and CSV derive from them."""
+
+    EDGES = [0.0, -0.0, 1.0, 5e-324, 0.1]
+
+    def test_csv_matches_per_field_format(self):
+        col = np.array(self.EDGES)
+        rep = dynamics.SimulationReport(0.1, col, col[::-1].copy(), 0.0)
+        assert rep.csv_text() == per_field_csv(dynamics.REPORT_CSV_HEADER,
+                                               rep.samples)
+        rows = tuple(dynamics.SweepRow(n, tau, leak, d) for n, tau, leak, d in
+                     zip([1, 2, 3, 2**17, 2**20], self.EDGES, self.EDGES[::-1],
+                         self.EDGES[1:] + self.EDGES[:1]))
+        table = dynamics.SweepTable(rows)
+        assert table.csv_text() == per_field_csv(dynamics.SWEEP_CSV_HEADER, rows)
+        assert table.csv_text().splitlines()[-1] == "1048576,0.10000000000000001,0,0"
+
+    @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
+    def test_samples_are_the_columns(self, pulsed):
+        m = benchmark_model()
+        psi = (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
+        n, tau = 257, 1.0 / 257
+        pulse = exchange_dfs2_leo() if pulsed else None
+        rep = simulate(m, ParityKickSchedule(n, tau, pulse), psi)
+        samples = rep.samples
+        assert [tuple(s) for s in samples] == list(zip(
+            range(n + 1), [2 * tau * k for k in range(n + 1)],
+            rep.leakage_population.tolist(), rep.code_fidelity.tolist()))
+        assert all(type(s) is dynamics.SimulationSample for s in samples)
+        assert rep.final_leakage == samples[-1].leakage_population
+        assert rep.csv_text() == per_field_csv(dynamics.REPORT_CSV_HEADER,
+                                               samples)
+
+    @pytest.mark.parametrize("column", ["leakage_population", "code_fidelity"])
+    def test_columns_are_read_only(self, column):
+        m = benchmark_model()
+        rep = simulate(m, ParityKickSchedule(4, 0.1, None), code_state(m))
+        values = getattr(rep, column)
+        assert values.dtype == np.float64 and values.shape == (5,)
+        with pytest.raises(ValueError, match="read-only"):
+            values[1] = 0.5
 
 
 def stepper(h, t):

@@ -11,7 +11,8 @@ def test_all_names_are_bound_and_unique():
 
 
 STORED_FIELDS = [
-    (leolab.SimulationReport, ["samples", "distance_to_limit"]),
+    (leolab.SimulationReport, ["tau", "leakage_population", "code_fidelity",
+                               "distance_to_limit"]),
     (leolab.SweepTable, ["rows"]),
     (leolab.LeoVerification, ["phase", "structural_residual", "probe_checks"]),
     (leolab.ProbeCheck, ["anticommutator_leakage", "commutator_code",
