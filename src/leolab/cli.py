@@ -367,8 +367,9 @@ def _run_simulate(args: argparse.Namespace) -> int:
     report = simulate(model, schedule, state)
     _atomic_write_text(args.out, report.csv_text())
     if args.plot_out:
-        _atomic_write_text(args.plot_out, _plot_text(
-            (s.elapsed_time, s.leakage_population) for s in report.samples))
+        leakage = report.leakage_population
+        _atomic_write_text(args.plot_out, _plot_text(zip(
+            (2 * report.tau * np.arange(len(leakage))).tolist(), leakage.tolist())))
     kind = "free" if pulses is None else f"pulsed ({pulses.route})"
     print(
         f"simulate: {kind}, final leakage "

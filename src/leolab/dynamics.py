@@ -36,10 +36,16 @@ states in stacks (samples, copies, J_s) of OBSERVABLE_BATCH samples, its
 copies stepped together by one GEMM of shape (samples x copies, J_s) per
 product: free states scale a phase table against its eigenvectors,
 targets (which never leave the code rows) against its code sub-block's,
-and pulsed states come from the squares that build cycle^n. Leakage is
-the sum over sectors and copies of the squared norms of their complement
-rows (_leakage); only the code rows are gathered, in frame code order by
-one index per run (_code_columns), as the fidelity's A and C. The code
+and pulsed states come from the squares that build cycle^n. Targets are
+stepped only when the code block acts on the code: when it is exactly
+I_k x h (SystemBathModel.decoherence_free), the target's code rows are
+C0 W^T with W unitary, and the fidelity reads only their R factor and
+norm, which are C0's; simulate reads them once per run (_target) and
+broadcasts them against every batch. Leakage is the sum over sectors
+and copies of the squared norms of their complement rows (_leakage);
+only the code rows are gathered, in frame code order by one index per
+run (_code_columns), as the fidelity's A and C, each code row by its own
+take into a contiguous (samples, b) array (_code_rows). The code
 fidelity of a qubit code has a closed form (Jozsa's tr(rho sigma) + 2
 sqrt(det rho det sigma), determinants from Gram-Schmidt R factors),
 within 1e-15 ||A||_F ||C||_F of the QR + SVD form that the other code
@@ -54,6 +60,7 @@ the sweep's one limit; it takes no samples (sweep_cycles).
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import operator
 import os
 from dataclasses import dataclass
@@ -402,12 +409,14 @@ def _nuclear_norm(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a_dag @ c, compute_uv=False).sum(axis=1)
 
 
-def _gram_schmidt_r(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R factor of X^dag for a stack of 2 x b matrices X, by two-pass
-    Gram-Schmidt on X's rows u, v: R = [[r00, conj(s)], [0, r11]] with
-    r00 = ||u||, s = <u/r00, v> and r11 the norm of v's residual; r00 and
-    r11 are real and nonnegative. A zero row u gives r00 = s = 0."""
-    u, v = x[:, 0], x[:, 1]
+def _gram_schmidt_r(u: np.ndarray, v: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R factor of X^dag for a stack of 2 x b matrices X given as its rows
+    u and v, each (samples, b), by two-pass Gram-Schmidt: R = [[r00,
+    conj(s)], [0, r11]] with r00 = ||u||, s = <u/r00, v> and r11 the norm
+    of v's residual; r00 and r11 are real and nonnegative. A zero row u
+    gives r00 = s = 0. Strided rows work but run several times slower than
+    C-contiguous ones."""
     r00 = np.linalg.norm(u, axis=1)
     e0 = np.divide(u, r00[:, None], out=np.zeros_like(u), where=r00[:, None] > 0.0)
     s = np.einsum("ij,ij->i", e0.conj(), v)
@@ -417,8 +426,11 @@ def _gram_schmidt_r(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r00, s + s2, np.linalg.norm(w, axis=1)
 
 
-def _qubit_nuclear_norm(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """||A^dag C||_1 for stacks of 2 x b matrices A and C, any b >= 1.
+def _qubit_nuclear_norm(fa: tuple[np.ndarray, ...], fc: tuple[np.ndarray, ...]
+                        ) -> np.ndarray:
+    """||A^dag C||_1 for stacks of 2 x b matrices A and C, any b >= 1, from
+    the R factors fa of A^dag and fc of C^dag (_gram_schmidt_r); a factor
+    of one sample broadcasts against a stack.
 
     With A^dag = Q_A R_A and C^dag = Q_C R_C, it is ||M||_1 for the 2 x 2
     M = R_A R_C^dag, and ||M||_1^2 = ||M||_F^2 + 2 |det M| with |det M| =
@@ -427,8 +439,7 @@ def _qubit_nuclear_norm(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     rather than cancelled out of Gram matrices. The entries of M are
     squared, so they must stay within about 1e+-150.
     """
-    ra, sa, da = _gram_schmidt_r(a)
-    rc, sc, dc = _gram_schmidt_r(c)
+    (ra, sa, da), (rc, sc, dc) = fa, fc
     # M = [[ra rc + conj(sa) sc, conj(sa) dc], [da sc, da dc]]
     m00 = ra * rc + sa.conj() * sc
     frob2 = (np.abs(m00) ** 2 + (np.abs(sa) * dc) ** 2 + (da * np.abs(sc)) ** 2
@@ -448,23 +459,46 @@ def _code_columns(model: SystemBathModel) -> tuple[np.ndarray, np.ndarray]:
     """Where each frame code row, in frame code order (code x bath), sits
     among the columns of the sectors' states side by side (_side_by_side),
     which hold every row of each copy, and of their targets, which hold
-    only the code rows: the sectors' row sets partition the frame rows, so
-    each is an argsort."""
-    kb, sectors = model.code.code_dim * model.bath_dim, model.spectra
+    only the code rows, as k x b arrays, a row per code basis state: the
+    sectors' row sets partition the frame rows, so each is an argsort."""
+    k, b, sectors = model.code.code_dim, model.bath_dim, model.spectra
     states = np.concatenate([s.rows.ravel() for s in sectors])
     targets = np.concatenate([s.rows[:, :s.n_code].ravel() for s in sectors])
-    return np.argsort(states)[:kb], np.argsort(targets)
+    return np.argsort(states)[:k * b].reshape(k, b), np.argsort(targets).reshape(k, b)
+
+
+def _code_rows(stacks: Sequence[np.ndarray], columns: np.ndarray) -> list[np.ndarray]:
+    """The code rows of stacks given one per sector (side by side), one
+    C-contiguous (samples, b) array per row of columns (_code_columns):
+    take, not [:, columns], keeps each gathered row contiguous."""
+    x = _side_by_side(stacks)
+    return [x.take(row, axis=1) for row in columns]
+
+
+def _target(stacks: Sequence[np.ndarray], columns: np.ndarray) -> tuple:
+    """What the fidelity reads of a stack of targets given as one part per
+    sector in the frame, (samples, copies, n_code), holding only code rows:
+    with C their code rows picked by columns (_code_columns' second), the
+    R factor of C^dag (_gram_schmidt_r) for a qubit code, else C itself
+    (samples, k, b), and ||C||_F^2 per sample."""
+    c = _code_rows(stacks, columns)
+    if len(c) == 2:
+        return (_gram_schmidt_r(*c),
+                sum(np.einsum("ij,ij->i", x.view(float), x.view(float)) for x in c))
+    c = np.stack(c, axis=1)
+    return c, np.sum(np.abs(c) ** 2, axis=(1, 2))
 
 
 def _observables(model: SystemBathModel, parts: Sequence[np.ndarray],
-                 targets: Sequence[np.ndarray],
-                 columns: tuple[np.ndarray, np.ndarray]
+                 target: tuple, columns: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Leakage and code fidelity for a stack of joint states and targets,
-    each given as one part per sector in the frame F x I, (samples, copies,
-    J_s): a state's part holds each copy's rows, code rows first, and a
-    target's only those code rows. columns (_code_columns) picks the code
-    rows of each, side by side, in frame code order, code x bath.
+    """Leakage and code fidelity for a stack of joint states, given as one
+    part per sector in the frame F x I, (samples, copies, J_s), each
+    copy's rows with code rows first, against a stack of targets read by
+    _target; a target of one sample broadcasts against the states. columns
+    (_code_columns' first) picks the states' code rows, in frame code
+    order, code x bath, each as its own contiguous (samples, b) array
+    (_code_rows).
 
     Leakage is |(Q x I) psi|^2, read per sector (_leakage).
     Fidelity is the Uhlmann fidelity of the bath-traced state against the
@@ -479,16 +513,13 @@ def _observables(model: SystemBathModel, parts: Sequence[np.ndarray],
     2.7e-15 between the two. Values below 1 + FIDELITY_CLAMP_TOL are
     clamped to 1; larger ones pass through. simulate range-checks leakage.
     """
-    k, b = model.code.code_dim, model.bath_dim
-    sectors = model.spectra
-    m, (in_states, in_targets) = len(parts[0]), columns
-    # take, not [:, columns], keeps the gathered rows C-contiguous
-    a = _side_by_side(parts).take(in_states, axis=1).reshape(m, k, b)
-    c = _side_by_side(targets).take(in_targets, axis=1).reshape(m, k, b)
-    norm = np.sum(np.abs(c) ** 2, axis=(1, 2))
-    nuclear = (_qubit_nuclear_norm if k == 2 else _nuclear_norm)(a, c)
+    a, (factor, norm) = _code_rows(parts, columns), target
+    if len(a) == 2:
+        nuclear = _qubit_nuclear_norm(_gram_schmidt_r(*a), factor)
+    else:
+        nuclear = _nuclear_norm(np.stack(a, axis=1), factor)
     f = nuclear ** 2 / norm
-    return (_leakage(sectors, parts),
+    return (_leakage(model.spectra, parts),
             np.where(f < 1.0 + FIDELITY_CLAMP_TOL, np.minimum(f, 1.0), f))
 
 
@@ -533,8 +564,11 @@ def simulate(
     per completed cycle (plus the initial point): leakage population and the
     fidelity of the bath-traced system state against the decoupled-limit
     target. With pulses=None the same grid is used for free evolution.
-    Raises NumericalDegeneracyError, before the first sample is evaluated,
-    when the model's eigenvector certificate fails or any checked propagator
+    The target is stepped only when the model's code block acts on the
+    code; for a decoherence-free model (model.decoherence_free) its R
+    factor and norm are the initial state's, read once. Raises
+    NumericalDegeneracyError, before the first sample is evaluated, when
+    the model's eigenvector certificate fails or any checked propagator
     (limit, cycle^n, free total) drifts past the unitarity tolerance, and,
     before it returns, when the leakage column leaves [0, 1].
     """
@@ -549,16 +583,24 @@ def simulate(
     totals, states = (_pulsed if pulsed else _free)(model, n, tau, phi0)
     sectors = model.spectra
 
-    # the target never leaves the code rows: each sector's code sub-block
-    # steps them
-    targets = [_spectral_batches(sector.code, phi0[sector.rows[:, :sector.n_code]],
-                                 -2 * tau, n) for sector in sectors]
-    columns = _code_columns(model)
+    # the target never leaves the code rows
+    in_states, in_targets = _code_columns(model)
+    target0 = [phi0[sector.rows[:, :sector.n_code]] for sector in sectors]
+    if model.decoherence_free:
+        # the code block is I_k x h, so the target's code rows are C0 W^T
+        # with W unitary: every sample's R factor and norm are C0's, read
+        # once and broadcast against every batch
+        targets = itertools.repeat(_target([c0[None] for c0 in target0], in_targets))
+    else:  # each sector's code sub-block steps them
+        targets = (_target(c, in_targets) for c in zip(*[
+            _spectral_batches(sector.code, c0, -2 * tau, n)
+            for sector, c0 in zip(sectors, target0)]))
     leakage, fidelity = np.empty(n + 1), np.empty(n + 1)
-    for start, parts, c in zip(range(0, n + 1, OBSERVABLE_BATCH),
-                               zip(*states), zip(*targets)):
-        batch = slice(start, start + len(c[0]))
-        leakage[batch], fidelity[batch] = _observables(model, parts, c, columns)
+    for start, parts, target in zip(range(0, n + 1, OBSERVABLE_BATCH),
+                                    zip(*states), targets):
+        batch = slice(start, start + len(parts[0]))
+        leakage[batch], fidelity[batch] = _observables(model, parts, target,
+                                                       in_states)
     _certified_leakage(leakage)  # one range check per run
     fidelity[0] = 1.0  # sample 0 compares the initial state with itself
     leakage.flags.writeable = fidelity.flags.writeable = False

@@ -18,7 +18,9 @@ label flips one qubit and keeps the other's Z, so a dfs2 model with one
 label (or labels that keep the same Z) has two sectors of half the joint
 dim; a model with no such structure has one. A label that acts only on
 one qubit with X (XI, IX) makes the two sectors copies: one block, two
-row sets.
+row sets. Where H' is formed, its code block is also compared exactly with
+I_k x h (SystemBathModel.decoherence_free): every dfs2 model passes, as no
+allowed label and not Z1 + Z2 acts within the code.
 
 Units: hbar = 1 throughout, so couplings are angular frequencies and
 exp(-i H t) propagates for time t. Every random ingredient is drawn from
@@ -167,7 +169,7 @@ class SystemBathModel:
         """The first bath basis state, a new array on each call."""
         return np.eye(1, self.bath_dim, dtype=complex)[0]
 
-    @cached_property
+    @property
     def spectra(self) -> tuple[Sector, ...]:
         """The sectors of H' = (F^dag x I) H_joint (F x I), F the code's
         frame, with the spectra of each sector's block and of its code and
@@ -181,10 +183,26 @@ class SystemBathModel:
         in the order of their first index; only the first is diagonalized.
         Each eigenvector matrix is certified once, here (check_eigenvectors),
         so an exponential built on it needs no check of its own."""
+        return self._frame_blocks[0]
+
+    @property
+    def decoherence_free(self) -> bool:
+        """Whether the code block of H' is exactly I_k x h, h its first b x
+        b block (np.array_equal, no tolerance): the code rows see only a
+        bath Hamiltonian, so under H_c + H_perp the code's reduced state
+        never changes (a decoherence-free subspace). Read off H' where
+        spectra forms it."""
+        return self._frame_blocks[1]
+
+    @cached_property
+    def _frame_blocks(self) -> tuple[tuple[Sector, ...], bool]:
+        """spectra and decoherence_free, from one H' that is not kept."""
         h, s, j = self.h_joint.mat, self.system_dim, self.joint_dim
-        f, kb = self.code.frame, self.code.code_dim * self.bath_dim
+        f, k, b = self.code.frame, self.code.code_dim, self.bath_dim
+        kb = k * b
         t = (f.conj().T @ h.reshape(s, -1)).reshape(j, s, -1)
         hf = (f.T @ t).reshape(j, j)  # H'
+        bath_only = np.array_equal(hf[:kb, :kb], np.kron(np.eye(k), hf[:b, :b]))
 
         def spectrum(blk: np.ndarray, what: str) -> Spectrum:
             if not len(blk):  # a sector with no code or no complement rows
@@ -211,7 +229,7 @@ class SystemBathModel:
             out.append(Sector(rows, c, spectrum(blk, "H_joint"),
                               spectrum(blk[:c, :c], "the code block"),
                               spectrum(blk[c:, c:], "the complement block")))
-        return tuple(out)
+        return tuple(out), bath_only
 
     @classmethod
     def from_terms(

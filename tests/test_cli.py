@@ -430,6 +430,32 @@ class TestPlotData:
             assert float(x) == pytest.approx(float(t))
             assert float(y) == pytest.approx(float(leak))
 
+    @pytest.mark.parametrize("model", [{}, {"model": "hopping",
+                                            "params": {"n_levels": 5},
+                                            "leo": {"route": "number_op"}}],
+                             ids=["dfs2", "hopping"])
+    def test_timeseries_is_the_samples_text(self, tmp_path, monkeypatch, model):
+        # the plot reads the report's columns; its bytes are those of the
+        # (elapsed_time, leakage_population) of every sample record
+        reports = []
+        simulate = cli.simulate
+
+        def recording(*args):
+            reports.append(simulate(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "simulate", recording)
+        cfg = write_config(tmp_path, **model,
+                           **{"schedule": {"n_cycles": 300, "total_time": 2.0}})
+        plot = tmp_path / "run.dat"
+        assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "run.csv",
+                        "--plot-out", plot]) == 0
+        (report,) = reports
+        assert plot.read_bytes() == cli._plot_text(
+            (s.elapsed_time, s.leakage_population)
+            for s in report.samples).encode()
+        assert len(plot.read_text().splitlines()) == 301
+
     def test_convergence_slope_near_minus_one(self, tmp_path):
         cfg = write_config(tmp_path, **{"schedule": {"n_cycles": 64,
                                                      "total_time": 2.0}})

@@ -45,6 +45,15 @@ def code_state(model, k=0):
     return model.code.basis[:, k]
 
 
+def code_acting_model():
+    """dfs2 with a logical X x B term next to its leakage: the code block
+    of H' acts on the code, so the model is not decoherence-free."""
+    return SystemBathModel.from_terms(
+        dfs2_dephasing(), [(0.2, logical_ops_dfs2().x, random_hermitian(4, 11)),
+                           (0.2, pauli_string("XI"), random_hermitian(4, 12))],
+        bath_dim=4, free_bath=random_hermitian(4, 13))
+
+
 def pure_leakage_model():
     b = random_hermitian(2, 17)
     return SystemBathModel.from_terms(
@@ -658,18 +667,32 @@ class TestBatchedObservables:
                                                   bath_dim=2), exchange_dfs2_leo()),
         "hopping8": lambda: (hopping_model(8, seed=7, g=0.2), None),
         "linear_optics_bath1": lambda: (linear_optics_model(seed=5, g=0.2), None),
+        # two distinct sectors, one sector, and the collective term
+        "dfs2_xz": lambda: (dfs2_leakage_model(("XZ",), g=0.2, bath_seed=3),
+                            exchange_dfs2_leo()),
+        "dfs2_xi_ix": lambda: (dfs2_leakage_model(("XI", "IX"), g=0.2, bath_seed=3),
+                               exchange_dfs2_leo()),
+        "dfs2_xi_collective": lambda: (
+            dfs2_leakage_model(("XI",), g=0.2, bath_seed=3, collective_strength=0.3),
+            exchange_dfs2_leo()),
+        # the code block acts on the code: targets are stepped
+        "dfs2_code_acting": lambda: (code_acting_model(), exchange_dfs2_leo()),
     }
 
-    # 600 and 1000 take several C^256 advances and end on a partial batch
-    @pytest.mark.parametrize("n", [0, 255, 256, 257, 600, 1000])
-    @pytest.mark.parametrize("pulsed", [True, False])
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_per_sample_reference(self, case, pulsed, n):
+    def test_cases_take_both_target_paths(self):
+        flags = {case: build()[0].decoherence_free
+                 for case, build in self.CASES.items()}
+        assert not flags["dfs2_code_acting"] and flags["dfs2_xi_collective"]
+        assert set(flags.values()) == {True, False}
+
+    def check(self, case, pulsed, n, superposition):
         m, pulse = self.CASES[case]()
         if pulsed and pulse is None:
             pulse = projector_leo(m.code)
         sched = ParityKickSchedule(n, 0.9 / max(n, 1), pulse if pulsed else None)
         state = code_state(m)
+        if superposition:
+            state = (state + 1j * code_state(m, 1)) / np.sqrt(2.0)
         rep = simulate(m, sched, state)
         leaks, fids = per_sample_reference(m, sched, state)
         assert [s.step for s in rep.samples] == list(range(n + 1))
@@ -677,6 +700,21 @@ class TestBatchedObservables:
                                    leaks, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose([s.code_fidelity for s in rep.samples],
                                    fids, rtol=1e-12, atol=1e-12)
+
+    # 600 and 1000 take several C^256 advances and end on a partial batch
+    @pytest.mark.parametrize("n", [0, 255, 256, 257, 600, 1000])
+    @pytest.mark.parametrize("pulsed", [True, False])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_sample_reference(self, case, pulsed, n):
+        self.check(case, pulsed, n, superposition=False)
+
+    # a basis start leaves the qubit fidelity's cross terms at zero;
+    # (|0_L> + i|1_L>)/sqrt(2) reaches them
+    @pytest.mark.parametrize("n", [0, 255, 256, 257, 600, 1000])
+    @pytest.mark.parametrize("pulsed", [True, False])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_superposition_matches_per_sample_reference(self, case, pulsed, n):
+        self.check(case, pulsed, n, superposition=True)
 
 
 def exact_step(h, t):
@@ -775,7 +813,8 @@ class TestQubitNuclearNorm:
     @pytest.mark.parametrize("b", [1, 2, 3, 16, 64])
     def test_matches_svd_path(self, b):
         for name, (a, c) in nuclear_norm_cases(b).items():
-            got = dynamics._qubit_nuclear_norm(a, c)
+            fa, fc = (dynamics._gram_schmidt_r(*x.swapaxes(0, 1)) for x in (a, c))
+            got = dynamics._qubit_nuclear_norm(fa, fc)
             want = dynamics._nuclear_norm(a, c)
             scale = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(c, axis=(1, 2))
             err = np.abs(got - want)
@@ -820,27 +859,34 @@ class TestOtherCodeDimsKeepSvdPath:
     @pytest.mark.parametrize("bath_dim", [1, 3, 6])
     def test_linear_optics_fidelity_unchanged(self, monkeypatch, bath_dim, pulsed):
         m = linear_optics_model(seed=5, g=0.2, bath_dim=bath_dim)
-        batches = []
-        observables = dynamics._observables
+        batches, targets = [], []
+        observables, target = dynamics._observables, dynamics._target
 
-        def spy(model, parts, targets, order):
-            # the code rows of states and targets, each sector's scattered
-            # onto its own frame rows
-            kb = model.code.code_dim * model.bath_dim
+        def scattered(parts):
+            # the code rows of a stack, each sector's on its own frame rows
+            kb = m.code.code_dim * m.bath_dim
             phis = np.zeros((len(parts[0]), kb), dtype=complex)
-            c = np.zeros_like(phis)
-            for sector, part, target in zip(model.spectra, parts, targets):
+            for sector, part in zip(m.spectra, parts):
                 code_rows = sector.rows[:, :sector.n_code]
                 phis[:, code_rows] = part[:, :, :sector.n_code]
-                c[:, code_rows] = target
-            batches.append((phis, c))
-            return observables(model, parts, targets, order)
+            return phis
+
+        def spy(model, parts, *args):
+            batches.append(scattered(parts))
+            return observables(model, parts, *args)
+
+        def target_spy(stacks, *args):
+            targets.append(scattered(stacks))
+            return target(stacks, *args)
 
         monkeypatch.setattr(dynamics, "_observables", spy)
+        monkeypatch.setattr(dynamics, "_target", target_spy)
         pulse = projector_leo(m.code) if pulsed else None
         rep = simulate(m, ParityKickSchedule(300, 0.003, pulse), code_state(m, 2))
-        want = [f for phis, c in batches for f in svd_fidelities(m, phis, c)]
-        assert len(batches) == 2
+        assert not m.decoherence_free  # targets are stepped: one per batch
+        want = [f for phis, c in zip(batches, targets)
+                for f in svd_fidelities(m, phis, c)]
+        assert len(batches) == len(targets) == 2
         assert [s.code_fidelity for s in rep.samples] == want
 
 

@@ -454,6 +454,51 @@ class TestCopies:
         assert np.count_nonzero(a != b) == 1
 
 
+class TestDecoherenceFree:
+    """SystemBathModel.decoherence_free holds when the code block of H' is
+    exactly I_k x h: every allowed dfs2 label maps the code out of itself,
+    and Z1 + Z2 vanishes on it, so only the free bath acts there."""
+
+    @pytest.mark.parametrize("collective", [0.0, 0.3])
+    @pytest.mark.parametrize("bath_dim", [1, 4, 16])
+    @pytest.mark.parametrize("labels", [[lab] for lab in DFS2_LEAK_LABELS]
+                             + [["XI", "IX"], ["XI", "XZ"]], ids=str)
+    def test_every_dfs2_model(self, labels, bath_dim, collective):
+        m = dfs2_leakage_model(labels, g=0.05, bath_seed=3, bath_dim=bath_dim,
+                               collective_strength=collective)
+        assert m.decoherence_free
+
+    @pytest.mark.parametrize("build", [
+        lambda: hopping_model(5, seed=7, g=0.2, bath_dim=3),
+        lambda: hopping_model(8, seed=7, g=0.2, bath_dim=1),
+        lambda: linear_optics_model(seed=5, g=0.2),
+        lambda: linear_optics_model(seed=5, g=0.2, bath_dim=3),
+    ], ids=["hopping5", "hopping8_bath1", "linear_optics", "linear_optics_bath3"])
+    def test_hopping_and_linear_optics_are_not(self, build):
+        assert not build().decoherence_free
+
+    def test_one_ulp_in_the_code_block_is_not(self):
+        # the test is exact: H_joint's entry on |01> x the first bath state
+        # moves by one ulp, and so does H'[0, 0] (the dfs2 frame is a
+        # permutation), away from its copy H'[b, b]
+        code, herm = dfs2_dephasing(), frozenset({"hermitian"})
+        m = SystemBathModel.from_terms(
+            code, [(0.05, pauli_string("XI"), random_hermitian(4, 3))],
+            bath_dim=4, free_bath=random_hermitian(4, 4))
+        assert m.decoherence_free
+        h = m.h_joint.mat.copy()
+        h[4, 4] = np.nextafter(h[4, 4].real, np.inf)
+        moved = SystemBathModel(code, Operator(h, herm))
+        assert np.count_nonzero(frame_hamiltonian(moved) != frame_hamiltonian(m)) == 1
+        assert not moved.decoherence_free
+
+    def test_a_logical_term_is_not(self):
+        m = SystemBathModel.from_terms(
+            dfs2_dephasing(), [(0.05, logical_ops_dfs2().x, random_hermitian(4, 3))],
+            bath_dim=4, free_bath=random_hermitian(4, 4))
+        assert not m.decoherence_free
+
+
 class TestModelFromConfig:
     def test_dfs2_config(self):
         cfg = {
