@@ -34,19 +34,20 @@ Samples are read per sector in the frame, where a sector's first n_code
 rows are code rows and the rest complement rows. Each sector yields its
 states in stacks (samples, copies, J_s) of OBSERVABLE_BATCH samples, its
 copies stepped together by one GEMM of shape (samples x copies, J_s) per
-product: free states scale a phase table against its eigenvectors,
-targets (which never leave the code rows) against its code sub-block's,
-and pulsed states come from the squares that build cycle^n. Targets are
-stepped only when the code block acts on the code: when it is exactly
-I_k x h (SystemBathModel.decoherence_free), the target's code rows are
-C0 W^T with W unitary, and the fidelity reads only their R factor and
-norm, which are C0's; simulate reads them once per run (_target) and
-broadcasts them against every batch. Leakage is the sum over sectors
-and copies of the squared norms of their complement rows (_leakage);
-only the code rows are gathered, in frame code order by one index per
-run (_code_columns), as the fidelity's A and C, each code row by its own
-take into a contiguous (samples, b) array (_code_rows). The code
-fidelity of a qubit code has a closed form (Jozsa's tr(rho sigma) + 2
+product: free states scale a phase table against its eigenvectors, and
+pulsed states come from the squares that build cycle^n. Leakage is the
+sum over sectors and copies of the squared norms of their complement rows
+(_leakage); only the code rows are gathered, in frame code order by one
+index per run (_code_columns), as the fidelity's A, each code row by its
+own take into a contiguous (samples, b) array (_code_rows). When the code
+block of H' is exactly I_k x h (SystemBathModel.decoherence_free), the
+decoupled-limit target is x (e^(-i h t) y)^T on the code rows, x the
+initial code state and y the bath state: of rank one, so the fidelity is
+the overlap with the initial code state, ||x^dag A||^2 / ||x||^2
+(_overlap), for any code dim, with no target. Otherwise targets (which
+never leave the code rows) are stepped by a phase table against each
+sector's code sub-block's eigenvectors, and the fidelity is ||A^dag C||_1^2
+/ ||C||^2: for a qubit code in Jozsa's closed form (tr(rho sigma) + 2
 sqrt(det rho det sigma), determinants from Gram-Schmidt R factors),
 within 1e-15 ||A||_F ||C||_F of the QR + SVD form that the other code
 dims take.
@@ -60,7 +61,6 @@ the sweep's one limit; it takes no samples (sweep_cycles).
 from __future__ import annotations
 
 import concurrent.futures
-import itertools
 import operator
 import os
 from dataclasses import dataclass
@@ -358,9 +358,11 @@ def _spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _frame_state(model: SystemBathModel, initial_code_state) -> np.ndarray:
-    """(F^dag x I) psi0 for psi0 = the initial state x the initial bath
-    state, once the state is checked: an ambient system vector, finite,
+def _frame_state(model: SystemBathModel, initial_code_state
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """x, the initial state's k code coordinates V^dag psi0 (V the code
+    basis), and (F^dag x I) psi0 for psi0 = the initial state x the initial
+    bath state, once the state is checked: an ambient system vector, finite,
     normalized and in the model's code (F^dag psi has no complement
     coordinates); anything else is a ValueError."""
     state = np.asarray(initial_code_state, dtype=complex)
@@ -373,7 +375,7 @@ def _frame_state(model: SystemBathModel, initial_code_state) -> np.ndarray:
     out_of_code = np.linalg.norm(coords[model.code.code_dim:])
     if not out_of_code <= STATE_CODE_TOL:
         raise ValueError(f"initial state leaves the code subspace by {out_of_code:.3e}")
-    return np.kron(coords, model.initial_bath_state)
+    return coords[:model.code.code_dim], np.kron(coords, model.initial_bath_state)
 
 
 def _leakage(sectors: Sequence[Sector], parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -409,6 +411,13 @@ def _nuclear_norm(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a_dag @ c, compute_uv=False).sum(axis=1)
 
 
+def _row_norms2(x: np.ndarray) -> np.ndarray:
+    """||x_i||^2 for each row of a complex (samples, b) array whose rows are
+    contiguous, as re^2 + im^2 summed over a real view by one einsum."""
+    x = x.view(float)
+    return np.einsum("ij,ij->i", x, x)
+
+
 def _gram_schmidt_r(u: np.ndarray, v: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R factor of X^dag for a stack of 2 x b matrices X given as its rows
@@ -416,21 +425,29 @@ def _gram_schmidt_r(u: np.ndarray, v: np.ndarray
     conj(s)], [0, r11]] with r00 = ||u||, s = <u/r00, v> and r11 the norm
     of v's residual; r00 and r11 are real and nonnegative. A zero row u
     gives r00 = s = 0. Strided rows work but run several times slower than
-    C-contiguous ones."""
-    r00 = np.linalg.norm(u, axis=1)
+    C-contiguous ones. Below about 1e-154 the squares of u are subnormal
+    and their sum loses bits, so u / r00 is normalized once more, with
+    entries near 1; a row below about 1e-162 squares to 0 and counts as
+    zero."""
+    r00 = np.sqrt(_row_norms2(u))
     e0 = np.divide(u, r00[:, None], out=np.zeros_like(u), where=r00[:, None] > 0.0)
+    unit = np.sqrt(_row_norms2(e0))
+    np.divide(e0, unit[:, None], out=e0, where=unit[:, None] > 0.0)
+    r00 *= unit
     s = np.einsum("ij,ij->i", e0.conj(), v)
     w = v - e0 * s[:, None]
     s2 = np.einsum("ij,ij->i", e0.conj(), w)  # second pass: w orthogonal to e0
     w -= e0 * s2[:, None]
-    return r00, s + s2, np.linalg.norm(w, axis=1)
+    return r00, s + s2, np.sqrt(_row_norms2(w))
 
 
 def _qubit_nuclear_norm(fa: tuple[np.ndarray, ...], fc: tuple[np.ndarray, ...]
                         ) -> np.ndarray:
     """||A^dag C||_1 for stacks of 2 x b matrices A and C, any b >= 1, from
-    the R factors fa of A^dag and fc of C^dag (_gram_schmidt_r); a factor
-    of one sample broadcasts against a stack.
+    the R factors fa of A^dag and fc of C^dag (_gram_schmidt_r), one per
+    sample of each. simulate needs it only for a stepped target: a
+    decoherence-free run's fidelity is the overlap with the initial code
+    state (_overlap).
 
     With A^dag = Q_A R_A and C^dag = Q_C R_C, it is ||M||_1 for the 2 x 2
     M = R_A R_C^dag, and ||M||_1^2 = ||M||_F^2 + 2 |det M| with |det M| =
@@ -476,29 +493,41 @@ def _code_rows(stacks: Sequence[np.ndarray], columns: np.ndarray) -> list[np.nda
 
 
 def _target(stacks: Sequence[np.ndarray], columns: np.ndarray) -> tuple:
-    """What the fidelity reads of a stack of targets given as one part per
-    sector in the frame, (samples, copies, n_code), holding only code rows:
-    with C their code rows picked by columns (_code_columns' second), the
-    R factor of C^dag (_gram_schmidt_r) for a qubit code, else C itself
-    (samples, k, b), and ||C||_F^2 per sample."""
+    """What the fidelity reads of a stack of stepped targets given as one
+    part per sector in the frame, (samples, copies, n_code), holding only
+    code rows: with C their code rows picked by columns (_code_columns'
+    second), the R factor of C^dag (_gram_schmidt_r) for a qubit code, else
+    C itself (samples, k, b), and ||C||_F^2 per sample. A decoherence-free
+    run forms no target: its fidelity is the overlap with the initial code
+    state (_overlap)."""
     c = _code_rows(stacks, columns)
     if len(c) == 2:
-        return (_gram_schmidt_r(*c),
-                sum(np.einsum("ij,ij->i", x.view(float), x.view(float)) for x in c))
+        return _gram_schmidt_r(*c), sum(map(_row_norms2, c))
     c = np.stack(c, axis=1)
     return c, np.sum(np.abs(c) ** 2, axis=(1, 2))
 
 
+def _overlap(a: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """||x^dag A||^2 / ||x||^2 for a stack of k x b matrices A given as its
+    k rows, each (samples, b) (_code_rows), and x the k initial code
+    coordinates: one weighted sum of the rows, then one einsum over a real
+    view. This is ||A^dag C||_1^2 / ||C||^2 for any target C = x w^T of
+    rank one, since then ||A^dag C||_1 = ||A^dag x|| ||w|| and ||C||^2 =
+    ||x||^2 ||w||^2: Uhlmann's fidelity against a pure state is the
+    overlap <x|rho|x> / <x|x> (Jozsa 1994)."""
+    weighted = sum(xi * ai for xi, ai in zip(x.conj(), a))
+    return _row_norms2(weighted) / np.vdot(x, x).real
+
+
 def _observables(model: SystemBathModel, parts: Sequence[np.ndarray],
-                 target: tuple, columns: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 target, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leakage and code fidelity for a stack of joint states, given as one
     part per sector in the frame F x I, (samples, copies, J_s), each
-    copy's rows with code rows first, against a stack of targets read by
-    _target; a target of one sample broadcasts against the states. columns
-    (_code_columns' first) picks the states' code rows, in frame code
-    order, code x bath, each as its own contiguous (samples, b) array
-    (_code_rows).
+    copy's rows with code rows first. target is x, the initial code
+    coordinates, for a decoherence-free run, else a stack of stepped
+    targets as _target reads them, one per state. columns (_code_columns'
+    first) picks the states' code rows, in frame code order, code x bath,
+    each as its own contiguous (samples, b) array (_code_rows).
 
     Leakage is |(Q x I) psi|^2, read per sector (_leakage).
     Fidelity is the Uhlmann fidelity of the bath-traced state against the
@@ -506,19 +535,26 @@ def _observables(model: SystemBathModel, parts: Sequence[np.ndarray],
     joint vectors are purifications, so with A = V^dag psi and C = V^dag
     target, code x bath (V the code basis: A is the states' code rows, C
     the targets'), it is ||A^dag C||_1^2 / ||C||^2 (Uhlmann 1976; Jozsa
-    1994). For a qubit code ||A^dag C||_1 has a closed form
+    1994). A decoherence-free run's target is x times a bath state, of
+    rank one, so its fidelity is the overlap with the initial code state,
+    ||x^dag A||^2 / ||x||^2 (_overlap), for any code dim. Against a
+    stepped target, a qubit code's ||A^dag C||_1 has a closed form
     (_qubit_nuclear_norm) with no LAPACK call per sample; it agrees with
     the QR + SVD form of the other code dims (_nuclear_norm) to within
     1e-15 ||A||_F ||C||_F, and simulate's fidelities moved by at most
     2.7e-15 between the two. Values below 1 + FIDELITY_CLAMP_TOL are
     clamped to 1; larger ones pass through. simulate range-checks leakage.
     """
-    a, (factor, norm) = _code_rows(parts, columns), target
-    if len(a) == 2:
-        nuclear = _qubit_nuclear_norm(_gram_schmidt_r(*a), factor)
+    a = _code_rows(parts, columns)
+    if isinstance(target, np.ndarray):  # x: the overlap
+        f = _overlap(a, target)
     else:
-        nuclear = _nuclear_norm(np.stack(a, axis=1), factor)
-    f = nuclear ** 2 / norm
+        factor, norm = target
+        if len(a) == 2:
+            nuclear = _qubit_nuclear_norm(_gram_schmidt_r(*a), factor)
+        else:
+            nuclear = _nuclear_norm(np.stack(a, axis=1), factor)
+        f = nuclear ** 2 / norm
     return (_leakage(model.spectra, parts),
             np.where(f < 1.0 + FIDELITY_CLAMP_TOL, np.minimum(f, 1.0), f))
 
@@ -565,14 +601,15 @@ def simulate(
     fidelity of the bath-traced system state against the decoupled-limit
     target. With pulses=None the same grid is used for free evolution.
     The target is stepped only when the model's code block acts on the
-    code; for a decoherence-free model (model.decoherence_free) its R
-    factor and norm are the initial state's, read once. Raises
+    code; for a decoherence-free model (model.decoherence_free) it is the
+    initial code state times a bath state, and the fidelity is the overlap
+    with the initial code state, read once (_overlap). Raises
     NumericalDegeneracyError, before the first sample is evaluated, when
     the model's eigenvector certificate fails or any checked propagator
     (limit, cycle^n, free total) drifts past the unitarity tolerance, and,
     before it returns, when the leakage column leaves [0, 1].
     """
-    phi0 = _frame_state(model, initial_code_state)
+    x, phi0 = _frame_state(model, initial_code_state)
     pulsed = schedule.pulses is not None
     if pulsed:
         _check_pulse(model, schedule.pulses)
@@ -583,22 +620,18 @@ def simulate(
     totals, states = (_pulsed if pulsed else _free)(model, n, tau, phi0)
     sectors = model.spectra
 
-    # the target never leaves the code rows
     in_states, in_targets = _code_columns(model)
-    target0 = [phi0[sector.rows[:, :sector.n_code]] for sector in sectors]
-    if model.decoherence_free:
-        # the code block is I_k x h, so the target's code rows are C0 W^T
-        # with W unitary: every sample's R factor and norm are C0's, read
-        # once and broadcast against every batch
-        targets = itertools.repeat(_target([c0[None] for c0 in target0], in_targets))
-    else:  # each sector's code sub-block steps them
-        targets = (_target(c, in_targets) for c in zip(*[
-            _spectral_batches(sector.code, c0, -2 * tau, n)
-            for sector, c0 in zip(sectors, target0)]))
+    # the code block is I_k x h: the target's code rows are x (e^(-i h t)
+    # y)^T, of rank one, and the fidelity is the overlap with x; otherwise
+    # each sector's code sub-block steps the targets, which never leave the
+    # code rows
+    targets = None if model.decoherence_free else zip(*[
+        _spectral_batches(sector.code, phi0[sector.rows[:, :sector.n_code]],
+                          -2 * tau, n) for sector in sectors])
     leakage, fidelity = np.empty(n + 1), np.empty(n + 1)
-    for start, parts, target in zip(range(0, n + 1, OBSERVABLE_BATCH),
-                                    zip(*states), targets):
+    for start, parts in zip(range(0, n + 1, OBSERVABLE_BATCH), zip(*states)):
         batch = slice(start, start + len(parts[0]))
+        target = x if targets is None else _target(next(targets), in_targets)
         leakage[batch], fidelity[batch] = _observables(model, parts, target,
                                                        in_states)
     _certified_leakage(leakage)  # one range check per run
@@ -636,7 +669,7 @@ def sweep_cycles(
     ns = [_cycle_count(n) for n in n_list]
     if not ns or any(n < 1 for n in ns) or ns != sorted(set(ns)):
         raise ValueError("n_list must be strictly ascending positive integers")
-    phi0 = _frame_state(model, initial_code_state)
+    _, phi0 = _frame_state(model, initial_code_state)
     _check_pulse(model, pulses)
     taus = [total_free_time / (2 * n) for n in ns]
     if not taus[-1] > 0.0:  # T / 2n can underflow at the largest n

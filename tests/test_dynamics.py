@@ -3,7 +3,13 @@ import pytest
 from model_split import explicit_split
 
 from leolab import dynamics, models, opalg
-from leolab.codes import CodeSubspace, bare_qubit_code, build_code, dfs2_dephasing
+from leolab.codes import (
+    CodeSubspace,
+    bare_qubit_code,
+    build_code,
+    dfs2_dephasing,
+    dual_rail_code,
+)
 from leolab.dynamics import (
     ParityKickSchedule,
     _spectral_distance,
@@ -195,7 +201,7 @@ class TestPropagatorChecks:
                            match=f"^spectral exponential: {drift}"):
             hermitian_exponential(m.h_joint, -0.05)
         # the free total, formed from the sectors' spectra, keeps that name
-        phi0 = dynamics._frame_state(m, code_state(m))
+        _, phi0 = dynamics._frame_state(m, code_state(m))
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^spectral exponential: {drift}"):
             dynamics._free(m, 8, 0.05, phi0)
@@ -679,11 +685,35 @@ class TestBatchedObservables:
         "dfs2_code_acting": lambda: (code_acting_model(), exchange_dfs2_leo()),
     }
 
+    STEPPED = {"dfs2_code_acting", "hopping8", "linear_optics_bath1"}
+
     def test_cases_take_both_target_paths(self):
         flags = {case: build()[0].decoherence_free
                  for case, build in self.CASES.items()}
         assert not flags["dfs2_code_acting"] and flags["dfs2_xi_collective"]
         assert set(flags.values()) == {True, False}
+        assert {case for case, free in flags.items() if not free} == self.STEPPED
+
+    @pytest.mark.parametrize("pulsed", [True, False])
+    def test_decoherence_free_runs_form_no_target(self, monkeypatch, pulsed):
+        # the overlap with x needs neither a target nor an R factor; the
+        # other runs step one target stack per batch, and a qubit code
+        # factors it and the states' code rows
+        targets = counting(monkeypatch, "_target")
+        factors = counting(monkeypatch, "_gram_schmidt_r")
+        for case, build in sorted(self.CASES.items()):
+            m, pulse = build()
+            sched = ParityKickSchedule(600, 0.0015, (pulse or projector_leo(m.code))
+                                       if pulsed else None)
+            targets.clear()
+            factors.clear()
+            sup = (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
+            simulate(m, sched, sup)
+            if case not in self.STEPPED:
+                assert targets == [] and factors == [], case
+            else:  # batches from 0, 256 and 512
+                assert len(targets) == 3, case
+                assert len(factors) == (6 if m.code.code_dim == 2 else 0), case
 
     def check(self, case, pulsed, n, superposition):
         m, pulse = self.CASES[case]()
@@ -756,10 +786,15 @@ class TestReferenceAccuracy:
         old = gap(per_sample_reference(m, sched, state, spectral_step))
         assert (new <= 1e-13).all()
         assert (new < old).all()
-        rep = simulate(m, sched, state)
-        got = np.array([[s.leakage_population for s in rep.samples],
-                        [s.code_fidelity for s in rep.samples]])
-        assert (np.abs(got - truth) <= 1e-12 + 1e-12 * np.abs(truth)).all()
+        # x^dag A has a cross term only from a superposition start
+        sup = (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
+        for start, want in [(state, truth),
+                            (sup, np.array(per_sample_reference(m, sched, sup,
+                                                                exact_step)))]:
+            rep = simulate(m, sched, start)
+            got = np.array([[s.leakage_population for s in rep.samples],
+                            [s.code_fidelity for s in rep.samples]])
+            assert (np.abs(got - want) <= 1e-12 + 1e-12 * np.abs(want)).all()
 
 
 def random_stack(rng, n, b):
@@ -804,7 +839,37 @@ def nuclear_norm_cases(b):
                    (-150, 150)]:
         a, c = random_stack(rng, 32, b), random_stack(rng, 32, b)
         cases[f"scaled_{sa}_{sc}"] = (a * 10.0 ** sa, c * 10.0 ** sc)
+    # a first row near 1e-161 squares to subnormals, so a norm summed from
+    # the squares is off by far more than rounding
+    tiny = generic.copy()
+    tiny[:, 0] *= 1e-161
+    cases["tiny_first_row_a"] = (tiny, random_stack(rng, 32, b))
+    cases["tiny_first_row_c"] = (random_stack(rng, 32, b), tiny)
     return cases
+
+
+class TestOverlap:
+    """The overlap ||x^dag A||^2 / ||x||^2 is ||A^dag C||_1^2 / ||C||^2
+    (the QR + SVD path) for every rank-one target C = x w^T, with x of any
+    norm, complex and in code order."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("b", [1, 2, 3, 16])
+    def test_matches_rank_one_target(self, k, b):
+        rng = np.random.default_rng(10 * k + b)
+
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        a = gaussian(32, k, b)
+        for scale in (1e-3, 1.0, 1e3):
+            x, w = scale * gaussian(k), gaussian(b)
+            c = np.outer(x, w)
+            want = (dynamics._nuclear_norm(a, np.broadcast_to(c, a.shape)) ** 2
+                    / np.linalg.norm(c) ** 2)
+            got = dynamics._overlap(list(a.swapaxes(0, 1)), x)
+            scale_a = np.linalg.norm(a, axis=(1, 2)) ** 2
+            assert np.all(np.abs(got - want) <= 1e-14 * scale_a)
 
 
 class TestQubitNuclearNorm:
@@ -819,6 +884,16 @@ class TestQubitNuclearNorm:
             scale = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(c, axis=(1, 2))
             err = np.abs(got - want)
             assert np.all(err <= 2e-15 * scale), (name, np.max(err / scale))
+
+    def test_tiny_coupling_keeps_the_fidelity_physical(self):
+        # the code row the coupling fills stays near 1e-161: its norm from
+        # the squares alone read a fidelity of 1.136 (a property-test find)
+        m = hopping_model(3, seed=0, g=1.2740695972489209e-161, bath_dim=2)
+        sched = ParityKickSchedule(1, 1.0, None)
+        rep = simulate(m, sched, code_state(m, 1))
+        _, fids = per_sample_reference(m, sched, code_state(m, 1))
+        assert rep.code_fidelity.max() <= 1.0
+        np.testing.assert_allclose(rep.code_fidelity, fids, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("pulsed", [True, False])
     @pytest.mark.parametrize("bath_dim", [1, 2, 4, 16])
@@ -888,6 +963,31 @@ class TestOtherCodeDimsKeepSvdPath:
                 for f in svd_fidelities(m, phis, c)]
         assert len(batches) == len(targets) == 2
         assert [s.code_fidelity for s in rep.samples] == want
+
+    @pytest.mark.parametrize("pulsed", [True, False])
+    @pytest.mark.parametrize("bath_dim", [1, 3])
+    def test_decoherence_free_dual_rail_takes_the_overlap(self, monkeypatch,
+                                                          bath_dim, pulsed):
+        # a system factor with its code block zeroed: the dual rail frame is
+        # a permutation, so the code block of H' is I_4 x the free bath
+        code = dual_rail_code()
+        s = random_hermitian(code.ambient_dim, 21).mat
+        s = s - code.projector @ s @ code.projector
+        m = SystemBathModel.from_terms(
+            code, [(0.3, Operator(s, frozenset({"hermitian"})),
+                    random_hermitian(bath_dim, 22))],
+            bath_dim=bath_dim, free_bath=random_hermitian(bath_dim, 23))
+        assert m.decoherence_free and m.code.code_dim == 4
+        svd, targets = (counting(monkeypatch, name)
+                        for name in ("_nuclear_norm", "_target"))
+        pulse = projector_leo(code) if pulsed else None
+        sched = ParityKickSchedule(300, 0.03, pulse)
+        state = code.basis @ np.array([0.5, 0.5j, -0.5, 0.5])
+        rep = simulate(m, sched, state)
+        assert svd == [] and targets == []
+        leaks, fids = per_sample_reference(m, sched, state)
+        assert max(leaks) > 1e-6 and min(fids) < 1.0 - 1e-6  # the run moves
+        np.testing.assert_allclose(rep.code_fidelity, fids, rtol=1e-12, atol=1e-12)
 
 
 def counting(monkeypatch, name):

@@ -499,6 +499,48 @@ class TestDecoherenceFree:
         assert not m.decoherence_free
 
 
+class TestCodeAndComplementSubBlocks:
+    """Without the collective term, every dfs2 sector's code sub-block of
+    H' is exactly its complement sub-block: the dfs2 frame is a
+    permutation, and both are the free bath block. Z1 + Z2 is +-2 on the
+    complement and 0 on the code, so with it they differ."""
+
+    LABELS = [[lab] for lab in DFS2_LEAK_LABELS] + [["XI", "IX"], ["XI", "XZ"]]
+
+    @staticmethod
+    def sub_blocks(m):
+        """(code, complement) sub-blocks of H' on each copy's rows, for
+        every sector with both code and complement rows."""
+        h = frame_hamiltonian(m)
+        out = []
+        for sector in m.spectra:
+            c = sector.n_code
+            for rows in sector.rows:
+                if 0 < c < len(rows):
+                    blk = h[np.ix_(rows, rows)]
+                    out.append((blk[:c, :c], blk[c:, c:]))
+        return out
+
+    @pytest.mark.parametrize("bath_dim", [1, 4, 16])
+    @pytest.mark.parametrize("labels", LABELS, ids=str)
+    def test_equal_without_the_collective_term(self, labels, bath_dim):
+        m = dfs2_leakage_model(labels, g=0.05, bath_seed=3, bath_dim=bath_dim)
+        blocks = self.sub_blocks(m)
+        assert blocks
+        for code, complement in blocks:
+            assert np.array_equal(code, complement)
+
+    @pytest.mark.parametrize("bath_dim", [1, 4, 16])
+    @pytest.mark.parametrize("labels", LABELS, ids=str)
+    def test_differ_with_the_collective_term(self, labels, bath_dim):
+        m = dfs2_leakage_model(labels, g=0.05, bath_seed=3, bath_dim=bath_dim,
+                               collective_strength=0.3)
+        blocks = self.sub_blocks(m)
+        assert blocks
+        for code, complement in blocks:
+            assert not np.array_equal(code, complement)
+
+
 class TestModelFromConfig:
     def test_dfs2_config(self):
         cfg = {

@@ -1,6 +1,7 @@
 """Property tests: physical ranges hold for any seeded model, block
 decomposition holds for any isometry code, and simulate's samples match a
-one-state-at-a-time reference on dense frames from superposition states.
+one-state-at-a-time reference on dense frames from superposition states
+and, through the overlap fidelity, on dfs2 models from random code states.
 
 Cycle counts run past OBSERVABLE_BATCH, so samples on both sides of a batch
 edge are covered, and both pulsed and free runs are drawn.
@@ -14,7 +15,7 @@ from test_dynamics import per_sample_reference
 from leolab.classify import decompose
 from leolab.codes import CodeSubspace
 from leolab.dynamics import ParityKickSchedule, simulate
-from leolab.leo import projector_leo
+from leolab.leo import exchange_dfs2_leo, projector_leo
 from leolab.models import (
     DFS2_LEAK_LABELS,
     SystemBathModel,
@@ -117,3 +118,39 @@ def test_superposition_samples_match_reference(run, n, tau, pulsed):
     assert np.all(np.abs(got - leaks) <= 1e-9 * leaks + 2 * np.sqrt(leaks) * d + d * d)
     np.testing.assert_allclose([s.code_fidelity for s in report.samples],
                                fids, rtol=0.0, atol=1e-8)
+
+
+@st.composite
+def dfs2_overlap_runs(draw):
+    """A dfs2 model (one label or a pair, shared or split bath, with or
+    without the collective term, bath 1-4), always decoherence-free, and a
+    random normalized complex code state."""
+    model = dfs2_leakage_model(
+        draw(st.lists(st.sampled_from(DFS2_LEAK_LABELS), min_size=1, max_size=2,
+                      unique=True)),
+        g=draw(st.floats(0.05, 0.5)),
+        bath_seed=draw(st.integers(0, 2**32 - 1)),
+        bath_dim=draw(st.integers(1, 4)),
+        shared_bath=draw(st.booleans()),
+        collective_strength=draw(st.sampled_from([0.0, 0.3])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return model, model.code.basis @ (x / np.linalg.norm(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=dfs2_overlap_runs(), n=st.sampled_from([0, 255, 256, 257, 600]),
+       pulsed=st.booleans())
+def test_overlap_fidelity_matches_reference(run, n, pulsed):
+    # the fidelity of a decoherence-free run is ||x^dag A||^2 / ||x||^2;
+    # the reference steps a target and takes a nuclear norm per sample
+    model, state = run
+    assert model.decoherence_free
+    schedule = ParityKickSchedule(n, 0.9 / max(n, 1),
+                                  exchange_dfs2_leo() if pulsed else None)
+    report = simulate(model, schedule, state)
+    leaks, fids = per_sample_reference(model, schedule, state)
+    np.testing.assert_allclose(report.leakage_population, leaks,
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(report.code_fidelity, fids, rtol=1e-12, atol=1e-12)
