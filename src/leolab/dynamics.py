@@ -30,27 +30,46 @@ error O(J eps). The public parity_kick_unitary and
 decoupled_limit_unitary place each block on every copy's rows and rotate
 them back to product coordinates.
 
+A sector that pairs (models._pair_phase: as many code as complement
+rows, equal code and complement sub-blocks A, and zeta G Hermitian for
+its coupling G, all exact) is exactly diag(A + zeta G, A - zeta G) on
+the rows (code +- conj(zeta) complement) / sqrt(2), where Z is exactly
+-swap of the two halves. Every propagator of a pair then has the frame
+form [[S, conj(zeta) D], [zeta D, S]]: its segment and free total are
+its halves' exponentials rotated to the frame (_frame_block), its cycle
+is S+ S- and S- S+ on the halves, and its limit is exp(-i A T) on both,
+one exponential. A product of two such blocks is fixed by its first half
+of rows, one GEMM of half the flops (_product), which also keeps the
+code-complement coupling D accurate to its own size. Certificates and
+distances are read on the halves S +- D (_diagonal_blocks), at a quarter
+of the flops; the rotation is unitary, so they are the same. States are
+stepped in the frame: pulsed ones by the pair-form squares, free ones
+against the halves' eigenvectors rotated to the frame (_free_batches).
+On the halves, the leakage would be the difference of two stacks near 1,
+good only to rounding of their size.
+
 Samples are read per sector in the frame, where a sector's first n_code
 rows are code rows and the rest complement rows. Each sector yields its
 states in stacks (samples, copies, J_s) of OBSERVABLE_BATCH samples, its
 copies stepped together by one GEMM of shape (samples x copies, J_s) per
-product: free states scale a phase table against its eigenvectors, and
-pulsed states come from the squares that build cycle^n. Leakage is the
-sum over sectors and copies of the squared norms of their complement rows
-(_leakage); only the code rows are gathered, in frame code order by one
-index per run (_code_columns), as the fidelity's A, each code row by its
-own take into a contiguous (samples, b) array (_code_rows). When the code
-block of H' is exactly I_k x h (SystemBathModel.decoherence_free), the
+product: free states are one GEMM of a phase table with its eigenvectors
+scaled by the start's coefficients, and pulsed states come from the
+squares that build cycle^n. Leakage is the sum over sectors and copies
+of the squared norms of their complement rows (_leakage); only the code
+rows are gathered, in frame code order by one index per run
+(_code_columns), as the fidelity's A, each code row by its own take into
+a contiguous (samples, b) array (_code_rows). When the code block of H'
+is exactly I_k x h (SystemBathModel.decoherence_free), the
 decoupled-limit target is x (e^(-i h t) y)^T on the code rows, x the
 initial code state and y the bath state: of rank one, so the fidelity is
 the overlap with the initial code state, ||x^dag A||^2 / ||x||^2
 (_overlap), for any code dim, with no target. Otherwise targets (which
 never leave the code rows) are stepped by a phase table against each
-sector's code sub-block's eigenvectors, and the fidelity is ||A^dag C||_1^2
-/ ||C||^2: for a qubit code in Jozsa's closed form (tr(rho sigma) + 2
-sqrt(det rho det sigma), determinants from Gram-Schmidt R factors),
-within 1e-15 ||A||_F ||C||_F of the QR + SVD form that the other code
-dims take.
+sector's code sub-block's eigenvectors, and the fidelity is ||A^dag
+C||_1^2 / ||C||^2: for a qubit code in Jozsa's closed form (tr(rho
+sigma) + 2 sqrt(det rho det sigma), determinants from Gram-Schmidt R
+factors), within 1e-15 ||A||_F ||C||_F of the QR + SVD form that the
+other code dims take.
 simulate certifies a run's leakage column once: a value outside [0, 1]
 (within 1e-12), or NaN, is a NumericalDegeneracyError. It returns that
 column and the fidelity's; records and CSV derive from them. A sweep row is
@@ -188,20 +207,75 @@ class SweepTable:
 # ---------------------------------------------------------------------------
 
 
-def _segment(spectrum: tuple[np.ndarray, np.ndarray], tau: float) -> np.ndarray:
-    """exp(-i h tau) from h's spectrum (w, v), as I + V D V^dag with D =
-    expm1(-i w tau); no check here. With e = ||V^dag V - I||_F, U^dag U - I
+def _segment(sector: Sector, tau: float) -> np.ndarray:
+    """exp(-i H' tau) on a sector's frame block, as I + E from its blocks'
+    spectra (w, v): E = V D V^dag with D = expm1(-i w tau) for the whole
+    block, or E+- so formed on a pair's halves, rotated to the frame
+    (_frame_block); no check here. With e = ||V^dag V - I||_F, U^dag U - I
     = V D^dag (V^dag V - I) D V^dag exactly (|1 + D| = 1), so ||U^dag U -
     I||_F <= (1 + e)^2 max|D|^2 e, plus the O(J^(3/2) eps max|D|) rounding
-    of V D V^dag and the half-ulp rounding of the entries near 1. A short
-    segment thus drifts far less than the 2e of V e^(-i w tau) V^dag, and
-    cycle^n adds up the drift of its 2n segments. One-shot exponentials
-    (the limit, the free total) keep V e^(-i phi) V^dag: with |D| up to 2
-    this form's bound is 4e, that one's 2e + e^2."""
-    w, v = spectrum
-    u = (v * np.expm1(-1j * tau * w)) @ v.conj().T
+    of V D V^dag and the half-ulp rounding of the entries near 1; the
+    rotation of a pair's halves is unitary and adds only the rounding of
+    E+- /2. A short segment thus drifts far less than the 2e of V e^(-i w
+    tau) V^dag, and cycle^n adds up the drift of its 2n segments. One-shot
+    exponentials (the limit, the free total) keep V e^(-i phi) V^dag: with
+    |D| up to 2 this form's bound is 4e, that one's 2e + e^2. E+ - E- is
+    -2i zeta G tau to first order, formed from two expm1 forms, so the
+    segment's code-complement coupling keeps its accuracy relative to its
+    own size, as the whole block's E does."""
+    e = [(v * np.expm1(-1j * tau * w)) @ v.conj().T for w, v in sector.blocks]
+    u = e[0] if sector.zeta is None else _frame_block(sector, *e)
     u[np.diag_indices_from(u)] += 1.0
     return u
+
+
+def _frame_block(sector: Sector, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """A pair's frame block, code rows first, from the blocks plus and minus
+    on its halves' rows (code +- conj(zeta) complement) / sqrt(2): (plus +
+    minus)/2 on the code and on the complement rows, conj(zeta) (plus -
+    minus)/2 from the complement to the code rows and zeta (plus - minus)/2
+    back."""
+    h = len(plus)
+    out = np.empty((2 * h, 2 * h), dtype=complex)
+    out[:h, :h] = out[h:, h:] = (plus + minus) / 2
+    gap = (plus - minus) / 2
+    np.multiply(gap, np.conj(sector.zeta), out=out[:h, h:])
+    np.multiply(gap, sector.zeta, out=out[h:, :h])
+    return out
+
+
+def _diagonal_blocks(sector: Sector, m: np.ndarray) -> list[np.ndarray]:
+    """The blocks of a sector's frame block m in the basis where it is block
+    diagonal: m itself, or for a pair, m = [[S, conj(zeta) D], [zeta D, S]],
+    its halves S + D and S - D (_frame_block's inverse)."""
+    if sector.zeta is None:
+        return [m]
+    h = sector.n_code
+    mean, gap = m[:h, :h], sector.zeta * m[:h, h:]
+    return [mean + gap, mean - gap]
+
+
+def _product(sector: Sector):
+    """a @ b for two of a sector's frame blocks whose product has the
+    sector's form: np.matmul, or for a pair, whose propagators are all [[S,
+    conj(zeta) D], [zeta D, S]] (the kicked segment S' Z is not, but its
+    square is), the first n_code rows a[:h] @ b, one GEMM of half the
+    flops, with the rest filled from them: zeta^2 times their right half,
+    then their left half. D stays a sum of products that each hold one
+    factor of D, so it keeps its accuracy relative to its own size, which
+    products of the halves S +- D would not."""
+    if sector.zeta is None:
+        return np.matmul
+    h, zeta2 = sector.n_code, sector.zeta ** 2
+
+    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.empty_like(b)
+        np.matmul(a[:h], b, out=out[:h])
+        np.multiply(out[:h, h:], zeta2, out=out[h:, :h])
+        out[h:, h:] = out[:h, :h]
+        return out
+
+    return product
 
 
 def _check_pulse(model: SystemBathModel, pulse: LeakageEliminationOperator) -> None:
@@ -220,15 +294,16 @@ def _step(states: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (states.reshape(m * c, j) @ u.T).reshape(m, c, j)
 
 
-def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None
+def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None,
+                  product=np.matmul
                   ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """cycle^n, not yet certified, from the squares C^(2^i) in matrix_power's
-    binary order. Given psi0, one state per copy (copies, J), the squares
-    also fill the first batch, C^k psi0 for k < min(n + 1,
-    OBSERVABLE_BATCH) as a stack (samples, copies, J), by doubling
-    (psi_(k+2^i) = C^(2^i) psi_k), and C^OBSERVABLE_BATCH comes back to
-    advance later batches when n reaches it; as OBSERVABLE_BATCH is a power
-    of two, cycle^n needs every square.
+    binary order, each matrix product taken by product (_product). Given
+    psi0, one state per copy (copies, J), the squares also fill the first
+    batch, C^k psi0 for k < min(n + 1, OBSERVABLE_BATCH) as a stack
+    (samples, copies, J), by doubling (psi_(k+2^i) = C^(2^i) psi_k), and
+    C^OBSERVABLE_BATCH comes back to advance later batches when n reaches
+    it; as OBSERVABLE_BATCH is a power of two, cycle^n needs every square.
     """
     rows = min(n + 1, OBSERVABLE_BATCH)
     states = None if psi0 is None else np.tile(psi0, (rows, 1, 1))  # [0] stays psi0
@@ -237,7 +312,7 @@ def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None
     square, span, left = cycle, 1, n
     while left:
         if span > 1:
-            square = square @ square
+            square = product(square, square)
         if states is not None and span < rows:
             top = min(2 * span, rows)
             states[span:top] = _step(states[:top - span], square)
@@ -245,7 +320,7 @@ def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None
             advance = square
         left, bit = divmod(left, 2)
         if bit:
-            total = square if total is None else total @ square
+            total = square if total is None else product(total, square)
         span *= 2
     return total, states, advance
 
@@ -257,17 +332,20 @@ def _pulsed(model: SystemBathModel, n: int, tau: float,
     all of its copies' in one stack.
     A sector's cycle is (S' Z)^2, S' its tau segment (_segment) and Z the
     ideal kick, -1 on its code rows and +1 on the rest: a pulse phi (Q - P)
-    is phi Z in the frame and phi cancels. S' has no check of its own: the
-    model certified its eigenvectors, and _segment bounds its drift by that
-    certificate."""
+    is phi Z in the frame and phi cancels. On a pair's halves Z is -swap,
+    so the cycle is S+ S- and S- S+ there, and every product keeps the
+    pair's form (_product). S' has no check of its own: the model certified
+    its eigenvectors, and _segment bounds its drift by that certificate."""
     powers = []
     for sector in model.spectra:
-        sz = _segment(sector.joint, tau)
+        product = _product(sector)
+        sz = _segment(sector, tau)
         sz[:, :sector.n_code] *= -1.0  # S' Z
-        powers.append(_cycle_powers(sz @ sz, n,
-                                    None if phi0 is None else phi0[sector.rows]))
-    totals = certified_blocks([p[0] for p in powers], _copies(model),
-                              f"total propagator after {n} cycles")
+        powers.append(_cycle_powers(product(sz, sz), n,
+                                    None if phi0 is None else phi0[sector.rows],
+                                    product))
+    totals = _certified(model, [p[0] for p in powers],
+                        f"total propagator after {n} cycles")
     if phi0 is None:
         return totals, None
     return totals, [_power_batches(p[1], p[2], n) for p in powers]
@@ -276,31 +354,45 @@ def _pulsed(model: SystemBathModel, n: int, tau: float,
 def _free(model: SystemBathModel, n: int, tau: float,
           phi0: np.ndarray) -> tuple[list[np.ndarray], list]:
     """The free total exp(-i H' 2 n tau) per sector in the frame F x I,
-    certified unitary, and each sector's states exp(-i H' 2 k tau) phi0."""
-    totals = certified_blocks([_spectral_matrix(s.joint, -2 * n * tau)
-                               for s in model.spectra], _copies(model),
-                              "spectral exponential")
-    return totals, [_spectral_batches(s.joint, phi0[s.rows], -2 * tau, n)
-                    for s in model.spectra]
+    certified unitary, and each sector's states exp(-i H' 2 k tau) phi0
+    (_free_batches). A pair's total is its halves' exponentials, rotated to
+    the frame (_frame_block)."""
+    totals = []
+    for sector in model.spectra:
+        u = [_spectral_matrix(block, -2 * n * tau) for block in sector.blocks]
+        totals.append(u[0] if sector.zeta is None else _frame_block(sector, *u))
+    return (_certified(model, totals, "spectral exponential"),
+            [_free_batches(s, phi0, -2 * tau, n) for s in model.spectra])
 
 
 def _limit(model: SystemBathModel, total_free_time: float) -> list[np.ndarray]:
     """exp(-i (H_c + H_perp) T) per sector, in the frame F x I, certified
     unitary: the exponentials of the sector's code and complement
-    sub-blocks on its diagonal."""
+    sub-blocks on its diagonal; a pair's are both exp(-i A T), one
+    exponential."""
     blocks = []
     for sector in model.spectra:
         c = sector.n_code
+        code = _spectral_matrix(sector.code, -total_free_time)
         u = np.zeros((sector.rows.shape[1],) * 2, dtype=complex)
-        u[:c, :c] = _spectral_matrix(sector.code, -total_free_time)
-        u[c:, c:] = _spectral_matrix(sector.complement, -total_free_time)
+        u[:c, :c] = code
+        u[c:, c:] = (code if sector.zeta is not None
+                     else _spectral_matrix(sector.complement, -total_free_time))
         blocks.append(u)
-    return certified_blocks(blocks, _copies(model), "decoupled limit")
+    return _certified(model, blocks, "decoupled limit")
 
 
-def _copies(model: SystemBathModel) -> list[int]:
-    """How often each sector's block stands on the diagonal."""
-    return [len(sector.rows) for sector in model.spectra]
+def _certified(model: SystemBathModel, blocks: list[np.ndarray], what: str
+               ) -> list[np.ndarray]:
+    """blocks, one frame block per sector, once the joint matrix passes the
+    unitary tag's residual test (opalg.certified_blocks) on the blocks'
+    diagonal blocks (_diagonal_blocks), each counted once per copy of its
+    sector: a pair's residual is read off its halves, at a quarter of the
+    flops; the rotation to them is unitary, so the sum is the same."""
+    diagonal = [(d, len(s.rows)) for s, b in zip(model.spectra, blocks)
+                for d in _diagonal_blocks(s, b)]
+    certified_blocks([d for d, _ in diagonal], [k for _, k in diagonal], what)
+    return blocks
 
 
 def _product_coordinates(model: SystemBathModel, blocks, what: str) -> Operator:
@@ -340,6 +432,16 @@ def decoupled_limit_unitary(model: SystemBathModel,
         raise ValueError("scale must be finite")
     return _product_coordinates(model, _limit(model, total_free_time),
                                 "decoupled limit")
+
+
+def _distance(model: SystemBathModel, totals: Sequence[np.ndarray],
+              limit: Sequence[np.ndarray]) -> float:
+    """||U_total - U_limit||_2 from the frame blocks of each, one per sector:
+    the largest of their diagonal blocks' distances (_diagonal_blocks), a
+    pair's taken on its halves."""
+    return max(_spectral_distance(a, b)
+               for s, t, u in zip(model.spectra, totals, limit)
+               for a, b in zip(_diagonal_blocks(s, t), _diagonal_blocks(s, u)))
 
 
 def _spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -564,18 +666,39 @@ def _spectral_batches(spectrum: tuple[np.ndarray, np.ndarray], psi0: np.ndarray,
     """Yield exp(1j * scale * k * h) psi0 for k = 0..n, psi0 one state per
     copy (copies, J), in stacks (samples, copies, J) of OBSERVABLE_BATCH
     samples, from h's spectrum (w, v). The table exp(1j * scale * j * w),
-    j < OBSERVABLE_BATCH, is built once, and the batch from k0 scales it by
-    exp(1j * scale * k0 * w) (v^dag psi0). Sample 0 is psi0 exactly.
+    j < OBSERVABLE_BATCH, is built once, and the batch from k0 is one GEMM
+    of the table with the (J, copies x J) right factor diag(exp(1j * scale
+    * k0 * w) (v^dag psi0)_c) v^T, side by side over the copies c. Sample 0
+    is psi0 exactly.
     """
     w, v = spectrum
     coeff = psi0 @ v.conj()  # v^dag psi0, a row per copy
+    copies, j = coeff.shape
     table = np.exp(1j * scale * np.outer(np.arange(min(n + 1, OBSERVABLE_BATCH)), w))
     for k0 in range(0, n + 1, OBSERVABLE_BATCH):
-        scaled = table[:n + 1 - k0, None] * (np.exp(1j * scale * k0 * w) * coeff)
-        batch = _step(scaled, v)
+        scaled = (np.exp(1j * scale * k0 * w) * coeff).T
+        right = (scaled[:, :, None] * v.T[:, None, :]).reshape(j, copies * j)
+        rows = min(n + 1 - k0, len(table))
+        batch = (table[:rows] @ right).reshape(rows, copies, j)
         if k0 == 0:
             batch[0] = psi0
         yield batch
+
+
+def _free_batches(sector: Sector, phi0: np.ndarray, scale: float, n: int):
+    """exp(1j * scale * k * H') phi0 on a sector's frame rows for k = 0..n,
+    in stacks (samples, copies, J_s) (_spectral_batches), from its block's
+    spectrum, or a pair's from its halves': eigenvalues w+ then w-, and
+    eigenvectors [[V+, V-], [zeta V+, -zeta V-]] / sqrt(2), the halves'
+    rotated to the frame. A batch is then one GEMM in the frame, with no
+    pass over the states to put halves back in frame rows."""
+    spectrum = sector.blocks[0]
+    if sector.zeta is not None:
+        (w_plus, v_plus), (w_minus, v_minus) = sector.blocks
+        v = np.block([[v_plus, v_minus],
+                      [sector.zeta * v_plus, -sector.zeta * v_minus]])
+        spectrum = np.concatenate([w_plus, w_minus]), v * np.sqrt(0.5)
+    return _spectral_batches(spectrum, phi0[sector.rows], scale, n)
 
 
 def _power_batches(states: np.ndarray, advance: np.ndarray | None, n: int):
@@ -639,7 +762,7 @@ def simulate(
     leakage.flags.writeable = fidelity.flags.writeable = False
     del states, parts  # room for the Gram matrices of the distance
     return SimulationReport(tau, leakage, fidelity,
-                            max(map(_spectral_distance, totals, limit)))
+                            _distance(model, totals, limit))
 
 
 def sweep_cycles(
@@ -685,7 +808,7 @@ def sweep_cycles(
                  for sector, total in zip(sectors, totals)]
         leakage = _certified_leakage(_leakage(sectors, final))
         return SweepRow(n, tau, float(leakage[0]),
-                        max(map(_spectral_distance, totals, limit)))
+                        _distance(model, totals, limit))
 
     workers = min(os.cpu_count() or 1, len(ns))
     with concurrent.futures.ThreadPoolExecutor(workers) as pool:

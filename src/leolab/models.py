@@ -12,14 +12,29 @@ permutation. The leakage-free part is H' without the blocks that couple
 code rows to complement rows. SystemBathModel.spectra splits H' into its
 sectors, the connected components of its exact nonzero pattern, stores
 sectors that are exact copies (same code row count, equal blocks) once,
-and diagonalizes each distinct block and its code and complement
-sub-blocks: three eigh per distinct block. Every allowed dfs2 leakage
-label flips one qubit and keeps the other's Z, so a dfs2 model with one
-label (or labels that keep the same Z) has two sectors of half the joint
-dim; a model with no such structure has one. A label that acts only on
-one qubit with X (XI, IX) makes the two sectors copies: one block, two
-row sets. Where H' is formed, its code block is also compared exactly with
-I_k x h (SystemBathModel.decoherence_free): every dfs2 model passes, as no
+and diagonalizes each distinct block once. A sector block [[A, G], [G^dag,
+B]] (code rows first) pairs when it has as many code as complement rows,
+A == B, and zeta G == (zeta G)^dag for zeta = 1 or 1j, all compared
+exactly (np.array_equal; multiplying by 1j is exact). In the basis (code
++- conj(zeta) complement) / sqrt(2) it is then exactly diag(A + zeta G,
+A - zeta G), and the kick Z (-1 on the code rows) is exactly -swap of the
+two halves, so a paired sector keeps the spectra of its two half blocks
+and of A, which is both its code and its complement sub-block: three eigh
+of half the sector's size. Any other sector keeps the spectra of its
+block and of its code and complement sub-blocks: three eigh, of its size
+and of its sub-blocks'. Every allowed dfs2 leakage label flips one qubit
+and keeps the other's Z, so a dfs2 model with one label (or labels that
+keep the same Z) has two sectors of half the joint dim; a model with no
+such structure has one. A label that acts only on one qubit with X (XI,
+IX) makes the two sectors copies: one block, two row sets. Without the
+collective term a dfs2 sector's code and complement sub-blocks are both
+the free bath block, so every single-label model pairs (zeta = 1 for an
+X flip, whose G is Hermitian, 1j for a Y flip), and so do labels on one
+qubit that are all X or all Y flips (XI with XZ); the collective term
+(Z1 + Z2 is 0 on the code and +-2 off it), mixed flips such as XI with
+YI, hopping and linear optics do not pair. Where H' is formed, its code
+block is also compared exactly with I_k x h
+(SystemBathModel.decoherence_free): every dfs2 model passes, as no
 allowed label and not Z1 + Z2 acts within the code.
 
 Units: hbar = 1 throughout, so couplings are angular frequencies and
@@ -100,16 +115,37 @@ class Sector(NamedTuple):
     ascending frame rows, so its code rows (frame rows below code x bath)
     come first, n_code of them, and H'[r, r] is the same block for every
     row set r. phi[rows] thus stacks the copies' parts of a frame vector
-    phi. joint, code and complement are the spectra (w, v) of the block
-    and of its code and complement sub-blocks; either sub-block may be
-    empty.
+    phi. zeta is None, or 1 or 1j for a paired block [[A, G], [G^dag, A]]
+    with zeta G Hermitian (_pair_phase). blocks are the spectra (w, v) of
+    the diagonal blocks the dynamics steps: the whole block, or a pair's
+    halves A + zeta G and A - zeta G, on the rows (code +- conj(zeta)
+    complement) / sqrt(2). code and complement are the spectra of the code
+    and complement sub-blocks, either of which may be empty; a pair's are
+    one spectrum, A's.
     """
 
     rows: np.ndarray
     n_code: int
-    joint: Spectrum
+    zeta: complex | None
+    blocks: tuple[Spectrum, ...]
     code: Spectrum
     complement: Spectrum
+
+
+def _pair_phase(blk: np.ndarray, c: int) -> complex | None:
+    """zeta in (1, 1j) when a sector block [[A, G], [G^dag, B]], its first c
+    rows code rows, pairs: as many code as complement rows, A == B and
+    zeta G == (zeta G)^dag, compared exactly (np.array_equal, no tolerance;
+    multiplying by 1j is exact). Then the block is exactly diag(A + zeta
+    G, A - zeta G) on the rows (code +- conj(zeta) complement) / sqrt(2).
+    Otherwise None."""
+    if 2 * c != len(blk) or not np.array_equal(blk[:c, :c], blk[c:, c:]):
+        return None
+    for zeta in (1, 1j):
+        k = zeta * blk[:c, c:]
+        if np.array_equal(k, k.conj().T):
+            return zeta
+    return None
 
 
 def _sector_rows(h: np.ndarray) -> list[np.ndarray]:
@@ -172,7 +208,7 @@ class SystemBathModel:
     @property
     def spectra(self) -> tuple[Sector, ...]:
         """The sectors of H' = (F^dag x I) H_joint (F x I), F the code's
-        frame, with the spectra of each sector's block and of its code and
+        frame, with the spectra of each sector's blocks and of its code and
         complement sub-blocks; computed on first use and kept. H' is two
         system-index contractions. Its sectors are the connected components
         of its exact nonzero pattern (_sector_rows), so every propagator is
@@ -181,8 +217,10 @@ class SystemBathModel:
         Sectors with as many code rows and equal blocks (np.array_equal, no
         tolerance) are copies, kept as one Sector with one row set each,
         in the order of their first index; only the first is diagonalized.
-        Each eigenvector matrix is certified once, here (check_eigenvectors),
-        so an exponential built on it needs no check of its own."""
+        A sector that pairs (_pair_phase) is diagonalized as its two
+        halves and A: three eigh of half its size. Each eigenvector matrix
+        is certified once, here (check_eigenvectors), so an exponential
+        built on it needs no check of its own."""
         return self._frame_blocks[0]
 
     @property
@@ -226,9 +264,17 @@ class SystemBathModel:
         for blk, c, copies in groups:
             rows = np.stack(copies)
             rows.setflags(write=False)
-            out.append(Sector(rows, c, spectrum(blk, "H_joint"),
-                              spectrum(blk[:c, :c], "the code block"),
-                              spectrum(blk[c:, c:], "the complement block")))
+            zeta = _pair_phase(blk, c)
+            if zeta is None:
+                out.append(Sector(rows, c, None, (spectrum(blk, "H_joint"),),
+                                  spectrum(blk[:c, :c], "the code block"),
+                                  spectrum(blk[c:, c:], "the complement block")))
+                continue
+            a, k = blk[:c, :c], zeta * blk[:c, c:]
+            halves = (spectrum(a + k, "the half A + zeta G"),
+                      spectrum(a - k, "the half A - zeta G"))
+            code = spectrum(a, "the code block")
+            out.append(Sector(rows, c, zeta, halves, code, code))
         return tuple(out), bath_only
 
     @classmethod

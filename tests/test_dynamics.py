@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from model_split import explicit_split
+from pair_models import MODELS as PAIR_MODELS
 
 from leolab import dynamics, models, opalg
 from leolab.codes import (
@@ -216,19 +217,21 @@ class TestPropagatorChecks:
         with pytest.raises(NumericalDegeneracyError, match="^decoupled limit: "):
             simulate(m, sched, code_state(m))
         # a model diagonalized under the zero tolerance fails at its
-        # eigenvector certificate, before any propagator is formed
+        # eigenvector certificate, before any propagator is formed: the
+        # first a pair certifies is its half A + zeta G
         fresh = benchmark_model()
         for run in (lambda: parity_kick_unitary(fresh, sched),
                     lambda: simulate(fresh, sched, code_state(fresh))):
-            with pytest.raises(NumericalDegeneracyError,
-                               match="^eigenvectors of H_joint: residual"):
+            with pytest.raises(NumericalDegeneracyError, match=r"^eigenvectors of "
+                               r"the half A \+ zeta G: residual"):
                 run()
 
 
 def perturbed_spectra(monkeypatch, index, factor):
-    """Make the index-th spectrum a model diagonalizes (0: H_joint, 1: code
-    block, 2: complement block) come back with V's first column scaled by
-    factor."""
+    """Make the index-th spectrum a model diagonalizes come back with V's
+    first column scaled by factor: for a sector that does not pair, 0 is
+    H_joint, 1 the code block and 2 the complement block; for a pair, 0
+    and 1 its halves and 2 the code block."""
     calls = []
     spectrum = models.hermitian_spectrum
 
@@ -253,11 +256,16 @@ class TestEigenvectorCertificate:
     # check of the segment would allow
     FACTOR = 1.0 + 2e-11
 
-    @pytest.mark.parametrize("index,name", [(0, "H_joint"), (1, "the code block"),
-                                            (2, "the complement block")])
-    def test_perturbed_eigenvectors_are_named(self, monkeypatch, index, name):
+    @pytest.mark.parametrize("paired,index,name", [
+        (False, 0, "H_joint"), (False, 1, "the code block"),
+        (False, 2, "the complement block"), (True, 0, r"the half A \+ zeta G"),
+        (True, 1, "the half A - zeta G"), (True, 2, "the code block")])
+    def test_perturbed_eigenvectors_are_named(self, monkeypatch, paired, index,
+                                              name):
         perturbed_spectra(monkeypatch, index, self.FACTOR)
-        m = benchmark_model()
+        # the collective term keeps the sectors of dfs2 XI from pairing
+        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=4,
+                               collective_strength=0.0 if paired else 0.3)
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^eigenvectors of {name}: residual 4"):
             m.spectra
@@ -304,17 +312,21 @@ class TestEigenvectorCertificate:
                 u = opalg._spectral_matrix((phi, v), 1.0)
                 assert opalg._unitary_residual(u) <= 2 * e + e * e + rounding
 
+    @pytest.mark.parametrize("collective", [0.0, 0.3], ids=["pair", "no_pair"])
     @pytest.mark.parametrize("bath_dim", [4, 16, 64])
-    def test_segment_within_the_error_model(self, bath_dim):
-        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=bath_dim)
+    def test_segment_within_the_error_model(self, bath_dim, collective):
+        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=bath_dim,
+                               collective_strength=collective)
         for sector in m.spectra:
-            w, v = sector.joint
-            e = opalg._unitary_residual(v)
+            # a pair's segment is its halves' rotated to the frame: each half
+            # keeps its own bound, read back on the halves
+            e = max(opalg._unitary_residual(v) for _, v in sector.blocks)
             assert e <= opalg.UNITARY_TOL / 4
-            rounding = len(w) ** 1.5 * np.finfo(float).eps
+            rounding = sector.rows.shape[1] ** 1.5 * np.finfo(float).eps
             for tau in (1e-3, 0.05, 2.0):
-                segment = dynamics._segment((w, v), tau)
-                assert opalg._unitary_residual(segment) <= 2 * e + e * e + rounding
+                segment = dynamics._segment(sector, tau)
+                for block in dynamics._diagonal_blocks(sector, segment):
+                    assert opalg._unitary_residual(block) <= 2 * e + e * e + rounding
 
 
 class TestLeakageCertificate:
@@ -656,7 +668,7 @@ class TestCodeFrame:
         b = random_hermitian(3, 4)
         m = SystemBathModel.from_terms(code, [(0.3, pauli_string("X"), b)],
                                        bath_dim=3)
-        assert [(len(s.joint[0]), len(s.code[0]), len(s.complement[0]))
+        assert [(len(s.blocks[0][0]), len(s.code[0]), len(s.complement[0]))
                 for s in m.spectra] == [(6, 6, 0)]
         rep = simulate(m, ParityKickSchedule(5, 0.1, None), code.basis[:, 0])
         assert all(s.leakage_population == 0.0 for s in rep.samples)
@@ -1017,7 +1029,8 @@ class TestSweep:
     def test_cycle_forms_no_spectral_exponential(self, monkeypatch):
         # the segment is built on the model's certified eigenvectors: no
         # checked exponential, and the only V e^(i phi) V^dag formed are the
-        # limit's, one per code and complement sub-block of each sector
+        # limit's, one per code and complement sub-block of each sector, or
+        # one per pair, whose code and complement sub-blocks are one
         assert not hasattr(dynamics, "hermitian_exponential")
         m = benchmark_model()
         pulse = exchange_dfs2_leo()  # built by an exponential of its own
@@ -1029,9 +1042,9 @@ class TestSweep:
         parity_kick_unitary(m, ParityKickSchedule(4, 0.1, pulse))
         simulate(m, ParityKickSchedule(4, 0.1, pulse), code_state(m))
         assert calls == []
-        limit_spectra = [id(s) for sector in m.spectra
-                         for s in (sector.code, sector.complement)]
-        assert [id(args[0]) for args in matrices] == limit_spectra * 2
+        (sector,) = m.spectra
+        assert sector.code is sector.complement
+        assert [id(args[0]) for args in matrices] == [id(sector.code)] * 2
 
     @pytest.mark.parametrize("state", [np.zeros(3), np.eye(4)[0],
                                        0.5 * dfs2_dephasing().basis[:, 0]],
@@ -1310,16 +1323,17 @@ class TestSpectralCache:
 
     def test_three_eigh_for_every_propagator(self, monkeypatch):
         # two sectors of J/2, each with half of the code rows, that are
-        # copies: three eigh for both
+        # copies and pair: three eigh of J/4 for both, the two halves and
+        # the code block, which is also the complement block
         m = benchmark_model()
         calls = self.eigh_shapes(monkeypatch, m, exchange_dfs2_leo())
-        half, kb = m.joint_dim // 2, m.code.code_dim * m.bath_dim // 2
-        assert calls == [(half, half), (kb, kb), (half - kb, half - kb)]
-        # XZ's two sectors differ by the sign of the bath coupling: three
-        # eigh per sector
+        kb = m.code.code_dim * m.bath_dim // 2
+        assert calls == [(kb, kb)] * 3
+        # XZ's two sectors differ by the sign of the bath coupling, and
+        # each pairs: three eigh of J/4 per sector
         m = dfs2_leakage_model(("XZ",), g=0.05, bath_seed=3, bath_dim=4)
         calls = self.eigh_shapes(monkeypatch, m, exchange_dfs2_leo())
-        assert calls == [(half, half), (kb, kb), (half - kb, half - kb)] * 2
+        assert calls == [(kb, kb)] * 6
         # a model with one sector: exactly three
         m = hopping_model(5, seed=7, g=0.2, bath_dim=3)
         calls = self.eigh_shapes(monkeypatch, m, number_operator_leo(5))
@@ -1330,14 +1344,16 @@ class TestSpectralCache:
         m = benchmark_model()
         for sector in m.spectra:
             assert not sector.rows.flags.writeable
-            for w, v in (sector.joint, sector.code, sector.complement):
+            for w, v in (*sector.blocks, sector.code, sector.complement):
                 assert not w.flags.writeable
                 assert not v.flags.writeable
                 with pytest.raises(ValueError):
                     v[0, 0] = 0.0
 
-    def test_limit_and_kick_come_from_the_cache(self):
-        m = benchmark_model()
+    @pytest.mark.parametrize("collective", [0.0, 0.3], ids=["pair", "no_pair"])
+    def test_limit_and_kick_come_from_the_cache(self, collective):
+        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=4,
+                               collective_strength=collective)
         pulse = exchange_dfs2_leo()
         h_c, h_perp, _ = explicit_split(m)
         # two eigendecompositions of one generator (the full matrix here,
@@ -1355,14 +1371,17 @@ class TestSpectralCache:
             Operator(h_c + h_perp, frozenset({"hermitian"})), -t).mat
         assert np.linalg.norm(decoupled_limit_unitary(m, t).mat - want) <= bound
         # the kick is the ideal one, Z = -1 on a sector's code rows and +1
-        # elsewhere, applied to the cached segment: (S' Z)^2 exactly
+        # elsewhere, applied to the cached segment: (S' Z)^2 exactly, a
+        # pair's by its half-row product, within rounding of sz @ sz
         cycles, states = dynamics._pulsed(m, 1, 0.1)  # cycle^1 is the cycle
-        assert len(cycles) == len(m.spectra) == 1 and states is None
+        assert len(cycles) == len(m.spectra) == (2 if collective else 1)
+        assert states is None
         for sector, cycle in zip(m.spectra, cycles):
             z = np.diag(np.where(np.arange(sector.rows.shape[1]) < sector.n_code,
                                  -1.0, 1.0))
-            sz = dynamics._segment(sector.joint, 0.1) @ z
-            np.testing.assert_array_equal(cycle, sz @ sz)
+            sz = dynamics._segment(sector, 0.1) @ z
+            np.testing.assert_array_equal(cycle, dynamics._product(sector)(sz, sz))
+            assert np.max(np.abs(cycle - sz @ sz)) <= 1e-15
         # in product coordinates that is S Z S Z, Z = (Q - P) x I, within
         # the same error model for the two segments of a cycle, 2 tau apart
         # from T above (measured at most 0.47 of the bound over the
@@ -1561,6 +1580,115 @@ class TestSectors:
         kick, limit = parity_kick_unitary(m, sched), decoupled_limit_unitary(m, 1.28)
         one_sector(monkeypatch)
         whole = benchmark_model()
+        for got, want in ((kick, parity_kick_unitary(whole, sched)),
+                          (limit, decoupled_limit_unitary(whole, 1.28))):
+            assert "unitary" in got.tags and got.dim == m.joint_dim
+            assert np.linalg.norm(got.mat - want.mat) <= 1e-13
+
+
+def frame_hamiltonian(m):
+    """H' = (F^dag x I) H_joint (F x I), F the code's frame, by kron."""
+    f = np.kron(m.code.frame, np.eye(m.bath_dim))
+    return f.conj().T @ m.h_joint.mat @ f
+
+
+def no_pairs(monkeypatch):
+    """Make every model built from here on keep its sectors unpaired."""
+    monkeypatch.setattr(models, "_pair_phase", lambda blk, c: None)
+
+
+class TestPairs:
+    """Runs on paired sectors, built from their halves A +- zeta G, match
+    runs with pairing turned off, within TestSectors' bounds (leakage rtol
+    1e-9, fidelity atol 1e-8, distance 1e-12), and so do the public
+    propagators (1e-13). one_ulp_off has a pair next to a sector that does
+    not pair, and XI_IZ_code_acting steps its targets."""
+
+    CASES = sorted(name for name, (_, zetas) in PAIR_MODELS.items()
+                   if any(z is not None for z in zetas))
+
+    def test_cases_take_both_fidelity_paths(self):
+        flags = {PAIR_MODELS[case][0]().decoherence_free for case in self.CASES}
+        assert flags == {True, False}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_pair_form_round_trips(self, case):
+        # any halves: _frame_block and _diagonal_blocks invert each other,
+        # and the half-row product of two frame blocks is their product
+        m = PAIR_MODELS[case][0]()
+        rng = np.random.default_rng(5)
+        for sector in (s for s in m.spectra if s.zeta is not None):
+            h = sector.n_code
+            plus, minus, other, another = (random_unitary(h, rng) for _ in range(4))
+            a = dynamics._frame_block(sector, plus, minus)
+            b = dynamics._frame_block(sector, other, another)
+            for got, want in zip(dynamics._diagonal_blocks(sector, a), (plus, minus)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(dynamics._product(sector)(a, b), a @ b,
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(
+                dynamics._frame_block(sector, plus @ other, minus @ another), a @ b,
+                rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_free_batches_are_frame_rows(self, case):
+        # any frame vector, complement rows included (simulate's starts lie
+        # in the code): a pair's halves, put back in the frame, step it as
+        # the sector's whole block does
+        m = PAIR_MODELS[case][0]()
+        h = frame_hamiltonian(m)
+        rng = np.random.default_rng(5)
+        phi = rng.standard_normal(m.joint_dim) + 1j * rng.standard_normal(m.joint_dim)
+        for sector in m.spectra:
+            blk = h[np.ix_(sector.rows[0], sector.rows[0])]
+            whole = np.linalg.eigh(blk)
+            got = np.concatenate(list(dynamics._free_batches(sector, phi, -0.3, 300)))
+            want = np.concatenate(list(dynamics._spectral_batches(
+                whole, phi[sector.rows], -0.3, 300)))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_simulate_matches_unpaired(self, monkeypatch, case, pulsed):
+        build, zetas = PAIR_MODELS[case]
+        m = build()
+        assert [s.zeta for s in m.spectra] == zetas
+        # 300 cycles: a full batch, a C^256 advance and a partial batch
+        sched = ParityKickSchedule(300, 0.003, exchange_dfs2_leo() if pulsed else None)
+        paired = {name: simulate(m, sched, psi)
+                  for name, psi in TestSectors.starts(m).items()}
+        no_pairs(monkeypatch)
+        whole = build()
+        assert all(s.zeta is None for s in whole.spectra)
+        for name, psi in TestSectors.starts(whole).items():
+            rep = simulate(whole, sched, psi)
+            assert max(rep.leakage_population) > 1e-9
+            TestSectors.assert_reports_match(paired[name], rep)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_sweep_matches_unpaired(self, monkeypatch, case):
+        build, _ = PAIR_MODELS[case]
+        m, pulse = build(), exchange_dfs2_leo()
+        paired = {name: sweep_cycles(m, 0.9, (1, 3, 8, 300), psi, pulse)
+                  for name, psi in TestSectors.starts(m).items()}
+        no_pairs(monkeypatch)
+        whole = build()
+        for name, psi in TestSectors.starts(whole).items():
+            rows = sweep_cycles(whole, 0.9, (1, 3, 8, 300), psi, pulse).rows
+            for got, want in zip(paired[name].rows, rows, strict=True):
+                assert (got.n, got.tau) == (want.n, want.tau)
+                assert got.final_leakage == pytest.approx(want.final_leakage,
+                                                          rel=1e-9, abs=0.0)
+                assert abs(got.distance_to_limit - want.distance_to_limit) <= 1e-12
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_public_propagators_match_unpaired(self, monkeypatch, case):
+        build, _ = PAIR_MODELS[case]
+        sched = ParityKickSchedule(64, 0.01, exchange_dfs2_leo())
+        m = build()
+        kick, limit = parity_kick_unitary(m, sched), decoupled_limit_unitary(m, 1.28)
+        no_pairs(monkeypatch)
+        whole = build()
         for got, want in ((kick, parity_kick_unitary(whole, sched)),
                           (limit, decoupled_limit_unitary(whole, 1.28))):
             assert "unitary" in got.tags and got.dim == m.joint_dim

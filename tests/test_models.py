@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from model_split import explicit_split
+from pair_models import MODELS as PAIR_MODELS
 
 from leolab.classify import decompose
 from leolab.codes import (
@@ -377,10 +378,17 @@ class TestSectors:
             for b, other in enumerate(rows):
                 if a != b:
                     assert not np.any(h[np.ix_(r, other)])
-            # each spectrum rebuilds every copy's block of H'
+            # each spectrum rebuilds every copy's block of H', or for a pair
+            # its halves A +- zeta G
             blk = h[np.ix_(r, r)]
-            for (w, v), part in ((sector.joint, blk), (sector.code, blk[:c, :c]),
-                                 (sector.complement, blk[c:, c:])):
+            if sector.zeta is None:
+                (joint,) = sector.blocks
+                parts = [(joint, blk)]
+            else:
+                k = sector.zeta * blk[:c, c:]
+                parts = list(zip(sector.blocks, (blk[:c, :c] + k, blk[:c, :c] - k)))
+            parts += [(sector.code, blk[:c, :c]), (sector.complement, blk[c:, c:])]
+            for (w, v), part in parts:
                 np.testing.assert_allclose((v * w) @ v.conj().T, part, atol=1e-14)
 
     def test_finder_splits_exact_zero_patterns_only(self):
@@ -452,6 +460,50 @@ class TestCopies:
             r[None].tolist() for r in merged.spectra[0].rows]
         a, b = (h[np.ix_(s.rows[0], s.rows[0])] for s in m.spectra)
         assert np.count_nonzero(a != b) == 1
+
+
+class TestPairs:
+    """A sector [[A, G], [G^dag, B]] pairs when it has as many code as
+    complement rows, A == B and zeta G is Hermitian for zeta = 1 or 1j, all
+    exact: it keeps the spectra of A + zeta G, A - zeta G and A, which is
+    both its code and its complement spectrum."""
+
+    @pytest.mark.parametrize("case", sorted(PAIR_MODELS))
+    def test_which_sectors_pair(self, case):
+        build, zetas = PAIR_MODELS[case]
+        m = build()
+        assert [s.zeta for s in m.spectra] == zetas
+        h = frame_hamiltonian(m)
+        for sector, zeta in zip(m.spectra, zetas):
+            c = sector.n_code
+            blk = h[np.ix_(sector.rows[0], sector.rows[0])]
+            if zeta is None:
+                assert len(sector.blocks) == 1
+                continue
+            k = zeta * blk[:c, c:]
+            assert 2 * c == len(blk) and np.array_equal(blk[:c, :c], blk[c:, c:])
+            assert np.array_equal(k, k.conj().T)
+            assert sector.code is sector.complement
+            # the halves' spectra together are the block's
+            (wp, vp), (wm, vm) = sector.blocks
+            np.testing.assert_allclose((vp * wp) @ vp.conj().T, blk[:c, :c] + k,
+                                       atol=1e-14)
+            np.testing.assert_allclose((vm * wm) @ vm.conj().T, blk[:c, :c] - k,
+                                       atol=1e-14)
+            np.testing.assert_allclose(np.sort(np.concatenate([wp, wm])),
+                                       np.linalg.eigvalsh(blk), atol=1e-14)
+
+    def test_unequal_row_counts_do_not_pair(self):
+        # a lone leaked state and a block with no complement rows
+        m = dfs2_leakage_model(["XI", "XZ"], g=0.05, bath_seed=3, bath_dim=1)
+        assert [(s.rows.shape[1], s.n_code, s.zeta) for s in m.spectra] == [
+            (2, 1, 1), (1, 1, None), (1, 0, None)]
+
+    def test_every_collective_free_single_label_pairs(self):
+        for label in DFS2_LEAK_LABELS:
+            m = dfs2_leakage_model([label], g=0.05, bath_seed=3, bath_dim=4)
+            zeta = 1j if "Y" in label else 1
+            assert [s.zeta for s in m.spectra] == [zeta] * len(m.spectra), label
 
 
 class TestDecoherenceFree:
