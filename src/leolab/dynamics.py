@@ -49,21 +49,28 @@ On the halves, the leakage would be the difference of two stacks near 1,
 good only to rounding of their size.
 
 Samples are read per sector in the frame, where a sector's first n_code
-rows are code rows and the rest complement rows. Each sector yields its
-states in stacks (samples, copies, J_s) of OBSERVABLE_BATCH samples, its
-copies stepped together by one GEMM of shape (samples x copies, J_s) per
-product: free states are one GEMM of a phase table with its eigenvectors
-scaled by the start's coefficients, and pulsed states come from the
-squares that build cycle^n. Leakage is the sum over sectors and copies
-of the squared norms of their complement rows (_leakage); only the code
-rows are gathered, in frame code order by one index per run
-(_code_columns), as the fidelity's A, each code row by its own take into
-a contiguous (samples, b) array (_code_rows). When the code block of H'
-is exactly I_k x h (SystemBathModel.decoherence_free), the
+rows are code rows and the rest complement rows, and only on the live
+copies (_live), those where the start phi0 has an exactly nonzero entry:
+a copy that starts at zero stays exactly zero, so it is neither stepped
+nor read, while every sector's propagators, certificates and distance
+are still formed. A code basis state occupies one copy of dfs2 XI's
+sector. Each live sector yields its states in stacks (samples, copies,
+J_s) of OBSERVABLE_BATCH samples, its live copies stepped together by
+one GEMM of shape (samples x copies, J_s) per product: free states are
+one GEMM of a phase table with its eigenvectors scaled by the start's
+coefficients, and pulsed states come from the squares that build
+cycle^n. Leakage is the sum over live sectors and copies of the squared
+norms of their complement rows (_leakage); only the code rows are
+gathered, in frame code order by one index per run (_code_columns), as
+the fidelity's A, each code row by its own take into a contiguous
+(samples, b) array (_code_rows); a code row that only a dead copy holds
+reads a zero column, appended only when there is one. When the code
+block of H' is exactly I_k x h (SystemBathModel.decoherence_free), the
 decoupled-limit target is x (e^(-i h t) y)^T on the code rows, x the
 initial code state and y the bath state: of rank one, so the fidelity is
 the overlap with the initial code state, ||x^dag A||^2 / ||x||^2
-(_overlap), for any code dim, with no target. Otherwise targets (which
+(_overlap), for any code dim, with no target, and a code row whose x_i
+is zero is not gathered. Otherwise targets (which
 never leave the code rows) are stepped by a phase table against each
 sector's code sub-block's eigenvectors, and the fidelity is ||A^dag
 C||_1^2 / ||C||^2: for a qubit code in Jozsa's closed form (tr(rho
@@ -73,8 +80,9 @@ other code dims take.
 simulate certifies a run's leakage column once: a value outside [0, 1]
 (within 1e-12), or NaN, is a NumericalDegeneracyError. It returns that
 column and the fidelity's; records and CSV derive from them. A sweep row is
-cycle^n, its final leakage (read per sector as well) and its distance to
-the sweep's one limit; it takes no samples (sweep_cycles).
+cycle^n, its final leakage (read per sector on the same live copies) and
+its distance to the sweep's one limit; it takes no samples
+(sweep_cycles).
 """
 
 from __future__ import annotations
@@ -325,36 +333,55 @@ def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None,
     return total, states, advance
 
 
+def _live(model: SystemBathModel, phi0: np.ndarray) -> list[Sector | None]:
+    """Each sector of model.spectra with only its live copies, those where
+    phi0 = (F^dag x I) psi0 has an exactly nonzero entry (no tolerance), or
+    None where no copy is live. A copy that starts at exactly zero stays
+    exactly zero under the block-diagonal, certified-finite propagators,
+    so it is neither stepped nor read. A view differs from its sector only
+    in rows, so it steps its states with the sector's spectra."""
+    live = []
+    for sector in model.spectra:
+        held = np.any(phi0[sector.rows] != 0, axis=1)
+        live.append(sector._replace(rows=sector.rows[held]) if held.any() else None)
+    return live
+
+
 def _pulsed(model: SystemBathModel, n: int, tau: float,
             phi0: np.ndarray | None = None) -> tuple[list[np.ndarray], list | None]:
     """cycle^n per sector in the frame F x I, certified unitary, and given
-    phi0 = (F^dag x I) psi0 each sector's states C^k psi0 (_power_batches),
-    all of its copies' in one stack.
+    phi0 = (F^dag x I) psi0, for each sector with a live copy (_live), that
+    sector's live view and its states C^k psi0 (_power_batches), all of its
+    live copies' in one stack. Every sector's cycle^n is formed and
+    certified, live or not.
     A sector's cycle is (S' Z)^2, S' its tau segment (_segment) and Z the
     ideal kick, -1 on its code rows and +1 on the rest: a pulse phi (Q - P)
     is phi Z in the frame and phi cancels. On a pair's halves Z is -swap,
     so the cycle is S+ S- and S- S+ there, and every product keeps the
     pair's form (_product). S' has no check of its own: the model certified
     its eigenvectors, and _segment bounds its drift by that certificate."""
+    live = [None] * len(model.spectra) if phi0 is None else _live(model, phi0)
     powers = []
-    for sector in model.spectra:
+    for sector, view in zip(model.spectra, live):
         product = _product(sector)
         sz = _segment(sector, tau)
         sz[:, :sector.n_code] *= -1.0  # S' Z
         powers.append(_cycle_powers(product(sz, sz), n,
-                                    None if phi0 is None else phi0[sector.rows],
+                                    None if view is None else phi0[view.rows],
                                     product))
     totals = _certified(model, [p[0] for p in powers],
                         f"total propagator after {n} cycles")
     if phi0 is None:
         return totals, None
-    return totals, [_power_batches(p[1], p[2], n) for p in powers]
+    return totals, [(view, _power_batches(p[1], p[2], n))
+                    for view, p in zip(live, powers) if view is not None]
 
 
 def _free(model: SystemBathModel, n: int, tau: float,
           phi0: np.ndarray) -> tuple[list[np.ndarray], list]:
     """The free total exp(-i H' 2 n tau) per sector in the frame F x I,
-    certified unitary, and each sector's states exp(-i H' 2 k tau) phi0
+    certified unitary, and for each sector with a live copy (_live), that
+    sector's live view and its states exp(-i H' 2 k tau) phi0
     (_free_batches). A pair's total is its halves' exponentials, rotated to
     the frame (_frame_block)."""
     totals = []
@@ -362,7 +389,8 @@ def _free(model: SystemBathModel, n: int, tau: float,
         u = [_spectral_matrix(block, -2 * n * tau) for block in sector.blocks]
         totals.append(u[0] if sector.zeta is None else _frame_block(sector, *u))
     return (_certified(model, totals, "spectral exponential"),
-            [_free_batches(s, phi0, -2 * tau, n) for s in model.spectra])
+            [(view, _free_batches(view, phi0, -2 * tau, n))
+             for view in _live(model, phi0) if view is not None])
 
 
 def _limit(model: SystemBathModel, total_free_time: float) -> list[np.ndarray]:
@@ -466,7 +494,10 @@ def _frame_state(model: SystemBathModel, initial_code_state
     basis), and (F^dag x I) psi0 for psi0 = the initial state x the initial
     bath state, once the state is checked: an ambient system vector, finite,
     normalized and in the model's code (F^dag psi has no complement
-    coordinates); anything else is a ValueError."""
+    coordinates); anything else is a ValueError. The complement
+    coordinates, within STATE_CODE_TOL of zero but on a dense frame not
+    exactly zero (the rounding of F^dag), are then set to zero: a code
+    state starts with no leakage and no amplitude on the complement."""
     state = np.asarray(initial_code_state, dtype=complex)
     if state.shape != (model.system_dim,):
         raise ValueError(f"initial state must be a length-{model.system_dim} vector")
@@ -477,6 +508,7 @@ def _frame_state(model: SystemBathModel, initial_code_state
     out_of_code = np.linalg.norm(coords[model.code.code_dim:])
     if not out_of_code <= STATE_CODE_TOL:
         raise ValueError(f"initial state leaves the code subspace by {out_of_code:.3e}")
+    coords[model.code.code_dim:] = 0.0
     return coords[:model.code.code_dim], np.kron(coords, model.initial_bath_state)
 
 
@@ -574,23 +606,34 @@ def _side_by_side(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return flat[0] if len(flat) == 1 else np.concatenate(flat, axis=1)
 
 
-def _code_columns(model: SystemBathModel) -> tuple[np.ndarray, np.ndarray]:
+def _code_columns(model: SystemBathModel, sectors: Sequence[Sector]
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Where each frame code row, in frame code order (code x bath), sits
     among the columns of the sectors' states side by side (_side_by_side),
     which hold every row of each copy, and of their targets, which hold
-    only the code rows, as k x b arrays, a row per code basis state: the
-    sectors' row sets partition the frame rows, so each is an argsort."""
-    k, b, sectors = model.code.code_dim, model.bath_dim, model.spectra
-    states = np.concatenate([s.rows.ravel() for s in sectors])
-    targets = np.concatenate([s.rows[:, :s.n_code].ravel() for s in sectors])
-    return np.argsort(states)[:k * b].reshape(k, b), np.argsort(targets).reshape(k, b)
+    only the code rows, as k x b arrays, a row per code basis state.
+    sectors are live views (_live): a frame code row that none of their
+    copies holds is exactly zero in every sample, and its position is the
+    number of columns, a zero column that _code_rows appends."""
+    k, b, j = model.code.code_dim, model.bath_dim, model.joint_dim
+
+    def columns(held: np.ndarray) -> np.ndarray:
+        where = np.full(j, len(held))
+        where[held] = np.arange(len(held))
+        return where[:k * b].reshape(k, b)
+
+    return (columns(np.concatenate([s.rows.ravel() for s in sectors])),
+            columns(np.concatenate([s.rows[:, :s.n_code].ravel() for s in sectors])))
 
 
 def _code_rows(stacks: Sequence[np.ndarray], columns: np.ndarray) -> list[np.ndarray]:
     """The code rows of stacks given one per sector (side by side), one
     C-contiguous (samples, b) array per row of columns (_code_columns):
-    take, not [:, columns], keeps each gathered row contiguous."""
+    take, not [:, columns], keeps each gathered row contiguous. A position
+    past the last column reads a zero column, appended only then."""
     x = _side_by_side(stacks)
+    if columns.max() == x.shape[1]:
+        x = np.concatenate([x, np.zeros((len(x), 1), dtype=x.dtype)], axis=1)
     return [x.take(row, axis=1) for row in columns]
 
 
@@ -621,15 +664,17 @@ def _overlap(a: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     return _row_norms2(weighted) / np.vdot(x, x).real
 
 
-def _observables(model: SystemBathModel, parts: Sequence[np.ndarray],
+def _observables(sectors: Sequence[Sector], parts: Sequence[np.ndarray],
                  target, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leakage and code fidelity for a stack of joint states, given as one
-    part per sector in the frame F x I, (samples, copies, J_s), each
-    copy's rows with code rows first. target is x, the initial code
-    coordinates, for a decoherence-free run, else a stack of stepped
-    targets as _target reads them, one per state. columns (_code_columns'
-    first) picks the states' code rows, in frame code order, code x bath,
-    each as its own contiguous (samples, b) array (_code_rows).
+    part per live sector view (_live) in the frame F x I, (samples,
+    copies, J_s), each copy's rows with code rows first. target is x, the
+    initial code coordinates with those that are exactly zero dropped, for
+    a decoherence-free run, else a stack of stepped targets as _target
+    reads them, one per state. columns (_code_columns' first, its rows
+    those of target's x) picks the states' code rows, in frame code order,
+    code x bath, each as its own contiguous (samples, b) array
+    (_code_rows); rows no live copy holds read as zeros.
 
     Leakage is |(Q x I) psi|^2, read per sector (_leakage).
     Fidelity is the Uhlmann fidelity of the bath-traced state against the
@@ -657,7 +702,7 @@ def _observables(model: SystemBathModel, parts: Sequence[np.ndarray],
         else:
             nuclear = _nuclear_norm(np.stack(a, axis=1), factor)
         f = nuclear ** 2 / norm
-    return (_leakage(model.spectra, parts),
+    return (_leakage(sectors, parts),
             np.where(f < 1.0 + FIDELITY_CLAMP_TOL, np.minimum(f, 1.0), f))
 
 
@@ -723,6 +768,9 @@ def simulate(
     per completed cycle (plus the initial point): leakage population and the
     fidelity of the bath-traced system state against the decoupled-limit
     target. With pulses=None the same grid is used for free evolution.
+    States, stepped targets and observables cover only the sector copies
+    where the start is exactly nonzero (_live); every sector's propagators
+    are still formed and certified, and the distance covers them all.
     The target is stepped only when the model's code block acts on the
     code; for a decoherence-free model (model.decoherence_free) it is the
     initial code state times a bath state, and the fidelity is the overlap
@@ -740,22 +788,26 @@ def simulate(
     # the eigenvectors (in spectra) and every checked propagator, cycle^n
     # included, are certified before any sample
     limit = _limit(model, schedule.total_free_time)
-    totals, states = (_pulsed if pulsed else _free)(model, n, tau, phi0)
-    sectors = model.spectra
+    totals, live = (_pulsed if pulsed else _free)(model, n, tau, phi0)
+    sectors, states = zip(*live)  # the live views and their states
 
-    in_states, in_targets = _code_columns(model)
+    in_states, in_targets = _code_columns(model, sectors)
     # the code block is I_k x h: the target's code rows are x (e^(-i h t)
-    # y)^T, of rank one, and the fidelity is the overlap with x; otherwise
-    # each sector's code sub-block steps the targets, which never leave the
-    # code rows
-    targets = None if model.decoherence_free else zip(*[
-        _spectral_batches(sector.code, phi0[sector.rows[:, :sector.n_code]],
-                          -2 * tau, n) for sector in sectors])
+    # y)^T, of rank one, and the fidelity is the overlap with x, in which a
+    # zero x_i drops its row; otherwise each sector's code sub-block steps
+    # the targets, which never leave the code rows
+    if model.decoherence_free:
+        kept = np.flatnonzero(x)
+        x, in_states, targets = x[kept], in_states[kept], None
+    else:
+        targets = zip(*[
+            _spectral_batches(sector.code, phi0[sector.rows[:, :sector.n_code]],
+                              -2 * tau, n) for sector in sectors])
     leakage, fidelity = np.empty(n + 1), np.empty(n + 1)
     for start, parts in zip(range(0, n + 1, OBSERVABLE_BATCH), zip(*states)):
         batch = slice(start, start + len(parts[0]))
         target = x if targets is None else _target(next(targets), in_targets)
-        leakage[batch], fidelity[batch] = _observables(model, parts, target,
+        leakage[batch], fidelity[batch] = _observables(sectors, parts, target,
                                                        in_states)
     _certified_leakage(leakage)  # one range check per run
     fidelity[0] = 1.0  # sample 0 compares the initial state with itself
@@ -778,7 +830,8 @@ def sweep_cycles(
     code are checked and the decoupled limit at total_free_time formed and
     certified once per sweep. A row then computes only what it reports:
     cycle^n (certified unitary), the final state cycle^n psi0 in the frame
-    F x I, its leakage (range-checked as simulate's column) and its
+    F x I on the copies the start occupies, as simulate reads them
+    (_live), its leakage (range-checked as simulate's column) and its
     distance to the limit; no samples, targets or fidelities. Where 2 n tau
     == total_free_time the row equals a standalone simulate; otherwise the
     limit differs from simulate's by the rounding of that product. The rows
@@ -799,13 +852,14 @@ def sweep_cycles(
         raise ValueError("tau must be positive and finite")
     # T is the same for every row; this also diagonalizes outside the pool
     limit = _limit(model, total_free_time)
-    sectors = model.spectra
+    live = _live(model, phi0)
+    sectors = [view for view in live if view is not None]
 
     def one(n: int, tau: float) -> SweepRow:
         totals, _ = _pulsed(model, n, tau)
-        # the final state cycle^n psi0, per sector in the frame
-        final = [_step(phi0[sector.rows][None], total)
-                 for sector, total in zip(sectors, totals)]
+        # the final state cycle^n psi0 on the live copies, in the frame
+        final = [_step(phi0[view.rows][None], total)
+                 for view, total in zip(live, totals) if view is not None]
         leakage = _certified_leakage(_leakage(sectors, final))
         return SweepRow(n, tau, float(leakage[0]),
                         _distance(model, totals, limit))

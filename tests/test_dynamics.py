@@ -661,6 +661,17 @@ class TestCodeFrame:
         want = np.linalg.norm(total - limit, 2)
         assert abs(rep.distance_to_limit - want) <= 1e-9
 
+    @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
+    @pytest.mark.parametrize("label", ["dfs3", "dfs4"])
+    def test_code_start_has_no_leakage(self, label, pulsed):
+        # F^dag rounds a code basis state's complement coordinates to about
+        # 1e-17, not 0; they are checked against STATE_CODE_TOL, then zeroed
+        code = build_code(label)
+        m = dense_frame_model(code)
+        sched = ParityKickSchedule(4, 0.003, projector_leo(code) if pulsed else None)
+        rep = simulate(m, sched, code.basis[:, 0])
+        assert rep.leakage_population[0] == 0.0
+
     def test_code_filling_the_ambient_space(self):
         # no complement: an empty complement block, no leakage, and the
         # limit is the free evolution
@@ -1735,6 +1746,156 @@ class TestCopies:
                                           frame[np.ix_(second, second)])
             assert not np.any(frame[np.ix_(first, second)])
             assert not np.any(frame[np.ix_(second, first)])
+
+
+def all_live(monkeypatch):
+    """Make every run step and read every copy of every sector."""
+    monkeypatch.setattr(dynamics, "_live", lambda model, phi0: list(model.spectra))
+
+
+def diagonal(values):
+    return Operator(np.diag(np.asarray(values, dtype=complex)),
+                    frozenset({"hermitian"}))
+
+
+def diagonal_bath_model(code_acting):
+    """dfs2 at bath dim 3 whose bath factors are all diagonal, so H' splits
+    by bath index: three distinct sectors, one per bath index, each
+    holding both code basis states' rows at that index. A start with bath
+    index 0 leaves the sectors of indices 1 and 2 dead, so every code row
+    holds positions that no live copy does. XI and ZX leak; ZZ is -1 on
+    the code and +1 on the complement, so the kicks no longer cancel the
+    leakage exactly over a cycle. code_acting adds a logical X term, so
+    the code block of H' acts on the code and the targets are stepped."""
+    terms = [(0.2, pauli_string("XI"), diagonal([1.0, 0.4, -0.7])),
+             (0.1, pauli_string("ZX"), diagonal([0.3, 0.8, 0.2])),
+             (0.15, pauli_string("ZZ"), diagonal([0.7, -0.3, 0.5]))]
+    if code_acting:
+        terms.append((0.3, logical_ops_dfs2().x, diagonal([0.5, -0.2, 0.9])))
+    return SystemBathModel.from_terms(dfs2_dephasing(), terms, bath_dim=3,
+                                      free_bath=diagonal([0.0, 0.6, 1.3]))
+
+
+class TestLiveCopies:
+    """simulate and sweep_cycles step and read only the sector copies where
+    the start is exactly nonzero; a copy that starts at zero stays zero.
+    Runs match runs that step every copy (all_live) to rounding, and every
+    sector's cycle^n is still formed, certified and measured."""
+
+    @staticmethod
+    def xi():
+        return TestCopies.MODELS["XI"]()
+
+    @staticmethod
+    def run(m, pulsed, state, n=300):
+        sched = ParityKickSchedule(n, 0.003, exchange_dfs2_leo() if pulsed else None)
+        return simulate(m, sched, state)
+
+    @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
+    def test_basis_start_steps_one_copy(self, monkeypatch, pulsed):
+        m = self.xi()
+        (sector,) = m.spectra
+        j = sector.rows.shape[1]
+        steps = counting(monkeypatch, "_step")
+        spectral = counting(monkeypatch, "_spectral_batches")
+        gathers = counting(monkeypatch, "_code_rows")
+        live = self.run(m, pulsed, code_state(m))
+        shapes = ({a[0].shape[1:] for a in steps} if pulsed
+                  else {a[1].shape for a in spectral})
+        assert shapes == {(1, j)}
+        # the overlap gathers only code row 0, which the live copy holds
+        # whole: no zero column
+        assert {a[1].shape for a in gathers} == {(1, m.bath_dim)}
+        assert all(a[1].max() < a[0][0][0].size for a in gathers)
+        steps.clear()
+        spectral.clear()
+        all_live(monkeypatch)
+        every = self.run(m, pulsed, code_state(m))
+        shapes = ({a[0].shape[1:] for a in steps} if pulsed
+                  else {a[1].shape for a in spectral})
+        assert shapes == {(2, j)}
+        assert max(every.leakage_population) > 1e-9
+        np.testing.assert_allclose(live.leakage_population, every.leakage_population,
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(live.code_fidelity, every.code_fidelity,
+                                   rtol=0.0, atol=1e-15)
+        assert live.distance_to_limit == every.distance_to_limit
+
+    @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
+    def test_superposition_steps_both_copies(self, monkeypatch, pulsed):
+        m = self.xi()
+        state = (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
+        steps = counting(monkeypatch, "_step")
+        spectral = counting(monkeypatch, "_spectral_batches")
+        live = self.run(m, pulsed, state)
+        shapes = ({a[0].shape[1] for a in steps} if pulsed
+                  else {a[1].shape[0] for a in spectral})
+        assert shapes == {2}
+        all_live(monkeypatch)
+        every = self.run(m, pulsed, state)
+        np.testing.assert_array_equal(live.leakage_population, every.leakage_population)
+        np.testing.assert_array_equal(live.code_fidelity, every.code_fidelity)
+        assert live.distance_to_limit == every.distance_to_limit
+
+    @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
+    def test_dead_distinct_sector_is_certified_but_not_stepped(self, monkeypatch,
+                                                               pulsed):
+        m = dfs2_leakage_model(("XZ",), g=0.2, bath_seed=3, bath_dim=4)
+        assert [len(s.rows) for s in m.spectra] == [1, 1]  # two distinct sectors
+        powers = counting(monkeypatch, "_cycle_powers")
+        spectral = counting(monkeypatch, "_spectral_batches")
+        certified = counting(monkeypatch, "certified_blocks")
+        live = self.run(m, pulsed, code_state(m))
+        # every sector's cycle^n or free total is formed and certified, on
+        # both halves of each pair; only the live sector gets a start
+        assert [len(a[0]) for a in certified] == [4, 4]
+        j = m.spectra[0].rows.shape[1]
+        if pulsed:
+            assert [None if a[2] is None else a[2].shape for a in powers] == [
+                (1, j), None]
+        else:
+            assert [a[1].shape for a in spectral] == [(1, j)]
+        all_live(monkeypatch)
+        every = self.run(m, pulsed, code_state(m))
+        assert max(every.leakage_population) > 1e-9
+        np.testing.assert_allclose(live.leakage_population, every.leakage_population,
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(live.code_fidelity, every.code_fidelity,
+                                   rtol=0.0, atol=1e-15)
+        assert live.distance_to_limit == every.distance_to_limit
+
+    def test_sweep_reads_the_live_copies(self, monkeypatch):
+        m, pulse = self.xi(), exchange_dfs2_leo()
+        steps = counting(monkeypatch, "_step")
+        live = sweep_cycles(m, 0.9, (1, 3, 300), code_state(m), pulse)
+        assert [a[0].shape[:2] for a in steps] == [(1, 1)] * 3  # one copy per row
+        all_live(monkeypatch)
+        every = sweep_cycles(m, 0.9, (1, 3, 300), code_state(m), pulse)
+        for got, want in zip(live.rows, every.rows, strict=True):
+            assert got.final_leakage == pytest.approx(want.final_leakage,
+                                                      rel=1e-14, abs=0.0)
+            assert got.distance_to_limit == want.distance_to_limit
+
+    @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
+    @pytest.mark.parametrize("code_acting", [False, True],
+                             ids=["overlap", "stepped_target"])
+    def test_dead_code_rows_read_as_zeros(self, pulsed, code_acting):
+        m = diagonal_bath_model(code_acting)
+        assert m.decoherence_free is not code_acting
+        _, phi0 = dynamics._frame_state(m, code_state(m))
+        live = dynamics._live(m, phi0)
+        assert len(live) == 3 and live[1] is None and live[2] is None
+        in_states, in_targets = dynamics._code_columns(m, [live[0]])
+        assert (in_states == live[0].rows.size).sum() == 4  # bath 1 and 2
+        assert (in_targets == live[0].n_code).sum() == 4
+        sched = ParityKickSchedule(300, 0.003,
+                                   exchange_dfs2_leo() if pulsed else None)
+        rep = simulate(m, sched, code_state(m))
+        leaks, fids = per_sample_reference(m, sched, code_state(m))
+        assert max(leaks) > 1e-9 and min(fids) < 1.0 - 1e-9  # the run moves
+        np.testing.assert_allclose(rep.leakage_population, leaks,
+                                   rtol=1e-9, atol=1e-20)
+        np.testing.assert_allclose(rep.code_fidelity, fids, rtol=0.0, atol=1e-8)
 
 
 class TestIdealKick:
