@@ -6,8 +6,10 @@ code, the second entirely outside it, and the cross terms are the leakage
 channel: they are what moves population across the boundary, and they are
 the part a decoupling pulse must anticommute with.
 
-block_split makes the split for a stack of matrices in six batched
-products; decompose is its one-matrix case. Callers with many matrices
+block_split makes the split for a stack of matrices in six products:
+the two left ones (PM, QM) broadcast over the stack, and each of the four
+right ones (PMP, PMQ, QMQ, QMP) is one GEMM on the stack laid end to end.
+decompose is its one-matrix case. Callers with many matrices
 (Pauli tables, verification probes) feed it the chunks of chunk_slices,
 so memory stays flat in the number of matrices.
 """
@@ -24,6 +26,7 @@ from .codes import CodeSubspace
 from .opalg import (
     DimensionMismatchError,
     Operator,
+    _stack_times,
     check_tags,
     frobenius,
     pauli_stack,
@@ -79,6 +82,9 @@ def block_split(
 
     Every part is checked finite, and PMP and QMQ are checked hermitian for
     the matrices whose hermitian[i] is set, each to Operator's tolerance.
+    PM and QM are broadcast products; the right products by P and Q each
+    take the whole stack as one (N d, d) GEMM (opalg._stack_times), with
+    the same entries as the broadcast ones.
     """
     if mats.shape[-1] != code.ambient_dim:
         raise DimensionMismatchError(
@@ -89,11 +95,11 @@ def block_split(
     q = code.complement_projector
     # each of PM and QM is freed once its parts exist; l is PMQ + QMP
     pm = p @ mats
-    e, l = pm @ p, pm @ q
+    e, l = _stack_times(pm, p), _stack_times(pm, q)
     del pm
     qm = q @ mats
-    eperp = qm @ q
-    l += qm @ p
+    eperp = _stack_times(qm, q)
+    l += _stack_times(qm, p)
     del qm
     herm = np.asarray(hermitian, dtype=bool)
     for part in (e, eperp, l):

@@ -15,6 +15,7 @@ canonical basis in a fixed order.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, sqrt
@@ -259,13 +260,29 @@ def spin_sector_decomposition(n_qubits: int) -> SpinSectorDecomposition:
     space seeds the multiplicity copies, and repeated application of the
     lowering operator fills in each ladder with the standard
     sqrt((S+m)(S-m+1)) normalization.
+
+    S- is written from its exact 0/1 entries (the collective_spin
+    Sx - i Sy, bit for bit), and S+ is its transpose. Each rung is lowered
+    only onto the rows of the next magnetization block, the only rows S-
+    reaches, with the whole register as the summed index, so every entry
+    adds the same terms in the same order as the full product S- @ rung.
+
+    n_qubits is an int from 2 to 8 (numpy integers included); anything
+    else is a ValueError.
     """
+    try:
+        n_qubits = operator.index(n_qubits)
+    except TypeError:
+        n_qubits = 0  # refused below, with the out-of-range sizes
     if not 2 <= n_qubits <= 8:
         raise ValueError("supported register sizes are 2..8 qubits")
     dim = 2**n_qubits
-    sx, sy, _ = collective_spin(n_qubits)
-    s_plus = sx + 1j * sy
-    s_minus = sx - 1j * sy
+    idx = np.arange(dim)
+    s_minus = np.zeros((dim, dim), dtype=complex)
+    for i in range(n_qubits):
+        bit = 1 << (n_qubits - 1 - i)
+        up = idx[(idx & bit) == 0]  # site i in |0>, the Sz = +1/2 state
+        s_minus[up ^ bit, up] = 1.0
 
     # magnetization blocks: index i has popcount(i) down spins
     blocks: dict[int, list[int]] = {}
@@ -281,22 +298,22 @@ def spin_sector_decomposition(n_qubits: int) -> SpinSectorDecomposition:
         if mult == 0:
             continue
         k = round(n_qubits / 2 - spin)
-        idx = blocks[k]
+        rung = np.zeros((dim, mult), dtype=complex)
         if k == 0:
-            hw = np.zeros((dim, 1), dtype=complex)
-            hw[idx[0], 0] = 1.0
+            rung[blocks[k][0], 0] = 1.0
         else:
             # raising operator restricted to the Sz = spin block
-            restricted = s_plus[np.ix_(blocks[k - 1], idx)]
-            hw_local = _null_space_deterministic(restricted, mult)
-            hw = np.zeros((dim, mult), dtype=complex)
-            hw[idx, :] = hw_local
+            restricted = s_minus[np.ix_(blocks[k], blocks[k - 1])].T
+            rung[blocks[k], :] = _null_space_deterministic(restricted, mult)
         # rungs[i] holds the m = S - i states of all mult ladders, one
-        # column each; one product with s_minus lowers them all
-        rungs = [hw]
+        # column each, nonzero only on magnetization block k + i
+        rungs = [rung]
         m = spin
         while m > -spin + 1e-9:
-            rungs.append(s_minus @ rungs[-1] / sqrt((spin + m) * (spin - m + 1)))
+            rows = blocks[k + len(rungs)]
+            rung = np.zeros((dim, mult), dtype=complex)
+            rung[rows] = s_minus[rows] @ rungs[-1] / sqrt((spin + m) * (spin - m + 1))
+            rungs.append(rung)
             m -= 1.0
         # order columns by ascending Sz, ladders in order within each m
         sectors.append(SpinSector(spin, np.hstack(rungs[::-1])))

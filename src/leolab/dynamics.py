@@ -228,9 +228,13 @@ def _segment(sector: Sector, tau: float) -> np.ndarray:
     tau) V^dag, and cycle^n adds up the drift of its 2n segments. One-shot
     exponentials (the limit, the free total) keep V e^(-i phi) V^dag: with
     |D| up to 2 this form's bound is 4e, that one's 2e + e^2. E+ - E- is
-    -2i zeta G tau to first order, formed from two expm1 forms, so the
-    segment's code-complement coupling keeps its accuracy relative to its
-    own size, as the whole block's E does."""
+    -2i zeta G tau to first order, but it is the difference of two expm1
+    forms whose rounding scales with ||A|| tau (A the code block), not with
+    ||G|| tau, so the code-complement coupling does not keep its accuracy
+    relative to its own size: it loses about eps/g, g the coupling
+    strength. Pulsed leakage against the 30-digit exact_step reference
+    (dfs2 XI, bath 4, tau = 0.9e-3, 200-1000 cycles) is off by 4.8e-13,
+    8.4e-12 and 1.7e-11 relative at g = 5e-4, 5e-5 and 5e-6."""
     e = [(v * np.expm1(-1j * tau * w)) @ v.conj().T for w, v in sector.blocks]
     u = e[0] if sector.zeta is None else _frame_block(sector, *e)
     u[np.diag_indices_from(u)] += 1.0

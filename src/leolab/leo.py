@@ -29,6 +29,7 @@ from .models import logical_ops_dfs2
 from .opalg import (
     DimensionMismatchError,
     Operator,
+    _stack_times,
     derived_seeds,
     frobenius,
     hermitian_exponential,
@@ -384,18 +385,19 @@ def _probe_residuals(r: np.ndarray, chunk: Sequence[Operator],
                      code: CodeSubspace) -> list[list[float]]:
     """||{R, L}||, ||[R, E]|| and ||[R, E_perp]|| for each probe of a
     chunk, formed one at a time in one buffer; the chunk's parts are freed
-    on return, before the next chunk is split."""
+    on return, before the next chunk is split. R X broadcasts over the
+    chunk, and X R is one (N d, d) GEMM on it (opalg._stack_times)."""
     e, eperp, l = block_split(np.stack([p.mat for p in chunk]), code,
                               ["hermitian" in p.tags for p in chunk])
     residuals = np.empty((len(chunk), 3))
     t = r @ l
-    t += l @ r
+    t += _stack_times(l, r)
     residuals[:, 0] = frobenius(t)
     np.matmul(r, e, out=t)
-    t -= e @ r
+    t -= _stack_times(e, r)
     residuals[:, 1] = frobenius(t)
     np.matmul(r, eperp, out=t)
-    t -= eperp @ r
+    t -= _stack_times(eperp, r)
     residuals[:, 2] = frobenius(t)
     return residuals.tolist()
 

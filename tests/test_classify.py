@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from leolab import classify
 from leolab.classify import (
     CLASS_LEAKAGE,
     CLASS_MIXED,
+    block_split,
     classification_to_csv,
     classify_pauli_strings,
     decompose,
@@ -166,6 +168,20 @@ class TestStackedClassification:
             want_class = (CLASS_MIXED if sum(live) != 1
                           else ("E", "E_perp", "L")[live.index(True)])
             assert row.klass == want_class, string
+
+    @pytest.mark.parametrize("label", ALL_CODES)
+    @pytest.mark.parametrize("count", [1, 3, 40])
+    def test_right_products_equal_broadcast(self, label, count, monkeypatch):
+        # PMP, PMQ, QMQ and QMP are each one GEMM on the stack laid end to
+        # end; the parts must equal those of per-matrix broadcast products
+        code = build_code(label)
+        mats = np.stack([random_hermitian(code.ambient_dim, seed).mat
+                         for seed in range(count)])
+        got = block_split(mats, code, [True] * count)
+        monkeypatch.setattr(classify, "_stack_times", np.matmul)
+        want = block_split(mats, code, [True] * count)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_hermitian_check_runs_on_the_stack(self, monkeypatch):
         code = build_code("dfs3")

@@ -1,6 +1,9 @@
+from math import sqrt
+
 import numpy as np
 import pytest
 
+from leolab import codes
 from leolab.codes import (
     CodeSubspace,
     SpinSector,
@@ -27,6 +30,36 @@ def basis_vec(dim, k):
     v = np.zeros(dim, dtype=complex)
     v[k] = 1.0
     return v
+
+
+def dense_ladder_reference(n):
+    """Spin sector bases from the dense collective-spin ladder: S+ and S- as
+    Sx +- i Sy, and each rung lowered by the full product S- @ rung."""
+    dim = 2**n
+    sx, sy, _ = collective_spin(n)
+    s_plus, s_minus = sx + 1j * sy, sx - 1j * sy
+    blocks = {}
+    for i in range(dim):
+        blocks.setdefault(bin(i).count("1"), []).append(i)
+    bases = {}
+    for j in range(n // 2 + 1):
+        spin = n / 2.0 - j
+        mult = spin_multiplicity(n, spin)
+        if mult == 0:
+            continue
+        hw = np.zeros((dim, mult), dtype=complex)
+        if j == 0:
+            hw[blocks[0][0], 0] = 1.0
+        else:
+            hw[blocks[j], :] = codes._null_space_deterministic(
+                s_plus[np.ix_(blocks[j - 1], blocks[j])], mult)
+        rungs = [hw]
+        m = spin
+        while m > -spin + 1e-9:
+            rungs.append(s_minus @ rungs[-1] / sqrt((spin + m) * (spin - m + 1)))
+            m -= 1.0
+        bases[spin] = np.hstack(rungs[::-1])
+    return bases
 
 
 class TestCodeSubspace:
@@ -157,7 +190,7 @@ class TestSpinSectors:
         got = [(s.spin, s.multiplicity, s.block_dim) for s in dec.sectors]
         assert got == [(0.0, 2, 1), (1.0, 3, 3), (2.0, 1, 5)]
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_dimension_count(self, n):
         dec = spin_sector_decomposition(n)
         total = sum(s.multiplicity * s.block_dim for s in dec.sectors)
@@ -173,7 +206,7 @@ class TestSpinSectors:
         kept = SpinSector(0.5, sector.basis[:, :2])
         assert (kept.multiplicity, kept.block_dim) == (1, 2)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_sector_bases_diagonalize_s_squared(self, n):
         s2 = s_squared(n).mat
         dec = spin_sector_decomposition(n)
@@ -182,7 +215,7 @@ class TestSpinSectors:
             ev = sector.spin * (sector.spin + 1)
             assert np.linalg.norm(s2 @ w - ev * w) <= 1e-10
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_full_basis_unitary(self, n):
         u = spin_sector_decomposition(n).full_basis()
         assert np.linalg.norm(u.conj().T @ u - np.eye(2**n)) <= 1e-12
@@ -207,11 +240,35 @@ class TestSpinSectors:
             m = w.conj().T @ sz @ w
             assert np.linalg.norm(m - np.diag(np.diag(m))) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equals_dense_ladder(self, n):
+        # S- from its 0/1 entries, lowered onto the next block's rows only,
+        # gives the bases of the dense Sx - i Sy ladder entry for entry
+        dec = spin_sector_decomposition(n)
+        want = dense_ladder_reference(n)
+        assert [s.spin for s in dec.sectors] == sorted(want)
+        for sector in dec.sectors:
+            assert np.array_equal(sector.basis, want[sector.spin]), sector.spin
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             spin_sector_decomposition(1)
         with pytest.raises(ValueError):
             spin_sector_decomposition(9)
+
+    @pytest.mark.parametrize("n", [3.0, 3.5, "3", None])
+    def test_non_integer_size_is_value_error(self, n):
+        with pytest.raises(ValueError, match="supported register sizes"):
+            spin_sector_decomposition(n)
+
+    def test_numpy_integer_size(self):
+        got = spin_sector_decomposition(np.int64(3))
+        want = spin_sector_decomposition(3)
+        assert type(got.n_qubits) is int
+        assert [type(s.spin) for s in got.sectors] == [float, float]
+        assert [s.spin for s in got.sectors] == [s.spin for s in want.sectors]
+        for a, b in zip(got.sectors, want.sectors):
+            assert np.array_equal(a.basis, b.basis)
 
 
 class TestSpinMultiplicity:

@@ -36,7 +36,7 @@ from leolab.leo import (
     synthesize,
     verify_leo,
 )
-from leolab import opalg
+from leolab import classify, leo, opalg
 from leolab.classify import decompose
 from leolab.models import logical_ops_dfs2
 from leolab.opalg import (
@@ -394,6 +394,21 @@ class TestStackedVerify:
                        check.commutator_outside)
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 1e-15 * w, (i, g, w)
+
+    @pytest.mark.parametrize("label", ["dfs2", "dfs3", "dfs4", "dual_rail", "bare5"])
+    def test_right_products_equal_broadcast(self, label, monkeypatch):
+        # the right products X R and those of block_split are one GEMM per
+        # chunk; every residual must equal the broadcast products' exactly
+        code = build_code(label)
+        probes = mixed_probes(code.ambient_dim, 100, 3)
+        off_form = hermitian_exponential(random_hermitian(code.ambient_dim, 2), 1.0)
+        got = [verify_leo(u, code, probes).probe_checks
+               for u in (projector_leo(code).unitary, off_form)]
+        monkeypatch.setattr(leo, "_stack_times", np.matmul)
+        monkeypatch.setattr(classify, "_stack_times", np.matmul)
+        want = [verify_leo(u, code, probes).probe_checks
+                for u in (projector_leo(code).unitary, off_form)]
+        assert got == want
 
     def test_hermitian_check_per_tagged_probe(self, monkeypatch):
         code = dfs4_collective()

@@ -8,6 +8,7 @@ from leolab import opalg
 from leolab.opalg import (
     NumericalDegeneracyError,
     Operator,
+    _stack_times,
     _unitary_residual,
     check_tags,
     computed_unitary,
@@ -190,6 +191,19 @@ class TestCheckTags:
         stack[2, 0, 1] = np.nan
         with pytest.raises(ValueError, match="must be finite"):
             check_tags(stack, frozenset())
+
+
+class TestStackedProducts:
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_one_gemm_equals_broadcast(self, dim, count):
+        rng = np.random.default_rng(dim * 10 + count)
+        stack = (rng.standard_normal((count, dim, dim))
+                 + 1j * rng.standard_normal((count, dim, dim)))
+        m = random_hermitian(dim, 1).mat
+        got = _stack_times(stack, m)
+        assert got.shape == stack.shape
+        assert got.tobytes() == (stack @ m).tobytes()
 
 
 class TestHermitianExponential:
