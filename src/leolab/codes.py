@@ -7,9 +7,12 @@ pair span{|01>, |10|}, collective-spin subspaces of three and four qubits
 obtained from the total-spin sector decomposition, and the dual-rail
 two-photon code on four bosonic modes.
 
-All constructions are deterministic: repeated calls return bit-identical
-bases, and every degeneracy is resolved by Gram-Schmidt against the
-canonical basis in a fixed order.
+All constructions are deterministic: at a fixed BLAS thread count,
+repeated calls return bit-identical bases, and every degeneracy is
+resolved by Gram-Schmidt against the canonical basis in a fixed order.
+Between thread counts, the blocked products of threaded BLAS may round
+differently: spin_sector_decomposition(8) differs by up to 1.7e-16
+between one and two threads.
 """
 
 from __future__ import annotations
@@ -160,13 +163,28 @@ def dfs2_dephasing() -> CodeSubspace:
 # ---------------------------------------------------------------------------
 
 
+def _register_size(n_qubits) -> int:
+    """n_qubits as an int of at least 1 (numpy integers included); anything
+    else is a ValueError."""
+    try:
+        n_qubits = operator.index(n_qubits)
+    except TypeError:
+        raise ValueError("supported register sizes are whole numbers of "
+                         f"qubits, got {n_qubits!r}") from None
+    if n_qubits < 1:
+        raise ValueError("need at least one qubit")
+    return n_qubits
+
+
 def collective_spin(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Total spin components (Sx, Sy, Sz), each one half the Pauli sum.
 
     Site i flips bit 1 << (n-1-i) of the basis index, so each component is
     written entry by entry as a sum of exact +-1/2 terms: bit-identical to
-    the sum of kron chains, with no dense chain built.
+    the sum of kron chains, with no dense chain built. n_qubits is an int
+    of at least 1 (numpy integers included); anything else is a ValueError.
     """
+    n_qubits = _register_size(n_qubits)
     dim = 2**n_qubits
     idx = np.arange(dim)
     sx = np.zeros((dim, dim), dtype=complex)
@@ -182,9 +200,8 @@ def collective_spin(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def s_squared(n_qubits: int) -> Operator:
-    """Total-spin-squared operator Sx^2 + Sy^2 + Sz^2 on n qubits."""
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
+    """Total-spin-squared operator Sx^2 + Sy^2 + Sz^2 on n qubits, n an int
+    of at least 1 (numpy integers included); anything else is a ValueError."""
     sx, sy, sz = collective_spin(n_qubits)
     m = sx @ sx + sy @ sy + sz @ sz
     m = (m + m.conj().T) / 2.0
@@ -270,10 +287,7 @@ def spin_sector_decomposition(n_qubits: int) -> SpinSectorDecomposition:
     n_qubits is an int from 2 to 8 (numpy integers included); anything
     else is a ValueError.
     """
-    try:
-        n_qubits = operator.index(n_qubits)
-    except TypeError:
-        n_qubits = 0  # refused below, with the out-of-range sizes
+    n_qubits = _register_size(n_qubits)
     if not 2 <= n_qubits <= 8:
         raise ValueError("supported register sizes are 2..8 qubits")
     dim = 2**n_qubits

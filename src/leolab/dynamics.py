@@ -19,12 +19,12 @@ phi cancels in the cycle, so a sector's cycle is (S' Z)^2 with S' its tau
 segment: the pulse is read only for its code. The segment is I + V'
 expm1(-i w tau) V'^dag on eigenvectors the model certified once
 (opalg.check_eigenvectors), so it has no check of its own and its drift
-is second order in w tau. cycle^n (_pulsed), the free total (_free) and
-the limit (_limit) are each formed and certified unitary in one
-function, as one matrix whose drift is sqrt(sum of the sectors' squared
-drifts), a distinct block's counted once per copy; everything else
-combines them. Inputs are checked once per call, before any
-eigendecomposition. The distance to the limit is the largest of the
+is second order in w tau. cycle^n (_pulsed), the free total
+(_free_total) and the limit (_limit) are each formed and certified
+unitary in one function, as one matrix whose drift is sqrt(sum of the
+sectors' squared drifts), a distinct block's counted once per copy;
+everything else combines them. Inputs are checked once per call, before
+any eigendecomposition. The distance to the limit is the largest of the
 sectors' distances, each sqrt(lambda_max) of a Gram matrix, relative
 error O(J eps). The public parity_kick_unitary and
 decoupled_limit_unitary place each block on every copy's rows and rotate
@@ -52,34 +52,38 @@ Samples are read per sector in the frame, where a sector's first n_code
 rows are code rows and the rest complement rows, and only on the live
 copies (_live), those where the start phi0 has an exactly nonzero entry:
 a copy that starts at zero stays exactly zero, so it is neither stepped
-nor read, while every sector's propagators, certificates and distance
-are still formed. A code basis state occupies one copy of dfs2 XI's
-sector. Each live sector yields its states in stacks (samples, copies,
-J_s) of OBSERVABLE_BATCH samples, its live copies stepped together by
-one GEMM of shape (samples x copies, J_s) per product: free states are
-one GEMM of a phase table with its eigenvectors scaled by the start's
-coefficients, and pulsed states come from the squares that build
-cycle^n. Leakage is the sum over live sectors and copies of the squared
-norms of their complement rows (_leakage); only the code rows are
-gathered, in frame code order by one index per run (_code_columns), as
-the fidelity's A, each code row by its own take into a contiguous
-(samples, b) array (_code_rows); a code row that only a dead copy holds
-reads a zero column, appended only when there is one. When the code
-block of H' is exactly I_k x h (SystemBathModel.decoherence_free), the
-decoupled-limit target is x (e^(-i h t) y)^T on the code rows, x the
-initial code state and y the bath state: of rank one, so the fidelity is
-the overlap with the initial code state, ||x^dag A||^2 / ||x||^2
-(_overlap), for any code dim, with no target, and a code row whose x_i
-is zero is not gathered. Otherwise targets (which
-never leave the code rows) are stepped by a phase table against each
-sector's code sub-block's eigenvectors, and the fidelity is ||A^dag
-C||_1^2 / ||C||^2: for a qubit code in Jozsa's closed form (tr(rho
-sigma) + 2 sqrt(det rho det sigma), determinants from Gram-Schmidt R
-factors), within 1e-15 ||A||_F ||C||_F of the QR + SVD form that the
-other code dims take.
+nor read, while every sector's cycle^n (pulsed) is still formed and
+certified, and the limit, a free run's total and the distance cover
+every sector when the distance is read. A code basis state occupies one
+copy of dfs2 XI's sector. Each live sector yields its states in stacks
+(samples, copies, J_s) of OBSERVABLE_BATCH samples, its live copies
+stepped together by one GEMM of shape (samples x copies, J_s) per
+product: free states are one GEMM of a phase table with its eigenvectors
+scaled by the start's coefficients, and pulsed states come from the
+squares that build cycle^n. Leakage is the sum over live sectors and
+copies of the squared norms of their complement rows (_leakage); only
+the code rows are gathered, in frame code order by one index per run
+(_code_columns), as the fidelity's A, each code row by its own take into
+a contiguous (samples, b) array (_code_rows); a code row that only a
+dead copy holds reads a zero column, appended only when there is one.
+When the code block of H' is exactly I_k x h
+(SystemBathModel.decoherence_free), the decoupled-limit target is x
+(e^(-i h t) y)^T on the code rows, x the initial code state and y the
+bath state: of rank one, so the fidelity is the overlap with the initial
+code state, ||x^dag A||^2 / ||x||^2 (_overlap), for any code dim, with
+no target, and a code row whose x_i is zero is not gathered. Otherwise
+targets (which never leave the code rows) are stepped by a phase table
+against each sector's code sub-block's eigenvectors, and the fidelity is
+||A^dag C||_1^2 / ||C||^2: for a qubit code in Jozsa's closed form
+(tr(rho sigma) + 2 sqrt(det rho det sigma), determinants from
+Gram-Schmidt R factors), within 1e-15 ||A||_F ||C||_F of the QR + SVD
+form that the other code dims take.
 simulate certifies a run's leakage column once: a value outside [0, 1]
 (within 1e-12), or NaN, is a NumericalDegeneracyError. It returns that
-column and the fidelity's; records and CSV derive from them. A sweep row is
+column and the fidelity's; records and CSV derive from them. It forms no
+limit, no free total and no Gram matrix: the report's distance_to_limit
+forms them on its first read (_deferred_distance) and keeps the value, so
+a drift in the limit or the free total raises there. A sweep row is
 cycle^n, its final leakage (read per sector on the same live copies) and
 its distance to the sweep's one limit; it takes no samples
 (sweep_cycles).
@@ -90,8 +94,9 @@ from __future__ import annotations
 import concurrent.futures
 import operator
 import os
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,15 +173,29 @@ class SimulationSample(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
-    """Leakage and code fidelity at steps 0..n, read-only from simulate, and
-    the distance to the decoupled limit; samples and the CSV derive from
-    them and tau (step k at 2 k tau). simulate certifies what it returns;
-    direct construction checks nothing."""
+    """Leakage and code fidelity at steps 0..n, read-only from simulate;
+    samples and the CSV derive from them and tau (step k at 2 k tau). The
+    distance to the decoupled limit is formed on its first read, by a call
+    to _distance_to_limit, and kept: from simulate, that call forms and
+    certifies the limit (and a free run's total), so their drift raises
+    NumericalDegeneracyError there, not in simulate. Until then the report
+    keeps the model and a pulsed run's cycle^n; after, only the value. A
+    pickle or copy of the report reads the distance and carries its value.
+    simulate certifies what it returns; direct construction checks
+    nothing."""
 
     tau: float
     leakage_population: np.ndarray
     code_fidelity: np.ndarray
-    distance_to_limit: float
+    _distance_to_limit: Callable[[], float] = field(repr=False)
+
+    @cached_property
+    def distance_to_limit(self) -> float:
+        return self._distance_to_limit()
+
+    def __getstate__(self):
+        distance = self.distance_to_limit
+        return {**vars(self), "_distance_to_limit": partial(float, distance)}
 
     def _rows(self):
         n = len(self.leakage_population)
@@ -381,20 +400,24 @@ def _pulsed(model: SystemBathModel, n: int, tau: float,
                     for view, p in zip(live, powers) if view is not None]
 
 
-def _free(model: SystemBathModel, n: int, tau: float,
-          phi0: np.ndarray) -> tuple[list[np.ndarray], list]:
+def _free(model: SystemBathModel, n: int, tau: float, phi0: np.ndarray) -> list:
+    """For each sector with a live copy (_live), that sector's live view and
+    its states exp(-i H' 2 k tau) phi0 (_free_batches). Their drift is
+    bounded by the model's eigenvector certificate; no total is formed
+    (_free_total)."""
+    return [(view, _free_batches(view, phi0, -2 * tau, n))
+            for view in _live(model, phi0) if view is not None]
+
+
+def _free_total(model: SystemBathModel, n: int, tau: float) -> list[np.ndarray]:
     """The free total exp(-i H' 2 n tau) per sector in the frame F x I,
-    certified unitary, and for each sector with a live copy (_live), that
-    sector's live view and its states exp(-i H' 2 k tau) phi0
-    (_free_batches). A pair's total is its halves' exponentials, rotated to
-    the frame (_frame_block)."""
+    certified unitary. A pair's total is its halves' exponentials, rotated
+    to the frame (_frame_block)."""
     totals = []
     for sector in model.spectra:
         u = [_spectral_matrix(block, -2 * n * tau) for block in sector.blocks]
         totals.append(u[0] if sector.zeta is None else _frame_block(sector, *u))
-    return (_certified(model, totals, "spectral exponential"),
-            [(view, _free_batches(view, phi0, -2 * tau, n))
-             for view in _live(model, phi0) if view is not None])
+    return _certified(model, totals, "spectral exponential")
 
 
 def _limit(model: SystemBathModel, total_free_time: float) -> list[np.ndarray]:
@@ -485,6 +508,29 @@ def _spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
     gram = d.conj().T @ d
     del d  # D is not needed while eigvalsh runs
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
+def _deferred_distance(model: SystemBathModel, n: int, tau: float,
+                       total_free_time: float,
+                       totals: list[np.ndarray] | None) -> Callable[[], float]:
+    """A zero-argument callable for a run's distance to the limit: it forms
+    and certifies the limit (_limit), then, for a free run (totals None),
+    the free total (_free_total), and measures the distance (_distance).
+    totals, a pulsed run's certified cycle^n per sector, are made read-only
+    here, so nothing writes them before the call. The report calls it once:
+    a call that returns lets go of the model and totals."""
+    for total in totals or ():
+        total.flags.writeable = False
+
+    def distance() -> float:
+        nonlocal model, totals
+        limit = _limit(model, total_free_time)
+        value = _distance(model, _free_total(model, n, tau) if totals is None
+                          else totals, limit)
+        model = totals = None
+        return value
+
+    return distance
 
 
 # ---------------------------------------------------------------------------
@@ -773,26 +819,31 @@ def simulate(
     fidelity of the bath-traced system state against the decoupled-limit
     target. With pulses=None the same grid is used for free evolution.
     States, stepped targets and observables cover only the sector copies
-    where the start is exactly nonzero (_live); every sector's propagators
-    are still formed and certified, and the distance covers them all.
+    where the start is exactly nonzero (_live); a pulsed run still forms
+    and certifies every sector's cycle^n. The distance to the limit covers
+    every sector and is formed when first read (_deferred_distance).
     The target is stepped only when the model's code block acts on the
     code; for a decoherence-free model (model.decoherence_free) it is the
     initial code state times a bath state, and the fidelity is the overlap
     with the initial code state, read once (_overlap). Raises
     NumericalDegeneracyError, before the first sample is evaluated, when
-    the model's eigenvector certificate fails or any checked propagator
-    (limit, cycle^n, free total) drifts past the unitarity tolerance, and,
-    before it returns, when the leakage column leaves [0, 1].
+    the model's eigenvector certificate fails or a pulsed run's cycle^n
+    drifts past the unitarity tolerance, and, before it returns, when the
+    leakage column leaves [0, 1]. A drift in the limit or the free total
+    raises the same error, with the same message, at the first read of the
+    report's distance_to_limit.
     """
     x, phi0 = _frame_state(model, initial_code_state)
     pulsed = schedule.pulses is not None
     if pulsed:
         _check_pulse(model, schedule.pulses)
     n, tau = schedule.n_cycles, schedule.tau
-    # the eigenvectors (in spectra) and every checked propagator, cycle^n
-    # included, are certified before any sample
-    limit = _limit(model, schedule.total_free_time)
-    totals, live = (_pulsed if pulsed else _free)(model, n, tau, phi0)
+    # the eigenvectors (in spectra) and a pulsed run's cycle^n are certified
+    # before any sample; the limit and a free total wait for the distance
+    if pulsed:
+        totals, live = _pulsed(model, n, tau, phi0)
+    else:
+        totals, live = None, _free(model, n, tau, phi0)
     sectors, states = zip(*live)  # the live views and their states
 
     in_states, in_targets = _code_columns(model, sectors)
@@ -816,9 +867,8 @@ def simulate(
     _certified_leakage(leakage)  # one range check per run
     fidelity[0] = 1.0  # sample 0 compares the initial state with itself
     leakage.flags.writeable = fidelity.flags.writeable = False
-    del states, parts  # room for the Gram matrices of the distance
-    return SimulationReport(tau, leakage, fidelity,
-                            _distance(model, totals, limit))
+    return SimulationReport(tau, leakage, fidelity, _deferred_distance(
+        model, n, tau, schedule.total_free_time, totals))
 
 
 def sweep_cycles(

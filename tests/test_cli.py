@@ -294,6 +294,23 @@ class TestSimulateAndSweep:
         run_cli(["sweep", "--config", cfg, "--n", "1,2,4", "--out", b])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv,limits", [
+        (["simulate"], 0), (["simulate", "--free"], 0),
+        (["sweep", "--n", "1,2,4"], 1),
+    ], ids=["simulate", "free", "sweep"])
+    def test_only_sweep_forms_the_limit(self, tmp_path, monkeypatch, argv,
+                                        limits):
+        # simulate writes no distance, so its report never forms the limit
+        calls = []
+        limit = dynamics._limit
+        monkeypatch.setattr(dynamics, "_limit",
+                            lambda *args: calls.append(args) or limit(*args))
+        cfg = write_config(tmp_path, **{"schedule": {"n_cycles": 4,
+                                                     "total_time": 0.4}})
+        assert run_cli([argv[0], "--config", cfg, *argv[1:],
+                        "--out", tmp_path / "o.csv"]) == 0
+        assert len(calls) == limits
+
     def test_total_time_that_overflows_is_bad_input(self, tmp_path, capsys):
         # 2 n tau = 8e308 overflows to inf: a config error, not a failed
         # unitarity check of the limit
@@ -714,8 +731,8 @@ class TestMistypedRecords:
 
 class TestFailedPropagatorCheck:
     def test_free_run_exits_two(self, tmp_path, capsys, monkeypatch):
-        # --free builds no pulse, so the first tag check under the zero
-        # tolerance is a propagator's
+        # --free builds no pulse, so the first check under the zero
+        # tolerance is the model's eigenvector certificate
         monkeypatch.setattr(opalg, "UNITARY_TOL", 0.0)
         bench = Path(__file__).resolve().parent.parent / "bench"
         assert run_cli(["simulate", "--config", bench / "dfs2_benchmark.json",

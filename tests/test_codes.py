@@ -173,6 +173,18 @@ class TestSSquared:
     def test_hermitian_tag(self):
         assert s_squared(2).is_hermitian()
 
+    @pytest.mark.parametrize("build", [s_squared, collective_spin],
+                             ids=["s_squared", "collective_spin"])
+    @pytest.mark.parametrize("n", [3.0, "3", None, 0, -1])
+    def test_bad_register_size_is_value_error(self, build, n):
+        with pytest.raises(ValueError):
+            build(n)
+
+    def test_numpy_integer_register_size(self):
+        assert np.array_equal(s_squared(np.int64(3)).mat, s_squared(3).mat)
+        for got, want in zip(collective_spin(np.uint8(2)), collective_spin(2)):
+            assert np.array_equal(got, want)
+
 
 class TestSpinSectors:
     def test_two_qubits(self):

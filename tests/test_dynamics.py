@@ -1,3 +1,8 @@
+import copy
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from model_split import explicit_split
@@ -202,10 +207,9 @@ class TestPropagatorChecks:
                            match=f"^spectral exponential: {drift}"):
             hermitian_exponential(m.h_joint, -0.05)
         # the free total, formed from the sectors' spectra, keeps that name
-        _, phi0 = dynamics._frame_state(m, code_state(m))
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^spectral exponential: {drift}"):
-            dynamics._free(m, 8, 0.05, phi0)
+            dynamics._free_total(m, 8, 0.05)
         # the segment has no check of its own: cycle^n is the first
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^total propagator after 8 cycles: {drift}"):
@@ -213,9 +217,15 @@ class TestPropagatorChecks:
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^decoupled limit: {drift}"):
             decoupled_limit_unitary(m, 0.8)
-        # simulate certifies the limit first
-        with pytest.raises(NumericalDegeneracyError, match="^decoupled limit: "):
+        # simulate certifies a pulsed run's cycle^n; the limit waits for the
+        # first read of the distance, which certifies it before a free total
+        with pytest.raises(NumericalDegeneracyError,
+                           match=f"^total propagator after 8 cycles: {drift}"):
             simulate(m, sched, code_state(m))
+        free = simulate(m, ParityKickSchedule(8, 0.05, None), code_state(m))
+        with pytest.raises(NumericalDegeneracyError,
+                           match=f"^decoupled limit: {drift}"):
+            free.distance_to_limit
         # a model diagonalized under the zero tolerance fails at its
         # eigenvector certificate, before any propagator is formed: the
         # first a pair certifies is its half A + zeta G
@@ -225,6 +235,102 @@ class TestPropagatorChecks:
             with pytest.raises(NumericalDegeneracyError, match=r"^eigenvectors of "
                                r"the half A \+ zeta G: residual"):
                 run()
+
+
+class TestDeferredDistance:
+    """simulate forms no limit, no free total and no distance; the report
+    forms them on the first read of distance_to_limit and keeps the value."""
+
+    MODELS = {
+        "pair": lambda: (benchmark_model(), exchange_dfs2_leo()),
+        "distinct": lambda: (dfs2_leakage_model(("XZ",), g=0.2, bath_seed=3,
+                                                bath_dim=4), exchange_dfs2_leo()),
+        "hopping": lambda: (hopping_model(5, seed=7, g=0.2, bath_dim=3),
+                            number_operator_leo(5)),
+    }
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return {name: counting(monkeypatch, name)
+                for name in ("_limit", "_free_total", "_distance")}
+
+    @pytest.mark.parametrize("case", sorted(MODELS))
+    @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
+    def test_formed_once_on_first_read(self, calls, case, pulsed):
+        m, pulse = self.MODELS[case]()
+        sched = ParityKickSchedule(300, 0.003, pulse if pulsed else None)
+        report = simulate(m, sched, code_state(m))
+        assert {name: len(c) for name, c in calls.items()} == {
+            "_limit": 0, "_free_total": 0, "_distance": 0}
+        first = report.distance_to_limit
+        assert report.distance_to_limit == first and type(first) is float
+        assert {name: len(c) for name, c in calls.items()} == {
+            "_limit": 1, "_free_total": 0 if pulsed else 1, "_distance": 1}
+        assert calls["_limit"][0][1] == sched.total_free_time
+
+    @pytest.mark.parametrize("case", sorted(MODELS))
+    def test_read_after_another_run_matches_the_public_propagators(self, case):
+        m, pulse = self.MODELS[case]()
+        sched = ParityKickSchedule(8, 0.05, pulse)
+        report = simulate(m, sched, code_state(m))
+        free = simulate(m, ParityKickSchedule(8, 0.05, None), code_state(m))
+        # another run on the same model between the call and the read
+        simulate(m, ParityKickSchedule(3, 0.07, pulse), code_state(m)).distance_to_limit
+        want = _spectral_distance(
+            parity_kick_unitary(m, sched).mat,
+            decoupled_limit_unitary(m, sched.total_free_time).mat)
+        # sector by sector against the whole matrix: rounding, O(J eps)
+        assert report.distance_to_limit == pytest.approx(want, rel=1e-12)
+        free_total = hermitian_exponential(m.h_joint, -sched.total_free_time).mat
+        want = _spectral_distance(
+            free_total, decoupled_limit_unitary(m, sched.total_free_time).mat)
+        assert free.distance_to_limit == pytest.approx(want, rel=1e-12)
+
+    def test_retained_totals_are_read_only(self, calls):
+        m, pulse = self.MODELS["pair"]()
+        report = simulate(m, ParityKickSchedule(8, 0.05, pulse), code_state(m))
+        report.distance_to_limit
+        (_, totals, _), = calls["_distance"]
+        assert totals and not any(t.flags.writeable for t in totals)
+
+    @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
+    def test_read_lets_go_of_the_model_and_totals(self, monkeypatch, pulsed):
+        refs = []
+        pulsed_run = dynamics._pulsed
+
+        def watched(*args):
+            totals, live = pulsed_run(*args)
+            refs.extend(map(weakref.ref, totals))
+            return totals, live
+
+        monkeypatch.setattr(dynamics, "_pulsed", watched)
+        m, pulse = self.MODELS["distinct"]()
+        refs.append(weakref.ref(m))
+        report = simulate(m, ParityKickSchedule(8, 0.05, pulse if pulsed else None),
+                          code_state(m))
+        del m
+        gc.collect()
+        # an unread report keeps its model and a pulsed run's cycle^n
+        assert len(refs) == (3 if pulsed else 1)
+        assert all(ref() is not None for ref in refs)
+        report.distance_to_limit
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
+    def test_pickle_and_copy_carry_the_value(self, calls, pulsed):
+        m, pulse = self.MODELS["pair"]()
+        report = simulate(m, ParityKickSchedule(8, 0.05, pulse if pulsed else None),
+                          code_state(m))
+        loaded = pickle.loads(pickle.dumps(report))  # read here, once
+        assert len(calls["_distance"]) == 1
+        for other in (loaded, copy.copy(report), copy.deepcopy(report)):
+            assert other.distance_to_limit == report.distance_to_limit
+            assert np.array_equal(other.leakage_population,
+                                  report.leakage_population)
+            assert np.array_equal(other.code_fidelity, report.code_fidelity)
+            assert other.tau == report.tau
+        assert len(calls["_distance"]) == 1
 
 
 def perturbed_spectra(monkeypatch, index, factor):
@@ -525,7 +631,7 @@ class TestReportColumns:
 
     def test_csv_matches_per_field_format(self):
         col = np.array(self.EDGES)
-        rep = dynamics.SimulationReport(0.1, col, col[::-1].copy(), 0.0)
+        rep = dynamics.SimulationReport(0.1, col, col[::-1].copy(), lambda: 0.0)
         assert rep.csv_text() == per_field_csv(dynamics.REPORT_CSV_HEADER,
                                                rep.samples)
         rows = tuple(dynamics.SweepRow(n, tau, leak, d) for n, tau, leak, d in
@@ -1041,7 +1147,8 @@ class TestSweep:
         # the segment is built on the model's certified eigenvectors: no
         # checked exponential, and the only V e^(i phi) V^dag formed are the
         # limit's, one per code and complement sub-block of each sector, or
-        # one per pair, whose code and complement sub-blocks are one
+        # one per pair, whose code and complement sub-blocks are one;
+        # simulate forms its limit only when its distance is read
         assert not hasattr(dynamics, "hermitian_exponential")
         m = benchmark_model()
         pulse = exchange_dfs2_leo()  # built by an exponential of its own
@@ -1051,10 +1158,12 @@ class TestSweep:
         matrices = counting(monkeypatch, "_spectral_matrix")
         sweep_cycles(m, 0.8, (1, 2, 4), code_state(m), pulse)
         parity_kick_unitary(m, ParityKickSchedule(4, 0.1, pulse))
-        simulate(m, ParityKickSchedule(4, 0.1, pulse), code_state(m))
-        assert calls == []
+        report = simulate(m, ParityKickSchedule(4, 0.1, pulse), code_state(m))
         (sector,) = m.spectra
         assert sector.code is sector.complement
+        assert [id(args[0]) for args in matrices] == [id(sector.code)]
+        report.distance_to_limit
+        assert calls == []
         assert [id(args[0]) for args in matrices] == [id(sector.code)] * 2
 
     @pytest.mark.parametrize("state", [np.zeros(3), np.eye(4)[0],
@@ -1846,9 +1955,12 @@ class TestLiveCopies:
         spectral = counting(monkeypatch, "_spectral_batches")
         certified = counting(monkeypatch, "certified_blocks")
         live = self.run(m, pulsed, code_state(m))
-        # every sector's cycle^n or free total is formed and certified, on
-        # both halves of each pair; only the live sector gets a start
+        # every sector's cycle^n is formed and certified, on both halves of
+        # each pair; the limit and a free total wait for the distance
+        assert [len(a[0]) for a in certified] == ([4] if pulsed else [])
+        live.distance_to_limit
         assert [len(a[0]) for a in certified] == [4, 4]
+        # only the live sector gets a start
         j = m.spectra[0].rows.shape[1]
         if pulsed:
             assert [None if a[2] is None else a[2].shape for a in powers] == [
