@@ -6,7 +6,8 @@ pulse), simulate (one pulsed or free run), and sweep (convergence over
 cycle counts). All heavy inputs come from JSON config files; outputs are
 written atomically so interrupted runs never leave torn files.
 
-Exit codes: 0 success, 1 validation or config error, 2 numerical failure.
+Exit codes: 0 success, 1 validation or config error (a run too large to
+allocate included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -408,6 +409,9 @@ def main(argv: Sequence[str] | None = None) -> None:
         status = EXIT_NUMERICAL
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        status = EXIT_CONFIG
+    except MemoryError as err:  # numpy's names the array it could not allocate
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         status = EXIT_CONFIG
     sys.exit(status)
 

@@ -91,9 +91,7 @@ its distance to the sweep's one limit; it takes no samples
 
 from __future__ import annotations
 
-import concurrent.futures
 import operator
-import os
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
@@ -888,9 +886,9 @@ def sweep_cycles(
     (_live), its leakage (range-checked as simulate's column) and its
     distance to the limit; no samples, targets or fidelities. Where 2 n tau
     == total_free_time the row equals a standalone simulate; otherwise the
-    limit differs from simulate's by the rounding of that product. The rows
-    are independent, so they fan out over one thread per CPU (at most one
-    per row), and row order follows n_list.
+    limit differs from simulate's by the rounding of that product. Rows
+    run in order of n_list on the calling thread; BLAS is the only
+    parallelism.
     """
     if pulses is None:
         raise ValueError("schedule has no pulses; a sweep compares pulsed runs")
@@ -904,7 +902,7 @@ def sweep_cycles(
     taus = [total_free_time / (2 * n) for n in ns]
     if not taus[-1] > 0.0:  # T / 2n can underflow at the largest n
         raise ValueError("tau must be positive and finite")
-    # T is the same for every row; this also diagonalizes outside the pool
+    # T is the same for every row: one limit, formed before the first row
     limit = _limit(model, total_free_time)
     live = _live(model, phi0)
     sectors = [view for view in live if view is not None]
@@ -918,6 +916,4 @@ def sweep_cycles(
         return SweepRow(n, tau, float(leakage[0]),
                         _distance(model, totals, limit))
 
-    workers = min(os.cpu_count() or 1, len(ns))
-    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        return SweepTable(tuple(pool.map(one, ns, taus)))
+    return SweepTable(tuple(map(one, ns, taus)))

@@ -21,6 +21,16 @@ def run_cli(argv):
     raise AssertionError("cli.main must exit")
 
 
+def run_fresh(*args):
+    """Run python with args in a fresh interpreter that imports src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
         "model": "dfs2_leakage",
@@ -327,19 +337,40 @@ class TestSimulateAndSweep:
         # config error (exit 1)
         cfg = write_config(tmp_path, bath_dim=16,
                            schedule={"n_cycles": 4096, "total_time": 2.0})
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", "from leolab.cli import main; main()",
-             "simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_fresh("-c", "from leolab.cli import main; main()",
+                         "simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / "o.csv"))
         assert proc.returncode in (0, 2), proc.stderr
         if proc.returncode == 2:
             assert proc.stderr.startswith("numerical failure:")
             assert "residual" in proc.stderr
+
+    def test_import_loads_no_thread_pool(self):
+        # sweep rows run on the calling thread, so the CLI never pays for
+        # concurrent.futures; a fresh interpreter, as this one may have
+        # loaded it for something else
+        proc = run_fresh("-c", "import sys, leolab.cli; "
+                         "print('concurrent.futures' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 8.00 TiB for an "
+                                         "array with shape (1000000, 1000000) "
+                                         "and data type complex128", ""],
+                             ids=["numpy", "empty"])
+    def test_run_too_large_to_allocate(self, tmp_path, capsys, monkeypatch,
+                                       message):
+        # raised, never allocated: under memory overcommit a huge np.empty
+        # succeeds and then fills memory
+        def too_large(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "simulate", too_large)
+        cfg = write_config(tmp_path)
+        assert run_cli(["simulate", "--config", cfg,
+                        "--out", tmp_path / "o.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+        assert not (tmp_path / "o.csv").exists()
 
 
 class TestOutputFileMode:

@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import threading
 import weakref
 
 import numpy as np
@@ -1136,12 +1137,22 @@ class TestSweep:
     def test_one_limit_and_no_samples_per_sweep(self, monkeypatch):
         limits = counting(monkeypatch, "_limit")
         observables = counting(monkeypatch, "_observables")
+        # rows run in order on the calling thread: no pool beside BLAS
+        rows = []
+        pulsed = dynamics._pulsed
+
+        def on_thread(model, n, tau):
+            rows.append((n, threading.get_ident()))
+            return pulsed(model, n, tau)
+
+        monkeypatch.setattr(dynamics, "_pulsed", on_thread)
         m = benchmark_model()
         table = sweep_cycles(m, 0.8, (1, 2, 3, 300), code_state(m),
                              exchange_dfs2_leo())
         assert [r.n for r in table.rows] == [1, 2, 3, 300]
         assert len(limits) == 1 and limits[0][1] == 0.8
         assert observables == []
+        assert rows == [(n, threading.get_ident()) for n in (1, 2, 3, 300)]
 
     def test_cycle_forms_no_spectral_exponential(self, monkeypatch):
         # the segment is built on the model's certified eigenvectors: no
