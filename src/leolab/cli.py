@@ -19,7 +19,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from typing import Sequence
 
 import numpy as np
@@ -81,18 +80,22 @@ def load_json(path: str) -> dict:
 
 def _atomic_write_text(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a torn
-    file. The file gets the mode open(path, "w") would create it with,
-    0o666 less the umask, not mkstemp's 0o600. A path it cannot write (no
-    such directory, a directory) is a ConfigError."""
+    file. The temp file is created exclusively under a fresh random name
+    with mode 0o666, which the kernel reduces by the umask, so the file gets
+    the mode open(path, "w") would create it with. A path it cannot write
+    (no such directory, a directory) is a ConfigError."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
+        while True:
+            tmp = os.path.join(directory, f".tmp_{os.urandom(8).hex()}")
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                continue
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
-            umask = os.umask(0)  # the only way to read it; restored at once
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -176,36 +176,33 @@ def _register_size(n_qubits) -> int:
     return n_qubits
 
 
-def collective_spin(n_qubits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Total spin components (Sx, Sy, Sz), each one half the Pauli sum.
-
-    Site i flips bit 1 << (n-1-i) of the basis index, so each component is
-    written entry by entry as a sum of exact +-1/2 terms: bit-identical to
-    the sum of kron chains, with no dense chain built. n_qubits is an int
-    of at least 1 (numpy integers included); anything else is a ValueError.
-    """
-    n_qubits = _register_size(n_qubits)
+def _lowering(n_qubits: int) -> np.ndarray:
+    """The real collective lowering operator S- = Sx - i Sy, written from
+    its exact 0/1 entries: site i flips bit 1 << (n-1-i) of the basis index
+    from 0 (Sz = +1/2) to 1, so S- is bit-identical to the sum of kron
+    chains, with no dense chain built."""
     dim = 2**n_qubits
     idx = np.arange(dim)
-    sx = np.zeros((dim, dim), dtype=complex)
-    sy = np.zeros_like(sx)
-    sz = np.zeros_like(sx)
+    s_minus = np.zeros((dim, dim))
     for i in range(n_qubits):
         bit = 1 << (n_qubits - 1 - i)
-        up = (idx & bit) == 0  # site i in |0>, the Sz = +1/2 state
-        sx[idx ^ bit, idx] += 0.5
-        sy[idx ^ bit, idx] += np.where(up, 0.5j, -0.5j)
-        sz[idx, idx] += np.where(up, 0.5, -0.5)
-    return sx, sy, sz
+        up = idx[(idx & bit) == 0]  # site i in |0>, the Sz = +1/2 state
+        s_minus[up ^ bit, up] = 1.0
+    return s_minus
 
 
 def s_squared(n_qubits: int) -> Operator:
-    """Total-spin-squared operator Sx^2 + Sy^2 + Sz^2 on n qubits, n an int
-    of at least 1 (numpy integers included); anything else is a ValueError."""
-    sx, sy, sz = collective_spin(n_qubits)
-    m = sx @ sx + sy @ sy + sz @ sz
-    m = (m + m.conj().T) / 2.0
-    return Operator(m, frozenset({"hermitian"}))
+    """Total-spin-squared operator S^2 = S+ S- + Sz^2 - Sz on n qubits, with
+    S- from its exact 0/1 entries (_lowering), S+ its transpose and Sz = n/2
+    minus the number of 1 bits of the basis index. Every entry is an exact
+    multiple of 1/4, so S^2 is bit-identical to Sx^2 + Sy^2 + Sz^2 formed
+    from kron chains. n_qubits is an int of at least 1 (numpy integers
+    included); anything else is a ValueError."""
+    n_qubits = _register_size(n_qubits)
+    s_minus = _lowering(n_qubits)
+    sz = n_qubits / 2 - np.array([bin(i).count("1") for i in range(2**n_qubits)])
+    m = s_minus.T @ s_minus + np.diag(sz * sz - sz)
+    return Operator(m.astype(complex), frozenset({"hermitian"}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,8 +275,8 @@ def spin_sector_decomposition(n_qubits: int) -> SpinSectorDecomposition:
     lowering operator fills in each ladder with the standard
     sqrt((S+m)(S-m+1)) normalization.
 
-    S- is written from its exact 0/1 entries (the collective_spin
-    Sx - i Sy, bit for bit), and S+ is its transpose. Each rung is lowered
+    S- is written from its exact 0/1 entries (_lowering, cast to complex),
+    and S+ is its transpose. Each rung is lowered
     only onto the rows of the next magnetization block, the only rows S-
     reaches, with the whole register as the summed index, so every entry
     adds the same terms in the same order as the full product S- @ rung.
@@ -291,12 +288,7 @@ def spin_sector_decomposition(n_qubits: int) -> SpinSectorDecomposition:
     if not 2 <= n_qubits <= 8:
         raise ValueError("supported register sizes are 2..8 qubits")
     dim = 2**n_qubits
-    idx = np.arange(dim)
-    s_minus = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_qubits):
-        bit = 1 << (n_qubits - 1 - i)
-        up = idx[(idx & bit) == 0]  # site i in |0>, the Sz = +1/2 state
-        s_minus[up ^ bit, up] = 1.0
+    s_minus = _lowering(n_qubits).astype(complex)
 
     # magnetization blocks: index i has popcount(i) down spins
     blocks: dict[int, list[int]] = {}

@@ -92,6 +92,7 @@ its distance to the sweep's one limit; it takes no samples
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
@@ -252,18 +253,22 @@ def _segment(sector: Sector, tau: float) -> np.ndarray:
     strength. Pulsed leakage against the 30-digit exact_step reference
     (dfs2 XI, bath 4, tau = 0.9e-3, 200-1000 cycles) is off by 4.8e-13,
     8.4e-12 and 1.7e-11 relative at g = 5e-4, 5e-5 and 5e-6."""
-    e = [(v * np.expm1(-1j * tau * w)) @ v.conj().T for w, v in sector.blocks]
-    u = e[0] if sector.zeta is None else _frame_block(sector, *e)
+    u = _frame_block(sector, [(v * np.expm1(-1j * tau * w)) @ v.conj().T
+                              for w, v in sector.blocks])
     u[np.diag_indices_from(u)] += 1.0
     return u
 
 
-def _frame_block(sector: Sector, plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """A pair's frame block, code rows first, from the blocks plus and minus
-    on its halves' rows (code +- conj(zeta) complement) / sqrt(2): (plus +
-    minus)/2 on the code and on the complement rows, conj(zeta) (plus -
-    minus)/2 from the complement to the code rows and zeta (plus - minus)/2
-    back."""
+def _frame_block(sector: Sector, blocks: list[np.ndarray]) -> np.ndarray:
+    """A sector's frame block, code rows first, from its blocks in the basis
+    where it is block diagonal (_diagonal_blocks' inverse): the one block
+    itself, or for a pair, from plus and minus on its halves' rows (code +-
+    conj(zeta) complement) / sqrt(2), (plus + minus)/2 on the code and on
+    the complement rows, conj(zeta) (plus - minus)/2 from the complement to
+    the code rows and zeta (plus - minus)/2 back."""
+    if sector.zeta is None:
+        return blocks[0]
+    plus, minus = blocks
     h = len(plus)
     out = np.empty((2 * h, 2 * h), dtype=complex)
     out[:h, :h] = out[h:, h:] = (plus + minus) / 2
@@ -276,7 +281,7 @@ def _frame_block(sector: Sector, plus: np.ndarray, minus: np.ndarray) -> np.ndar
 def _diagonal_blocks(sector: Sector, m: np.ndarray) -> list[np.ndarray]:
     """The blocks of a sector's frame block m in the basis where it is block
     diagonal: m itself, or for a pair, m = [[S, conj(zeta) D], [zeta D, S]],
-    its halves S + D and S - D (_frame_block's inverse)."""
+    its halves S + D and S - D (_frame_block's inverse, for every sector)."""
     if sector.zeta is None:
         return [m]
     h = sector.n_code
@@ -411,10 +416,9 @@ def _free_total(model: SystemBathModel, n: int, tau: float) -> list[np.ndarray]:
     """The free total exp(-i H' 2 n tau) per sector in the frame F x I,
     certified unitary. A pair's total is its halves' exponentials, rotated
     to the frame (_frame_block)."""
-    totals = []
-    for sector in model.spectra:
-        u = [_spectral_matrix(block, -2 * n * tau) for block in sector.blocks]
-        totals.append(u[0] if sector.zeta is None else _frame_block(sector, *u))
+    totals = [_frame_block(sector, [_spectral_matrix(block, -2 * n * tau)
+                                    for block in sector.blocks])
+              for sector in model.spectra]
     return _certified(model, totals, "spectral exponential")
 
 
@@ -685,21 +689,6 @@ def _code_rows(stacks: Sequence[np.ndarray], columns: np.ndarray) -> list[np.nda
     return [x.take(row, axis=1) for row in columns]
 
 
-def _target(stacks: Sequence[np.ndarray], columns: np.ndarray) -> tuple:
-    """What the fidelity reads of a stack of stepped targets given as one
-    part per sector in the frame, (samples, copies, n_code), holding only
-    code rows: with C their code rows picked by columns (_code_columns'
-    second), the R factor of C^dag (_gram_schmidt_r) for a qubit code, else
-    C itself (samples, k, b), and ||C||_F^2 per sample. A decoherence-free
-    run forms no target: its fidelity is the overlap with the initial code
-    state (_overlap)."""
-    c = _code_rows(stacks, columns)
-    if len(c) == 2:
-        return _gram_schmidt_r(*c), sum(map(_row_norms2, c))
-    c = np.stack(c, axis=1)
-    return c, np.sum(np.abs(c) ** 2, axis=(1, 2))
-
-
 def _overlap(a: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     """||x^dag A||^2 / ||x||^2 for a stack of k x b matrices A given as its
     k rows, each (samples, b) (_code_rows), and x the k initial code
@@ -713,16 +702,18 @@ def _overlap(a: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
 
 
 def _observables(sectors: Sequence[Sector], parts: Sequence[np.ndarray],
-                 target, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 columns: np.ndarray, x: np.ndarray,
+                 c: list[np.ndarray] | None) -> tuple[np.ndarray, np.ndarray]:
     """Leakage and code fidelity for a stack of joint states, given as one
     part per live sector view (_live) in the frame F x I, (samples,
-    copies, J_s), each copy's rows with code rows first. target is x, the
-    initial code coordinates with those that are exactly zero dropped, for
-    a decoherence-free run, else a stack of stepped targets as _target
-    reads them, one per state. columns (_code_columns' first, its rows
-    those of target's x) picks the states' code rows, in frame code order,
-    code x bath, each as its own contiguous (samples, b) array
-    (_code_rows); rows no live copy holds read as zeros.
+    copies, J_s), each copy's rows with code rows first. columns
+    (_code_columns' first) picks the states' code rows, in frame code
+    order, code x bath, each as its own contiguous (samples, b) array
+    (_code_rows); rows no live copy holds read as zeros. c is None for a
+    decoherence-free run, whose fidelity is the overlap with x, the initial
+    code coordinates with those that are exactly zero dropped (and columns'
+    rows with them); else c is the code rows of the stepped targets, one
+    per state, as _code_rows gathers them by _code_columns' second.
 
     Leakage is |(Q x I) psi|^2, read per sector (_leakage).
     Fidelity is the Uhlmann fidelity of the bath-traced state against the
@@ -741,15 +732,15 @@ def _observables(sectors: Sequence[Sector], parts: Sequence[np.ndarray],
     clamped to 1; larger ones pass through. simulate range-checks leakage.
     """
     a = _code_rows(parts, columns)
-    if isinstance(target, np.ndarray):  # x: the overlap
-        f = _overlap(a, target)
+    if c is None:
+        f = _overlap(a, x)
+    elif len(a) == 2:
+        f = (_qubit_nuclear_norm(_gram_schmidt_r(*a), _gram_schmidt_r(*c)) ** 2
+             / sum(map(_row_norms2, c)))
     else:
-        factor, norm = target
-        if len(a) == 2:
-            nuclear = _qubit_nuclear_norm(_gram_schmidt_r(*a), factor)
-        else:
-            nuclear = _nuclear_norm(np.stack(a, axis=1), factor)
-        f = nuclear ** 2 / norm
+        c = np.stack(c, axis=1)
+        f = (_nuclear_norm(np.stack(a, axis=1), c) ** 2
+             / np.sum(np.abs(c) ** 2, axis=(1, 2)))
     return (_leakage(sectors, parts),
             np.where(f < 1.0 + FIDELITY_CLAMP_TOL, np.minimum(f, 1.0), f))
 
@@ -823,25 +814,28 @@ def simulate(
     The target is stepped only when the model's code block acts on the
     code; for a decoherence-free model (model.decoherence_free) it is the
     initial code state times a bath state, and the fidelity is the overlap
-    with the initial code state, read once (_overlap). Raises
-    NumericalDegeneracyError, before the first sample is evaluated, when
-    the model's eigenvector certificate fails or a pulsed run's cycle^n
+    with the initial code state, read once (_overlap). A cycle count of
+    sys.maxsize or more, whose samples no array can hold, is a ValueError,
+    raised with the state and pulse checks before any eigendecomposition.
+    Raises NumericalDegeneracyError, before the first sample is evaluated,
+    when the model's eigenvector certificate fails or a pulsed run's cycle^n
     drifts past the unitarity tolerance, and, before it returns, when the
     leakage column leaves [0, 1]. A drift in the limit or the free total
     raises the same error, with the same message, at the first read of the
     report's distance_to_limit.
     """
     x, phi0 = _frame_state(model, initial_code_state)
-    pulsed = schedule.pulses is not None
-    if pulsed:
-        _check_pulse(model, schedule.pulses)
     n, tau = schedule.n_cycles, schedule.tau
+    if n >= sys.maxsize:
+        raise ValueError(f"n_cycles = {n} is too large: no array holds its "
+                         "n_cycles + 1 samples")
     # the eigenvectors (in spectra) and a pulsed run's cycle^n are certified
     # before any sample; the limit and a free total wait for the distance
-    if pulsed:
-        totals, live = _pulsed(model, n, tau, phi0)
-    else:
+    if schedule.pulses is None:
         totals, live = None, _free(model, n, tau, phi0)
+    else:
+        _check_pulse(model, schedule.pulses)
+        totals, live = _pulsed(model, n, tau, phi0)
     sectors, states = zip(*live)  # the live views and their states
 
     in_states, in_targets = _code_columns(model, sectors)
@@ -859,9 +853,9 @@ def simulate(
     leakage, fidelity = np.empty(n + 1), np.empty(n + 1)
     for start, parts in zip(range(0, n + 1, OBSERVABLE_BATCH), zip(*states)):
         batch = slice(start, start + len(parts[0]))
-        target = x if targets is None else _target(next(targets), in_targets)
-        leakage[batch], fidelity[batch] = _observables(sectors, parts, target,
-                                                       in_states)
+        c = None if targets is None else _code_rows(next(targets), in_targets)
+        leakage[batch], fidelity[batch] = _observables(sectors, parts, in_states,
+                                                       x, c)
     _certified_leakage(leakage)  # one range check per run
     fidelity[0] = 1.0  # sample 0 compares the initial state with itself
     leakage.flags.writeable = fidelity.flags.writeable = False

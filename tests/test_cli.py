@@ -331,6 +331,20 @@ class TestSimulateAndSweep:
         assert err.startswith("error:") and "finite" in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("free", [False, True], ids=["pulsed", "free"])
+    def test_cycle_count_no_array_holds_is_bad_input(self, tmp_path, capsys,
+                                                    free):
+        # 2^70 samples fit in no array: a config error naming n_cycles,
+        # raised before anything is allocated or any propagator drifts
+        cfg = write_config(tmp_path, schedule={"n_cycles": 2**70,
+                                               "total_time": 2.0})
+        argv = ["simulate", "--config", cfg, "--out", tmp_path / "o.csv"]
+        assert run_cli(argv + ["--free"] * free) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_cycles" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_long_run_never_reports_bad_input(self, tmp_path):
         # dfs2 at joint dim 64 with 4096 cycles: cycle^n can drift past the
         # unitarity tolerance; that is a numerical failure (exit 2), never a
@@ -395,6 +409,29 @@ class TestOutputFileMode:
         assert plain.stat().st_mode & 0o777 == want
         assert out.stat().st_mode & 0o777 == want
         assert pulse.stat().st_mode & 0o777 == want
+
+    def test_never_reads_the_umask(self, tmp_path, monkeypatch):
+        # the process-wide umask is never set, not even to read it
+        def forbidden(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", forbidden)
+        cfg, out = write_config(tmp_path), tmp_path / "o.csv"
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
+        assert out.read_text().startswith(dynamics.REPORT_CSV_HEADER)
+
+    def test_taken_temp_name_is_retried(self, tmp_path, monkeypatch):
+        # a temp name that already exists is skipped, not overwritten
+        draws = [bytes(8), bytes([1] * 8)]
+        monkeypatch.setattr(os, "urandom", lambda k: draws.pop(0))
+        taken = tmp_path / f".tmp_{bytes(8).hex()}"
+        taken.write_text("someone else's")
+        out = tmp_path / "p.json"
+        assert run_cli(["synth", "--code", "dfs2", "--route", "projector",
+                        "--out", out]) == 0
+        assert draws == []
+        assert taken.read_text() == "someone else's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "p.json"]
 
 
 class TestUnwritableOutput:

@@ -10,7 +10,6 @@ from leolab.codes import (
     bare_qubit_code,
     build_code,
     code_labels,
-    collective_spin,
     dfs2_dephasing,
     dfs3_collective,
     dfs4_collective,
@@ -32,11 +31,30 @@ def basis_vec(dim, k):
     return v
 
 
+def kron_chain_spin(n):
+    """Total spin components (Sx, Sy, Sz) of n qubits, each one half the sum
+    over sites of the site's Pauli matrix as a dense kron chain."""
+    paulis = (np.array([[0, 1], [1, 0]], dtype=complex),
+              np.array([[0, -1j], [1j, 0]], dtype=complex),
+              np.array([[1, 0], [0, -1]], dtype=complex))
+    components = []
+    for pauli in paulis:
+        total = np.zeros((2**n, 2**n), dtype=complex)
+        for site in range(n):
+            chain = np.eye(1, dtype=complex)
+            for i in range(n):
+                chain = np.kron(chain, pauli if i == site else np.eye(2))
+            total += chain / 2.0
+        components.append(total)
+    return tuple(components)
+
+
 def dense_ladder_reference(n):
     """Spin sector bases from the dense collective-spin ladder: S+ and S- as
-    Sx +- i Sy, and each rung lowered by the full product S- @ rung."""
+    Sx +- i Sy from kron chains, and each rung lowered by the full product
+    S- @ rung."""
     dim = 2**n
-    sx, sy, _ = collective_spin(n)
+    sx, sy, _ = kron_chain_spin(n)
     s_plus, s_minus = sx + 1j * sy, sx - 1j * sy
     blocks = {}
     for i in range(dim):
@@ -173,17 +191,14 @@ class TestSSquared:
     def test_hermitian_tag(self):
         assert s_squared(2).is_hermitian()
 
-    @pytest.mark.parametrize("build", [s_squared, collective_spin],
-                             ids=["s_squared", "collective_spin"])
     @pytest.mark.parametrize("n", [3.0, "3", None, 0, -1])
-    def test_bad_register_size_is_value_error(self, build, n):
+    def test_bad_register_size_is_value_error(self, n):
         with pytest.raises(ValueError):
-            build(n)
+            s_squared(n)
 
     def test_numpy_integer_register_size(self):
         assert np.array_equal(s_squared(np.int64(3)).mat, s_squared(3).mat)
-        for got, want in zip(collective_spin(np.uint8(2)), collective_spin(2)):
-            assert np.array_equal(got, want)
+        assert np.array_equal(s_squared(np.uint8(2)).mat, s_squared(2).mat)
 
 
 class TestSpinSectors:
@@ -318,31 +333,15 @@ class TestDfsCodes:
 
 
 class TestCollectiveSpin:
-    def test_matches_pauli_sums(self):
-        sx, sy, sz = collective_spin(2)
-        for got, name in ((sx, "X"), (sy, "Y"), (sz, "Z")):
-            expect = 0.5 * (pauli_string(f"{name}I").mat
-                            + pauli_string(f"I{name}").mat)
-            assert np.linalg.norm(got - expect) <= 1e-14
-
-    def test_su2_algebra(self):
-        sx, sy, sz = collective_spin(3)
-        comm = sx @ sy - sy @ sx
-        assert np.linalg.norm(comm - 1j * sz) <= 1e-12
-
     @pytest.mark.parametrize("n", range(1, 9))
     def test_bit_identical_to_kron_chains(self, n):
-        paulis = (np.array([[0, 1], [1, 0]], dtype=complex),
-                  np.array([[0, -1j], [1j, 0]], dtype=complex),
-                  np.array([[1, 0], [0, -1]], dtype=complex))
-        for got, pauli in zip(collective_spin(n), paulis):
-            want = np.zeros((2**n, 2**n), dtype=complex)
-            for site in range(n):
-                chain = np.eye(1, dtype=complex)
-                for i in range(n):
-                    chain = np.kron(chain, pauli if i == site else np.eye(2))
-                want += chain / 2.0
-            assert np.array_equal(got, want)
+        # S+ S- + Sz^2 - Sz from the exact 0/1 lowering operator equals the
+        # kron-chain Sx^2 + Sy^2 + Sz^2, symmetrized, byte for byte
+        sx, sy, sz = kron_chain_spin(n)
+        want = sx @ sx + sy @ sy + sz @ sz
+        want = (want + want.conj().T) / 2.0
+        assert s_squared(n).mat.tobytes() == want.tobytes()
+        assert np.array_equal(codes._lowering(n), sx - 1j * sy)
 
 
 class TestDualRail:

@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import sys
 import threading
 import weakref
 
@@ -105,6 +106,36 @@ class TestParityKickSchedule:
     def test_numpy_integer_cycles_accepted(self):
         s = ParityKickSchedule(np.int64(3), 0.1, None)
         assert s.n_cycles == 3 and type(s.n_cycles) is int
+
+
+class TestCycleCountTooLarge:
+    """A cycle count of sys.maxsize or more has samples no array can hold:
+    simulate rejects it with the other input checks, before any
+    eigendecomposition, pulsed or free."""
+
+    @pytest.mark.parametrize("n", [sys.maxsize, 2**70], ids=["maxsize", "2^70"])
+    @pytest.mark.parametrize("pulsed", [True, False])
+    def test_value_error_before_spectra(self, n, pulsed):
+        m = benchmark_model()
+        sched = ParityKickSchedule(n, 2.0 / (2 * n),
+                                   exchange_dfs2_leo() if pulsed else None)
+        with pytest.raises(ValueError, match="n_cycles"):
+            simulate(m, sched, code_state(m))
+        assert "_frame_blocks" not in vars(m)  # spectra never formed
+
+    def test_largest_indexable_count_passes_the_check(self, monkeypatch):
+        # sys.maxsize - 1 is not rejected here: the run goes on to step
+        class Stepped(Exception):
+            pass
+
+        def free(*args):
+            raise Stepped
+
+        monkeypatch.setattr(dynamics, "_free", free)
+        m = benchmark_model()
+        sched = ParityKickSchedule(sys.maxsize - 1, 1e-20, None)
+        with pytest.raises(Stepped):
+            simulate(m, sched, code_state(m))
 
 
 class TestParityKickUnitary:
@@ -828,17 +859,19 @@ class TestBatchedObservables:
     def test_decoherence_free_runs_form_no_target(self, monkeypatch, pulsed):
         # the overlap with x needs neither a target nor an R factor; the
         # other runs step one target stack per batch, and a qubit code
-        # factors it and the states' code rows
-        targets = counting(monkeypatch, "_target")
+        # factors its code rows (_observables' c) and the states'
+        observed = counting(monkeypatch, "_observables")
         factors = counting(monkeypatch, "_gram_schmidt_r")
         for case, build in sorted(self.CASES.items()):
             m, pulse = build()
             sched = ParityKickSchedule(600, 0.0015, (pulse or projector_leo(m.code))
                                        if pulsed else None)
-            targets.clear()
+            observed.clear()
             factors.clear()
             sup = (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
             simulate(m, sched, sup)
+            assert len(observed) == 3, case
+            targets = [args[4] for args in observed if args[4] is not None]
             if case not in self.STEPPED:
                 assert targets == [] and factors == [], case
             else:  # batches from 0, 256 and 512
@@ -1065,7 +1098,7 @@ class TestOtherCodeDimsKeepSvdPath:
     def test_linear_optics_fidelity_unchanged(self, monkeypatch, bath_dim, pulsed):
         m = linear_optics_model(seed=5, g=0.2, bath_dim=bath_dim)
         batches, targets = [], []
-        observables, target = dynamics._observables, dynamics._target
+        observables = dynamics._observables
 
         def scattered(parts):
             # the code rows of a stack, each sector's on its own frame rows
@@ -1076,16 +1109,13 @@ class TestOtherCodeDimsKeepSvdPath:
                 phis[:, code_rows] = part[:, :, :sector.n_code]
             return phis
 
-        def spy(model, parts, *args):
+        def spy(sectors, parts, columns, x, c):
+            # c: the stepped targets' code rows, in frame code order
             batches.append(scattered(parts))
-            return observables(model, parts, *args)
-
-        def target_spy(stacks, *args):
-            targets.append(scattered(stacks))
-            return target(stacks, *args)
+            targets.append(np.stack(c, axis=1))
+            return observables(sectors, parts, columns, x, c)
 
         monkeypatch.setattr(dynamics, "_observables", spy)
-        monkeypatch.setattr(dynamics, "_target", target_spy)
         pulse = projector_leo(m.code) if pulsed else None
         rep = simulate(m, ParityKickSchedule(300, 0.003, pulse), code_state(m, 2))
         assert not m.decoherence_free  # targets are stepped: one per batch
@@ -1108,13 +1138,14 @@ class TestOtherCodeDimsKeepSvdPath:
                     random_hermitian(bath_dim, 22))],
             bath_dim=bath_dim, free_bath=random_hermitian(bath_dim, 23))
         assert m.decoherence_free and m.code.code_dim == 4
-        svd, targets = (counting(monkeypatch, name)
-                        for name in ("_nuclear_norm", "_target"))
+        svd, observed = (counting(monkeypatch, name)
+                         for name in ("_nuclear_norm", "_observables"))
         pulse = projector_leo(code) if pulsed else None
         sched = ParityKickSchedule(300, 0.03, pulse)
         state = code.basis @ np.array([0.5, 0.5j, -0.5, 0.5])
         rep = simulate(m, sched, state)
-        assert svd == [] and targets == []
+        assert svd == [] and len(observed) == 2
+        assert all(args[4] is None for args in observed)  # no target
         leaks, fids = per_sample_reference(m, sched, state)
         assert max(leaks) > 1e-6 and min(fids) < 1.0 - 1e-6  # the run moves
         np.testing.assert_allclose(rep.code_fidelity, fids, rtol=1e-12, atol=1e-12)
@@ -1745,21 +1776,28 @@ class TestPairs:
     @pytest.mark.parametrize("case", CASES)
     def test_pair_form_round_trips(self, case):
         # any halves: _frame_block and _diagonal_blocks invert each other,
-        # and the half-row product of two frame blocks is their product
+        # and the half-row product of two frame blocks is their product; an
+        # unpaired sector's frame block is its one block, unchanged
         m = PAIR_MODELS[case][0]()
         rng = np.random.default_rng(5)
-        for sector in (s for s in m.spectra if s.zeta is not None):
+        for sector in m.spectra:
+            if sector.zeta is None:
+                block = random_unitary(sector.rows.shape[1], rng)
+                assert dynamics._frame_block(sector, [block]) is block
+                (diagonal,) = dynamics._diagonal_blocks(sector, block)
+                assert diagonal is block
+                continue
             h = sector.n_code
             plus, minus, other, another = (random_unitary(h, rng) for _ in range(4))
-            a = dynamics._frame_block(sector, plus, minus)
-            b = dynamics._frame_block(sector, other, another)
+            a = dynamics._frame_block(sector, [plus, minus])
+            b = dynamics._frame_block(sector, [other, another])
             for got, want in zip(dynamics._diagonal_blocks(sector, a), (plus, minus)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
             np.testing.assert_allclose(dynamics._product(sector)(a, b), a @ b,
                                        rtol=0, atol=1e-14)
             np.testing.assert_allclose(
-                dynamics._frame_block(sector, plus @ other, minus @ another), a @ b,
-                rtol=0, atol=1e-14)
+                dynamics._frame_block(sector, [plus @ other, minus @ another]),
+                a @ b, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("case", CASES)
     def test_free_batches_are_frame_rows(self, case):
