@@ -50,15 +50,11 @@ EXIT_NUMERICAL = 2
 _PROBE_SPEC = re.compile(r"^random:(\d+):seed=(\d+)$")
 
 
-class ConfigError(ValueError):
-    """Invalid command line, config file, or input combination."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; route that through the
     # validation-error path instead
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def load_json(path: str) -> dict:
@@ -66,15 +62,15 @@ def load_json(path: str) -> dict:
         with open(path) as fh:
             text = fh.read()
     except OSError as err:
-        raise ConfigError(f"cannot read {path}: {err}") from err
+        raise ValueError(f"cannot read {path}: {err}") from err
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
-        raise ConfigError(
+        raise ValueError(
             f"{path}:{err.lineno}:{err.colno}: invalid JSON: {err.msg}"
         ) from err
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top-level JSON value must be an object")
+        raise ValueError(f"{path}: top-level JSON value must be an object")
     return data
 
 
@@ -83,7 +79,7 @@ def _atomic_write_text(path: str, text: str) -> None:
     file. The temp file is created exclusively under a fresh random name
     with mode 0o666, which the kernel reduces by the umask, so the file gets
     the mode open(path, "w") would create it with. A path it cannot write
-    (no such directory, a directory) is a ConfigError."""
+    (no such directory, a directory) is a ValueError."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         while True:
@@ -103,7 +99,7 @@ def _atomic_write_text(path: str, text: str) -> None:
             raise
     except OSError as err:
         # strerror alone: the full message names the random temp file
-        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
+        raise ValueError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _dump_json(path: str, data: dict) -> None:
@@ -194,7 +190,7 @@ def _run_decompose(args: argparse.Namespace) -> int:
         return EXIT_OK
     n_qubits = code.ambient_dim.bit_length() - 1
     if 2**n_qubits != code.ambient_dim:
-        raise ConfigError(
+        raise ValueError(
             f"code {code.label!r} has ambient dim {code.ambient_dim}, not a "
             f"qubit register; pass --operator for a single decomposition"
         )
@@ -238,7 +234,7 @@ def _run_synth(args: argparse.Namespace) -> int:
 def _parse_probes(spec: str, dim: int) -> list[Operator]:
     m = _PROBE_SPEC.match(spec)
     if not m:
-        raise ConfigError(
+        raise ValueError(
             f"bad probe spec {spec!r}; expected random:<count>:seed=<seed>"
         )
     return leo_mod.random_probes(dim, int(m.group(1)), int(m.group(2)))
@@ -250,13 +246,13 @@ def _run_verify(args: argparse.Namespace) -> int:
         label = args.code or json_str(data.get("code_label", ""))
         stated = json_complex(data["phase"]) if "phase" in data else None
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"malformed pulse record: {err}") from err
+        raise ValueError(f"malformed pulse record: {err}") from err
     if not label:
-        raise ConfigError("no code label: pass --code or use a pulse JSON")
+        raise ValueError("no code label: pass --code or use a pulse JSON")
     code = codes_mod.build_code(label)
     candidate = operator_from_json(data)
     if candidate.dim != code.ambient_dim:
-        raise ConfigError(
+        raise ValueError(
             f"operator dim {candidate.dim} does not match code "
             f"{code.label} (ambient {code.ambient_dim})"
         )
@@ -289,13 +285,13 @@ def _initial_state(config: dict, code) -> np.ndarray:
     if isinstance(spec, str):
         m = re.match(r"^code:(\d+)$", spec)
         if not m:
-            raise ConfigError(
+            raise ValueError(
                 f"bad initial_state {spec!r}; expected code:<k> or an object "
                 f"with re/im arrays"
             )
         k = int(m.group(1))
         if k >= code.code_dim:
-            raise ConfigError(
+            raise ValueError(
                 f"initial_state index {k} out of range for code dim "
                 f"{code.code_dim}"
             )
@@ -304,24 +300,24 @@ def _initial_state(config: dict, code) -> np.ndarray:
         re_part, im_part = spec.get("re"), spec.get("im")
         if not (isinstance(re_part, list) and isinstance(im_part, list)
                 and len(re_part) == len(im_part)):
-            raise ConfigError(
+            raise ValueError(
                 "initial_state object needs 're' and 'im' lists of equal length"
             )
         try:
             return (np.array([json_number(x) for x in re_part])
                     + 1j * np.array([json_number(x) for x in im_part]))
         except (TypeError, ValueError) as err:
-            raise ConfigError(f"bad initial_state object: {err}") from err
-    raise ConfigError("initial_state must be a string or an object")
+            raise ValueError(f"bad initial_state object: {err}") from err
+    raise ValueError("initial_state must be a string or an object")
 
 
 def _pulse_for_model(config: dict, model):
     pulse_cfg = config.get("leo", {})
     if not isinstance(pulse_cfg, dict):
-        raise ConfigError("'leo' must be an object with a 'route'")
+        raise ValueError("'leo' must be an object with a 'route'")
     for key in ("route", "sigma", "generator"):
         if not isinstance(pulse_cfg.get(key), (str, type(None))):
-            raise ConfigError(f"'leo' {key} must be a string")
+            raise ValueError(f"'leo' {key} must be a string")
     return _synthesize(pulse_cfg.get("route", "projector"), model.code,
                        pulse_cfg.get("sigma"), pulse_cfg.get("generator"))
 
@@ -331,22 +327,22 @@ def _schedule_params(config: dict) -> tuple[int, float, float]:
     where the schedule gives one, else 2 n_cycles tau."""
     sched = config.get("schedule")
     if not isinstance(sched, dict):
-        raise ConfigError("config needs a 'schedule' object")
+        raise ValueError("config needs a 'schedule' object")
     n_cycles = parsed(json_int, sched, "n_cycles")
     has_tau = "tau" in sched
     has_total = "total_time" in sched
     if has_tau == has_total:
-        raise ConfigError("schedule needs exactly one of 'tau' or 'total_time'")
+        raise ValueError("schedule needs exactly one of 'tau' or 'total_time'")
     if has_tau:
         tau = parsed(json_number, sched, "tau")
         total = 2 * n_cycles * tau
     else:
         total = parsed(json_number, sched, "total_time")
         if n_cycles < 1:
-            raise ConfigError("total_time schedules need n_cycles >= 1")
+            raise ValueError("total_time schedules need n_cycles >= 1")
         tau = total / (2 * n_cycles)
     if not (tau > 0 and math.isfinite(tau)):
-        raise ConfigError("schedule tau must be positive and finite")
+        raise ValueError("schedule tau must be positive and finite")
     return n_cycles, tau, total
 
 

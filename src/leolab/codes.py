@@ -3,7 +3,7 @@
 A code subspace is an isometry from logical coordinates into an ambient
 Hilbert space. The builders here cover the registers used throughout:
 the lowest two levels of a multilevel mode, the two-qubit dephasing-free
-pair span{|01>, |10|}, collective-spin subspaces of three and four qubits
+pair span{|01>, |10>}, collective-spin subspaces of three and four qubits
 obtained from the total-spin sector decomposition, and the dual-rail
 two-photon code on four bosonic modes.
 
@@ -18,14 +18,13 @@ between one and two threads.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, sqrt
 
 import numpy as np
 
-from .opalg import Operator
+from .opalg import Operator, _index
 
 ISOMETRY_TOL = 1e-12
 SUBSPACE_TOL = 1e-10  # Frobenius distance between projectors of one subspace
@@ -163,17 +162,7 @@ def dfs2_dephasing() -> CodeSubspace:
 # ---------------------------------------------------------------------------
 
 
-def _register_size(n_qubits) -> int:
-    """n_qubits as an int of at least 1 (numpy integers included); anything
-    else is a ValueError."""
-    try:
-        n_qubits = operator.index(n_qubits)
-    except TypeError:
-        raise ValueError("supported register sizes are whole numbers of "
-                         f"qubits, got {n_qubits!r}") from None
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    return n_qubits
+_WHOLE_QUBITS = "supported register sizes are whole numbers of qubits"
 
 
 def _lowering(n_qubits: int) -> np.ndarray:
@@ -198,7 +187,9 @@ def s_squared(n_qubits: int) -> Operator:
     multiple of 1/4, so S^2 is bit-identical to Sx^2 + Sy^2 + Sz^2 formed
     from kron chains. n_qubits is an int of at least 1 (numpy integers
     included); anything else is a ValueError."""
-    n_qubits = _register_size(n_qubits)
+    n_qubits = _index(n_qubits, _WHOLE_QUBITS)
+    if n_qubits < 1:
+        raise ValueError("need at least one qubit")
     s_minus = _lowering(n_qubits)
     sz = n_qubits / 2 - np.array([bin(i).count("1") for i in range(2**n_qubits)])
     m = s_minus.T @ s_minus + np.diag(sz * sz - sz)
@@ -284,7 +275,7 @@ def spin_sector_decomposition(n_qubits: int) -> SpinSectorDecomposition:
     n_qubits is an int from 2 to 8 (numpy integers included); anything
     else is a ValueError.
     """
-    n_qubits = _register_size(n_qubits)
+    n_qubits = _index(n_qubits, _WHOLE_QUBITS)
     if not 2 <= n_qubits <= 8:
         raise ValueError("supported register sizes are 2..8 qubits")
     dim = 2**n_qubits

@@ -91,7 +91,6 @@ its distance to the sweep's one limit; it takes no samples
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -104,6 +103,7 @@ from .models import Sector, SystemBathModel
 from .opalg import (
     NumericalDegeneracyError,
     Operator,
+    _index,
     _spectral_matrix,
     certified_blocks,
     computed_unitary,
@@ -115,22 +115,12 @@ FIDELITY_CLAMP_TOL = 1e-9   # fidelities below 1 + this are clamped to 1
 OBSERVABLE_BATCH = 256      # samples per batched leakage/fidelity evaluation
 assert OBSERVABLE_BATCH & (OBSERVABLE_BATCH - 1) == 0, "a power of two"
 
-REPORT_CSV_HEADER = "step,elapsed_time,leakage_population,code_fidelity"
-SWEEP_CSV_HEADER = "n,tau,final_leakage,distance_to_limit"
 
-
-def _cycle_count(n) -> int:
-    """n as an int (numpy integers included); anything else is a ValueError."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise ValueError(f"cycle counts must be integers, got {n!r}") from None
-
-
-def _csv_text(header: str, rows) -> str:
-    """header, then one line per row, a tuple of numbers each at %.17g."""
-    row = ",".join(["%.17g"] * (header.count(",") + 1))
-    return "\n".join([header, *(row % r for r in rows)]) + "\n"
+def _csv_text(fields: tuple[str, ...], rows) -> str:
+    """The field names as a header, then one line per row, a tuple of
+    numbers each at %.17g."""
+    row = ",".join(["%.17g"] * len(fields))
+    return "\n".join([",".join(fields), *(row % r for r in rows)]) + "\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +136,8 @@ class ParityKickSchedule:
     pulses: LeakageEliminationOperator | None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_cycles", _cycle_count(self.n_cycles))
+        object.__setattr__(self, "n_cycles",
+                           _index(self.n_cycles, "cycle counts must be integers"))
         if self.n_cycles < 0:
             raise ValueError("n_cycles must be nonnegative")
         if not (self.tau > 0.0 and np.isfinite(self.tau)):
@@ -210,7 +201,7 @@ class SimulationReport:
         return float(self.leakage_population[-1])
 
     def csv_text(self) -> str:
-        return _csv_text(REPORT_CSV_HEADER, self._rows())
+        return _csv_text(SimulationSample._fields, self._rows())
 
 
 class SweepRow(NamedTuple):
@@ -225,7 +216,7 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
     def csv_text(self) -> str:
-        return _csv_text(SWEEP_CSV_HEADER, self.rows)
+        return _csv_text(SweepRow._fields, self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -814,9 +805,10 @@ def simulate(
     The target is stepped only when the model's code block acts on the
     code; for a decoherence-free model (model.decoherence_free) it is the
     initial code state times a bath state, and the fidelity is the overlap
-    with the initial code state, read once (_overlap). A cycle count of
-    sys.maxsize or more, whose samples no array can hold, is a ValueError,
-    raised with the state and pulse checks before any eigendecomposition.
+    with the initial code state, read once (_overlap). A cycle count whose
+    n_cycles + 1 samples no float64 column can hold (more than
+    sys.maxsize // 8, at 8 bytes each) is a ValueError, raised with the
+    state and pulse checks before any eigendecomposition.
     Raises NumericalDegeneracyError, before the first sample is evaluated,
     when the model's eigenvector certificate fails or a pulsed run's cycle^n
     drifts past the unitarity tolerance, and, before it returns, when the
@@ -826,7 +818,7 @@ def simulate(
     """
     x, phi0 = _frame_state(model, initial_code_state)
     n, tau = schedule.n_cycles, schedule.tau
-    if n >= sys.maxsize:
+    if n + 1 > sys.maxsize // 8:
         raise ValueError(f"n_cycles = {n} is too large: no array holds its "
                          "n_cycles + 1 samples")
     # the eigenvectors (in spectra) and a pulsed run's cycle^n are certified
@@ -888,7 +880,7 @@ def sweep_cycles(
         raise ValueError("schedule has no pulses; a sweep compares pulsed runs")
     if not (total_free_time > 0 and np.isfinite(total_free_time)):
         raise ValueError("total_free_time must be positive and finite")
-    ns = [_cycle_count(n) for n in n_list]
+    ns = [_index(n, "cycle counts must be integers") for n in n_list]
     if not ns or any(n < 1 for n in ns) or ns != sorted(set(ns)):
         raise ValueError("n_list must be strictly ascending positive integers")
     _, phi0 = _frame_state(model, initial_code_state)

@@ -65,6 +65,7 @@ from .opalg import (
     json_bool,
     json_int,
     json_number,
+    json_str,
     pauli_string,
     random_hermitian,
 )
@@ -283,22 +284,26 @@ class SystemBathModel:
         code: CodeSubspace,
         terms: Sequence[tuple[float, Operator, Operator]],
         *,
-        bath_dim: int,
         free_bath: Operator | None = None,
     ) -> "SystemBathModel":
         """Assemble H_joint = sum of w kron(S, B) over (weight w, system
-        factor S, bath factor B) terms, plus kron(I, free_bath)."""
+        factor S, bath factor B) terms, plus kron(I, free_bath). The bath
+        dim is the first term's bath factor's, else free_bath's: a call
+        with neither, or a bath factor of another dim, is a ValueError."""
+        if not terms and free_bath is None:
+            raise ValueError("from_terms needs a term or a free bath")
+        b = terms[0][2].dim if terms else free_bath.dim
         s = code.ambient_dim
-        h = np.zeros((s * bath_dim, s * bath_dim), dtype=complex)
+        h = np.zeros((s * b, s * b), dtype=complex)
         for weight, sys_op, bath_op in terms:
             if sys_op.dim != s:
                 raise DimensionMismatchError(
                     f"system factor dim {sys_op.dim}, code ambient dim {s}")
-            if bath_op.dim != bath_dim:
+            if bath_op.dim != b:
                 raise ValueError("bath factor dimension mismatch")
             h += weight * np.kron(sys_op.mat, bath_op.mat)
         if free_bath is not None:
-            if free_bath.dim != bath_dim:
+            if free_bath.dim != b:
                 raise ValueError("free bath Hamiltonian dimension mismatch")
             h += np.kron(np.eye(s), free_bath.mat)
         return cls(code, Operator(h, frozenset({"hermitian"})))
@@ -322,7 +327,7 @@ def _split_bath_model(code: CodeSubspace, h_sys: Operator,
         b_l = random_hermitian(bath_dim, seeds[2])
     h_bath = random_hermitian(bath_dim, seeds[3])
     terms = [(g, dec.e_part, b_c), (g, dec.eperp_part, b_perp), (g, dec.l_part, b_l)]
-    return SystemBathModel.from_terms(code, terms, bath_dim=bath_dim, free_bath=h_bath)
+    return SystemBathModel.from_terms(code, terms, free_bath=h_bath)
 
 
 def hopping_model(
@@ -361,7 +366,7 @@ def linear_optics_model(
     lifted = codes_mod.lift_quadratic(random_hermitian(4, seed).mat)
     if bath_dim == 1:
         one = Operator(np.ones((1, 1), dtype=complex), frozenset({"hermitian"}))
-        return SystemBathModel.from_terms(code, [(g, lifted, one)], bath_dim=1)
+        return SystemBathModel.from_terms(code, [(g, lifted, one)])
     return _split_bath_model(code, lifted, g, seed, bath_dim, shared_bath)
 
 
@@ -404,24 +409,19 @@ def dfs2_leakage_model(
              random_hermitian(bath_dim, seeds[-2]))
         )
     h_bath = random_hermitian(bath_dim, seeds[-1])
-    return SystemBathModel.from_terms(code, terms, bath_dim=bath_dim,
-                                      free_bath=h_bath)
+    return SystemBathModel.from_terms(code, terms, free_bath=h_bath)
 
 
 # ---------------------------------------------------------------------------
 # config-driven construction
 # ---------------------------------------------------------------------------
 
-MODEL_NAMES = ("hopping", "linear_optics", "dfs2_leakage")
 
-
-def parsed(cast, mapping: Mapping, key: str, default=None):
-    """cast(mapping[key]), or default when key is absent (None: required);
-    a missing or rejected value is a ValueError that names key."""
+def parsed(cast, mapping: Mapping, key: str):
+    """cast(mapping[key]); a missing or rejected value is a ValueError that
+    names key."""
     if key not in mapping:
-        if default is None:
-            raise ValueError(f"config needs {key!r}")
-        return default
+        raise ValueError(f"config needs {key!r}")
     try:
         return cast(mapping[key])
     except (TypeError, ValueError) as err:
@@ -435,12 +435,31 @@ def _finite(value) -> float:
     return x
 
 
+def _labels(value) -> list[str]:
+    """A sequence of JSON strings; a bare string is refused, not read as
+    its letters."""
+    if isinstance(value, str) or not isinstance(value, Sequence):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return [json_str(label) for label in value]
+
+
+_PARAMS = {
+    "hopping": {"n_levels": json_int, "shared_bath": json_bool},
+    "linear_optics": {"shared_bath": json_bool},
+    "dfs2_leakage": {"leak_set": _labels, "shared_bath": json_bool,
+                     "collective_strength": _finite},
+}
+MODEL_NAMES = tuple(_PARAMS)
+
+
 def model_from_config(config: Mapping) -> SystemBathModel:
     """Build a model from the JSON config layout.
 
-    Expected keys: "model" (one of hopping / linear_optics / dfs2_leakage),
-    "g", "seed", optional "bath_dim", and a "params" object with the
-    model-specific fields.
+    Expected keys: "model" (one of MODEL_NAMES), "g", "seed", optional
+    "bath_dim", and a "params" object with the model-specific fields
+    (_PARAMS); dfs2_leakage needs "leak_set". Only the optional keys a
+    config gives reach the builder, so its signature holds their defaults;
+    hopping_model has none for n_levels, which is 4 here.
     """
     if not isinstance(config, Mapping):
         raise ValueError("model config must be an object")
@@ -452,39 +471,22 @@ def model_from_config(config: Mapping) -> SystemBathModel:
     params = config.get("params", {})
     if not isinstance(params, Mapping):
         raise ValueError("model params must be an object")
-    allowed = {
-        "hopping": {"n_levels", "shared_bath"},
-        "linear_optics": {"shared_bath"},
-        "dfs2_leakage": {"leak_set", "shared_bath", "collective_strength"},
-    }[name]
-    unknown = sorted(set(params) - allowed)
+    readers = _PARAMS[name]
+    unknown = sorted(set(params) - set(readers))
     if unknown:
         raise ValueError(
             f"unknown params for model {name!r}: {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(allowed))}"
+            f"allowed: {', '.join(sorted(readers))}"
         )
     g = parsed(_finite, config, "g")
     seed = parsed(json_int, config, "seed")
-    shared_bath = parsed(json_bool, params, "shared_bath", False)
-    bath_dim = parsed(json_int, config, "bath_dim",
-                      1 if name == "linear_optics" else 4)
+    given = {key: parsed(readers[key], params, key) for key in params}
+    if "bath_dim" in config:
+        given["bath_dim"] = parsed(json_int, config, "bath_dim")
     if name == "hopping":
-        return hopping_model(
-            parsed(json_int, params, "n_levels", 4), seed, g,
-            bath_dim=bath_dim, shared_bath=shared_bath,
-        )
+        return hopping_model(given.pop("n_levels", 4), seed, g, **given)
     if name == "linear_optics":
-        return linear_optics_model(
-            seed, g, bath_dim=bath_dim, shared_bath=shared_bath,
-        )
-    leak_set = params.get("leak_set")
-    if not isinstance(leak_set, Sequence) or isinstance(leak_set, str):
-        raise ValueError("dfs2_leakage params need a 'leak_set' list")
-    return dfs2_leakage_model(
-        [str(s) for s in leak_set],
-        g,
-        seed,
-        bath_dim=bath_dim,
-        shared_bath=shared_bath,
-        collective_strength=parsed(_finite, params, "collective_strength", 0.0),
-    )
+        return linear_optics_model(seed, g, **given)
+    if "leak_set" not in given:
+        raise ValueError("config needs 'leak_set'")
+    return dfs2_leakage_model(g=g, bath_seed=seed, **given)

@@ -14,6 +14,7 @@ only. Sparse storage and non-Hermitian exponentials are out of scope.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -279,6 +280,15 @@ def random_hermitian(dim: int, seed: int) -> Operator:
 def derived_seeds(base: int, count: int) -> list[int]:
     """Reproducible child seeds for families of independent random operators."""
     return [int(s) for s in np.random.SeedSequence(int(base)).generate_state(count)]
+
+
+def _index(value, message: str) -> int:
+    """value as an int (numpy integers included); anything else is
+    ValueError("<message>, got <value!r>")."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{message}, got {value!r}") from None
 
 
 def json_int(value) -> int:

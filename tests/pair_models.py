@@ -27,7 +27,7 @@ def code_acting_pair():
     return SystemBathModel.from_terms(
         dfs2_dephasing(), [(0.2, pauli_string("XI"), random_hermitian(4, 12)),
                            (0.2, pauli_string("IZ"), random_hermitian(4, 11))],
-        bath_dim=4, free_bath=random_hermitian(4, 13))
+        free_bath=random_hermitian(4, 13))
 
 
 def one_ulp_off():
@@ -37,7 +37,7 @@ def one_ulp_off():
     the two sectors stop being copies; the other sector still pairs."""
     m = SystemBathModel.from_terms(
         dfs2_dephasing(), [(0.2, pauli_string("XI"), random_hermitian(4, 3))],
-        bath_dim=4, free_bath=random_hermitian(4, 4))
+        free_bath=random_hermitian(4, 4))
     h = m.h_joint.mat.copy()
     h[4, 13] = complex(np.nextafter(h[4, 13].real, np.inf), h[4, 13].imag)
     return SystemBathModel(m.code, Operator(h, frozenset({"hermitian"})))

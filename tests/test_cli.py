@@ -331,12 +331,15 @@ class TestSimulateAndSweep:
         assert err.startswith("error:") and "finite" in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("n", [2**60 - 1, 2**62, 2**70],
+                             ids=["2^60-1", "2^62", "2^70"])
     @pytest.mark.parametrize("free", [False, True], ids=["pulsed", "free"])
     def test_cycle_count_no_array_holds_is_bad_input(self, tmp_path, capsys,
-                                                    free):
-        # 2^70 samples fit in no array: a config error naming n_cycles,
-        # raised before anything is allocated or any propagator drifts
-        cfg = write_config(tmp_path, schedule={"n_cycles": 2**70,
+                                                    free, n):
+        # from 2^60 - 1 on, the n + 1 float64 samples fit in no array: a
+        # config error naming n_cycles, raised before anything is allocated
+        # or any propagator drifts
+        cfg = write_config(tmp_path, schedule={"n_cycles": n,
                                                "total_time": 2.0})
         argv = ["simulate", "--config", cfg, "--out", tmp_path / "o.csv"]
         assert run_cli(argv + ["--free"] * free) == 1
@@ -418,7 +421,8 @@ class TestOutputFileMode:
         monkeypatch.setattr(os, "umask", forbidden)
         cfg, out = write_config(tmp_path), tmp_path / "o.csv"
         assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
-        assert out.read_text().startswith(dynamics.REPORT_CSV_HEADER)
+        assert out.read_text().startswith(
+            "step,elapsed_time,leakage_population,code_fidelity\n")
 
     def test_taken_temp_name_is_retried(self, tmp_path, monkeypatch):
         # a temp name that already exists is skipped, not overwritten

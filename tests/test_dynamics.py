@@ -65,13 +65,13 @@ def code_acting_model():
     return SystemBathModel.from_terms(
         dfs2_dephasing(), [(0.2, logical_ops_dfs2().x, random_hermitian(4, 11)),
                            (0.2, pauli_string("XI"), random_hermitian(4, 12))],
-        bath_dim=4, free_bath=random_hermitian(4, 13))
+        free_bath=random_hermitian(4, 13))
 
 
 def pure_leakage_model():
     b = random_hermitian(2, 17)
     return SystemBathModel.from_terms(
-        dfs2_dephasing(), [(0.4, pauli_string("XI"), b)], bath_dim=2)
+        dfs2_dephasing(), [(0.4, pauli_string("XI"), b)])
 
 
 class TestParityKickSchedule:
@@ -109,11 +109,12 @@ class TestParityKickSchedule:
 
 
 class TestCycleCountTooLarge:
-    """A cycle count of sys.maxsize or more has samples no array can hold:
-    simulate rejects it with the other input checks, before any
-    eigendecomposition, pulsed or free."""
+    """A cycle count whose n + 1 float64 samples no array can hold (n + 1
+    over sys.maxsize // 8) is rejected by simulate with the other input
+    checks, before any eigendecomposition, pulsed or free."""
 
-    @pytest.mark.parametrize("n", [sys.maxsize, 2**70], ids=["maxsize", "2^70"])
+    @pytest.mark.parametrize("n", [2**60 - 1, 2**62, sys.maxsize, 2**70],
+                             ids=["2^60-1", "2^62", "maxsize", "2^70"])
     @pytest.mark.parametrize("pulsed", [True, False])
     def test_value_error_before_spectra(self, n, pulsed):
         m = benchmark_model()
@@ -123,8 +124,9 @@ class TestCycleCountTooLarge:
             simulate(m, sched, code_state(m))
         assert "_frame_blocks" not in vars(m)  # spectra never formed
 
-    def test_largest_indexable_count_passes_the_check(self, monkeypatch):
-        # sys.maxsize - 1 is not rejected here: the run goes on to step
+    def test_largest_holdable_count_passes_the_check(self, monkeypatch):
+        # 2^60 - 2 is not rejected here: the run goes on to step, patched so
+        # that nothing is allocated
         class Stepped(Exception):
             pass
 
@@ -133,7 +135,7 @@ class TestCycleCountTooLarge:
 
         monkeypatch.setattr(dynamics, "_free", free)
         m = benchmark_model()
-        sched = ParityKickSchedule(sys.maxsize - 1, 1e-20, None)
+        sched = ParityKickSchedule(2**60 - 2, 1e-20, None)
         with pytest.raises(Stepped):
             simulate(m, sched, code_state(m))
 
@@ -648,6 +650,10 @@ class TestSimulate:
         assert first[0] == "0" and float(first[2]) == 0.0
 
 
+REPORT_HEADER = "step,elapsed_time,leakage_population,code_fidelity"
+SWEEP_HEADER = "n,tau,final_leakage,distance_to_limit"
+
+
 def per_field_csv(header, rows):
     """The CSV as one f"{x:.17g}" per named field, the format the report's
     row format must reproduce byte for byte."""
@@ -664,13 +670,13 @@ class TestReportColumns:
     def test_csv_matches_per_field_format(self):
         col = np.array(self.EDGES)
         rep = dynamics.SimulationReport(0.1, col, col[::-1].copy(), lambda: 0.0)
-        assert rep.csv_text() == per_field_csv(dynamics.REPORT_CSV_HEADER,
+        assert rep.csv_text() == per_field_csv(REPORT_HEADER,
                                                rep.samples)
         rows = tuple(dynamics.SweepRow(n, tau, leak, d) for n, tau, leak, d in
                      zip([1, 2, 3, 2**17, 2**20], self.EDGES, self.EDGES[::-1],
                          self.EDGES[1:] + self.EDGES[:1]))
         table = dynamics.SweepTable(rows)
-        assert table.csv_text() == per_field_csv(dynamics.SWEEP_CSV_HEADER, rows)
+        assert table.csv_text() == per_field_csv(SWEEP_HEADER, rows)
         assert table.csv_text().splitlines()[-1] == "1048576,0.10000000000000001,0,0"
 
     @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
@@ -686,7 +692,7 @@ class TestReportColumns:
             rep.leakage_population.tolist(), rep.code_fidelity.tolist()))
         assert all(type(s) is dynamics.SimulationSample for s in samples)
         assert rep.final_leakage == samples[-1].leakage_population
-        assert rep.csv_text() == per_field_csv(dynamics.REPORT_CSV_HEADER,
+        assert rep.csv_text() == per_field_csv(REPORT_HEADER,
                                                samples)
 
     @pytest.mark.parametrize("column", ["leakage_population", "code_fidelity"])
@@ -763,7 +769,7 @@ def dense_frame_model(code, bath_dim=3):
     s = code.ambient_dim
     terms = [(0.3, random_hermitian(s, 10 + i), random_hermitian(bath_dim, 20 + i))
              for i in range(3)]
-    return SystemBathModel.from_terms(code, terms, bath_dim=bath_dim,
+    return SystemBathModel.from_terms(code, terms,
                                       free_bath=random_hermitian(bath_dim, 30))
 
 
@@ -815,13 +821,79 @@ class TestCodeFrame:
         # limit is the free evolution
         code = CodeSubspace("full", np.eye(2, dtype=complex))
         b = random_hermitian(3, 4)
-        m = SystemBathModel.from_terms(code, [(0.3, pauli_string("X"), b)],
-                                       bath_dim=3)
+        m = SystemBathModel.from_terms(code, [(0.3, pauli_string("X"), b)])
         assert [(len(s.blocks[0][0]), len(s.code[0]), len(s.complement[0]))
                 for s in m.spectra] == [(6, 6, 0)]
         rep = simulate(m, ParityKickSchedule(5, 0.1, None), code.basis[:, 0])
         assert all(s.leakage_population == 0.0 for s in rep.samples)
         assert rep.distance_to_limit <= 1e-14
+
+
+def floquet_hamiltonian(c, tau):
+    """H_F with c = exp(-2i tau H_F), one cycle over time 2 tau: V from eigh
+    of (c - c^dag)/2i, theta = angle(diag(V^dag c V)), H_F = -V theta
+    V^dag / 2 tau. sin is one-to-one only on |theta| < pi/2, where V also
+    diagonalizes c."""
+    _, v = np.linalg.eigh((c - c.conj().T) / 2j)
+    theta = np.angle(np.einsum("ij,ij->j", v.conj(), c @ v))
+    assert np.abs(theta).max() < np.pi / 2
+    return -(v * theta) @ v.conj().T / (2 * tau)
+
+
+class TestFloquetLeakageBlock:
+    """The paper's claim, with no initial state and no distance: a kick
+    cycle's Floquet Hamiltonian H_F is H_c + H_perp up to O(tau), so its
+    leakage block (P x I) H_F (Q x I) is O(tau) and halves when n doubles
+    at fixed T (Wu, Byrd and Lidar, PRL 89, 127901 (2002)). Free evolution
+    keeps the leakage block of H itself."""
+
+    HALVING_RANGE = (1.8, 2.2)  # perfbench's bound on the sweep distance
+    T, NS = 2.0, (16, 32, 64, 128)
+    CASES = {
+        "dfs2_XI": lambda: (dfs2_leakage_model(["XI"], 0.05, 3), exchange_dfs2_leo()),
+        "dfs2_XZ": lambda: (dfs2_leakage_model(["XZ"], 0.05, 3), exchange_dfs2_leo()),
+        "dfs2_XI_IX": lambda: (dfs2_leakage_model(["XI", "IX"], 0.05, 3),
+                               exchange_dfs2_leo()),
+        "dfs2_XI_XZ_collective": lambda: (
+            dfs2_leakage_model(["XI", "XZ"], 0.05, 3, bath_dim=1,
+                               collective_strength=0.3), exchange_dfs2_leo()),
+        "hopping": lambda: (hopping_model(5, seed=7, g=0.2, bath_dim=3),
+                            number_operator_leo(5)),
+        "linear_optics": lambda: (linear_optics_model(seed=5, g=0.2),
+                                  phase_shifter_leo()),
+        "dfs3": lambda: (dense_frame_model(build_code("dfs3")),
+                         projector_leo(build_code("dfs3"))),
+        "dfs4": lambda: (dense_frame_model(build_code("dfs4")),
+                         projector_leo(build_code("dfs4"))),
+    }
+
+    @staticmethod
+    def leakage_block(model, h):
+        p = np.kron(model.code.projector, np.eye(model.bath_dim))
+        return np.linalg.norm(p @ h @ (np.eye(len(p)) - p))
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_leakage_block_halves_per_doubling(self, name):
+        model, pulse = self.CASES[name]()
+        blocks = []
+        for n in self.NS:
+            tau = self.T / (2 * n)
+            c = parity_kick_unitary(model, ParityKickSchedule(1, tau, pulse)).mat
+            blocks.append(self.leakage_block(model, floquet_hamiltonian(c, tau)))
+        lo, hi = self.HALVING_RANGE
+        for a, b in zip(blocks, blocks[1:]):
+            assert lo < a / b < hi
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_free_leakage_block_stays_put(self, name):
+        model, _ = self.CASES[name]()
+        want = self.leakage_block(model, model.h_joint.mat)
+        assert want > 1e-3
+        for n in self.NS:
+            tau = self.T / (2 * n)
+            c = hermitian_exponential(model.h_joint, -2 * tau).mat
+            got = self.leakage_block(model, floquet_hamiltonian(c, tau))
+            assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestBatchedObservables:
@@ -1136,7 +1208,7 @@ class TestOtherCodeDimsKeepSvdPath:
         m = SystemBathModel.from_terms(
             code, [(0.3, Operator(s, frozenset({"hermitian"})),
                     random_hermitian(bath_dim, 22))],
-            bath_dim=bath_dim, free_bath=random_hermitian(bath_dim, 23))
+            free_bath=random_hermitian(bath_dim, 23))
         assert m.decoherence_free and m.code.code_dim == 4
         svd, observed = (counting(monkeypatch, name)
                          for name in ("_nuclear_norm", "_observables"))
@@ -1401,7 +1473,7 @@ class TestPulseMustMatchModelCode:
         code = CodeSubspace("dfs2", np.eye(4)[:, :2])
         return SystemBathModel.from_terms(
             code, [(0.05, pauli_string("XX"), random_hermitian(4, 3))],
-            bath_dim=4, free_bath=random_hermitian(4, 4),
+            free_bath=random_hermitian(4, 4),
         )
 
     def test_same_label_other_subspace_rejected(self):
@@ -1640,8 +1712,7 @@ def interleaved_bare_model(bath_field=0.0):
     z = Operator(bath_field * pauli_string("Z").mat, frozenset({"hermitian"}))
     return SystemBathModel.from_terms(
         bare_qubit_code(3), [(0.3, hop(0, 1, 3), hop(0, 1, 2)),
-                             (0.2, hop(1, 2, 3), hop(0, 1, 2))], bath_dim=2,
-        free_bath=z)
+                             (0.2, hop(1, 2, 3), hop(0, 1, 2))], free_bath=z)
 
 
 def one_sector(monkeypatch):
@@ -1930,7 +2001,7 @@ def diagonal_bath_model(code_acting):
              (0.15, pauli_string("ZZ"), diagonal([0.7, -0.3, 0.5]))]
     if code_acting:
         terms.append((0.3, logical_ops_dfs2().x, diagonal([0.5, -0.2, 0.9])))
-    return SystemBathModel.from_terms(dfs2_dephasing(), terms, bath_dim=3,
+    return SystemBathModel.from_terms(dfs2_dephasing(), terms,
                                       free_bath=diagonal([0.0, 0.6, 1.3]))
 
 

@@ -141,28 +141,42 @@ class TestSystemBathModel:
     def test_from_terms_classifies_parts(self):
         code = dfs2_dephasing()
         b = Operator(np.eye(2, dtype=complex), frozenset({"hermitian"}))
-        m = SystemBathModel.from_terms(
-            code, [(0.5, pauli_string("XI"), b)], bath_dim=2,
-        )
+        m = SystemBathModel.from_terms(code, [(0.5, pauli_string("XI"), b)])
         h_c, h_perp, h_l = explicit_split(m)
         assert np.linalg.norm(h_c) <= 1e-15
         assert np.linalg.norm(h_perp) <= 1e-15
         assert np.linalg.norm(h_l) > 0.1
 
-    def test_bath_dim_mismatch_rejected(self):
-        code = dfs2_dephasing()
-        b = Operator(np.eye(3, dtype=complex), frozenset({"hermitian"}))
-        with pytest.raises(ValueError):
+    def test_bath_dim_read_off_the_factors(self):
+        b = random_hermitian(3, 1)
+        m = SystemBathModel.from_terms(dfs2_dephasing(),
+                                       [(1.0, pauli_string("XI"), b)])
+        assert m.bath_dim == 3
+        m = SystemBathModel.from_terms(dfs2_dephasing(), [], free_bath=b)
+        assert m.bath_dim == 3
+        np.testing.assert_array_equal(m.h_joint.mat, np.kron(np.eye(4), b.mat))
+
+    def test_second_bath_factor_mismatch_rejected(self):
+        terms = [(1.0, pauli_string("XI"), random_hermitian(2, 1)),
+                 (1.0, pauli_string("IX"), random_hermitian(3, 2))]
+        with pytest.raises(ValueError, match="bath factor dimension mismatch"):
+            SystemBathModel.from_terms(dfs2_dephasing(), terms)
+
+    def test_free_bath_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="free bath Hamiltonian dimension"):
             SystemBathModel.from_terms(
-                code, [(1.0, pauli_string("XI"), b)], bath_dim=2,
-            )
+                dfs2_dephasing(), [(1.0, pauli_string("XI"), random_hermitian(2, 1))],
+                free_bath=random_hermitian(3, 2))
+
+    def test_no_term_and_no_free_bath_rejected(self):
+        with pytest.raises(ValueError, match="a term or a free bath"):
+            SystemBathModel.from_terms(dfs2_dephasing(), [])
 
     def test_system_dim_mismatch_rejected(self):
         b = Operator(np.eye(2, dtype=complex), frozenset({"hermitian"}))
         with pytest.raises(DimensionMismatchError, match="ambient dim 4"):
             SystemBathModel.from_terms(
-                dfs2_dephasing(), [(1.0, pauli_string("XIX"), b)], bath_dim=2,
-            )
+                dfs2_dephasing(), [(1.0, pauli_string("XIX"), b)])
 
     def test_dfs3_limit_matches_explicit_split(self):
         # a dense code projector, so the derived generator is not a masked
@@ -171,7 +185,7 @@ class TestSystemBathModel:
         terms = [(0.3, random_hermitian(8, 10 + i), random_hermitian(3, 20 + i))
                  for i in range(3)]
         m = SystemBathModel.from_terms(
-            code, terms, bath_dim=3, free_bath=random_hermitian(3, 30),
+            code, terms, free_bath=random_hermitian(3, 30),
         )
         h_c, h_perp, h_l = explicit_split(m)
         assert np.linalg.norm(h_l) > 0.1
@@ -444,7 +458,7 @@ class TestCopies:
         code = dfs2_dephasing()
         bath = random_hermitian(4, 3)
         terms = [(0.05, pauli_string("XI"), bath)]
-        merged = SystemBathModel.from_terms(code, terms, bath_dim=4)
+        merged = SystemBathModel.from_terms(code, terms)
         assert [s.rows.shape for s in merged.spectra] == [(2, 8)]
         # one diagonal entry of H' moves, on |01> x the first bath state
         one = np.zeros((4, 4), dtype=complex)
@@ -453,8 +467,7 @@ class TestCopies:
         first[0, 0] = 1.0
         herm = frozenset({"hermitian"})
         m = SystemBathModel.from_terms(
-            code, [*terms, (2.0 ** -40, Operator(one, herm), Operator(first, herm))],
-            bath_dim=4)
+            code, [*terms, (2.0 ** -40, Operator(one, herm), Operator(first, herm))])
         h = frame_hamiltonian(m)
         assert [s.rows.tolist() for s in m.spectra] == [
             r[None].tolist() for r in merged.spectra[0].rows]
@@ -536,7 +549,7 @@ class TestDecoherenceFree:
         code, herm = dfs2_dephasing(), frozenset({"hermitian"})
         m = SystemBathModel.from_terms(
             code, [(0.05, pauli_string("XI"), random_hermitian(4, 3))],
-            bath_dim=4, free_bath=random_hermitian(4, 4))
+            free_bath=random_hermitian(4, 4))
         assert m.decoherence_free
         h = m.h_joint.mat.copy()
         h[4, 4] = np.nextafter(h[4, 4].real, np.inf)
@@ -547,7 +560,7 @@ class TestDecoherenceFree:
     def test_a_logical_term_is_not(self):
         m = SystemBathModel.from_terms(
             dfs2_dephasing(), [(0.05, logical_ops_dfs2().x, random_hermitian(4, 3))],
-            bath_dim=4, free_bath=random_hermitian(4, 4))
+            free_bath=random_hermitian(4, 4))
         assert not m.decoherence_free
 
 
@@ -645,3 +658,104 @@ class TestModelFromConfig:
         with pytest.raises(ValueError, match="'g'"):
             model_from_config({"model": "hopping", "params": {}, "g": value,
                                "seed": 0})
+
+    # each model's config with no optional key, and the builder call it
+    # must equal when every optional argument is left to its default
+    BARE = {
+        "hopping": ({"model": "hopping", "g": 0.2, "seed": 7},
+                    lambda **kw: hopping_model(4, 7, 0.2, **kw)),
+        "linear_optics": ({"model": "linear_optics", "g": 0.2, "seed": 5},
+                          lambda **kw: linear_optics_model(5, 0.2, **kw)),
+        "dfs2_leakage": ({"model": "dfs2_leakage", "g": 0.05, "seed": 3,
+                          "params": {"leak_set": ["XI", "XZ"]}},
+                         lambda **kw: dfs2_leakage_model(["XI", "XZ"], 0.05, 3, **kw)),
+    }
+    # (model, config key, its params block or None for the top level,
+    # value, the builder call it must equal; None: the call with no
+    # optional argument, as the value is the builder's default)
+    GIVEN = [
+        ("hopping", "n_levels", "params", 5, lambda: hopping_model(5, 7, 0.2)),
+        ("hopping", "n_levels", "params", 4, None),
+        ("hopping", "shared_bath", "params", True,
+         lambda: hopping_model(4, 7, 0.2, shared_bath=True)),
+        ("hopping", "shared_bath", "params", False, None),
+        ("hopping", "bath_dim", None, 3, lambda: hopping_model(4, 7, 0.2, bath_dim=3)),
+        ("hopping", "bath_dim", None, 4, None),
+        ("linear_optics", "shared_bath", "params", True, None),  # bath dim 1
+        ("linear_optics", "shared_bath", "params", False, None),
+        ("linear_optics", "bath_dim", None, 2,
+         lambda: linear_optics_model(5, 0.2, bath_dim=2)),
+        ("linear_optics", "bath_dim", None, 1, None),
+        ("dfs2_leakage", "shared_bath", "params", True,
+         lambda: dfs2_leakage_model(["XI", "XZ"], 0.05, 3, shared_bath=True)),
+        ("dfs2_leakage", "shared_bath", "params", False, None),
+        ("dfs2_leakage", "collective_strength", "params", 0.3,
+         lambda: dfs2_leakage_model(["XI", "XZ"], 0.05, 3, collective_strength=0.3)),
+        ("dfs2_leakage", "collective_strength", "params", 0, None),
+        ("dfs2_leakage", "bath_dim", None, 2,
+         lambda: dfs2_leakage_model(["XI", "XZ"], 0.05, 3, bath_dim=2)),
+        ("dfs2_leakage", "bath_dim", None, 4, None),
+    ]
+
+    @pytest.mark.parametrize("name", sorted(BARE))
+    def test_left_out_keys_take_the_builders_defaults(self, name):
+        config, build = self.BARE[name]
+        assert (model_from_config(config).h_joint.mat.tobytes()
+                == build().h_joint.mat.tobytes())
+
+    @pytest.mark.parametrize("name,key,block,value,want", GIVEN,
+                             ids=[f"{n}.{k}={v!r}" for n, k, _, v, _ in GIVEN])
+    def test_given_key_reaches_the_builder(self, name, key, block, value, want):
+        config, build = self.BARE[name]
+        config = {**config, "params": dict(config.get("params", {}))}
+        (config[block] if block else config)[key] = value
+        assert (model_from_config(config).h_joint.mat.tobytes()
+                == (want or build)().h_joint.mat.tobytes())
+
+    def test_every_key_given_at_once(self):
+        config = {"model": "linear_optics", "params": {"shared_bath": True},
+                  "g": 0.2, "seed": 5, "bath_dim": 3}
+        got = model_from_config(config).h_joint.mat.tobytes()
+        want = linear_optics_model(5, 0.2, bath_dim=3, shared_bath=True)
+        assert got == want.h_joint.mat.tobytes()
+        assert got != linear_optics_model(5, 0.2, bath_dim=3).h_joint.mat.tobytes()
+        config = {"model": "dfs2_leakage", "g": 0.05, "seed": 3, "bath_dim": 2,
+                  "params": {"leak_set": ["XZ", "XI"], "shared_bath": True,
+                             "collective_strength": 0.3}}
+        want = dfs2_leakage_model(["XI", "XZ"], 0.05, 3, bath_dim=2,
+                                  shared_bath=True, collective_strength=0.3)
+        assert model_from_config(config).h_joint.mat.tobytes() == \
+            want.h_joint.mat.tobytes()
+
+    @pytest.mark.parametrize("name,allowed", [
+        ("hopping", "n_levels, shared_bath"),
+        ("linear_optics", "shared_bath"),
+        ("dfs2_leakage", "collective_strength, leak_set, shared_bath"),
+    ])
+    def test_unknown_param_message_lists_the_tables_keys(self, name, allowed):
+        assert allowed == ", ".join(sorted(models_mod._PARAMS[name]))
+        config = {"model": name, "params": {"junk": 1}, "g": 0.1, "seed": 0}
+        with pytest.raises(ValueError) as err:
+            model_from_config(config)
+        assert str(err.value) == (f"unknown params for model {name!r}: junk; "
+                                  f"allowed: {allowed}")
+
+    def test_model_names_are_the_tables_keys(self):
+        assert models_mod.MODEL_NAMES == ("hopping", "linear_optics",
+                                          "dfs2_leakage")
+        assert models_mod.MODEL_NAMES == tuple(models_mod._PARAMS)
+
+    @pytest.mark.parametrize("leak_set", [["XI", 3], [None], ["XI", ["XZ"]],
+                                          "XI", {"XI": 1}, 3],
+                             ids=["int_entry", "null_entry", "list_entry",
+                                  "string", "object", "number"])
+    def test_leak_set_not_a_list_of_strings_names_the_key(self, leak_set):
+        with pytest.raises(ValueError, match="'leak_set'"):
+            model_from_config({"model": "dfs2_leakage",
+                               "params": {"leak_set": leak_set},
+                               "g": 0.1, "seed": 0})
+
+    def test_missing_leak_set_names_the_key(self):
+        with pytest.raises(ValueError, match="'leak_set'"):
+            model_from_config({"model": "dfs2_leakage", "params": {},
+                               "g": 0.1, "seed": 0})

@@ -90,8 +90,7 @@ def dense_runs(draw):
               random_hermitian(bath_dim, next(seeds)))
              for _ in range(draw(st.integers(1, 3)))]
     free_bath = random_hermitian(bath_dim, next(seeds))
-    model = SystemBathModel.from_terms(code, terms, bath_dim=bath_dim,
-                                       free_bath=free_bath)
+    model = SystemBathModel.from_terms(code, terms, free_bath=free_bath)
     rng = np.random.default_rng(next(seeds))
     coeffs = (rng.standard_normal(code.code_dim)
               + 1j * rng.standard_normal(code.code_dim))
