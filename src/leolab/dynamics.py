@@ -20,10 +20,11 @@ segment: the pulse is read only for its code. The segment is I + V'
 expm1(-i w tau) V'^dag on eigenvectors the model certified once
 (opalg.check_eigenvectors), so it has no check of its own and its drift
 is second order in w tau. cycle^n (_pulsed), the free total
-(_free_total) and the limit (_limit) are each formed and certified
-unitary in one function, as one matrix whose drift is sqrt(sum of the
-sectors' squared drifts), a distinct block's counted once per copy;
-everything else combines them. Inputs are checked once per call, before
+(_free_total), the limit (_limit) and a pulsed run's stride (_kicked) are
+each formed and certified unitary in one function, as one matrix whose
+drift is sqrt(sum of the sectors' squared drifts), a distinct block's
+counted once per copy (_certified); everything else combines them.
+Inputs are checked once per call, before
 any eigendecomposition. The distance to the limit is the largest of the
 sectors' distances, each sqrt(lambda_max) of a Gram matrix, relative
 error O(J eps). The public parity_kick_unitary and
@@ -52,15 +53,17 @@ Samples are read per sector in the frame, where a sector's first n_code
 rows are code rows and the rest complement rows, and only on the live
 copies (_live), those where the start phi0 has an exactly nonzero entry:
 a copy that starts at zero stays exactly zero, so it is neither stepped
-nor read, while every sector's cycle^n (pulsed) is still formed and
-certified, and the limit, a free run's total and the distance cover
-every sector when the distance is read. A code basis state occupies one
-copy of dfs2 XI's sector. Each live sector yields its states in stacks
-(samples, copies, J_s) of OBSERVABLE_BATCH samples, its live copies
-stepped together by one GEMM of shape (samples x copies, J_s) per
-product: free states are one GEMM of a phase table with its eigenvectors
-scaled by the start's coefficients, and pulsed states come from the
-squares that build cycle^n. Leakage is the sum over live sectors and
+nor read, and a sector with no live copy gets no propagator until the
+distance is read, which covers every sector, pulsed or free. A code
+basis state occupies one copy of dfs2 XI's sector. Each live sector
+yields its states in stacks (samples, copies, J_s) of OBSERVABLE_BATCH
+samples, its live copies stepped together by one GEMM of shape (samples
+x copies, J_s) per product: free states are one GEMM of a phase table
+with its eigenvectors scaled by the start's coefficients (_free), and
+pulsed states come from the squares of the cycle up to the stride
+C^OBSERVABLE_BATCH (_kicked), their norms checked batch by batch against
+a bound linear in k (_norm_bound); cycle^n is never formed for them.
+Leakage is the sum over live sectors and
 copies of the squared norms of their complement rows (_leakage); only
 the code rows are gathered, in frame code order by one index per run
 (_code_columns), as the fidelity's A, each code row by its own take into
@@ -81,9 +84,10 @@ form that the other code dims take.
 simulate certifies a run's leakage column once: a value outside [0, 1]
 (within 1e-12), or NaN, is a NumericalDegeneracyError. It returns that
 column and the fidelity's; records and CSV derive from them. It forms no
-limit, no free total and no Gram matrix: the report's distance_to_limit
-forms them on its first read (_deferred_distance) and keeps the value, so
-a drift in the limit or the free total raises there. A sweep row is
+limit, no total (cycle^n or the free total) and no Gram matrix: the
+report's distance_to_limit forms them on its first read
+(_deferred_distance) and keeps the value, so a drift in the limit or the
+run's total raises there. A sweep row is
 cycle^n, its final leakage (read per sector on the same live copies) and
 its distance to the sweep's one limit; it takes no samples
 (sweep_cycles).
@@ -104,8 +108,8 @@ from .opalg import (
     NumericalDegeneracyError,
     Operator,
     _index,
+    _joint_residual,
     _spectral_matrix,
-    certified_blocks,
     computed_unitary,
 )
 
@@ -114,6 +118,7 @@ STATE_NORM_TOL = 1e-10
 FIDELITY_CLAMP_TOL = 1e-9   # fidelities below 1 + this are clamped to 1
 OBSERVABLE_BATCH = 256      # samples per batched leakage/fidelity evaluation
 assert OBSERVABLE_BATCH & (OBSERVABLE_BATCH - 1) == 0, "a power of two"
+_SET_BITS = np.array([bin(j).count("1") for j in range(OBSERVABLE_BATCH)])
 
 
 def _csv_text(fields: tuple[str, ...], rows) -> str:
@@ -167,10 +172,11 @@ class SimulationReport:
     samples and the CSV derive from them and tau (step k at 2 k tau). The
     distance to the decoupled limit is formed on its first read, by a call
     to _distance_to_limit, and kept: from simulate, that call forms and
-    certifies the limit (and a free run's total), so their drift raises
-    NumericalDegeneracyError there, not in simulate. Until then the report
-    keeps the model and a pulsed run's cycle^n; after, only the value. A
-    pickle or copy of the report reads the distance and carries its value.
+    certifies the limit and the run's total (cycle^n, or the free total),
+    so their drift raises NumericalDegeneracyError there, not in
+    simulate. Until then the report keeps the model; after, only the
+    value. A pickle or copy of the report reads the distance and carries
+    its value.
     simulate certifies what it returns; direct construction checks
     nothing."""
 
@@ -319,35 +325,30 @@ def _step(states: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (states.reshape(m * c, j) @ u.T).reshape(m, c, j)
 
 
-def _cycle_powers(cycle: np.ndarray, n: int, psi0: np.ndarray | None = None,
-                  product=np.matmul
-                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+def _cycle(sector: Sector, tau: float) -> np.ndarray:
+    """A sector's cycle (S' Z)^2 in the frame F x I, S' its tau segment
+    (_segment) and Z the ideal kick, -1 on its code rows and +1 on the
+    rest: a pulse phi (Q - P) is phi Z in the frame and phi cancels. On a
+    pair's halves Z is -swap, so the cycle is S+ S- and S- S+ there, and
+    the square keeps the pair's form (_product). S' has no check of its
+    own: the model certified its eigenvectors, and _segment bounds its
+    drift by that certificate. A live view (_live) has its sector's cycle."""
+    sz = _segment(sector, tau)
+    sz[:, :sector.n_code] *= -1.0  # S' Z
+    return _product(sector)(sz, sz)
+
+
+def _power(cycle: np.ndarray, n: int, product=np.matmul) -> np.ndarray:
     """cycle^n, not yet certified, from the squares C^(2^i) in matrix_power's
-    binary order, each matrix product taken by product (_product). Given
-    psi0, one state per copy (copies, J), the squares also fill the first
-    batch, C^k psi0 for k < min(n + 1, OBSERVABLE_BATCH) as a stack
-    (samples, copies, J), by doubling (psi_(k+2^i) = C^(2^i) psi_k), and
-    C^OBSERVABLE_BATCH comes back to advance later batches when n reaches
-    it; as OBSERVABLE_BATCH is a power of two, cycle^n needs every square.
-    """
-    rows = min(n + 1, OBSERVABLE_BATCH)
-    states = None if psi0 is None else np.tile(psi0, (rows, 1, 1))  # [0] stays psi0
-    total = np.eye(len(cycle), dtype=complex) if n == 0 else None
-    advance = None
-    square, span, left = cycle, 1, n
-    while left:
-        if span > 1:
-            square = product(square, square)
-        if states is not None and span < rows:
-            top = min(2 * span, rows)
-            states[span:top] = _step(states[:top - span], square)
-        if span == OBSERVABLE_BATCH:
-            advance = square
-        left, bit = divmod(left, 2)
+    binary order, each matrix product taken by product (_product)."""
+    total = None
+    while n:
+        n, bit = divmod(n, 2)
         if bit:
-            total = square if total is None else product(total, square)
-        span *= 2
-    return total, states, advance
+            total = cycle if total is None else product(total, cycle)
+        if n:
+            cycle = product(cycle, cycle)
+    return np.eye(len(cycle), dtype=complex) if total is None else total
 
 
 def _live(model: SystemBathModel, phi0: np.ndarray) -> list[Sector | None]:
@@ -364,43 +365,102 @@ def _live(model: SystemBathModel, phi0: np.ndarray) -> list[Sector | None]:
     return live
 
 
-def _pulsed(model: SystemBathModel, n: int, tau: float,
-            phi0: np.ndarray | None = None) -> tuple[list[np.ndarray], list | None]:
-    """cycle^n per sector in the frame F x I, certified unitary, and given
-    phi0 = (F^dag x I) psi0, for each sector with a live copy (_live), that
-    sector's live view and its states C^k psi0 (_power_batches), all of its
-    live copies' in one stack. Every sector's cycle^n is formed and
-    certified, live or not.
-    A sector's cycle is (S' Z)^2, S' its tau segment (_segment) and Z the
-    ideal kick, -1 on its code rows and +1 on the rest: a pulse phi (Q - P)
-    is phi Z in the frame and phi cancels. On a pair's halves Z is -swap,
-    so the cycle is S+ S- and S- S+ there, and every product keeps the
-    pair's form (_product). S' has no check of its own: the model certified
-    its eigenvectors, and _segment bounds its drift by that certificate."""
-    live = [None] * len(model.spectra) if phi0 is None else _live(model, phi0)
-    powers = []
-    for sector, view in zip(model.spectra, live):
-        product = _product(sector)
-        sz = _segment(sector, tau)
-        sz[:, :sector.n_code] *= -1.0  # S' Z
-        powers.append(_cycle_powers(product(sz, sz), n,
-                                    None if view is None else phi0[view.rows],
-                                    product))
-    totals = _certified(model, [p[0] for p in powers],
-                        f"total propagator after {n} cycles")
-    if phi0 is None:
-        return totals, None
-    return totals, [(view, _power_batches(p[1], p[2], n))
-                    for view, p in zip(live, powers) if view is not None]
+def _pulsed(model: SystemBathModel, n: int, tau: float) -> list[np.ndarray]:
+    """cycle^n per sector in the frame F x I (_cycle, _power), certified
+    unitary as one matrix (_certified)."""
+    totals = [_power(_cycle(sector, tau), n, _product(sector))
+              for sector in model.spectra]
+    _certified(model.spectra, totals, f"total propagator after {n} cycles")
+    return totals
 
 
-def _free(model: SystemBathModel, n: int, tau: float, phi0: np.ndarray) -> list:
-    """For each sector with a live copy (_live), that sector's live view and
-    its states exp(-i H' 2 k tau) phi0 (_free_batches). Their drift is
+def _free(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
+    """The live views' (_live) states exp(-i H' 2 k tau) phi0 for k = 0..n,
+    in batches of one stack per view (_free_batches). Their drift is
     bounded by the model's eigenvector certificate; no total is formed
     (_free_total)."""
-    return [(view, _free_batches(view, phi0, -2 * tau, n))
-            for view in _live(model, phi0) if view is not None]
+    return zip(*[_free_batches(view, phi0, -2 * tau, n) for view in views])
+
+
+def _kicked(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
+    """Yield the live views' (_live) states C^k phi0 for k = 0..n, in
+    batches of one stack (samples, copies, J_s) per view, OBSERVABLE_BATCH
+    samples each; cycle^n is never formed. Each view's squares C^(2^i) of
+    its cycle (_cycle) fill the first batch by doubling (psi_(k+2^i) =
+    C^(2^i) psi_k), and the largest, C^s for the stride s, the largest
+    power of two up to min(n, OBSERVABLE_BATCH) (1 for n = 0), advances
+    each later batch from the one before: as OBSERVABLE_BATCH is a power of
+    two, it is C^OBSERVABLE_BATCH whenever there is a later batch. The
+    strides are certified unitary as one matrix over the live views
+    (_certified) before the first batch, and each batch's norms against
+    their bound (_norm_bound) before it is yielded."""
+    rows = min(n + 1, OBSERVABLE_BATCH)
+    states, strides = [], []
+    for view in views:
+        product, square = _product(view), _cycle(view, tau)
+        x = np.tile(phi0[view.rows], (rows, 1, 1))  # [0] stays phi0
+        span = 1
+        while span < rows:
+            x[span:2 * span] = _step(x[:min(span, rows - span)], square)
+            if 2 * span <= n:
+                square = product(square, square)
+            span *= 2
+        states.append(x)
+        strides.append(square)
+    stride = 1 << max(min(n, OBSERVABLE_BATCH).bit_length() - 1, 0)
+    residual = _certified(views, strides, f"cycle^{stride}, the stride of "
+                                          f"{n} cycles")
+    norm0 = np.vdot(phi0, phi0).real
+    bound, advance = _norm_bound(views, rows, stride, residual, norm0)
+    for k0 in range(0, n + 1, OBSERVABLE_BATCH):
+        if k0:
+            states = [_step(x[:n + 1 - k0], c) for x, c in zip(states, strides)]
+            bound = bound[:n + 1 - k0] + advance
+        norms = sum(_row_norms2(x.reshape(len(x), -1)) for x in states)
+        within = np.abs(norms - norm0) <= bound  # NaN is not
+        if not within.all():
+            i = within.argmin()
+            raise NumericalDegeneracyError(
+                f"state norm after {k0 + i} cycles drifted by "
+                f"{abs(norms[i] - norm0):.3e}, past its bound {bound[i]:.3e}")
+        yield states
+
+
+def _norm_bound(views: Sequence[Sector], rows: int, stride: int, residual: float,
+                norm0: float) -> tuple[np.ndarray, float]:
+    """The bound on the norm drift of pulsed states C^k psi0 (_kicked) for
+    k < rows, and its step per advance by the stride, which adds one
+    product and s cycles to every sample's.
+
+    Let nu_k = ||psi_k||^2 over the live copies, J the largest view dim, L
+    the number of live frame rows (copies x J_s, summed), s the stride, r =
+    residual, the certified ||U^dag U - I||_F of the strides as one matrix,
+    and eps the machine epsilon. psi_k is reached from psi_0 by a_k = k // s
+    + popcount(k % s) products: one per set bit of k % s (the doubling) and
+    one per advance. A product by a computed power P moves nu by psi^dag
+    (P^dag P - I) psi, at most ||P^dag P - I||_2 nu, and by its rounding:
+    the computed P psi is off by d with ||d|| <= sqrt(2) gamma_(J+2)
+    || |P| |psi| || <= (J + 2) sqrt(J) eps ||psi|| / sqrt(2) (Higham,
+    Accuracy and Stability of Numerical Algorithms, Lemma 3.5, and
+    || |P| ||_2 <= sqrt(J) ||P||_2), which moves nu by at most 2 ||d||
+    ||psi||. To first order the drift P^dag P - I of P = C^m is m / s that
+    of C^s: a square A^2 has drift E + A^dag E A, A's drift E carried twice
+    while A^dag E A stays near E, as for powers near the identity or drifts
+    that commute with them. So the products' drifts add up to (k / s) r,
+    for the k cycles that reached psi_k. nu_k and nu_0, sums of 2L squares,
+    err by at most L eps nu each. So, to first order,
+
+        |nu_k - nu_0| <= ((k / s) r + a_k sqrt(2) (J + 2) sqrt(J) eps
+                          + 2 L eps) nu_0,
+
+    linear in k; past it, or NaN, is a NumericalDegeneracyError."""
+    dim = max(view.rows.shape[1] for view in views)
+    eps = np.finfo(float).eps
+    rounding = np.sqrt(2.0) * (dim + 2) * np.sqrt(dim) * eps
+    k = np.arange(rows)
+    bound = ((k / stride) * residual + _SET_BITS[:rows] * rounding
+             + 2 * eps * sum(view.rows.size for view in views))
+    return norm0 * bound, norm0 * (residual + rounding)
 
 
 def _free_total(model: SystemBathModel, n: int, tau: float) -> list[np.ndarray]:
@@ -410,7 +470,8 @@ def _free_total(model: SystemBathModel, n: int, tau: float) -> list[np.ndarray]:
     totals = [_frame_block(sector, [_spectral_matrix(block, -2 * n * tau)
                                     for block in sector.blocks])
               for sector in model.spectra]
-    return _certified(model, totals, "spectral exponential")
+    _certified(model.spectra, totals, "spectral exponential")
+    return totals
 
 
 def _limit(model: SystemBathModel, total_free_time: float) -> list[np.ndarray]:
@@ -427,20 +488,23 @@ def _limit(model: SystemBathModel, total_free_time: float) -> list[np.ndarray]:
         u[c:, c:] = (code if sector.zeta is not None
                      else _spectral_matrix(sector.complement, -total_free_time))
         blocks.append(u)
-    return _certified(model, blocks, "decoupled limit")
-
-
-def _certified(model: SystemBathModel, blocks: list[np.ndarray], what: str
-               ) -> list[np.ndarray]:
-    """blocks, one frame block per sector, once the joint matrix passes the
-    unitary tag's residual test (opalg.certified_blocks) on the blocks'
-    diagonal blocks (_diagonal_blocks), each counted once per copy of its
-    sector: a pair's residual is read off its halves, at a quarter of the
-    flops; the rotation to them is unitary, so the sum is the same."""
-    diagonal = [(d, len(s.rows)) for s, b in zip(model.spectra, blocks)
-                for d in _diagonal_blocks(s, b)]
-    certified_blocks([d for d, _ in diagonal], [k for _, k in diagonal], what)
+    _certified(model.spectra, blocks, "decoupled limit")
     return blocks
+
+
+def _certified(sectors: Sequence[Sector], blocks: list[np.ndarray], what: str
+               ) -> float:
+    """The residual ||U^dag U - I||_F of the joint matrix U that holds
+    blocks, one frame block per sector, once it passes the unitary tag's
+    test (opalg._joint_residual) on the blocks' diagonal blocks
+    (_diagonal_blocks), each counted once per copy of its sector (for a
+    live view, per live copy): a pair's residual is read off its halves, at
+    a quarter of the flops; the rotation to them is unitary, so the sum is
+    the same."""
+    diagonal = [(d, len(s.rows)) for s, b in zip(sectors, blocks)
+                for d in _diagonal_blocks(s, b)]
+    return _joint_residual([d for d, _ in diagonal], [k for _, k in diagonal],
+                           what)
 
 
 def _product_coordinates(model: SystemBathModel, blocks, what: str) -> Operator:
@@ -465,7 +529,7 @@ def parity_kick_unitary(model: SystemBathModel,
     if schedule.pulses is None:
         raise ValueError("schedule has no pulses; use free evolution directly")
     _check_pulse(model, schedule.pulses)
-    totals, _ = _pulsed(model, schedule.n_cycles, schedule.tau)
+    totals = _pulsed(model, schedule.n_cycles, schedule.tau)
     return _product_coordinates(model, totals,
                                 f"total propagator after {schedule.n_cycles} cycles")
 
@@ -504,23 +568,20 @@ def _spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _deferred_distance(model: SystemBathModel, n: int, tau: float,
-                       total_free_time: float,
-                       totals: list[np.ndarray] | None) -> Callable[[], float]:
+                       total_free_time: float, pulsed: bool
+                       ) -> Callable[[], float]:
     """A zero-argument callable for a run's distance to the limit: it forms
-    and certifies the limit (_limit), then, for a free run (totals None),
-    the free total (_free_total), and measures the distance (_distance).
-    totals, a pulsed run's certified cycle^n per sector, are made read-only
-    here, so nothing writes them before the call. The report calls it once:
-    a call that returns lets go of the model and totals."""
-    for total in totals or ():
-        total.flags.writeable = False
+    and certifies the limit (_limit), then the run's total, cycle^n
+    (_pulsed) or the free total (_free_total), and measures the distance
+    (_distance). The report calls it once: a call that returns lets go of
+    the model."""
 
     def distance() -> float:
-        nonlocal model, totals
+        nonlocal model
         limit = _limit(model, total_free_time)
-        value = _distance(model, _free_total(model, n, tau) if totals is None
-                          else totals, limit)
-        model = totals = None
+        totals = (_pulsed if pulsed else _free_total)(model, n, tau)
+        value = _distance(model, totals, limit)
+        model = None
         return value
 
     return distance
@@ -776,16 +837,6 @@ def _free_batches(sector: Sector, phi0: np.ndarray, scale: float, n: int):
     return _spectral_batches(spectrum, phi0[sector.rows], scale, n)
 
 
-def _power_batches(states: np.ndarray, advance: np.ndarray | None, n: int):
-    """Yield C^k psi0 for k = 0..n in stacks (samples, copies, J) of
-    OBSERVABLE_BATCH samples: the first is states (from _cycle_powers), and
-    each later one is the previous stack times advance = C^OBSERVABLE_BATCH."""
-    for k0 in range(0, n + 1, OBSERVABLE_BATCH):
-        if k0:
-            states = _step(states[:n + 1 - k0], advance)
-        yield states
-
-
 def simulate(
     model: SystemBathModel,
     schedule: ParityKickSchedule,
@@ -799,9 +850,11 @@ def simulate(
     fidelity of the bath-traced system state against the decoupled-limit
     target. With pulses=None the same grid is used for free evolution.
     States, stepped targets and observables cover only the sector copies
-    where the start is exactly nonzero (_live); a pulsed run still forms
-    and certifies every sector's cycle^n. The distance to the limit covers
-    every sector and is formed when first read (_deferred_distance).
+    where the start is exactly nonzero (_live). A pulsed run steps them by
+    the squares of the cycle up to the stride C^OBSERVABLE_BATCH and never
+    forms cycle^n (_kicked). The distance to the limit covers every sector
+    and is formed, with the run's total, when first read
+    (_deferred_distance).
     The target is stepped only when the model's code block acts on the
     code; for a decoherence-free model (model.decoherence_free) it is the
     initial code state times a bath state, and the fidelity is the overlap
@@ -810,25 +863,25 @@ def simulate(
     sys.maxsize // 8, at 8 bytes each) is a ValueError, raised with the
     state and pulse checks before any eigendecomposition.
     Raises NumericalDegeneracyError, before the first sample is evaluated,
-    when the model's eigenvector certificate fails or a pulsed run's cycle^n
-    drifts past the unitarity tolerance, and, before it returns, when the
-    leakage column leaves [0, 1]. A drift in the limit or the free total
-    raises the same error, with the same message, at the first read of the
-    report's distance_to_limit.
+    when the model's eigenvector certificate fails or a pulsed run's stride
+    drifts past the unitarity tolerance; while it steps, when a pulsed
+    batch's norms drift past their bound (_norm_bound); and, before it
+    returns, when the leakage column leaves [0, 1]. A drift in the limit or
+    the run's total (cycle^n, or the free total) raises the same error,
+    with the same message, at the first read of the report's
+    distance_to_limit.
     """
     x, phi0 = _frame_state(model, initial_code_state)
     n, tau = schedule.n_cycles, schedule.tau
     if n + 1 > sys.maxsize // 8:
         raise ValueError(f"n_cycles = {n} is too large: no array holds its "
                          "n_cycles + 1 samples")
-    # the eigenvectors (in spectra) and a pulsed run's cycle^n are certified
-    # before any sample; the limit and a free total wait for the distance
-    if schedule.pulses is None:
-        totals, live = None, _free(model, n, tau, phi0)
-    else:
+    # the eigenvectors (in spectra) and a pulsed run's stride are certified
+    # before any sample; the limit and the run's total wait for the distance
+    if schedule.pulses is not None:
         _check_pulse(model, schedule.pulses)
-        totals, live = _pulsed(model, n, tau, phi0)
-    sectors, states = zip(*live)  # the live views and their states
+    sectors = [view for view in _live(model, phi0) if view is not None]
+    batches = (_free if schedule.pulses is None else _kicked)(sectors, n, tau, phi0)
 
     in_states, in_targets = _code_columns(model, sectors)
     # the code block is I_k x h: the target's code rows are x (e^(-i h t)
@@ -843,7 +896,7 @@ def simulate(
             _spectral_batches(sector.code, phi0[sector.rows[:, :sector.n_code]],
                               -2 * tau, n) for sector in sectors])
     leakage, fidelity = np.empty(n + 1), np.empty(n + 1)
-    for start, parts in zip(range(0, n + 1, OBSERVABLE_BATCH), zip(*states)):
+    for start, parts in zip(range(0, n + 1, OBSERVABLE_BATCH), batches):
         batch = slice(start, start + len(parts[0]))
         c = None if targets is None else _code_rows(next(targets), in_targets)
         leakage[batch], fidelity[batch] = _observables(sectors, parts, in_states,
@@ -852,7 +905,7 @@ def simulate(
     fidelity[0] = 1.0  # sample 0 compares the initial state with itself
     leakage.flags.writeable = fidelity.flags.writeable = False
     return SimulationReport(tau, leakage, fidelity, _deferred_distance(
-        model, n, tau, schedule.total_free_time, totals))
+        model, n, tau, schedule.total_free_time, schedule.pulses is not None))
 
 
 def sweep_cycles(
@@ -894,7 +947,7 @@ def sweep_cycles(
     sectors = [view for view in live if view is not None]
 
     def one(n: int, tau: float) -> SweepRow:
-        totals, _ = _pulsed(model, n, tau)
+        totals = _pulsed(model, n, tau)
         # the final state cycle^n psi0 on the live copies, in the frame
         final = [_step(phi0[view.rows][None], total)
                  for view, total in zip(live, totals) if view is not None]

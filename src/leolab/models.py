@@ -435,6 +435,13 @@ def _finite(value) -> float:
     return x
 
 
+def _dimension(value) -> int:
+    """A JSON integer of at least 1."""
+    if (n := json_int(value)) < 1:
+        raise ValueError(f"expected at least 1, got {n}")
+    return n
+
+
 def _labels(value) -> list[str]:
     """A sequence of JSON strings; a bare string is refused, not read as
     its letters."""
@@ -482,7 +489,7 @@ def model_from_config(config: Mapping) -> SystemBathModel:
     seed = parsed(json_int, config, "seed")
     given = {key: parsed(readers[key], params, key) for key in params}
     if "bath_dim" in config:
-        given["bath_dim"] = parsed(json_int, config, "bath_dim")
+        given["bath_dim"] = parsed(_dimension, config, "bath_dim")
     if name == "hopping":
         return hopping_model(given.pop("n_levels", 4), seed, g, **given)
     if name == "linear_optics":

@@ -139,21 +139,30 @@ def computed_unitary(m: np.ndarray, what: str) -> Operator:
         raise NumericalDegeneracyError(f"{what}: {err}") from err
 
 
+def _joint_residual(blocks: Sequence[np.ndarray], copies: Sequence[int],
+                    what: str) -> float:
+    """||M^dag M - I||_F of a block-diagonal computed unitary M, blocks[i]
+    standing copies[i] times on its diagonal, once it passes the unitary
+    tag's residual test: sqrt(sum of the diagonal blocks' squared
+    residuals), each block's computed once and counted once per copy.
+    Drift past UNITARY_TOL, or a non-finite entry, is computed_unitary's
+    NumericalDegeneracyError("<what>: unitary tag violated: residual <r>")."""
+    residual = float(np.sqrt(sum(k * _unitary_residual(b) ** 2
+                                 for b, k in zip(blocks, copies))))
+    try:
+        _check_residual(residual)
+    except ValueError as err:
+        raise NumericalDegeneracyError(f"{what}: {err}") from err
+    return residual
+
+
 def certified_blocks(blocks: Sequence[np.ndarray], copies: Sequence[int],
                      what: str) -> list[np.ndarray]:
     """The distinct diagonal blocks of a block-diagonal computed unitary,
     blocks[i] standing copies[i] times on its diagonal, once the whole
-    matrix passes the unitary tag's residual test: its ||M^dag M - I||_F is
-    sqrt(sum of the diagonal blocks' squared residuals), each block's
-    computed once and counted once per copy. Drift past UNITARY_TOL, or a
-    non-finite entry, is computed_unitary's
-    NumericalDegeneracyError("<what>: unitary tag violated: residual <r>")."""
+    matrix passes the unitary tag's residual test (_joint_residual)."""
     blocks = list(blocks)
-    try:
-        _check_residual(float(np.sqrt(sum(k * _unitary_residual(b) ** 2
-                                          for b, k in zip(blocks, copies)))))
-    except ValueError as err:
-        raise NumericalDegeneracyError(f"{what}: {err}") from err
+    _joint_residual(blocks, copies, what)
     return blocks
 
 

@@ -171,8 +171,8 @@ class TestParityKickUnitary:
 
     def test_long_run_drift_is_a_numerical_failure(self):
         # dfs2 at joint dim 64 with 4096 cycles: cycle^n can drift past the
-        # unitarity tolerance; that is a NumericalDegeneracyError, as in
-        # simulate, never the ValueError of bad input
+        # unitarity tolerance; that is a NumericalDegeneracyError, as in a
+        # sweep row or a report's distance, never the ValueError of bad input
         m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=16)
         sched = ParityKickSchedule(4096, 2.0 / 8192, exchange_dfs2_leo())
         try:
@@ -220,16 +220,13 @@ class TestPropagatorChecks:
             simulate(m, ParityKickSchedule(8, 0.05, pulse), code_state(m))
         assert observable_calls == []
 
-    def test_drifting_run_fails_before_sampling(self, observable_calls):
+    def test_long_run_samples_every_cycle(self, observable_calls):
+        # simulate certifies the stride C^256 it steps with, not cycle^n,
+        # whose drift only the distance reads
         m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=16)
         sched = ParityKickSchedule(4096, 2.0 / 8192, exchange_dfs2_leo())
-        try:
-            simulate(m, sched, code_state(m))
-        except NumericalDegeneracyError as err:
-            assert "after 4096 cycles" in str(err)
-            assert observable_calls == []
-        else:
-            assert sum(observable_calls) == 4097
+        simulate(m, sched, code_state(m))
+        assert sum(observable_calls) == 4097
 
     def test_drift_message_names_the_propagator(self, monkeypatch):
         m = benchmark_model()
@@ -251,15 +248,19 @@ class TestPropagatorChecks:
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^decoupled limit: {drift}"):
             decoupled_limit_unitary(m, 0.8)
-        # simulate certifies a pulsed run's cycle^n; the limit waits for the
-        # first read of the distance, which certifies it before a free total
+        # simulate certifies the stride a pulsed run steps with, C^8 here;
+        # the limit waits for the first read of the distance, which
+        # certifies it before the run's total, pulsed or free
         with pytest.raises(NumericalDegeneracyError,
-                           match=f"^total propagator after 8 cycles: {drift}"):
+                           match=f"^cycle\\^8, the stride of 8 cycles: {drift}"):
             simulate(m, sched, code_state(m))
-        free = simulate(m, ParityKickSchedule(8, 0.05, None), code_state(m))
-        with pytest.raises(NumericalDegeneracyError,
-                           match=f"^decoupled limit: {drift}"):
-            free.distance_to_limit
+        for pulse in (sched.pulses, None):
+            monkeypatch.setattr(opalg, "UNITARY_TOL", 1e-10)
+            report = simulate(m, ParityKickSchedule(8, 0.05, pulse), code_state(m))
+            monkeypatch.setattr(opalg, "UNITARY_TOL", 0.0)
+            with pytest.raises(NumericalDegeneracyError,
+                               match=f"^decoupled limit: {drift}"):
+                report.distance_to_limit
         # a model diagonalized under the zero tolerance fails at its
         # eigenvector certificate, before any propagator is formed: the
         # first a pair certifies is its half A + zeta G
@@ -271,9 +272,131 @@ class TestPropagatorChecks:
                 run()
 
 
+class TestStateNormCheck:
+    """A pulsed run checks its states' norms batch by batch against the
+    bound derived in _norm_bound, linear in k: |nu_k - nu_0| <= ((k /
+    s) r + a_k sqrt(2) (J + 2) sqrt(J) eps + 2 L eps) nu_0, with r the
+    certified residual of the stride C^s and a_k = k // s + popcount(k %
+    s) the products that reached psi_k."""
+
+    MODELS = {
+        "dfs2_xi_j16": lambda: (dfs2_leakage_model(("XI",), g=0.05, bath_seed=3,
+                                                   bath_dim=4), exchange_dfs2_leo()),
+        "dfs2_xz_j64": lambda: (dfs2_leakage_model(("XZ",), g=0.05, bath_seed=3,
+                                                   bath_dim=16), exchange_dfs2_leo()),
+        "hopping5": lambda: (hopping_model(5, seed=7, g=0.2, bath_dim=3),
+                             number_operator_leo(5)),
+    }
+
+    @staticmethod
+    def run(monkeypatch, m, sched, state):
+        """simulate's report, its states' norms and its stride's residual."""
+        norms, residuals = [], []
+        observables, certified = dynamics._observables, dynamics._certified
+
+        def observed(sectors, parts, *args):
+            norms.append(sum(np.sum(np.abs(p) ** 2, axis=(1, 2)) for p in parts))
+            return observables(sectors, parts, *args)
+
+        def recorded(sectors, blocks, what):
+            residuals.append(certified(sectors, blocks, what))
+            return residuals[-1]
+
+        monkeypatch.setattr(dynamics, "_observables", observed)
+        monkeypatch.setattr(dynamics, "_certified", recorded)
+        report = simulate(m, sched, state)
+        return report, np.concatenate(norms), residuals
+
+    @pytest.mark.parametrize("case", sorted(MODELS))
+    @pytest.mark.parametrize("total_time", [2.0, 50.0])
+    @pytest.mark.parametrize("n", [1, 3, 255, 256, 300, 4096])
+    def test_drift_within_the_bound(self, monkeypatch, case, total_time, n):
+        m, pulse = self.MODELS[case]()
+        state = (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
+        sched = ParityKickSchedule(n, total_time / (2 * n), pulse)
+        _, nu, (r,) = self.run(monkeypatch, m, sched, state)
+        _, phi0 = dynamics._frame_state(m, state)
+        views = [v for v in dynamics._live(m, phi0) if v is not None]
+        j = max(v.rows.shape[1] for v in views)
+        live_rows = sum(v.rows.size for v in views)
+        s = 1 << (min(n, dynamics.OBSERVABLE_BATCH).bit_length() - 1)
+        k = np.arange(n + 1)
+        a = k // s + np.array([bin(x % s).count("1") for x in k])
+        eps = np.finfo(float).eps
+        bound = ((k / s) * r + a * np.sqrt(2.0) * (j + 2) * np.sqrt(j) * eps
+                 + 2 * live_rows * eps) * nu[0]
+        # measured at most 0.36 of the bound over dfs2 and hopping models,
+        # joint dim 15 to 256, n up to 65536 and T up to 50
+        assert np.all(np.abs(nu - nu[0]) <= bound)
+
+    @pytest.mark.parametrize("factor", [1e-8, 1e-11])
+    def test_drifting_advance_is_a_numerical_failure(self, monkeypatch, factor):
+        # the advance by C^256 scaled by 1 + factor moves nu by 2 factor per
+        # batch, past the bound of 6.0e-13 at k = 256 here, though every
+        # matrix stays within the unitarity tolerance
+        m, pulse = self.MODELS["dfs2_xz_j64"]()
+        step, calls = dynamics._step, []
+
+        def drifting(states, u):
+            calls.append(len(states))
+            out = step(states, u)
+            return out * (1.0 + factor) if len(calls) > 8 else out
+
+        monkeypatch.setattr(dynamics, "_step", drifting)
+        with pytest.raises(NumericalDegeneracyError,
+                           match="^state norm after 256 cycles drifted by"):
+            simulate(m, ParityKickSchedule(300, 0.003, pulse), code_state(m))
+        assert calls == [1, 2, 4, 8, 16, 32, 64, 128, 45]  # eight doublings
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="longdouble is no wider than double here")
+    def test_long_run_against_extended_precision(self, monkeypatch):
+        # dfs2 XI at joint dim 64, T = 2, n = 65536, where cycle^n drifts
+        # past the unitarity tolerance: the oracle steps the same double
+        # cycle C one cycle at a time in clongdouble.
+        # Error model: every product keeps the pair form (_product), so the
+        # complement amplitude, which carries the leakage, is rounded
+        # relative to its own size, by at most about J eps / 2 per product
+        # (an inner product of length J, J = 32 the live sector's dim); a
+        # square passes its factor's error on doubled, so C^m is within
+        # m J eps / 2 of the oracle's, and psi_k, products of powers that
+        # add up to k, within k J eps / 2. The leakage, a squared amplitude,
+        # is then within k J eps relative, and the oracle's own stepping
+        # adds k J eps_ld. Measured: at most 0.02 of that at every k.
+        # The norm moves by the drift of the products, to first order k r_C
+        # for the cycle's residual r_C (as cycle^k's), and by their rounding
+        # (the norm check's a_k term): measured 8.5e-12, 0.09 of the bound.
+        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=16)
+        n = 65536
+        sched = ParityKickSchedule(n, 2.0 / (2 * n), exchange_dfs2_leo())
+        report, nu, _ = self.run(monkeypatch, m, sched, code_state(m))
+        _, phi0 = dynamics._frame_state(m, code_state(m))
+        (view,) = [v for v in dynamics._live(m, phi0) if v is not None]
+        c = dynamics._cycle(view, sched.tau).astype(np.clongdouble)
+        psi = phi0[view.rows][0].astype(np.clongdouble)
+        h, j = view.n_code, view.rows.shape[1]
+        leakage = np.empty(n + 1, dtype=np.longdouble)
+        for k in range(n + 1):
+            leakage[k] = np.sum(np.abs(psi[h:]) ** 2)
+            psi = c @ psi
+        k = np.arange(1, n + 1)
+        eps, eps_ld = np.finfo(float).eps, float(np.finfo(np.longdouble).eps)
+        assert leakage[1:].min() > 0 and report.leakage_population[0] == 0
+        error = np.abs(report.leakage_population[1:] - leakage[1:]) / leakage[1:]
+        assert np.all(error <= k * j * (eps + eps_ld))
+        gram = c.conj().T @ c - np.eye(j)
+        r_c = float(np.sqrt(np.sum(np.abs(gram) ** 2)))
+        a = k // 256 + np.array([bin(x % 256).count("1") for x in k])
+        bound = (k * r_c + a * np.sqrt(2.0) * (j + 2) * np.sqrt(j) * eps
+                 + 2 * j * eps)
+        assert nu[0] == 1.0
+        assert np.all(np.abs(nu[1:] - 1.0) <= bound)
+
+
 class TestDeferredDistance:
-    """simulate forms no limit, no free total and no distance; the report
-    forms them on the first read of distance_to_limit and keeps the value."""
+    """simulate forms no limit, no total (cycle^n or the free total) and no
+    distance; the report forms them on the first read of distance_to_limit
+    and keeps the value."""
 
     MODELS = {
         "pair": lambda: (benchmark_model(), exchange_dfs2_leo()),
@@ -286,7 +409,7 @@ class TestDeferredDistance:
     @pytest.fixture
     def calls(self, monkeypatch):
         return {name: counting(monkeypatch, name)
-                for name in ("_limit", "_free_total", "_distance")}
+                for name in ("_limit", "_pulsed", "_free_total", "_distance")}
 
     @pytest.mark.parametrize("case", sorted(MODELS))
     @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
@@ -295,11 +418,12 @@ class TestDeferredDistance:
         sched = ParityKickSchedule(300, 0.003, pulse if pulsed else None)
         report = simulate(m, sched, code_state(m))
         assert {name: len(c) for name, c in calls.items()} == {
-            "_limit": 0, "_free_total": 0, "_distance": 0}
+            "_limit": 0, "_pulsed": 0, "_free_total": 0, "_distance": 0}
         first = report.distance_to_limit
         assert report.distance_to_limit == first and type(first) is float
         assert {name: len(c) for name, c in calls.items()} == {
-            "_limit": 1, "_free_total": 0 if pulsed else 1, "_distance": 1}
+            "_limit": 1, "_pulsed": int(pulsed), "_free_total": int(not pulsed),
+            "_distance": 1}
         assert calls["_limit"][0][1] == sched.total_free_time
 
     @pytest.mark.parametrize("case", sorted(MODELS))
@@ -320,35 +444,35 @@ class TestDeferredDistance:
             free_total, decoupled_limit_unitary(m, sched.total_free_time).mat)
         assert free.distance_to_limit == pytest.approx(want, rel=1e-12)
 
-    def test_retained_totals_are_read_only(self, calls):
-        m, pulse = self.MODELS["pair"]()
-        report = simulate(m, ParityKickSchedule(8, 0.05, pulse), code_state(m))
-        report.distance_to_limit
-        (_, totals, _), = calls["_distance"]
-        assert totals and not any(t.flags.writeable for t in totals)
-
     @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
     def test_read_lets_go_of_the_model_and_totals(self, monkeypatch, pulsed):
         refs = []
-        pulsed_run = dynamics._pulsed
 
-        def watched(*args):
-            totals, live = pulsed_run(*args)
-            refs.extend(map(weakref.ref, totals))
-            return totals, live
+        def watched(name):
+            total = getattr(dynamics, name)
 
-        monkeypatch.setattr(dynamics, "_pulsed", watched)
+            def formed(*args):
+                totals = total(*args)
+                refs.extend(map(weakref.ref, totals))
+                return totals
+
+            monkeypatch.setattr(dynamics, name, formed)
+
+        watched("_pulsed")
+        watched("_free_total")
         m, pulse = self.MODELS["distinct"]()
         refs.append(weakref.ref(m))
         report = simulate(m, ParityKickSchedule(8, 0.05, pulse if pulsed else None),
                           code_state(m))
         del m
         gc.collect()
-        # an unread report keeps its model and a pulsed run's cycle^n
-        assert len(refs) == (3 if pulsed else 1)
-        assert all(ref() is not None for ref in refs)
+        # an unread report keeps its model and no total, pulsed or free
+        assert len(refs) == 1 and refs[0]() is not None
         report.distance_to_limit
         gc.collect()
+        # the read formed the run's total, one block per sector, and let go
+        # of it and of the model
+        assert len(refs) == 3
         assert all(ref() is None for ref in refs)
 
     @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
@@ -1607,10 +1731,11 @@ class TestSpectralCache:
         # the kick is the ideal one, Z = -1 on a sector's code rows and +1
         # elsewhere, applied to the cached segment: (S' Z)^2 exactly, a
         # pair's by its half-row product, within rounding of sz @ sz
-        cycles, states = dynamics._pulsed(m, 1, 0.1)  # cycle^1 is the cycle
-        assert len(cycles) == len(m.spectra) == (2 if collective else 1)
-        assert states is None
-        for sector, cycle in zip(m.spectra, cycles):
+        totals = dynamics._pulsed(m, 1, 0.1)  # cycle^1 is the cycle
+        assert len(totals) == len(m.spectra) == (2 if collective else 1)
+        for sector, total in zip(m.spectra, totals):
+            cycle = dynamics._cycle(sector, 0.1)
+            np.testing.assert_array_equal(total, cycle)
             z = np.diag(np.where(np.arange(sector.rows.shape[1]) < sector.n_code,
                                  -1.0, 1.0))
             sz = dynamics._segment(sector, 0.1) @ z
@@ -2008,8 +2133,9 @@ def diagonal_bath_model(code_acting):
 class TestLiveCopies:
     """simulate and sweep_cycles step and read only the sector copies where
     the start is exactly nonzero; a copy that starts at zero stays zero.
-    Runs match runs that step every copy (all_live) to rounding, and every
-    sector's cycle^n is still formed, certified and measured."""
+    Runs match runs that step every copy (all_live) to rounding, and the
+    distance, when read, still forms, certifies and measures every
+    sector's total."""
 
     @staticmethod
     def xi():
@@ -2067,26 +2193,30 @@ class TestLiveCopies:
         assert live.distance_to_limit == every.distance_to_limit
 
     @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
-    def test_dead_distinct_sector_is_certified_but_not_stepped(self, monkeypatch,
-                                                               pulsed):
+    def test_dead_distinct_sector_waits_for_the_distance(self, monkeypatch,
+                                                         pulsed):
         m = dfs2_leakage_model(("XZ",), g=0.2, bath_seed=3, bath_dim=4)
         assert [len(s.rows) for s in m.spectra] == [1, 1]  # two distinct sectors
-        powers = counting(monkeypatch, "_cycle_powers")
+        cycles = counting(monkeypatch, "_cycle")
         spectral = counting(monkeypatch, "_spectral_batches")
-        certified = counting(monkeypatch, "certified_blocks")
+        certified = counting(monkeypatch, "_certified")
         live = self.run(m, pulsed, code_state(m))
-        # every sector's cycle^n is formed and certified, on both halves of
-        # each pair; the limit and a free total wait for the distance
-        assert [len(a[0]) for a in certified] == ([4] if pulsed else [])
-        live.distance_to_limit
-        assert [len(a[0]) for a in certified] == [4, 4]
-        # only the live sector gets a start
+        # only the live sector is stepped: a pulsed run forms and certifies
+        # its stride alone
         j = m.spectra[0].rows.shape[1]
         if pulsed:
-            assert [None if a[2] is None else a[2].shape for a in powers] == [
-                (1, j), None]
+            assert [a[0].rows.shape for a in cycles] == [(1, j)]
+            assert [[v.rows.shape for v in a[0]] for a in certified] == [[(1, j)]]
         else:
+            assert cycles == certified == []
             assert [a[1].shape for a in spectral] == [(1, j)]
+        # the distance covers every sector: the limit, then the run's total,
+        # cycle^n or the free total
+        cycles.clear()
+        certified.clear()
+        live.distance_to_limit
+        assert [len(a[0]) for a in certified] == [2, 2]
+        assert [a[0].rows.shape for a in cycles] == ([(1, j)] * 2 if pulsed else [])
         all_live(monkeypatch)
         every = self.run(m, pulsed, code_state(m))
         assert max(every.leakage_population) > 1e-9
