@@ -20,12 +20,12 @@ segment: the pulse is read only for its code. The segment is I + V'
 expm1(-i w tau) V'^dag on eigenvectors the model certified once
 (opalg.check_eigenvectors), so it has no check of its own and its drift
 is second order in w tau. cycle^n (_pulsed), the free total
-(_free_total), the limit (_limit) and a pulsed run's stride (_kicked) are
-each formed and certified unitary in one function, as one matrix whose
-drift is sqrt(sum of the sectors' squared drifts), a distinct block's
-counted once per copy (_certified); everything else combines them.
-Inputs are checked once per call, before
-any eigendecomposition. The distance to the limit is the largest of the
+(_free_total), the limit (_limit) and a pulsed run's stride and cycle
+(_kicked) are each formed and certified unitary in one function, as one
+matrix whose drift is sqrt(sum of the sectors' squared drifts), a
+distinct block's counted once per copy (_certified); everything else
+combines them. Inputs are checked once per call, before any
+eigendecomposition. The distance to the limit is the largest of the
 sectors' distances, each sqrt(lambda_max) of a Gram matrix, relative
 error O(J eps). The public parity_kick_unitary and
 decoupled_limit_unitary place each block on every copy's rows and rotate
@@ -61,9 +61,10 @@ samples, its live copies stepped together by one GEMM of shape (samples
 x copies, J_s) per product: free states are one GEMM of a phase table
 with its eigenvectors scaled by the start's coefficients (_free), and
 pulsed states come from the squares of the cycle up to the stride
-C^OBSERVABLE_BATCH (_kicked), their norms checked batch by batch against
-a bound linear in k (_norm_bound); cycle^n is never formed for them.
-Leakage is the sum over live sectors and
+C^OBSERVABLE_BATCH (_kicked); cycle^n is never formed for them. Their
+norms, the leakage plus the code population, are checked once per run
+against a bound linear in k, derived from the residuals of the cycle and
+the stride (_norm_bound). Leakage is the sum over live sectors and
 copies of the squared norms of their complement rows (_leakage); only
 the code rows are gathered, in frame code order by one index per run
 (_code_columns), as the fidelity's A, each code row by its own take into
@@ -84,7 +85,7 @@ form that the other code dims take.
 simulate certifies a run's leakage column once: a value outside [0, 1]
 (within 1e-12), or NaN, is a NumericalDegeneracyError. It returns that
 column and the fidelity's; records and CSV derive from them. It forms no
-limit, no total (cycle^n or the free total) and no Gram matrix: the
+limit, no total (cycle^n or the free total) and no distance: the
 report's distance_to_limit forms them on its first read
 (_deferred_distance) and keeps the value, so a drift in the limit or the
 run's total raises there. A sweep row is
@@ -108,8 +109,8 @@ from .opalg import (
     NumericalDegeneracyError,
     Operator,
     _index,
-    _joint_residual,
     _spectral_matrix,
+    certified_residual,
     computed_unitary,
 )
 
@@ -118,7 +119,9 @@ STATE_NORM_TOL = 1e-10
 FIDELITY_CLAMP_TOL = 1e-9   # fidelities below 1 + this are clamped to 1
 OBSERVABLE_BATCH = 256      # samples per batched leakage/fidelity evaluation
 assert OBSERVABLE_BATCH & (OBSERVABLE_BATCH - 1) == 0, "a power of two"
-_SET_BITS = np.array([bin(j).count("1") for j in range(OBSERVABLE_BATCH)])
+# bit i of j for j < OBSERVABLE_BATCH: the squares C^(2^i) that reach C^j
+_SET_BITS = (np.arange(OBSERVABLE_BATCH)[:, None]
+             >> np.arange(OBSERVABLE_BATCH.bit_length())) & 1
 
 
 def _csv_text(fields: tuple[str, ...], rows) -> str:
@@ -376,28 +379,29 @@ def _pulsed(model: SystemBathModel, n: int, tau: float) -> list[np.ndarray]:
 
 def _free(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
     """The live views' (_live) states exp(-i H' 2 k tau) phi0 for k = 0..n,
-    in batches of one stack per view (_free_batches). Their drift is
-    bounded by the model's eigenvector certificate; no total is formed
-    (_free_total)."""
-    return zip(*[_free_batches(view, phi0, -2 * tau, n) for view in views])
+    in batches of one stack per view (_free_batches), and None: their drift
+    is bounded by the model's eigenvector certificate, so they have no norm
+    bound to check (_kicked's); no total is formed (_free_total)."""
+    return zip(*[_free_batches(view, phi0, -2 * tau, n) for view in views]), None
 
 
 def _kicked(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
-    """Yield the live views' (_live) states C^k phi0 for k = 0..n, in
-    batches of one stack (samples, copies, J_s) per view, OBSERVABLE_BATCH
-    samples each; cycle^n is never formed. Each view's squares C^(2^i) of
-    its cycle (_cycle) fill the first batch by doubling (psi_(k+2^i) =
-    C^(2^i) psi_k), and the largest, C^s for the stride s, the largest
-    power of two up to min(n, OBSERVABLE_BATCH) (1 for n = 0), advances
-    each later batch from the one before: as OBSERVABLE_BATCH is a power of
-    two, it is C^OBSERVABLE_BATCH whenever there is a later batch. The
-    strides are certified unitary as one matrix over the live views
-    (_certified) before the first batch, and each batch's norms against
-    their bound (_norm_bound) before it is yielded."""
+    """The live views' (_live) states C^k phi0 for k = 0..n, as batches of
+    one stack (samples, copies, J_s) per view, OBSERVABLE_BATCH samples
+    each, and the bound on their norms' drift (_norm_bound); cycle^n is
+    never formed. Each view's squares C^(2^i) of its cycle (_cycle) fill
+    the first batch by doubling (psi_(k+2^i) = C^(2^i) psi_k), and the
+    largest, C^s for the stride s, the largest power of two up to min(n,
+    OBSERVABLE_BATCH) (1 for n = 0), advances each later batch from the one
+    before: as OBSERVABLE_BATCH is a power of two, it is C^OBSERVABLE_BATCH
+    whenever there is a later batch. The strides, then the cycles, are
+    certified unitary, each as one matrix over the live views (_certified),
+    before the first batch."""
     rows = min(n + 1, OBSERVABLE_BATCH)
-    states, strides = [], []
+    states, cycles, strides = [], [], []
     for view in views:
         product, square = _product(view), _cycle(view, tau)
+        cycles.append(square)
         x = np.tile(phi0[view.rows], (rows, 1, 1))  # [0] stays phi0
         span = 1
         while span < rows:
@@ -407,60 +411,69 @@ def _kicked(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
             span *= 2
         states.append(x)
         strides.append(square)
-    stride = 1 << max(min(n, OBSERVABLE_BATCH).bit_length() - 1, 0)
-    residual = _certified(views, strides, f"cycle^{stride}, the stride of "
-                                          f"{n} cycles")
-    norm0 = np.vdot(phi0, phi0).real
-    bound, advance = _norm_bound(views, rows, stride, residual, norm0)
-    for k0 in range(0, n + 1, OBSERVABLE_BATCH):
-        if k0:
-            states = [_step(x[:n + 1 - k0], c) for x, c in zip(states, strides)]
-            bound = bound[:n + 1 - k0] + advance
-        norms = sum(_row_norms2(x.reshape(len(x), -1)) for x in states)
-        within = np.abs(norms - norm0) <= bound  # NaN is not
-        if not within.all():
-            i = within.argmin()
-            raise NumericalDegeneracyError(
-                f"state norm after {k0 + i} cycles drifted by "
-                f"{abs(norms[i] - norm0):.3e}, past its bound {bound[i]:.3e}")
-        yield states
+    log_s = max(min(n, OBSERVABLE_BATCH).bit_length() - 1, 0)
+    stride = _certified(views, strides, f"cycle^{1 << log_s}, the stride of "
+                                        f"{n} cycles")
+    cycle = _certified(views, cycles, f"cycle^1 of a run of {n} cycles"
+                       ) if log_s else stride
+
+    def batches(states):
+        for k0 in range(0, n + 1, OBSERVABLE_BATCH):
+            if k0:
+                states = [_step(x[:n + 1 - k0], c) for x, c in zip(states, strides)]
+            yield states
+
+    return batches(states), _norm_bound(views, n, log_s, cycle, stride)
 
 
-def _norm_bound(views: Sequence[Sector], rows: int, stride: int, residual: float,
-                norm0: float) -> tuple[np.ndarray, float]:
-    """The bound on the norm drift of pulsed states C^k psi0 (_kicked) for
-    k < rows, and its step per advance by the stride, which adds one
-    product and s cycles to every sample's.
+def _norm_bound(views: Sequence[Sector], n: int, log_s: int, cycle: float,
+                stride: float) -> np.ndarray:
+    """The bound on the norm drift |nu_k - nu_0| / nu_0 of the pulsed
+    states psi_k = C^k psi_0 (_kicked), k = 0..n, nu_k = ||psi_k||^2 over
+    the live copies, from the certified residuals ||P^dag P - I||_F of the
+    cycle C and of the stride C^s, s = 2^log_s, each as one matrix over the
+    live views.
 
-    Let nu_k = ||psi_k||^2 over the live copies, J the largest view dim, L
-    the number of live frame rows (copies x J_s, summed), s the stride, r =
-    residual, the certified ||U^dag U - I||_F of the strides as one matrix,
-    and eps the machine epsilon. psi_k is reached from psi_0 by a_k = k // s
-    + popcount(k % s) products: one per set bit of k % s (the doubling) and
-    one per advance. A product by a computed power P moves nu by psi^dag
-    (P^dag P - I) psi, at most ||P^dag P - I||_2 nu, and by its rounding:
-    the computed P psi is off by d with ||d|| <= sqrt(2) gamma_(J+2)
-    || |P| |psi| || <= (J + 2) sqrt(J) eps ||psi|| / sqrt(2) (Higham,
-    Accuracy and Stability of Numerical Algorithms, Lemma 3.5, and
-    || |P| ||_2 <= sqrt(J) ||P||_2), which moves nu by at most 2 ||d||
-    ||psi||. To first order the drift P^dag P - I of P = C^m is m / s that
-    of C^s: a square A^2 has drift E + A^dag E A, A's drift E carried twice
-    while A^dag E A stays near E, as for powers near the identity or drifts
-    that commute with them. So the products' drifts add up to (k / s) r,
-    for the k cycles that reached psi_k. nu_k and nu_0, sums of 2L squares,
-    err by at most L eps nu each. So, to first order,
+    psi_k is reached from psi_0 by one product with the square P_i =
+    C^(2^i) per set bit i of k % OBSERVABLE_BATCH (the doubling), and one
+    with the stride per advance, k // OBSERVABLE_BATCH of them. Let J be
+    the largest view dim, L the number of live frame rows (copies x J_s,
+    summed), eps the machine epsilon, and g = sqrt(2) (J + 2) J eps, which
+    bounds the rounding of a product of two J x J matrices of Frobenius
+    norm sqrt(J) in the Frobenius norm (sqrt(2) gamma_(J+2) || |A| |B|
+    ||_F; Higham, Accuracy and Stability of Numerical Algorithms, Lemma
+    3.5). A product by a stored power P moves nu by psi^dag (P^dag P - I)
+    psi, at most r_P nu for any r_P at least the Frobenius norm of every
+    diagonal block of P^dag P - I. For the cycle and the stride, r_P is the
+    computed residual, which is at least every block's, plus g, the
+    rounding of a block's Gram matrix (a pair's halves, on which it is
+    read, add less). A square is computed as fl(P_i P_i) = P_i^2 + Delta,
+    ||Delta||_F <= g per block, and (P_i^2)^dag P_i^2 - I = E + P_i^dag E
+    P_i for E = P_i^dag P_i - I, so r_(i+1) = 2 r_i + 2 g bounds the
+    squares between the cycle and the stride, to first order; no power's
+    drift is inferred from a larger one's. The computed P psi is off by d,
+    ||d|| <= sqrt(2) gamma_(J+2)
+    || |P| |psi| || <= (J + 2) sqrt(J) eps ||psi|| / sqrt(2) (|| |P| ||_2
+    <= sqrt(J) ||P||_2), which moves nu by at most 2 ||d|| ||psi||. So a
+    product by P moves nu by at most rho_P nu, rho_P = r_P + sqrt(2) (J +
+    2) sqrt(J) eps. nu_k and nu_0, sums of 2L squares, err by at most L eps
+    nu each. So, to first order (the factors 1 +- rho_P compound, which
+    adds terms of second order in the sum of rho_P),
 
-        |nu_k - nu_0| <= ((k / s) r + a_k sqrt(2) (J + 2) sqrt(J) eps
+        |nu_k - nu_0| <= (sum of rho_P over the products that reach psi_k
                           + 2 L eps) nu_0,
 
-    linear in k; past it, or NaN, is a NumericalDegeneracyError."""
+    linear in k. simulate checks every nu_k against it (_certified_norms)."""
     dim = max(view.rows.shape[1] for view in views)
-    eps = np.finfo(float).eps
-    rounding = np.sqrt(2.0) * (dim + 2) * np.sqrt(dim) * eps
-    k = np.arange(rows)
-    bound = ((k / stride) * residual + _SET_BITS[:rows] * rounding
-             + 2 * eps * sum(view.rows.size for view in views))
-    return norm0 * bound, norm0 * (residual + rounding)
+    eps = sys.float_info.epsilon
+    g = 2 ** 0.5 * (dim + 2) * dim * eps
+    product = 2 ** 0.5 * (dim + 2) * dim ** 0.5 * eps
+    rho = [(cycle + 3 * g) * 2 ** i - 2 * g + product for i in range(log_s)]
+    rho.append(stride + g + product)
+    first = _SET_BITS[:min(n + 1, OBSERVABLE_BATCH), :len(rho)] @ rho
+    first += 2 * eps * sum(view.rows.size for view in views)
+    advances = np.arange(n // OBSERVABLE_BATCH + 1)[:, None] * rho[-1]
+    return (advances + first).ravel()[:n + 1]
 
 
 def _free_total(model: SystemBathModel, n: int, tau: float) -> list[np.ndarray]:
@@ -496,15 +509,15 @@ def _certified(sectors: Sequence[Sector], blocks: list[np.ndarray], what: str
                ) -> float:
     """The residual ||U^dag U - I||_F of the joint matrix U that holds
     blocks, one frame block per sector, once it passes the unitary tag's
-    test (opalg._joint_residual) on the blocks' diagonal blocks
+    test (opalg.certified_residual) on the blocks' diagonal blocks
     (_diagonal_blocks), each counted once per copy of its sector (for a
     live view, per live copy): a pair's residual is read off its halves, at
     a quarter of the flops; the rotation to them is unitary, so the sum is
     the same."""
     diagonal = [(d, len(s.rows)) for s, b in zip(sectors, blocks)
                 for d in _diagonal_blocks(s, b)]
-    return _joint_residual([d for d, _ in diagonal], [k for _, k in diagonal],
-                           what)
+    return certified_residual([d for d, _ in diagonal], [k for _, k in diagonal],
+                              what)
 
 
 def _product_coordinates(model: SystemBathModel, blocks, what: str) -> Operator:
@@ -616,15 +629,21 @@ def _frame_state(model: SystemBathModel, initial_code_state
     return coords[:model.code.code_dim], np.kron(coords, model.initial_bath_state)
 
 
-def _leakage(sectors: Sequence[Sector], parts: Sequence[np.ndarray]) -> np.ndarray:
+def _leakage(sectors: Sequence[Sector], parts: Sequence[np.ndarray],
+             code: bool = False) -> np.ndarray:
     """|(Q x I) psi|^2 for a stack of joint states given as one part per
     sector in the frame F x I, each (samples, copies, J_s) (a copy's
     columns are its rows, code rows first): per sample, the sum over
     sectors and their copies of the squared norms of the complement
-    columns, as re^2 + im^2 summed over a real view by one einsum each."""
-    views = (part[:, :, sector.n_code:].view(float)
-             for sector, part in zip(sectors, parts))
-    return sum(np.einsum("ijk,ijk->i", x, x) for x in views)
+    columns, as re^2 + im^2 summed over a real view by one einsum each.
+    With code, |(P x I) psi|^2, the same sum over the code columns."""
+    total = None
+    for sector, part in zip(sectors, parts):
+        x = (part[:, :, :sector.n_code] if code else part[:, :, sector.n_code:]
+             ).view(float)
+        x = np.einsum("ijk,ijk->i", x, x)
+        total = x if total is None else total + x
+    return total
 
 
 def _certified_leakage(leakage: np.ndarray) -> np.ndarray:
@@ -635,6 +654,19 @@ def _certified_leakage(leakage: np.ndarray) -> np.ndarray:
         raise NumericalDegeneracyError(
             f"leakage population {leakage[outside.argmax()]} outside [0, 1]")
     return leakage
+
+
+def _certified_norms(norms: np.ndarray, bound: np.ndarray) -> None:
+    """A pulsed run's state norms nu_k, each within bound[k] nu_0 of nu_0
+    (_norm_bound); one past it, or NaN, is a NumericalDegeneracyError that
+    names the first."""
+    drift = np.abs(norms - norms[0])
+    within = drift <= bound * norms[0]
+    if not within.all():
+        k = within.argmin()
+        raise NumericalDegeneracyError(
+            f"state norm after {k} cycles drifted by {drift[k]:.3e}, past its "
+            f"bound {bound[k] * norms[0]:.3e}")
 
 
 def _nuclear_norm(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -864,10 +896,10 @@ def simulate(
     state and pulse checks before any eigendecomposition.
     Raises NumericalDegeneracyError, before the first sample is evaluated,
     when the model's eigenvector certificate fails or a pulsed run's stride
-    drifts past the unitarity tolerance; while it steps, when a pulsed
-    batch's norms drift past their bound (_norm_bound); and, before it
-    returns, when the leakage column leaves [0, 1]. A drift in the limit or
-    the run's total (cycle^n, or the free total) raises the same error,
+    or cycle drifts past the unitarity tolerance; and, before it returns,
+    when the leakage column leaves [0, 1], or else when a pulsed run's
+    state norms drift past their bound (_norm_bound). A drift in the limit
+    or the run's total (cycle^n, or the free total) raises the same error,
     with the same message, at the first read of the report's
     distance_to_limit.
     """
@@ -876,12 +908,14 @@ def simulate(
     if n + 1 > sys.maxsize // 8:
         raise ValueError(f"n_cycles = {n} is too large: no array holds its "
                          "n_cycles + 1 samples")
-    # the eigenvectors (in spectra) and a pulsed run's stride are certified
-    # before any sample; the limit and the run's total wait for the distance
+    # the eigenvectors (in spectra) and a pulsed run's stride and cycle are
+    # certified before any sample; the limit and the run's total wait for
+    # the distance
     if schedule.pulses is not None:
         _check_pulse(model, schedule.pulses)
     sectors = [view for view in _live(model, phi0) if view is not None]
-    batches = (_free if schedule.pulses is None else _kicked)(sectors, n, tau, phi0)
+    batches, bound = (_free if schedule.pulses is None else _kicked)(sectors, n,
+                                                                     tau, phi0)
 
     in_states, in_targets = _code_columns(model, sectors)
     # the code block is I_k x h: the target's code rows are x (e^(-i h t)
@@ -896,12 +930,17 @@ def simulate(
             _spectral_batches(sector.code, phi0[sector.rows[:, :sector.n_code]],
                               -2 * tau, n) for sector in sectors])
     leakage, fidelity = np.empty(n + 1), np.empty(n + 1)
+    norms = None if bound is None else np.empty(n + 1)
     for start, parts in zip(range(0, n + 1, OBSERVABLE_BATCH), batches):
         batch = slice(start, start + len(parts[0]))
         c = None if targets is None else _code_rows(next(targets), in_targets)
         leakage[batch], fidelity[batch] = _observables(sectors, parts, in_states,
                                                        x, c)
+        if norms is not None:  # the code population; the leakage is added below
+            norms[batch] = _leakage(sectors, parts, code=True)
     _certified_leakage(leakage)  # one range check per run
+    if norms is not None:
+        _certified_norms(np.add(norms, leakage, out=norms), bound)
     fidelity[0] = 1.0  # sample 0 compares the initial state with itself
     leakage.flags.writeable = fidelity.flags.writeable = False
     return SimulationReport(tau, leakage, fidelity, _deferred_distance(

@@ -139,8 +139,8 @@ def computed_unitary(m: np.ndarray, what: str) -> Operator:
         raise NumericalDegeneracyError(f"{what}: {err}") from err
 
 
-def _joint_residual(blocks: Sequence[np.ndarray], copies: Sequence[int],
-                    what: str) -> float:
+def certified_residual(blocks: Sequence[np.ndarray], copies: Sequence[int],
+                       what: str) -> float:
     """||M^dag M - I||_F of a block-diagonal computed unitary M, blocks[i]
     standing copies[i] times on its diagonal, once it passes the unitary
     tag's residual test: sqrt(sum of the diagonal blocks' squared
@@ -154,16 +154,6 @@ def _joint_residual(blocks: Sequence[np.ndarray], copies: Sequence[int],
     except ValueError as err:
         raise NumericalDegeneracyError(f"{what}: {err}") from err
     return residual
-
-
-def certified_blocks(blocks: Sequence[np.ndarray], copies: Sequence[int],
-                     what: str) -> list[np.ndarray]:
-    """The distinct diagonal blocks of a block-diagonal computed unitary,
-    blocks[i] standing copies[i] times on its diagonal, once the whole
-    matrix passes the unitary tag's residual test (_joint_residual)."""
-    blocks = list(blocks)
-    _joint_residual(blocks, copies, what)
-    return blocks
 
 
 _PAULI_MATS = {

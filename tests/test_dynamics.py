@@ -248,9 +248,9 @@ class TestPropagatorChecks:
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^decoupled limit: {drift}"):
             decoupled_limit_unitary(m, 0.8)
-        # simulate certifies the stride a pulsed run steps with, C^8 here;
-        # the limit waits for the first read of the distance, which
-        # certifies it before the run's total, pulsed or free
+        # simulate certifies the stride a pulsed run steps with, C^8 here,
+        # then the cycle; the limit waits for the first read of the
+        # distance, which certifies it before the run's total, pulsed or free
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^cycle\\^8, the stride of 8 cycles: {drift}"):
             simulate(m, sched, code_state(m))
@@ -273,11 +273,13 @@ class TestPropagatorChecks:
 
 
 class TestStateNormCheck:
-    """A pulsed run checks its states' norms batch by batch against the
-    bound derived in _norm_bound, linear in k: |nu_k - nu_0| <= ((k /
-    s) r + a_k sqrt(2) (J + 2) sqrt(J) eps + 2 L eps) nu_0, with r the
-    certified residual of the stride C^s and a_k = k // s + popcount(k %
-    s) the products that reached psi_k."""
+    """A pulsed run checks its states' norms against the bound derived in
+    _norm_bound, linear in k: |nu_k - nu_0| <= (sum of rho_P over the
+    products that reach psi_k + 2 L eps) nu_0, one product with C^(2^i)
+    per set bit i of k % 256 and one with the stride C^s per advance, rho_P
+    = r_P + sqrt(2) (J + 2) sqrt(J) eps. r_P is the certified residual plus
+    g = sqrt(2) (J + 2) J eps for the cycle and the stride, and r_(i+1) = 2
+    r_i + 2 g for the squares between them."""
 
     MODELS = {
         "dfs2_xi_j16": lambda: (dfs2_leakage_model(("XI",), g=0.05, bath_seed=3,
@@ -286,13 +288,22 @@ class TestStateNormCheck:
                                                    bath_dim=16), exchange_dfs2_leo()),
         "hopping5": lambda: (hopping_model(5, seed=7, g=0.2, bath_dim=3),
                              number_operator_leo(5)),
+        "linear_optics": lambda: (linear_optics_model(seed=5, g=0.2),
+                                  phase_shifter_leo()),
+        "dfs3": lambda: (dense_frame_model(build_code("dfs3")),
+                         projector_leo(build_code("dfs3"))),
+        "dfs4": lambda: (dense_frame_model(build_code("dfs4")),
+                         projector_leo(build_code("dfs4"))),
     }
 
     @staticmethod
     def run(monkeypatch, m, sched, state):
-        """simulate's report, its states' norms and its stride's residual."""
-        norms, residuals = [], []
+        """simulate's report, its states' norms, the residuals it
+        certified (the stride's, then the cycle's if it is not the stride)
+        and the bound it checked the norms against."""
+        norms, residuals, bounds = [], [], []
         observables, certified = dynamics._observables, dynamics._certified
+        check = dynamics._certified_norms
 
         def observed(sectors, parts, *args):
             norms.append(sum(np.sum(np.abs(p) ** 2, axis=(1, 2)) for p in parts))
@@ -302,10 +313,15 @@ class TestStateNormCheck:
             residuals.append(certified(sectors, blocks, what))
             return residuals[-1]
 
+        def checked(nu, bound):
+            bounds.append(bound)
+            return check(nu, bound)
+
         monkeypatch.setattr(dynamics, "_observables", observed)
         monkeypatch.setattr(dynamics, "_certified", recorded)
+        monkeypatch.setattr(dynamics, "_certified_norms", checked)
         report = simulate(m, sched, state)
-        return report, np.concatenate(norms), residuals
+        return report, np.concatenate(norms), residuals, bounds
 
     @pytest.mark.parametrize("case", sorted(MODELS))
     @pytest.mark.parametrize("total_time", [2.0, 50.0])
@@ -314,25 +330,33 @@ class TestStateNormCheck:
         m, pulse = self.MODELS[case]()
         state = (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
         sched = ParityKickSchedule(n, total_time / (2 * n), pulse)
-        _, nu, (r,) = self.run(monkeypatch, m, sched, state)
+        _, nu, r, (checked,) = self.run(monkeypatch, m, sched, state)
         _, phi0 = dynamics._frame_state(m, state)
         views = [v for v in dynamics._live(m, phi0) if v is not None]
         j = max(v.rows.shape[1] for v in views)
         live_rows = sum(v.rows.size for v in views)
-        s = 1 << (min(n, dynamics.OBSERVABLE_BATCH).bit_length() - 1)
-        k = np.arange(n + 1)
-        a = k // s + np.array([bin(x % s).count("1") for x in k])
+        log_s = min(n, dynamics.OBSERVABLE_BATCH).bit_length() - 1
+        assert len(r) == 1 + (log_s > 0)
         eps = np.finfo(float).eps
-        bound = ((k / s) * r + a * np.sqrt(2.0) * (j + 2) * np.sqrt(j) * eps
-                 + 2 * live_rows * eps) * nu[0]
-        # measured at most 0.36 of the bound over dfs2 and hopping models,
-        # joint dim 15 to 256, n up to 65536 and T up to 50
-        assert np.all(np.abs(nu - nu[0]) <= bound)
+        g = np.sqrt(2.0) * (j + 2) * j * eps
+        squares = [r[-1] + g]  # C, then C^2, ..., C^(s/2), then the stride
+        while len(squares) < log_s:
+            squares.append(2 * squares[-1] + 2 * g)
+        squares[log_s:] = [r[0] + g]
+        rho = np.array(squares) + np.sqrt(2.0) * (j + 2) * np.sqrt(j) * eps
+        bound = np.array([
+            k // 256 * rho[-1] + sum(p for i, p in enumerate(rho) if k % 256 >> i & 1)
+            for k in range(n + 1)]) + 2 * live_rows * eps
+        np.testing.assert_allclose(checked, bound, rtol=1e-13, atol=0.0)
+        # measured at most 0.39 of the bound over these models (linear
+        # optics), and 0.055 on dfs2 XI at joint dim 256 and 0.012 on the
+        # eight-level hopping model at joint dim 256, n up to 65536
+        assert np.all(np.abs(nu - nu[0]) <= bound * nu[0])
 
     @pytest.mark.parametrize("factor", [1e-8, 1e-11])
     def test_drifting_advance_is_a_numerical_failure(self, monkeypatch, factor):
         # the advance by C^256 scaled by 1 + factor moves nu by 2 factor per
-        # batch, past the bound of 6.0e-13 at k = 256 here, though every
+        # batch, past the bound of 9.4e-13 at k = 256 here, though every
         # matrix stays within the unitarity tolerance
         m, pulse = self.MODELS["dfs2_xz_j64"]()
         step, calls = dynamics._step, []
@@ -364,12 +388,13 @@ class TestStateNormCheck:
         # is then within k J eps relative, and the oracle's own stepping
         # adds k J eps_ld. Measured: at most 0.02 of that at every k.
         # The norm moves by the drift of the products, to first order k r_C
-        # for the cycle's residual r_C (as cycle^k's), and by their rounding
-        # (the norm check's a_k term): measured 8.5e-12, 0.09 of the bound.
+        # for the cycle's residual r_C (as cycle^k's), and by the rounding
+        # of the a_k products that reach psi_k, each as in _norm_bound:
+        # measured 8.5e-12, 0.09 of the bound.
         m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=16)
         n = 65536
         sched = ParityKickSchedule(n, 2.0 / (2 * n), exchange_dfs2_leo())
-        report, nu, _ = self.run(monkeypatch, m, sched, code_state(m))
+        report, nu, _, _ = self.run(monkeypatch, m, sched, code_state(m))
         _, phi0 = dynamics._frame_state(m, code_state(m))
         (view,) = [v for v in dynamics._live(m, phi0) if v is not None]
         c = dynamics._cycle(view, sched.tau).astype(np.clongdouble)
@@ -2202,11 +2227,11 @@ class TestLiveCopies:
         certified = counting(monkeypatch, "_certified")
         live = self.run(m, pulsed, code_state(m))
         # only the live sector is stepped: a pulsed run forms and certifies
-        # its stride alone
+        # its stride and its cycle alone
         j = m.spectra[0].rows.shape[1]
         if pulsed:
             assert [a[0].rows.shape for a in cycles] == [(1, j)]
-            assert [[v.rows.shape for v in a[0]] for a in certified] == [[(1, j)]]
+            assert [[v.rows.shape for v in a[0]] for a in certified] == [[(1, j)]] * 2
         else:
             assert cycles == certified == []
             assert [a[1].shape for a in spectral] == [(1, j)]

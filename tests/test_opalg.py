@@ -113,9 +113,9 @@ class TestCertifiedBlocks:
         assert all(_unitary_residual(b) <= opalg.UNITARY_TOL for b in blocks)
         with pytest.raises(NumericalDegeneracyError,
                            match=rf"^probe: unitary tag violated: residual {want:.3e}$"):
-            opalg.certified_blocks(blocks, [1, 1], "probe")
-        got = opalg.certified_blocks(iter(blocks[:1]), [1], "probe")
-        assert len(got) == 1 and got[0] is blocks[0]
+            opalg.certified_residual(blocks, [1, 1], "probe")
+        got = opalg.certified_residual(iter(blocks[:1]), [1], "probe")
+        assert got == pytest.approx(_unitary_residual(blocks[0]), rel=1e-15)
 
     def test_a_block_counts_once_per_copy(self):
         # the block passes alone, and the matrix with it twice on its
@@ -124,16 +124,17 @@ class TestCertifiedBlocks:
         whole = np.kron(np.eye(2), block)
         want = _unitary_residual(whole)
         assert _unitary_residual(block) <= opalg.UNITARY_TOL < want
-        assert opalg.certified_blocks([block], [1], "probe")[0] is block
+        got = opalg.certified_residual([block], [1], "probe")
+        assert got == pytest.approx(_unitary_residual(block), rel=1e-15)
         with pytest.raises(NumericalDegeneracyError,
                            match=rf"^probe: unitary tag violated: residual {want:.3e}$"):
-            opalg.certified_blocks([block], [2], "probe")
+            opalg.certified_residual([block], [2], "probe")
 
     def test_non_finite_entry_fails(self):
         nan = np.eye(2, dtype=complex)
         nan[0, 1] = np.nan
         with pytest.raises(NumericalDegeneracyError, match="^probe: "):
-            opalg.certified_blocks([np.eye(2), nan], [1, 1], "probe")
+            opalg.certified_residual([np.eye(2), nan], [1, 1], "probe")
 
 
 class TestPauliStrings:
