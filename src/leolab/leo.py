@@ -248,14 +248,15 @@ def generalized_leo(
     # are the diagonal blocks of F^dag h F
     blocks = f.conj().T @ h.mat @ f
     code_parity = _integer_parity(np.linalg.eigvalsh(blocks[:k, :k]), "code")
-    if code.ambient_dim > k:
-        perp_parity = _integer_parity(np.linalg.eigvalsh(blocks[k:, k:]),
-                                      "complement")
-        if perp_parity == code_parity:
-            raise NotGeneralizedGeneratorError(
-                "not a generalized-LEO generator: code and complement spectra "
-                "share the same parity"
-            )
+    # a code with no complement has an empty complement spectrum: None,
+    # which equals no parity
+    perp_parity = _integer_parity(np.linalg.eigvalsh(blocks[k:, k:]),
+                                  "complement")
+    if perp_parity == code_parity:
+        raise NotGeneralizedGeneratorError(
+            "not a generalized-LEO generator: code and complement spectra "
+            "share the same parity"
+        )
     return LeakageEliminationOperator(hermitian_exponential(h, -np.pi), code,
                                       "generalized")
 
@@ -418,7 +419,8 @@ def verify_leo(
     """
     dim = code.ambient_dim
     if candidate.dim != dim:
-        raise ValueError("candidate dimension does not match code ambient space")
+        raise ValueError(f"operator dim {candidate.dim} does not match code "
+                         f"{code.label} (ambient {dim})")
     for probe in probes:
         if probe.dim != dim:
             raise DimensionMismatchError(

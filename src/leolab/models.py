@@ -344,7 +344,8 @@ def hopping_model(
     shared operator when shared_bath is set), plus a free bath term.
     """
     if n_levels < 3:
-        raise ValueError("hopping model needs at least three levels to leak")
+        raise ValueError(
+            f"hopping model needs n_levels >= 3 to leak, got {n_levels}")
     code = codes_mod.bare_qubit_code(n_levels)
     return _split_bath_model(code, random_hermitian(n_levels, seed),
                              g, seed, bath_dim, shared_bath)
@@ -435,11 +436,13 @@ def _finite(value) -> float:
     return x
 
 
-def _dimension(value) -> int:
-    """A JSON integer of at least 1."""
-    if (n := json_int(value)) < 1:
-        raise ValueError(f"expected at least 1, got {n}")
-    return n
+def at_least(low: int):
+    """A reader of JSON integers of at least low: a seed's 0, a dim's 1."""
+    def read(value) -> int:
+        if (n := json_int(value)) < low:
+            raise ValueError(f"expected at least {low}, got {n}")
+        return n
+    return read
 
 
 def _labels(value) -> list[str]:
@@ -462,9 +465,9 @@ MODEL_NAMES = tuple(_PARAMS)
 def model_from_config(config: Mapping) -> SystemBathModel:
     """Build a model from the JSON config layout.
 
-    Expected keys: "model" (one of MODEL_NAMES), "g", "seed", optional
-    "bath_dim", and a "params" object with the model-specific fields
-    (_PARAMS); dfs2_leakage needs "leak_set". Only the optional keys a
+    Expected keys: "model" (one of MODEL_NAMES), "g", "seed" (at least 0),
+    optional "bath_dim" (at least 1), and a "params" object with the
+    model-specific fields (_PARAMS); dfs2_leakage needs "leak_set". Only the optional keys a
     config gives reach the builder, so its signature holds their defaults;
     hopping_model has none for n_levels, which is 4 here.
     """
@@ -486,10 +489,10 @@ def model_from_config(config: Mapping) -> SystemBathModel:
             f"allowed: {', '.join(sorted(readers))}"
         )
     g = parsed(_finite, config, "g")
-    seed = parsed(json_int, config, "seed")
+    seed = parsed(at_least(0), config, "seed")
     given = {key: parsed(readers[key], params, key) for key in params}
     if "bath_dim" in config:
-        given["bath_dim"] = parsed(_dimension, config, "bath_dim")
+        given["bath_dim"] = parsed(at_least(1), config, "bath_dim")
     if name == "hopping":
         return hopping_model(given.pop("n_levels", 4), seed, g, **given)
     if name == "linear_optics":

@@ -38,13 +38,12 @@ class NumericalDegeneracyError(RuntimeError):
 def frobenius(a: np.ndarray):
     """Frobenius norm over the last two axes: a float for one matrix, an
     array for a stack. Each norm is a BLAS dot of the real parts plus one of
-    the imaginary parts, as np.linalg.norm takes it, so a stack's norms are
-    bit-identical to one-matrix calls."""
-    if a.ndim == 2:
-        return np.linalg.norm(a)
+    the imaginary parts, as np.linalg.norm takes it of a C-contiguous
+    matrix, so a stack's norms are bit-identical to one-matrix calls."""
     flat = a.reshape(*a.shape[:-2], 1, -1)
     re, im = flat.real, flat.imag
-    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+    squares = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(squares[..., 0, 0])
 
 
 def _stack_times(a: np.ndarray, m: np.ndarray) -> np.ndarray:

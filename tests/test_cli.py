@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leolab import cli, dynamics, opalg
 from leolab.codes import spin_sector_decomposition
@@ -114,6 +120,14 @@ class TestVerify:
         code = run_cli(["verify", "--leo", bad, "--code", "dfs2"])
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_dimension_mismatch_names_code(self, tmp_path, capsys):
+        # verify_leo's check, with the operator dim, code and ambient dim
+        op = tmp_path / "xi.json"
+        op.write_text(json.dumps(operator_to_json(pauli_string("XI"))))
+        assert run_cli(["verify", "--leo", op, "--code", "dfs4"]) == 1
+        assert capsys.readouterr().err == (
+            "error: operator dim 4 does not match code dfs4 (ambient 16)\n")
 
     def test_report_written(self, tmp_path):
         pulse_file = tmp_path / "pulse.json"
@@ -672,6 +686,8 @@ MISTYPED_VALUES = [
     ("params", "n_levels", [4]),
     ("leo", "sigma", [1]),
     ("leo", "route", [1]),
+    ("leo", "route", None),
+    ("leo", "generator", None),
 ]
 
 # integers must be JSON integers, flags JSON booleans and real values JSON
@@ -727,6 +743,25 @@ class TestMistypedConfigValues:
         err = self.check_rejected(tmp_path, capsys, None, "bath_dim", bath_dim)
         assert err.count("\n") == 1 and "at least 1" in err
 
+    @pytest.mark.parametrize("model", ["dfs2_leakage", "hopping",
+                                       "linear_optics"])
+    def test_negative_seed(self, tmp_path, capsys, model):
+        # named by the config reader, not by numpy's SeedSequence
+        err = self.check_rejected(tmp_path, capsys, None, "seed", -1,
+                                  model=model)
+        assert err.count("\n") == 1 and "at least 0" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_negative_seed_option(self, tmp_path, capsys, command):
+        # --seed is written into the config, so the same reader names it
+        extra = ["--n", "1,2"] if command == "sweep" else []
+        assert run_cli([command, "--config", self.BENCH, "--seed", "-1", *extra,
+                        "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: config 'seed' has a bad value: expected at "
+                       "least 0, got -1\n")
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("spec", [
         {"re": [0, 1, 0, 0], "im": [0]},
         {"re": [0, True, 0, 0], "im": [0, 0, 0, 0]},
@@ -734,10 +769,13 @@ class TestMistypedConfigValues:
     def test_initial_state_object(self, tmp_path, capsys, spec):
         self.check_rejected(tmp_path, capsys, None, "initial_state", spec)
 
-    def check_rejected(self, tmp_path, capsys, block, key, value):
+    def check_rejected(self, tmp_path, capsys, block, key, value,
+                       model="dfs2_leakage"):
         config = json.loads(self.BENCH.read_text())
         if key == "n_levels":
-            config.update(model="hopping", params={})
+            model = "hopping"
+        if model != "dfs2_leakage":
+            config.update(model=model, params={})
         if key == "tau":
             del config["schedule"]["total_time"]
         (config[block] if block else config)[key] = value
@@ -904,3 +942,151 @@ class TestRoundTrips:
         run_cli(["synth", "--code", "dual_rail", "--route", "phase_shifter",
                  "--out", again])
         assert out.read_bytes() == again.read_bytes()
+
+
+class TestFloatLimit:
+    """Inputs near the float limit overflow inside numpy; the run still
+    ends with its one line (or, for a failed verification, the verdict on
+    stdout alone) and no RuntimeWarning on stderr. Each runs in a fresh
+    interpreter, where a warning would reach stderr."""
+
+    BENCH = Path(__file__).resolve().parent.parent / "bench" / "dfs2_benchmark.json"
+    BIG = {"dim": 4, "re": [[1e308] * 4] * 4, "im": [[0] * 4] * 4,
+           "code_label": "dfs2"}
+
+    @pytest.mark.parametrize("command,extra", [("simulate", []),
+                                               ("sweep", ["--n", "1,2"])])
+    def test_collective_strength(self, tmp_path, command, extra):
+        config = json.loads(self.BENCH.read_text())
+        config["params"]["collective_strength"] = 1e308
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        run = self.run(command, "--config", cfg, *extra,
+                       "--out", tmp_path / "o.csv")
+        assert run.returncode == 2
+        assert run.stderr.startswith("numerical failure:")
+        assert run.stderr.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_verify(self, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(self.BIG))
+        run = self.run("verify", "--leo", big)
+        assert run.returncode == 2
+        assert run.stdout.startswith("verify: FAIL")
+        assert run.stderr == ""
+
+    def test_synth(self, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(self.BIG))
+        run = self.run("synth", "--code", "dfs2", "--route", "canonical",
+                       "--sigma", big, "--out", tmp_path / "p.json")
+        assert run.returncode == 1
+        assert run.stderr.startswith("error:")
+        assert run.stderr.count("\n") == 1
+        assert not (tmp_path / "p.json").exists()
+
+    @staticmethod
+    def run(*argv):
+        return run_fresh("-m", "leolab.cli", *map(str, argv))
+
+
+_REMOVED = object()
+
+# every key a simulate or sweep config reads, and the block that holds it
+CONTRACT_KEYS = [
+    (None, "model"), (None, "g"), (None, "seed"), (None, "bath_dim"),
+    (None, "initial_state"), (None, "params"), (None, "leo"),
+    (None, "schedule"), ("params", "leak_set"),
+    ("params", "collective_strength"), ("params", "shared_bath"),
+    ("params", "n_levels"), ("leo", "route"), ("leo", "sigma"),
+    ("leo", "generator"), ("schedule", "n_cycles"), ("schedule", "tau"),
+    ("schedule", "total_time"),
+]
+# a wrong JSON type, a negative, 0, the float limit, NaN, a huge int, or
+# the key removed; a string is a wrong type only where a string is not read
+CONTRACT_VALUES = [None, True, "x", [1], {"re": 1}, -1, -0.5, 0, 1e308,
+                   float("nan"), 2**70, 10**400, _REMOVED]
+STRING_KEYS = {"model", "initial_state", "route", "sigma", "generator"}
+# dims: a huge one would be refused only by the allocation it asks for (a
+# huge n_cycles is refused before any)
+BOUNDED_KEYS = {"bath_dim", "n_levels"}
+CONTRACT_MUTATIONS = [
+    (block, key, value) for block, key in CONTRACT_KEYS
+    for value in CONTRACT_VALUES
+    if not (value == "x" and key in STRING_KEYS)
+    and not (value in (2**70, 10**400) and key in BOUNDED_KEYS)
+]
+CONTRACT_BASES = {
+    "dfs2_leakage": {
+        "model": "dfs2_leakage", "params": {"leak_set": ["XI"]}, "g": 0.05,
+        "seed": 3, "bath_dim": 4, "leo": {"route": "exchange_2dfs"},
+        "schedule": {"n_cycles": 4, "total_time": 0.4},
+        "initial_state": "code:0"},
+    "hopping": {
+        "model": "hopping", "params": {"n_levels": 4}, "g": 0.2, "seed": 7,
+        "bath_dim": 3, "leo": {"route": "number_op"},
+        "schedule": {"n_cycles": 4, "tau": 0.02}, "initial_state": "code:1"},
+    "linear_optics": {
+        "model": "linear_optics", "params": {}, "g": 0.2, "seed": 5,
+        "leo": {"route": "phase_shifter"},
+        "schedule": {"n_cycles": 4, "total_time": 1.0}},
+}
+
+
+class TestConfigContract:
+    """Any config with one key mutated: the run exits 0, 1 or 2; a failure
+    prints one stderr line and a success none, with no traceback and no
+    warning; and a config error (1) names the key it mutated, or, for a
+    removed block, a key the block held."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(sorted(CONTRACT_BASES)),
+           command=st.sampled_from(["simulate", "sweep"]),
+           mutation=st.sampled_from(CONTRACT_MUTATIONS))
+    @example(family="dfs2_leakage", command="simulate",
+             mutation=(None, "seed", -1))
+    @example(family="hopping", command="sweep", mutation=(None, "seed", -1))
+    @example(family="dfs2_leakage", command="simulate",
+             mutation=("params", "collective_strength", 1e308))
+    @example(family="dfs2_leakage", command="sweep",
+             mutation=("params", "collective_strength", 1e308))
+    @example(family="linear_optics", command="simulate",
+             mutation=("schedule", "total_time", -1))
+    @example(family="hopping", command="sweep",
+             mutation=("schedule", "n_cycles", 0))
+    @example(family="hopping", command="sweep",
+             mutation=("schedule", "tau", 1e308))
+    @example(family="hopping", command="simulate",
+             mutation=("schedule", "n_cycles", 10**400))
+    @example(family="hopping", command="simulate",
+             mutation=("params", "n_levels", 0))
+    def test_mutated_config(self, family, command, mutation):
+        block, key, value = mutation
+        config = json.loads(json.dumps(CONTRACT_BASES[family]))
+        target = config.setdefault(block, {}) if block else config
+        held = target.get(key)
+        if value is _REMOVED:
+            target.pop(key, None)
+        else:
+            target[key] = value
+        names = {key} | (set(held) if value is _REMOVED
+                         and isinstance(held, dict) else set())
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            extra = ["--n", "1,2"] if command == "sweep" else []
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                status = run_cli([command, "--config", cfg, *extra,
+                                  "--out", Path(tmp) / "o.csv"])
+        err = err.getvalue()
+        assert status in (0, 1, 2)
+        assert err.count("\n") == (status != 0)
+        assert "Traceback" not in err
+        assert not caught, [str(w.message) for w in caught]
+        if status == 1:
+            assert any(name in err for name in names), err

@@ -177,6 +177,18 @@ class TestGeneralizedLeo:
         with pytest.raises(NotGeneralizedGeneratorError):
             generalized_leo(gen, embedded)
 
+    @pytest.mark.parametrize("diag", [[1.0, 3.0], [0.0, 2.0]],
+                             ids=["odd", "even"])
+    def test_code_without_complement(self, diag):
+        # an empty complement spectrum has no parity to clash with the
+        # code's, so exp(-i pi h) is a global phase
+        code = CodeSubspace("whole", np.eye(2, dtype=complex))
+        gen = Operator(np.diag(diag).astype(complex), frozenset({"hermitian"}))
+        pulse = generalized_leo(gen, code)
+        sign = 1.0 if diag[0] % 2 == 0 else -1.0
+        np.testing.assert_allclose(pulse.unitary.mat, sign * np.eye(2),
+                                   atol=1e-15)
+
     def test_non_integer_spectrum_rejected(self):
         c = dfs2_dephasing()
         gen = Operator(0.5 * c.projector, frozenset({"hermitian"}))
