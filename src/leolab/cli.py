@@ -204,24 +204,25 @@ def _run_decompose(args: argparse.Namespace) -> int:
 
 
 def _hermitian(path: str | None) -> Operator | None:
+    """The Hermitian operator in the JSON file at path, a path against the
+    working directory; None for no path."""
     if path is None:
         return None
     return operator_from_json(load_json(path), tags=("hermitian",))
 
 
-def _synthesize(route: str, code, sigma: str | None, generator: str | None):
-    """leo.synthesize with sigma and generator given as JSON paths; the
-    generator may also be spelled half_s_squared."""
-    if generator == "half_s_squared":
-        gen = Operator(codes_mod.s_squared(4).mat / 2.0, frozenset({"hermitian"}))
-    else:
-        gen = _hermitian(generator)
-    return leo_mod.synthesize(route, code, _hermitian(sigma), gen)
+def _generator(path: str | None) -> Operator | None:
+    """A generalized route's generator: half_s_squared names S^2 / 2 on four
+    qubits, and anything else is a path (_hermitian)."""
+    if path == "half_s_squared":
+        return Operator(codes_mod.s_squared(4).mat / 2.0, frozenset({"hermitian"}))
+    return _hermitian(path)
 
 
 def _run_synth(args: argparse.Namespace) -> int:
     code = codes_mod.build_code(args.code)
-    pulse = _synthesize(args.route, code, args.sigma, args.generator)
+    pulse = leo_mod.synthesize(args.route, code, _hermitian(args.sigma),
+                               _generator(args.generator))
     _dump_json(args.out, leo_mod.leo_to_json(pulse))
     print(
         f"synth: {pulse.route} pulse for {pulse.code.label}, structural "
@@ -250,6 +251,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         raise ValueError("no code label: pass --code or use a pulse JSON")
     code = codes_mod.build_code(label)
     candidate = operator_from_json(data)
+    leo_mod._check_candidate(candidate, code)  # before any probe is drawn
     probes = _parse_probes(args.probes, code.ambient_dim)
     report = leo_mod.verify_leo(candidate, code, probes)
     passed = report.passed
@@ -301,10 +303,14 @@ def _pulse_for_model(config: dict, model):
     pulse_cfg = config.get("leo", {})
     if not isinstance(pulse_cfg, dict):
         raise ValueError("'leo' must be an object with a 'route'")
-    given = {key: parsed(json_str, pulse_cfg, key)
-             for key in ("route", "sigma", "generator") if key in pulse_cfg}
-    return _synthesize(given.get("route", "projector"), model.code,
-                       given.get("sigma"), given.get("generator"))
+    # sigma and generator are read from their files here, so a file that
+    # cannot be read or parsed is a bad value of its key
+    readers = {"route": json_str, "sigma": lambda v: _hermitian(json_str(v)),
+               "generator": lambda v: _generator(json_str(v))}
+    given = {key: parsed(read, pulse_cfg, key)
+             for key, read in readers.items() if key in pulse_cfg}
+    return leo_mod.synthesize(given.get("route", "projector"), model.code,
+                              given.get("sigma"), given.get("generator"))
 
 
 def _schedule_params(config: dict, min_cycles: int) -> tuple[int, float, float]:

@@ -60,14 +60,17 @@ yields its states in stacks (samples, copies, J_s) of OBSERVABLE_BATCH
 samples, its live copies stepped together by one GEMM of shape (samples
 x copies, J_s) per product: free states are one GEMM of a phase table
 with its eigenvectors scaled by the start's coefficients (_free), and
-pulsed states come from the squares of the cycle up to the stride
-C^OBSERVABLE_BATCH (_kicked); cycle^n is never formed for them. Their
-norms, the leakage plus the code population, are checked once per run
-against a bound linear in k, derived from the residuals of the cycle and
-the stride (_norm_bound). Leakage is the sum over live sectors and
-copies of the squared norms of their complement rows (_leakage); only
-the code rows are gathered, in frame code order by one index per run
-(_code_columns), as the fidelity's A, each code row by its own take into
+pulsed states come from the squares of the cycle up to a stride C^s, then
+one GEMM by C^s per block of s states (_kicked); cycle^n is never formed
+for them. s is one per run, the largest power of two up to min(n,
+OBSERVABLE_BATCH) whose squarings cost no more flops than stepping the n
+states (_stride). Their norms, the leakage plus the code population, are
+checked once per run against a bound linear in k, derived from the
+residuals of the cycle and the stride (_norm_bound). Leakage is the sum
+over live sectors and copies of the squared norms of their complement
+rows (_leakage); only the code rows are gathered, in frame code order by
+one index per run (_code_columns), as the fidelity's A, each code row by
+its own take into
 a contiguous (samples, b) array (_code_rows); a code row that only a
 dead copy holds reads a zero column, appended only when there is one.
 When the code block of H' is exactly I_k x h
@@ -121,7 +124,7 @@ OBSERVABLE_BATCH = 256      # samples per batched leakage/fidelity evaluation
 assert OBSERVABLE_BATCH & (OBSERVABLE_BATCH - 1) == 0, "a power of two"
 # bit i of j for j < OBSERVABLE_BATCH: the squares C^(2^i) that reach C^j
 _SET_BITS = (np.arange(OBSERVABLE_BATCH)[:, None]
-             >> np.arange(OBSERVABLE_BATCH.bit_length())) & 1
+             >> np.arange(OBSERVABLE_BATCH.bit_length() - 1)) & 1
 
 
 def _csv_text(fields: tuple[str, ...], rows) -> str:
@@ -321,11 +324,15 @@ def _check_pulse(model: SystemBathModel, pulse: LeakageEliminationOperator) -> N
         )
 
 
-def _step(states: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _step(states: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
+          ) -> np.ndarray:
     """u applied to each state of a stack (samples, copies, J): one GEMM
-    of shape (samples x copies, J)."""
+    of shape (samples x copies, J), written into out, a C-contiguous stack
+    of the same shape, or a new one."""
     m, c, j = states.shape
-    return (states.reshape(m * c, j) @ u.T).reshape(m, c, j)
+    out = np.empty((m, c, j), dtype=complex) if out is None else out
+    np.matmul(states.reshape(m * c, j), u.T, out=out.reshape(m * c, j))
+    return out
 
 
 def _cycle(sector: Sector, tau: float) -> np.ndarray:
@@ -385,42 +392,70 @@ def _free(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
     return zip(*[_free_batches(view, phi0, -2 * tau, n) for view in views]), None
 
 
+def _stride(views: Sequence[Sector], n: int) -> int:
+    """The stride s = 2^l of a pulsed run of n cycles on the live views
+    (_live), the power C^s that steps its states (_kicked): no more flops
+    go to the l squarings than to stepping the n states, so
+
+        l = min(floor(n sum_v c_v J_v^2 / sum_v p_v J_v^3),
+                floor(log2 min(n, OBSERVABLE_BATCH))),
+
+    with c_v the view's live copies, J_v its dim and p_v = 1/2 for a pair,
+    whose squares take half the flops (_product), else 1; l = 0 for n = 0.
+    A state costs c_v J_v^2 per view and a square p_v J_v^3, in the same
+    unit. The sums are taken in integers, as twice each side."""
+    states = 2 * n * sum(len(v.rows) * v.rows.shape[1] ** 2 for v in views)
+    squares = sum((1 if v.zeta is not None else 2) * v.rows.shape[1] ** 3
+                  for v in views)
+    return 1 << max(min(states // squares,
+                        min(n, OBSERVABLE_BATCH).bit_length() - 1), 0)
+
+
 def _kicked(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
     """The live views' (_live) states C^k phi0 for k = 0..n, as batches of
     one stack (samples, copies, J_s) per view, OBSERVABLE_BATCH samples
     each, and the bound on their norms' drift (_norm_bound); cycle^n is
-    never formed. Each view's squares C^(2^i) of its cycle (_cycle) fill
-    the first batch by doubling (psi_(k+2^i) = C^(2^i) psi_k), and the
-    largest, C^s for the stride s, the largest power of two up to min(n,
-    OBSERVABLE_BATCH) (1 for n = 0), advances each later batch from the one
-    before: as OBSERVABLE_BATCH is a power of two, it is C^OBSERVABLE_BATCH
-    whenever there is a later batch. The strides, then the cycles, are
-    certified unitary, each as one matrix over the live views (_certified),
-    before the first batch."""
+    never formed. The run's stride s (_stride) is one per run: each view's
+    squares C^(2^i) of its cycle (_cycle) fill its first s states by
+    doubling (psi_(k+2^i) = C^(2^i) psi_k), up to C^s, and each later block
+    of s states is one GEMM by C^s of the block before, written into its
+    batch; s divides OBSERVABLE_BATCH, so blocks never straddle batches.
+    s = 1 steps by the cycle alone. A batch is written over the batch
+    before last, so its arrays hold until two more are drawn. The strides,
+    then the cycles (the same matrices when s = 1), are certified unitary,
+    each as one matrix over the live views (_certified), before the first
+    batch."""
+    s = _stride(views, n)
     rows = min(n + 1, OBSERVABLE_BATCH)
     states, cycles, strides = [], [], []
     for view in views:
-        product, square = _product(view), _cycle(view, tau)
-        cycles.append(square)
-        x = np.tile(phi0[view.rows], (rows, 1, 1))  # [0] stays phi0
+        product, power = _product(view), _cycle(view, tau)
+        cycles.append(power)
+        x = np.empty((rows, *view.rows.shape), dtype=complex)
+        x[0] = phi0[view.rows]
         span = 1
-        while span < rows:
-            x[span:2 * span] = _step(x[:min(span, rows - span)], square)
-            if 2 * span <= n:
-                square = product(square, square)
+        while span < s:
+            _step(x[:span], power, x[span:2 * span])
+            power = product(power, power)
             span *= 2
         states.append(x)
-        strides.append(square)
-    log_s = max(min(n, OBSERVABLE_BATCH).bit_length() - 1, 0)
-    stride = _certified(views, strides, f"cycle^{1 << log_s}, the stride of "
-                                        f"{n} cycles")
+        strides.append(power)
+    log_s = s.bit_length() - 1
+    stride = _certified(views, strides, f"cycle^{s}, the stride of {n} cycles")
     cycle = _certified(views, cycles, f"cycle^1 of a run of {n} cycles"
                        ) if log_s else stride
 
     def batches(states):
+        spare = None
         for k0 in range(0, n + 1, OBSERVABLE_BATCH):
-            if k0:
-                states = [_step(x[:n + 1 - k0], c) for x, c in zip(states, strides)]
+            if k0:  # over the batch before last: two buffers per view
+                spare = spare or [np.empty_like(x) for x in states]
+                states, spare = [x[:n + 1 - k0] for x in spare], states
+            for j in range(0 if k0 else s, len(states[0]), s):
+                # from the block before, at j = 0 the last of the batch before
+                i, m = (j - s) % OBSERVABLE_BATCH, min(s, len(states[0]) - j)
+                for x, b, c in zip(states, states if j else spare, strides):
+                    _step(b[i:i + m], c, x[j:j + m])
             yield states
 
     return batches(states), _norm_bound(views, n, log_s, cycle, stride)
@@ -431,12 +466,12 @@ def _norm_bound(views: Sequence[Sector], n: int, log_s: int, cycle: float,
     """The bound on the norm drift |nu_k - nu_0| / nu_0 of the pulsed
     states psi_k = C^k psi_0 (_kicked), k = 0..n, nu_k = ||psi_k||^2 over
     the live copies, from the certified residuals ||P^dag P - I||_F of the
-    cycle C and of the stride C^s, s = 2^log_s, each as one matrix over the
-    live views.
+    cycle C and of the stride C^s, s = 2^log_s (_stride), each as one
+    matrix over the live views.
 
     psi_k is reached from psi_0 by one product with the square P_i =
-    C^(2^i) per set bit i of k % OBSERVABLE_BATCH (the doubling), and one
-    with the stride per advance, k // OBSERVABLE_BATCH of them. Let J be
+    C^(2^i) per set bit i of k % s (the doubling), and one with the stride
+    per block advance, k // s of them. Let J be
     the largest view dim, L the number of live frame rows (copies x J_s,
     summed), eps the machine epsilon, and g = sqrt(2) (J + 2) J eps, which
     bounds the rounding of a product of two J x J matrices of Frobenius
@@ -469,10 +504,9 @@ def _norm_bound(views: Sequence[Sector], n: int, log_s: int, cycle: float,
     g = 2 ** 0.5 * (dim + 2) * dim * eps
     product = 2 ** 0.5 * (dim + 2) * dim ** 0.5 * eps
     rho = [(cycle + 3 * g) * 2 ** i - 2 * g + product for i in range(log_s)]
-    rho.append(stride + g + product)
-    first = _SET_BITS[:min(n + 1, OBSERVABLE_BATCH), :len(rho)] @ rho
+    first = _SET_BITS[:1 << log_s, :log_s] @ rho
     first += 2 * eps * sum(view.rows.size for view in views)
-    advances = np.arange(n // OBSERVABLE_BATCH + 1)[:, None] * rho[-1]
+    advances = np.arange((n >> log_s) + 1)[:, None] * (stride + g + product)
     return (advances + first).ravel()[:n + 1]
 
 
@@ -883,8 +917,9 @@ def simulate(
     target. With pulses=None the same grid is used for free evolution.
     States, stepped targets and observables cover only the sector copies
     where the start is exactly nonzero (_live). A pulsed run steps them by
-    the squares of the cycle up to the stride C^OBSERVABLE_BATCH and never
-    forms cycle^n (_kicked). The distance to the limit covers every sector
+    the squares of the cycle up to a stride C^s, s chosen per run so that
+    its squarings cost no more flops than its states (_stride), then by
+    C^s, and never forms cycle^n (_kicked). The distance to the limit covers every sector
     and is formed, with the run's total, when first read
     (_deferred_distance).
     The target is stepped only when the model's code block acts on the

@@ -403,6 +403,14 @@ def _probe_residuals(r: np.ndarray, chunk: Sequence[Operator],
     return residuals.tolist()
 
 
+def _check_candidate(candidate: Operator, code: CodeSubspace) -> None:
+    """A candidate pulse acts on the code's ambient space, or it is a
+    ValueError that names the code; verify_leo's first check."""
+    if candidate.dim != code.ambient_dim:
+        raise ValueError(f"operator dim {candidate.dim} does not match code "
+                         f"{code.label} (ambient {code.ambient_dim})")
+
+
 def verify_leo(
     candidate: Operator,
     code: CodeSubspace,
@@ -417,10 +425,8 @@ def verify_leo(
     probe's parts as decompose would, and each probe gets its own three
     residual norms.
     """
+    _check_candidate(candidate, code)
     dim = code.ambient_dim
-    if candidate.dim != dim:
-        raise ValueError(f"operator dim {candidate.dim} does not match code "
-                         f"{code.label} (ambient {dim})")
     for probe in probes:
         if probe.dim != dim:
             raise DimensionMismatchError(

@@ -129,6 +129,20 @@ class TestVerify:
         assert capsys.readouterr().err == (
             "error: operator dim 4 does not match code dfs4 (ambient 16)\n")
 
+    def test_dimension_checked_before_any_probe(self, tmp_path, monkeypatch,
+                                                capsys):
+        # a mismatched operator draws none of its 20000 probes
+        drawn = []
+        monkeypatch.setattr(cli.leo_mod, "random_probes",
+                            lambda *args: drawn.append(args))
+        op = tmp_path / "xi.json"
+        op.write_text(json.dumps(operator_to_json(pauli_string("XI"))))
+        assert run_cli(["verify", "--leo", op, "--code", "dfs4",
+                        "--probes", "random:20000:seed=1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: operator dim 4 does not match code dfs4 (ambient 16)\n")
+        assert drawn == []
+
     def test_report_written(self, tmp_path):
         pulse_file = tmp_path / "pulse.json"
         run_cli(["synth", "--code", "dfs4", "--route", "s_squared",
@@ -498,6 +512,29 @@ class TestConfigLeoBlock:
         assert run_cli(["simulate", "--config", self.BENCH, "--out", a]) == 0
         assert run_cli(["simulate", "--config", canonical, "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("key,route", [("sigma", "canonical"),
+                                           ("generator", "generalized")])
+    def test_unreadable_file_names_its_key(self, tmp_path, monkeypatch, capsys,
+                                           key, route):
+        # a relative path is read against the working directory, not the
+        # config's: the file sits next to the config, the run starts
+        # elsewhere, and the error names the key as well as the path
+        # (XX + YY) / 2: dfs2's logical X, and a generalized generator too
+        xbar = (pauli_string("XX").mat + pauli_string("YY").mat) / 2.0
+        (tmp_path / "op.json").write_text(json.dumps({
+            "dim": 4, "re": xbar.real.tolist(), "im": xbar.imag.tolist()}))
+        cfg = write_config(tmp_path, leo={"route": route, key: "op.json"})
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        out = tmp_path / "run.csv"
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: config '{key}' has a bad value: cannot read op.json: ")
+        assert not out.exists()
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["simulate", "--config", cfg, "--out", out]) == 0
 
     def test_unknown_route_listed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, leo={"route": "teleport"})
@@ -1004,10 +1041,11 @@ CONTRACT_KEYS = [
     ("schedule", "total_time"),
 ]
 # a wrong JSON type, a negative, 0, the float limit, NaN, a huge int, or
-# the key removed; a string is a wrong type only where a string is not read
+# the key removed; a string is a wrong type only where a string is not read,
+# and a bad path where a file is (sigma, generator)
 CONTRACT_VALUES = [None, True, "x", [1], {"re": 1}, -1, -0.5, 0, 1e308,
                    float("nan"), 2**70, 10**400, _REMOVED]
-STRING_KEYS = {"model", "initial_state", "route", "sigma", "generator"}
+STRING_KEYS = {"model", "initial_state", "route"}
 # dims: a huge one would be refused only by the allocation it asks for (a
 # huge n_cycles is refused before any)
 BOUNDED_KEYS = {"bath_dim", "n_levels"}
@@ -1061,6 +1099,10 @@ class TestConfigContract:
              mutation=("schedule", "n_cycles", 10**400))
     @example(family="hopping", command="simulate",
              mutation=("params", "n_levels", 0))
+    @example(family="dfs2_leakage", command="simulate",
+             mutation=("leo", "sigma", "x"))
+    @example(family="linear_optics", command="sweep",
+             mutation=("leo", "generator", "x"))
     def test_mutated_config(self, family, command, mutation):
         block, key, value = mutation
         config = json.loads(json.dumps(CONTRACT_BASES[family]))

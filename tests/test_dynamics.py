@@ -1,9 +1,12 @@
 import copy
 import gc
+import json
+import math
 import pickle
 import sys
 import threading
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,6 +75,48 @@ def pure_leakage_model():
     b = random_hermitian(2, 17)
     return SystemBathModel.from_terms(
         dfs2_dephasing(), [(0.4, pauli_string("XI"), b)])
+
+
+def live_views(m, state):
+    _, phi0 = dynamics._frame_state(m, state)
+    return [v for v in dynamics._live(m, phi0) if v is not None]
+
+
+def rule_stride(views, n):
+    """The stride a pulsed run of n cycles steps by: log2 s = min(floor(n
+    sum_v c_v J_v^2 / sum_v p_v J_v^3), floor(log2 min(n, 256))), over the
+    live views v with c_v live copies of dim J_v, p_v = 1/2 for a pair and
+    1 otherwise; s = 1 for n = 0."""
+    if n == 0:
+        return 1
+    states = n * sum(len(v.rows) * v.rows.shape[1] ** 2 for v in views)
+    squares = sum(Fraction(1, 2 if v.zeta is not None else 1) * v.rows.shape[1] ** 3
+                  for v in views)
+    return 2 ** min(math.floor(states / squares),
+                    math.floor(math.log2(min(n, dynamics.OBSERVABLE_BATCH))))
+
+
+def shipped_config(bench_dir):
+    """The model of the shipped config and its cycle count."""
+    with open(bench_dir / "dfs2_benchmark.json") as fh:
+        config = json.load(fh)
+    return models.model_from_config(config), config["schedule"]["n_cycles"]
+
+
+def extended_leakage(m, state, n, tau):
+    """The leakage at k = 0..n of stepping each live view's double cycle C
+    (dynamics._cycle) one cycle at a time in np.clongdouble: the oracle of
+    the pulsed states' error model (TestStateNormCheck's
+    test_long_run_against_extended_precision)."""
+    _, phi0 = dynamics._frame_state(m, state)
+    leakage = np.zeros(n + 1, dtype=np.longdouble)
+    for view in live_views(m, state):
+        c = dynamics._cycle(view, tau).astype(np.clongdouble)
+        psi = phi0[view.rows].astype(np.clongdouble)  # a row per live copy
+        for k in range(n + 1):
+            leakage[k] += np.sum(np.abs(psi[:, view.n_code:]) ** 2)
+            psi = psi @ c.T
+    return leakage
 
 
 class TestParityKickSchedule:
@@ -248,11 +293,13 @@ class TestPropagatorChecks:
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^decoupled limit: {drift}"):
             decoupled_limit_unitary(m, 0.8)
-        # simulate certifies the stride a pulsed run steps with, C^8 here,
-        # then the cycle; the limit waits for the first read of the
-        # distance, which certifies it before the run's total, pulsed or free
+        # simulate certifies the stride a pulsed run steps with, then the
+        # cycle; the limit waits for the first read of the distance, which
+        # certifies it before the run's total, pulsed or free
+        s = rule_stride(live_views(m, code_state(m)), 8)
+        assert s == 4
         with pytest.raises(NumericalDegeneracyError,
-                           match=f"^cycle\\^8, the stride of 8 cycles: {drift}"):
+                           match=f"^cycle\\^{s}, the stride of 8 cycles: {drift}"):
             simulate(m, sched, code_state(m))
         for pulse in (sched.pulses, None):
             monkeypatch.setattr(opalg, "UNITARY_TOL", 1e-10)
@@ -276,7 +323,8 @@ class TestStateNormCheck:
     """A pulsed run checks its states' norms against the bound derived in
     _norm_bound, linear in k: |nu_k - nu_0| <= (sum of rho_P over the
     products that reach psi_k + 2 L eps) nu_0, one product with C^(2^i)
-    per set bit i of k % 256 and one with the stride C^s per advance, rho_P
+    per set bit i of k % s and one with the stride C^s per advance, s the
+    run's stride (rule_stride), rho_P
     = r_P + sqrt(2) (J + 2) sqrt(J) eps. r_P is the certified residual plus
     g = sqrt(2) (J + 2) J eps for the cycle and the stride, and r_(i+1) = 2
     r_i + 2 g for the squares between them."""
@@ -331,11 +379,11 @@ class TestStateNormCheck:
         state = (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
         sched = ParityKickSchedule(n, total_time / (2 * n), pulse)
         _, nu, r, (checked,) = self.run(monkeypatch, m, sched, state)
-        _, phi0 = dynamics._frame_state(m, state)
-        views = [v for v in dynamics._live(m, phi0) if v is not None]
+        views = live_views(m, state)
         j = max(v.rows.shape[1] for v in views)
         live_rows = sum(v.rows.size for v in views)
-        log_s = min(n, dynamics.OBSERVABLE_BATCH).bit_length() - 1
+        s = rule_stride(views, n)
+        log_s = s.bit_length() - 1
         assert len(r) == 1 + (log_s > 0)
         eps = np.finfo(float).eps
         g = np.sqrt(2.0) * (j + 2) * j * eps
@@ -345,7 +393,7 @@ class TestStateNormCheck:
         squares[log_s:] = [r[0] + g]
         rho = np.array(squares) + np.sqrt(2.0) * (j + 2) * np.sqrt(j) * eps
         bound = np.array([
-            k // 256 * rho[-1] + sum(p for i, p in enumerate(rho) if k % 256 >> i & 1)
+            k // s * rho[-1] + sum(p for i, p in enumerate(rho[:-1]) if k % s >> i & 1)
             for k in range(n + 1)]) + 2 * live_rows * eps
         np.testing.assert_allclose(checked, bound, rtol=1e-13, atol=0.0)
         # measured at most 0.39 of the bound over these models (linear
@@ -355,22 +403,29 @@ class TestStateNormCheck:
 
     @pytest.mark.parametrize("factor", [1e-8, 1e-11])
     def test_drifting_advance_is_a_numerical_failure(self, monkeypatch, factor):
-        # the advance by C^256 scaled by 1 + factor moves nu by 2 factor per
-        # batch, past the bound of 9.4e-13 at k = 256 here, though every
-        # matrix stays within the unitarity tolerance
+        # the advance by the stride C^s, s = 256 here, scaled by 1 + factor
+        # moves nu by 2 factor per block, past the bound of 9.4e-13 at k =
+        # 256, though every matrix stays within the unitarity tolerance
         m, pulse = self.MODELS["dfs2_xz_j64"]()
+        s = rule_stride(live_views(m, code_state(m)), 300)
+        log_s = s.bit_length() - 1
         step, calls = dynamics._step, []
 
-        def drifting(states, u):
+        def drifting(states, u, out):
             calls.append(len(states))
-            out = step(states, u)
-            return out * (1.0 + factor) if len(calls) > 8 else out
+            step(states, u, out)
+            if len(calls) > log_s:
+                out *= 1.0 + factor
+            return out
 
         monkeypatch.setattr(dynamics, "_step", drifting)
         with pytest.raises(NumericalDegeneracyError,
-                           match="^state norm after 256 cycles drifted by"):
+                           match=f"^state norm after {s} cycles drifted by"):
             simulate(m, ParityKickSchedule(300, 0.003, pulse), code_state(m))
-        assert calls == [1, 2, 4, 8, 16, 32, 64, 128, 45]  # eight doublings
+        # log_s doublings, then one block of s states per advance
+        assert calls == [2 ** i for i in range(log_s)] + [
+            min(s, 300 + 1 - k) for k in range(s, 301, s)]
+        assert s == 256
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
                         reason="longdouble is no wider than double here")
@@ -395,27 +450,143 @@ class TestStateNormCheck:
         n = 65536
         sched = ParityKickSchedule(n, 2.0 / (2 * n), exchange_dfs2_leo())
         report, nu, _, _ = self.run(monkeypatch, m, sched, code_state(m))
-        _, phi0 = dynamics._frame_state(m, code_state(m))
-        (view,) = [v for v in dynamics._live(m, phi0) if v is not None]
-        c = dynamics._cycle(view, sched.tau).astype(np.clongdouble)
-        psi = phi0[view.rows][0].astype(np.clongdouble)
-        h, j = view.n_code, view.rows.shape[1]
-        leakage = np.empty(n + 1, dtype=np.longdouble)
-        for k in range(n + 1):
-            leakage[k] = np.sum(np.abs(psi[h:]) ** 2)
-            psi = c @ psi
+        (view,) = live_views(m, code_state(m))
+        j = view.rows.shape[1]
+        leakage = extended_leakage(m, code_state(m), n, sched.tau)
         k = np.arange(1, n + 1)
         eps, eps_ld = np.finfo(float).eps, float(np.finfo(np.longdouble).eps)
         assert leakage[1:].min() > 0 and report.leakage_population[0] == 0
         error = np.abs(report.leakage_population[1:] - leakage[1:]) / leakage[1:]
         assert np.all(error <= k * j * (eps + eps_ld))
+        c = dynamics._cycle(view, sched.tau).astype(np.clongdouble)
         gram = c.conj().T @ c - np.eye(j)
         r_c = float(np.sqrt(np.sum(np.abs(gram) ** 2)))
-        a = k // 256 + np.array([bin(x % 256).count("1") for x in k])
+        s = rule_stride([view], n)
+        a = k // s + np.array([bin(x % s).count("1") for x in k])
         bound = (k * r_c + a * np.sqrt(2.0) * (j + 2) * np.sqrt(j) * eps
                  + 2 * j * eps)
         assert nu[0] == 1.0
         assert np.all(np.abs(nu[1:] - 1.0) <= bound)
+
+
+class TestStride:
+    """A pulsed run steps its states by one stride C^s per run: the first s
+    states by doubling, each later block of s states by one product with
+    C^s. s comes from the rule that no more flops go to the squarings than
+    to stepping the states (rule_stride, dynamics._stride)."""
+
+    # perfbench's pulsed rungs (bath seed 3, as at its seed 0) and the
+    # shipped config: the model, the cycle count and the rule's stride
+    RUNGS = {
+        "dfs2_j16_n4096": (lambda _: (dfs2_leakage_model(
+            ["XI"], 0.05, 3, bath_dim=4), 4096), 256),
+        "dfs2_j64_n4096": (lambda _: (dfs2_leakage_model(
+            ["XI"], 0.05, 3, bath_dim=16), 4096), 256),
+        "dfs2_j256_n1024": (lambda _: (dfs2_leakage_model(
+            ["XI"], 0.05, 3, bath_dim=64), 1024), 256),
+        "hopping8_j256_n1024": (lambda _: (hopping_model(
+            8, 3, 0.05, bath_dim=32), 1024), 16),
+        "dfs2_j512_n64": (lambda _: (dfs2_leakage_model(
+            ["XI"], 0.05, 3, bath_dim=128), 64), 1),
+        "shipped_config": (shipped_config, 64),
+    }
+
+    @pytest.mark.parametrize("rung", list(RUNGS))
+    def test_benchmark_rungs(self, bench_dir, rung):
+        build, s = self.RUNGS[rung]
+        m, n = build(bench_dir)
+        views = live_views(m, code_state(m))
+        assert dynamics._stride(views, n) == rule_stride(views, n) == s
+
+    def test_zero_and_one_cycle_step_by_the_cycle(self):
+        m = benchmark_model()
+        views = live_views(m, code_state(m))
+        assert dynamics._stride(views, 0) == dynamics._stride(views, 1) == 1
+
+    # (bath dim, n, start, s): the j512 rung from a basis state (s = 1, a
+    # plain chain by the cycle) and from a superposition (two live copies,
+    # s = 2), and dfs2 at joint dim 256 over 256 cycles (s = 16: fifteen
+    # blocks in the first batch, one in the second) and over 1000 (s =
+    # 256, one block per batch)
+    SHORT = [(128, 64, "basis", 1), (128, 64, "superposition", 2),
+             (64, 256, "basis", 16), (64, 1000, "basis", 256)]
+
+    @staticmethod
+    def start(m, kind):
+        if kind == "basis":
+            return code_state(m)
+        return (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
+
+    @pytest.mark.parametrize("bath_dim,n,kind,s", SHORT)
+    def test_short_strides_against_extended_precision(self, bath_dim, n, kind, s):
+        # the error model of test_long_run_against_extended_precision: every
+        # product keeps the pair form, so psi_k, products of powers that add
+        # up to k, is within k J eps / 2 of the clongdouble oracle's, and
+        # the leakage within k J eps relative, plus the oracle's own k J
+        # eps_ld; J is the live sector's dim
+        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=bath_dim)
+        state = self.start(m, kind)
+        (view,) = live_views(m, state)
+        assert rule_stride([view], n) == s
+        sched = ParityKickSchedule(n, 2.0 / (2 * n), exchange_dfs2_leo())
+        got = simulate(m, sched, state).leakage_population
+        want = extended_leakage(m, state, n, sched.tau)
+        k, j = np.arange(1, n + 1), view.rows.shape[1]
+        eps, eps_ld = np.finfo(float).eps, float(np.finfo(np.longdouble).eps)
+        assert want[1:].min() > 0 and got[0] == 0
+        error = np.abs(got[1:] - want[1:]) / want[1:]
+        assert np.all(error <= k * j * (eps + eps_ld))
+
+    @pytest.mark.parametrize("bath_dim,n", [(64, 256), (128, 64)])
+    def test_norm_bound_at_a_stride_switch(self, monkeypatch, bath_dim, n):
+        # psi_s and psi_2s take one and two products with the stride and
+        # none with a square; psi_(s-1) takes every square once, psi_(s+1)
+        # the stride and the cycle
+        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=bath_dim)
+        views = live_views(m, code_state(m))
+        s = rule_stride(views, n)
+        sched = ParityKickSchedule(n, 2.0 / (2 * n), exchange_dfs2_leo())
+        _, nu, r, (bound,) = TestStateNormCheck.run(monkeypatch, m, sched,
+                                                    code_state(m))
+        j = max(v.rows.shape[1] for v in views)
+        eps = np.finfo(float).eps
+        g = np.sqrt(2.0) * (j + 2) * j * eps
+        product = np.sqrt(2.0) * (j + 2) * np.sqrt(j) * eps
+        read = 2 * sum(v.rows.size for v in views) * eps
+        stride = r[0] + g + product
+        squares = [(r[-1] + 3 * g) * 2 ** i - 2 * g + product
+                   for i in range(s.bit_length() - 1)]
+        for k, want in [(s, stride), (2 * s, 2 * stride),
+                        (s - 1, sum(squares)),
+                        (s + 1, stride + (squares[0] if squares else stride))]:
+            assert bound[k] == pytest.approx(want + read, rel=1e-13, abs=0.0), k
+        assert np.all(np.abs(nu - nu[0]) <= bound * nu[0])
+
+    @pytest.mark.parametrize("bath_dim,n", [(64, 256), (128, 64)])
+    def test_drifting_stride_fails_at_the_first_block(self, monkeypatch,
+                                                      bath_dim, n):
+        # each block's product with C^s scaled by 1 + 1e-8 moves nu by 2e-8
+        # at k = s, far past the bound there
+        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=bath_dim)
+        s = rule_stride(live_views(m, code_state(m)), n)
+        step, calls = dynamics._step, []
+
+        def drifting(states, u, out):
+            calls.append(len(states))
+            step(states, u, out)
+            if len(calls) > s.bit_length() - 1:
+                out *= 1.0 + 1e-8
+            return out
+
+        monkeypatch.setattr(dynamics, "_step", drifting)
+        with pytest.raises(NumericalDegeneracyError,
+                           match=f"^state norm after {s} cycles drifted by"):
+            simulate(m, ParityKickSchedule(n, 2.0 / (2 * n), exchange_dfs2_leo()),
+                     code_state(m))
+        # the doublings, then a block of s states (the last of what is left)
+        # per advance
+        assert calls == [2 ** i for i in range(s.bit_length() - 1)] + [
+            min(s, n + 1 - k) for k in range(s, n + 1, s)]
 
 
 class TestDeferredDistance:
@@ -1475,18 +1646,33 @@ class TestSweep:
 
     def test_single_point_matches_simulate(self):
         # a row takes no samples and shares the sweep's one limit; at a
-        # power of two n, 2 n tau == T, so it must still be bit-identical to
-        # a standalone simulate call
+        # power of two n, 2 n tau == T, so its distance must still be
+        # bit-identical to a standalone simulate call's, and so must its
+        # leakage where the run's stride s (rule_stride) reaches n, as
+        # simulate then steps by cycle^n's own squares. At a shorter stride
+        # both leakages must be within the error model of
+        # test_long_run_against_extended_precision, k J eps relative (k = n,
+        # J the live sector's dim) plus the oracle's own k J eps_ld
         m = benchmark_model()
-        pulse = exchange_dfs2_leo()
-        table = sweep_cycles(m, 0.8, (1, 2, 4, 8), code_state(m), pulse)
-        assert [r.n for r in table.rows] == [1, 2, 4, 8]
+        state, pulse = code_state(m), exchange_dfs2_leo()
+        table = sweep_cycles(m, 0.8, (1, 2, 4, 8, 16, 64), state, pulse)
+        assert [r.n for r in table.rows] == [1, 2, 4, 8, 16, 64]
+        (view,) = live_views(m, state)
+        j = view.rows.shape[1]
+        eps, eps_ld = np.finfo(float).eps, float(np.finfo(np.longdouble).eps)
+        strides = []
         for row in table.rows:
             assert row.tau == pytest.approx(0.4 / row.n)
-            direct = simulate(m, ParityKickSchedule(row.n, row.tau, pulse),
-                              code_state(m))
-            assert row.final_leakage == direct.final_leakage
+            direct = simulate(m, ParityKickSchedule(row.n, row.tau, pulse), state)
             assert row.distance_to_limit == direct.distance_to_limit
+            strides.append(rule_stride([view], row.n))
+            if strides[-1] >= row.n:
+                assert row.final_leakage == direct.final_leakage
+                continue
+            want = extended_leakage(m, state, row.n, row.tau)[-1]
+            for got in (row.final_leakage, direct.final_leakage):
+                assert abs(got - want) <= row.n * j * (eps + eps_ld) * want
+        assert strides == [1, 1, 2, 4, 16, 64]
 
     def test_rows_ordered_and_deterministic(self):
         m = benchmark_model()
