@@ -27,6 +27,7 @@ from .opalg import (
     DimensionMismatchError,
     Operator,
     _stack_times,
+    _table_text,
     check_tags,
     frobenius,
     pauli_stack,
@@ -171,10 +172,7 @@ def classify_pauli_strings(
 
 def classification_to_csv(table: Mapping[str, PauliClassification]) -> str:
     """Render a classification table as CSV text."""
-    lines = ["pauli_string,class,e_norm,eperp_norm,l_norm"]
-    for row in table.values():
-        lines.append(
-            f"{row.label},{row.klass},{row.e_norm:.17g},"
-            f"{row.eperp_norm:.17g},{row.l_norm:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    return _table_text("pauli_string,class,e_norm,eperp_norm,l_norm",
+                       "%s,%s,%.17g,%.17g,%.17g",
+                       ((r.label, r.klass, r.e_norm, r.eperp_norm, r.l_norm)
+                        for r in table.values()))

@@ -36,6 +36,7 @@ from .models import at_least, model_from_config, parsed
 from .opalg import (
     NumericalDegeneracyError,
     Operator,
+    _table_text,
     json_complex,
     json_matrix,
     json_number,
@@ -49,6 +50,7 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 _PROBE_SPEC = re.compile(r"^random:(\d+):seed=(\d+)$")
+_PLOT_ROW = "%.17g %.17g"  # a --plot-out file: one (x, y) point per line
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,7 +217,7 @@ def _generator(path: str | None) -> Operator | None:
     """A generalized route's generator: half_s_squared names S^2 / 2 on four
     qubits, and anything else is a path (_hermitian)."""
     if path == "half_s_squared":
-        return Operator(codes_mod.s_squared(4).mat / 2.0, frozenset({"hermitian"}))
+        return leo_mod._half_s_squared()
     return _hermitian(path)
 
 
@@ -345,11 +347,6 @@ def _model_and_config(args: argparse.Namespace):
     return model_from_config(config), config
 
 
-def _plot_text(points) -> str:
-    """Two whitespace-separated columns, one (x, y) point per line."""
-    return "\n".join(f"{x:.17g} {y:.17g}" for x, y in points) + "\n"
-
-
 def _run_simulate(args: argparse.Namespace) -> int:
     model, config = _model_and_config(args)
     n_cycles, tau, _ = _schedule_params(config, 0)  # simulate's T is 2 n tau
@@ -358,10 +355,9 @@ def _run_simulate(args: argparse.Namespace) -> int:
     state = _initial_state(config, model.code)
     report = simulate(model, schedule, state)
     _atomic_write_text(args.out, report.csv_text())
-    if args.plot_out:
-        leakage = report.leakage_population
-        _atomic_write_text(args.plot_out, _plot_text(zip(
-            (2 * report.tau * np.arange(len(leakage))).tolist(), leakage.tolist())))
+    if args.plot_out:  # (elapsed_time, leakage_population) of each sample
+        _atomic_write_text(args.plot_out, _table_text(
+            None, _PLOT_ROW, (row[1:3] for row in report._rows())))
     kind = "free" if pulses is None else f"pulsed ({pulses.route})"
     print(
         f"simulate: {kind}, final leakage "
@@ -379,9 +375,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
     table = sweep_cycles(model, total, args.n, state, pulses)
     _atomic_write_text(args.out, table.csv_text())
     if args.plot_out:
-        _atomic_write_text(args.plot_out, _plot_text(
+        _atomic_write_text(args.plot_out, _table_text(None, _PLOT_ROW, (
             (math.log10(r.n), math.log10(max(r.distance_to_limit, 1e-300)))
-            for r in table.rows))
+            for r in table.rows)))
     last = table.rows[-1]
     print(
         f"sweep: {len(table.rows)} runs at T={total:.17g}, distance at "

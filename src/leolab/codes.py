@@ -286,15 +286,11 @@ def spin_sector_decomposition(n_qubits: int) -> SpinSectorDecomposition:
     for i in range(dim):
         blocks.setdefault(bin(i).count("1"), []).append(i)
 
-    n_spins = n_qubits // 2 + 1
-    spins = [n_qubits / 2.0 - j for j in range(n_spins)]
-
     sectors = []
-    for spin in spins:
+    # k down spins in the highest weight, S = n/2 - k, in ascending S
+    for k in range(n_qubits // 2, -1, -1):
+        spin = n_qubits / 2 - k
         mult = spin_multiplicity(n_qubits, spin)
-        if mult == 0:
-            continue
-        k = round(n_qubits / 2 - spin)
         rung = np.zeros((dim, mult), dtype=complex)
         if k == 0:
             rung[blocks[k][0], 0] = 1.0
@@ -303,18 +299,16 @@ def spin_sector_decomposition(n_qubits: int) -> SpinSectorDecomposition:
             restricted = s_minus[np.ix_(blocks[k], blocks[k - 1])].T
             rung[blocks[k], :] = _null_space_deterministic(restricted, mult)
         # rungs[i] holds the m = S - i states of all mult ladders, one
-        # column each, nonzero only on magnetization block k + i
+        # column each, nonzero only on magnetization block k + i; each of
+        # the n - 2k lowerings takes m to m - 1
         rungs = [rung]
-        m = spin
-        while m > -spin + 1e-9:
-            rows = blocks[k + len(rungs)]
+        for i in range(n_qubits - 2 * k):
+            m, rows = spin - i, blocks[k + i + 1]
             rung = np.zeros((dim, mult), dtype=complex)
             rung[rows] = s_minus[rows] @ rungs[-1] / sqrt((spin + m) * (spin - m + 1))
             rungs.append(rung)
-            m -= 1.0
         # order columns by ascending Sz, ladders in order within each m
         sectors.append(SpinSector(spin, np.hstack(rungs[::-1])))
-    sectors.sort(key=lambda s: s.spin)
     return SpinSectorDecomposition(n_qubits, tuple(sectors))
 
 

@@ -113,6 +113,7 @@ from .opalg import (
     Operator,
     _index,
     _spectral_matrix,
+    _table_text,
     certified_residual,
     computed_unitary,
 )
@@ -122,16 +123,12 @@ STATE_NORM_TOL = 1e-10
 FIDELITY_CLAMP_TOL = 1e-9   # fidelities below 1 + this are clamped to 1
 OBSERVABLE_BATCH = 256      # samples per batched leakage/fidelity evaluation
 assert OBSERVABLE_BATCH & (OBSERVABLE_BATCH - 1) == 0, "a power of two"
-# bit i of j for j < OBSERVABLE_BATCH: the squares C^(2^i) that reach C^j
-_SET_BITS = (np.arange(OBSERVABLE_BATCH)[:, None]
-             >> np.arange(OBSERVABLE_BATCH.bit_length() - 1)) & 1
 
 
 def _csv_text(fields: tuple[str, ...], rows) -> str:
     """The field names as a header, then one line per row, a tuple of
     numbers each at %.17g."""
-    row = ",".join(["%.17g"] * len(fields))
-    return "\n".join([",".join(fields), *(row % r for r in rows)]) + "\n"
+    return _table_text(",".join(fields), ",".join(["%.17g"] * len(fields)), rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +150,11 @@ class ParityKickSchedule:
             raise ValueError("n_cycles must be nonnegative")
         if not (self.tau > 0.0 and np.isfinite(self.tau)):
             raise ValueError("tau must be positive and finite")
-        if not np.isfinite(self.total_free_time):
-            raise ValueError("total free time 2 n tau must be finite")
+        # forming 2 n tau converts 2 n to a float, which fails past its range
+        if not (2 * self.n_cycles <= sys.float_info.max
+                and np.isfinite(self.total_free_time)):
+            raise ValueError(f"total free time 2 n tau must be finite, "
+                             f"n_cycles {self.n_cycles}")
 
     @property
     def total_free_time(self) -> float:
@@ -348,7 +348,7 @@ def _cycle(sector: Sector, tau: float) -> np.ndarray:
     return _product(sector)(sz, sz)
 
 
-def _power(cycle: np.ndarray, n: int, product=np.matmul) -> np.ndarray:
+def _power(cycle: np.ndarray, n: int, product) -> np.ndarray:
     """cycle^n, not yet certified, from the squares C^(2^i) in matrix_power's
     binary order, each matrix product taken by product (_product)."""
     total = None
@@ -504,7 +504,9 @@ def _norm_bound(views: Sequence[Sector], n: int, log_s: int, cycle: float,
     g = 2 ** 0.5 * (dim + 2) * dim * eps
     product = 2 ** 0.5 * (dim + 2) * dim ** 0.5 * eps
     rho = [(cycle + 3 * g) * 2 ** i - 2 * g + product for i in range(log_s)]
-    first = _SET_BITS[:1 << log_s, :log_s] @ rho
+    # bit i of j < s: the squares C^(2^i) that reach C^j from the block start
+    set_bits = (np.arange(1 << log_s)[:, None] >> np.arange(log_s)) & 1
+    first = set_bits @ rho
     first += 2 * eps * sum(view.rows.size for view in views)
     advances = np.arange((n >> log_s) + 1)[:, None] * (stride + g + product)
     return (advances + first).ravel()[:n + 1]
@@ -991,17 +993,17 @@ def sweep_cycles(
 ) -> SweepTable:
     """Convergence sweep: one pulsed run per cycle count at fixed total time.
 
-    n_list must be ascending positive integers. The state and the pulse's
-    code are checked and the decoupled limit at total_free_time formed and
-    certified once per sweep. A row then computes only what it reports:
-    cycle^n (certified unitary), the final state cycle^n psi0 in the frame
-    F x I on the copies the start occupies, as simulate reads them
-    (_live), its leakage (range-checked as simulate's column) and its
-    distance to the limit; no samples, targets or fidelities. Where 2 n tau
-    == total_free_time the row equals a standalone simulate; otherwise the
-    limit differs from simulate's by the rounding of that product. Rows
-    run in order of n_list on the calling thread; BLAS is the only
-    parallelism.
+    n_list must be ascending positive integers, each 2n a float. The state
+    and the pulse's code are checked and the decoupled limit at
+    total_free_time formed and certified once per sweep. A row then
+    computes only what it reports: cycle^n (certified unitary), the final
+    state cycle^n psi0 in the frame F x I on the copies the start occupies,
+    as simulate reads them (_live), its leakage (range-checked as
+    simulate's column) and its distance to the limit; no samples, targets
+    or fidelities. Where 2 n tau == total_free_time the row equals a
+    standalone simulate; otherwise the limit differs from simulate's by the
+    rounding of that product. Rows run in order of n_list on the calling
+    thread; BLAS is the only parallelism.
     """
     if pulses is None:
         raise ValueError("schedule has no pulses; a sweep compares pulsed runs")
@@ -1010,6 +1012,8 @@ def sweep_cycles(
     ns = [_index(n, "cycle counts must be integers") for n in n_list]
     if not ns or any(n < 1 for n in ns) or ns != sorted(set(ns)):
         raise ValueError("n_list must be strictly ascending positive integers")
+    if 2 * ns[-1] > sys.float_info.max:  # T / 2n converts 2n to a float
+        raise ValueError(f"cycle count {ns[-1]} is past the float range")
     _, phi0 = _frame_state(model, initial_code_state)
     _check_pulse(model, pulses)
     taus = [total_free_time / (2 * n) for n in ns]

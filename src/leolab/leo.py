@@ -289,6 +289,12 @@ def phase_shifter_leo() -> LeakageEliminationOperator:
     return LeakageEliminationOperator(u, code, "phase_shifter")
 
 
+def _half_s_squared() -> Operator:
+    """S^2 / 2 on four qubits, tagged hermitian: the s_squared route's
+    generator, and the CLI's generator half_s_squared."""
+    return Operator(codes.s_squared(4).mat / 2.0, frozenset({"hermitian"}))
+
+
 def s_squared_leo() -> LeakageEliminationOperator:
     """Total-spin pulse exp(-i pi S^2 / 2) on four qubits.
 
@@ -296,10 +302,9 @@ def s_squared_leo() -> LeakageEliminationOperator:
     the nine triplet states and 3 on the five quintuplet states, so the
     exponential is +1 exactly on the singlet code and -1 everywhere else.
     """
-    code = codes.dfs4_collective()
-    gen = Operator(codes.s_squared(4).mat / 2.0, frozenset({"hermitian"}))
-    return LeakageEliminationOperator(hermitian_exponential(gen, -np.pi), code,
-                                      "s_squared")
+    return LeakageEliminationOperator(
+        hermitian_exponential(_half_s_squared(), -np.pi),
+        codes.dfs4_collective(), "s_squared")
 
 
 def synthesize(

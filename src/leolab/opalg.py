@@ -10,6 +10,9 @@ NumericalDegeneracyError raised by computed_unitary).
 
 Scope: dense matrices up to a few thousand dimensions, Hermitian generators
 only. Sparse storage and non-Hermitian exponentials are out of scope.
+
+Every table the package writes (run and sweep CSVs, the Pauli table, the
+plot files) is laid out by one writer here, _table_text.
 """
 
 from __future__ import annotations
@@ -332,6 +335,13 @@ def json_matrix(value) -> np.ndarray:
     if not (isinstance(value, list) and all(isinstance(r, list) for r in value)):
         raise TypeError("expected a list of rows of numbers")
     return np.array([[json_number(x) for x in row] for row in value], dtype=float)
+
+
+def _table_text(header: str | None, row: str, rows: Iterable[tuple]) -> str:
+    """A table as text: the header line, if any, then one line per row,
+    the tuple formatted as row % values (numbers at %.17g, say)."""
+    head = [] if header is None else [header]
+    return "\n".join([*head, *(row % r for r in rows)]) + "\n"
 
 
 def operator_to_json(a: Operator) -> dict:

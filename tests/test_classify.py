@@ -4,13 +4,14 @@ import pytest
 from leolab import classify
 from leolab.classify import (
     CLASS_LEAKAGE,
+    CLASS_LOGICAL,
     CLASS_MIXED,
     block_split,
     classification_to_csv,
     classify_pauli_strings,
     decompose,
 )
-from leolab.codes import build_code, dfs2_dephasing
+from leolab.codes import bare_qubit_code, build_code, dfs2_dephasing
 from leolab import opalg
 from leolab.opalg import (
     DimensionMismatchError,
@@ -133,6 +134,13 @@ class TestClassifyPauliStrings:
         table = classify_pauli_strings(2, dfs2_dephasing())
         leaks = sorted(k for k, v in table.items() if v.klass == CLASS_LEAKAGE)
         assert leaks == ["IX", "IY", "XI", "XZ", "YI", "YZ", "ZX", "ZY"]
+
+    def test_full_register_code_has_only_logical_strings(self):
+        # a code with no complement has Q = 0, so every string, the
+        # identity included, is its own code block: class E
+        table = classify_pauli_strings(1, bare_qubit_code(2))
+        assert {k: v.klass for k, v in table.items()} == dict.fromkeys(
+            "IXYZ", CLASS_LOGICAL)
 
     def test_ambient_must_be_qubit_register(self):
         with pytest.raises(ValueError):

@@ -376,6 +376,19 @@ class TestSimulateAndSweep:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_sweep_count_past_the_float_range_is_bad_input(self, tmp_path,
+                                                            capsys):
+        # T / 2n cannot even be formed at n = 10^400: a config error that
+        # names the count, not an OverflowError
+        cfg = write_config(tmp_path, schedule={"n_cycles": 4,
+                                               "total_time": 2.0})
+        assert run_cli(["sweep", "--config", cfg, "--n", f"1,{10**400}",
+                        "--out", tmp_path / "o.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(10**400) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_long_run_never_reports_bad_input(self, tmp_path):
         # dfs2 at joint dim 64 with 65536 cycles: cycle^n drifts past the
         # unitarity tolerance, but a pulsed simulate never forms it, so the
@@ -590,9 +603,9 @@ class TestPlotData:
         assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "run.csv",
                         "--plot-out", plot]) == 0
         (report,) = reports
-        assert plot.read_bytes() == cli._plot_text(
-            (s.elapsed_time, s.leakage_population)
-            for s in report.samples).encode()
+        assert plot.read_text() == "".join(
+            "%.17g %.17g\n" % (s.elapsed_time, s.leakage_population)
+            for s in report.samples)
         assert len(plot.read_text().splitlines()) == 301
 
     def test_convergence_slope_near_minus_one(self, tmp_path):

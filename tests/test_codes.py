@@ -226,6 +226,12 @@ class TestSpinSectors:
             assert s.block_dim == int(round(2 * s.spin + 1))
             assert s.multiplicity == spin_multiplicity(n, s.spin)
 
+    def test_absent_spin_is_a_key_error(self):
+        dec = spin_sector_decomposition(4)
+        for spin in (0.5, 3.0):
+            with pytest.raises(KeyError, match=f"no sector with spin {spin}"):
+                dec.sector(spin)
+
     def test_column_count_must_fill_whole_ladders(self):
         sector = spin_sector_decomposition(3).sector(0.5)
         with pytest.raises(ValueError, match="wrong number of columns"):
@@ -385,6 +391,13 @@ class TestLiftQuadratic:
         coeff[:2, :2] = a
         lifted = lift_quadratic(coeff)
         assert lifted.is_hermitian()
+
+    def test_non_hermitian_input_gives_untagged_output(self):
+        coeff = np.zeros((4, 4), dtype=complex)
+        coeff[0, 2] = 1.0  # b1^dag b3 alone
+        lifted = lift_quadratic(coeff)
+        assert lifted.tags == frozenset()
+        assert not lifted.is_hermitian()
 
     def test_beam_splitter_couples_rails(self):
         coeff = np.zeros((4, 4), dtype=complex)

@@ -139,6 +139,11 @@ class TestParityKickSchedule:
                 ParityKickSchedule(4, tau, None)
         assert ParityKickSchedule(0, 1e308, None).total_free_time == 0.0
 
+    def test_rejects_a_cycle_count_past_the_float_range(self):
+        # 2 n tau cannot even be formed: still bad input, naming n_cycles
+        with pytest.raises(ValueError, match=f"n_cycles {10**400}$"):
+            ParityKickSchedule(10**400, 0.1, None)
+
     def test_free_schedule_allowed(self):
         s = ParityKickSchedule(4, 0.1, None)
         assert s.pulses is None
@@ -858,6 +863,10 @@ class TestDecoupledLimit:
         m = pure_leakage_model()
         lim = decoupled_limit_unitary(m, 2.7)
         np.testing.assert_allclose(lim.mat, np.eye(m.joint_dim), atol=1e-12)
+
+    def test_rejects_an_infinite_time(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            decoupled_limit_unitary(benchmark_model(), math.inf)
 
     def test_kick_cycles_approach_limit(self):
         m = benchmark_model()
@@ -1704,6 +1713,18 @@ class TestSweep:
             sweep_cycles(m, 0.8, (4, 2), code_state(m), pulse)
         with pytest.raises(ValueError):
             sweep_cycles(m, 0.8, (0, 2), code_state(m), pulse)
+
+    @pytest.mark.parametrize("total", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_total_free_time(self, total):
+        m = benchmark_model()
+        with pytest.raises(ValueError, match="total_free_time must be positive"):
+            sweep_cycles(m, total, (1, 2), code_state(m), exchange_dfs2_leo())
+
+    def test_rejects_a_cycle_count_past_the_float_range(self):
+        # T / 2n cannot even be formed: bad input that names the count
+        m = benchmark_model()
+        with pytest.raises(ValueError, match=f"cycle count {10**400} "):
+            sweep_cycles(m, 2.0, [1, 10**400], code_state(m), exchange_dfs2_leo())
 
     def test_rejects_underflowing_tau(self):
         # T / 2n rounds to 0 at the smallest positive T: no row runs at tau 0

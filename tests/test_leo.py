@@ -40,6 +40,7 @@ from leolab import classify, leo, opalg
 from leolab.classify import decompose
 from leolab.models import logical_ops_dfs2
 from leolab.opalg import (
+    DimensionMismatchError,
     Operator,
     hermitian_exponential,
     pauli_string,
@@ -128,6 +129,14 @@ class TestCanonicalLeo:
         with pytest.raises(NotLogicalInvolutionError):
             canonical_leo(pauli_string("XI"), dfs2_dephasing())
 
+    @pytest.mark.parametrize("sigma,reason", [
+        (pauli_string("ZZZ"), "dimension does not match"),
+        (Operator(logical_ops_dfs2().x.mat * 1j), "not Hermitian"),
+    ], ids=["wrong_dim", "non_hermitian"])
+    def test_generator_shape_rejected(self, sigma, reason):
+        with pytest.raises(NotLogicalInvolutionError, match=reason):
+            canonical_leo(sigma, dfs2_dephasing())
+
 
 class TestExchangeLeo:
     def test_unitary_is_zz(self):
@@ -198,6 +207,14 @@ class TestGeneralizedLeo:
     def test_leaking_generator_rejected(self):
         with pytest.raises(NotGeneralizedGeneratorError):
             generalized_leo(pauli_string("XI"), dfs2_dephasing())
+
+    @pytest.mark.parametrize("h,reason", [
+        (pauli_string("ZZZ"), "dimension does not match"),
+        (Operator(1j * dfs2_dephasing().projector), "not Hermitian"),
+    ], ids=["wrong_dim", "non_hermitian"])
+    def test_generator_shape_rejected(self, h, reason):
+        with pytest.raises(NotGeneralizedGeneratorError, match=reason):
+            generalized_leo(h, dfs2_dephasing())
 
     @pytest.mark.parametrize("label,diag,reason", [
         ("dfs2", [0.5, 1.0, 1.0, 0.5], "is not integer"),
@@ -299,6 +316,14 @@ class TestStructuralMachinery:
             LeakageEliminationOperator(pauli_string("XI"), dfs2_dephasing(),
                                        "projector")
 
+    @pytest.mark.parametrize("unitary,route,reason", [
+        (pauli_string("ZZ"), "teleport", "unknown synthesis route 'teleport'"),
+        (pauli_string("Z"), "projector", "pulse dimension does not match"),
+    ], ids=["unknown_route", "wrong_dim"])
+    def test_construction_rejects_route_and_dim(self, unitary, route, reason):
+        with pytest.raises(ValueError, match=reason):
+            LeakageEliminationOperator(unitary, dfs2_dephasing(), route)
+
     @pytest.mark.parametrize("idx", range(11))
     def test_extract_phase_follows_a_global_phase(self, idx):
         pulse = make_pulses()[idx]
@@ -341,6 +366,11 @@ class TestVerifyLeo:
         report = verify_leo(pauli_string("XI"), dfs2_dephasing(), [])
         assert not report.passed
         assert report.structural_residual > 1.0
+
+    def test_probe_of_another_dimension_raises(self):
+        probes = [pauli_string("XI"), pauli_string("XXX")]
+        with pytest.raises(DimensionMismatchError, match="operator dim 8"):
+            verify_leo(pauli_string("ZZ"), dfs2_dephasing(), probes)
 
     def test_s_squared_leo_passes_random_probes(self):
         pulse = s_squared_leo()
@@ -546,6 +576,10 @@ class TestRandomProbes:
     def test_no_probes(self):
         assert random_probes(5, 0, 1) == []
 
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            random_probes(0, 3, 1)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("idx", range(11))
@@ -570,6 +604,14 @@ class TestSerialization:
         assert data["phase"] == [1.0, 0.0]
         data["phase"] = phase
         with pytest.raises(ValueError, match="stated phase"):
+            leo_from_json(data)
+
+    @pytest.mark.parametrize("phase", [1.0, [1.0], [1.0, 0.0, 0.0]],
+                             ids=["number", "one", "three"])
+    def test_phase_must_be_a_pair(self, phase):
+        data = leo_to_json(projector_leo(dfs2_dephasing()))
+        data["phase"] = phase
+        with pytest.raises(ValueError, match=r"expected a \[re, im\] pair"):
             leo_from_json(data)
 
     @pytest.mark.parametrize("field", ["route", "code_label"])

@@ -639,6 +639,10 @@ class TestModelFromConfig:
         with pytest.raises(ValueError):
             model_from_config({"model": "hopping", "params": {}})
 
+    def test_config_must_be_a_mapping(self):
+        with pytest.raises(ValueError, match="must be an object"):
+            model_from_config(["hopping"])
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError):
             model_from_config({"model": "dfs2_leakage",

@@ -65,6 +65,10 @@ class TestOperator:
         with pytest.raises(ValueError):
             Operator(np.zeros((2, 3), dtype=complex))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            Operator(np.zeros((0, 0), dtype=complex))
+
     def test_entries_immutable(self):
         op = Operator(np.eye(2))
         with pytest.raises(ValueError):
@@ -225,6 +229,11 @@ class TestHermitianExponential:
     def test_requires_hermitian_tag(self):
         with pytest.raises(ValueError):
             hermitian_exponential(Operator(1j * np.eye(2, dtype=complex)), 1.0)
+
+    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
+    def test_requires_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite"):
+            hermitian_exponential(pauli_string("Z"), scale)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_unitary_for_large_norm_inputs(self, seed):
