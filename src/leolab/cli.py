@@ -329,11 +329,10 @@ def _schedule_params(config: dict, min_cycles: int) -> tuple[int, float, float]:
     n_cycles = parsed(at_least(min_cycles if key == "tau" else 1), sched,
                       "n_cycles")
     value = parsed(json_number, sched, key)
-    try:
-        tau, total = ((value, 2 * n_cycles * value) if key == "tau"
-                      else (value / (2 * n_cycles), value))
-    except OverflowError:  # an n_cycles past the float range
-        tau = total = math.inf
+    # 2 n is converted to a float, which fails past its range
+    two_n = math.inf if 2 * n_cycles > sys.float_info.max else 2 * n_cycles
+    tau, total = ((value, two_n * value) if key == "tau"
+                  else (value / two_n, value))
     if not (0 < tau < math.inf and total < math.inf):
         raise ValueError(f"schedule {key} {value:g} over n_cycles {n_cycles}: "
                          f"tau and 2 n_cycles tau must be positive and finite")

@@ -151,8 +151,8 @@ class ParityKickSchedule:
         if not (self.tau > 0.0 and np.isfinite(self.tau)):
             raise ValueError("tau must be positive and finite")
         # forming 2 n tau converts 2 n to a float, which fails past its range
-        if not (2 * self.n_cycles <= sys.float_info.max
-                and np.isfinite(self.total_free_time)):
+        if (2 * self.n_cycles > sys.float_info.max
+                or not np.isfinite(self.total_free_time)):
             raise ValueError(f"total free time 2 n tau must be finite, "
                              f"n_cycles {self.n_cycles}")
 

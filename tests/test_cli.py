@@ -603,9 +603,9 @@ class TestPlotData:
         assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "run.csv",
                         "--plot-out", plot]) == 0
         (report,) = reports
-        assert plot.read_text() == "".join(
+        assert plot.read_bytes() == "".join(
             "%.17g %.17g\n" % (s.elapsed_time, s.leakage_population)
-            for s in report.samples)
+            for s in report.samples).encode()
         assert len(plot.read_text().splitlines()) == 301
 
     def test_convergence_slope_near_minus_one(self, tmp_path):
