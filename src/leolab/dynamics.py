@@ -16,12 +16,15 @@ copies are one Sector with a row set per copy, so every block below is
 formed, certified and compared once per distinct block. A pulse phi (Q -
 P) is phi Z in the frame, Z = -1 on the code rows and +1 on the rest, and
 phi cancels in the cycle, so a sector's cycle is (S' Z)^2 with S' its tau
-segment: the pulse is read only for its code. The segment is I + V'
-expm1(-i w tau) V'^dag on eigenvectors the model certified once
+segment: the pulse is read only for its code. The segment is I + E, E =
+V' expm1(-i w tau) V'^dag on eigenvectors the model certified once
 (opalg.check_eigenvectors), so it has no check of its own and its drift
-is second order in w tau. cycle^n (_pulsed), the free total
-(_free_total), the limit (_limit) and a pulsed run's stride and cycle
-(_kicked) are each formed and certified unitary in one function, as one
+is second order in w tau. The cycle is formed from E alone, as I + 2
+bd(E) + (E Z)^2 with bd(E) E's code and complement diagonal blocks
+(_cycle), so no term of the coupling's first-order size is added and
+then cancelled. cycle^n (_pulsed), the free total (_free_total), the
+limit (_limit) and a pulsed run's stride and cycle (_kicked) are each
+formed and certified unitary in one function, as one
 matrix whose drift is sqrt(sum of the sectors' squared drifts), a
 distinct block's counted once per copy (_certified); everything else
 combines them. Inputs are checked once per call, before any
@@ -36,16 +39,19 @@ rows, equal code and complement sub-blocks A, and zeta G Hermitian for
 its coupling G, all exact) is exactly diag(A + zeta G, A - zeta G) on
 the rows (code +- conj(zeta) complement) / sqrt(2), where Z is exactly
 -swap of the two halves. Every propagator of a pair then has the frame
-form [[S, conj(zeta) D], [zeta D, S]]: its segment and free total are
-its halves' exponentials rotated to the frame (_frame_block), its cycle
-is S+ S- and S- S+ on the halves, and its limit is exp(-i A T) on both,
-one exponential. A product of two such blocks is fixed by its first half
-of rows, one GEMM of half the flops (_product), which also keeps the
-code-complement coupling D accurate to its own size. Certificates and
-distances are read on the halves S +- D (_diagonal_blocks), at a quarter
-of the flops; the rotation is unitary, so they are the same. States are
-stepped in the frame: pulsed ones by the pair-form squares, free ones
-against the halves' eigenvectors rotated to the frame (_free_batches).
+form [[S, conj(zeta) D], [zeta D, S]]: its free total is its halves'
+exponentials rotated to the frame (_frame_block), its cycle is S+ S-
+and S- S+ on the halves, formed from the segment's small parts E+ and
+E- by the two half-size products E+ E- and E- E+ (_cycle), and its
+limit is exp(-i A T) on both, one exponential. A product of two such
+blocks is fixed by its first half of rows, one GEMM of half the flops
+(_product), which also keeps the code-complement coupling D accurate to
+its own size. Certificates and distances are read on the halves S +- D
+(_diagonal_blocks), at a quarter of the flops, taken once per
+propagator for both (_halves); the rotation is unitary, so they are the
+same. States are stepped in the frame: pulsed ones by the pair-form
+squares, free ones against the halves' eigenvectors rotated to the frame
+(_free_batches).
 On the halves, the leakage would be the difference of two stacks near 1,
 good only to rounding of their size.
 
@@ -148,7 +154,8 @@ class ParityKickSchedule:
                            _index(self.n_cycles, "cycle counts must be integers"))
         if self.n_cycles < 0:
             raise ValueError("n_cycles must be nonnegative")
-        if not (self.tau > 0.0 and np.isfinite(self.tau)):
+        # one comparison: NaN, inf and an int past the float range all fail
+        if not 0.0 < self.tau <= sys.float_info.max:
             raise ValueError("tau must be positive and finite")
         # forming 2 n tau converts 2 n to a float, which fails past its range
         if (2 * self.n_cycles > sys.float_info.max
@@ -236,30 +243,27 @@ class SweepTable:
 # ---------------------------------------------------------------------------
 
 
-def _segment(sector: Sector, tau: float) -> np.ndarray:
-    """exp(-i H' tau) on a sector's frame block, as I + E from its blocks'
-    spectra (w, v): E = V D V^dag with D = expm1(-i w tau) for the whole
-    block, or E+- so formed on a pair's halves, rotated to the frame
-    (_frame_block); no check here. With e = ||V^dag V - I||_F, U^dag U - I
-    = V D^dag (V^dag V - I) D V^dag exactly (|1 + D| = 1), so ||U^dag U -
+def _segment(sector: Sector, tau: float) -> list[np.ndarray]:
+    """The small part E of a sector's tau segment exp(-i H' tau) = I + E,
+    on each of its blocks in the basis where it is block diagonal
+    (_diagonal_blocks): E = V D V^dag with D = expm1(-i w tau) from the
+    block's spectrum (w, v), the whole block's, or E+ and E- on a pair's
+    halves; no check here. With e = ||V^dag V - I||_F, U^dag U - I = V
+    D^dag (V^dag V - I) D V^dag exactly (|1 + D| = 1), so ||U^dag U -
     I||_F <= (1 + e)^2 max|D|^2 e, plus the O(J^(3/2) eps max|D|) rounding
-    of V D V^dag and the half-ulp rounding of the entries near 1; the
-    rotation of a pair's halves is unitary and adds only the rounding of
-    E+- /2. A short segment thus drifts far less than the 2e of V e^(-i w
-    tau) V^dag, and cycle^n adds up the drift of its 2n segments. One-shot
-    exponentials (the limit, the free total) keep V e^(-i phi) V^dag: with
-    |D| up to 2 this form's bound is 4e, that one's 2e + e^2. E+ - E- is
-    -2i zeta G tau to first order, but it is the difference of two expm1
-    forms whose rounding scales with ||A|| tau (A the code block), not with
-    ||G|| tau, so the code-complement coupling does not keep its accuracy
-    relative to its own size: it loses about eps/g, g the coupling
-    strength. Pulsed leakage against the 30-digit exact_step reference
-    (dfs2 XI, bath 4, tau = 0.9e-3, 200-1000 cycles) is off by 4.8e-13,
-    8.4e-12 and 1.7e-11 relative at g = 5e-4, 5e-5 and 5e-6."""
-    u = _frame_block(sector, [(v * np.expm1(-1j * tau * w)) @ v.conj().T
-                              for w, v in sector.blocks])
-    u[np.diag_indices_from(u)] += 1.0
-    return u
+    of V D V^dag and the half-ulp rounding of the entries near 1. A short
+    segment thus drifts far less than the 2e of V e^(-i w tau) V^dag, and
+    cycle^n adds up the drift of its 2n segments. One-shot exponentials
+    (the limit, the free total) keep V e^(-i phi) V^dag: with |D| up to 2
+    this form's bound is 4e, that one's 2e + e^2. E's own rounding scales
+    with ||A|| tau (A the code block), not with the coupling's ||G|| tau,
+    so the code-complement coupling it carries is good to about eps ||A||
+    / g relative, g the coupling strength; the cycle (_cycle) adds no
+    cancellation to that. Pulsed leakage against a 40-digit cycle stepped
+    in np.clongdouble (dfs2 XI, bath 4, tau = 0.9e-3, 1000 cycles) is off
+    by at most 3.8e-13, 1.2e-11 and 1.1e-10 relative at g = 5e-4, 5e-5 and
+    5e-6, where that loss dominates."""
+    return [(v * np.expm1(-1j * tau * w)) @ v.conj().T for w, v in sector.blocks]
 
 
 def _frame_block(sector: Sector, blocks: list[np.ndarray]) -> np.ndarray:
@@ -281,38 +285,49 @@ def _frame_block(sector: Sector, blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _diagonal_blocks(sector: Sector, m: np.ndarray) -> list[np.ndarray]:
+def _diagonal_blocks(sector: Sector, m: np.ndarray) -> np.ndarray:
     """The blocks of a sector's frame block m in the basis where it is block
-    diagonal: m itself, or for a pair, m = [[S, conj(zeta) D], [zeta D, S]],
-    its halves S + D and S - D (_frame_block's inverse, for every sector)."""
+    diagonal, as one stack: m itself (a view), or for a pair, m = [[S,
+    conj(zeta) D], [zeta D, S]], its halves S + D and S - D (_frame_block's
+    inverse, for every sector)."""
     if sector.zeta is None:
-        return [m]
+        return m[None]
     h = sector.n_code
     mean, gap = m[:h, :h], sector.zeta * m[:h, h:]
-    return [mean + gap, mean - gap]
+    out = np.empty((2, h, h), dtype=complex)
+    np.add(mean, gap, out=out[0])
+    np.subtract(mean, gap, out=out[1])
+    return out
 
 
 def _product(sector: Sector):
     """a @ b for two of a sector's frame blocks whose product has the
     sector's form: np.matmul, or for a pair, whose propagators are all [[S,
-    conj(zeta) D], [zeta D, S]] (the kicked segment S' Z is not, but its
-    square is), the first n_code rows a[:h] @ b, one GEMM of half the
-    flops, with the rest filled from them: zeta^2 times their right half,
-    then their left half. D stays a sum of products that each hold one
-    factor of D, so it keeps its accuracy relative to its own size, which
-    products of the halves S +- D would not."""
+    conj(zeta) D], [zeta D, S]], the first n_code rows a[:h] @ b, one GEMM
+    of half the flops, with the rest filled from them (_fill). D stays a
+    sum of products that each hold one factor of D, so it keeps its
+    accuracy relative to its own size, which products of the halves S +- D
+    would not."""
     if sector.zeta is None:
         return np.matmul
-    h, zeta2 = sector.n_code, sector.zeta ** 2
+    h = sector.n_code
 
     def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.empty_like(b)
         np.matmul(a[:h], b, out=out[:h])
-        np.multiply(out[:h, h:], zeta2, out=out[h:, :h])
-        out[h:, h:] = out[:h, :h]
-        return out
+        return _fill(sector, out)
 
     return product
+
+
+def _fill(sector: Sector, out: np.ndarray) -> np.ndarray:
+    """A pair's frame block out = [[S, conj(zeta) D], [zeta D, S]] with its
+    last n_code rows filled from its first: zeta^2 times their right half,
+    then their left half."""
+    h = sector.n_code
+    np.multiply(out[:h, h:], sector.zeta ** 2, out=out[h:, :h])
+    out[h:, h:] = out[:h, :h]
+    return out
 
 
 def _check_pulse(model: SystemBathModel, pulse: LeakageEliminationOperator) -> None:
@@ -336,16 +351,37 @@ def _step(states: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
 
 
 def _cycle(sector: Sector, tau: float) -> np.ndarray:
-    """A sector's cycle (S' Z)^2 in the frame F x I, S' its tau segment
-    (_segment) and Z the ideal kick, -1 on its code rows and +1 on the
-    rest: a pulse phi (Q - P) is phi Z in the frame and phi cancels. On a
-    pair's halves Z is -swap, so the cycle is S+ S- and S- S+ there, and
-    the square keeps the pair's form (_product). S' has no check of its
-    own: the model certified its eigenvectors, and _segment bounds its
-    drift by that certificate. A live view (_live) has its sector's cycle."""
-    sz = _segment(sector, tau)
-    sz[:, :sector.n_code] *= -1.0  # S' Z
-    return _product(sector)(sz, sz)
+    """A sector's cycle (S' Z)^2 in the frame F x I, S' = I + E its tau
+    segment (_segment) and Z the ideal kick, -1 on its code rows and +1 on
+    the rest: a pulse phi (Q - P) is phi Z in the frame and phi cancels.
+    Z E Z + E is twice bd(E), E's code and complement diagonal blocks, so
+
+        C = I + 2 bd(E) + (E Z)^2,
+
+    which holds no term of the size of E's coupling that later cancels.
+    (E Z)^2 is one GEMM for a block. On a pair's halves E is diag(E+, E-)
+    and Z is -swap, so (E Z)^2 is p = E+ E- and m = E- E+ there, two GEMMs
+    of half the size: the cycle's diagonal blocks are I + E+ + E- + (p +
+    m)/2, its code-to-complement block conj(zeta) (p - m)/2, and its last
+    rows the pair's fill (_fill). E has no check of its own: the model
+    certified its eigenvectors, and _segment bounds its drift by that
+    certificate. A live view (_live) has its sector's cycle."""
+    c = sector.n_code
+    if sector.zeta is None:
+        (ez,) = _segment(sector, tau)
+        ez[:, :c] *= -1.0  # E Z: its code block is -E's, its complement block E's
+        cycle = ez @ ez
+        cycle[:c, :c] -= 2 * ez[:c, :c]
+        cycle[c:, c:] += 2 * ez[c:, c:]
+    else:
+        plus, minus = _segment(sector, tau)
+        p, m = plus @ minus, minus @ plus
+        cycle = np.empty((2 * c, 2 * c), dtype=complex)
+        cycle[:c, :c] = plus + minus + (p + m) / 2
+        np.multiply(p - m, np.conj(sector.zeta) / 2, out=cycle[:c, c:])
+        _fill(sector, cycle)
+    cycle[np.diag_indices_from(cycle)] += 1.0
+    return cycle
 
 
 def _power(cycle: np.ndarray, n: int, product) -> np.ndarray:
@@ -375,13 +411,15 @@ def _live(model: SystemBathModel, phi0: np.ndarray) -> list[Sector | None]:
     return live
 
 
-def _pulsed(model: SystemBathModel, n: int, tau: float) -> list[np.ndarray]:
-    """cycle^n per sector in the frame F x I (_cycle, _power), certified
-    unitary as one matrix (_certified)."""
+def _pulsed(model: SystemBathModel, n: int, tau: float) -> tuple[list, list]:
+    """cycle^n per sector in the frame F x I (_cycle, _power), and its
+    diagonal blocks, a stack per sector (_halves), certified unitary as one
+    matrix (_certified)."""
     totals = [_power(_cycle(sector, tau), n, _product(sector))
               for sector in model.spectra]
-    _certified(model.spectra, totals, f"total propagator after {n} cycles")
-    return totals
+    halves = _halves(model.spectra, totals)
+    _certified(model.spectra, halves, f"total propagator after {n} cycles")
+    return totals, halves
 
 
 def _free(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
@@ -441,9 +479,10 @@ def _kicked(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
         states.append(x)
         strides.append(power)
     log_s = s.bit_length() - 1
-    stride = _certified(views, strides, f"cycle^{s}, the stride of {n} cycles")
-    cycle = _certified(views, cycles, f"cycle^1 of a run of {n} cycles"
-                       ) if log_s else stride
+    stride = _certified(views, _halves(views, strides),
+                        f"cycle^{s}, the stride of {n} cycles")
+    cycle = _certified(views, _halves(views, cycles),
+                       f"cycle^1 of a run of {n} cycles") if log_s else stride
 
     def batches(states):
         spare = None
@@ -512,22 +551,23 @@ def _norm_bound(views: Sequence[Sector], n: int, log_s: int, cycle: float,
     return (advances + first).ravel()[:n + 1]
 
 
-def _free_total(model: SystemBathModel, n: int, tau: float) -> list[np.ndarray]:
-    """The free total exp(-i H' 2 n tau) per sector in the frame F x I,
-    certified unitary. A pair's total is its halves' exponentials, rotated
-    to the frame (_frame_block)."""
+def _free_total(model: SystemBathModel, n: int, tau: float) -> tuple[list, list]:
+    """The free total exp(-i H' 2 n tau) per sector in the frame F x I, and
+    its diagonal blocks (_halves), certified unitary. A pair's total is its
+    halves' exponentials, rotated to the frame (_frame_block)."""
     totals = [_frame_block(sector, [_spectral_matrix(block, -2 * n * tau)
                                     for block in sector.blocks])
               for sector in model.spectra]
-    _certified(model.spectra, totals, "spectral exponential")
-    return totals
+    halves = _halves(model.spectra, totals)
+    _certified(model.spectra, halves, "spectral exponential")
+    return totals, halves
 
 
-def _limit(model: SystemBathModel, total_free_time: float) -> list[np.ndarray]:
-    """exp(-i (H_c + H_perp) T) per sector, in the frame F x I, certified
-    unitary: the exponentials of the sector's code and complement
-    sub-blocks on its diagonal; a pair's are both exp(-i A T), one
-    exponential."""
+def _limit(model: SystemBathModel, total_free_time: float) -> tuple[list, list]:
+    """exp(-i (H_c + H_perp) T) per sector, in the frame F x I, and its
+    diagonal blocks (_halves), certified unitary: the exponentials of the
+    sector's code and complement sub-blocks on its diagonal; a pair's are
+    both exp(-i A T), one exponential."""
     blocks = []
     for sector in model.spectra:
         c = sector.n_code
@@ -537,23 +577,32 @@ def _limit(model: SystemBathModel, total_free_time: float) -> list[np.ndarray]:
         u[c:, c:] = (code if sector.zeta is not None
                      else _spectral_matrix(sector.complement, -total_free_time))
         blocks.append(u)
-    _certified(model.spectra, blocks, "decoupled limit")
-    return blocks
+    halves = _halves(model.spectra, blocks)
+    _certified(model.spectra, halves, "decoupled limit")
+    return blocks, halves
 
 
-def _certified(sectors: Sequence[Sector], blocks: list[np.ndarray], what: str
-               ) -> float:
-    """The residual ||U^dag U - I||_F of the joint matrix U that holds
-    blocks, one frame block per sector, once it passes the unitary tag's
-    test (opalg.certified_residual) on the blocks' diagonal blocks
-    (_diagonal_blocks), each counted once per copy of its sector (for a
-    live view, per live copy): a pair's residual is read off its halves, at
-    a quarter of the flops; the rotation to them is unitary, so the sum is
-    the same."""
-    diagonal = [(d, len(s.rows)) for s, b in zip(sectors, blocks)
-                for d in _diagonal_blocks(s, b)]
-    return certified_residual([d for d, _ in diagonal], [k for _, k in diagonal],
-                              what)
+def _halves(sectors: Sequence[Sector], blocks: Sequence[np.ndarray]
+            ) -> list[np.ndarray]:
+    """Each sector's diagonal blocks of its frame block in blocks, as one
+    stack (_diagonal_blocks), taken once for its certificate (_certified)
+    and its distance (_distance): a pair's halves, another sector's block
+    itself."""
+    return [_diagonal_blocks(s, b) for s, b in zip(sectors, blocks)]
+
+
+def _certified(sectors: Sequence[Sector], halves: Sequence[np.ndarray],
+               what: str) -> float:
+    """The residual ||U^dag U - I||_F of the joint matrix U whose frame
+    blocks, one per sector, have the diagonal blocks halves (_halves), once
+    it passes the unitary tag's test (opalg.certified_residual), each
+    diagonal block counted once per copy of its sector (for a live view,
+    per live copy): a pair's residual is read off its halves, at a quarter
+    of the flops; the rotation to them is unitary, so the sum is the
+    same."""
+    return certified_residual([d for h in halves for d in h],
+                              [len(s.rows) for s, h in zip(sectors, halves)
+                               for _ in h], what)
 
 
 def _product_coordinates(model: SystemBathModel, blocks, what: str) -> Operator:
@@ -578,7 +627,7 @@ def parity_kick_unitary(model: SystemBathModel,
     if schedule.pulses is None:
         raise ValueError("schedule has no pulses; use free evolution directly")
     _check_pulse(model, schedule.pulses)
-    totals = _pulsed(model, schedule.n_cycles, schedule.tau)
+    totals, _ = _pulsed(model, schedule.n_cycles, schedule.tau)
     return _product_coordinates(model, totals,
                                 f"total propagator after {schedule.n_cycles} cycles")
 
@@ -589,31 +638,31 @@ def decoupled_limit_unitary(model: SystemBathModel,
     coordinates: the exponentials of the code and complement sub-blocks of
     every sector, rotated back from the frame F x I; drift past the
     unitarity tolerance is a NumericalDegeneracyError."""
-    if not np.isfinite(total_free_time):
-        raise ValueError("scale must be finite")
-    return _product_coordinates(model, _limit(model, total_free_time),
-                                "decoupled limit")
+    if not abs(total_free_time) <= sys.float_info.max:  # NaN, inf, a huge int
+        raise ValueError("total_free_time must be finite")
+    blocks, _ = _limit(model, total_free_time)
+    return _product_coordinates(model, blocks, "decoupled limit")
 
 
-def _distance(model: SystemBathModel, totals: Sequence[np.ndarray],
-              limit: Sequence[np.ndarray]) -> float:
-    """||U_total - U_limit||_2 from the frame blocks of each, one per sector:
-    the largest of their diagonal blocks' distances (_diagonal_blocks), a
-    pair's taken on its halves."""
-    return max(_spectral_distance(a, b)
-               for s, t, u in zip(model.spectra, totals, limit)
-               for a, b in zip(_diagonal_blocks(s, t), _diagonal_blocks(s, u)))
+def _distance(totals: Sequence[np.ndarray], limit: Sequence[np.ndarray]
+              ) -> float:
+    """||U_total - U_limit||_2 from the diagonal blocks of each, a stack per
+    sector (_halves): the largest of the sectors' distances, a pair's
+    halves' taken together (_spectral_distance)."""
+    return max(_spectral_distance(t, u) for t, u in zip(totals, limit))
 
 
 def _spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
     """||a - b||_2 = sqrt(lambda_max(D^dag D)), D = a - b, from eigvalsh at
-    about half the cost of an SVD. lambda_max carries relative error
-    O(J eps) at joint dim J, and so does the distance; equal inputs give 0.
-    Block-diagonal matrices are as far apart as their farthest blocks."""
+    about half the cost of an SVD; for stacks of matrices, the largest over
+    the stack, all Grams through one eigvalsh. lambda_max carries relative
+    error O(J eps) at joint dim J, and so does the distance; equal inputs
+    give 0. Block-diagonal matrices are as far apart as their farthest
+    blocks."""
     d = a - b
-    gram = d.conj().T @ d
+    gram = d.conj().swapaxes(-1, -2) @ d
     del d  # D is not needed while eigvalsh runs
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[..., -1].max(), 0.0)))
 
 
 def _deferred_distance(model: SystemBathModel, n: int, tau: float,
@@ -627,9 +676,9 @@ def _deferred_distance(model: SystemBathModel, n: int, tau: float,
 
     def distance() -> float:
         nonlocal model
-        limit = _limit(model, total_free_time)
-        totals = (_pulsed if pulsed else _free_total)(model, n, tau)
-        value = _distance(model, totals, limit)
+        _, limit = _limit(model, total_free_time)
+        _, totals = (_pulsed if pulsed else _free_total)(model, n, tau)
+        value = _distance(totals, limit)
         model = None
         return value
 
@@ -1007,7 +1056,7 @@ def sweep_cycles(
     """
     if pulses is None:
         raise ValueError("schedule has no pulses; a sweep compares pulsed runs")
-    if not (total_free_time > 0 and np.isfinite(total_free_time)):
+    if not 0 < total_free_time <= sys.float_info.max:  # NaN, inf, a huge int
         raise ValueError("total_free_time must be positive and finite")
     ns = [_index(n, "cycle counts must be integers") for n in n_list]
     if not ns or any(n < 1 for n in ns) or ns != sorted(set(ns)):
@@ -1020,17 +1069,16 @@ def sweep_cycles(
     if not taus[-1] > 0.0:  # T / 2n can underflow at the largest n
         raise ValueError("tau must be positive and finite")
     # T is the same for every row: one limit, formed before the first row
-    limit = _limit(model, total_free_time)
+    _, limit = _limit(model, total_free_time)
     live = _live(model, phi0)
     sectors = [view for view in live if view is not None]
 
     def one(n: int, tau: float) -> SweepRow:
-        totals = _pulsed(model, n, tau)
+        totals, halves = _pulsed(model, n, tau)
         # the final state cycle^n psi0 on the live copies, in the frame
         final = [_step(phi0[view.rows][None], total)
                  for view, total in zip(live, totals) if view is not None]
         leakage = _certified_leakage(_leakage(sectors, final))
-        return SweepRow(n, tau, float(leakage[0]),
-                        _distance(model, totals, limit))
+        return SweepRow(n, tau, float(leakage[0]), _distance(halves, limit))
 
     return SweepTable(tuple(map(one, ns, taus)))
