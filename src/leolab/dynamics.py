@@ -62,17 +62,24 @@ a copy that starts at zero stays exactly zero, so it is neither stepped
 nor read, and a sector with no live copy gets no propagator until the
 distance is read, which covers every sector, pulsed or free. A code
 basis state occupies one copy of dfs2 XI's sector. Each live sector
-yields its states in stacks (samples, copies, J_s) of OBSERVABLE_BATCH
-samples, its live copies stepped together by one GEMM of shape (samples
-x copies, J_s) per product: free states are one GEMM of a phase table
-with its eigenvectors scaled by the start's coefficients (_free), and
-pulsed states come from the squares of the cycle up to a stride C^s, then
-one GEMM by C^s per block of s states (_kicked); cycle^n is never formed
-for them. s is one per run, the largest power of two up to min(n,
-OBSERVABLE_BATCH) whose squarings cost no more flops than stepping the n
-states (_stride). Their norms, the leakage plus the code population, are
-checked once per run against a bound linear in k, derived from the
-residuals of the cycle and the stride (_norm_bound). Leakage is the sum
+yields its states in stacks (samples, copies, J_s) of up to
+OBSERVABLE_BATCH samples, runs of them or every m-th at a pulsed run's
+seed spacing m (_layout), its live copies stepped together by one GEMM
+of shape (samples x copies, J_s) per product: free states are one GEMM
+of a phase table with its eigenvectors scaled by the start's
+coefficients (_free), and pulsed states come from powers of the cycle
+(_kicked); cycle^n is never formed for them. A run's stride s, one per
+run, is the largest power of two up to min(n, OBSERVABLE_BATCH) whose
+squarings cost no more flops than stepping the n states (_stride). Where
+a block of s states is no thinner than a square (s copies >= J), the
+states come from the squares of the cycle up to C^s, then one GEMM by C^s
+per block of s states. Otherwise seeds spaced m apart are a chain by C^m,
+m the smallest power of two that leaves at most J / copies of them
+(_spacing), and every other sample comes a batch at a time, one GEMM by
+the cycle of the batch one cycle before. Their norms, the leakage plus
+the code population, are checked once per run against a bound linear in
+k, derived from the residuals of the cycle and the top power, C^s or C^m
+(_norm_bound). Leakage is the sum
 over live sectors and copies of the squared norms of their complement
 rows (_leakage); only the code rows are gathered, in frame code order by
 one index per run (_code_columns), as the fidelity's A, each code row by
@@ -92,8 +99,9 @@ against each sector's code sub-block's eigenvectors, and the fidelity is
 Gram-Schmidt R factors), within 1e-15 ||A||_F ||C||_F of the QR + SVD
 form that the other code dims take.
 simulate certifies a run's leakage column once: a value outside [0, 1]
-(within 1e-12), or NaN, is a NumericalDegeneracyError. It returns that
-column and the fidelity's; records and CSV derive from them. It forms no
+(within 1e-12), or NaN, is a NumericalDegeneracyError, and so is a
+fidelity that is NaN or inf. It returns the two columns; records and CSV
+derive from them. It forms no
 limit, no total (cycle^n or the free total) and no distance: the
 report's distance_to_limit forms them on its first read
 (_deferred_distance) and keeps the value, so a drift in the limit or the
@@ -424,16 +432,32 @@ def _pulsed(model: SystemBathModel, n: int, tau: float) -> tuple[list, list]:
 
 def _free(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
     """The live views' (_live) states exp(-i H' 2 k tau) phi0 for k = 0..n,
-    in batches of one stack per view (_free_batches), and None: their drift
-    is bounded by the model's eigenvector certificate, so they have no norm
+    as _kicked returns them: the batches' samples (_layout at spacing 1),
+    one stack per view for each (_free_batches), and None: their drift is
+    bounded by the model's eigenvector certificate, so they have no norm
     bound to check (_kicked's); no total is formed (_free_total)."""
-    return zip(*[_free_batches(view, phi0, -2 * tau, n) for view in views]), None
+    layout = _layout(n, 1)
+    return layout, zip(*[_free_batches(view, phi0, -2 * tau, layout)
+                         for view in views]), None
+
+
+def _layout(n: int, spacing: int) -> list[slice]:
+    """The samples 0..n in batches, each a slice of at most min(n //
+    spacing + 1, OBSERVABLE_BATCH) samples spacing apart, the first batch
+    that many: at spacing 1, runs of OBSERVABLE_BATCH; at a seed spacing m
+    > 1, m <= n, which leaves at most OBSERVABLE_BATCH multiples of m
+    (_spacing), slice(t, n + 1, m) for t = 0..m-1, the multiples of m
+    first."""
+    span = spacing * min(n // spacing + 1, OBSERVABLE_BATCH)
+    starts = range(spacing) if spacing > 1 else range(0, n + 1, span)
+    return [slice(t, min(t + span, n + 1), spacing) for t in starts]
 
 
 def _stride(views: Sequence[Sector], n: int) -> int:
     """The stride s = 2^l of a pulsed run of n cycles on the live views
-    (_live), the power C^s that steps its states (_kicked): no more flops
-    go to the l squarings than to stepping the n states, so
+    (_live), the power C^s that steps its states (_kicked) where a block
+    of s states is not a thin product (_spacing): no more flops go to the
+    l squarings than to stepping the n states, so
 
         l = min(floor(n sum_v c_v J_v^2 / sum_v p_v J_v^3),
                 floor(log2 min(n, OBSERVABLE_BATCH))),
@@ -449,68 +473,108 @@ def _stride(views: Sequence[Sector], n: int) -> int:
                         min(n, OBSERVABLE_BATCH).bit_length() - 1), 0)
 
 
-def _kicked(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
-    """The live views' (_live) states C^k phi0 for k = 0..n, as batches of
-    one stack (samples, copies, J_s) per view, OBSERVABLE_BATCH samples
-    each, and the bound on their norms' drift (_norm_bound); cycle^n is
-    never formed. The run's stride s (_stride) is one per run: each view's
-    squares C^(2^i) of its cycle (_cycle) fill its first s states by
-    doubling (psi_(k+2^i) = C^(2^i) psi_k), up to C^s, and each later block
-    of s states is one GEMM by C^s of the block before, written into its
-    batch; s divides OBSERVABLE_BATCH, so blocks never straddle batches.
-    s = 1 steps by the cycle alone. A batch is written over the batch
-    before last, so its arrays hold until two more are drawn. The strides,
-    then the cycles (the same matrices when s = 1), are certified unitary,
-    each as one matrix over the live views (_certified), before the first
-    batch."""
+def _spacing(views: Sequence[Sector], n: int) -> tuple[int, int]:
+    """The seed spacing m and the stride s of a pulsed run of n cycles on
+    the live views (_live), one of them 1 (_kicked). s is _stride's where
+    a block of s states, s x copies rows against the J x J power, is no
+    thinner than a square: s sum_v c_v J_v^2 >= sum_v J_v^3, c_v the
+    view's live copies and J_v its dim (for one view, s c >= J); then m =
+    1. Otherwise s = 1 and m is the smallest power of two up to min(n,
+    OBSERVABLE_BATCH) that leaves n // m + 1 <= r seeds, r = min(floor(sum_v
+    J_v^3 / sum_v c_v J_v^2), OBSERVABLE_BATCH): the seeds' chain of
+    one-state products by C^m costs no more flops than one square, and
+    every other sample comes in a batch of up to r states, one product of
+    up to r x copies rows by the cycle. Where no such m leaves that few
+    (n >= OBSERVABLE_BATCH r), the run keeps _stride's s, whose blocks are
+    then OBSERVABLE_BATCH states: no power past C^OBSERVABLE_BATCH is ever
+    formed, so none drifts more than the stride's cap allows."""
     s = _stride(views, n)
-    rows = min(n + 1, OBSERVABLE_BATCH)
-    states, cycles, strides = [], [], []
+    states = sum(len(v.rows) * v.rows.shape[1] ** 2 for v in views)
+    square = sum(v.rows.shape[1] ** 3 for v in views)
+    if s * states >= square:
+        return 1, s
+    seeds, m = min(square // states, OBSERVABLE_BATCH), 1
+    while 2 * m <= min(n, OBSERVABLE_BATCH) and n // m >= seeds:
+        m *= 2
+    return (m, 1) if n // m < seeds else (1, s)
+
+
+def _kicked(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
+    """The live views' (_live) states C^k phi0 for k = 0..n: the batches'
+    samples (_layout at the run's seed spacing m), one stack (samples,
+    copies, J_s) per view for each, and the bound on their norms' drift
+    (_norm_bound); cycle^n is never formed. The run's spacing m and
+    stride s (_spacing), one of them 1, fix the top power C^(ms), formed
+    from each view's cycle (_cycle) by squaring. The seeds, the samples at
+    multiples of m, come in blocks of s: the first block by doubling
+    (psi_(k+2^i) = C^(2^i) psi_k) with the squares below C^s, each later
+    one by one GEMM by C^(ms) of the block before, written into its batch;
+    s divides OBSERVABLE_BATCH, so blocks never straddle batches. At m = 1
+    every sample is a seed, and s = 1 steps by the cycle alone. At m > 1
+    the seeds are one batch, a chain by C^m, and the batch of samples t
+    mod m is one GEMM by the cycle of the batch t - 1 mod m: every product
+    has as many rows as the batch. A batch is written over the batch
+    before last, so its arrays hold until two more are drawn. The top
+    power, then the cycle (the same matrix when ms = 1), are certified
+    unitary, each as one matrix over the live views (_certified), before
+    the first batch."""
+    m, s = _spacing(views, n)
+    top, rows = m * s, min(n // m + 1, OBSERVABLE_BATCH)
+    states, cycles, tops = [], [], []
     for view in views:
         product, power = _product(view), _cycle(view, tau)
         cycles.append(power)
         x = np.empty((rows, *view.rows.shape), dtype=complex)
         x[0] = phi0[view.rows]
         span = 1
-        while span < s:
-            _step(x[:span], power, x[span:2 * span])
+        while span < top:
+            if span < s:  # the doubling fills the first block of seeds
+                _step(x[:span], power, x[span:2 * span])
             power = product(power, power)
             span *= 2
         states.append(x)
-        strides.append(power)
-    log_s = s.bit_length() - 1
-    stride = _certified(views, _halves(views, strides),
-                        f"cycle^{s}, the stride of {n} cycles")
-    cycle = _certified(views, _halves(views, cycles),
-                       f"cycle^1 of a run of {n} cycles") if log_s else stride
+        tops.append(power)
+    top_residual = _certified(views, _halves(views, tops), f"cycle^{top}, the "
+                              f"{'spacing' if m > 1 else 'stride'} of {n} cycles")
+    cycle = (_certified(views, _halves(views, cycles), f"cycle^1 of a run of "
+                        f"{n} cycles") if top > 1 else top_residual)
+
+    layout = _layout(n, m)
 
     def batches(states):
         spare = None
-        for k0 in range(0, n + 1, OBSERVABLE_BATCH):
-            if k0:  # over the batch before last: two buffers per view
+        for q, positions in enumerate(layout):
+            size = len(range(n + 1)[positions])
+            if q:  # over the batch before last: two buffers per view
                 spare = spare or [np.empty_like(x) for x in states]
-                states, spare = [x[:n + 1 - k0] for x in spare], states
-            for j in range(0 if k0 else s, len(states[0]), s):
-                # from the block before, at j = 0 the last of the batch before
-                i, m = (j - s) % OBSERVABLE_BATCH, min(s, len(states[0]) - j)
-                for x, b, c in zip(states, states if j else spare, strides):
-                    _step(b[i:i + m], c, x[j:j + m])
+                states, spare = [x[:size] for x in spare], states
+            # seeds: each block of s from the block before (at j = 0 the
+            # last of the batch before) by C^(ms); any other batch at once
+            # from the batch before by the cycle
+            b, powers = (s, tops) if positions.start % m == 0 else (rows, cycles)
+            for j in range(0 if q else s, size, b):
+                i, w = (j - b) % rows, min(b, size - j)
+                for x, src, u in zip(states, states if j else spare, powers):
+                    _step(src[i:i + w], u, x[j:j + w])
             yield states
 
-    return batches(states), _norm_bound(views, n, log_s, cycle, stride)
+    return layout, batches(states), _norm_bound(views, n, m, s, cycle,
+                                                 top_residual)
 
 
-def _norm_bound(views: Sequence[Sector], n: int, log_s: int, cycle: float,
-                stride: float) -> np.ndarray:
+def _norm_bound(views: Sequence[Sector], n: int, m: int, s: int, cycle: float,
+                top: float) -> np.ndarray:
     """The bound on the norm drift |nu_k - nu_0| / nu_0 of the pulsed
     states psi_k = C^k psi_0 (_kicked), k = 0..n, nu_k = ||psi_k||^2 over
     the live copies, from the certified residuals ||P^dag P - I||_F of the
-    cycle C and of the stride C^s, s = 2^log_s (_stride), each as one
-    matrix over the live views.
+    cycle C and of the top power C^(ms), m the run's spacing and s its
+    stride (_spacing), one of them 1, each as one matrix over the live
+    views.
 
-    psi_k is reached from psi_0 by one product with the square P_i =
-    C^(2^i) per set bit i of k % s (the doubling), and one with the stride
-    per block advance, k // s of them. Let J be
+    With k = a m s + b m + t, b < s and t < m, psi_k is reached from psi_0
+    by a products with the top power (the block advances), one with the
+    square P_i = C^(2^i) per set bit i of b (the doubling) and t with the
+    cycle (from a seed). Let J be
     the largest view dim, L the number of live frame rows (copies x J_s,
     summed), eps the machine epsilon, and g = sqrt(2) (J + 2) J eps, which
     bounds the rounding of a product of two J x J matrices of Frobenius
@@ -518,8 +582,8 @@ def _norm_bound(views: Sequence[Sector], n: int, log_s: int, cycle: float,
     ||_F; Higham, Accuracy and Stability of Numerical Algorithms, Lemma
     3.5). A product by a stored power P moves nu by psi^dag (P^dag P - I)
     psi, at most r_P nu for any r_P at least the Frobenius norm of every
-    diagonal block of P^dag P - I. For the cycle and the stride, r_P is the
-    computed residual, which is at least every block's, plus g, the
+    diagonal block of P^dag P - I. For the cycle and the top power, r_P is
+    the computed residual, which is at least every block's, plus g, the
     rounding of a block's Gram matrix (a pair's halves, on which it is
     read, add less). A square is computed as fl(P_i P_i) = P_i^2 + Delta,
     ||Delta||_F <= g per block, and (P_i^2)^dag P_i^2 - I = E + P_i^dag E
@@ -542,12 +606,15 @@ def _norm_bound(views: Sequence[Sector], n: int, log_s: int, cycle: float,
     eps = sys.float_info.epsilon
     g = 2 ** 0.5 * (dim + 2) * dim * eps
     product = 2 ** 0.5 * (dim + 2) * dim ** 0.5 * eps
+    log_s = s.bit_length() - 1
     rho = [(cycle + 3 * g) * 2 ** i - 2 * g + product for i in range(log_s)]
-    # bit i of j < s: the squares C^(2^i) that reach C^j from the block start
-    set_bits = (np.arange(1 << log_s)[:, None] >> np.arange(log_s)) & 1
-    first = set_bits @ rho
+    # k mod ms: t = k mod m steps by the cycle, and the squares C^(2^i) at
+    # the set bits of b < s
+    within = np.arange(m * s)
+    first = (within % m) * (cycle + g + product)
+    first += (((within // m)[:, None] >> np.arange(log_s)) & 1) @ rho
     first += 2 * eps * sum(view.rows.size for view in views)
-    advances = np.arange((n >> log_s) + 1)[:, None] * (stride + g + product)
+    advances = np.arange(n // (m * s) + 1)[:, None] * (top + g + product)
     return (advances + first).ravel()[:n + 1]
 
 
@@ -741,6 +808,19 @@ def _certified_leakage(leakage: np.ndarray) -> np.ndarray:
     return leakage
 
 
+def _certified_fidelity(fidelity: np.ndarray) -> np.ndarray:
+    """fidelity, a run's code fidelity column, once every value is finite:
+    NaN or inf is a NumericalDegeneracyError that names the first. Finite
+    values pass as _observables leaves them, clamped below 1 +
+    FIDELITY_CLAMP_TOL."""
+    finite = np.isfinite(fidelity)
+    if not finite.all():
+        k = finite.argmin()
+        raise NumericalDegeneracyError(
+            f"code fidelity {fidelity[k]} after {k} cycles is not finite")
+    return fidelity
+
+
 def _certified_norms(norms: np.ndarray, bound: np.ndarray) -> None:
     """A pulsed run's state norms nu_k, each within bound[k] nu_0 of nu_0
     (_norm_bound); one past it, or NaN, is a NumericalDegeneracyError that
@@ -898,7 +978,8 @@ def _observables(sectors: Sequence[Sector], parts: Sequence[np.ndarray],
     the QR + SVD form of the other code dims (_nuclear_norm) to within
     1e-15 ||A||_F ||C||_F, and simulate's fidelities moved by at most
     2.7e-15 between the two. Values below 1 + FIDELITY_CLAMP_TOL are
-    clamped to 1; larger ones pass through. simulate range-checks leakage.
+    clamped to 1; larger ones pass through. simulate range-checks leakage
+    and fails on a fidelity that is not finite.
     """
     a = _code_rows(parts, columns)
     if c is None:
@@ -914,33 +995,55 @@ def _observables(sectors: Sequence[Sector], parts: Sequence[np.ndarray],
             np.where(f < 1.0 + FIDELITY_CLAMP_TOL, np.minimum(f, 1.0), f))
 
 
+def _unit(scale, x: np.ndarray) -> np.ndarray:
+    """exp(1j * scale * x) for a real array x and a real scale, a number or
+    an array that broadcasts against x, cos and sin written into the real
+    and imaginary views of one complex array. A phase past the float
+    range is NaN, with no warning: simulate's column checks fail on every
+    sample it reaches."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = scale * x
+        out = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=out.real)
+        np.sin(phase, out=out.imag)
+    return out
+
+
 def _spectral_batches(spectrum: tuple[np.ndarray, np.ndarray], psi0: np.ndarray,
-                      scale: float, n: int):
-    """Yield exp(1j * scale * k * h) psi0 for k = 0..n, psi0 one state per
-    copy (copies, J), in stacks (samples, copies, J) of OBSERVABLE_BATCH
-    samples, from h's spectrum (w, v). The table exp(1j * scale * j * w),
-    j < OBSERVABLE_BATCH, is built once, and the batch from k0 is one GEMM
-    of the table with the (J, copies x J) right factor diag(exp(1j * scale
-    * k0 * w) (v^dag psi0)_c) v^T, side by side over the copies c. Sample 0
-    is psi0 exactly.
+                      scale: float, layout: Sequence[slice]):
+    """Yield exp(1j * scale * k * h) psi0 for the samples k of each batch
+    of layout (_layout), psi0 one state per copy (copies, J), as stacks
+    (samples, copies, J), from h's spectrum (w, v). The table exp(1j *
+    scale * k * w) over the first batch's samples, the largest batch and
+    the same spacing as every other, is built once (_unit), and the batch
+    from k0 is one GEMM of the table with the (J, copies x J) right
+    factor diag(exp(1j * scale * k0 * w) (v^dag psi0)_c) v^T, side by side
+    over the copies c. Sample 0 is psi0 exactly.
     """
     w, v = spectrum
     coeff = psi0 @ v.conj()  # v^dag psi0, a row per copy
     copies, j = coeff.shape
-    table = np.exp(1j * scale * np.outer(np.arange(min(n + 1, OBSERVABLE_BATCH)), w))
-    for k0 in range(0, n + 1, OBSERVABLE_BATCH):
-        scaled = (np.exp(1j * scale * k0 * w) * coeff).T
-        right = (scaled[:, :, None] * v.T[:, None, :]).reshape(j, copies * j)
-        rows = min(n + 1 - k0, len(table))
-        batch = (table[:rows] @ right).reshape(rows, copies, j)
-        if k0 == 0:
-            batch[0] = psi0
-        yield batch
+    first = layout[0]
+    table = _unit(scale, np.outer(np.arange(first.start, first.stop, first.step), w))
+    for c0 in range(0, len(layout), OBSERVABLE_BATCH):
+        # the batches' own phases, a table for up to OBSERVABLE_BATCH of them
+        chunk = layout[c0:c0 + OBSERVABLE_BATCH]
+        starts = np.array([[scale * p.start] for p in chunk])  # Python floats
+        for positions, phase in zip(chunk, _unit(starts, w)):
+            scaled = (phase * coeff).T
+            right = (scaled[:, :, None] * v.T[:, None, :]).reshape(j, copies * j)
+            size = len(range(positions.start, positions.stop, positions.step))
+            batch = (table[:size] @ right).reshape(size, copies, j)
+            if positions.start == 0:
+                batch[0] = psi0
+            yield batch
 
 
-def _free_batches(sector: Sector, phi0: np.ndarray, scale: float, n: int):
-    """exp(1j * scale * k * H') phi0 on a sector's frame rows for k = 0..n,
-    in stacks (samples, copies, J_s) (_spectral_batches), from its block's
+def _free_batches(sector: Sector, phi0: np.ndarray, scale: float,
+                  layout: Sequence[slice]):
+    """exp(1j * scale * k * H') phi0 on a sector's frame rows for the
+    samples k of each batch of layout, in stacks (samples, copies, J_s)
+    (_spectral_batches), from its block's
     spectrum, or a pair's from its halves': eigenvalues w+ then w-, and
     eigenvectors [[V+, V-], [zeta V+, -zeta V-]] / sqrt(2), the halves'
     rotated to the frame. A batch is then one GEMM in the frame, with no
@@ -951,7 +1054,7 @@ def _free_batches(sector: Sector, phi0: np.ndarray, scale: float, n: int):
         v = np.block([[v_plus, v_minus],
                       [sector.zeta * v_plus, -sector.zeta * v_minus]])
         spectrum = np.concatenate([w_plus, w_minus]), v * np.sqrt(0.5)
-    return _spectral_batches(spectrum, phi0[sector.rows], scale, n)
+    return _spectral_batches(spectrum, phi0[sector.rows], scale, layout)
 
 
 def simulate(
@@ -968,11 +1071,13 @@ def simulate(
     target. With pulses=None the same grid is used for free evolution.
     States, stepped targets and observables cover only the sector copies
     where the start is exactly nonzero (_live). A pulsed run steps them by
-    the squares of the cycle up to a stride C^s, s chosen per run so that
-    its squarings cost no more flops than its states (_stride), then by
-    C^s, and never forms cycle^n (_kicked). The distance to the limit covers every sector
-    and is formed, with the run's total, when first read
-    (_deferred_distance).
+    powers of the cycle and never forms cycle^n (_kicked): by the squares
+    up to a stride C^s, s chosen per run so that its squarings cost no
+    more flops than its states (_stride), then by C^s; or, where blocks of
+    s states would be thin products, by seeds spaced m apart, a chain by
+    C^m, and the cycle from them (_spacing). The distance to the limit
+    covers every sector and is formed, with the run's total, when first
+    read (_deferred_distance).
     The target is stepped only when the model's code block acts on the
     code; for a decoherence-free model (model.decoherence_free) it is the
     initial code state times a bath state, and the fidelity is the overlap
@@ -981,10 +1086,11 @@ def simulate(
     sys.maxsize // 8, at 8 bytes each) is a ValueError, raised with the
     state and pulse checks before any eigendecomposition.
     Raises NumericalDegeneracyError, before the first sample is evaluated,
-    when the model's eigenvector certificate fails or a pulsed run's stride
-    or cycle drifts past the unitarity tolerance; and, before it returns,
-    when the leakage column leaves [0, 1], or else when a pulsed run's
-    state norms drift past their bound (_norm_bound). A drift in the limit
+    when the model's eigenvector certificate fails or a pulsed run's top
+    power (C^s or C^m) or cycle drifts past the unitarity tolerance; and,
+    before it returns, when the leakage column leaves [0, 1], or else when
+    a pulsed run's state norms drift past their bound (_norm_bound), or
+    else when a fidelity is NaN or inf. A drift in the limit
     or the run's total (cycle^n, or the free total) raises the same error,
     with the same message, at the first read of the report's
     distance_to_limit.
@@ -1000,8 +1106,8 @@ def simulate(
     if schedule.pulses is not None:
         _check_pulse(model, schedule.pulses)
     sectors = [view for view in _live(model, phi0) if view is not None]
-    batches, bound = (_free if schedule.pulses is None else _kicked)(sectors, n,
-                                                                     tau, phi0)
+    layout, batches, bound = (_free if schedule.pulses is None
+                              else _kicked)(sectors, n, tau, phi0)
 
     in_states, in_targets = _code_columns(model, sectors)
     # the code block is I_k x h: the target's code rows are x (e^(-i h t)
@@ -1014,20 +1120,20 @@ def simulate(
     else:
         targets = zip(*[
             _spectral_batches(sector.code, phi0[sector.rows[:, :sector.n_code]],
-                              -2 * tau, n) for sector in sectors])
+                              -2 * tau, layout) for sector in sectors])
     leakage, fidelity = np.empty(n + 1), np.empty(n + 1)
     norms = None if bound is None else np.empty(n + 1)
-    for start, parts in zip(range(0, n + 1, OBSERVABLE_BATCH), batches):
-        batch = slice(start, start + len(parts[0]))
+    for positions, parts in zip(layout, batches):
         c = None if targets is None else _code_rows(next(targets), in_targets)
-        leakage[batch], fidelity[batch] = _observables(sectors, parts, in_states,
-                                                       x, c)
+        leakage[positions], fidelity[positions] = _observables(
+            sectors, parts, in_states, x, c)
         if norms is not None:  # the code population; the leakage is added below
-            norms[batch] = _leakage(sectors, parts, code=True)
-    _certified_leakage(leakage)  # one range check per run
+            norms[positions] = _leakage(sectors, parts, code=True)
+    fidelity[0] = 1.0  # sample 0 compares the initial state with itself
+    _certified_leakage(leakage)  # one range check per column and run
     if norms is not None:
         _certified_norms(np.add(norms, leakage, out=norms), bound)
-    fidelity[0] = 1.0  # sample 0 compares the initial state with itself
+    _certified_fidelity(fidelity)
     leakage.flags.writeable = fidelity.flags.writeable = False
     return SimulationReport(tau, leakage, fidelity, _deferred_distance(
         model, n, tau, schedule.total_free_time, schedule.pulses is not None))

@@ -942,6 +942,23 @@ class TestLeakageOutOfRange:
         assert not out.exists()
 
 
+class TestFidelityNotFinite:
+    def test_overflowing_target_phases_exit_two(self, tmp_path, capsys):
+        # a pulsed hopping run whose stepped target's phases 2 tau k w pass
+        # the float range (g = 1e300, tau = 1e8): its fidelity was written
+        # as nan with exit 0; now one stderr line, exit 2 and no CSV
+        config = {"model": "hopping", "params": {"n_levels": 4}, "g": 1e300,
+                  "seed": 3, "bath_dim": 2, "leo": {"route": "projector"},
+                  "schedule": {"n_cycles": 1, "tau": 1e8},
+                  "initial_state": "code:0"}
+        path, out = tmp_path / "c.json", tmp_path / "o.csv"
+        path.write_text(json.dumps(config))
+        assert run_cli(["simulate", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: code fidelity nan after 1 cycles "
+                       "is not finite\n")
+        assert not out.exists()
+
 class TestArgumentErrors:
     def test_unknown_command(self, capsys):
         assert run_cli(["transmogrify"]) == 1

@@ -96,6 +96,25 @@ def rule_stride(views, n):
                     math.floor(math.log2(min(n, dynamics.OBSERVABLE_BATCH))))
 
 
+def rule_spacing(views, n):
+    """(m, s), the seed spacing and the stride a pulsed run of n cycles
+    steps by: s = rule_stride and m = 1 where a block of s states is no
+    thinner than a square, s sum_v c_v J_v^2 >= sum_v J_v^3; otherwise s =
+    1 and m is the smallest power of two up to min(n, 256) with n // m + 1
+    <= min(sum_v J_v^3 / sum_v c_v J_v^2, 256) seeds, or, where there is
+    none, (1, rule_stride) again."""
+    s = rule_stride(views, n)
+    states = sum(len(v.rows) * v.rows.shape[1] ** 2 for v in views)
+    square = sum(v.rows.shape[1] ** 3 for v in views)
+    if s * states >= square:
+        return 1, s
+    seeds = min(Fraction(square, states), dynamics.OBSERVABLE_BATCH)
+    for m in (2 ** i for i in range(9)):
+        if m <= max(n, 1) and n // m + 1 <= seeds:
+            return m, 1
+    return 1, s
+
+
 def shipped_config(bench_dir):
     """The model of the shipped config and its cycle count."""
     with open(bench_dir / "dfs2_benchmark.json") as fh:
@@ -301,13 +320,14 @@ class TestPropagatorChecks:
         with pytest.raises(NumericalDegeneracyError,
                            match=f"^decoupled limit: {drift}"):
             decoupled_limit_unitary(m, 0.8)
-        # simulate certifies the stride a pulsed run steps with, then the
-        # cycle; the limit waits for the first read of the distance, which
-        # certifies it before the run's total, pulsed or free
-        s = rule_stride(live_views(m, code_state(m)), 8)
-        assert s == 4
+        # simulate certifies the top power a pulsed run steps with (here
+        # the seeds' C^2: a block of the stride C^4 would be four rows
+        # against a sector of 8), then the cycle; the limit waits for the
+        # first read of the distance, which certifies it before the run's
+        # total, pulsed or free
+        assert rule_spacing(live_views(m, code_state(m)), 8) == (2, 1)
         with pytest.raises(NumericalDegeneracyError,
-                           match=f"^cycle\\^{s}, the stride of 8 cycles: {drift}"):
+                           match=f"^cycle\\^2, the spacing of 8 cycles: {drift}"):
             simulate(m, sched, code_state(m))
         for pulse in (sched.pulses, None):
             monkeypatch.setattr(opalg, "UNITARY_TOL", 1e-10)
@@ -330,12 +350,13 @@ class TestPropagatorChecks:
 class TestStateNormCheck:
     """A pulsed run checks its states' norms against the bound derived in
     _norm_bound, linear in k: |nu_k - nu_0| <= (sum of rho_P over the
-    products that reach psi_k + 2 L eps) nu_0, one product with C^(2^i)
-    per set bit i of k % s and one with the stride C^s per advance, s the
-    run's stride (rule_stride), rho_P
-    = r_P + sqrt(2) (J + 2) sqrt(J) eps. r_P is the certified residual plus
-    g = sqrt(2) (J + 2) J eps for the cycle and the stride, and r_(i+1) = 2
-    r_i + 2 g for the squares between them."""
+    products that reach psi_k + 2 L eps) nu_0. With (m, s) the run's
+    spacing and stride (rule_spacing) and k = a m s + b m + t, b < s, t <
+    m, those are a products with the top power C^(ms), one with C^(2^i)
+    per set bit i of b and t with the cycle; rho_P = r_P + sqrt(2) (J + 2)
+    sqrt(J) eps. r_P is the certified residual plus g = sqrt(2) (J + 2) J
+    eps for the cycle and the top power, and r_(i+1) = 2 r_i + 2 g for the
+    squares between the cycle and the stride."""
 
     MODELS = {
         "dfs2_xi_j16": lambda: (dfs2_leakage_model(("XI",), g=0.05, bath_seed=3,
@@ -390,18 +411,20 @@ class TestStateNormCheck:
         views = live_views(m, state)
         j = max(v.rows.shape[1] for v in views)
         live_rows = sum(v.rows.size for v in views)
-        s = rule_stride(views, n)
+        m, s = rule_spacing(views, n)
         log_s = s.bit_length() - 1
-        assert len(r) == 1 + (log_s > 0)
+        assert len(r) == 1 + (m * s > 1)
         eps = np.finfo(float).eps
         g = np.sqrt(2.0) * (j + 2) * j * eps
-        squares = [r[-1] + g]  # C, then C^2, ..., C^(s/2), then the stride
+        product = np.sqrt(2.0) * (j + 2) * np.sqrt(j) * eps
+        squares = [r[-1] + g]  # C, then C^2, ..., C^(s/2)
         while len(squares) < log_s:
             squares.append(2 * squares[-1] + 2 * g)
-        squares[log_s:] = [r[0] + g]
-        rho = np.array(squares) + np.sqrt(2.0) * (j + 2) * np.sqrt(j) * eps
+        rho = np.array(squares[:log_s]) + product
+        rho_cycle, rho_top = r[-1] + g + product, r[0] + g + product
         bound = np.array([
-            k // s * rho[-1] + sum(p for i, p in enumerate(rho[:-1]) if k % s >> i & 1)
+            k // (m * s) * rho_top + k % m * rho_cycle
+            + sum(p for i, p in enumerate(rho) if k % (m * s) // m >> i & 1)
             for k in range(n + 1)]) + 2 * live_rows * eps
         np.testing.assert_allclose(checked, bound, rtol=1e-13, atol=0.0)
         # measured at most 0.39 of the bound over these models (linear
@@ -481,43 +504,50 @@ class TestStride:
     """A pulsed run steps its states by one stride C^s per run: the first s
     states by doubling, each later block of s states by one product with
     C^s. s comes from the rule that no more flops go to the squarings than
-    to stepping the states (rule_stride, dynamics._stride)."""
+    to stepping the states (rule_stride, dynamics._stride), where a block
+    of s states is no thin product; otherwise the run steps seeds
+    (TestSpacing)."""
 
     # perfbench's pulsed rungs (bath seed 3, as at its seed 0) and the
-    # shipped config: the model, the cycle count and the rule's stride
+    # shipped config: the model, the cycle count, the flop rule's stride
+    # and the run's (spacing, stride); the hopping rung's blocks of 16
+    # states would be thin against its sector of 256, so it steps 129
+    # seeds spaced 8 apart
     RUNGS = {
         "dfs2_j16_n4096": (lambda _: (dfs2_leakage_model(
-            ["XI"], 0.05, 3, bath_dim=4), 4096), 256),
+            ["XI"], 0.05, 3, bath_dim=4), 4096), 256, (1, 256)),
         "dfs2_j64_n4096": (lambda _: (dfs2_leakage_model(
-            ["XI"], 0.05, 3, bath_dim=16), 4096), 256),
+            ["XI"], 0.05, 3, bath_dim=16), 4096), 256, (1, 256)),
         "dfs2_j256_n1024": (lambda _: (dfs2_leakage_model(
-            ["XI"], 0.05, 3, bath_dim=64), 1024), 256),
+            ["XI"], 0.05, 3, bath_dim=64), 1024), 256, (1, 256)),
         "hopping8_j256_n1024": (lambda _: (hopping_model(
-            8, 3, 0.05, bath_dim=32), 1024), 16),
+            8, 3, 0.05, bath_dim=32), 1024), 16, (8, 1)),
         "dfs2_j512_n64": (lambda _: (dfs2_leakage_model(
-            ["XI"], 0.05, 3, bath_dim=128), 64), 1),
-        "shipped_config": (shipped_config, 64),
+            ["XI"], 0.05, 3, bath_dim=128), 64), 1, (1, 1)),
+        "shipped_config": (shipped_config, 64, (1, 64)),
     }
 
     @pytest.mark.parametrize("rung", list(RUNGS))
     def test_benchmark_rungs(self, bench_dir, rung):
-        build, s = self.RUNGS[rung]
+        build, s, steps = self.RUNGS[rung]
         m, n = build(bench_dir)
         views = live_views(m, code_state(m))
         assert dynamics._stride(views, n) == rule_stride(views, n) == s
+        assert dynamics._spacing(views, n) == rule_spacing(views, n) == steps
 
     def test_zero_and_one_cycle_step_by_the_cycle(self):
         m = benchmark_model()
         views = live_views(m, code_state(m))
         assert dynamics._stride(views, 0) == dynamics._stride(views, 1) == 1
+        assert dynamics._spacing(views, 0) == dynamics._spacing(views, 1) == (1, 1)
 
-    # (bath dim, n, start, s): the j512 rung from a basis state (s = 1, a
-    # plain chain by the cycle) and from a superposition (two live copies,
-    # s = 2), and dfs2 at joint dim 256 over 256 cycles (s = 16: fifteen
-    # blocks in the first batch, one in the second) and over 1000 (s =
+    # (bath dim, n, start, (m, s)): the j512 rung from a basis state and
+    # from a superposition (two live copies; the stride would be 2), both
+    # a plain chain by the cycle, and dfs2 at joint dim 256 over 256
+    # cycles (seeds 4 apart; the stride would be 16) and over 1000 (s =
     # 256, one block per batch)
-    SHORT = [(128, 64, "basis", 1), (128, 64, "superposition", 2),
-             (64, 256, "basis", 16), (64, 1000, "basis", 256)]
+    SHORT = [(128, 64, "basis", (1, 1)), (128, 64, "superposition", (1, 1)),
+             (64, 256, "basis", (4, 1)), (64, 1000, "basis", (1, 256))]
 
     @staticmethod
     def start(m, kind):
@@ -525,8 +555,9 @@ class TestStride:
             return code_state(m)
         return (code_state(m, 0) + 1j * code_state(m, 1)) / np.sqrt(2.0)
 
-    @pytest.mark.parametrize("bath_dim,n,kind,s", SHORT)
-    def test_short_strides_against_extended_precision(self, bath_dim, n, kind, s):
+    @pytest.mark.parametrize("bath_dim,n,kind,steps", SHORT)
+    def test_short_strides_against_extended_precision(self, bath_dim, n, kind,
+                                                      steps):
         # the error model of test_long_run_against_extended_precision: every
         # product keeps the pair form, so psi_k, products of powers that add
         # up to k, is within k J eps / 2 of the clongdouble oracle's, and
@@ -535,7 +566,7 @@ class TestStride:
         m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=bath_dim)
         state = self.start(m, kind)
         (view,) = live_views(m, state)
-        assert rule_stride([view], n) == s
+        assert rule_spacing([view], n) == steps
         sched = ParityKickSchedule(n, 2.0 / (2 * n), exchange_dfs2_leo())
         got = simulate(m, sched, state).leakage_population
         want = extended_leakage(m, state, n, sched.tau)
@@ -545,14 +576,19 @@ class TestStride:
         error = np.abs(got[1:] - want[1:]) / want[1:]
         assert np.all(error <= k * j * (eps + eps_ld))
 
-    @pytest.mark.parametrize("bath_dim,n", [(64, 256), (128, 64)])
+    # (bath dim, n): s = 32 against a sector of 32 (the stride's blocks
+    # are just not thin, _spacing) and s = 1 at joint dim 512
+    STRIDES = [(16, 80), (128, 64)]
+
+    @pytest.mark.parametrize("bath_dim,n", STRIDES)
     def test_norm_bound_at_a_stride_switch(self, monkeypatch, bath_dim, n):
         # psi_s and psi_2s take one and two products with the stride and
         # none with a square; psi_(s-1) takes every square once, psi_(s+1)
         # the stride and the cycle
         m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=bath_dim)
         views = live_views(m, code_state(m))
-        s = rule_stride(views, n)
+        spacing, s = rule_spacing(views, n)
+        assert spacing == 1 and s == rule_stride(views, n)
         sched = ParityKickSchedule(n, 2.0 / (2 * n), exchange_dfs2_leo())
         _, nu, r, (bound,) = TestStateNormCheck.run(monkeypatch, m, sched,
                                                     code_state(m))
@@ -570,13 +606,14 @@ class TestStride:
             assert bound[k] == pytest.approx(want + read, rel=1e-13, abs=0.0), k
         assert np.all(np.abs(nu - nu[0]) <= bound * nu[0])
 
-    @pytest.mark.parametrize("bath_dim,n", [(64, 256), (128, 64)])
+    @pytest.mark.parametrize("bath_dim,n", STRIDES)
     def test_drifting_stride_fails_at_the_first_block(self, monkeypatch,
                                                       bath_dim, n):
         # each block's product with C^s scaled by 1 + 1e-8 moves nu by 2e-8
         # at k = s, far past the bound there
         m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=bath_dim)
-        s = rule_stride(live_views(m, code_state(m)), n)
+        spacing, s = rule_spacing(live_views(m, code_state(m)), n)
+        assert spacing == 1
         step, calls = dynamics._step, []
 
         def drifting(states, u, out):
@@ -595,6 +632,178 @@ class TestStride:
         # per advance
         assert calls == [2 ** i for i in range(s.bit_length() - 1)] + [
             min(s, n + 1 - k) for k in range(s, n + 1, s)]
+
+
+class TestSpacing:
+    """Where a block of the stride's s states would be a thin product, s
+    x copies rows against a J x J power (s sum c J^2 < sum J^3), a pulsed
+    run steps seeds spaced m apart instead (rule_spacing): at most
+    min(J / copies, 256) of them, a chain of one-state products by C^m,
+    then every other sample as a batch of up to that many states, one
+    product by the cycle of the batch of the samples one cycle before."""
+
+    # (model, n, start, m): a pair sector of 128 from a basis state and
+    # from a superposition (two live copies), and hopping's unpaired sector
+    # of 64; n + 1 is never a multiple of m, so the last batches are short
+    CASES = {
+        "dfs2_j256_basis": (lambda: dfs2_leakage_model(
+            ("XI",), g=0.05, bath_seed=3, bath_dim=64), 300, "basis", 4),
+        "dfs2_j256_superposition": (lambda: dfs2_leakage_model(
+            ("XI",), g=0.05, bath_seed=3, bath_dim=64), 100, "superposition", 2),
+        "hopping8_j64_basis": (lambda: (hopping_model(8, 3, 0.05, bath_dim=8)),
+                               300, "basis", 8),
+        "hopping8_j64_superposition": (lambda: (hopping_model(
+            8, 3, 0.05, bath_dim=8)), 200, "superposition", 4),
+    }
+
+    @staticmethod
+    def pulse(m):
+        return (exchange_dfs2_leo() if m.code.label == "dfs2"
+                else projector_leo(m.code))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_against_extended_precision(self, case):
+        # the error model of TestStride's: psi_k = C^t (C^m)^a psi_0, k = a
+        # m + t, is a product of powers that add up to k, and C^m's
+        # squarings pass each factor's error on doubled, so the leakage is
+        # within k J eps relative of the clongdouble oracle's, plus the
+        # oracle's own k J eps_ld
+        build, n, kind, spacing = self.CASES[case]
+        m = build()
+        state = TestStride.start(m, kind)
+        (view,) = live_views(m, state)
+        assert rule_spacing([view], n) == (spacing, 1) and (n + 1) % spacing
+        sched = ParityKickSchedule(n, 2.0 / (2 * n), self.pulse(m))
+        got = simulate(m, sched, state).leakage_population
+        want = extended_leakage(m, state, n, sched.tau)
+        k, j = np.arange(1, n + 1), view.rows.shape[1]
+        eps, eps_ld = np.finfo(float).eps, float(np.finfo(np.longdouble).eps)
+        assert want[1:].min() > 0 and got[0] == 0
+        error = np.abs(got[1:] - want[1:]) / want[1:]
+        assert np.all(error <= k * j * (eps + eps_ld))
+
+    @pytest.mark.parametrize("case", ["hopping8_j64_basis",
+                                      "hopping8_j64_superposition"])
+    def test_stepped_targets_match_the_reference(self, case):
+        # hopping's code block acts on the code, so its targets are stepped
+        # too, on the seeds' layout: each batch of targets at spacing m,
+        # within TestBatchedObservables' tolerance of the one-cycle-at-a-
+        # time reference
+        build, n, kind, spacing = self.CASES[case]
+        m = build()
+        state = TestStride.start(m, kind)
+        assert not m.decoherence_free
+        sched = ParityKickSchedule(n, 2.0 / (2 * n), self.pulse(m))
+        rep = simulate(m, sched, state)
+        leaks, fids = per_sample_reference(m, sched, state)
+        np.testing.assert_allclose(rep.leakage_population, leaks,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rep.code_fidelity, fids, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n,steps", [(80, (1, 32)), (79, (4, 1))])
+    def test_regime_switch(self, monkeypatch, n, steps):
+        # dfs2 at joint dim 64, one live copy of a sector of 32: at n = 80
+        # the flop rule's stride is 32, s c = J, and the run steps as
+        # before, by doubling and then blocks of 32 by C^32; at n = 79 it
+        # is 16, and the run steps 20 seeds 4 apart, a chain by C^4, then
+        # three batches of 20 states by the cycle
+        m = dfs2_leakage_model(("XI",), g=0.05, bath_seed=3, bath_dim=16)
+        views = live_views(m, code_state(m))
+        assert dynamics._spacing(views, n) == rule_spacing(views, n) == steps
+        assert rule_stride(views, n) == (32 if n == 80 else 16)
+        step, calls = dynamics._step, []
+
+        def counted(states, u, out):
+            calls.append(len(states))
+            return step(states, u, out)
+
+        monkeypatch.setattr(dynamics, "_step", counted)
+        sched = ParityKickSchedule(n, 2.0 / (2 * n), exchange_dfs2_leo())
+        got = simulate(m, sched, code_state(m)).leakage_population
+        if n == 80:
+            assert calls == [1, 2, 4, 8, 16, 32, 17]
+        else:
+            assert calls == [1] * 19 + [20] * 3
+        want = extended_leakage(m, code_state(m), n, sched.tau)
+        k, j = np.arange(1, n + 1), views[0].rows.shape[1]
+        eps, eps_ld = np.finfo(float).eps, float(np.finfo(np.longdouble).eps)
+        assert np.all(np.abs(got[1:] - want[1:]) / want[1:]
+                      <= k * j * (eps + eps_ld))
+
+    @pytest.mark.parametrize("case", ["dfs2_j256_superposition",
+                                      "hopping8_j64_basis"])
+    def test_norm_bound_at_a_seed_switch(self, monkeypatch, case):
+        # psi_m and psi_2m take one and two products with C^m; psi_(m-1)
+        # takes m - 1 with the cycle, psi_(m+1) C^m and the cycle
+        build, n, kind, spacing = self.CASES[case]
+        m = build()
+        state = TestStride.start(m, kind)
+        views = live_views(m, state)
+        sched = ParityKickSchedule(n, 2.0 / (2 * n), self.pulse(m))
+        _, nu, r, (bound,) = TestStateNormCheck.run(monkeypatch, m, sched, state)
+        j = max(v.rows.shape[1] for v in views)
+        eps = np.finfo(float).eps
+        g = np.sqrt(2.0) * (j + 2) * j * eps
+        product = np.sqrt(2.0) * (j + 2) * np.sqrt(j) * eps
+        read = 2 * sum(v.rows.size for v in views) * eps
+        top, cycle = r[0] + g + product, r[1] + g + product
+        for k, want in [(spacing, top), (2 * spacing, 2 * top),
+                        (spacing - 1, (spacing - 1) * cycle),
+                        (spacing + 1, top + cycle)]:
+            assert bound[k] == pytest.approx(want + read, rel=1e-13, abs=0.0), k
+        assert np.all(np.abs(nu - nu[0]) <= bound * nu[0])
+
+    @pytest.mark.parametrize("case", ["dfs2_j256_superposition",
+                                      "hopping8_j64_basis"])
+    def test_drifting_seed_power_fails_at_its_first_sample(self, monkeypatch,
+                                                           case):
+        # each seed's product with C^m scaled by 1 + 1e-8 moves nu by 2e-8
+        # at k = m, the first sample it reaches, far past the bound there;
+        # samples 1..m-1 come from psi_0 by the cycle alone
+        build, n, kind, spacing = self.CASES[case]
+        m = build()
+        state = TestStride.start(m, kind)
+        seeds = n // spacing + 1
+        step, calls = dynamics._step, []
+
+        def drifting(states, u, out):
+            calls.append(len(states))
+            step(states, u, out)
+            if len(calls) < seeds:
+                out *= 1.0 + 1e-8
+            return out
+
+        monkeypatch.setattr(dynamics, "_step", drifting)
+        with pytest.raises(NumericalDegeneracyError,
+                           match=f"^state norm after {spacing} cycles drifted by"):
+            simulate(m, ParityKickSchedule(n, 2.0 / (2 * n), self.pulse(m)), state)
+        # the seeds' chain, then one batch per sample t mod m, t = 1..m-1
+        assert calls == [1] * (seeds - 1) + [len(range(t, n + 1, spacing))
+                                             for t in range(1, spacing)]
+
+    def test_no_power_past_the_batch(self):
+        # hopping at joint dim 512, one sector: a block of the stride's 256
+        # states is thin, so a run steps up to 256 seeds, but no more than
+        # C^256 spaces them: from 65536 cycles on, it keeps the stride
+        m = hopping_model(8, 3, 0.05, bath_dim=64)
+        views = live_views(m, code_state(m))
+        assert views[0].rows.shape == (1, 512)
+        for n, steps in [(1024, (8, 1)), (65535, (256, 1)), (65536, (1, 256)),
+                         (2 ** 20, (1, 256))]:
+            assert dynamics._spacing(views, n) == rule_spacing(views, n) == steps
+
+    # (n, m): the spacings _spacing picks are at most n and leave at most
+    # 256 seeds
+    @pytest.mark.parametrize("n,spacing", [
+        (0, 1), (1, 1), (255, 1), (256, 1), (257, 1), (1000, 1), (2, 2),
+        (257, 2), (1000, 4), (1023, 4), (1024, 8), (300, 64)])
+    def test_layout_covers_every_sample_once(self, n, spacing):
+        layout = dynamics._layout(n, spacing)
+        samples = np.concatenate([np.arange(n + 1)[p] for p in layout])
+        assert sorted(samples) == list(range(n + 1))
+        assert all(len(range(n + 1)[p]) <= dynamics.OBSERVABLE_BATCH
+                   for p in layout)
+        assert all(p.step == spacing for p in layout)
 
 
 class TestDeferredDistance:
@@ -854,6 +1063,53 @@ class TestLeakageCertificate:
         self.patch_leakage(monkeypatch, np.nan, index=-1)
         with pytest.raises(NumericalDegeneracyError, match="nan outside"):
             simulate(m, ParityKickSchedule(600, 0.001, exchange_dfs2_leo()),
+                     code_state(m))
+
+
+class TestFidelityCertificate:
+    """simulate checks the run's fidelity column once too: NaN or inf is a
+    numerical failure that names the first such sample; finite values pass
+    as computed, those above 1 + FIDELITY_CLAMP_TOL unclamped."""
+
+    @staticmethod
+    def patch_fidelity(monkeypatch, value, index=2):
+        observables = dynamics._observables
+
+        def patched(*args):
+            leak, fid = observables(*args)
+            fid[index] = value
+            return leak, fid
+
+        monkeypatch.setattr(dynamics, "_observables", patched)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("pulsed", [True, False])
+    def test_not_finite_is_numerical(self, monkeypatch, value, pulsed):
+        m = code_acting_model()  # a stepped target
+        pulse = exchange_dfs2_leo() if pulsed else None
+        self.patch_fidelity(monkeypatch, value)
+        with pytest.raises(NumericalDegeneracyError,
+                           match=f"^code fidelity {value} after 2 cycles is "
+                                 "not finite$"):
+            simulate(m, ParityKickSchedule(8, 0.05, pulse), code_state(m))
+
+    def test_a_finite_overshoot_passes(self, monkeypatch):
+        m = code_acting_model()
+        self.patch_fidelity(monkeypatch, 1.5)
+        rep = simulate(m, ParityKickSchedule(8, 0.05, None), code_state(m))
+        assert rep.samples[2].code_fidelity == 1.5
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_target_phases_are_numerical(self):
+        # hopping at g = 1e300 and tau = 1e8: the stepped target's phases
+        # 2 tau k w pass the float range, so every target after sample 0 is
+        # NaN; its fidelity was returned as nan with no error, and no
+        # overflow warning escapes
+        m = hopping_model(4, 3, 1e300, bath_dim=2)
+        assert not m.decoherence_free
+        with pytest.raises(NumericalDegeneracyError,
+                           match="^code fidelity nan after 1 cycles is not finite$"):
+            simulate(m, ParityKickSchedule(1, 1e8, projector_leo(m.code)),
                      code_state(m))
 
 
@@ -1527,10 +1783,18 @@ class TestOtherCodeDimsKeepSvdPath:
         pulse = projector_leo(m.code) if pulsed else None
         rep = simulate(m, ParityKickSchedule(300, 0.003, pulse), code_state(m, 2))
         assert not m.decoherence_free  # targets are stepped: one per batch
-        want = [f for phis, c in zip(batches, targets)
-                for f in svd_fidelities(m, phis, c)]
-        assert len(batches) == len(targets) == 2
-        assert [s.code_fidelity for s in rep.samples] == want
+        # a batch's samples: runs of 256 at spacing 1, every m-th sample at
+        # a pulsed run's seed spacing m (8 at bath 6, whose stride of 32
+        # would be thin against its sector of 60)
+        views = live_views(m, code_state(m, 2))
+        spacing = rule_spacing(views, 300)[0] if pulsed else 1
+        assert spacing == (8 if pulsed and bath_dim == 6 else 1)
+        layout = dynamics._layout(300, spacing)
+        want = np.empty(301)
+        for positions, phis, c in zip(layout, batches, targets):
+            want[positions] = svd_fidelities(m, phis, c)
+        assert len(batches) == len(targets) == len(layout)
+        assert [s.code_fidelity for s in rep.samples] == want.tolist()
 
     @pytest.mark.parametrize("pulsed", [True, False])
     @pytest.mark.parametrize("bath_dim", [1, 3])
@@ -2316,9 +2580,11 @@ class TestPairs:
         for sector in m.spectra:
             blk = h[np.ix_(sector.rows[0], sector.rows[0])]
             whole = np.linalg.eigh(blk)
-            got = np.concatenate(list(dynamics._free_batches(sector, phi, -0.3, 300)))
+            layout = dynamics._layout(300, 1)
+            got = np.concatenate(list(dynamics._free_batches(sector, phi, -0.3,
+                                                             layout)))
             want = np.concatenate(list(dynamics._spectral_batches(
-                whole, phi[sector.rows], -0.3, 300)))
+                whole, phi[sector.rows], -0.3, layout)))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
