@@ -6,6 +6,8 @@ complement, and simulate how pulsed evolution suppresses leakage relative
 to free evolution.
 """
 
+from types import ModuleType as _ModuleType
+
 from .classify import (
     CLASS_LEAKAGE,
     CLASS_LOGICAL,
@@ -90,74 +92,6 @@ from .opalg import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockDecomposition",
-    "CLASS_LEAKAGE",
-    "CLASS_LOGICAL",
-    "CLASS_MIXED",
-    "CLASS_OUTSIDE",
-    "CodeSubspace",
-    "DimensionMismatchError",
-    "LeakageEliminationOperator",
-    "LeoVerification",
-    "LogicalOps",
-    "NotGeneralizedGeneratorError",
-    "NotLogicalInvolutionError",
-    "NumericalDegeneracyError",
-    "Operator",
-    "ParityKickSchedule",
-    "PauliClassification",
-    "ProbeCheck",
-    "ROUTES",
-    "SimulationReport",
-    "SimulationSample",
-    "SpinSector",
-    "SpinSectorDecomposition",
-    "SweepRow",
-    "SweepTable",
-    "SystemBathModel",
-    "bare_qubit_code",
-    "build_code",
-    "canonical_leo",
-    "classification_to_csv",
-    "classify_pauli_strings",
-    "code_labels",
-    "decompose",
-    "decoupled_limit_unitary",
-    "derived_seeds",
-    "dfs2_dephasing",
-    "dfs2_leakage_model",
-    "dfs3_collective",
-    "dfs4_collective",
-    "dual_rail_code",
-    "exchange_dfs2_leo",
-    "extract_phase",
-    "generalized_leo",
-    "hermitian_exponential",
-    "hopping_model",
-    "leo_from_json",
-    "leo_to_json",
-    "lift_quadratic",
-    "linear_optics_model",
-    "logical_ops_dfs2",
-    "model_from_config",
-    "number_operator_leo",
-    "operator_from_json",
-    "operator_to_json",
-    "parity_kick_unitary",
-    "pauli_string",
-    "phase_shifter_leo",
-    "projector_leo",
-    "random_hermitian",
-    "random_probes",
-    "reference_reflection",
-    "s_squared",
-    "s_squared_leo",
-    "simulate",
-    "spin_multiplicity",
-    "spin_sector_decomposition",
-    "sweep_cycles",
-    "synthesize",
-    "two_photon_occupations",
-    "verify_leo",
-]
+# every name the imports above bound, less the submodules they bound too
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -105,8 +105,20 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {err.strerror or err}") from err
 
 
+def _finite_or_null(value):
+    """value with each NaN or infinite float in it, at any depth of lists,
+    tuples and dicts, as None: strict JSON has no token for them."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _dump_json(path: str, data: dict) -> None:
-    _atomic_write_text(path, json.dumps(data, indent=2) + "\n")
+    """data as strict JSON, each non-finite value null (_finite_or_null)."""
+    _atomic_write_text(path, json.dumps(_finite_or_null(data), indent=2,
+                                        allow_nan=False) + "\n")
 
 
 def _cycle_list(text: str) -> tuple[int, ...]:
@@ -176,7 +188,7 @@ def _run_decompose(args: argparse.Namespace) -> int:
     if args.operator:
         op = operator_from_json(load_json(args.operator))
         dec = decompose(op, code)
-        payload = {
+        _dump_json(args.out, {
             "code_label": code.label,
             "e_norm": dec.e_norm,
             "eperp_norm": dec.eperp_norm,
@@ -184,8 +196,7 @@ def _run_decompose(args: argparse.Namespace) -> int:
             "e_part": operator_to_json(dec.e_part),
             "eperp_part": operator_to_json(dec.eperp_part),
             "l_part": operator_to_json(dec.l_part),
-        }
-        _dump_json(args.out, payload)
+        })
         print(
             f"decompose: leakage norm {dec.l_norm:.17g} against "
             f"{code.label} -> {args.out}"
@@ -264,7 +275,7 @@ def _run_verify(args: argparse.Namespace) -> int:
         verdict = (f"verify: FAIL: {error}; measured phase "
                    f"[{report.phase.real}, {report.phase.imag}]")
     if args.out:
-        payload = {
+        _dump_json(args.out, {
             "passed": passed,
             "phase": [report.phase.real, report.phase.imag],
             "structural_residual": report.structural_residual,
@@ -272,8 +283,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             "tolerance": leo_mod.STRUCTURAL_TOL,
             "probes": [{"index": i, **dataclasses.asdict(p)}
                        for i, p in enumerate(report.probe_checks)],
-        }
-        _dump_json(args.out, payload)
+        })
     print(verdict)
     return EXIT_OK if passed else EXIT_NUMERICAL
 

@@ -39,19 +39,21 @@ rows, equal code and complement sub-blocks A, and zeta G Hermitian for
 its coupling G, all exact) is exactly diag(A + zeta G, A - zeta G) on
 the rows (code +- conj(zeta) complement) / sqrt(2), where Z is exactly
 -swap of the two halves. Every propagator of a pair then has the frame
-form [[S, conj(zeta) D], [zeta D, S]]: its free total is its halves'
-exponentials rotated to the frame (_frame_block), its cycle is S+ S-
-and S- S+ on the halves, formed from the segment's small parts E+ and
-E- by the two half-size products E+ E- and E- E+ (_cycle), and its
-limit is exp(-i A T) on both, one exponential. A product of two such
+form [[S, conj(zeta) D], [zeta D, S]]: its cycle is S+ S- and S- S+
+on the halves, formed from the segment's small parts E+ and E- by the
+two half-size products E+ E- and E- E+ (_cycle). A product of two such
 blocks is fixed by its first half of rows, one GEMM of half the flops
 (_product), which also keeps the code-complement coupling D accurate to
 its own size. Certificates and distances are read on the halves S +- D
-(_diagonal_blocks), at a quarter of the flops, taken once per
-propagator for both (_halves); the rotation is unitary, so they are the
-same. States are stepped in the frame: pulsed ones by the pair-form
-squares, free ones against the halves' eigenvectors rotated to the frame
-(_free_batches).
+(_diagonal_blocks), at a quarter of the flops; the rotation is unitary,
+so they are the same. cycle^n's are taken once for both (_halves); the
+free total and the limit are formed on the halves alone, the free total
+as the halves' exponentials (_free_total) and the limit as exp(-i A T)
+on both, one exponential (_limit). Only decoupled_limit_unitary rotates
+the limit's halves to the frame (_frame_block), exactly: (L + L)/2 = L
+and (L - L)/2 = 0. States are stepped in the frame: pulsed ones by the
+pair-form squares, free ones against the halves' eigenvectors rotated to
+the frame (_free_batches).
 On the halves, the leakage would be the difference of two stacks near 1,
 good only to rounding of their size.
 
@@ -274,13 +276,13 @@ def _segment(sector: Sector, tau: float) -> list[np.ndarray]:
     return [(v * np.expm1(-1j * tau * w)) @ v.conj().T for w, v in sector.blocks]
 
 
-def _frame_block(sector: Sector, blocks: list[np.ndarray]) -> np.ndarray:
-    """A sector's frame block, code rows first, from its blocks in the basis
-    where it is block diagonal (_diagonal_blocks' inverse): the one block
-    itself, or for a pair, from plus and minus on its halves' rows (code +-
-    conj(zeta) complement) / sqrt(2), (plus + minus)/2 on the code and on
-    the complement rows, conj(zeta) (plus - minus)/2 from the complement to
-    the code rows and zeta (plus - minus)/2 back."""
+def _frame_block(sector: Sector, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """A sector's frame block, code rows first, from the stack of its blocks
+    in the basis where it is block diagonal (_diagonal_blocks' inverse): the
+    one block itself, or for a pair, from plus and minus on its halves' rows
+    (code +- conj(zeta) complement) / sqrt(2), (plus + minus)/2 on the code
+    and on the complement rows, conj(zeta) (plus - minus)/2 from the
+    complement to the code rows and zeta (plus - minus)/2 back."""
     if sector.zeta is None:
         return blocks[0]
     plus, minus = blocks
@@ -618,43 +620,42 @@ def _norm_bound(views: Sequence[Sector], n: int, m: int, s: int, cycle: float,
     return (advances + first).ravel()[:n + 1]
 
 
-def _free_total(model: SystemBathModel, n: int, tau: float) -> tuple[list, list]:
-    """The free total exp(-i H' 2 n tau) per sector in the frame F x I, and
-    its diagonal blocks (_halves), certified unitary. A pair's total is its
-    halves' exponentials, rotated to the frame (_frame_block)."""
-    totals = [_frame_block(sector, [_spectral_matrix(block, -2 * n * tau)
-                                    for block in sector.blocks])
-              for sector in model.spectra]
-    halves = _halves(model.spectra, totals)
+def _free_total(model: SystemBathModel, n: int, tau: float) -> list:
+    """The free total exp(-i H' 2 n tau) per sector as its diagonal blocks,
+    a stack per sector (_halves), certified unitary: the exponential of
+    the sector's block, or of each of a pair's halves."""
+    halves = [np.stack([_spectral_matrix(block, -2 * n * tau)
+                        for block in sector.blocks]) for sector in model.spectra]
     _certified(model.spectra, halves, "spectral exponential")
-    return totals, halves
+    return halves
 
 
-def _limit(model: SystemBathModel, total_free_time: float) -> tuple[list, list]:
-    """exp(-i (H_c + H_perp) T) per sector, in the frame F x I, and its
-    diagonal blocks (_halves), certified unitary: the exponentials of the
-    sector's code and complement sub-blocks on its diagonal; a pair's are
-    both exp(-i A T), one exponential."""
-    blocks = []
+def _limit(model: SystemBathModel, total_free_time: float) -> list:
+    """exp(-i (H_c + H_perp) T) per sector as its diagonal blocks, a stack
+    per sector (_halves), certified unitary: the block with the
+    exponentials of the sector's code and complement sub-blocks on its
+    diagonal, or for a pair, exp(-i A T) on both halves, one exponential."""
+    halves = []
     for sector in model.spectra:
-        c = sector.n_code
         code = _spectral_matrix(sector.code, -total_free_time)
+        if sector.zeta is not None:
+            halves.append(np.stack([code, code]))
+            continue
+        c = sector.n_code
         u = np.zeros((sector.rows.shape[1],) * 2, dtype=complex)
         u[:c, :c] = code
-        u[c:, c:] = (code if sector.zeta is not None
-                     else _spectral_matrix(sector.complement, -total_free_time))
-        blocks.append(u)
-    halves = _halves(model.spectra, blocks)
+        u[c:, c:] = _spectral_matrix(sector.complement, -total_free_time)
+        halves.append(u[None])
     _certified(model.spectra, halves, "decoupled limit")
-    return blocks, halves
+    return halves
 
 
 def _halves(sectors: Sequence[Sector], blocks: Sequence[np.ndarray]
             ) -> list[np.ndarray]:
     """Each sector's diagonal blocks of its frame block in blocks, as one
     stack (_diagonal_blocks), taken once for its certificate (_certified)
-    and its distance (_distance): a pair's halves, another sector's block
-    itself."""
+    and, for cycle^n, its distance (_distance): a pair's halves, another
+    sector's block itself."""
     return [_diagonal_blocks(s, b) for s, b in zip(sectors, blocks)]
 
 
@@ -703,11 +704,12 @@ def decoupled_limit_unitary(model: SystemBathModel,
                             total_free_time: float) -> Operator:
     """Evolution under the leakage-free generator H_c + H_perp in product
     coordinates: the exponentials of the code and complement sub-blocks of
-    every sector, rotated back from the frame F x I; drift past the
-    unitarity tolerance is a NumericalDegeneracyError."""
+    every sector, rotated back from the frame F x I (a pair's from its
+    halves, _frame_block); drift past the unitarity tolerance is a
+    NumericalDegeneracyError."""
     if not abs(total_free_time) <= sys.float_info.max:  # NaN, inf, a huge int
         raise ValueError("total_free_time must be finite")
-    blocks, _ = _limit(model, total_free_time)
+    blocks = map(_frame_block, model.spectra, _limit(model, total_free_time))
     return _product_coordinates(model, blocks, "decoupled limit")
 
 
@@ -743,8 +745,8 @@ def _deferred_distance(model: SystemBathModel, n: int, tau: float,
 
     def distance() -> float:
         nonlocal model
-        _, limit = _limit(model, total_free_time)
-        _, totals = (_pulsed if pulsed else _free_total)(model, n, tau)
+        limit = _limit(model, total_free_time)
+        totals = _pulsed(model, n, tau)[1] if pulsed else _free_total(model, n, tau)
         value = _distance(totals, limit)
         model = None
         return value
@@ -837,13 +839,17 @@ def _certified_norms(norms: np.ndarray, bound: np.ndarray) -> None:
 def _nuclear_norm(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """||A^dag C||_1 for stacks of k x b matrices A and C, one k x k SVD
     each: with more bath than code, A^dag = Q_A R_A and C^dag = Q_C R_C
-    give ||A^dag C||_1 = ||R_A R_C^dag||_1."""
+    give ||A^dag C||_1 = ||R_A R_C^dag||_1. A factorization that fails, as
+    LAPACK's SVD does on NaN states, is a NumericalDegeneracyError."""
     k, b = a.shape[1:]
     a_dag = a.conj().swapaxes(1, 2)
-    if b > k:
-        a_dag = np.linalg.qr(a_dag, mode="r")
-        c = np.linalg.qr(c.conj().swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
-    return np.linalg.svd(a_dag @ c, compute_uv=False).sum(axis=1)
+    try:
+        if b > k:
+            a_dag = np.linalg.qr(a_dag, mode="r")
+            c = np.linalg.qr(c.conj().swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
+        return np.linalg.svd(a_dag @ c, compute_uv=False).sum(axis=1)
+    except np.linalg.LinAlgError as err:
+        raise NumericalDegeneracyError(f"code fidelity: {err}") from err
 
 
 def _row_norms2(x: np.ndarray) -> np.ndarray:
@@ -1090,7 +1096,8 @@ def simulate(
     power (C^s or C^m) or cycle drifts past the unitarity tolerance; and,
     before it returns, when the leakage column leaves [0, 1], or else when
     a pulsed run's state norms drift past their bound (_norm_bound), or
-    else when a fidelity is NaN or inf. A drift in the limit
+    else when a fidelity is NaN or inf; a factorization of the fidelity
+    that fails on NaN states raises it at that sample. A drift in the limit
     or the run's total (cycle^n, or the free total) raises the same error,
     with the same message, at the first read of the report's
     distance_to_limit.
@@ -1175,7 +1182,7 @@ def sweep_cycles(
     if not taus[-1] > 0.0:  # T / 2n can underflow at the largest n
         raise ValueError("tau must be positive and finite")
     # T is the same for every row: one limit, formed before the first row
-    _, limit = _limit(model, total_free_time)
+    limit = _limit(model, total_free_time)
     live = _live(model, phi0)
     sectors = [view for view in live if view is not None]
 

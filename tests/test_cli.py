@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from leolab import cli, dynamics, opalg
 from leolab.codes import spin_sector_decomposition
 from leolab.leo import leo_from_json
-from leolab.opalg import operator_to_json, pauli_string, random_hermitian
+from leolab.opalg import Operator, operator_to_json, pauli_string, random_hermitian
 
 
 def run_cli(argv):
@@ -172,6 +172,25 @@ class TestVerify:
             assert list(p) == ["index", "anticommutator_leakage",
                                "commutator_code", "commutator_outside"]
 
+    def test_non_finite_residuals_are_null(self, tmp_path, capsys):
+        # 1e300 times the identity: every residual that overflows is written
+        # as null, as strict JSON has no Infinity or NaN token
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(operator_to_json(
+            Operator(1e300 * np.eye(4), frozenset()))))
+        report_file = tmp_path / "report.json"
+        assert run_cli(["verify", "--leo", big, "--code", "dfs2",
+                        "--out", report_file]) == 2
+        assert capsys.readouterr().out == (
+            "verify: FAIL: structural residual inf, max probe residual inf "
+            "over 100 probes (tolerance 1e-10)\n")
+        report = json.loads(report_file.read_text(),
+                            parse_constant=lambda token: 1 / 0)
+        assert report["structural_residual"] is None
+        assert report["max_residual"] is None
+        assert {p["anticommutator_leakage"] for p in report["probes"]} == {None}
+        assert report["phase"] == [1.0, 0.0]
+
     @pytest.mark.parametrize("phase,exit_code", [
         (None, 0), ([-1.0, -0.0], 2), ([0.0, 1.0], 2),
     ], ids=["as_written", "negated", "rotated"])
@@ -230,6 +249,16 @@ class TestDecompose:
                  + np.array(data["l_part"]["re"]))
         np.testing.assert_allclose(total, random_hermitian(4, 3).mat.real,
                                    atol=1e-12)
+
+    def test_norms_that_overflow_are_null(self, tmp_path):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(operator_to_json(
+            Operator(1e300 * np.eye(4), frozenset()))))
+        out = tmp_path / "dec.json"
+        assert run_cli(["decompose", "--code", "dfs2", "--operator", big,
+                        "--out", out]) == 0
+        dec = json.loads(out.read_text(), parse_constant=lambda token: 1 / 0)
+        assert (dec["e_norm"], dec["eperp_norm"], dec["l_norm"]) == (None, None, 0.0)
 
     def test_non_qubit_code_needs_operator(self, tmp_path, capsys):
         assert run_cli(["decompose", "--code", "dual_rail",
@@ -958,6 +987,24 @@ class TestFidelityNotFinite:
         assert err == ("numerical failure: code fidelity nan after 1 cycles "
                        "is not finite\n")
         assert not out.exists()
+
+    def test_overflowing_states_of_a_free_non_qubit_run_exit_two(
+            self, tmp_path, capsys):
+        # a free linear-optics run (code dim 4) at g = 1e300, tau = 1e8: its
+        # NaN states fail LAPACK's SVD in the fidelity, a numerical failure
+        # (2) with one stderr line and no CSV, not bad input (1)
+        config = {"model": "linear_optics", "params": {}, "g": 1e300,
+                  "seed": 3, "leo": {"route": "phase_shifter"},
+                  "schedule": {"n_cycles": 1, "tau": 1e8},
+                  "initial_state": "code:0"}
+        path, out = tmp_path / "c.json", tmp_path / "o.csv"
+        path.write_text(json.dumps(config))
+        assert run_cli(["simulate", "--config", path, "--free",
+                        "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: code fidelity: SVD did not converge\n")
+        assert not out.exists()
+
 
 class TestArgumentErrors:
     def test_unknown_command(self, capsys):

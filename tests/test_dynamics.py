@@ -857,22 +857,38 @@ class TestDeferredDistance:
             free_total, decoupled_limit_unitary(m, sched.total_free_time).mat)
         assert free.distance_to_limit == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["pair", "distinct"])
+    def test_free_distance_of_pairs_is_read_on_their_halves(self, case):
+        # a pair's free total and limit are formed on its halves alone: the
+        # halves' exponentials against exp(-i A T) on both, with no rotation
+        # to the frame and back
+        m, _ = self.MODELS[case]()
+        sched = ParityKickSchedule(8, 0.05, None)
+        assert all(sector.zeta is not None for sector in m.spectra)
+        want = []
+        for sector in m.spectra:
+            total = np.stack([opalg._spectral_matrix(block, -2 * 8 * sched.tau)
+                              for block in sector.blocks])
+            limit = opalg._spectral_matrix(sector.code, -sched.total_free_time)
+            want.append(_spectral_distance(total, np.stack([limit, limit])))
+        assert simulate(m, sched, code_state(m)).distance_to_limit == max(want)
+
     @pytest.mark.parametrize("pulsed", [True, False], ids=["pulsed", "free"])
     def test_read_lets_go_of_the_model_and_totals(self, monkeypatch, pulsed):
         refs = []
 
-        def watched(name):
+        def watched(name, read):
             total = getattr(dynamics, name)
 
             def formed(*args):
-                totals, halves = total(*args)  # frame blocks, diagonal blocks
-                refs.extend(map(weakref.ref, totals))
-                return totals, halves
+                out = total(*args)
+                refs.extend(map(weakref.ref, read(out)))
+                return out
 
             monkeypatch.setattr(dynamics, name, formed)
 
-        watched("_pulsed")
-        watched("_free_total")
+        watched("_pulsed", lambda out: out[0])  # cycle^n's frame blocks
+        watched("_free_total", lambda halves: halves)  # its diagonal blocks
         m, pulse = self.MODELS["distinct"]()
         refs.append(weakref.ref(m))
         report = simulate(m, ParityKickSchedule(8, 0.05, pulse if pulsed else None),
@@ -1100,6 +1116,19 @@ class TestFidelityCertificate:
         assert rep.samples[2].code_fidelity == 1.5
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bath_dim", [1, 8], ids=["svd", "qr_then_svd"])
+    def test_overflowing_states_of_a_non_qubit_code_are_numerical(self, bath_dim):
+        # a free linear-optics run (code dim 4) at g = 1e300 and tau = 1e8:
+        # its states are NaN, on which LAPACK's SVD in the fidelity's QR +
+        # SVD form fails; numpy's LinAlgError is a ValueError, which the CLI
+        # would report as bad input, so it is raised as a numerical failure
+        m = linear_optics_model(3, 1e300, bath_dim=bath_dim)
+        assert m.code.code_dim == 4 and not m.decoherence_free
+        with pytest.raises(NumericalDegeneracyError,
+                           match="^code fidelity: SVD did not converge$"):
+            simulate(m, ParityKickSchedule(1, 1e8, None), code_state(m))
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_target_phases_are_numerical(self):
         # hopping at g = 1e300 and tau = 1e8: the stepped target's phases
         # 2 tau k w pass the float range, so every target after sample 0 is
@@ -1114,6 +1143,26 @@ class TestFidelityCertificate:
 
 
 class TestDecoupledLimit:
+    @pytest.mark.parametrize("build", [
+        *(builder for builder, _ in PAIR_MODELS.values()),
+        lambda: hopping_model(5, seed=7, g=0.2, bath_dim=3)],
+        ids=[*PAIR_MODELS, "hopping"])
+    def test_sub_block_exponentials_exactly(self, build):
+        # every sector's frame block is exp(-i A T) on its code rows and
+        # exp(-i B T) on its complement rows, zero between: a pair's limit,
+        # formed as exp(-i A T) on both halves, rotates to the frame
+        # exactly, as (L + L)/2 = L and (L - L)/2 = 0
+        m = build()
+        blocks = []
+        for sector in m.spectra:
+            c, j = sector.n_code, sector.rows.shape[1]
+            u = np.zeros((j, j), dtype=complex)
+            u[:c, :c] = opalg._spectral_matrix(sector.code, -1.3)
+            u[c:, c:] = opalg._spectral_matrix(sector.complement, -1.3)
+            blocks.append(u)
+        want = dynamics._product_coordinates(m, blocks, "decoupled limit")
+        assert np.array_equal(decoupled_limit_unitary(m, 1.3).mat, want.mat)
+
     def test_no_leakage_equals_free_evolution(self):
         m = dfs2_leakage_model(("XI",), g=0.0, bath_seed=3)
         lim = decoupled_limit_unitary(m, 1.3)

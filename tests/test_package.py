@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import pytest
 
@@ -8,6 +9,15 @@ import leolab
 def test_all_names_are_bound_and_unique():
     assert len(set(leolab.__all__)) == len(leolab.__all__)
     assert [n for n in leolab.__all__ if not hasattr(leolab, n)] == []
+
+
+def test_all_holds_no_module_and_no_private_name():
+    # __all__ is read off the imports: the submodules they bind are not in it
+    assert [n for n in leolab.__all__ if n.startswith("_")
+            or isinstance(getattr(leolab, n), types.ModuleType)] == []
+    assert {"classify", "codes", "dynamics", "leo", "models",
+            "opalg"} <= set(vars(leolab))
+    assert leolab.__all__ == sorted(leolab.__all__)
 
 
 STORED_FIELDS = [
