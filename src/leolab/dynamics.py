@@ -70,18 +70,12 @@ seed spacing m (_layout), its live copies stepped together by one GEMM
 of shape (samples x copies, J_s) per product: free states are one GEMM
 of a phase table with its eigenvectors scaled by the start's
 coefficients (_free), and pulsed states come from powers of the cycle
-(_kicked); cycle^n is never formed for them. A run's stride s, one per
-run, is the largest power of two up to min(n, OBSERVABLE_BATCH) whose
-squarings cost no more flops than stepping the n states (_stride). Where
-a block of s states is no thinner than a square (s copies >= J), the
-states come from the squares of the cycle up to C^s, then one GEMM by C^s
-per block of s states. Otherwise seeds spaced m apart are a chain by C^m,
-m the smallest power of two that leaves at most J / copies of them
-(_spacing), and every other sample comes a batch at a time, one GEMM by
-the cycle of the batch one cycle before. Their norms, the leakage plus
-the code population, are checked once per run against a bound linear in
-k, derived from the residuals of the cycle and the top power, C^s or C^m
-(_norm_bound). Leakage is the sum
+(_kicked), a stride C^s or seeds spaced m apart as the run's plan picks
+them (_spacing, where the stepping rule is stated); cycle^n is never
+formed for them. Their norms, the leakage plus the code population, are
+checked once per run against a bound linear in k, derived from the
+residuals of the cycle and the top power, C^s or C^m (_norm_bound).
+Leakage is the sum
 over live sectors and copies of the squared norms of their complement
 rows (_leakage); only the code rows are gathered, in frame code order by
 one index per run (_code_columns), as the fidelity's A, each code row by
@@ -100,9 +94,10 @@ against each sector's code sub-block's eigenvectors, and the fidelity is
 (tr(rho sigma) + 2 sqrt(det rho det sigma), determinants from
 Gram-Schmidt R factors), within 1e-15 ||A||_F ||C||_F of the QR + SVD
 form that the other code dims take.
-simulate certifies a run's leakage column once: a value outside [0, 1]
-(within 1e-12), or NaN, is a NumericalDegeneracyError, and so is a
-fidelity that is NaN or inf. It returns the two columns; records and CSV
+simulate checks each column once (_check_column): a leakage outside
+[0, 1] (within 1e-12), or NaN, is a NumericalDegeneracyError, and so is
+a pulsed state's norm past its bound or a fidelity that is NaN or inf.
+It returns the two columns; records and CSV
 derive from them. It forms no
 limit, no total (cycle^n or the free total) and no distance: the
 report's distance_to_limit forms them on its first read
@@ -127,10 +122,11 @@ from .models import Sector, SystemBathModel
 from .opalg import (
     NumericalDegeneracyError,
     Operator,
+    _check_residual,
     _index,
     _spectral_matrix,
     _table_text,
-    certified_residual,
+    _unitary_residual,
     computed_unitary,
 )
 
@@ -272,8 +268,11 @@ def _segment(sector: Sector, tau: float) -> list[np.ndarray]:
     cancellation to that. Pulsed leakage against a 40-digit cycle stepped
     in np.clongdouble (dfs2 XI, bath 4, tau = 0.9e-3, 1000 cycles) is off
     by at most 3.8e-13, 1.2e-11 and 1.1e-10 relative at g = 5e-4, 5e-5 and
-    5e-6, where that loss dominates."""
-    return [(v * np.expm1(-1j * tau * w)) @ v.conj().T for w, v in sector.blocks]
+    5e-6, where that loss dominates. A phase past the float range makes
+    entries NaN with no warning, so the cycle's certificate reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [(v * np.expm1(-1j * tau * w)) @ v.conj().T
+                for w, v in sector.blocks]
 
 
 def _frame_block(sector: Sector, blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -455,44 +454,46 @@ def _layout(n: int, spacing: int) -> list[slice]:
     return [slice(t, min(t + span, n + 1), spacing) for t in starts]
 
 
-def _stride(views: Sequence[Sector], n: int) -> int:
-    """The stride s = 2^l of a pulsed run of n cycles on the live views
-    (_live), the power C^s that steps its states (_kicked) where a block
-    of s states is not a thin product (_spacing): no more flops go to the
-    l squarings than to stepping the n states, so
-
-        l = min(floor(n sum_v c_v J_v^2 / sum_v p_v J_v^3),
-                floor(log2 min(n, OBSERVABLE_BATCH))),
-
-    with c_v the view's live copies, J_v its dim and p_v = 1/2 for a pair,
-    whose squares take half the flops (_product), else 1; l = 0 for n = 0.
-    A state costs c_v J_v^2 per view and a square p_v J_v^3, in the same
-    unit. The sums are taken in integers, as twice each side."""
-    states = 2 * n * sum(len(v.rows) * v.rows.shape[1] ** 2 for v in views)
-    squares = sum((1 if v.zeta is not None else 2) * v.rows.shape[1] ** 3
-                  for v in views)
-    return 1 << max(min(states // squares,
-                        min(n, OBSERVABLE_BATCH).bit_length() - 1), 0)
-
-
 def _spacing(views: Sequence[Sector], n: int) -> tuple[int, int]:
-    """The seed spacing m and the stride s of a pulsed run of n cycles on
-    the live views (_live), one of them 1 (_kicked). s is _stride's where
-    a block of s states, s x copies rows against the J x J power, is no
-    thinner than a square: s sum_v c_v J_v^2 >= sum_v J_v^3, c_v the
-    view's live copies and J_v its dim (for one view, s c >= J); then m =
-    1. Otherwise s = 1 and m is the smallest power of two up to min(n,
-    OBSERVABLE_BATCH) that leaves n // m + 1 <= r seeds, r = min(floor(sum_v
-    J_v^3 / sum_v c_v J_v^2), OBSERVABLE_BATCH): the seeds' chain of
-    one-state products by C^m costs no more flops than one square, and
-    every other sample comes in a batch of up to r states, one product of
-    up to r x copies rows by the cycle. Where no such m leaves that few
-    (n >= OBSERVABLE_BATCH r), the run keeps _stride's s, whose blocks are
-    then OBSERVABLE_BATCH states: no power past C^OBSERVABLE_BATCH is ever
-    formed, so none drifts more than the stride's cap allows."""
-    s = _stride(views, n)
+    """The plan of a pulsed run of n cycles on the live views (_live): its
+    seed spacing m and stride s, one of them 1, which fix the powers of
+    the cycle C that step its states (_kicked). This is the one statement
+    of the stepping rule. Below, sums run over the views, c_v is a view's
+    live copies, J_v its dim and p_v = 1/2 for a pair, whose squares take
+    half the flops (_product), else 1: a state costs c_v J_v^2 per view
+    and a square p_v J_v^3, in the same unit.
+
+    - The stride s = 2^l is the largest power of two up to min(n,
+      OBSERVABLE_BATCH) whose l squarings cost no more flops than stepping
+      the n states,
+
+          l = min(floor(n sum c_v J_v^2 / sum p_v J_v^3),
+                  floor(log2 min(n, OBSERVABLE_BATCH))),
+
+      l = 0 for n = 0, the sums taken in integers as twice each side.
+    - Where a block of s states, s x copies rows against the J x J power,
+      is no thinner than a square, s sum c_v J_v^2 >= sum J_v^3 (for one
+      view, s c >= J), the run steps by the squares up to C^s, then one
+      GEMM by C^s per block of s states, and m = 1.
+    - Otherwise s = 1 and the run steps seeds: m is the smallest power of
+      two up to min(n, OBSERVABLE_BATCH) that leaves n // m + 1 <= r
+      seeds, r = min(floor(sum J_v^3 / sum c_v J_v^2), OBSERVABLE_BATCH).
+      The seeds' chain of one-state products by C^m costs no more flops
+      than one square, and every other sample comes in a batch of up to r
+      states, one product of up to r x copies rows by the cycle of the
+      batch one cycle before.
+    - Where no such m leaves that few (n >= OBSERVABLE_BATCH r), the run
+      keeps the stride, whose blocks are then OBSERVABLE_BATCH states: no
+      power past C^OBSERVABLE_BATCH is ever formed, so none drifts more
+      than the stride's cap allows.
+
+    Both rules are in flops and shapes, with no constant and no option."""
     states = sum(len(v.rows) * v.rows.shape[1] ** 2 for v in views)
     square = sum(v.rows.shape[1] ** 3 for v in views)
+    # twice the squares' flops, sum 2 p_v J_v^3
+    squares = square + sum(v.rows.shape[1] ** 3 for v in views if v.zeta is None)
+    s = 1 << max(min(2 * n * states // squares,
+                     min(n, OBSERVABLE_BATCH).bit_length() - 1), 0)
     if s * states >= square:
         return 1, s
     seeds, m = min(square // states, OBSERVABLE_BATCH), 1
@@ -506,7 +507,8 @@ def _kicked(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
     samples (_layout at the run's seed spacing m), one stack (samples,
     copies, J_s) per view for each, and the bound on their norms' drift
     (_norm_bound); cycle^n is never formed. The run's spacing m and
-    stride s (_spacing), one of them 1, fix the top power C^(ms), formed
+    stride s, one of them 1, are its plan (_spacing, where the stepping
+    rule is stated), and fix the top power C^(ms), formed
     from each view's cycle (_cycle) by squaring. The seeds, the samples at
     multiples of m, come in blocks of s: the first block by doubling
     (psi_(k+2^i) = C^(2^i) psi_k) with the squares below C^s, each later
@@ -603,7 +605,7 @@ def _norm_bound(views: Sequence[Sector], n: int, m: int, s: int, cycle: float,
         |nu_k - nu_0| <= (sum of rho_P over the products that reach psi_k
                           + 2 L eps) nu_0,
 
-    linear in k. simulate checks every nu_k against it (_certified_norms)."""
+    linear in k. simulate checks every nu_k against it (_check_column)."""
     dim = max(view.rows.shape[1] for view in views)
     eps = sys.float_info.epsilon
     g = 2 ** 0.5 * (dim + 2) * dim * eps
@@ -662,15 +664,22 @@ def _halves(sectors: Sequence[Sector], blocks: Sequence[np.ndarray]
 def _certified(sectors: Sequence[Sector], halves: Sequence[np.ndarray],
                what: str) -> float:
     """The residual ||U^dag U - I||_F of the joint matrix U whose frame
-    blocks, one per sector, have the diagonal blocks halves (_halves), once
-    it passes the unitary tag's test (opalg.certified_residual), each
-    diagonal block counted once per copy of its sector (for a live view,
-    per live copy): a pair's residual is read off its halves, at a quarter
-    of the flops; the rotation to them is unitary, so the sum is the
-    same."""
-    return certified_residual([d for h in halves for d in h],
-                              [len(s.rows) for s, h in zip(sectors, halves)
-                               for _ in h], what)
+    blocks, one per sector, have the diagonal blocks halves (_halves):
+    sqrt(sum of the diagonal blocks' squared residuals), each block's
+    computed once and counted once per copy of its sector (for a live
+    view, per live copy). A pair's residual is read off its halves, at a
+    quarter of the flops; the rotation to them is unitary, so the sum is
+    the same. Drift past UNITARY_TOL, or a non-finite entry, fails the
+    unitary tag's test (opalg._check_residual) as computed_unitary's
+    NumericalDegeneracyError("<what>: unitary tag violated: residual
+    <r>")."""
+    residual = float(np.sqrt(sum(len(s.rows) * _unitary_residual(d) ** 2
+                                 for s, h in zip(sectors, halves) for d in h)))
+    try:
+        _check_residual(residual)
+    except ValueError as err:
+        raise NumericalDegeneracyError(f"{what}: {err}") from err
+    return residual
 
 
 def _product_coordinates(model: SystemBathModel, blocks, what: str) -> Operator:
@@ -800,40 +809,20 @@ def _leakage(sectors: Sequence[Sector], parts: Sequence[np.ndarray],
     return total
 
 
+def _check_column(ok: np.ndarray, message: Callable[[int], str]) -> None:
+    """A run's check of one column of samples: where ok is False, the
+    first such sample k is NumericalDegeneracyError(message(k))."""
+    if not ok.all():
+        raise NumericalDegeneracyError(message(ok.argmin()))
+
+
 def _certified_leakage(leakage: np.ndarray) -> np.ndarray:
     """leakage, a stack of populations, once each is in [0, 1] within
-    1e-12; a value outside, or NaN, is a NumericalDegeneracyError."""
-    outside = ~((leakage >= -1e-12) & (leakage <= 1.0 + 1e-12))
-    if outside.any():
-        raise NumericalDegeneracyError(
-            f"leakage population {leakage[outside.argmax()]} outside [0, 1]")
+    1e-12; a value outside, or NaN, is a NumericalDegeneracyError that
+    names the first (_check_column)."""
+    _check_column((leakage >= -1e-12) & (leakage <= 1.0 + 1e-12),
+                  lambda k: f"leakage population {leakage[k]} outside [0, 1]")
     return leakage
-
-
-def _certified_fidelity(fidelity: np.ndarray) -> np.ndarray:
-    """fidelity, a run's code fidelity column, once every value is finite:
-    NaN or inf is a NumericalDegeneracyError that names the first. Finite
-    values pass as _observables leaves them, clamped below 1 +
-    FIDELITY_CLAMP_TOL."""
-    finite = np.isfinite(fidelity)
-    if not finite.all():
-        k = finite.argmin()
-        raise NumericalDegeneracyError(
-            f"code fidelity {fidelity[k]} after {k} cycles is not finite")
-    return fidelity
-
-
-def _certified_norms(norms: np.ndarray, bound: np.ndarray) -> None:
-    """A pulsed run's state norms nu_k, each within bound[k] nu_0 of nu_0
-    (_norm_bound); one past it, or NaN, is a NumericalDegeneracyError that
-    names the first."""
-    drift = np.abs(norms - norms[0])
-    within = drift <= bound * norms[0]
-    if not within.all():
-        k = within.argmin()
-        raise NumericalDegeneracyError(
-            f"state norm after {k} cycles drifted by {drift[k]:.3e}, past its "
-            f"bound {bound[k] * norms[0]:.3e}")
 
 
 def _nuclear_norm(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -1077,11 +1066,9 @@ def simulate(
     target. With pulses=None the same grid is used for free evolution.
     States, stepped targets and observables cover only the sector copies
     where the start is exactly nonzero (_live). A pulsed run steps them by
-    powers of the cycle and never forms cycle^n (_kicked): by the squares
-    up to a stride C^s, s chosen per run so that its squarings cost no
-    more flops than its states (_stride), then by C^s; or, where blocks of
-    s states would be thin products, by seeds spaced m apart, a chain by
-    C^m, and the cycle from them (_spacing). The distance to the limit
+    powers of the cycle and never forms cycle^n (_kicked), by a stride or
+    by seeds as the run's plan picks (_spacing, where the stepping rule is
+    stated). The distance to the limit
     covers every sector and is formed, with the run's total, when first
     read (_deferred_distance).
     The target is stepped only when the model's code block acts on the
@@ -1137,10 +1124,18 @@ def simulate(
         if norms is not None:  # the code population; the leakage is added below
             norms[positions] = _leakage(sectors, parts, code=True)
     fidelity[0] = 1.0  # sample 0 compares the initial state with itself
-    _certified_leakage(leakage)  # one range check per column and run
+    # one check per column and run, each failing at its first sample: the
+    # leakage's range, the norms' drift past their bound (_norm_bound),
+    # then the fidelity's finiteness
+    _certified_leakage(leakage)
     if norms is not None:
-        _certified_norms(np.add(norms, leakage, out=norms), bound)
-    _certified_fidelity(fidelity)
+        norms += leakage
+        drift, limit = np.abs(norms - norms[0]), bound * norms[0]
+        _check_column(drift <= limit, lambda k: (
+            f"state norm after {k} cycles drifted by {drift[k]:.3e}, past "
+            f"its bound {limit[k]:.3e}"))
+    _check_column(np.isfinite(fidelity), lambda k: (
+        f"code fidelity {fidelity[k]} after {k} cycles is not finite"))
     leakage.flags.writeable = fidelity.flags.writeable = False
     return SimulationReport(tau, leakage, fidelity, _deferred_distance(
         model, n, tau, schedule.total_free_time, schedule.pulses is not None))
@@ -1156,8 +1151,11 @@ def sweep_cycles(
     """Convergence sweep: one pulsed run per cycle count at fixed total time.
 
     n_list must be ascending positive integers, each 2n a float. The state
-    and the pulse's code are checked and the decoupled limit at
-    total_free_time formed and certified once per sweep. A row then
+    and the pulse's code are checked, then each row's schedule,
+    ParityKickSchedule(n, total_free_time / 2n, pulses), as simulate's
+    is: a tau that underflows, or a 2 n tau that rounds past the float
+    range, is its ValueError. The decoupled limit at total_free_time is
+    then formed and certified once per sweep. A row then
     computes only what it reports: cycle^n (certified unitary), the final
     state cycle^n psi0 in the frame F x I on the copies the start occupies,
     as simulate reads them (_live), its leakage (range-checked as
@@ -1178,9 +1176,9 @@ def sweep_cycles(
         raise ValueError(f"cycle count {ns[-1]} is past the float range")
     _, phi0 = _frame_state(model, initial_code_state)
     _check_pulse(model, pulses)
-    taus = [total_free_time / (2 * n) for n in ns]
-    if not taus[-1] > 0.0:  # T / 2n can underflow at the largest n
-        raise ValueError("tau must be positive and finite")
+    # each row's schedule checks its tau, which T / 2n can underflow
+    schedules = [ParityKickSchedule(n, total_free_time / (2 * n), pulses)
+                 for n in ns]
     # T is the same for every row: one limit, formed before the first row
     limit = _limit(model, total_free_time)
     live = _live(model, phi0)
@@ -1194,4 +1192,4 @@ def sweep_cycles(
         leakage = _certified_leakage(_leakage(sectors, final))
         return SweepRow(n, tau, float(leakage[0]), _distance(halves, limit))
 
-    return SweepTable(tuple(map(one, ns, taus)))
+    return SweepTable(tuple(one(s.n_cycles, s.tau) for s in schedules))

@@ -141,23 +141,6 @@ def computed_unitary(m: np.ndarray, what: str) -> Operator:
         raise NumericalDegeneracyError(f"{what}: {err}") from err
 
 
-def certified_residual(blocks: Sequence[np.ndarray], copies: Sequence[int],
-                       what: str) -> float:
-    """||M^dag M - I||_F of a block-diagonal computed unitary M, blocks[i]
-    standing copies[i] times on its diagonal, once it passes the unitary
-    tag's residual test: sqrt(sum of the diagonal blocks' squared
-    residuals), each block's computed once and counted once per copy.
-    Drift past UNITARY_TOL, or a non-finite entry, is computed_unitary's
-    NumericalDegeneracyError("<what>: unitary tag violated: residual <r>")."""
-    residual = float(np.sqrt(sum(k * _unitary_residual(b) ** 2
-                                 for b, k in zip(blocks, copies))))
-    try:
-        _check_residual(residual)
-    except ValueError as err:
-        raise NumericalDegeneracyError(f"{what}: {err}") from err
-    return residual
-
-
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -229,9 +212,12 @@ def check_eigenvectors(v: np.ndarray, what: str) -> None:
 def _spectral_matrix(spectrum: tuple[np.ndarray, np.ndarray],
                      scale: float) -> np.ndarray:
     """exp(1j * scale * h) from h's spectrum (w, v), as a bare matrix: no
-    check here, the caller certifies v (check_eigenvectors) or the result."""
+    check here, the caller certifies v (check_eigenvectors) or the result.
+    A phase past the float range makes entries NaN with no warning, so
+    the caller's certificate, not a numpy warning, reports it."""
     w, v = spectrum
-    return (v * np.exp(1j * scale * w)) @ v.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (v * np.exp(1j * scale * w)) @ v.conj().T
 
 
 def hermitian_exponential(h: Operator, scale: float) -> Operator:

@@ -13,7 +13,7 @@ import pytest
 from model_split import explicit_split
 from pair_models import MODELS as PAIR_MODELS
 
-from leolab import dynamics, models, opalg
+from leolab import cli, dynamics, models, opalg
 from leolab.codes import (
     CodeSubspace,
     bare_qubit_code,
@@ -120,6 +120,49 @@ def shipped_config(bench_dir):
     with open(bench_dir / "dfs2_benchmark.json") as fh:
         config = json.load(fh)
     return models.model_from_config(config), config["schedule"]["n_cycles"]
+
+
+def cli_run(config):
+    """The model, cycle count and start of a CLI config, read by the CLI's
+    own readers."""
+    m = models.model_from_config(config)
+    return m, cli._schedule_params(config, 0)[0], cli._initial_state(config, m.code)
+
+
+def ci_dfs2(leak_set, start, bath_dim=4, **params):
+    """A dfs2 config of CI's console-script step: 300 cycles over T = 2."""
+    return {"model": "dfs2_leakage", "params": {"leak_set": leak_set, **params},
+            "g": 0.05, "seed": 3, "bath_dim": bath_dim,
+            "leo": {"route": "exchange_2dfs"},
+            "schedule": {"n_cycles": 300, "total_time": 2.0}, "initial_state": start}
+
+
+# (|0_L> + i|1_L>)/sqrt(2), the start of CI's dfs2 sector configs
+CI_SUPERPOSITION = {"re": [0, 0.7071067811865476, 0, 0],
+                    "im": [0, 0, 0.7071067811865476, 0]}
+
+# the configs CI's console-script step simulates, pulsed and free, besides
+# the shipped ones
+CI_CONFIGS = {
+    "hopping": {"model": "hopping", "params": {"n_levels": 5}, "g": 0.2,
+                "seed": 7, "bath_dim": 3, "leo": {"route": "number_op"},
+                "schedule": {"n_cycles": 40, "tau": 0.02},
+                "initial_state": "code:1"},
+    "hopping_defaults": {"model": "hopping", "g": 0.2, "seed": 7,
+                         "leo": {"route": "number_op"},
+                         "schedule": {"n_cycles": 40, "tau": 0.02},
+                         "initial_state": "code:1"},
+    "optics": {"model": "linear_optics", "params": {}, "g": 0.2, "seed": 5,
+               "leo": {"route": "phase_shifter"},
+               "schedule": {"n_cycles": 40, "total_time": 1.0},
+               "initial_state": "code:0"},
+    "dfs2_two": ci_dfs2(["XI"], CI_SUPERPOSITION),
+    "dfs2_distinct": ci_dfs2(["XZ"], CI_SUPERPOSITION),
+    "dfs2_distinct_basis": ci_dfs2(["XZ"], "code:0"),
+    "dfs2_one": ci_dfs2(["XI", "IX"], CI_SUPERPOSITION),
+    "dfs2_three": ci_dfs2(["XI", "XZ"], CI_SUPERPOSITION, bath_dim=1,
+                          collective_strength=0.3),
+}
 
 
 def extended_leakage(m, state, n, tau):
@@ -267,6 +310,56 @@ class TestCyclePowers:
         assert np.max(np.abs(u - np.linalg.matrix_power(cycle, n))) <= 1e-13
 
 
+class TestCertifiedBlocks:
+    """A propagator is certified as one block-diagonal matrix by its
+    distinct blocks (dynamics._certified), each counted once per copy of
+    its sector, as the whole matrix would be."""
+
+    @staticmethod
+    def views():
+        """The benchmark model's sector, which has two copies, as a view
+        with one of them and as itself."""
+        (sector,) = benchmark_model().spectra
+        assert len(sector.rows) == 2
+        return sector._replace(rows=sector.rows[:1]), sector
+
+    def test_drift_is_the_whole_matrix_residual(self):
+        one, _ = self.views()
+        blocks = [(1.0 + 2.5e-11) * np.eye(3, dtype=complex),
+                  (1.0 + 3e-11) * np.eye(2, dtype=complex)]
+        whole = np.zeros((5, 5), dtype=complex)
+        whole[:3, :3], whole[3:, 3:] = blocks
+        want = opalg._unitary_residual(whole)
+        assert want > opalg.UNITARY_TOL  # each block alone passes
+        assert all(opalg._unitary_residual(b) <= opalg.UNITARY_TOL for b in blocks)
+        with pytest.raises(NumericalDegeneracyError,
+                           match=rf"^probe: unitary tag violated: residual {want:.3e}$"):
+            dynamics._certified([one, one], [b[None] for b in blocks], "probe")
+        got = dynamics._certified([one], [blocks[0][None]], "probe")
+        assert got == pytest.approx(opalg._unitary_residual(blocks[0]), rel=1e-15)
+
+    def test_a_block_counts_once_per_copy(self):
+        # the block passes alone, and the matrix with it twice on its
+        # diagonal does not
+        one, two = self.views()
+        block = (1.0 + 2.5e-11) * np.eye(3, dtype=complex)
+        whole = np.kron(np.eye(2), block)
+        want = opalg._unitary_residual(whole)
+        assert opalg._unitary_residual(block) <= opalg.UNITARY_TOL < want
+        got = dynamics._certified([one], [block[None]], "probe")
+        assert got == pytest.approx(opalg._unitary_residual(block), rel=1e-15)
+        with pytest.raises(NumericalDegeneracyError,
+                           match=rf"^probe: unitary tag violated: residual {want:.3e}$"):
+            dynamics._certified([two], [block[None]], "probe")
+
+    def test_non_finite_entry_fails(self):
+        one, _ = self.views()
+        nan = np.eye(2, dtype=complex)
+        nan[0, 1] = np.nan
+        with pytest.raises(NumericalDegeneracyError, match="^probe: "):
+            dynamics._certified([one], [np.stack([np.eye(2), nan])], "probe")
+
+
 class TestPropagatorChecks:
     """Every propagator is certified before the first sample is evaluated."""
 
@@ -377,10 +470,11 @@ class TestStateNormCheck:
     def run(monkeypatch, m, sched, state):
         """simulate's report, its states' norms, the residuals it
         certified (the stride's, then the cycle's if it is not the stride)
-        and the bound it checked the norms against."""
+        and the bound it checked the norms against, as _norm_bound
+        returned it."""
         norms, residuals, bounds = [], [], []
         observables, certified = dynamics._observables, dynamics._certified
-        check = dynamics._certified_norms
+        norm_bound = dynamics._norm_bound
 
         def observed(sectors, parts, *args):
             norms.append(sum(np.sum(np.abs(p) ** 2, axis=(1, 2)) for p in parts))
@@ -390,13 +484,13 @@ class TestStateNormCheck:
             residuals.append(certified(sectors, blocks, what))
             return residuals[-1]
 
-        def checked(nu, bound):
-            bounds.append(bound)
-            return check(nu, bound)
+        def bounded(*args):
+            bounds.append(norm_bound(*args))
+            return bounds[-1]
 
         monkeypatch.setattr(dynamics, "_observables", observed)
         monkeypatch.setattr(dynamics, "_certified", recorded)
-        monkeypatch.setattr(dynamics, "_certified_norms", checked)
+        monkeypatch.setattr(dynamics, "_norm_bound", bounded)
         report = simulate(m, sched, state)
         return report, np.concatenate(norms), residuals, bounds
 
@@ -504,15 +598,18 @@ class TestStride:
     """A pulsed run steps its states by one stride C^s per run: the first s
     states by doubling, each later block of s states by one product with
     C^s. s comes from the rule that no more flops go to the squarings than
-    to stepping the states (rule_stride, dynamics._stride), where a block
-    of s states is no thin product; otherwise the run steps seeds
-    (TestSpacing)."""
+    to stepping the states (rule_stride), where a block of s states is no
+    thin product; otherwise the run steps seeds (TestSpacing). The run's
+    plan (dynamics._spacing) holds both."""
 
-    # perfbench's pulsed rungs (bath seed 3, as at its seed 0) and the
-    # shipped config: the model, the cycle count, the flop rule's stride
-    # and the run's (spacing, stride); the hopping rung's blocks of 16
-    # states would be thin against its sector of 256, so it steps 129
-    # seeds spaced 8 apart
+    # perfbench's pulsed rungs (bath seed 3, as at its seed 0), the shipped
+    # config and every config CI's console-script step simulates: the
+    # model, the cycle count (and the start, where it is not the first
+    # code basis state), the flop rule's stride and the run's (spacing,
+    # stride); the hopping rung's blocks of 16 states would be thin
+    # against its sector of 256, so it steps 129 seeds spaced 8 apart,
+    # and so do CI's hopping configs, 11 seeds 4 apart (CI's 1024-cycle
+    # hopping config is the hopping rung)
     RUNGS = {
         "dfs2_j16_n4096": (lambda _: (dfs2_leakage_model(
             ["XI"], 0.05, 3, bath_dim=4), 4096), 256, (1, 256)),
@@ -525,21 +622,32 @@ class TestStride:
         "dfs2_j512_n64": (lambda _: (dfs2_leakage_model(
             ["XI"], 0.05, 3, bath_dim=128), 64), 1, (1, 1)),
         "shipped_config": (shipped_config, 64, (1, 64)),
+        "shipped_config_n262144": (lambda d: (shipped_config(d)[0], 2 ** 18),
+                                   256, (1, 256)),
+        **{f"ci_{name}": (lambda _, c=CI_CONFIGS[name]: cli_run(c), s, steps)
+           for name, s, steps in [
+               ("hopping", 4, (4, 1)), ("hopping_defaults", 4, (4, 1)),
+               ("optics", 16, (1, 16)), ("dfs2_two", 256, (1, 256)),
+               ("dfs2_distinct", 256, (1, 256)),
+               ("dfs2_distinct_basis", 256, (1, 256)),
+               ("dfs2_one", 256, (1, 256)), ("dfs2_three", 256, (1, 256))]},
     }
 
     @pytest.mark.parametrize("rung", list(RUNGS))
     def test_benchmark_rungs(self, bench_dir, rung):
         build, s, steps = self.RUNGS[rung]
-        m, n = build(bench_dir)
-        views = live_views(m, code_state(m))
-        assert dynamics._stride(views, n) == rule_stride(views, n) == s
+        m, n, *start = build(bench_dir)
+        views = live_views(m, start[0] if start else code_state(m))
+        assert rule_stride(views, n) == s
         assert dynamics._spacing(views, n) == rule_spacing(views, n) == steps
+        if steps[0] == 1:  # the plan steps by the flop rule's stride
+            assert dynamics._spacing(views, n)[1] == rule_stride(views, n)
 
     def test_zero_and_one_cycle_step_by_the_cycle(self):
         m = benchmark_model()
         views = live_views(m, code_state(m))
-        assert dynamics._stride(views, 0) == dynamics._stride(views, 1) == 1
         assert dynamics._spacing(views, 0) == dynamics._spacing(views, 1) == (1, 1)
+        assert rule_stride(views, 0) == rule_stride(views, 1) == 1
 
     # (bath dim, n, start, (m, s)): the j512 rung from a basis state and
     # from a superposition (two live copies; the stride would be 2), both
@@ -1140,6 +1248,46 @@ class TestFidelityCertificate:
                            match="^code fidelity nan after 1 cycles is not finite$"):
             simulate(m, ParityKickSchedule(1, 1e8, projector_leo(m.code)),
                      code_state(m))
+
+
+def optics_overflow():
+    """Linear optics at g = 1e300 with its pulse: at tau = 1e8 its phases
+    pass the float range."""
+    return linear_optics_model(3, 1e300), phase_shifter_leo()
+
+
+def hopping_overflow():
+    m = hopping_model(4, 3, 1e300, bath_dim=2)
+    return m, number_operator_leo(4)
+
+
+class TestOverflowingPhases:
+    """Phases past the float range make the segment's (_segment) and the
+    exponentials' (opalg._spectral_matrix) entries NaN with no numpy
+    warning, so the first certificate that reads them raises
+    NumericalDegeneracyError, with warnings as errors too."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build,call,what", [
+        pytest.param(optics_overflow, lambda m, p: simulate(
+            m, ParityKickSchedule(1, 1e8, p), code_state(m)),
+            r"cycle\^1, the stride of 1 cycles", id="simulate"),
+        pytest.param(optics_overflow, lambda m, p: sweep_cycles(
+            m, 2e8, [1, 2], code_state(m), p), "decoupled limit", id="sweep"),
+        pytest.param(optics_overflow, lambda m, p: parity_kick_unitary(
+            m, ParityKickSchedule(1, 1e8, p)), "total propagator after 1 cycles",
+            id="parity_kick_unitary"),
+        pytest.param(optics_overflow, lambda m, p: decoupled_limit_unitary(m, 2e8),
+                     "decoupled limit", id="decoupled_limit_unitary"),
+        pytest.param(hopping_overflow, lambda m, p: sweep_cycles(
+            m, 2e8, [1, 2], code_state(m), p), "decoupled limit",
+            id="hopping_sweep"),
+    ])
+    def test_is_numerical_with_no_warning(self, build, call, what):
+        m, pulse = build()
+        with pytest.raises(NumericalDegeneracyError,
+                           match=f"^{what}: unitary tag violated: residual nan$"):
+            call(m, pulse)
 
 
 class TestDecoupledLimit:
@@ -2052,6 +2200,19 @@ class TestSweep:
         m = benchmark_model()
         with pytest.raises(ValueError, match="^tau must be positive and finite$"):
             sweep_cycles(m, 5e-324, (1, 2), code_state(m), exchange_dfs2_leo())
+
+    def test_a_row_is_checked_as_a_schedule(self, monkeypatch):
+        # a row is ParityKickSchedule(n, T / 2n): at T the largest float,
+        # 6 (T / 6) rounds past the float range, which the row's schedule
+        # refuses as simulate's would, before the limit is formed
+        m, big = benchmark_model(), sys.float_info.max
+        message = "^total free time 2 n tau must be finite, n_cycles 3$"
+        with pytest.raises(ValueError, match=message):
+            ParityKickSchedule(3, big / 6, exchange_dfs2_leo())
+        limit = counting(monkeypatch, "_limit")
+        with pytest.raises(ValueError, match=message):
+            sweep_cycles(m, big, (1, 3), code_state(m), exchange_dfs2_leo())
+        assert not limit
 
     def test_rejects_non_integer_n_list(self):
         # int() would silently run n = 1 and 4 and label the rows so

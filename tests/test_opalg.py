@@ -103,44 +103,6 @@ class TestComputedUnitary:
             computed_unitary(nan, "probe")
 
 
-class TestCertifiedBlocks:
-    """A block-diagonal unitary is certified by its blocks, as the whole
-    matrix would be."""
-
-    def test_drift_is_the_whole_matrix_residual(self):
-        blocks = [(1.0 + 2.5e-11) * np.eye(3, dtype=complex),
-                  (1.0 + 3e-11) * np.eye(2, dtype=complex)]
-        whole = np.zeros((5, 5), dtype=complex)
-        whole[:3, :3], whole[3:, 3:] = blocks
-        want = _unitary_residual(whole)
-        assert want > opalg.UNITARY_TOL  # each block alone passes
-        assert all(_unitary_residual(b) <= opalg.UNITARY_TOL for b in blocks)
-        with pytest.raises(NumericalDegeneracyError,
-                           match=rf"^probe: unitary tag violated: residual {want:.3e}$"):
-            opalg.certified_residual(blocks, [1, 1], "probe")
-        got = opalg.certified_residual(iter(blocks[:1]), [1], "probe")
-        assert got == pytest.approx(_unitary_residual(blocks[0]), rel=1e-15)
-
-    def test_a_block_counts_once_per_copy(self):
-        # the block passes alone, and the matrix with it twice on its
-        # diagonal does not
-        block = (1.0 + 2.5e-11) * np.eye(3, dtype=complex)
-        whole = np.kron(np.eye(2), block)
-        want = _unitary_residual(whole)
-        assert _unitary_residual(block) <= opalg.UNITARY_TOL < want
-        got = opalg.certified_residual([block], [1], "probe")
-        assert got == pytest.approx(_unitary_residual(block), rel=1e-15)
-        with pytest.raises(NumericalDegeneracyError,
-                           match=rf"^probe: unitary tag violated: residual {want:.3e}$"):
-            opalg.certified_residual([block], [2], "probe")
-
-    def test_non_finite_entry_fails(self):
-        nan = np.eye(2, dtype=complex)
-        nan[0, 1] = np.nan
-        with pytest.raises(NumericalDegeneracyError, match="^probe: "):
-            opalg.certified_residual([np.eye(2), nan], [1, 1], "probe")
-
-
 class TestPauliStrings:
     def test_single_site(self):
         np.testing.assert_array_equal(
