@@ -28,9 +28,13 @@ formed and certified unitary in one function, as one
 matrix whose drift is sqrt(sum of the sectors' squared drifts), a
 distinct block's counted once per copy (_certified); everything else
 combines them. Inputs are checked once per call, before any
-eigendecomposition. The distance to the limit is the largest of the
-sectors' distances, each sqrt(lambda_max) of a Gram matrix, relative
-error O(J eps). The public parity_kick_unitary and
+eigendecomposition. Before any phase w t is formed, it is checked to keep
+a correct digit, max|w| |t| eps <= 1 (_check_phases): t is tau for the
+segment, 2 n tau for free states, stepped targets and the free total,
+and T for the limit; a propagator past that bound would still pass its
+unitarity certificate, with no digit right. The distance to the limit is
+the largest of the sectors' distances, each sqrt(lambda_max) of a Gram
+matrix, relative error O(J eps). The public parity_kick_unitary and
 decoupled_limit_unitary place each block on every copy's rows and rotate
 them back to product coordinates.
 
@@ -47,11 +51,11 @@ blocks is fixed by its first half of rows, one GEMM of half the flops
 its own size. Certificates and distances are read on the halves S +- D
 (_diagonal_blocks), at a quarter of the flops; the rotation is unitary,
 so they are the same. cycle^n's are taken once for both (_halves); the
-free total and the limit are formed on the halves alone, the free total
-as the halves' exponentials (_free_total) and the limit as exp(-i A T)
-on both, one exponential (_limit). Only decoupled_limit_unitary rotates
-the limit's halves to the frame (_frame_block), exactly: (L + L)/2 = L
-and (L - L)/2 = 0. States are stepped in the frame: pulsed ones by the
+free total is formed on the halves alone, as their exponentials
+(_free_total). The limit is formed in the frame, as cycle^n is:
+exp(-i A T) on the code and on the complement rows, one exponential
+placed twice, and zero between, its halves read off it (_limit), both L
+exactly. States are stepped in the frame: pulsed ones by the
 pair-form squares, free ones against the halves' eigenvectors rotated to
 the frame (_free_batches).
 On the halves, the leakage would be the difference of two stacks near 1,
@@ -268,37 +272,16 @@ def _segment(sector: Sector, tau: float) -> list[np.ndarray]:
     cancellation to that. Pulsed leakage against a 40-digit cycle stepped
     in np.clongdouble (dfs2 XI, bath 4, tau = 0.9e-3, 1000 cycles) is off
     by at most 3.8e-13, 1.2e-11 and 1.1e-10 relative at g = 5e-4, 5e-5 and
-    5e-6, where that loss dominates. A phase past the float range makes
-    entries NaN with no warning, so the cycle's certificate reports it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return [(v * np.expm1(-1j * tau * w)) @ v.conj().T
-                for w, v in sector.blocks]
-
-
-def _frame_block(sector: Sector, blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """A sector's frame block, code rows first, from the stack of its blocks
-    in the basis where it is block diagonal (_diagonal_blocks' inverse): the
-    one block itself, or for a pair, from plus and minus on its halves' rows
-    (code +- conj(zeta) complement) / sqrt(2), (plus + minus)/2 on the code
-    and on the complement rows, conj(zeta) (plus - minus)/2 from the
-    complement to the code rows and zeta (plus - minus)/2 back."""
-    if sector.zeta is None:
-        return blocks[0]
-    plus, minus = blocks
-    h = len(plus)
-    out = np.empty((2 * h, 2 * h), dtype=complex)
-    out[:h, :h] = out[h:, h:] = (plus + minus) / 2
-    gap = (plus - minus) / 2
-    np.multiply(gap, np.conj(sector.zeta), out=out[:h, h:])
-    np.multiply(gap, sector.zeta, out=out[h:, :h])
-    return out
+    5e-6, where that loss dominates. Its callers check its phases first
+    (_check_phases), so none passes the float range."""
+    return [(v * np.expm1(-1j * tau * w)) @ v.conj().T for w, v in sector.blocks]
 
 
 def _diagonal_blocks(sector: Sector, m: np.ndarray) -> np.ndarray:
     """The blocks of a sector's frame block m in the basis where it is block
     diagonal, as one stack: m itself (a view), or for a pair, m = [[S,
-    conj(zeta) D], [zeta D, S]], its halves S + D and S - D (_frame_block's
-    inverse, for every sector)."""
+    conj(zeta) D], [zeta D, S]], its halves S + D and S - D, the blocks on
+    the rows (code +- conj(zeta) complement) / sqrt(2)."""
     if sector.zeta is None:
         return m[None]
     h = sector.n_code
@@ -348,6 +331,19 @@ def _check_pulse(model: SystemBathModel, pulse: LeakageEliminationOperator) -> N
         )
 
 
+def _check_phases(spectra, t: float, what: str) -> None:
+    """The phase check, run before any phase w t of the spectra (w, v) is
+    formed: a phase computed in double precision carries rounding of about
+    |w t| eps, so once max|w| |t| eps passes 1 rad its cos and sin keep no
+    correct digit, and that is a NumericalDegeneracyError naming what is
+    formed and t. Python floats overflow to inf with no warning."""
+    t = float(t)
+    top = max((float(np.abs(w).max(initial=0.0)) for w, _ in spectra), default=0.0)
+    if (resolution := abs(t) * sys.float_info.epsilon * top) > 1.0:
+        raise NumericalDegeneracyError(f"{what}: phases at t = {t!r} keep no correct "
+                                       f"digit (max|w| t eps = {resolution:.3e} > 1)")
+
+
 def _step(states: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
           ) -> np.ndarray:
     """u applied to each state of a stack (samples, copies, J): one GEMM
@@ -389,7 +385,7 @@ def _cycle(sector: Sector, tau: float) -> np.ndarray:
         cycle[:c, :c] = plus + minus + (p + m) / 2
         np.multiply(p - m, np.conj(sector.zeta) / 2, out=cycle[:c, c:])
         _fill(sector, cycle)
-    cycle[np.diag_indices_from(cycle)] += 1.0
+    np.einsum("ii->i", cycle)[...] += 1.0
     return cycle
 
 
@@ -424,6 +420,7 @@ def _pulsed(model: SystemBathModel, n: int, tau: float) -> tuple[list, list]:
     """cycle^n per sector in the frame F x I (_cycle, _power), and its
     diagonal blocks, a stack per sector (_halves), certified unitary as one
     matrix (_certified)."""
+    _check_phases([b for s in model.spectra for b in s.blocks], tau, "segment")
     totals = [_power(_cycle(sector, tau), n, _product(sector))
               for sector in model.spectra]
     halves = _halves(model.spectra, totals)
@@ -437,6 +434,7 @@ def _free(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
     one stack per view for each (_free_batches), and None: their drift is
     bounded by the model's eigenvector certificate, so they have no norm
     bound to check (_kicked's); no total is formed (_free_total)."""
+    _check_phases([b for v in views for b in v.blocks], 2 * n * tau, "free states")
     layout = _layout(n, 1)
     return layout, zip(*[_free_batches(view, phi0, -2 * tau, layout)
                          for view in views]), None
@@ -522,6 +520,7 @@ def _kicked(views: Sequence[Sector], n: int, tau: float, phi0: np.ndarray):
     power, then the cycle (the same matrix when ms = 1), are certified
     unitary, each as one matrix over the live views (_certified), before
     the first batch."""
+    _check_phases([b for v in views for b in v.blocks], tau, "segment")
     m, s = _spacing(views, n)
     top, rows = m * s, min(n // m + 1, OBSERVABLE_BATCH)
     states, cycles, tops = [], [], []
@@ -626,30 +625,34 @@ def _free_total(model: SystemBathModel, n: int, tau: float) -> list:
     """The free total exp(-i H' 2 n tau) per sector as its diagonal blocks,
     a stack per sector (_halves), certified unitary: the exponential of
     the sector's block, or of each of a pair's halves."""
+    _check_phases([b for s in model.spectra for b in s.blocks], 2 * n * tau,
+                  "free total")
     halves = [np.stack([_spectral_matrix(block, -2 * n * tau)
                         for block in sector.blocks]) for sector in model.spectra]
     _certified(model.spectra, halves, "spectral exponential")
     return halves
 
 
-def _limit(model: SystemBathModel, total_free_time: float) -> list:
-    """exp(-i (H_c + H_perp) T) per sector as its diagonal blocks, a stack
-    per sector (_halves), certified unitary: the block with the
-    exponentials of the sector's code and complement sub-blocks on its
-    diagonal, or for a pair, exp(-i A T) on both halves, one exponential."""
-    halves = []
+def _limit(model: SystemBathModel, total_free_time: float) -> tuple[list, list]:
+    """exp(-i (H_c + H_perp) T) per sector in the frame F x I, exp(-i A T)
+    on its code rows, exp(-i B T) on its complement rows and zero between
+    (one exponential, placed twice, where the two sub-blocks are one
+    spectrum, as a pair's are), and its diagonal blocks, a stack per
+    sector (_halves), certified unitary as one matrix (_certified)."""
+    _check_phases([p for s in model.spectra for p in (s.code, s.complement)],
+                  total_free_time, "decoupled limit")
+    blocks = []
     for sector in model.spectra:
-        code = _spectral_matrix(sector.code, -total_free_time)
-        if sector.zeta is not None:
-            halves.append(np.stack([code, code]))
-            continue
         c = sector.n_code
         u = np.zeros((sector.rows.shape[1],) * 2, dtype=complex)
+        code = _spectral_matrix(sector.code, -total_free_time)
         u[:c, :c] = code
-        u[c:, c:] = _spectral_matrix(sector.complement, -total_free_time)
-        halves.append(u[None])
+        u[c:, c:] = (code if sector.complement is sector.code
+                     else _spectral_matrix(sector.complement, -total_free_time))
+        blocks.append(u)
+    halves = _halves(model.spectra, blocks)
     _certified(model.spectra, halves, "decoupled limit")
-    return halves
+    return blocks, halves
 
 
 def _halves(sectors: Sequence[Sector], blocks: Sequence[np.ndarray]
@@ -666,15 +669,17 @@ def _certified(sectors: Sequence[Sector], halves: Sequence[np.ndarray],
     """The residual ||U^dag U - I||_F of the joint matrix U whose frame
     blocks, one per sector, have the diagonal blocks halves (_halves):
     sqrt(sum of the diagonal blocks' squared residuals), each block's
-    computed once and counted once per copy of its sector (for a live
-    view, per live copy). A pair's residual is read off its halves, at a
-    quarter of the flops; the rotation to them is unitary, so the sum is
-    the same. Drift past UNITARY_TOL, or a non-finite entry, fails the
+    computed once, one call per sector's stack (frobenius is bit-identical
+    per matrix of a stack), and counted once per copy of its sector (for a
+    live view, per live copy). A pair's residual is read off its halves,
+    at a quarter of the flops; the rotation to them is unitary, so the sum
+    is the same. Drift past UNITARY_TOL, or a non-finite entry, fails the
     unitary tag's test (opalg._check_residual) as computed_unitary's
     NumericalDegeneracyError("<what>: unitary tag violated: residual
     <r>")."""
-    residual = float(np.sqrt(sum(len(s.rows) * _unitary_residual(d) ** 2
-                                 for s, h in zip(sectors, halves) for d in h)))
+    residual = float(np.sqrt(sum(len(s.rows) * r ** 2
+                                 for s, h in zip(sectors, halves)
+                                 for r in _unitary_residual(h))))
     try:
         _check_residual(residual)
     except ValueError as err:
@@ -713,12 +718,11 @@ def decoupled_limit_unitary(model: SystemBathModel,
                             total_free_time: float) -> Operator:
     """Evolution under the leakage-free generator H_c + H_perp in product
     coordinates: the exponentials of the code and complement sub-blocks of
-    every sector, rotated back from the frame F x I (a pair's from its
-    halves, _frame_block); drift past the unitarity tolerance is a
-    NumericalDegeneracyError."""
+    every sector, rotated back from the frame F x I (_limit); drift past
+    the unitarity tolerance is a NumericalDegeneracyError."""
     if not abs(total_free_time) <= sys.float_info.max:  # NaN, inf, a huge int
         raise ValueError("total_free_time must be finite")
-    blocks = map(_frame_block, model.spectra, _limit(model, total_free_time))
+    blocks, _ = _limit(model, total_free_time)
     return _product_coordinates(model, blocks, "decoupled limit")
 
 
@@ -754,7 +758,7 @@ def _deferred_distance(model: SystemBathModel, n: int, tau: float,
 
     def distance() -> float:
         nonlocal model
-        limit = _limit(model, total_free_time)
+        _, limit = _limit(model, total_free_time)
         totals = _pulsed(model, n, tau)[1] if pulsed else _free_total(model, n, tau)
         value = _distance(totals, limit)
         model = None
@@ -1079,6 +1083,8 @@ def simulate(
     sys.maxsize // 8, at 8 bytes each) is a ValueError, raised with the
     state and pulse checks before any eigendecomposition.
     Raises NumericalDegeneracyError, before the first sample is evaluated,
+    when a phase it would form keeps no correct digit (_check_phases: the
+    stepped targets' and free states' at 2 n tau, the segment's at tau),
     when the model's eigenvector certificate fails or a pulsed run's top
     power (C^s or C^m) or cycle drifts past the unitarity tolerance; and,
     before it returns, when the leakage column leaves [0, 1], or else when
@@ -1100,6 +1106,8 @@ def simulate(
     if schedule.pulses is not None:
         _check_pulse(model, schedule.pulses)
     sectors = [view for view in _live(model, phi0) if view is not None]
+    if not model.decoherence_free:  # the stepped targets' phases
+        _check_phases([v.code for v in sectors], 2 * n * tau, "stepped targets")
     layout, batches, bound = (_free if schedule.pulses is None
                               else _kicked)(sectors, n, tau, phi0)
 
@@ -1155,8 +1163,9 @@ def sweep_cycles(
     ParityKickSchedule(n, total_free_time / 2n, pulses), as simulate's
     is: a tau that underflows, or a 2 n tau that rounds past the float
     range, is its ValueError. The decoupled limit at total_free_time is
-    then formed and certified once per sweep. A row then
-    computes only what it reports: cycle^n (certified unitary), the final
+    then formed and certified once per sweep, after its phases' check
+    (_check_phases), as each row's cycle^n is after its segment's. A row
+    then computes only what it reports: cycle^n (certified unitary), the final
     state cycle^n psi0 in the frame F x I on the copies the start occupies,
     as simulate reads them (_live), its leakage (range-checked as
     simulate's column) and its distance to the limit; no samples, targets
@@ -1180,7 +1189,7 @@ def sweep_cycles(
     schedules = [ParityKickSchedule(n, total_free_time / (2 * n), pulses)
                  for n in ns]
     # T is the same for every row: one limit, formed before the first row
-    limit = _limit(model, total_free_time)
+    _, limit = _limit(model, total_free_time)
     live = _live(model, phi0)
     sectors = [view for view in live if view is not None]
 

@@ -974,8 +974,8 @@ class TestLeakageOutOfRange:
 class TestFidelityNotFinite:
     def test_overflowing_target_phases_exit_two(self, tmp_path, capsys):
         # a pulsed hopping run whose stepped target's phases 2 tau k w pass
-        # the float range (g = 1e300, tau = 1e8): its fidelity was written
-        # as nan with exit 0; now one stderr line, exit 2 and no CSV
+        # the float range (g = 1e300, tau = 1e8) is refused before any
+        # phase is formed: one stderr line naming t, exit 2 and no CSV
         config = {"model": "hopping", "params": {"n_levels": 4}, "g": 1e300,
                   "seed": 3, "bath_dim": 2, "leo": {"route": "projector"},
                   "schedule": {"n_cycles": 1, "tau": 1e8},
@@ -984,15 +984,17 @@ class TestFidelityNotFinite:
         path.write_text(json.dumps(config))
         assert run_cli(["simulate", "--config", path, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err == ("numerical failure: code fidelity nan after 1 cycles "
-                       "is not finite\n")
+        assert err.startswith("numerical failure: stepped targets: phases at "
+                              "t = 200000000.0 keep no correct digit (max|w| "
+                              "t eps = ")
+        assert err.endswith(" > 1)\n") and err.count("\n") == 1
         assert not out.exists()
 
     def test_overflowing_states_of_a_free_non_qubit_run_exit_two(
             self, tmp_path, capsys):
-        # a free linear-optics run (code dim 4) at g = 1e300, tau = 1e8: its
-        # NaN states fail LAPACK's SVD in the fidelity, a numerical failure
-        # (2) with one stderr line and no CSV, not bad input (1)
+        # a free linear-optics run (code dim 4) at g = 1e300, tau = 1e8 is
+        # refused before any phase is formed: a numerical failure (2) with
+        # one stderr line and no CSV, not bad input (1)
         config = {"model": "linear_optics", "params": {}, "g": 1e300,
                   "seed": 3, "leo": {"route": "phase_shifter"},
                   "schedule": {"n_cycles": 1, "tau": 1e8},
@@ -1001,8 +1003,11 @@ class TestFidelityNotFinite:
         path.write_text(json.dumps(config))
         assert run_cli(["simulate", "--config", path, "--free",
                         "--out", out]) == 2
-        assert capsys.readouterr().err == (
-            "numerical failure: code fidelity: SVD did not converge\n")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: stepped targets: phases at "
+                              "t = 200000000.0 keep no correct digit (max|w| "
+                              "t eps = ")
+        assert err.endswith(" > 1)\n") and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import pickle
+import re
 import sys
 import threading
 import weakref
@@ -352,11 +353,16 @@ class TestCertifiedBlocks:
                            match=rf"^probe: unitary tag violated: residual {want:.3e}$"):
             dynamics._certified([two], [block[None]], "probe")
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_entry_fails(self):
+        # phases past the float range stop at the phase check before any
+        # certificate (TestOverflowingPhases), so a NaN entry is pinned
+        # here
         one, _ = self.views()
         nan = np.eye(2, dtype=complex)
         nan[0, 1] = np.nan
-        with pytest.raises(NumericalDegeneracyError, match="^probe: "):
+        with pytest.raises(NumericalDegeneracyError,
+                           match="^probe: unitary tag violated: residual nan$"):
             dynamics._certified([one], [np.stack([np.eye(2), nan])], "probe")
 
 
@@ -1227,27 +1233,46 @@ class TestFidelityCertificate:
     @pytest.mark.parametrize("bath_dim", [1, 8], ids=["svd", "qr_then_svd"])
     def test_overflowing_states_of_a_non_qubit_code_are_numerical(self, bath_dim):
         # a free linear-optics run (code dim 4) at g = 1e300 and tau = 1e8:
-        # its states are NaN, on which LAPACK's SVD in the fidelity's QR +
-        # SVD form fails; numpy's LinAlgError is a ValueError, which the CLI
-        # would report as bad input, so it is raised as a numerical failure
+        # its stepped targets' phases 2 tau w keep no correct digit, so the
+        # run is refused before any state or target is formed; the
+        # fidelity's factorization of NaN states is pinned by
+        # test_a_failed_factorization_is_numerical
         m = linear_optics_model(3, 1e300, bath_dim=bath_dim)
         assert m.code.code_dim == 4 and not m.decoherence_free
         with pytest.raises(NumericalDegeneracyError,
-                           match="^code fidelity: SVD did not converge$"):
+                           match=unresolved("stepped targets", 2e8)):
             simulate(m, ParityKickSchedule(1, 1e8, None), code_state(m))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bath_dim", [1, 8], ids=["svd", "qr_then_svd"])
+    def test_a_failed_factorization_is_numerical(self, bath_dim):
+        # NaN stacks of code dim 4, in the SVD form (b <= k) and after QR
+        # (b > k): LAPACK's SVD fails, and numpy's LinAlgError, a ValueError
+        # the CLI would report as bad input, is raised as a numerical failure
+        a = np.full((3, 4, bath_dim), np.nan, dtype=complex)
+        with pytest.raises(NumericalDegeneracyError,
+                           match="^code fidelity: SVD did not converge$"):
+            dynamics._nuclear_norm(a, a)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_target_phases_are_numerical(self):
         # hopping at g = 1e300 and tau = 1e8: the stepped target's phases
-        # 2 tau k w pass the float range, so every target after sample 0 is
-        # NaN; its fidelity was returned as nan with no error, and no
-        # overflow warning escapes
+        # 2 tau k w pass the float range, and the run is refused before any
+        # phase is formed, with no overflow warning (a NaN fidelity fails
+        # the column check, test_not_finite_is_numerical)
         m = hopping_model(4, 3, 1e300, bath_dim=2)
         assert not m.decoherence_free
         with pytest.raises(NumericalDegeneracyError,
-                           match="^code fidelity nan after 1 cycles is not finite$"):
+                           match=unresolved("stepped targets", 2e8)):
             simulate(m, ParityKickSchedule(1, 1e8, projector_leo(m.code)),
                      code_state(m))
+
+
+def unresolved(what, t):
+    """The phase check's message (dynamics._check_phases) for what is
+    formed at time t, as a full-match pattern."""
+    head = f"{what}: phases at t = {float(t)!r} keep no correct digit"
+    return f"^{re.escape(head)}" + r" \(max\|w\| t eps = \S+ > 1\)$"
 
 
 def optics_overflow():
@@ -1261,33 +1286,73 @@ def hopping_overflow():
     return m, number_operator_leo(4)
 
 
+def hopping_unresolved():
+    """Hopping at g = 1e100 with its pulse: at tau = 1e8 its phases are
+    about 1e108 rad, finite but with no correct digit."""
+    m = hopping_model(4, 3, 1e100, bath_dim=2)
+    return m, projector_leo(m.code)
+
+
 class TestOverflowingPhases:
-    """Phases past the float range make the segment's (_segment) and the
-    exponentials' (opalg._spectral_matrix) entries NaN with no numpy
-    warning, so the first certificate that reads them raises
-    NumericalDegeneracyError, with warnings as errors too."""
+    """A phase w t computed in double precision carries rounding of about
+    |w t| eps, so past max|w| t eps = 1 no digit of it is right. Every run
+    checks its phases first (dynamics._check_phases: the segment at tau,
+    free states and stepped targets at 2 n tau, the limit at T) and raises
+    NumericalDegeneracyError naming t, before any _cycle, _spectral_matrix
+    or _unit call, with warnings as errors too: phases past the float
+    range, and finite ones that every unitarity certificate passed."""
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("build,call,what", [
+    @pytest.mark.parametrize("build,call,what,t", [
         pytest.param(optics_overflow, lambda m, p: simulate(
             m, ParityKickSchedule(1, 1e8, p), code_state(m)),
-            r"cycle\^1, the stride of 1 cycles", id="simulate"),
+            "stepped targets", 2e8, id="simulate"),
         pytest.param(optics_overflow, lambda m, p: sweep_cycles(
-            m, 2e8, [1, 2], code_state(m), p), "decoupled limit", id="sweep"),
+            m, 2e8, [1, 2], code_state(m), p), "decoupled limit", 2e8, id="sweep"),
         pytest.param(optics_overflow, lambda m, p: parity_kick_unitary(
-            m, ParityKickSchedule(1, 1e8, p)), "total propagator after 1 cycles",
+            m, ParityKickSchedule(1, 1e8, p)), "segment", 1e8,
             id="parity_kick_unitary"),
         pytest.param(optics_overflow, lambda m, p: decoupled_limit_unitary(m, 2e8),
-                     "decoupled limit", id="decoupled_limit_unitary"),
+                     "decoupled limit", 2e8, id="decoupled_limit_unitary"),
         pytest.param(hopping_overflow, lambda m, p: sweep_cycles(
-            m, 2e8, [1, 2], code_state(m), p), "decoupled limit",
+            m, 2e8, [1, 2], code_state(m), p), "decoupled limit", 2e8,
             id="hopping_sweep"),
+        pytest.param(hopping_unresolved, lambda m, p: simulate(
+            m, ParityKickSchedule(1, 1e8, p), code_state(m)),
+            "stepped targets", 2e8, id="hopping_1e100_pulsed"),
+        pytest.param(hopping_unresolved, lambda m, p: simulate(
+            m, ParityKickSchedule(1, 1e8, None), code_state(m)),
+            "stepped targets", 2e8, id="hopping_1e100_free"),
+        pytest.param(hopping_unresolved, lambda m, p: sweep_cycles(
+            m, 2e8, [1, 2], code_state(m), p), "decoupled limit", 2e8,
+            id="hopping_1e100_sweep"),
+        pytest.param(lambda: (benchmark_model(), exchange_dfs2_leo()),
+                     lambda m, p: sweep_cycles(m, sys.float_info.max, [1],
+                                               code_state(m), p),
+                     "decoupled limit", sys.float_info.max, id="dfs2_sweep_at_max"),
+        pytest.param(lambda: (benchmark_model(), None), lambda m, p: simulate(
+            m, ParityKickSchedule(1, 1e300, p), code_state(m)),
+            "free states", 2e300, id="dfs2_free"),
+        pytest.param(lambda: (benchmark_model(), exchange_dfs2_leo()),
+                     lambda m, p: simulate(m, ParityKickSchedule(1, 1e300, p),
+                                           code_state(m)),
+                     "segment", 1e300, id="dfs2_pulsed"),
     ])
-    def test_is_numerical_with_no_warning(self, build, call, what):
+    def test_is_numerical_with_no_warning(self, monkeypatch, build, call, what, t):
         m, pulse = build()
-        with pytest.raises(NumericalDegeneracyError,
-                           match=f"^{what}: unitary tag violated: residual nan$"):
+        formed = [counting(monkeypatch, name)
+                  for name in ("_cycle", "_spectral_matrix", "_unit")]
+        with pytest.raises(NumericalDegeneracyError, match=unresolved(what, t)):
             call(m, pulse)
+        assert formed == [[], [], []]
+
+    def test_the_shipped_config_is_resolved_at_any_cycle_count(self, bench_dir):
+        # max|w| = 1.03 and T = 2, so max|w| t eps <= 4.6e-16 for every
+        # segment, state, target and the limit, whatever the cycle count
+        m, _ = shipped_config(bench_dir)
+        top = max(float(np.abs(w).max()) for sector in m.spectra
+                  for w, _ in (*sector.blocks, sector.code, sector.complement))
+        assert 2.0 * sys.float_info.epsilon * top == pytest.approx(4.6e-16, rel=0.01)
 
 
 class TestDecoupledLimit:
@@ -1297,9 +1362,8 @@ class TestDecoupledLimit:
         ids=[*PAIR_MODELS, "hopping"])
     def test_sub_block_exponentials_exactly(self, build):
         # every sector's frame block is exp(-i A T) on its code rows and
-        # exp(-i B T) on its complement rows, zero between: a pair's limit,
-        # formed as exp(-i A T) on both halves, rotates to the frame
-        # exactly, as (L + L)/2 = L and (L - L)/2 = 0
+        # exp(-i B T) on its complement rows, zero between, as _limit forms
+        # it: a pair's one exponential, exp(-i A T), placed twice
         m = build()
         blocks = []
         for sector in m.spectra:
@@ -2371,6 +2435,26 @@ class TestPulseMustMatchModelCode:
         assert pulsed.final_leakage < 1e-3 * free.final_leakage
 
 
+def frame_block(sector, blocks):
+    """A sector's frame block, code rows first, from the stack of its
+    blocks in the basis where it is block diagonal (the inverse of
+    dynamics._diagonal_blocks): the one block itself, or for a pair, from
+    plus and minus on its halves' rows (code +- conj(zeta) complement) /
+    sqrt(2), (plus + minus)/2 on the code and on the complement rows,
+    conj(zeta) (plus - minus)/2 from the complement to the code rows and
+    zeta (plus - minus)/2 back."""
+    if sector.zeta is None:
+        return blocks[0]
+    plus, minus = blocks
+    h = len(plus)
+    out = np.empty((2 * h, 2 * h), dtype=complex)
+    out[:h, :h] = out[h:, h:] = (plus + minus) / 2
+    gap = (plus - minus) / 2
+    np.multiply(gap, np.conj(sector.zeta), out=out[:h, h:])
+    np.multiply(gap, sector.zeta, out=out[h:, :h])
+    return out
+
+
 class TestSpectralCache:
     """Each model diagonalizes every distinct block of H_joint in the code
     frame (a sector and its copies) and that block's code and complement
@@ -2462,10 +2546,10 @@ class TestSpectralCache:
                 want = ez @ ez + (e + z @ e @ z) + np.eye(dim)
             else:
                 plus, minus = small
-                want = (dynamics._frame_block(sector, [plus @ minus, minus @ plus])
+                want = (frame_block(sector, [plus @ minus, minus @ plus])
                         + np.kron(np.eye(2), plus + minus) + np.eye(dim))
             np.testing.assert_array_equal(cycle, want)
-            sz = (dynamics._frame_block(sector, small) + np.eye(dim)) @ z
+            sz = (frame_block(sector, small) + np.eye(dim)) @ z
             assert np.max(np.abs(cycle - sz @ sz)) <= 1e-15
         # in product coordinates that is S Z S Z, Z = (Q - P) x I, within
         # the same error model for the two segments of a cycle, 2 tau apart
@@ -2754,7 +2838,7 @@ class TestPairs:
 
     @pytest.mark.parametrize("case", CASES)
     def test_pair_form_round_trips(self, case):
-        # any halves: _frame_block and _diagonal_blocks invert each other,
+        # any halves: frame_block and _diagonal_blocks invert each other,
         # and the half-row product of two frame blocks is their product; an
         # unpaired sector's frame block is its one block, unchanged
         m = PAIR_MODELS[case][0]()
@@ -2762,20 +2846,20 @@ class TestPairs:
         for sector in m.spectra:
             if sector.zeta is None:
                 block = random_unitary(sector.rows.shape[1], rng)
-                assert dynamics._frame_block(sector, [block]) is block
+                assert frame_block(sector, [block]) is block
                 (diagonal,) = dynamics._diagonal_blocks(sector, block)
                 assert diagonal.base is block  # a view, not a copy
                 continue
             h = sector.n_code
             plus, minus, other, another = (random_unitary(h, rng) for _ in range(4))
-            a = dynamics._frame_block(sector, [plus, minus])
-            b = dynamics._frame_block(sector, [other, another])
+            a = frame_block(sector, [plus, minus])
+            b = frame_block(sector, [other, another])
             for got, want in zip(dynamics._diagonal_blocks(sector, a), (plus, minus)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
             np.testing.assert_allclose(dynamics._product(sector)(a, b), a @ b,
                                        rtol=0, atol=1e-14)
             np.testing.assert_allclose(
-                dynamics._frame_block(sector, [plus @ other, minus @ another]),
+                frame_block(sector, [plus @ other, minus @ another]),
                 a @ b, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("case", CASES)

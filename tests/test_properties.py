@@ -2,27 +2,34 @@
 decomposition holds for any isometry code, and simulate's samples match a
 one-state-at-a-time reference on dense frames from superposition states
 and, through the overlap fidelity, on dfs2 models from random code states.
+The library's contract holds for any g and tau up to the float limits:
+simulate and sweep_cycles return finite columns in range, or raise
+ValueError or NumericalDegeneracyError, with no warning.
 
 Cycle counts run past OBSERVABLE_BATCH, so samples on both sides of a batch
 edge are covered, and both pulsed and free runs are drawn.
 """
 
+import sys
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_dynamics import per_sample_reference
 
 from leolab.classify import decompose
 from leolab.codes import CodeSubspace
-from leolab.dynamics import ParityKickSchedule, simulate
-from leolab.leo import exchange_dfs2_leo, projector_leo
+from leolab.dynamics import ParityKickSchedule, simulate, sweep_cycles
+from leolab.leo import exchange_dfs2_leo, phase_shifter_leo, projector_leo
 from leolab.models import (
     DFS2_LEAK_LABELS,
     SystemBathModel,
     dfs2_leakage_model,
     hopping_model,
+    linear_optics_model,
 )
-from leolab.opalg import random_hermitian
+from leolab.opalg import NumericalDegeneracyError, random_hermitian
 
 models = st.one_of(
     st.builds(
@@ -153,3 +160,78 @@ def test_overlap_fidelity_matches_reference(run, n, pulsed):
     np.testing.assert_allclose(report.leakage_population, leaks,
                                rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(report.code_fidelity, fids, rtol=1e-12, atol=1e-12)
+
+
+def contract_run(family, seed, g, bath_dim):
+    """A model of family, ("dfs2", leak set), ("hopping", levels) or
+    ("optics", None), and its pulse."""
+    kind, shape = family
+    if kind == "dfs2":
+        return dfs2_leakage_model(shape, g, seed, bath_dim=bath_dim), exchange_dfs2_leo()
+    if kind == "hopping":
+        m = hopping_model(shape, seed, g, bath_dim=bath_dim)
+        return m, projector_leo(m.code)
+    return linear_optics_model(seed, g, bath_dim=bath_dim), phase_shifter_leo()
+
+
+# log-uniform over 1e-300 ... 1e300
+LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(family=st.one_of(
+           st.tuples(st.just("dfs2"), st.lists(st.sampled_from(DFS2_LEAK_LABELS),
+                                               min_size=1, max_size=3)),
+           st.tuples(st.just("hopping"), st.integers(3, 5)),
+           st.tuples(st.just("optics"), st.none())),
+       seed=st.integers(0, 2**32 - 1), g=LOG_UNIFORM, tau=LOG_UNIFORM,
+       bath_dim=st.integers(1, 4), n=st.sampled_from([0, 1, 2, 255, 256, 257]),
+       superposition=st.booleans(), pulsed=st.booleans())
+# phases of about 1e108 rad, finite, that every unitarity certificate passed
+@example(family=("hopping", 4), seed=3, g=1e100, tau=1e8, bath_dim=2, n=1,
+         superposition=False, pulsed=True)
+# a sweep to the largest float: T = 2 n tau with n = 1
+@example(family=("dfs2", ["XI"]), seed=3, g=0.05, tau=sys.float_info.max / 2,
+         bath_dim=4, n=1, superposition=False, pulsed=True)
+# phases past the float range: the stepped target, and a free run's states
+@example(family=("hopping", 4), seed=3, g=1e300, tau=1e8, bath_dim=2, n=1,
+         superposition=False, pulsed=True)
+@example(family=("optics", None), seed=3, g=1e300, tau=1e8, bath_dim=1, n=1,
+         superposition=False, pulsed=False)
+def test_library_contract(family, seed, g, tau, bath_dim, n, superposition, pulsed):
+    # the library twin of the CLI's config contract: every call returns
+    # finite columns in range (leakage within simulate's own 1e-12 of [0,
+    # 1]) or raises ValueError or NumericalDegeneracyError, and no warning
+    # escapes
+    built = returned(contract_run, family, seed, g, bath_dim)
+    if built is None:
+        return
+    model, pulse = built
+    basis = model.code.basis
+    k = basis.shape[1]
+    state = (basis @ (np.exp(1j * np.arange(k)) / np.sqrt(k)) if superposition
+             else basis[:, seed % k])
+    report = returned(lambda: simulate(
+        model, ParityKickSchedule(n, tau, pulse if pulsed else None), state))
+    if report is not None:
+        leakage, fidelity = report.leakage_population, report.code_fidelity
+        assert len(leakage) == len(fidelity) == n + 1
+        assert np.all((leakage >= 0.0) & (leakage <= 1.0 + 1e-12))
+        assert np.all(np.isfinite(fidelity))
+        distance = returned(lambda: report.distance_to_limit)
+        assert distance is None or 0.0 <= distance < np.inf
+    m = max(n, 1)
+    table = returned(sweep_cycles, model, 2 * m * tau, sorted({1, m}), state, pulse)
+    for row in () if table is None else table.rows:
+        assert 0.0 <= row.final_leakage <= 1.0 + 1e-12
+        assert 0.0 <= row.distance_to_limit < np.inf
+
+
+def returned(call, *args):
+    """call(*args), or None where it raises ValueError or
+    NumericalDegeneracyError."""
+    try:
+        return call(*args)
+    except (ValueError, NumericalDegeneracyError):
+        return None
